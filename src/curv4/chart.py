@@ -1,8 +1,16 @@
 """Coordinate charts and finite-difference curvature.
 
 A MetricChart is a box in R^4 with a smooth closed-form metric evaluator.
-Christoffel symbols come from order-controlled central differences of the
-metric; the curvature tensor from nested differences of the Christoffels,
+A curvature entry starts from the metric jet at x: g, dg and ddg from one
+batched evaluation of the metric on a tensor-product central stencil
+(numerics.metric_jet). The Christoffel symbols and their partials follow in
+closed form,
+
+    Gamma^k_ij = g^km Gamma_mij,  Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2,
+    d_p Gamma^k_ij = g^km d_p Gamma_mij + d_p(g^km) Gamma_mij,
+    d_p(g^-1) = -g^-1 (d_p g) g^-1,
+
+and the curvature tensor from
 
     R(d_i, d_j) d_k = [d_j Gamma^m_ik - d_i Gamma^m_jk
                        + Gamma^p_ik Gamma^m_jp - Gamma^p_jk Gamma^m_ip] d_m,
@@ -12,8 +20,9 @@ which reproduces R_ijij > 0 on round spheres (the package-wide sign
 convention, see tensor4). Raw curvature is projected onto the algebraic
 curvature tensors; the projection distance is kept as a noise diagnostic.
 
-Derivatives of curvature quantities (the harmonicity residuals) use the
-wider third-derivative step of the stencil configuration.
+Derivatives of curvature quantities (the harmonicity residuals) are
+central differences of curvature entries at the wider third-derivative
+step of the stencil configuration.
 """
 
 from __future__ import annotations
@@ -21,11 +30,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._parallel import parallel_map
 from .errors import DomainError, InconsistencyError, InputError
-from .numerics import DEFAULT_STENCIL, central_diff
+from .numerics import DEFAULT_STENCIL, central_diff, halton, metric_jet
 from .tensor4 import Curv4, Metric4, curvature_symmetrize, ricci_contract, weyl_from_curv
 
 # residual tolerance tiers: purely algebraic identities, quantities built
@@ -41,6 +49,10 @@ class MetricChart:
     registered, returns four linearly independent column vectors that
     diagonalize the Ricci tensor (used by the frame extraction when the
     Ricci spectrum is degenerate). `params` is serialized into reports.
+
+    `batched` declares that eval_fn also accepts stacked points, mapping
+    shape (..., 4) to (..., 4, 4); eval_batch then makes one call for a
+    whole stencil. Without it, eval_batch evaluates the points one by one.
     """
 
     name: str
@@ -50,12 +62,13 @@ class MetricChart:
     adapted_frame_fn: object = None
     default_tols: dict = None
     validate: bool = True
+    batched: bool = False
 
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float)
         if self.box.shape != (4, 2) or np.any(self.box[:, 1] <= self.box[:, 0]):
             raise InputError("box must be (4,2) with lo < hi per axis")
-        self._fields = {}
+        self._caches = {}
         if self.validate:
             _validate_chart(self)
 
@@ -71,20 +84,38 @@ class MetricChart:
             raise DomainError(f"point {x.tolist()} outside chart '{self.name}' box")
         return np.asarray(self.eval_fn(x), dtype=float)
 
+    def eval_batch(self, X):
+        """Metric components at stacked points: (N, 4) -> (N, 4, 4)."""
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != 4:
+            raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
+        outside = ~np.all((X >= self.box[:, 0]) & (X <= self.box[:, 1]), axis=1)
+        if np.any(outside):
+            raise DomainError(
+                f"point {X[outside][0].tolist()} outside chart '{self.name}' box"
+            )
+        if self.batched:
+            G = np.asarray(self.eval_fn(X), dtype=float)
+        else:
+            G = np.stack([np.asarray(self.eval_fn(x), dtype=float) for x in X])
+        if G.shape != (len(X), 4, 4):
+            raise InputError(f"chart '{self.name}' returned shape {G.shape} for {len(X)} points")
+        return G
+
     def metric(self, x):
         return Metric4(g=self.eval(x))
 
     def curvature_field(self, cfg=DEFAULT_STENCIL):
-        key = (cfg.step, cfg.order, cfg.third_step)
-        if key not in self._fields:
-            self._fields[key] = CurvatureField(self, cfg)
-        return self._fields[key]
+        # the chart keeps only the entry cache: a field kept here would point
+        # back at the chart, and the cycle would leave a dropped chart and
+        # its cache to the cyclic garbage collector
+        cache = self._caches.setdefault((cfg.step, cfg.order, cfg.third_step), {})
+        return CurvatureField(self, cfg, cache)
 
 
 def _probe_points(chart, m=5):
     # fixed unscrambled Halton probes, pulled 20% inside the box
-    sampler = qmc.Halton(d=4, scramble=False)
-    u = sampler.random(m + 1)[1:]  # drop the degenerate all-zeros first point
+    u = halton(m + 1)[1:]  # drop the degenerate all-zeros first point
     lo, hi = chart.box[:, 0], chart.box[:, 1]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + (2.0 * u - 1.0) * 0.8 * half
@@ -102,6 +133,12 @@ def _validate_chart(chart):
             raise InputError(f"chart '{chart.name}' metric not symmetric at {x.tolist()}")
         if np.linalg.eigvalsh(0.5 * (g + g.T))[0] <= 1e-6:
             raise InputError(f"chart '{chart.name}' metric not positive definite at {x.tolist()}")
+    if chart.batched:
+        G = chart.eval_batch(pts)
+        if np.max(np.abs(G - [chart.eval(x) for x in pts])) > 1e-12 * max(1.0, np.max(np.abs(G))):
+            raise InconsistencyError(
+                f"chart '{chart.name}': batched and point-wise evaluation disagree"
+            )
     # stencil-order consistency: order-4 and order-6 first derivatives agree
     x = pts[0]
     c4, c6 = StencilConfig(order=4), StencilConfig(order=6)
@@ -118,38 +155,57 @@ def sample_points(chart, count=16, seed=0):
     """Deterministic scrambled-Halton samples in the 10%-shrunk box."""
     if count < 1:
         raise InputError("count must be >= 1")
-    sampler = qmc.Halton(d=4, scramble=True, seed=np.random.default_rng(seed))
-    u = sampler.random(count)
+    u = halton(count, seed=seed)
     lo, hi = chart.box[:, 0], chart.box[:, 1]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + (2.0 * u - 1.0) * 0.9 * half
 
 
-def christoffel(chart, x, cfg=DEFAULT_STENCIL):
-    """Christoffel symbols Gamma[k, i, j] = Gamma^k_ij at x."""
-    x = np.asarray(x, dtype=float)
-    # the stencil itself bypasses chart.eval, so guard its footprint here;
-    # outer (second/third) derivatives inherit the guard through nesting
-    margin = cfg.reach * cfg.step
+def _guard_footprint(chart, x, margin):
+    # stencils bypass chart.eval, so their footprint is checked up front
     if np.any(x - margin < chart.box[:, 0] - 1e-12) or np.any(
         x + margin > chart.box[:, 1] + 1e-12
     ):
         raise DomainError(
             f"stencil footprint (reach {margin:g}) exits chart '{chart.name}' box at {x.tolist()}"
         )
-    g = chart.eval(x)
-    g_inv = np.linalg.inv(g)
-    dg = np.stack([central_diff(chart.eval_fn, x, d, cfg) for d in range(4)])
-    gamma = 0.5 * (
-        np.einsum("km,imj->kij", g_inv, dg)
-        + np.einsum("km,jmi->kij", g_inv, dg)
-        - np.einsum("km,mij->kij", g_inv, dg)
-    )
+
+
+def _first_kind(dg):
+    """Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2 from dg[p] = d_p g."""
+    return 0.5 * (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg)
+
+
+def _check_compatible(x, g, gamma, dg):
     # metric compatibility is exact by construction; verify to catch misassembly
     nabla_g = dg - np.einsum("mki,mj->kij", gamma, g) - np.einsum("mkj,im->kij", gamma, g)
     if np.max(np.abs(nabla_g)) > 5e-7 * max(1.0, np.linalg.norm(g)):
         raise InconsistencyError(f"nabla g != 0 at {x.tolist()}")
+
+
+def christoffel(chart, x, cfg=DEFAULT_STENCIL):
+    """Christoffel symbols Gamma[k, i, j] = Gamma^k_ij at x."""
+    x = np.asarray(x, dtype=float)
+    _guard_footprint(chart, x, cfg.reach * cfg.step)
+    g = chart.eval(x)
+    dg = np.stack([central_diff(chart.eval_fn, x, d, cfg) for d in range(4)])
+    gamma = np.einsum("km,mij->kij", np.linalg.inv(g), _first_kind(dg))
+    _check_compatible(x, g, gamma, dg)
     return gamma
+
+
+def _christoffel_jet(metric, dg, ddg):
+    """Gamma[k, i, j] and dGamma[p, k, i, j] = d_p Gamma^k_ij in closed form
+    from the metric jet (dg[p] = d_p g, ddg[q, p] = d_q d_p g)."""
+    g_inv = metric.g_inv
+    first = _first_kind(dg)
+    dfirst = 0.5 * (np.einsum("pimj->pmij", ddg) + np.einsum("pjmi->pmij", ddg) - ddg)
+    dg_inv = -np.einsum("ka,pab,bm->pkm", g_inv, dg, g_inv)
+    gamma = np.einsum("km,mij->kij", g_inv, first)
+    dgamma = np.einsum("km,pmij->pkij", g_inv, dfirst) + np.einsum(
+        "pkm,mij->pkij", dg_inv, first
+    )
+    return gamma, dgamma
 
 
 @dataclass(frozen=True)
@@ -167,12 +223,15 @@ class CurvatureEntry:
 
 
 class CurvatureField:
-    """Memoizing curvature evaluator for one chart and stencil config."""
+    """Memoizing curvature evaluator for one chart and stencil config.
 
-    def __init__(self, chart, cfg=DEFAULT_STENCIL):
+    Fields made by MetricChart.curvature_field share the chart's `cache`.
+    """
+
+    def __init__(self, chart, cfg=DEFAULT_STENCIL, cache=None):
         self.chart = chart
         self.cfg = cfg
-        self._cache = {}
+        self._cache = {} if cache is None else cache
 
     def at(self, x):
         x = np.asarray(x, dtype=float)
@@ -186,11 +245,14 @@ class CurvatureField:
     def _compute(self, x):
         cfg = self.cfg
         chart = self.chart
-        metric = Metric4(g=chart.eval(x))
-        gamma = christoffel(chart, x, cfg)
-        dgamma = np.stack(
-            [central_diff(lambda y, d=d: christoffel(chart, y, cfg), x, d, cfg) for d in range(4)]
-        )
+        if x.shape != (4,):
+            raise InputError(f"chart points are 4-vectors, got shape {x.shape}")
+        # the nested stencil reaches twice as far as a single one
+        _guard_footprint(chart, x, 2 * cfg.reach * cfg.step)
+        g, dg, ddg = metric_jet(chart.eval_batch, x, cfg)
+        metric = Metric4(g=g)
+        gamma, dgamma = _christoffel_jet(metric, dg, ddg)
+        _check_compatible(x, metric.g, gamma, dg)
         # R^m_(i,j,k) per the curvature convention in the module docstring
         rm = (
             np.einsum("jmik->mijk", dgamma)
@@ -319,9 +381,10 @@ class HarmonicityReport:
 
 
 def harmonicity_report(chart, cfg=DEFAULT_STENCIL, count=16, seed=0, tols=None):
-    tols = dict(DEFAULT_TOLS, **(chart.default_tols or {}), **(tols or {}))
+    # precedence: the caller's tolerances, then the chart's, then the defaults
+    tols = {**DEFAULT_TOLS, **(chart.default_tols or {}), **(tols or {})}
     pts = sample_points(chart, count=count, seed=seed)
-    chart.curvature_field(cfg)  # shared memoized field across workers
+    chart.curvature_field(cfg)  # create the entry cache the workers share
 
     def one(x):
         return {

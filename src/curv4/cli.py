@@ -18,7 +18,7 @@ import numpy as np
 
 from . import variety as vy
 from ._parallel import parallel_map
-from .chart import DEFAULT_TOLS, harmonicity_report, sample_points
+from .chart import harmonicity_report, sample_points
 from .errors import Curv4Error, DegenerateFrameError, InputError
 from .examples import REGISTRY, build_example, example_names
 from .frames import (
@@ -50,7 +50,8 @@ class RunConfig:
     example: str = ""
     samples: int = 16
     stencil: StencilConfig = field(default_factory=StencilConfig)
-    tolerances: dict = field(default_factory=lambda: dict(DEFAULT_TOLS))
+    # explicit overrides only; the chart's own tolerances and DEFAULT_TOLS fill in the rest
+    tolerances: dict = field(default_factory=dict)
     seed: int = 0
     output: str = ""
     fmt: str = "json"
@@ -83,12 +84,13 @@ def _jsonable(obj):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
         return [_jsonable(v) for v in obj.tolist()]
+    # bool before int: bool is a subclass of int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 

@@ -12,6 +12,9 @@ Registry names (parameters after a colon, comma-separated):
 
 All charts are coordinate boxes with analytic (or spline-backed) metric
 component functions, suitable for the finite-difference curvature pipeline.
+Every evaluator is written once over the last axis of its argument, so it
+maps stacked points (..., 4) to stacked metrics (..., 4, 4) and the charts
+declare `batched=True`.
 """
 
 from __future__ import annotations
@@ -39,8 +42,8 @@ def make_constant_curvature(K0, name=None, half_width=0.6):
         raise InputError("box reaches the conformal-factor singularity")
 
     def eval_fn(x):
-        conf = (1.0 + 0.25 * K0 * float(np.dot(x, x))) ** -2.0
-        return conf * np.eye(4)
+        conf = (1.0 + 0.25 * K0 * np.sum(x * x, axis=-1)) ** -2.0
+        return conf[..., None, None] * np.eye(4)
 
     box = np.array([[-half_width, half_width]] * 4)
     return MetricChart(
@@ -48,6 +51,7 @@ def make_constant_curvature(K0, name=None, half_width=0.6):
         box=box,
         eval_fn=eval_fn,
         params={"K0": K0},
+        batched=True,
     )
 
 
@@ -56,11 +60,11 @@ def make_product_surfaces(k1, k2, half_width=0.5):
     k1, k2 = float(k1), float(k2)
 
     def eval_fn(x):
-        g = np.zeros((4, 4))
-        c1 = _conformal_surface_block(k1, x[0], x[1])
-        c2 = _conformal_surface_block(k2, x[2], x[3])
-        g[0, 0] = g[1, 1] = c1
-        g[2, 2] = g[3, 3] = c2
+        g = np.zeros(x.shape[:-1] + (4, 4))
+        c1 = _conformal_surface_block(k1, x[..., 0], x[..., 1])
+        c2 = _conformal_surface_block(k2, x[..., 2], x[..., 3])
+        g[..., 0, 0] = g[..., 1, 1] = c1
+        g[..., 2, 2] = g[..., 3, 3] = c2
         return g
 
     box = np.array([[-half_width, half_width]] * 4)
@@ -70,6 +74,7 @@ def make_product_surfaces(k1, k2, half_width=0.5):
         eval_fn=eval_fn,
         params={"k1": k1, "k2": k2},
         adapted_frame_fn=lambda x: np.eye(4),
+        batched=True,
     )
 
 
@@ -78,10 +83,10 @@ def make_line_cross_space(c, half_width=0.5):
     c = float(c)
 
     def eval_fn(x):
-        g = np.zeros((4, 4))
-        g[0, 0] = 1.0
-        conf = (1.0 + 0.25 * c * float(x[1] ** 2 + x[2] ** 2 + x[3] ** 2)) ** -2.0
-        g[1, 1] = g[2, 2] = g[3, 3] = conf
+        g = np.zeros(x.shape[:-1] + (4, 4))
+        g[..., 0, 0] = 1.0
+        conf = (1.0 + 0.25 * c * (x[..., 1] ** 2 + x[..., 2] ** 2 + x[..., 3] ** 2)) ** -2.0
+        g[..., 1, 1] = g[..., 2, 2] = g[..., 3, 3] = conf
         return g
 
     box = np.array([[-0.6, 0.6]] + [[-half_width, half_width]] * 3)
@@ -91,6 +96,7 @@ def make_line_cross_space(c, half_width=0.5):
         eval_fn=eval_fn,
         params={"c": c},
         adapted_frame_fn=lambda x: np.eye(4),
+        batched=True,
     )
 
 
@@ -266,14 +272,13 @@ def make_kpc_warped(profile, margin=0.03):
         raise InputError("profile domain too short for a usable chart")
 
     def eval_fn(x):
-        t, _, u, _ = x
-        K = profile.K(t)
-        conf = (K + c) ** -2.0
-        g = np.zeros((4, 4))
-        g[0, 0] = conf
-        g[1, 1] = conf * profile.f(t) ** 2
-        g[2, 2] = conf
-        g[3, 3] = conf * sc(u) ** 2
+        t, u = x[..., 0], x[..., 2]
+        conf = (profile._K_spline(t) + c) ** -2.0
+        g = np.zeros(x.shape[:-1] + (4, 4))
+        g[..., 0, 0] = conf
+        g[..., 1, 1] = conf * profile._f_spline(t) ** 2
+        g[..., 2, 2] = conf
+        g[..., 3, 3] = conf * sc(u) ** 2
         return g
 
     return MetricChart(
@@ -283,6 +288,7 @@ def make_kpc_warped(profile, margin=0.03):
         params={"c": c, "r": profile.r, "K0": profile.K0},
         adapted_frame_fn=lambda x: np.eye(4),
         default_tols={"third": 1e-3},
+        batched=True,
     )
 
 
@@ -292,7 +298,7 @@ def make_bump_nonharmonic(a):
     a = float(a)
 
     def eval_fn(x):
-        return np.exp(2.0 * a * x[0] ** 3) * np.eye(4)
+        return np.exp(2.0 * a * x[..., 0] ** 3)[..., None, None] * np.eye(4)
 
     box = np.array([[0.4, 1.6], [-0.6, 0.6], [-0.6, 0.6], [-0.6, 0.6]])
     return MetricChart(
@@ -300,6 +306,7 @@ def make_bump_nonharmonic(a):
         box=box,
         eval_fn=eval_fn,
         params={"a": a},
+        batched=True,
     )
 
 
@@ -312,23 +319,23 @@ def make_random_perturbed_flat(seed, amplitude=0.15, waves=2, half_width=0.5):
     """
     seed = int(seed)
     rng = np.random.default_rng(seed)
-    terms = []
+    wavevectors, phases, spread = [], [], []
     for i in range(4):
         for j in range(i, 4):
             amp = amplitude if i == j else amplitude / 3.0
             for _ in range(waves):
-                k = rng.uniform(0.8, 2.0, size=4) * rng.choice([-1.0, 1.0], size=4)
-                phase = rng.uniform(0.0, 2.0 * np.pi)
-                terms.append((i, j, amp / waves, k, phase))
+                wavevectors.append(rng.uniform(0.8, 2.0, size=4) * rng.choice([-1.0, 1.0], size=4))
+                phases.append(rng.uniform(0.0, 2.0 * np.pi))
+                slot = np.zeros((4, 4))
+                slot[i, j] = slot[j, i] = amp / waves
+                spread.append(slot.ravel())
+    # wave t adds spread[t] * sin(k_t . x + phase_t) to the flattened metric
+    wavevectors, phases, spread = np.array(wavevectors), np.array(phases), np.array(spread)
 
     def eval_fn(x):
-        g = np.eye(4)
-        for i, j, amp, k, phase in terms:
-            v = amp * np.sin(float(np.dot(k, x)) + phase)
-            g[i, j] += v
-            if i != j:
-                g[j, i] += v
-        return g
+        return np.eye(4) + (np.sin(x @ wavevectors.T + phases) @ spread).reshape(
+            x.shape[:-1] + (4, 4)
+        )
 
     box = np.array([[-half_width, half_width]] * 4)
     return MetricChart(
@@ -336,6 +343,7 @@ def make_random_perturbed_flat(seed, amplitude=0.15, waves=2, half_width=0.5):
         box=box,
         eval_fn=eval_fn,
         params={"seed": seed, "amplitude": amplitude},
+        batched=True,
     )
 
 

@@ -1,13 +1,17 @@
 """Shared numerical kernels.
 
-Central differences on scalar/array-valued fields, symmetric eigensystems
-with a deterministic ordering, SVD-based rank decisions, and classical
-fixed-step Runge-Kutta integration. Everything downstream (curvature,
-frames, variety checks) funnels its numerics through this module.
+Central differences on scalar/array-valued fields, jets (value, first and
+second partials) of a field from one batched stencil evaluation, symmetric
+eigensystems with a deterministic ordering, SVD-based rank decisions,
+classical fixed-step Runge-Kutta integration and the Halton sequence.
+Everything downstream (curvature, frames, variety checks) funnels its
+numerics through this module.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,9 +33,10 @@ _FD_STENCILS = {
 class StencilConfig:
     """Finite-difference configuration.
 
-    `step` drives first and second derivatives (nested first differences);
-    `third_step` is the wider outer step used when differentiating curvature
-    quantities (third derivatives of the metric).
+    `step` drives first and second derivatives (the metric jet, built from
+    nested first-derivative stencils); `third_step` is the wider outer step
+    used when differentiating curvature quantities (third derivatives of the
+    metric).
     """
 
     step: float = 1e-3
@@ -75,6 +80,58 @@ def gradient(f, x, cfg=DEFAULT_STENCIL, step=None):
     """All four (or n) partials of a scalar/array field, stacked on axis 0."""
     x = np.asarray(x, dtype=float)
     return np.stack([central_diff(f, x, d, cfg, step=step) for d in range(x.size)])
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_layout(order):
+    """Integer offsets of the nested stencil in R^4, and where each term reads.
+
+    Returns (offsets, center, first, second): offsets[n] is the n-th distinct
+    point in units of the step; first[p, a] indexes the point o_a e_p and
+    second[q, b, p, a] the point o_b e_q + o_a e_p, with o the 1D offsets.
+    """
+    steps = _FD_STENCILS[order][0]
+    index = {}
+
+    def at(*moves):
+        v = [0, 0, 0, 0]
+        for axis, o in moves:
+            v[axis] += o
+        return index.setdefault(tuple(v), len(index))
+
+    center = at()
+    first = np.array([[at((p, o)) for o in steps] for p in range(4)])
+    second = np.array(
+        [
+            [[[at((q, ob), (p, oa)) for oa in steps] for p in range(4)] for ob in steps]
+            for q in range(4)
+        ]
+    )
+    offsets = np.array(list(index), dtype=float)
+    for arr in (offsets, first, second):
+        arr.setflags(write=False)
+    return offsets, center, first, second
+
+
+def metric_jet(f_batch, x, cfg=DEFAULT_STENCIL):
+    """Value, first and second partials of a field at x from one batched call.
+
+    `f_batch` maps stacked points (N, 4) to stacked values (N, ...). It is
+    called once, on the tensor product of cfg's central first-derivative
+    stencil with itself: the points that nested `central_diff` calls touch
+    (129 distinct at order 4). The 1D weights are contracted in the same
+    nested order, so d1[p] = D_p f and d2[q, p] = D_q (D_p f), D_p being the
+    first-derivative stencil along p (Fornberg, Math. Comp. 51, 1988).
+    """
+    h = cfg.step
+    offsets, center, first, second = _jet_layout(cfg.order)
+    w = np.asarray(_FD_STENCILS[cfg.order][1])
+    values = np.asarray(f_batch(np.asarray(x, dtype=float) + h * offsets), dtype=float)
+    d1 = np.tensordot(w, values[first], axes=(0, 1)) / h
+    inner = np.tensordot(w, values[second], axes=(0, 3)) / h
+    d2 = np.tensordot(w, inner, axes=(0, 1)) / h
+    # copy: a view would keep every stencil value alive with the result
+    return values[center].copy(), d1, d2
 
 
 @dataclass(frozen=True)
@@ -163,3 +220,34 @@ def rk4_integrate(rhs, y0, t0, t1, steps):
             raise IntegrationError(f"non-finite state at t={ts[k + 1]}", t_last=ts[k])
         ys[k + 1] = y
     return ts, ys
+
+
+_HALTON_BASES = (2, 3, 5, 7)
+
+
+def halton(count, seed=None):
+    """First `count` points of the 4-d Halton sequence, in [0, 1)^4.
+
+    Coordinate k is the radical inverse of the point index in the k-th prime
+    base. With a `seed`, the digits of each base are scrambled by random
+    permutations (Owen, arXiv:1706.02808): one shuffle of range(b) per digit
+    that a double can resolve, ceil(54 / log2 b) - 1 of them, drawn from the
+    child generator that np.random.default_rng(seed) spawns. These are the
+    draws scipy.stats.qmc.Halton(d=4, scramble=True,
+    seed=np.random.default_rng(seed)) makes, so both give the same points.
+    """
+    index = np.arange(count, dtype=np.int64)
+    rng = None if seed is None else np.random.default_rng(seed).spawn(1)[0]
+    out = np.zeros((count, len(_HALTON_BASES)))
+    for k, b in enumerate(_HALTON_BASES):
+        digits = math.ceil(54 / math.log2(b)) - 1
+        if rng is None:
+            perms = np.tile(np.arange(b), (digits, 1))
+        else:
+            perms = np.array([rng.permutation(b) for _ in range(digits)])
+        q, scale = index.copy(), 1.0 / b
+        for perm in perms:
+            out[:, k] += perm[q % b] * scale
+            scale /= b
+            q //= b
+    return out

@@ -210,9 +210,13 @@ class BivectorOp:
 
 def frame_components(R, frame):
     """Components of a 4-covariant tensor in a frame given by columns of `frame`."""
-    Rarr = R.R if isinstance(R, Curv4) else np.asarray(R, dtype=float)
+    out = R.R if isinstance(R, Curv4) else np.asarray(R, dtype=float)
     E = np.asarray(frame, dtype=float)
-    return np.einsum("ijkl,ia,jb,kc,ld->abcd", Rarr, E, E, E, E)
+    # contract the leading slot with E four times; each new frame index is
+    # appended last, so the result comes out ordered (a, b, c, d)
+    for _ in range(4):
+        out = np.tensordot(out, E, axes=(0, 0))
+    return out
 
 
 def bivector_matrix(A_frame):

@@ -1,8 +1,12 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 import curv4
 from curv4.chart import (
+    DEFAULT_TOLS,
     MetricChart,
     christoffel,
     codazzi_residual,
@@ -172,7 +176,28 @@ def test_curvature_cache_identity(s2xs2_chart):
     assert curvature_at(s2xs2_chart, x) is curvature_at(s2xs2_chart, x)
 
 
+def test_dropped_chart_frees_its_curvature_cache():
+    # no reference cycle through the cache: the chart goes with its last
+    # reference, without waiting for the cyclic garbage collector
+    gc.disable()
+    try:
+        ch = curv4.build_example("s4")
+        curvature_at(ch, np.zeros(4))
+        ref = weakref.ref(ch)
+        del ch
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
 def test_default_tols_override(kpc_chart):
     # the warped chart carries a looser third-derivative tier
     rep = harmonicity_report(kpc_chart, count=3, seed=0)
     assert rep.tols["third"] == pytest.approx(1e-3)
+
+
+def test_caller_tols_override_chart_tols(kpc_chart):
+    # both name the third tier: the caller's value wins over the chart's
+    rep = harmonicity_report(kpc_chart, count=1, seed=0, tols={"third": 2e-3})
+    assert rep.tols["third"] == 2e-3
+    assert rep.tols["second"] == DEFAULT_TOLS["second"]

@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from curv4.cli import main
+from curv4.cli import RunConfig, cmd_verify, main
 
 
 def run_main(argv, capsys):
@@ -116,6 +116,24 @@ def test_verify_tol_flags(capsys):
         ["verify", "--example", "s2xs2:1,2", "--samples", "2", "--tol-third", "1e-12"], capsys
     )
     assert code == 1
+
+
+def test_verify_tol_flag_on_chart_with_own_tols(capsys):
+    # kpc carries its own third tier; an explicit one overrides it
+    code, out, _ = run_main(
+        ["verify", "--example", "kpc", "--samples", "2", "--tol-third", "1e-3"], capsys
+    )
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["summary"]["verdicts"]["overall"] is True
+    assert payload["config"]["tolerances"] == {"third": 1e-3}
+
+
+def test_api_run_config_matches_cli_defaults(capsys):
+    report = cmd_verify(RunConfig(example="kpc", samples=2))
+    _, out, _ = run_main(["verify", "--example", "kpc", "--samples", "2"], capsys)
+    assert report.exit_code == 0
+    assert report.payload["summary"]["verdicts"] == json.loads(out)["summary"]["verdicts"]
 
 
 def test_variety_named_point(capsys):
@@ -236,3 +254,10 @@ def test_console_script_entry():
         text=True,
     )
     assert proc.returncode == 2
+
+
+def test_import_leaves_out_scipy_stats():
+    code = "import sys, curv4, curv4.cli; print('scipy.stats' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -7,6 +7,7 @@ from curv4.numerics import (
     StencilConfig,
     central_diff,
     gradient,
+    halton,
     numerical_rank,
     rk4_integrate,
     rk4_step,
@@ -161,3 +162,15 @@ def test_rk4_step_matches_integrate():
     h = 0.1
     stepped = rk4_step(rhs, 0.0, y, h)
     assert stepped == pytest.approx([np.sin(0.1)], abs=1e-7)
+
+
+def test_halton_matches_scipy_qmc():
+    # the generator replaces scipy.stats.qmc.Halton without moving a sample point
+    from scipy.stats import qmc
+
+    for seed in (0, 1, 7, 123):
+        for n in (1, 3, 16, 50):
+            ref = qmc.Halton(d=4, scramble=True, seed=np.random.default_rng(seed)).random(n)
+            assert np.array_equal(halton(n, seed=seed), ref)
+    assert np.array_equal(halton(200), qmc.Halton(d=4, scramble=False).random(200))
+    assert np.array_equal(halton(4)[:, 0], [0.0, 0.5, 0.25, 0.75])
