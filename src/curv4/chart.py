@@ -1,16 +1,21 @@
-"""Coordinate charts and finite-difference curvature.
+"""Coordinate charts and curvature from metric jets.
 
 A MetricChart is a box in R^4 with a smooth closed-form metric evaluator.
-A curvature entry starts from the metric jet at x: g, dg and ddg from one
-batched evaluation of the metric on a tensor-product central stencil
-(numerics.metric_jet). The Christoffel symbols and their partials follow in
-closed form,
+Every curvature entry starts from the metric jet at x, the partials of g
+up to second order, or third order where covariant derivatives of
+curvature are asked for (the harmonicity residuals). A chart with a
+`jet_fn` gives the jet exactly, by truncated Taylor arithmetic
+(numerics.Jet); for any other chart it comes from one batched evaluation of
+the metric on a tensor-product central stencil (numerics.metric_jet), at
+the stencil's `step` up to second partials and its `third_step` for the
+third level. Everything after the jet is closed form and shared by both.
+The Christoffel symbols and their partials are
 
     Gamma^k_ij = g^km Gamma_mij,  Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2,
     d_p Gamma^k_ij = g^km d_p Gamma_mij + d_p(g^km) Gamma_mij,
     d_p(g^-1) = -g^-1 (d_p g) g^-1,
 
-and the curvature tensor from
+differentiated once more for the third order, and the curvature tensor is
 
     R(d_i, d_j) d_k = [d_j Gamma^m_ik - d_i Gamma^m_jk
                        + Gamma^p_ik Gamma^m_jp - Gamma^p_jk Gamma^m_ip] d_m,
@@ -19,10 +24,9 @@ and the curvature tensor from
 which reproduces R_ijij > 0 on round spheres (the package-wide sign
 convention, see tensor4). Raw curvature is projected onto the algebraic
 curvature tensors; the projection distance is kept as a noise diagnostic.
-
-Derivatives of curvature quantities (the harmonicity residuals) are
-central differences of curvature entries at the wider third-derivative
-step of the stencil configuration.
+At third order the partials d_p R_ijkl follow by the product rule, and
+nabla R, nabla Ric, nabla W and ds by the connection terms and the
+contractions of R, with no further differencing.
 """
 
 from __future__ import annotations
@@ -33,8 +37,16 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .errors import DomainError, InconsistencyError, InputError
-from .numerics import DEFAULT_STENCIL, central_diff, halton, metric_jet
-from .tensor4 import Curv4, Metric4, curvature_symmetrize, ricci_contract, weyl_from_curv
+from .numerics import DEFAULT_STENCIL, Jet, central_diff, halton, metric_jet
+from .tensor4 import (
+    Curv4,
+    Metric4,
+    curvature_projection,
+    curvature_symmetrize,
+    kulkarni_nomizu,
+    ricci_contract,
+    weyl_from_curv,
+)
 
 # residual tolerance tiers: purely algebraic identities, quantities built
 # from second metric derivatives, quantities built from third derivatives
@@ -53,6 +65,12 @@ class MetricChart:
     `batched` declares that eval_fn also accepts stacked points, mapping
     shape (..., 4) to (..., 4, 4); eval_batch then makes one call for a
     whole stencil. Without it, eval_batch evaluates the points one by one.
+
+    `jet_fn(x, degree)`, when given, returns the exact Taylor coefficients
+    of the metric at stacked points x (..., 4) up to `degree`, shape
+    (..., 4, 4, ncoef) in the layout of numerics.Jet; curvature entries then
+    use no finite differences. Without it the metric jet is taken by finite
+    differences of eval_fn.
     """
 
     name: str
@@ -63,6 +81,7 @@ class MetricChart:
     default_tols: dict = None
     validate: bool = True
     batched: bool = False
+    jet_fn: object = None
 
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float)
@@ -139,7 +158,17 @@ def _validate_chart(chart):
             raise InconsistencyError(
                 f"chart '{chart.name}': batched and point-wise evaluation disagree"
             )
-    # stencil-order consistency: order-4 and order-6 first derivatives agree
+    if chart.jet_fn is not None:
+        coef = np.asarray(chart.jet_fn(pts, 1), dtype=float)
+        if coef.shape != (len(pts), 4, 4, 5):
+            raise InputError(f"chart '{chart.name}' jet_fn returned shape {coef.shape}")
+        values, jet_d1 = Jet(coef).derivatives()
+        if np.max(np.abs(values - [chart.eval(x) for x in pts])) > 1e-12 * max(
+            1.0, np.max(np.abs(values))
+        ):
+            raise InconsistencyError(f"chart '{chart.name}': jet_fn and eval_fn disagree")
+    # stencil-order consistency: order-4 and order-6 first derivatives agree,
+    # and with the jet where there is one
     x = pts[0]
     c4, c6 = StencilConfig(order=4), StencilConfig(order=6)
     for d in range(4):
@@ -148,6 +177,10 @@ def _validate_chart(chart):
         if np.max(np.abs(d4 - d6)) > 1e-6:
             raise InconsistencyError(
                 f"chart '{chart.name}': order-4/order-6 derivatives disagree at {x.tolist()}"
+            )
+        if chart.jet_fn is not None and np.max(np.abs(jet_d1[d, 0] - d6)) > 1e-6:
+            raise InconsistencyError(
+                f"chart '{chart.name}': jet_fn derivative disagrees with eval_fn at {x.tolist()}"
             )
 
 
@@ -163,9 +196,9 @@ def sample_points(chart, count=16, seed=0):
 
 def _guard_footprint(chart, x, margin):
     # stencils bypass chart.eval, so their footprint is checked up front
-    if np.any(x - margin < chart.box[:, 0] - 1e-12) or np.any(
+    if (x - margin < chart.box[:, 0] - 1e-12).any() or (
         x + margin > chart.box[:, 1] + 1e-12
-    ):
+    ).any():
         raise DomainError(
             f"stencil footprint (reach {margin:g}) exits chart '{chart.name}' box at {x.tolist()}"
         )
@@ -194,23 +227,62 @@ def christoffel(chart, x, cfg=DEFAULT_STENCIL):
     return gamma
 
 
-def _christoffel_jet(metric, dg, ddg):
-    """Gamma[k, i, j] and dGamma[p, k, i, j] = d_p Gamma^k_ij in closed form
-    from the metric jet (dg[p] = d_p g, ddg[q, p] = d_q d_p g)."""
+def _metric_derivatives(chart, x, cfg, degree):
+    """[g, dg, ddg(, dddg)] at x, dg[p] = d_p g and so on: exact from the
+    chart's jet_fn, otherwise finite differences (numerics.metric_jet)."""
+    if chart.jet_fn is not None:
+        if not chart.contains(x):
+            raise DomainError(f"point {x.tolist()} outside chart '{chart.name}' box")
+        return Jet(chart.jet_fn(x, degree)).derivatives()
+    # the nested stencil reaches twice as far as a single one, and the
+    # third level adds the outer stencil
+    reach = 2 * cfg.reach * cfg.step + (cfg.reach * cfg.third_step if degree == 3 else 0.0)
+    _guard_footprint(chart, x, reach)
+    return metric_jet(chart.eval_batch, x, cfg, degree)
+
+
+def _christoffel_jet(metric, dg, ddg, dddg=None):
+    """Gamma[k, i, j], dGamma[p, k, i, j] = d_p Gamma^k_ij and, given third
+    partials, ddGamma[q, p, k, i, j] = d_q d_p Gamma^k_ij, in closed form
+    from the metric jet (dg[p] = d_p g, ddg[q, p] = d_q d_p g, ...)."""
     g_inv = metric.g_inv
     first = _first_kind(dg)
     dfirst = 0.5 * (np.einsum("pimj->pmij", ddg) + np.einsum("pjmi->pmij", ddg) - ddg)
-    dg_inv = -np.einsum("ka,pab,bm->pkm", g_inv, dg, g_inv)
+    dg_inv = -(g_inv @ dg @ g_inv)
     gamma = np.einsum("km,mij->kij", g_inv, first)
     dgamma = np.einsum("km,pmij->pkij", g_inv, dfirst) + np.einsum(
         "pkm,mij->pkij", dg_inv, first
     )
-    return gamma, dgamma
+    if dddg is None:
+        return gamma, dgamma, None
+    ddfirst = 0.5 * (
+        np.einsum("qpimj->qpmij", dddg) + np.einsum("qpjmi->qpmij", dddg) - dddg
+    )
+    # d_q d_p (g^-1) = -d_q(g^-1) (d_p g) g^-1 - g^-1 (d_q d_p g) g^-1 - g^-1 (d_p g) d_q(g^-1)
+    ddg_inv = -(
+        dg_inv[:, None] @ (dg @ g_inv)
+        + g_inv @ ddg @ g_inv
+        + (g_inv @ dg) @ dg_inv[:, None]
+    )
+    cross = np.einsum("qkm,pmij->qpkij", dg_inv, dfirst)
+    ddgamma = (
+        np.einsum("km,qpmij->qpkij", g_inv, ddfirst)
+        + cross
+        + np.einsum("qpkij->pqkij", cross)
+        + np.einsum("qpkm,mij->qpkij", ddg_inv, first)
+    )
+    return gamma, dgamma, ddgamma
 
 
 @dataclass(frozen=True)
 class CurvatureEntry:
-    """Everything curvature-related at one point."""
+    """Everything curvature-related at one point.
+
+    Entries made from a third-order jet also carry the covariant derivatives
+    nabla_riem[p, i, j, k, l] = nabla_p R_ijkl, nabla_ric[p, k, i] =
+    nabla_p ric_ki, nabla_weyl[p, ...] and ds[p] = d_p s; other entries
+    leave them None.
+    """
 
     x: np.ndarray
     metric: Metric4
@@ -220,6 +292,10 @@ class CurvatureEntry:
     s: float
     weyl: Curv4
     projection_distance: float
+    nabla_riem: np.ndarray = None
+    nabla_ric: np.ndarray = None
+    nabla_weyl: np.ndarray = None
+    ds: np.ndarray = None
 
 
 class CurvatureField:
@@ -233,25 +309,22 @@ class CurvatureField:
         self.cfg = cfg
         self._cache = {} if cache is None else cache
 
-    def at(self, x):
+    def at(self, x, degree=2):
+        """The entry at x; degree 3 asks for the covariant derivatives too."""
         x = np.asarray(x, dtype=float)
         key = tuple(np.round(x, 12))
         entry = self._cache.get(key)
-        if entry is None:
-            entry = self._compute(x)
+        if entry is None or (degree == 3 and entry.nabla_ric is None):
+            entry = self._compute(x, degree)
             self._cache[key] = entry
         return entry
 
-    def _compute(self, x):
-        cfg = self.cfg
-        chart = self.chart
+    def _compute(self, x, degree=2):
         if x.shape != (4,):
             raise InputError(f"chart points are 4-vectors, got shape {x.shape}")
-        # the nested stencil reaches twice as far as a single one
-        _guard_footprint(chart, x, 2 * cfg.reach * cfg.step)
-        g, dg, ddg = metric_jet(chart.eval_batch, x, cfg)
+        g, dg, ddg, *third = _metric_derivatives(self.chart, x, self.cfg, degree)
         metric = Metric4(g=g)
-        gamma, dgamma = _christoffel_jet(metric, dg, ddg)
+        gamma, dgamma, ddgamma = _christoffel_jet(metric, dg, ddg, *third)
         _check_compatible(x, metric.g, gamma, dg)
         # R^m_(i,j,k) per the curvature convention in the module docstring
         rm = (
@@ -264,6 +337,9 @@ class CurvatureField:
         riem = curvature_symmetrize(raw)
         ric, s = ricci_contract(riem, metric)
         weyl = weyl_from_curv(riem, metric)
+        derived = {}
+        if ddgamma is not None:
+            derived = _covariant_derivatives(metric, dg, gamma, dgamma, ddgamma, rm, riem.R)
         return CurvatureEntry(
             x=x,
             metric=metric,
@@ -273,12 +349,45 @@ class CurvatureField:
             s=s,
             weyl=weyl,
             projection_distance=riem.projection_distance,
+            **derived,
         )
+
+
+def _covariant_derivatives(metric, dg, gamma, dgamma, ddgamma, rm, R):
+    """nabla R, nabla ric, nabla W and ds in closed form from the jet."""
+    g, g_inv = metric.g, metric.g_inv
+    # d_q of R^m_(i,j,k), term by term
+    drm = (
+        np.einsum("qjmik->qmijk", ddgamma)
+        - np.einsum("qimjk->qmijk", ddgamma)
+        + np.einsum("qpik,mjp->qmijk", dgamma, gamma)
+        + np.einsum("pik,qmjp->qmijk", gamma, dgamma)
+        - np.einsum("qpjk,mip->qmijk", dgamma, gamma)
+        - np.einsum("pjk,qmip->qmijk", gamma, dgamma)
+    )
+    draw = np.einsum("qlm,mijk->qijkl", dg, rm) + np.einsum("lm,qmijk->qijkl", g, drm)
+    nabla_riem = (
+        curvature_projection(draw)
+        - np.einsum("mqi,mjkl->qijkl", gamma, R)
+        - np.einsum("mqj,imkl->qijkl", gamma, R)
+        - np.einsum("mqk,ijml->qijkl", gamma, R)
+        - np.einsum("mql,ijkm->qijkl", gamma, R)
+    )
+    nabla_ric = np.einsum("ik,qijkl->qjl", g_inv, nabla_riem)
+    ds = np.einsum("jl,qjl->q", g_inv, nabla_ric)
+    # W = R - (g ^ Sch) / 2 with Sch = ric - s g / 6, and nabla g = 0
+    nabla_sch = nabla_ric - ds[:, None, None] * g / 6.0
+    nabla_weyl = nabla_riem - 0.5 * kulkarni_nomizu(g, nabla_sch)
+    return {"nabla_riem": nabla_riem, "nabla_ric": nabla_ric, "nabla_weyl": nabla_weyl, "ds": ds}
 
 
 def curvature_at(chart, x, cfg=DEFAULT_STENCIL):
     """Cached curvature entry at x (cache lives on the chart)."""
     return chart.curvature_field(cfg).at(x)
+
+
+def _third_order_entry(chart, x, cfg):
+    return chart.curvature_field(cfg).at(x, degree=3)
 
 
 def metric_norm(T, g_inv):
@@ -290,26 +399,9 @@ def metric_norm(T, g_inv):
     return float(np.sqrt(abs(np.sum(T * up))))
 
 
-def _covariant_derivative(field_fn, x, gamma, cfg):
-    """nabla_p T for a fully covariant tensor field; result axis 0 is p."""
-    sample = np.asarray(field_fn(x), dtype=float)
-    partial = np.stack(
-        [central_diff(field_fn, x, d, cfg, step=cfg.third_step) for d in range(4)]
-    )
-    out = partial.copy()
-    for slot in range(sample.ndim):
-        # contract Gamma^m_{p, i_slot} with T[..., m, ...]
-        corr = np.tensordot(gamma, sample, axes=(0, slot))  # axes (p, i_slot, rest...)
-        corr = np.moveaxis(corr, 1, slot + 1)
-        out -= corr
-    return out
-
-
 def covariant_ric_derivative(chart, x, cfg=DEFAULT_STENCIL):
     """DRic[p, k, i] = nabla_p ric_ki."""
-    fld = chart.curvature_field(cfg)
-    entry = fld.at(x)
-    return _covariant_derivative(lambda y: fld.at(y).ric, x, entry.gamma, cfg)
+    return _third_order_entry(chart, x, cfg).nabla_ric
 
 
 def codazzi_tensor(chart, x, cfg=DEFAULT_STENCIL):
@@ -320,47 +412,34 @@ def codazzi_tensor(chart, x, cfg=DEFAULT_STENCIL):
 
 def codazzi_residual(chart, x, cfg=DEFAULT_STENCIL):
     """||d ric|| at x; equals ||div R|| for any metric."""
-    entry = curvature_at(chart, x, cfg)
+    entry = _third_order_entry(chart, x, cfg)
     return metric_norm(codazzi_tensor(chart, x, cfg), entry.metric.g_inv)
 
 
 def div_riemann_norm(chart, x, cfg=DEFAULT_STENCIL):
     """Direct ||div R|| via nabla R contracted on its last slot."""
-    fld = chart.curvature_field(cfg)
-    entry = fld.at(x)
-    dR = _covariant_derivative(lambda y: fld.at(y).riem.R, x, entry.gamma, cfg)
-    divR = np.einsum("pq,pijkq->ijk", entry.metric.g_inv, dR)
+    entry = _third_order_entry(chart, x, cfg)
+    divR = np.einsum("pq,pijkq->ijk", entry.metric.g_inv, entry.nabla_riem)
     return metric_norm(divR, entry.metric.g_inv)
 
 
 def div_weyl_norm(chart, x, cfg=DEFAULT_STENCIL):
-    fld = chart.curvature_field(cfg)
-    entry = fld.at(x)
-    dW = _covariant_derivative(lambda y: fld.at(y).weyl.R, x, entry.gamma, cfg)
-    divW = np.einsum("pi,pijkl->jkl", entry.metric.g_inv, dW)
+    entry = _third_order_entry(chart, x, cfg)
+    divW = np.einsum("pi,pijkl->jkl", entry.metric.g_inv, entry.nabla_weyl)
     return metric_norm(divW, entry.metric.g_inv)
 
 
 def scalar_gradient_norm(chart, x, cfg=DEFAULT_STENCIL):
     """||ds|| at x (metric norm of the scalar-curvature gradient)."""
-    fld = chart.curvature_field(cfg)
-    entry = fld.at(x)
-    ds = np.array(
-        [central_diff(lambda y: fld.at(y).s, x, d, cfg, step=cfg.third_step) for d in range(4)]
-    )
-    return metric_norm(ds, entry.metric.g_inv)
+    entry = _third_order_entry(chart, x, cfg)
+    return metric_norm(entry.ds, entry.metric.g_inv)
 
 
 def contracted_bianchi_residual(chart, x, cfg=DEFAULT_STENCIL):
     """||2 div ric - ds||; vanishes for every metric (universal identity)."""
-    fld = chart.curvature_field(cfg)
-    entry = fld.at(x)
-    dric = covariant_ric_derivative(chart, x, cfg)
-    div_ric = np.einsum("pk,pki->i", entry.metric.g_inv, dric)
-    ds = np.array(
-        [central_diff(lambda y: fld.at(y).s, x, d, cfg, step=cfg.third_step) for d in range(4)]
-    )
-    return metric_norm(2.0 * div_ric - ds, entry.metric.g_inv)
+    entry = _third_order_entry(chart, x, cfg)
+    div_ric = np.einsum("pk,pki->i", entry.metric.g_inv, entry.nabla_ric)
+    return metric_norm(2.0 * div_ric - entry.ds, entry.metric.g_inv)
 
 
 @dataclass(frozen=True)

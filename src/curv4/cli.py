@@ -20,7 +20,7 @@ from . import variety as vy
 from ._parallel import parallel_map
 from .chart import harmonicity_report, sample_points
 from .errors import Curv4Error, DegenerateFrameError, InputError
-from .examples import REGISTRY, build_example, example_names
+from .examples import build_example, canonical_name, example_names, example_spec
 from .frames import (
     cluster_count,
     extract_frame,
@@ -31,17 +31,6 @@ from .frames import (
 from .numerics import StencilConfig
 
 SCHEMA_VERSION = "1"
-
-# constructor-style aliases accepted by scan and verify
-_KIND_ALIASES = {
-    "constant_curvature": "s4",
-    "product_surfaces": "s2xs2",
-    "line_cross_space": "rxs3",
-    "kpc_warped": "kpc",
-    "bump_nonharmonic": "bump",
-    "random_perturbed_flat": "randflat",
-}
-
 
 @dataclass
 class RunConfig:
@@ -92,16 +81,6 @@ def _jsonable(obj):
     if isinstance(obj, (np.integer, int)):
         return int(obj)
     return obj
-
-
-def _resolve_example(name):
-    name = name.strip()
-    if name.endswith("-default"):
-        name = name[: -len("-default")]
-    kind = name.split(":", 1)[0]
-    if kind in _KIND_ALIASES:
-        name = _KIND_ALIASES[kind] + name[len(kind):]
-    return name
 
 
 def _emit(payload, fmt, out, csv_writer=None):
@@ -239,7 +218,7 @@ def cmd_variety(config, source, count, mode, tol):
         origin = {"sample": count, "mode": mode}
         tol = 1e-6 if tol is None else tol
     else:
-        name = _resolve_example(source[1])
+        name = canonical_name(source[1])
         chart = build_example(name)
         xs = sample_points(chart, count=count, seed=config.seed)
         tol = 1e-3 if tol is None else tol
@@ -292,10 +271,8 @@ def cmd_variety(config, source, count, mode, tol):
 
 
 def cmd_scan(config, kind, param_grid):
-    kind = _KIND_ALIASES.get(kind, kind)
-    if kind not in REGISTRY:
-        raise InputError(f"unknown example kind {kind!r}; choices: {', '.join(example_names())}")
-    spec = REGISTRY[kind]
+    spec = example_spec(kind)
+    kind = spec.kind
     for name in param_grid:
         if name not in spec.param_names:
             raise InputError(
@@ -365,9 +342,21 @@ def cmd_scan(config, kind, param_grid):
 def _add_common(p):
     # numeric defaults live in _config_from_args so a --spec file can fill them
     p.add_argument("--samples", type=int, default=None, help="sample point count (default 16)")
-    p.add_argument("--step", type=float, default=None, help="FD step for 1st/2nd derivatives")
+    p.add_argument(
+        "--step",
+        type=float,
+        default=None,
+        help="FD step for 1st/2nd metric derivatives on charts without an exact jet, "
+        "and for frame derivatives",
+    )
     p.add_argument("--order", type=int, choices=(2, 4, 6), default=None, help="FD stencil order")
-    p.add_argument("--third-step", type=float, default=None, help="FD step for 3rd derivatives")
+    p.add_argument(
+        "--third-step",
+        type=float,
+        default=None,
+        help="FD step for 3rd metric derivatives on charts without an exact jet, "
+        "and for the outer derivative of frame structure functions",
+    )
     p.add_argument("--tol-algebraic", type=float, default=None)
     p.add_argument("--tol-second", type=float, default=None)
     p.add_argument("--tol-third", type=float, default=None)
@@ -467,19 +456,15 @@ def main(argv=None):
                     example = file_cfg.get("name") or file_cfg.get("example")
                     if example is None and "kind" in file_cfg:
                         params = file_cfg.get("params", {})
-                        spec = REGISTRY.get(file_cfg["kind"])
-                        if spec is None:
-                            raise InputError(f"unknown kind in spec file: {file_cfg['kind']!r}")
+                        spec = example_spec(file_cfg["kind"])
                         vals = [params.get(n, d) for n, d in zip(spec.param_names, spec.defaults)]
                         example = (
-                            f"{file_cfg['kind']}:{','.join(f'{v:g}' for v in vals)}"
-                            if vals
-                            else file_cfg["kind"]
+                            f"{spec.kind}:{','.join(f'{v:g}' for v in vals)}" if vals else spec.kind
                         )
             if example is None:
                 raise InputError("verify needs --example or --spec")
             config = _config_from_args(args, file_cfg)
-            config.example = _resolve_example(example)
+            config.example = canonical_name(example)
             report = cmd_verify(config)
             _emit(
                 report.payload,
@@ -499,7 +484,7 @@ def main(argv=None):
                 source = ("sample", args.sample)
             else:
                 source = ("example", args.from_example)
-                config.example = _resolve_example(args.from_example)
+                config.example = canonical_name(args.from_example)
             report, csv_writer = cmd_variety(
                 config, source, count=args.count, mode=args.mode, tol=args.tol
             )

@@ -10,29 +10,48 @@ Registry names (parameters after a colon, comma-separated):
     bump:a          conformally flat non-harmonic control, phi = a x1^3
     randflat:seed   seeded smooth perturbation of the flat metric
 
-All charts are coordinate boxes with analytic (or spline-backed) metric
-component functions, suitable for the finite-difference curvature pipeline.
-Every evaluator is written once over the last axis of its argument, so it
-maps stacked points (..., 4) to stacked metrics (..., 4, 4) and the charts
-declare `batched=True`.
+Each chart's metric is one formula written with numpy operations over the
+last axis of its argument. Applied to stacked points (..., 4) it is the
+chart's batched `eval_fn`; applied to the coordinate jets of numerics.Jet
+it is the chart's `jet_fn`, which gives the exact metric jet. The kpc
+profile enters the formula through the profile ODE itself: its value at t
+is one RK4 step off the nearest node of the integration grid, and its
+Taylor coefficients at t follow from Picard iterations of the ODE.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+import functools
+import math
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .chart import MetricChart
 from .errors import InputError, IntegrationError
-from .numerics import rk4_step
+from .numerics import Jet
+
+_EYE = np.eye(4)
+# diagonal 0/1 matrices that place metric blocks, named by their diagonal
+_D1100, _D0011 = np.diag([1.0, 1, 0, 0]), np.diag([0.0, 0, 1, 1])
+_D1000, _D0111 = np.diag([1.0, 0, 0, 0]), np.diag([0.0, 1, 1, 1])
+_D1010, _D0100, _D0001 = np.diag([1.0, 0, 1, 0]), np.diag([0.0, 1, 0, 0]), np.diag([0.0, 0, 0, 1])
 
 
-def _conformal_surface_block(k, u, v):
-    """Scale factor of the curvature-k surface metric (1 + k rho^2/4)^-2."""
-    return (1.0 + 0.25 * k * (u * u + v * v)) ** -2.0
+def _formula_chart(formula, **kwargs):
+    """A batched chart whose eval_fn and jet_fn both come from `formula`."""
+
+    def jet_fn(x, degree):
+        return formula(Jet.variables(x, degree)).coef
+
+    return MetricChart(eval_fn=formula, jet_fn=jet_fn, batched=True, **kwargs)
+
+
+def _conformal_factor(k, *coords):
+    """(1 + k |y|^2 / 4)^-2 over the given coordinates: the space-form scale."""
+    rho2 = sum((y * y for y in coords[1:]), coords[0] * coords[0])
+    return (1.0 + 0.25 * k * rho2) ** -2.0
 
 
 def make_constant_curvature(K0, name=None, half_width=0.6):
@@ -41,17 +60,15 @@ def make_constant_curvature(K0, name=None, half_width=0.6):
     if K0 < 0.0 and 1.0 + 0.25 * K0 * 4.0 * half_width**2 <= 0.05:
         raise InputError("box reaches the conformal-factor singularity")
 
-    def eval_fn(x):
-        conf = (1.0 + 0.25 * K0 * np.sum(x * x, axis=-1)) ** -2.0
-        return conf[..., None, None] * np.eye(4)
+    def formula(x):
+        conf = _conformal_factor(K0, *(x[..., i] for i in range(4)))
+        return conf[..., None, None] * _EYE
 
-    box = np.array([[-half_width, half_width]] * 4)
-    return MetricChart(
+    return _formula_chart(
+        formula,
         name=name or ("s4" if K0 > 0 else "h4" if K0 < 0 else "flat"),
-        box=box,
-        eval_fn=eval_fn,
+        box=np.array([[-half_width, half_width]] * 4),
         params={"K0": K0},
-        batched=True,
     )
 
 
@@ -59,22 +76,17 @@ def make_product_surfaces(k1, k2, half_width=0.5):
     """S^2(k1) x S^2(k2) style product in per-factor stereographic charts."""
     k1, k2 = float(k1), float(k2)
 
-    def eval_fn(x):
-        g = np.zeros(x.shape[:-1] + (4, 4))
-        c1 = _conformal_surface_block(k1, x[..., 0], x[..., 1])
-        c2 = _conformal_surface_block(k2, x[..., 2], x[..., 3])
-        g[..., 0, 0] = g[..., 1, 1] = c1
-        g[..., 2, 2] = g[..., 3, 3] = c2
-        return g
+    def formula(x):
+        c1 = _conformal_factor(k1, x[..., 0], x[..., 1])
+        c2 = _conformal_factor(k2, x[..., 2], x[..., 3])
+        return c1[..., None, None] * _D1100 + c2[..., None, None] * _D0011
 
-    box = np.array([[-half_width, half_width]] * 4)
-    return MetricChart(
+    return _formula_chart(
+        formula,
         name=f"s2xs2:{k1:g},{k2:g}",
-        box=box,
-        eval_fn=eval_fn,
+        box=np.array([[-half_width, half_width]] * 4),
         params={"k1": k1, "k2": k2},
         adapted_frame_fn=lambda x: np.eye(4),
-        batched=True,
     )
 
 
@@ -82,22 +94,42 @@ def make_line_cross_space(c, half_width=0.5):
     """R x N^3(c): flat line factor times a 3-dimensional space form."""
     c = float(c)
 
-    def eval_fn(x):
-        g = np.zeros(x.shape[:-1] + (4, 4))
-        g[..., 0, 0] = 1.0
-        conf = (1.0 + 0.25 * c * (x[..., 1] ** 2 + x[..., 2] ** 2 + x[..., 3] ** 2)) ** -2.0
-        g[..., 1, 1] = g[..., 2, 2] = g[..., 3, 3] = conf
-        return g
+    def formula(x):
+        conf = _conformal_factor(c, x[..., 1], x[..., 2], x[..., 3])
+        return conf[..., None, None] * _D0111 + _D1000
 
-    box = np.array([[-0.6, 0.6]] + [[-half_width, half_width]] * 3)
-    return MetricChart(
+    return _formula_chart(
+        formula,
         name=f"rxs3:{c:g}",
-        box=box,
-        eval_fn=eval_fn,
+        box=np.array([[-0.6, 0.6]] + [[-half_width, half_width]] * 3),
         params={"c": c},
         adapted_frame_fn=lambda x: np.eye(4),
-        batched=True,
     )
+
+
+def _rk4(rhs, y, h):
+    """One classical RK4 step of the autonomous profile system, unrolled so
+    that it runs on Python floats as well as on arrays, with the operations
+    of numerics.rk4_step in the same order."""
+    f, fp, K, Kp = y
+    a = 0.5 * h
+    k1 = rhs(f, fp, K, Kp)
+    k2 = rhs(f + a * k1[0], fp + a * k1[1], K + a * k1[2], Kp + a * k1[3])
+    k3 = rhs(f + a * k2[0], fp + a * k2[1], K + a * k2[2], Kp + a * k2[3])
+    k4 = rhs(f + h * k3[0], fp + h * k3[1], K + h * k3[2], Kp + h * k3[3])
+    b = h / 6.0
+    return (
+        f + b * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
+        fp + b * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
+        K + b * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
+        Kp + b * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
+    )
+
+
+def _profile_rhs(c, r, f, fp, K, Kp):
+    """(f, f', K, K')' of the profile system, on floats, arrays or jets."""
+    kc = K + c
+    return (fp, -K * f, Kp, (r**3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - (fp / f) * Kp)
 
 
 @dataclass
@@ -110,7 +142,8 @@ class SurfaceProfile:
         (K + c)^3 + 3 (K + c) Delta K - 6 |dK|^2 = r^3,
         Delta K = K'' + (f'/f) K',   |dK|^2 = K'^2.
 
-    Accessors interpolate the integration grid with cubic splines.
+    Between grid nodes the state (f, f', K, K') is one RK4 step off the
+    nearest node; `series` gives the Taylor coefficients of f and K there.
     """
 
     c: float
@@ -122,12 +155,6 @@ class SurfaceProfile:
     Ks: np.ndarray
     dKs: np.ndarray
     truncated: bool
-    _f_spline: CubicSpline = field(init=False, repr=False)
-    _K_spline: CubicSpline = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self._f_spline = CubicSpline(self.ts, self.fs, bc_type="not-a-knot")
-        self._K_spline = CubicSpline(self.ts, self.Ks, bc_type="not-a-knot")
 
     @property
     def t0(self):
@@ -137,17 +164,65 @@ class SurfaceProfile:
     def t1(self):
         return float(self.ts[-1])
 
+    def rhs(self, f, fp, K, Kp):
+        """(f, f', K, K')' of the profile system, on floats, arrays or jets."""
+        return _profile_rhs(self.c, self.r, f, fp, K, Kp)
+
+    def state(self, t):
+        """(f, f', K, K') at t, from the nearest grid node by one RK4 step."""
+        h = self.ts[1] - self.ts[0]
+        if np.ndim(t) == 0:
+            # one point: Python floats are several times cheaper than numpy scalars
+            t = float(t)
+            n = min(max(round((t - self.t0) / h), 0), len(self.ts) - 1)
+            y = (self.fs.item(n), self.dfs.item(n), self.Ks.item(n), self.dKs.item(n))
+            return _rk4(self.rhs, y, t - self.ts.item(n))
+        n = np.clip(np.rint((t - self.t0) / h), 0, len(self.ts) - 1).astype(int)
+        y = (self.fs[n], self.dfs[n], self.Ks[n], self.dKs[n])
+        return _rk4(self.rhs, y, t - self.ts[n])
+
+    def series(self, t, degree):
+        """Taylor coefficients of f and K at t up to `degree`, shape
+        (..., 2, degree + 1).
+
+        Picard iterations y <- y(t) + int rhs(y) on univariate jets fix one
+        more Taylor coefficient of the state each. The first needs the rhs at
+        t alone, and f and K are the integrals of f' and K', so a state
+        known to degree - 1 takes degree - 2 iterations on jets.
+        """
+        y0 = np.array(self.state(t))
+        scale = 1.0 / np.arange(1, degree + 1)
+        # coef[m, ..., k]: k-th coefficient of state component m, to degree - 1
+        coef = np.zeros(y0.shape + (degree,))
+        coef[..., 0] = y0
+        if degree > 1:
+            coef[..., 1] = self.rhs(*y0)
+        for _ in range(degree - 2):
+            rates = self.rhs(*(Jet(c, nvar=1) for c in coef))
+            coef[..., 1:] = [r.coef[..., :-1] * scale[:-1] for r in rates]
+        # f and K integrate f' and K'
+        fK = np.concatenate([y0[[0, 2], ..., None], coef[[1, 3]] * scale], axis=-1)
+        return fK.transpose((*range(1, fK.ndim - 1), 0, fK.ndim - 1))
+
+    def f_and_K(self, t):
+        """(f(t), K(t)); jets of t give jets of f and K."""
+        if isinstance(t, Jet):
+            fK = t[..., None].compose(self.series(t.value, t.degree))
+            return fK[..., 0], fK[..., 1]
+        f, _, K, _ = self.state(t)
+        return np.asarray(f), np.asarray(K)
+
     def f(self, t):
-        return float(self._f_spline(t))
+        return float(self.state(t)[0])
 
     def df(self, t):
-        return float(self._f_spline(t, 1))
+        return float(self.state(t)[1])
 
     def K(self, t):
-        return float(self._K_spline(t))
+        return float(self.state(t)[2])
 
     def dK(self, t):
-        return float(self._K_spline(t, 1))
+        return float(self.state(t)[3])
 
     def to_csv(self, fh):
         """Write the integration grid as CSV with columns t, f, K."""
@@ -169,34 +244,29 @@ def solve_kpc_profile(
     """Integrate the profile equations with initial data f=1, f'=0, K=K0,
     K'=0 at t_span[0].
 
-    Integration stops early (truncated=True) when f or K + c approaches
-    its guard floor; K0 = r - c is an exact constant solution.
+    The fixed-step RK4 loop runs on Python floats and gives the grid that
+    numerics.rk4_step would. Integration stops early (truncated=True) when
+    the state stops being finite or f or K + c approaches its guard floor;
+    K0 = r - c is an exact constant solution.
     """
     c, r, K0 = float(c), float(r), float(K0)
     if K0 + c <= kappa_min:
         raise InputError(f"K0 + c = {K0 + c:g} is not above the floor {kappa_min:g}")
-
-    def rhs(t, y):
-        f, fp, K, Kp = y
-        kc = K + c
-        return np.array(
-            [
-                fp,
-                -K * f,
-                Kp,
-                (r**3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - (fp / f) * Kp,
-            ]
-        )
-
+    rhs = functools.partial(_profile_rhs, c, r)
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / int(steps)
     ts = [t0]
-    ys = [np.array([1.0, 0.0, K0, 0.0])]
+    ys = [(1.0, 0.0, K0, 0.0)]
     truncated = False
     t, y = t0, ys[0]
     for _ in range(int(steps)):
-        y_next = rk4_step(rhs, t, y, h)
-        if not np.all(np.isfinite(y_next)):
+        try:
+            y_next = _rk4(rhs, y, h)
+        except (ZeroDivisionError, OverflowError):
+            # numpy would carry an inf or nan here, and stop below
+            truncated = True
+            break
+        if not all(math.isfinite(v) for v in y_next):
             truncated = True
             break
         if y_next[0] < f_min or y_next[2] + c < kappa_min:
@@ -218,10 +288,10 @@ def solve_kpc_profile(
         r=r,
         K0=K0,
         ts=np.array(ts),
-        fs=arr[:, 0],
-        dfs=arr[:, 1],
-        Ks=arr[:, 2],
-        dKs=arr[:, 3],
+        fs=arr[:, 0].copy(),
+        dfs=arr[:, 1].copy(),
+        Ks=arr[:, 2].copy(),
+        dKs=arr[:, 3].copy(),
         truncated=truncated,
     )
 
@@ -245,13 +315,13 @@ def profile_residual(profile):
 
 
 def _generalized_sine(c):
-    """sc_c with sc_c'' = -c sc_c, sc_c(0)=0, sc_c'(0)=1."""
+    """sc_c with sc_c'' = -c sc_c, sc_c(0)=0, sc_c'(0)=1, on arrays or jets."""
     if c > 0.0:
-        rc = np.sqrt(c)
+        rc = math.sqrt(c)
         return lambda u: np.sin(rc * u) / rc
     if c < 0.0:
-        rc = np.sqrt(-c)
-        return lambda u: np.sinh(rc * u) / rc
+        rc = math.sqrt(-c)
+        return lambda u: (np.exp(rc * u) - np.exp(-rc * u)) / (2.0 * rc)
     return lambda u: u
 
 
@@ -271,24 +341,23 @@ def make_kpc_warped(profile, margin=0.03):
     if t_box[1] - t_box[0] < 10.0 * margin:
         raise InputError("profile domain too short for a usable chart")
 
-    def eval_fn(x):
-        t, u = x[..., 0], x[..., 2]
-        conf = (profile._K_spline(t) + c) ** -2.0
-        g = np.zeros(x.shape[:-1] + (4, 4))
-        g[..., 0, 0] = conf
-        g[..., 1, 1] = conf * profile._f_spline(t) ** 2
-        g[..., 2, 2] = conf
-        g[..., 3, 3] = conf * sc(u) ** 2
-        return g
+    def formula(x):
+        f, K = profile.f_and_K(x[..., 0])
+        s = sc(x[..., 2])
+        conf = (K + c) ** -2.0
+        return (
+            conf[..., None, None] * _D1010
+            + (conf * f * f)[..., None, None] * _D0100
+            + (conf * s * s)[..., None, None] * _D0001
+        )
 
-    return MetricChart(
+    return _formula_chart(
+        formula,
         name=f"kpc:{c:g},{profile.r:g},{profile.K0:g}",
         box=np.array([t_box, [-0.6, 0.6], u_box, [-0.6, 0.6]]),
-        eval_fn=eval_fn,
         params={"c": c, "r": profile.r, "K0": profile.K0},
         adapted_frame_fn=lambda x: np.eye(4),
         default_tols={"third": 1e-3},
-        batched=True,
     )
 
 
@@ -297,16 +366,14 @@ def make_bump_nonharmonic(a):
     scalar curvature is wildly nonconstant, so div R != 0."""
     a = float(a)
 
-    def eval_fn(x):
-        return np.exp(2.0 * a * x[..., 0] ** 3)[..., None, None] * np.eye(4)
+    def formula(x):
+        return np.exp(2.0 * a * x[..., 0] ** 3)[..., None, None] * _EYE
 
-    box = np.array([[0.4, 1.6], [-0.6, 0.6], [-0.6, 0.6], [-0.6, 0.6]])
-    return MetricChart(
+    return _formula_chart(
+        formula,
         name=f"bump:{a:g}",
-        box=box,
-        eval_fn=eval_fn,
+        box=np.array([[0.4, 1.6], [-0.6, 0.6], [-0.6, 0.6], [-0.6, 0.6]]),
         params={"a": a},
-        batched=True,
     )
 
 
@@ -332,18 +399,15 @@ def make_random_perturbed_flat(seed, amplitude=0.15, waves=2, half_width=0.5):
     # wave t adds spread[t] * sin(k_t . x + phase_t) to the flattened metric
     wavevectors, phases, spread = np.array(wavevectors), np.array(phases), np.array(spread)
 
-    def eval_fn(x):
-        return np.eye(4) + (np.sin(x @ wavevectors.T + phases) @ spread).reshape(
-            x.shape[:-1] + (4, 4)
-        )
+    def formula(x):
+        waves_x = np.sin(x @ wavevectors.T + phases) @ spread
+        return waves_x.reshape(x.shape[:-1] + (4, 4)) + _EYE
 
-    box = np.array([[-half_width, half_width]] * 4)
-    return MetricChart(
+    return _formula_chart(
+        formula,
         name=f"randflat:{seed}",
-        box=box,
-        eval_fn=eval_fn,
+        box=np.array([[-half_width, half_width]] * 4),
         params={"seed": seed, "amplitude": amplitude},
-        batched=True,
     )
 
 
@@ -375,20 +439,48 @@ REGISTRY = {
 }
 
 
+# constructor-style aliases, accepted wherever a registry name is
+_KIND_ALIASES = {
+    "constant_curvature": "s4",
+    "product_surfaces": "s2xs2",
+    "line_cross_space": "rxs3",
+    "kpc_warped": "kpc",
+    "bump_nonharmonic": "bump",
+    "random_perturbed_flat": "randflat",
+}
+
+
 def example_names():
     return sorted(REGISTRY)
+
+
+def canonical_name(name):
+    """A registry string with its alias and any '-default' suffix resolved:
+    'product_surfaces:1,2' -> 's2xs2:1,2', 'kpc-default' -> 'kpc'."""
+    name = name.strip()
+    if name.endswith("-default"):
+        name = name[: -len("-default")]
+    kind, sep, raw = name.partition(":")
+    kind = kind.strip()
+    return _KIND_ALIASES.get(kind, kind) + sep + raw
+
+
+def example_spec(kind):
+    """The registry entry of a kind (aliases accepted)."""
+    kind = canonical_name(kind)
+    if kind not in REGISTRY:
+        raise InputError(f"unknown example {kind!r}; choices: {', '.join(example_names())}")
+    return REGISTRY[kind]
 
 
 def build_example(name):
     """Instantiate a chart from a registry string like 'kpc:1,1.2,0.5'.
 
+    Aliases and a '-default' suffix are accepted (see canonical_name).
     Omitted parameters take the registry defaults; extra ones are an error.
     """
-    kind, _, raw = name.partition(":")
-    kind = kind.strip()
-    if kind not in REGISTRY:
-        raise InputError(f"unknown example {kind!r}; choices: {', '.join(example_names())}")
-    spec = REGISTRY[kind]
+    kind, _, raw = canonical_name(name).partition(":")
+    spec = example_spec(kind)
     values = list(spec.defaults)
     if raw.strip():
         parts = [p.strip() for p in raw.split(",")]

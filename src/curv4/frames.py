@@ -358,16 +358,14 @@ def directional_invariant_derivatives(chart, frame, cfg=None):
     cfg = cfg or frame._cfg
     x = frame.x
 
-    def lam_field(y):
-        return _frame_scalars(chart, frame, y, cfg)[0]
+    def scalars(y):
+        # one frame per stencil point: lam in row 0, sigma in rows 1-4
+        lam, sig = _frame_scalars(chart, frame, y, cfg)
+        return np.vstack([lam, sig])
 
-    def sig_field(y):
-        return _frame_scalars(chart, frame, y, cfg)[1]
-
-    dlam = np.stack([central_diff(lam_field, x, d, cfg) for d in range(4)])
-    dsig = np.stack([central_diff(sig_field, x, d, cfg) for d in range(4)])
-    Dlam = np.einsum("ma,mb->ab", frame.E, dlam)
-    Dsig = np.einsum("ma,mbc->abc", frame.E, dsig)
+    d = np.stack([central_diff(scalars, x, k, cfg) for k in range(4)])
+    Dlam = np.einsum("ma,mb->ab", frame.E, d[:, 0])
+    Dsig = np.einsum("ma,mbc->abc", frame.E, d[:, 1:])
     return Dlam, Dsig
 
 

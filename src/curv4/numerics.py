@@ -1,16 +1,19 @@
 """Shared numerical kernels.
 
-Central differences on scalar/array-valued fields, jets (value, first and
-second partials) of a field from one batched stencil evaluation, symmetric
-eigensystems with a deterministic ordering, SVD-based rank decisions,
-classical fixed-step Runge-Kutta integration and the Halton sequence.
-Everything downstream (curvature, frames, variety checks) funnels its
-numerics through this module.
+Truncated multivariate Taylor arithmetic (`Jet`), which gives exact metric
+jets for charts written as formulas; central differences on scalar/array
+valued fields, and metric jets up to third partials from one batched
+stencil evaluation, for charts without a formula; symmetric eigensystems
+with a deterministic ordering, SVD-based rank decisions, classical
+fixed-step Runge-Kutta integration and the Halton sequence. Everything
+downstream (curvature, frames, variety checks) funnels its numerics through
+this module.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -35,8 +38,8 @@ class StencilConfig:
 
     `step` drives first and second derivatives (the metric jet, built from
     nested first-derivative stencils); `third_step` is the wider outer step
-    used when differentiating curvature quantities (third derivatives of the
-    metric).
+    of the third level: the third metric partials of a chart without an
+    exact jet, and the outer derivative of frame structure functions.
     """
 
     step: float = 1e-3
@@ -113,25 +116,325 @@ def _jet_layout(order):
     return offsets, center, first, second
 
 
-def metric_jet(f_batch, x, cfg=DEFAULT_STENCIL):
-    """Value, first and second partials of a field at x from one batched call.
+def metric_jet(f_batch, x, cfg=DEFAULT_STENCIL, degree=2):
+    """Value and partials of a field at x, up to `degree` (2 or 3), from one
+    batched call.
 
-    `f_batch` maps stacked points (N, 4) to stacked values (N, ...). It is
-    called once, on the tensor product of cfg's central first-derivative
-    stencil with itself: the points that nested `central_diff` calls touch
-    (129 distinct at order 4). The 1D weights are contracted in the same
-    nested order, so d1[p] = D_p f and d2[q, p] = D_q (D_p f), D_p being the
-    first-derivative stencil along p (Fornberg, Math. Comp. 51, 1988).
+    `f_batch` maps stacked points (N, 4) to stacked values (N, ...). At
+    degree 2 it is called on the tensor product of cfg's central
+    first-derivative stencil with itself: the points that nested
+    `central_diff` calls touch (129 distinct at order 4). The 1D weights are
+    contracted in the same nested order, so d1[p] = D_p f and d2[q, p] =
+    D_q (D_p f), D_p being the first-derivative stencil along p (Fornberg,
+    Math. Comp. 51, 1988). Degree 3 adds the same product stencil around the
+    points x + o H e_r of the outer stencil at H = cfg.third_step, and
+    d3[r, q, p] = D^H_r (D_q D_p f). Returns [value, d1, d2(, d3)].
     """
+    if degree not in (2, 3):
+        raise InputError(f"finite-difference jets have degree 2 or 3, got {degree}")
     h = cfg.step
     offsets, center, first, second = _jet_layout(cfg.order)
-    w = np.asarray(_FD_STENCILS[cfg.order][1])
-    values = np.asarray(f_batch(np.asarray(x, dtype=float) + h * offsets), dtype=float)
-    d1 = np.tensordot(w, values[first], axes=(0, 1)) / h
-    inner = np.tensordot(w, values[second], axes=(0, 3)) / h
-    d2 = np.tensordot(w, inner, axes=(0, 1)) / h
-    # copy: a view would keep every stencil value alive with the result
-    return values[center].copy(), d1, d2
+    steps, w = (np.asarray(a, dtype=float) for a in _FD_STENCILS[cfg.order])
+    x = np.asarray(x, dtype=float)
+    bases = x[None]
+    if degree == 3:
+        outer = (cfg.third_step * steps[None, :, None] * np.eye(4)[:, None, :]).reshape(-1, 4)
+        bases = np.concatenate([bases, x + outer])
+    pts = (bases[:, None, :] + h * offsets).reshape(-1, 4)
+    values = np.asarray(f_batch(pts), dtype=float)
+    values = values.reshape((len(bases), len(offsets)) + values.shape[1:])
+    d1 = np.tensordot(w, values[:, first], axes=(0, 2)) / h
+    inner = np.tensordot(w, values[:, second], axes=(0, 4)) / h
+    d2 = np.tensordot(w, inner, axes=(0, 2)) / h
+    # copies: a view would keep every stencil value alive with the result
+    jet = [values[0, center].copy(), d1[0].copy(), d2[0].copy()]
+    if degree == 3:
+        shifted = d2[1:].reshape((4, len(w)) + d2.shape[1:])
+        jet.append(np.tensordot(w, shifted, axes=(0, 1)) / cfg.third_step)
+    return jet
+
+
+def _multi_indices(nvar, degree):
+    # by total degree, then lexicographically from the top: index 0 is the
+    # constant term and 1 + i the linear term in variable i
+    out = []
+    for k in range(degree + 1):
+        out += sorted(
+            (a for a in itertools.product(range(k + 1), repeat=nvar) if sum(a) == k),
+            reverse=True,
+        )
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_tables(nvar, degree):
+    """Index tables of truncated Taylor arithmetic in `nvar` variables.
+
+    Returns (left, right, fold, gathers, factors). The product of two
+    coefficient vectors is (a[left] * b[right]) @ fold: one entry per pair of
+    multi-indices whose sum stays within `degree` (165 pairs in 4 variables
+    at degree 3), folded onto the index of the sum. gathers[k][i_1..i_k]
+    indexes the coefficient of the multi-index counting i_1..i_k, and
+    factors[k] holds its alpha!, so that d^k f / dx_i_1..dx_i_k equals
+    factors[k] * c[gathers[k]].
+    """
+    alphas = _multi_indices(nvar, degree)
+    index = {a: n for n, a in enumerate(alphas)}
+    pairs = []
+    for i, a in enumerate(alphas):
+        for j, b in enumerate(alphas):
+            if sum(a) + sum(b) <= degree:
+                pairs.append((i, j, index[tuple(p + q for p, q in zip(a, b))]))
+    left, right, into = (np.array(col) for col in zip(*pairs))
+    fold = np.zeros((len(pairs), len(alphas)))
+    fold[np.arange(len(pairs)), into] = 1.0
+    gathers, factors = [np.zeros((), dtype=int)], [np.ones(())]
+    for k in range(1, degree + 1):
+        slots = list(itertools.product(range(nvar), repeat=k))
+        counts = [tuple(t.count(v) for v in range(nvar)) for t in slots]
+        gathers.append(np.array([index[a] for a in counts]).reshape((nvar,) * k))
+        factors.append(
+            np.array([math.prod(map(math.factorial, a)) for a in counts], dtype=float).reshape(
+                (nvar,) * k
+            )
+        )
+    tables = (left, right, fold, gathers, factors)
+    for arr in (left, right, fold, *gathers, *factors):
+        arr.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _jet_degree(nvar, ncoef):
+    degree = 0
+    while math.comb(nvar + degree, degree) < ncoef:
+        degree += 1
+    if math.comb(nvar + degree, degree) != ncoef:
+        raise InputError(f"{ncoef} is not a coefficient count of a jet in {nvar} variables")
+    return degree
+
+
+@functools.lru_cache(maxsize=None)
+def _binomials(p, degree):
+    # binom(p, k) for k = 0..degree, for any real p
+    out = [1.0]
+    for k in range(degree):
+        out.append(out[-1] * (p - k) / (k + 1))
+    return np.array(out), p - np.arange(degree + 1.0)
+
+
+def _power_series(v, p, degree):
+    # Taylor coefficients of y^p at y = v: binom(p, k) v^(p - k)
+    binom, exponents = _binomials(p, degree)
+    return binom * np.power(np.asarray(v)[..., None], exponents)
+
+
+@functools.lru_cache(maxsize=None)
+def _cycle_table(degree, phase):
+    k = np.arange(degree + 1)
+    return (k + phase) % 4, 1.0 / np.array([math.factorial(n) for n in k])
+
+
+def _cycle_series(v, degree, phase):
+    # Taylor coefficients of sin (phase 0) or cos (phase 1): the k-th
+    # derivative of sin runs through sin, cos, -sin, -cos
+    index, inv_factorials = _cycle_table(degree, phase)
+    sin, cos = np.sin(v), np.cos(v)
+    table = np.array([sin, cos, -sin, -cos])[index]
+    return table.transpose((*range(1, table.ndim), 0)) * inv_factorials
+
+
+class Jet:
+    """Truncated multivariate Taylor polynomials with a leading batch shape.
+
+    coef[..., n] is the coefficient of h^alpha_n in f(x + h), where alpha_n
+    runs over the multi-indices in `nvar` variables of total degree up to
+    `degree` (35 of them in 4 variables at degree 3), so every partial of f
+    at x up to that degree is alpha! times a coefficient. Arithmetic follows
+    the truncated Taylor rules (Griewank & Walther, Evaluating Derivatives,
+    2nd ed., SIAM 2008, ch. 13; Neidinger, SIAM Review 52 (2010) 545-563):
+    a product is one gather and one matrix product over the pair table, and
+    a univariate function composes its own first `degree` Taylor
+    coefficients with the jet. The numpy ufuncs add, subtract, multiply,
+    divide, power, negative, sin, cos, exp and sqrt accept jets, so one
+    formula written with numpy operations evaluates both plain points and
+    jets. Indexing, `reshape` and `@` act on the batch axes.
+    """
+
+    __slots__ = ("coef", "nvar", "degree")
+
+    def __init__(self, coef, nvar=4):
+        self.coef = np.asarray(coef, dtype=float)
+        self.nvar = nvar
+        self.degree = _jet_degree(nvar, self.coef.shape[-1])
+
+    def _new(self, coef):
+        # a jet of the same kind; skips the checks of __init__
+        out = object.__new__(Jet)
+        out.coef, out.nvar, out.degree = coef, self.nvar, self.degree
+        return out
+
+    @classmethod
+    def variables(cls, x, degree):
+        """The coordinate functions at stacked points x (..., n), as a jet of
+        batch shape (..., n) in n variables."""
+        x = np.asarray(x, dtype=float)
+        n = x.shape[-1]
+        coef = np.zeros(x.shape + (math.comb(n + degree, degree),))
+        coef[..., 0] = x
+        if degree >= 1:
+            coef[..., 1 : n + 1] = np.eye(n)
+        return cls(coef, nvar=n)
+
+    @property
+    def shape(self):
+        return self.coef.shape[:-1]
+
+    @property
+    def value(self):
+        return self.coef[..., 0]
+
+    def derivatives(self):
+        """[f, df, ..., d^degree f], the derivative axes ahead of the batch
+        axes: d2[i, j, ...] = d^2 f / dx_i dx_j."""
+        _, _, _, gathers, factors = _jet_tables(self.nvar, self.degree)
+        batch = self.coef.ndim - 1
+        out = []
+        for k, (gather, factor) in enumerate(zip(gathers, factors)):
+            d = self.coef[..., gather] * factor
+            out.append(d.transpose(tuple(range(batch, batch + k)) + tuple(range(batch))))
+        return out
+
+    def _mul(self, a, b):
+        left, right, fold, _, _ = _jet_tables(self.nvar, self.degree)
+        return (a.take(left, axis=-1) * b.take(right, axis=-1)) @ fold
+
+    def compose(self, series):
+        """f(self) from the Taylor coefficients series[..., k] = f^(k)(v) / k!
+        of a univariate f at this jet's value v."""
+        series = np.asarray(series, dtype=float)
+        tail = self.coef.copy()
+        tail[..., 0] = 0.0
+        out = series[..., 1:2] * tail if self.degree else np.zeros(series.shape[:-1] + (1,))
+        out[..., 0] = series[..., 0]
+        power = tail
+        for k in range(2, self.degree + 1):
+            power = self._mul(power, tail)
+            out += series[..., k : k + 1] * power
+        return self._new(out)
+
+    # -- batch axes ---------------------------------------------------------
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        return self._new(self.coef[key + (slice(None),)])
+
+    def reshape(self, shape):
+        return self._new(self.coef.reshape(tuple(shape) + self.coef.shape[-1:]))
+
+    def __matmul__(self, matrix):
+        """Contract the last batch axis with the first axis of a constant matrix."""
+        return self._new(np.swapaxes(np.swapaxes(self.coef, -1, -2) @ matrix, -1, -2))
+
+    # -- arithmetic ---------------------------------------------------------
+
+    def _lift(self, values):
+        # coefficients of a constant: its values on the constant term
+        values = np.asarray(values, dtype=float)
+        coef = np.zeros(values.shape + self.coef.shape[-1:])
+        coef[..., 0] = values
+        return coef
+
+    def __add__(self, other):
+        if isinstance(other, Jet):
+            return self._new(self.coef + other.coef)
+        if isinstance(other, float | int):
+            coef = self.coef.copy()
+            coef[..., 0] += other
+            return self._new(coef)
+        return self._new(self.coef + self._lift(other))
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return self._new(-self.coef)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            return self._new(self._mul(self.coef, other.coef))
+        if isinstance(other, float | int):
+            return self._new(self.coef * other)
+        return self._new(self.coef * np.asarray(other, dtype=float)[..., None])
+
+    __rmul__ = __mul__
+
+    def reciprocal(self):
+        return self**-1
+
+    def __truediv__(self, other):
+        if isinstance(other, Jet):
+            return self * other.reciprocal()
+        return self * (1.0 / np.asarray(other, dtype=float))
+
+    def __rtruediv__(self, other):
+        return self.reciprocal() * other
+
+    def __pow__(self, p):
+        if isinstance(p, Jet) or np.ndim(p):
+            raise InputError("jets are raised to scalar powers only")
+        p = float(p)
+        if p.is_integer() and p >= 0.0:
+            # by products: cheaper for small powers, and defined where the
+            # value is 0, which the series v^(p - k) is not
+            if p == 0.0:
+                return self._new(self._lift(np.ones(self.shape)))
+            out = self
+            for _ in range(int(p) - 1):
+                out = out * self
+            return out
+        return self.compose(_power_series(self.value, p, self.degree))
+
+    def sqrt(self):
+        return self**0.5
+
+    def exp(self):
+        factorials = [math.factorial(k) for k in range(self.degree + 1)]
+        return self.compose(np.exp(self.value)[..., None] / factorials)
+
+    def sin(self):
+        return self.compose(_cycle_series(self.value, self.degree, 0))
+
+    def cos(self):
+        return self.compose(_cycle_series(self.value, self.degree, 1))
+
+    _BINARY = {
+        np.add: ("__add__", "__radd__"),
+        np.subtract: ("__sub__", "__rsub__"),
+        np.multiply: ("__mul__", "__rmul__"),
+        np.true_divide: ("__truediv__", "__rtruediv__"),
+        np.power: ("__pow__", None),
+    }
+    _UNARY = {np.negative: "__neg__", np.sin: "sin", np.cos: "cos", np.exp: "exp", np.sqrt: "sqrt"}
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if method != "__call__" or kwargs:
+            return NotImplemented
+        if ufunc in self._UNARY and len(inputs) == 1:
+            return getattr(self, self._UNARY[ufunc])()
+        if ufunc in self._BINARY and len(inputs) == 2:
+            a, b = inputs
+            forward, reflected = self._BINARY[ufunc]
+            if isinstance(a, Jet):
+                return getattr(a, forward)(b)
+            if reflected is not None:
+                return getattr(b, reflected)(a)
+        return NotImplemented
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ Conventions, fixed once here and relied on everywhere else:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,7 +35,9 @@ _PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
 
 
 def _norm(T):
-    return float(np.linalg.norm(np.asarray(T, dtype=float)))
+    # Frobenius norm, the value np.linalg.norm gives, without its dispatch
+    flat = np.asarray(T, dtype=float).ravel()
+    return math.sqrt(flat.dot(flat))
 
 
 @dataclass(frozen=True)
@@ -48,14 +51,14 @@ class Metric4:
         g = np.asarray(self.g, dtype=float)
         if g.shape != (N, N):
             raise InputError(f"metric must be 4x4, got {g.shape}")
-        if np.linalg.norm(g - g.T) > 1e-12 * max(1.0, _norm(g)):
+        if _norm(g - g.T) > 1e-12 * max(1.0, _norm(g)):
             raise InputError("metric is not symmetric")
         eigvals = np.linalg.eigvalsh(0.5 * (g + g.T))
         if eigvals[0] <= 1e-6:
             raise InputError(f"metric is not positive definite (min eigenvalue {eigvals[0]:.3e})")
         object.__setattr__(self, "g", g)
         g_inv = np.linalg.inv(g)
-        if np.linalg.norm(g @ g_inv - np.eye(N)) > 1e-10:
+        if _norm(g @ g_inv - np.eye(N)) > 1e-10:
             raise InconsistencyError("metric inverse fails g g^-1 = I within 1e-10")
         object.__setattr__(self, "g_inv", g_inv)
 
@@ -70,19 +73,30 @@ class SymBilinear4:
         b = np.asarray(self.b, dtype=float)
         if b.shape != (N, N):
             raise InputError(f"bilinear form must be 4x4, got {b.shape}")
-        if np.linalg.norm(b - b.T) > 1e-10 * max(1.0, _norm(b)):
+        if _norm(b - b.T) > 1e-10 * max(1.0, _norm(b)):
             raise InputError("bilinear form is not symmetric")
         object.__setattr__(self, "b", 0.5 * (b + b.T))
 
 
+# flat positions of the slot permutations the symmetry checks compare R
+# with, and how each check combines them with R itself
+_SYM_GATHER = np.stack(
+    [
+        np.arange(N**4).reshape(N, N, N, N).transpose(perm).ravel()
+        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (1, 2, 0, 3), (2, 0, 1, 3))
+    ]
+)
+_SYM_WEIGHTS = np.array(
+    [[1.0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0], [0, 0, -1.0, 0, 0], [0, 0, 0, 1.0, 1.0]]
+)
+
+
 def _sym_residuals(R):
-    """Max violations of the four algebraic curvature symmetries + Bianchi."""
-    return {
-        "antisym_ij": float(np.max(np.abs(R + R.transpose(1, 0, 2, 3)))),
-        "antisym_kl": float(np.max(np.abs(R + R.transpose(0, 1, 3, 2)))),
-        "pair": float(np.max(np.abs(R - R.transpose(2, 3, 0, 1)))),
-        "bianchi": float(np.max(np.abs(R + R.transpose(1, 2, 0, 3) + R.transpose(2, 0, 1, 3)))),
-    }
+    """Max violations of the four algebraic curvature symmetries + Bianchi:
+    R + R_jikl, R + R_ijlk, R - R_klij and the cyclic sum over i, j, k."""
+    flat = R.ravel()
+    worst = np.abs(flat + _SYM_WEIGHTS @ flat[_SYM_GATHER]).max(axis=1).tolist()
+    return dict(zip(("antisym_ij", "antisym_kl", "pair", "bianchi"), worst))
 
 
 @dataclass(frozen=True)
@@ -108,6 +122,24 @@ class Curv4:
         return _norm(self.R)
 
 
+def curvature_projection(raw):
+    """The linear projection of curvature_symmetrize, on the last four axes.
+
+    Being linear, it commutes with differentiation: the partials of a
+    projected field are the projected partials.
+    """
+    lead = tuple(range(raw.ndim - 4))
+
+    def slots(T, *perm):
+        return T.transpose(lead + tuple(len(lead) + p for p in perm))
+
+    A = 0.25 * (raw - slots(raw, 1, 0, 2, 3) - slots(raw, 0, 1, 3, 2) + slots(raw, 1, 0, 3, 2))
+    P = 0.5 * (A + slots(A, 2, 3, 0, 1))
+    # cyclic sum over the first three slots is totally antisymmetric here
+    B = P + slots(P, 1, 2, 0, 3) + slots(P, 2, 0, 1, 3)
+    return P - B / 3.0
+
+
 def curvature_symmetrize(raw):
     """Project a raw 4^4 array onto the algebraic curvature tensors.
 
@@ -120,16 +152,7 @@ def curvature_symmetrize(raw):
     raw = np.asarray(raw, dtype=float)
     if raw.shape != (N, N, N, N):
         raise InputError(f"expected a 4^4 array, got {raw.shape}")
-    A = 0.25 * (
-        raw
-        - raw.transpose(1, 0, 2, 3)
-        - raw.transpose(0, 1, 3, 2)
-        + raw.transpose(1, 0, 3, 2)
-    )
-    P = 0.5 * (A + A.transpose(2, 3, 0, 1))
-    # cyclic sum over the first three slots is totally antisymmetric here
-    B = P + P.transpose(1, 2, 0, 3) + P.transpose(2, 0, 1, 3)
-    proj = P - B / 3.0
+    proj = curvature_projection(raw)
     dist = _norm(raw - proj)
     scale = _norm(raw)
     if scale > 0.0 and dist > 1e-3 * scale:
@@ -148,14 +171,18 @@ def ricci_contract(R, metric):
 
 
 def kulkarni_nomizu(a, b):
-    """(a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il."""
+    """(a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il.
+
+    Leading axes of a and b broadcast (a stack of forms gives a stack of
+    products).
+    """
     a = a.b if isinstance(a, SymBilinear4) else np.asarray(a, dtype=float)
     b = b.b if isinstance(b, SymBilinear4) else np.asarray(b, dtype=float)
     return (
-        np.einsum("ik,jl->ijkl", a, b)
-        + np.einsum("jl,ik->ijkl", a, b)
-        - np.einsum("il,jk->ijkl", a, b)
-        - np.einsum("jk,il->ijkl", a, b)
+        np.einsum("...ik,...jl->...ijkl", a, b)
+        + np.einsum("...jl,...ik->...ijkl", a, b)
+        - np.einsum("...il,...jk->...ijkl", a, b)
+        - np.einsum("...jk,...il->...ijkl", a, b)
     )
 
 
@@ -203,7 +230,7 @@ class BivectorOp:
         M = np.asarray(self.M, dtype=float)
         if M.shape != (6, 6):
             raise InputError(f"bivector operator must be 6x6, got {M.shape}")
-        if np.linalg.norm(M - M.T) > 1e-10 * max(1.0, _norm(M)):
+        if _norm(M - M.T) > 1e-10 * max(1.0, _norm(M)):
             raise InputError("bivector operator is not symmetric")
         object.__setattr__(self, "M", M)
 

@@ -102,6 +102,14 @@ def test_verify_spec_file(tmp_path, capsys):
     assert json.loads(out)["config"]["samples"] == 2
 
 
+def test_verify_spec_file_alias_kind(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "product_surfaces", "params": {"k2": 3.0}, "samples": 1}))
+    code, out, _ = run_main(["verify", "--spec", str(path)], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["example"] == "s2xs2:1,3"
+
+
 def test_verify_bad_spec_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("not json")
@@ -111,11 +119,13 @@ def test_verify_bad_spec_file(tmp_path, capsys):
 
 
 def test_verify_tol_flags(capsys):
-    # an absurdly tight third-derivative tier flips the verdict
-    code, _, _ = run_main(
-        ["verify", "--example", "s2xs2:1,2", "--samples", "2", "--tol-third", "1e-12"], capsys
-    )
+    # a third-derivative tier above the bump's residuals flips its verdict;
+    # one sample leaves no spread of s for the second tier to catch
+    argv = ["verify", "--example", "bump:0.1", "--samples", "1"]
+    code, _, _ = run_main(argv, capsys)
     assert code == 1
+    code, _, _ = run_main(argv + ["--tol-third", "10"], capsys)
+    assert code == 0
 
 
 def test_verify_tol_flag_on_chart_with_own_tols(capsys):
@@ -127,6 +137,16 @@ def test_verify_tol_flag_on_chart_with_own_tols(capsys):
     payload = json.loads(out)
     assert payload["summary"]["verdicts"]["overall"] is True
     assert payload["config"]["tolerances"] == {"third": 1e-3}
+
+
+def test_verify_kpc_near_its_pole_is_harmonic(capsys):
+    # third derivatives from the profile ODE, not from differences of
+    # curvature entries, so small f near the box edge costs no accuracy
+    # (the skw verdict still rests on frame finite differences)
+    _, out, _ = run_main(["verify", "--example", "kpc:1,1.2,5"], capsys)
+    payload = json.loads(out)
+    assert payload["summary"]["verdicts"]["harmonic"] is True
+    assert payload["summary"]["maxima"]["dvr"] <= 1e-8
 
 
 def test_api_run_config_matches_cli_defaults(capsys):
@@ -240,7 +260,7 @@ def test_thread_env_does_not_change_results(capsys):
         if old is None:
             os.environ.pop("CURV4_THREADS", None)
         else:
-            os.environ[old] = old
+            os.environ["CURV4_THREADS"] = old
     a, b = json.loads(out1), json.loads(out2)
     a.pop("timing"), b.pop("timing")
     assert a == b
@@ -257,7 +277,11 @@ def test_console_script_entry():
 
 
 def test_import_leaves_out_scipy_stats():
-    code = "import sys, curv4, curv4.cli; print('scipy.stats' in sys.modules)"
+    # nor scipy.interpolate, now that the kpc profile has no splines
+    code = (
+        "import sys, curv4, curv4.cli; "
+        "print({m: m in sys.modules for m in ('scipy.stats', 'scipy.interpolate')})"
+    )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "{'scipy.stats': False, 'scipy.interpolate': False}"

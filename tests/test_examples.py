@@ -17,6 +17,7 @@ from curv4.examples import (
     solve_kpc_profile,
 )
 from curv4.frames import extract_frame
+from curv4.numerics import rk4_step
 from tests.conftest import ric_eigenvalues
 
 
@@ -35,6 +36,9 @@ def test_registry_and_parsing():
         build_example("s2xs2:1,2,3")
     with pytest.raises(InputError):
         build_example("s4:abc")
+    # long aliases and the '-default' suffix work anywhere a name does
+    assert build_example("product_surfaces:1,2").name == "s2xs2:1,2"
+    assert build_example("s4-default").name == "s4"
 
 
 def test_registry_descriptions():
@@ -94,12 +98,52 @@ def test_kpc_profile_back_substitution(kpc_profile):
 
 
 def test_kpc_profile_consistency(kpc_profile):
-    # K = -f''/f on the interior grid (second spline derivative)
-    ts = kpc_profile.ts[50:-50:100]
-    d2f = kpc_profile._f_spline(ts, 2)
-    f = kpc_profile._f_spline(ts)
-    K = kpc_profile._K_spline(ts)
-    assert np.max(np.abs(K + d2f / f)) < 1e-6
+    # K = -f''/f on the interior grid (grid second differences of f)
+    fs, Ks = kpc_profile.fs, kpc_profile.Ks
+    h = kpc_profile.ts[1] - kpc_profile.ts[0]
+    d2f = (fs[2:] - 2.0 * fs[1:-1] + fs[:-2]) / h**2
+    idx = slice(50, -50, 100)
+    assert np.max(np.abs(Ks[1:-1][idx] + d2f[idx] / fs[1:-1][idx])) < 1e-6
+
+
+def test_kpc_profile_grid_matches_rk4_step():
+    # the float loop takes the steps numerics.rk4_step takes, bit for bit
+    c, r, K0, steps = 1.0, 1.2, 5.0, 4000
+
+    def rhs(t, y):
+        f, fp, K, Kp = y
+        kc = K + c
+        return np.array(
+            [fp, -K * f, Kp, (r**3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - (fp / f) * Kp]
+        )
+
+    prof = solve_kpc_profile(c, r, K0, steps=steps)
+    h = 2.0 / steps
+    t, y, ys = 0.0, np.array([1.0, 0.0, K0, 0.0]), []
+    for _ in range(len(prof.ts)):
+        ys.append(y)
+        y = rk4_step(rhs, t, y, h)
+        t = t + h
+    ys = np.array(ys)
+    assert np.array_equal(np.column_stack([prof.fs, prof.dfs, prof.Ks, prof.dKs]), ys)
+    assert prof.truncated
+
+
+def test_kpc_profile_between_nodes():
+    # one RK4 step off the nearest node, and Taylor coefficients that
+    # satisfy the profile ODE: f'' = -K f and K'' from the cubic equation
+    prof = solve_kpc_profile(1.0, 1.2, 0.5)
+    t = prof.ts[1234] + 0.3 * (prof.ts[1] - prof.ts[0])
+    assert prof.f(prof.ts[1234]) == prof.fs[1234]
+    f, fp, K, Kp = prof.state(t)
+    (f0, f1, f2, f3), (k0, k1, k2, k3) = prof.series(t, 3)
+    assert (f0, f1, k0, k1) == pytest.approx((f, fp, K, Kp), rel=1e-15)
+    assert 2.0 * f2 == pytest.approx(-K * f, rel=1e-13)
+    assert 6.0 * f3 == pytest.approx(-(Kp * f + K * fp), rel=1e-13)
+    kc = K + prof.c
+    assert 2.0 * k2 == pytest.approx(
+        (prof.r**3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - fp / f * Kp, rel=1e-13
+    )
 
 
 def test_kpc_profile_step_convergence():

@@ -16,6 +16,13 @@ def registry_charts():
     return {name: curv4.build_example(name) for name in REGISTRY_NAMES}
 
 
+def without_jet(chart):
+    """The same metric as a hand-built chart, whose jet comes from the stencil."""
+    return MetricChart(
+        name=f"{chart.name}-fd", box=chart.box, eval_fn=chart.eval_fn, batched=True
+    )
+
+
 def nested_riemann(chart, x, cfg=DEFAULT_STENCIL):
     """R_ijkl the way curvature entries were assembled before the jet:
     central differences of the Christoffels, each from central differences
@@ -83,7 +90,7 @@ def test_batched_chart_that_does_not_broadcast_is_rejected():
 
 
 def test_entry_guard_covers_the_nested_footprint(registry_charts):
-    chart = registry_charts["s4"]
+    chart = without_jet(registry_charts["s4"])
     cfg = DEFAULT_STENCIL
     reach = cfg.reach * cfg.step
     # between one and two stencil reaches from the lower edge of axis 0
@@ -98,7 +105,7 @@ def test_entry_guard_covers_the_nested_footprint(registry_charts):
 
 @pytest.mark.parametrize("order, points", [(2, 41), (4, 129), (6, 265)])
 def test_one_batched_evaluation_per_entry(order, points):
-    chart = curv4.build_example("s2xs2:1,2")
+    chart = without_jet(curv4.build_example("s2xs2:1,2"))
     shapes = []
     inner = chart.eval_fn
 
@@ -127,3 +134,27 @@ def test_metric_jet_exact_on_quadratics():
     assert value == pytest.approx(f(x[None])[0], abs=1e-14)
     assert np.allclose(d1, 2.0 * A @ x + b, atol=1e-9)
     assert np.allclose(d2, 2.0 * A, atol=1e-8)
+
+
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
+def test_exact_jet_matches_third_order_stencil(registry_charts, name):
+    # the exact jet against the finite-difference fallback on the same
+    # metric: R to 1e-8 and nabla Ric to 1e-6 of the curvature scale, the
+    # nested stencil's roundoff (1e-16 / step^2) differenced at third_step
+    chart = registry_charts[name]
+    fallback = without_jet(chart)
+    for x in sample_points(chart, count=2, seed=11):
+        exact = chart.curvature_field().at(x, degree=3)
+        fd = fallback.curvature_field().at(x, degree=3)
+        scale = max(1.0, exact.riem.norm)
+        assert np.max(np.abs(exact.riem.R - fd.riem.R)) <= 1e-8 * scale
+        assert np.max(np.abs(exact.nabla_ric - fd.nabla_ric)) <= 1e-6 * scale
+
+
+def test_exact_jet_entry_needs_no_stencil_room(registry_charts):
+    # an exact jet reads the metric at x alone: entries reach the box edge
+    chart = registry_charts["s4"]
+    x = chart.box[:, 0].copy()
+    assert curvature_at(chart, x).s == pytest.approx(12.0, abs=1e-12)
+    with pytest.raises(DomainError):
+        curvature_at(chart, x - 1e-6)

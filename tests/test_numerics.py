@@ -4,6 +4,7 @@ import pytest
 from curv4.errors import InputError, IntegrationError
 from curv4.numerics import (
     DEFAULT_STENCIL,
+    Jet,
     StencilConfig,
     central_diff,
     gradient,
@@ -174,3 +175,62 @@ def test_halton_matches_scipy_qmc():
             assert np.array_equal(halton(n, seed=seed), ref)
     assert np.array_equal(halton(200), qmc.Halton(d=4, scramble=False).random(200))
     assert np.array_equal(halton(4)[:, 0], [0.0, 0.5, 0.25, 0.75])
+
+
+def univariate(value, degree=3):
+    """The coordinate t at `value` as a jet in one variable."""
+    return Jet.variables(np.array([value]), degree)[0]
+
+
+def test_jet_univariate_taylor_coefficients():
+    t0 = 0.3
+    t = univariate(t0)
+    fact = np.array([1.0, 1.0, 2.0, 6.0])
+    assert np.allclose(np.exp(t).coef, np.exp(t0) / fact, rtol=1e-15, atol=0)
+    assert np.allclose(
+        np.sin(t).coef, [np.sin(t0), np.cos(t0), -np.sin(t0) / 2, -np.cos(t0) / 6], atol=1e-16
+    )
+    # product and quotient: (1 + t)^2 (1 + t) and 1 / (1 - t) at t = 0
+    one = univariate(0.0)
+    assert np.allclose(((1.0 + one) * (1.0 + one) * (1.0 + one)).coef, [1, 3, 3, 1], atol=1e-15)
+    assert np.allclose((1.0 / (1.0 - one)).coef, [1, 1, 1, 1], atol=1e-15)
+    assert np.allclose((t / (2.0 + t)).coef[:2], [t0 / 2.3, 2.0 / 2.3**2], atol=1e-15)
+    # powers: binom(p, k) t0^(p - k), and none above k = p for integer p
+    assert np.allclose((t**-2.0).coef, [t0**-2, -2 * t0**-3, 3 * t0**-4, -4 * t0**-5], rtol=1e-14)
+    assert np.allclose(np.sqrt(t).coef[:2], [np.sqrt(t0), 0.5 / np.sqrt(t0)], rtol=1e-15)
+    assert np.array_equal((one**2).coef, [0.0, 0.0, 1.0, 0.0])
+
+
+def test_jet_multivariate_partials():
+    # f = x0^2 x1 + x2 sin(x3): every partial up to third order
+    x = np.array([0.5, -1.5, 2.0, 0.7])
+    X = Jet.variables(x, 3)
+    assert X.shape == (4,) and Jet.variables(x, 3).coef.shape == (4, 35)
+    f = X[0] ** 2 * X[1] + X[2] * np.sin(X[3])
+    value, d1, d2, d3 = f.derivatives()
+    a, b, c, d = x
+    assert value == pytest.approx(a * a * b + c * np.sin(d), rel=1e-15)
+    assert d1 == pytest.approx([2 * a * b, a * a, np.sin(d), c * np.cos(d)], rel=1e-15)
+    H = np.zeros((4, 4))
+    H[0, 0], H[0, 1], H[2, 3], H[3, 3] = 2 * b, 2 * a, np.cos(d), -c * np.sin(d)
+    H[1, 0], H[3, 2] = H[0, 1], H[2, 3]
+    assert np.allclose(d2, H, atol=1e-15)
+    T = np.zeros((4, 4, 4))
+    for idx in ((0, 0, 1), (0, 1, 0), (1, 0, 0)):
+        T[idx] = 2.0
+    for idx in ((2, 3, 3), (3, 2, 3), (3, 3, 2)):
+        T[idx] = -np.sin(d)
+    T[3, 3, 3] = -c * np.cos(d)
+    assert np.allclose(d3, T, atol=1e-15)
+
+
+def test_jet_batch_axes():
+    # a batch of points, constant matrices and reshapes act on the batch
+    pts = np.array([[0.1, 0.2, 0.3, 0.4], [-0.5, 0.0, 0.5, 1.0]])
+    X = Jet.variables(pts, 2)
+    M = np.arange(12.0).reshape(4, 3)
+    Y = np.cos(X @ M).reshape((2, 3, 1)) + np.ones((3, 1))
+    assert Y.shape == (2, 3, 1)
+    assert np.allclose(Y.value[..., 0], np.cos(pts @ M) + 1.0, atol=1e-15)
+    _, d1, _ = Y.derivatives()
+    assert np.allclose(d1[..., 0], -np.sin(pts @ M)[None] * M[:, None, :], atol=1e-14)
