@@ -8,7 +8,10 @@ curvature are asked for (the harmonicity residuals). A chart with a
 (numerics.Jet); for any other chart it comes from one batched evaluation of
 the metric on a tensor-product central stencil (numerics.metric_jet), at
 the stencil's `step` up to second partials and its `third_step` for the
-third level. Everything after the jet is closed form and shared by both.
+third level. Everything after the jet is closed form and shared by both,
+and it runs on stacked points: `curvature_batch` takes the curvature at N
+points from one jet evaluation (the frame stencils use it), and a cached
+CurvatureField entry is the batch of one point.
 The Christoffel symbols and their partials are
 
     Gamma^k_ij = g^km Gamma_mij,  Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2,
@@ -38,15 +41,11 @@ import numpy as np
 from ._parallel import parallel_map
 from .errors import DomainError, InconsistencyError, InputError
 from .numerics import DEFAULT_STENCIL, Jet, central_diff, halton, metric_jet
-from .tensor4 import (
-    Curv4,
-    Metric4,
-    curvature_projection,
-    curvature_symmetrize,
-    kulkarni_nomizu,
-    ricci_contract,
-    weyl_from_curv,
-)
+from .tensor4 import Curv4, Metric4, curvature_projection, kulkarni_nomizu
+
+# importable from here for perfbench/tracing.py, which counts calls through
+# these names
+from .tensor4 import curvature_symmetrize, ricci_contract, weyl_from_curv  # noqa: F401
 
 # residual tolerance tiers: purely algebraic identities, quantities built
 # from second metric derivatives, quantities built from third derivatives
@@ -194,26 +193,35 @@ def sample_points(chart, count=16, seed=0):
     return mid + (2.0 * u - 1.0) * 0.9 * half
 
 
-def _guard_footprint(chart, x, margin):
+def _guard_footprint(chart, X, margin):
     # stencils bypass chart.eval, so their footprint is checked up front
-    if (x - margin < chart.box[:, 0] - 1e-12).any() or (
-        x + margin > chart.box[:, 1] + 1e-12
-    ).any():
+    X = np.asarray(X, dtype=float).reshape(-1, 4)
+    bad = ((X - margin < chart.box[:, 0] - 1e-12) | (X + margin > chart.box[:, 1] + 1e-12)).any(
+        axis=1
+    )
+    if bad.any():
         raise DomainError(
-            f"stencil footprint (reach {margin:g}) exits chart '{chart.name}' box at {x.tolist()}"
+            f"stencil footprint (reach {margin:g}) exits chart '{chart.name}' box "
+            f"at {X[bad][0].tolist()}"
         )
 
 
 def _first_kind(dg):
-    """Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2 from dg[p] = d_p g."""
-    return 0.5 * (np.einsum("imj->mij", dg) + np.einsum("jmi->mij", dg) - dg)
+    """Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2 from dg[..., p] = d_p g."""
+    return 0.5 * (np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg)
 
 
-def _check_compatible(x, g, gamma, dg):
+def _check_compatible(X, g, gamma, dg):
     # metric compatibility is exact by construction; verify to catch misassembly
-    nabla_g = dg - np.einsum("mki,mj->kij", gamma, g) - np.einsum("mkj,im->kij", gamma, g)
-    if np.max(np.abs(nabla_g)) > 5e-7 * max(1.0, np.linalg.norm(g)):
-        raise InconsistencyError(f"nabla g != 0 at {x.tolist()}")
+    nabla_g = (
+        dg
+        - np.einsum("...mki,...mj->...kij", gamma, g)
+        - np.einsum("...mkj,...im->...kij", gamma, g)
+    )
+    worst = np.abs(nabla_g.reshape(-1, 64)).max(axis=1)
+    bad = worst > 5e-7 * np.maximum(1.0, _norms(g.reshape(-1, 4, 4)))
+    if bad.any():
+        raise InconsistencyError(f"nabla g != 0 at {np.reshape(X, (-1, 4))[bad][0].tolist()}")
 
 
 def christoffel(chart, x, cfg=DEFAULT_STENCIL):
@@ -227,51 +235,190 @@ def christoffel(chart, x, cfg=DEFAULT_STENCIL):
     return gamma
 
 
-def _metric_derivatives(chart, x, cfg, degree):
-    """[g, dg, ddg(, dddg)] at x, dg[p] = d_p g and so on: exact from the
-    chart's jet_fn, otherwise finite differences (numerics.metric_jet)."""
+def _jet_blocks(chart, X, cfg, degree):
+    """The metric jet at stacked points X (N, 4), as a function of a block
+    (lo, hi) that returns [g, dg, ddg(, dddg)] at X[lo:hi], the point axis
+    first and the derivative axes after it, dg[n, p] = d_p g at X[n] and so
+    on: exact from one jet_fn call on all of X (the derivative tensors made
+    block by block, so that a large batch never holds them for all its points
+    at once), otherwise finite differences from one eval_batch call
+    (numerics.metric_jet)."""
     if chart.jet_fn is not None:
-        if not chart.contains(x):
-            raise DomainError(f"point {x.tolist()} outside chart '{chart.name}' box")
-        return Jet(chart.jet_fn(x, degree)).derivatives()
+        outside = ~np.all((X >= chart.box[:, 0]) & (X <= chart.box[:, 1]), axis=1)
+        if outside.any():
+            raise DomainError(f"point {X[outside][0].tolist()} outside chart '{chart.name}' box")
+        # a single point goes in unstacked: formulas run faster on scalars
+        jet = Jet(chart.jet_fn(X[0], degree)[None] if len(X) == 1 else chart.jet_fn(X, degree))
+
+        def block(lo, hi):
+            # Jet puts the derivative axes ahead of the point axis
+            derivs = jet[lo:hi].derivatives()
+            return [d.transpose(k, *range(k), *range(k + 1, d.ndim)) for k, d in enumerate(derivs)]
+
+        return block
     # the nested stencil reaches twice as far as a single one, and the
     # third level adds the outer stencil
     reach = 2 * cfg.reach * cfg.step + (cfg.reach * cfg.third_step if degree == 3 else 0.0)
-    _guard_footprint(chart, x, reach)
-    return metric_jet(chart.eval_batch, x, cfg, degree)
+    _guard_footprint(chart, X, reach)
+    derivs = metric_jet(chart.eval_batch, X, cfg, degree)
+    return lambda lo, hi: [d[lo:hi] for d in derivs]
 
 
-def _christoffel_jet(metric, dg, ddg, dddg=None):
-    """Gamma[k, i, j], dGamma[p, k, i, j] = d_p Gamma^k_ij and, given third
-    partials, ddGamma[q, p, k, i, j] = d_q d_p Gamma^k_ij, in closed form
-    from the metric jet (dg[p] = d_p g, ddg[q, p] = d_q d_p g, ...)."""
-    g_inv = metric.g_inv
+def _christoffel_jet(g_inv, dg, ddg, dddg=None):
+    """Gamma[..., k, i, j], dGamma[..., p, k, i, j] = d_p Gamma^k_ij and,
+    given third partials, ddGamma[..., q, p, k, i, j] = d_q d_p Gamma^k_ij,
+    in closed form from the metric jet (dg[..., p] = d_p g, ddg[..., q, p] =
+    d_q d_p g, ...), with any leading point axes."""
     first = _first_kind(dg)
-    dfirst = 0.5 * (np.einsum("pimj->pmij", ddg) + np.einsum("pjmi->pmij", ddg) - ddg)
-    dg_inv = -(g_inv @ dg @ g_inv)
-    gamma = np.einsum("km,mij->kij", g_inv, first)
-    dgamma = np.einsum("km,pmij->pkij", g_inv, dfirst) + np.einsum(
-        "pkm,mij->pkij", dg_inv, first
+    dfirst = 0.5 * (
+        np.einsum("...pimj->...pmij", ddg) + np.einsum("...pjmi->...pmij", ddg) - ddg
+    )
+    G = g_inv[..., None, :, :]  # broadcasts over the derivative axis
+    dg_inv = -(G @ dg @ G)
+    gamma = np.einsum("...km,...mij->...kij", g_inv, first)
+    dgamma = np.einsum("...km,...pmij->...pkij", g_inv, dfirst) + np.einsum(
+        "...pkm,...mij->...pkij", dg_inv, first
     )
     if dddg is None:
         return gamma, dgamma, None
     ddfirst = 0.5 * (
-        np.einsum("qpimj->qpmij", dddg) + np.einsum("qpjmi->qpmij", dddg) - dddg
+        np.einsum("...qpimj->...qpmij", dddg) + np.einsum("...qpjmi->...qpmij", dddg) - dddg
     )
     # d_q d_p (g^-1) = -d_q(g^-1) (d_p g) g^-1 - g^-1 (d_q d_p g) g^-1 - g^-1 (d_p g) d_q(g^-1)
+    GG = G[..., None, :, :]
     ddg_inv = -(
-        dg_inv[:, None] @ (dg @ g_inv)
-        + g_inv @ ddg @ g_inv
-        + (g_inv @ dg) @ dg_inv[:, None]
+        dg_inv[..., :, None, :, :] @ (dg @ G)[..., None, :, :, :]
+        + GG @ ddg @ GG
+        + (G @ dg)[..., None, :, :, :] @ dg_inv[..., :, None, :, :]
     )
-    cross = np.einsum("qkm,pmij->qpkij", dg_inv, dfirst)
+    cross = np.einsum("...qkm,...pmij->...qpkij", dg_inv, dfirst)
     ddgamma = (
-        np.einsum("km,qpmij->qpkij", g_inv, ddfirst)
+        np.einsum("...km,...qpmij->...qpkij", g_inv, ddfirst)
         + cross
-        + np.einsum("qpkij->pqkij", cross)
-        + np.einsum("qpkm,mij->qpkij", ddg_inv, first)
+        + np.einsum("...qpkij->...pqkij", cross)
+        + np.einsum("...qpkm,...mij->...qpkij", ddg_inv, first)
     )
     return gamma, dgamma, ddgamma
+
+
+@dataclass(frozen=True)
+class CurvatureBatch:
+    """Curvature at stacked points x (N, 4), the point axis first: g, g_inv,
+    gamma[n, k, i, j] = Gamma^k_ij, R[n, i, j, k, l], ric, s (N,), weyl and
+    the projection distance per point. Batches made from a third-order jet
+    also carry nabla_riem[n, p, ...], nabla_ric, nabla_weyl and ds[n, p]."""
+
+    x: np.ndarray
+    g: np.ndarray
+    g_inv: np.ndarray
+    gamma: np.ndarray
+    R: np.ndarray
+    ric: np.ndarray
+    s: np.ndarray
+    projection_distance: np.ndarray
+    nabla_riem: np.ndarray = None
+    nabla_ric: np.ndarray = None
+    nabla_weyl: np.ndarray = None
+    ds: np.ndarray = None
+
+    @property
+    def weyl(self):
+        """W = R - (g ^ Sch) / 2 with the Schouten tensor Sch = ric - s g / 6,
+        made on request: not every caller of a large batch reads it."""
+        sch = self.ric - self.s[:, None, None] * self.g / 6.0
+        return self.R - 0.5 * kulkarni_nomizu(self.g, sch)
+
+
+def _norms(T):
+    """Frobenius norm of each T[n]."""
+    flat = T.reshape(len(T), -1)
+    return np.sqrt((flat * flat).sum(axis=1))
+
+
+def _checked_inverse(X, g):
+    """g^-1 at every point, after the checks Metric4 makes on one metric:
+    symmetric, positive definite, and g g^-1 = I."""
+    asym = _norms(g - np.swapaxes(g, 1, 2)) > 1e-12 * np.maximum(1.0, _norms(g))
+    if asym.any():
+        raise InputError(f"metric is not symmetric at {X[asym][0].tolist()}")
+    low = np.linalg.eigvalsh(g)[:, 0] <= 1e-6
+    if low.any():
+        raise InputError(f"metric is not positive definite at {X[low][0].tolist()}")
+    g_inv = np.linalg.inv(g)
+    off = _norms(g @ g_inv - np.eye(4)) > 1e-10
+    if off.any():
+        raise InconsistencyError(
+            f"metric inverse fails g g^-1 = I within 1e-10 at {X[off][0].tolist()}"
+        )
+    return g_inv
+
+
+# points whose curvature algebra runs at once: the 4^4-per-point temporaries
+# of one block stay well under a megabyte however many points a batch has
+_BLOCK = 32
+
+
+def curvature_batch(chart, X, cfg=DEFAULT_STENCIL, degree=2):
+    """Curvature at stacked points X (N, 4) from one metric jet evaluation:
+    one jet_fn call, or one eval_batch call on the stencils of all points.
+    The algebra after the jet runs on blocks of points, to bound the
+    memory a large batch holds at once.
+
+    Every point gets the checks of a single entry: a symmetric
+    positive-definite metric with g g^-1 = I, nabla g = 0, and a raw
+    curvature within 1e-3 * ||raw|| of its projection. A point outside the
+    box (or, for finite-difference jets, one whose stencil leaves it) raises
+    DomainError naming that point.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 4:
+        raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
+    jet = _jet_blocks(chart, X, cfg, degree)
+    if len(X) <= _BLOCK:
+        return CurvatureBatch(x=X, **_curvature_algebra(X, *jet(0, len(X))))
+    out = {}
+    for lo in range(0, len(X), _BLOCK):
+        block = _curvature_algebra(X[lo : lo + _BLOCK], *jet(lo, lo + _BLOCK))
+        for key, value in block.items():
+            if key not in out:
+                out[key] = np.empty((len(X),) + value.shape[1:])
+            out[key][lo : lo + len(value)] = value
+    return CurvatureBatch(x=X, **out)
+
+
+def _curvature_algebra(X, g, dg, ddg, dddg=None):
+    """The fields of CurvatureBatch (but x) at stacked points X from their
+    metric jet, after every check of a single entry."""
+    g_inv = _checked_inverse(X, g)
+    gamma, dgamma, ddgamma = _christoffel_jet(g_inv, dg, ddg, dddg)
+    _check_compatible(X, g, gamma, dg)
+    # R^m_(i,j,k) per the curvature convention in the module docstring
+    rm = (
+        np.einsum("...jmik->...mijk", dgamma)
+        - np.einsum("...imjk->...mijk", dgamma)
+        + np.einsum("...pik,...mjp->...mijk", gamma, gamma)
+        - np.einsum("...pjk,...mip->...mijk", gamma, gamma)
+    )
+    raw = np.einsum("...lm,...mijk->...ijkl", g, rm)
+    R = curvature_projection(raw)
+    dist, scale = _norms(raw - R), _norms(raw)
+    far = (scale > 0.0) & (dist > 1e-3 * scale)
+    if far.any():
+        n = int(np.argmax(far))
+        raise InconsistencyError(
+            f"projection distance {dist[n]:.3e} exceeds 1e-3 * ||raw|| = {1e-3 * scale[n]:.3e} "
+            f"at {X[n].tolist()}"
+        )
+    ric = np.einsum("...ik,...ijkl->...jl", g_inv, R)
+    ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
+    s = np.einsum("...jl,...jl->...", g_inv, ric)
+    derived = {}
+    if ddgamma is not None:
+        derived = _covariant_derivatives(g, g_inv, dg, gamma, dgamma, ddgamma, rm, R)
+    return {
+        "g": g, "g_inv": g_inv, "gamma": gamma, "R": R, "ric": ric, "s": s,
+        "projection_distance": dist, **derived,
+    }
 
 
 @dataclass(frozen=True)
@@ -322,62 +469,53 @@ class CurvatureField:
     def _compute(self, x, degree=2):
         if x.shape != (4,):
             raise InputError(f"chart points are 4-vectors, got shape {x.shape}")
-        g, dg, ddg, *third = _metric_derivatives(self.chart, x, self.cfg, degree)
-        metric = Metric4(g=g)
-        gamma, dgamma, ddgamma = _christoffel_jet(metric, dg, ddg, *third)
-        _check_compatible(x, metric.g, gamma, dg)
-        # R^m_(i,j,k) per the curvature convention in the module docstring
-        rm = (
-            np.einsum("jmik->mijk", dgamma)
-            - np.einsum("imjk->mijk", dgamma)
-            + np.einsum("pik,mjp->mijk", gamma, gamma)
-            - np.einsum("pjk,mip->mijk", gamma, gamma)
-        )
-        raw = np.einsum("lm,mijk->ijkl", metric.g, rm)
-        riem = curvature_symmetrize(raw)
-        ric, s = ricci_contract(riem, metric)
-        weyl = weyl_from_curv(riem, metric)
+        batch = curvature_batch(self.chart, x[None], self.cfg, degree)
         derived = {}
-        if ddgamma is not None:
-            derived = _covariant_derivatives(metric, dg, gamma, dgamma, ddgamma, rm, riem.R)
+        if batch.ds is not None:
+            derived = {
+                key: getattr(batch, key)[0]
+                for key in ("nabla_riem", "nabla_ric", "nabla_weyl", "ds")
+            }
         return CurvatureEntry(
             x=x,
-            metric=metric,
-            gamma=gamma,
-            riem=riem,
-            ric=ric.b,
-            s=s,
-            weyl=weyl,
-            projection_distance=riem.projection_distance,
+            metric=Metric4.from_checked(batch.g[0], batch.g_inv[0]),
+            gamma=batch.gamma[0],
+            riem=Curv4(R=batch.R[0], projection_distance=float(batch.projection_distance[0])),
+            ric=batch.ric[0],
+            s=float(batch.s[0]),
+            weyl=Curv4(R=batch.weyl[0]),
+            projection_distance=float(batch.projection_distance[0]),
             **derived,
         )
 
 
-def _covariant_derivatives(metric, dg, gamma, dgamma, ddgamma, rm, R):
-    """nabla R, nabla ric, nabla W and ds in closed form from the jet."""
-    g, g_inv = metric.g, metric.g_inv
+def _covariant_derivatives(g, g_inv, dg, gamma, dgamma, ddgamma, rm, R):
+    """nabla R, nabla ric, nabla W and ds in closed form from the jet, with
+    any leading point axes."""
     # d_q of R^m_(i,j,k), term by term
     drm = (
-        np.einsum("qjmik->qmijk", ddgamma)
-        - np.einsum("qimjk->qmijk", ddgamma)
-        + np.einsum("qpik,mjp->qmijk", dgamma, gamma)
-        + np.einsum("pik,qmjp->qmijk", gamma, dgamma)
-        - np.einsum("qpjk,mip->qmijk", dgamma, gamma)
-        - np.einsum("pjk,qmip->qmijk", gamma, dgamma)
+        np.einsum("...qjmik->...qmijk", ddgamma)
+        - np.einsum("...qimjk->...qmijk", ddgamma)
+        + np.einsum("...qpik,...mjp->...qmijk", dgamma, gamma)
+        + np.einsum("...pik,...qmjp->...qmijk", gamma, dgamma)
+        - np.einsum("...qpjk,...mip->...qmijk", dgamma, gamma)
+        - np.einsum("...pjk,...qmip->...qmijk", gamma, dgamma)
     )
-    draw = np.einsum("qlm,mijk->qijkl", dg, rm) + np.einsum("lm,qmijk->qijkl", g, drm)
+    draw = np.einsum("...qlm,...mijk->...qijkl", dg, rm) + np.einsum(
+        "...lm,...qmijk->...qijkl", g, drm
+    )
     nabla_riem = (
         curvature_projection(draw)
-        - np.einsum("mqi,mjkl->qijkl", gamma, R)
-        - np.einsum("mqj,imkl->qijkl", gamma, R)
-        - np.einsum("mqk,ijml->qijkl", gamma, R)
-        - np.einsum("mql,ijkm->qijkl", gamma, R)
+        - np.einsum("...mqi,...mjkl->...qijkl", gamma, R)
+        - np.einsum("...mqj,...imkl->...qijkl", gamma, R)
+        - np.einsum("...mqk,...ijml->...qijkl", gamma, R)
+        - np.einsum("...mql,...ijkm->...qijkl", gamma, R)
     )
-    nabla_ric = np.einsum("ik,qijkl->qjl", g_inv, nabla_riem)
-    ds = np.einsum("jl,qjl->q", g_inv, nabla_ric)
+    nabla_ric = np.einsum("...ik,...qijkl->...qjl", g_inv, nabla_riem)
+    ds = np.einsum("...jl,...qjl->...q", g_inv, nabla_ric)
     # W = R - (g ^ Sch) / 2 with Sch = ric - s g / 6, and nabla g = 0
-    nabla_sch = nabla_ric - ds[:, None, None] * g / 6.0
-    nabla_weyl = nabla_riem - 0.5 * kulkarni_nomizu(g, nabla_sch)
+    nabla_sch = nabla_ric - ds[..., None, None] * g[..., None, :, :] / 6.0
+    nabla_weyl = nabla_riem - 0.5 * kulkarni_nomizu(g[..., None, :, :], nabla_sch)
     return {"nabla_riem": nabla_riem, "nabla_ric": nabla_ric, "nabla_weyl": nabla_weyl, "ds": ds}
 
 

@@ -11,10 +11,26 @@ polynomial identities of harmonic-curvature geometry:
 
 Index conventions: everything in code is 0-based; a quantity named after a
 1-based identity (say D_1 lambda_2) lands at the corresponding 0-based slots.
-Frame fields at stencil points are gauge-aligned to the center frame before
-any differentiation: permutation and sign fixes always, plus orthogonal
-Procrustes inside eigenvalue clusters for numerically extracted frames
-(registered adapted frames are already smooth and must not be re-rotated).
+
+Derivatives of the frame field are central differences over a stencil, and
+every stencil is evaluated as one batch: one curvature evaluation (or, for
+adapted frames in structure_data, one metric evaluation) at all its points,
+one batched eigensolve, one batched alignment, then the difference weights
+contracted over the stencil axis. extract_frame differences the frame and
+sigma over the first-derivative stencil at `step` around x (16 points at
+order 4), which gives Gamma, F and D sigma; structure_data differences F
+over the stencil at `third_step`, each F from the stencil at `step` around
+its point (16 + 256 points), which gives DF. D lambda needs no stencil:
+D_c lambda_a = (nabla_{e_c} Ric)(e_a, e_a) - ds(e_c) / 4, read from the
+third-order curvature entry at x.
+
+Gauge: frames at stencil points are aligned to the center frame before any
+differentiation: a greedy permutation by overlap and sign fixes always, plus
+orthogonal Procrustes inside eigenvalue clusters for numerically extracted
+frames (registered adapted frames are already smooth and must not be
+re-rotated). The rotation that diagonalizes W inside a pair cluster is made
+at the center only; at a stencil point it would be dead work, since
+Procrustes returns the same block from any basis of the cluster.
 """
 
 from __future__ import annotations
@@ -24,18 +40,28 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import curvature_at, metric_norm
+from .chart import curvature_at, curvature_batch, metric_norm
 from .errors import (
     DegenerateFrameError,
     InconsistencyError,
     InputError,
     PreconditionError,
 )
-from .numerics import DEFAULT_STENCIL, central_diff, sym_eigen
+
+# central_diff stays importable from here for perfbench/tracing.py, which
+# counts calls through this name
+from .numerics import (  # noqa: F401
+    DEFAULT_STENCIL,
+    axis_stencil,
+    central_diff,
+    stencil_derivative,
+    sym_eigen,
+)
 from .tensor4 import frame_components, sd_split
 
 _TRIPLES = [t for t in itertools.permutations(range(4), 3)]
 _PAIRS_ORDERED = [(i, j) for i in range(4) for j in range(4) if i != j]
+_OFF_DIAGONAL = 1.0 - np.eye(4)
 
 
 def cluster_indices(values, rtol=1e-5, atol=1e-9):
@@ -61,18 +87,33 @@ def cluster_count(values, rtol=1e-5, atol=1e-9):
 
 @dataclass
 class RicciFrame:
-    """Ricci eigenframe at a point with its first-order structure functions."""
+    """Ricci eigenframe at a point with its first-order structure functions.
+
+    x: the point; E: the frame vectors as columns, in chart coordinates;
+    lam[a] = lambda_a; sigma[a, b] = sigma_ab; s: scalar curvature;
+    F[j, i] = F_ji; gamma[i, j, k] = g(nabla_{e_i} e_j, e_k);
+    dlam[c, a] = D_c lambda_a, exact; dsig[a, b, c] = D_a sigma_bc, central
+    differences on the stencil; w_plus / w_minus: the self-dual and
+    anti-self-dual Weyl blocks; source: 'adapted' or 'eigen'; clusters: the
+    lambda clusters (index lists) the stencil frames were aligned by;
+    stencil: the StencilConfig the derivatives were taken with, and the
+    default of structure_data.
+    """
 
     x: np.ndarray
-    E: np.ndarray  # columns are the frame vectors in chart coordinates
+    E: np.ndarray
     lam: np.ndarray
     sigma: np.ndarray
     s: float
     F: np.ndarray
-    gamma: np.ndarray  # gamma[i, j, k] = g(nabla_{e_i} e_j, e_k)
+    gamma: np.ndarray
+    dlam: np.ndarray
+    dsig: np.ndarray
     w_plus: np.ndarray
     w_minus: np.ndarray
     source: str
+    clusters: list
+    stencil: object
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -83,25 +124,26 @@ class RicciFrame:
 
 
 def _orthonormalize_columns(E, g):
-    """Normalize columns in g; verify they were already g-orthogonal."""
-    E = np.array(E, dtype=float)
-    for a in range(4):
-        E[:, a] = E[:, a] / np.sqrt(E[:, a] @ g @ E[:, a])
-    gram = E.T @ g @ E
+    """Normalize columns in g (frames stacked on leading axes); verify they
+    were already g-orthogonal."""
+    E = np.asarray(E, dtype=float)
+    E = E / np.sqrt(np.einsum("...ma,...mn,...na->...a", E, g, E))[..., None, :]
+    gram = np.swapaxes(E, -1, -2) @ g @ E
     if np.max(np.abs(gram - np.eye(4))) > 1e-8:
         raise InconsistencyError("adapted frame columns are not g-orthogonal")
     return E
 
 
 def _metric_sqrt_inv(g):
+    """g^(-1/2), metrics stacked on leading axes."""
     res = sym_eigen(g)
-    return res.vectors @ np.diag(1.0 / np.sqrt(res.values)) @ res.vectors.T
+    scaled = res.vectors * (1.0 / np.sqrt(res.values))[..., None, :]
+    return scaled @ np.swapaxes(res.vectors, -1, -2)
 
 
-def _eigenframe(entry):
-    """g-orthonormal eigenframe of the traceless Ricci form, ascending values."""
-    g = entry.metric.g
-    b = entry.ric - entry.s * g / 4.0
+def _eigenframes(g, b):
+    """g-orthonormal eigenframes of traceless Ricci forms b, ascending
+    values; metrics and forms stacked on leading axes."""
     s_inv = _metric_sqrt_inv(g)
     res = sym_eigen(s_inv @ b @ s_inv)
     return res.values, s_inv @ res.vectors
@@ -155,36 +197,85 @@ def _w_offdiag(entry, E):
 
 
 def _align_to_reference(E, E_ref, g_ref, clusters, rotate_clusters):
-    """Permute/flip (and for extracted frames, rotate) columns to match
-    the reference frame.
+    """Permute/flip (and for extracted frames, rotate) the columns of the
+    stacked frames E (N, 4, 4) to match the reference frame.
 
     Permutation by greedy max-overlap, then signs for singleton clusters;
     multi-point clusters get an orthogonal Procrustes block rotation only
     when rotate_clusters is set (numeric eigenframes carry an arbitrary
     in-cluster basis, adapted frames are already coherent).
     """
-    overlap = E.T @ g_ref @ E_ref
-    perm = [-1] * 4
-    used = set()
+    overlap = np.abs(np.swapaxes(E, 1, 2) @ (g_ref @ E_ref))
+    rows = np.arange(len(E))
+    perm = np.empty((len(E), 4), dtype=int)
+    free = np.ones((len(E), 4), dtype=bool)
     for b in range(4):
-        for a in sorted(range(4), key=lambda a: -abs(overlap[a, b])):
-            if a not in used:
-                perm[b] = a
-                used.add(a)
-                break
-    E = E[:, perm]
+        # the largest overlap with reference column b among unused columns;
+        # ties go to the lowest index
+        a = np.argmax(np.where(free, overlap[:, :, b], -1.0), axis=1)
+        perm[:, b] = a
+        free[rows, a] = False
+    E = np.take_along_axis(E, perm[:, None, :], axis=2)
     out = E.copy()
     for cl in clusters:
+        ref = g_ref @ E_ref[:, cl]
         if len(cl) > 1 and rotate_clusters:
-            block = E[:, cl]
-            O = block.T @ g_ref @ E_ref[:, cl]
-            U, _, Vt = np.linalg.svd(O)
-            out[:, cl] = block @ (U @ Vt)
+            block = E[:, :, cl]
+            U, _, Vt = np.linalg.svd(np.swapaxes(block, 1, 2) @ ref)
+            out[:, :, cl] = block @ (U @ Vt)
         else:
-            for a in cl:
-                if E[:, a] @ g_ref @ E_ref[:, a] < 0.0:
-                    out[:, a] = -out[:, a]
+            dots = np.einsum("nma,ma->na", E[:, :, cl], ref)
+            out[:, :, cl] = np.where(dots[:, None, :] < 0.0, -E[:, :, cl], E[:, :, cl])
     return out
+
+
+def _stencil_frames(chart, X, cfg, source, E_ref, g_ref, clusters, with_sigma):
+    """The frame field at stacked points X (N, 4), aligned to the reference
+    frame E_ref (with the metric g_ref and the lambda clusters at its
+    point), and the metric at X; with_sigma adds sigma[n, i, j] at X.
+
+    One curvature batch serves every point; adapted frames that need no
+    sigma read only the metric, by one eval_batch call.
+    """
+    if source == "adapted" and not with_sigma:
+        g, batch = chart.eval_batch(X), None
+    else:
+        batch = curvature_batch(chart, X, cfg)
+        g = batch.g
+    if source == "adapted":
+        E = _orthonormalize_columns(
+            np.stack([np.asarray(chart.adapted_frame_fn(y), dtype=float) for y in X]), g
+        )
+    else:
+        _, E = _eigenframes(g, batch.ric - batch.s[:, None, None] * g / 4.0)
+    E = _align_to_reference(E, E_ref, g_ref, clusters, rotate_clusters=source == "eigen")
+    return E, g, (_sigma(batch.weyl, E) if with_sigma else None)
+
+
+def _sigma(weyl, E):
+    """sigma[n, i, j] = W(e_i, e_j, e_i, e_j) at stacked points (zero for
+    i = j), from W contracted with the frame as one matrix on index pairs."""
+    n = len(E)
+    pairs = np.einsum("npi,nqj->npqij", E, E).reshape(n, 16, 16)
+    Wf = np.swapaxes(pairs, 1, 2) @ weyl.reshape(n, 16, 16) @ pairs
+    return np.diagonal(Wf, axis1=1, axis2=2).reshape(n, 4, 4) * _OFF_DIAGONAL
+
+
+def _directional(E, dE):
+    """D[..., a, b, n] = e_a^m d_m E[n, b] from dE[..., m, n, b] = d_m E[n, b]."""
+    return np.einsum("...ma,...mnb->...abn", E, dE)
+
+
+def _brackets(E, dE, g):
+    """C[..., a, b, k] = g([e_a, e_b], e_k), with
+    [e_a, e_b]^n = e_a^m d_m e_b^n - e_b^m d_m e_a^n."""
+    J = _directional(E, dE) @ (g @ E)[..., None, :, :]
+    return J - np.swapaxes(J, -3, -2)
+
+
+def _structure_f(C):
+    """F[..., j, i] = g([e_i, e_j], e_i) for i != j, zero diagonal."""
+    return np.einsum("...iji->...ji", C)
 
 
 def extract_frame(
@@ -203,9 +294,11 @@ def extract_frame(
     Raises DegenerateFrameError when no canonical frame exists: Einstein
     and conformally flat, or Einstein with W != 0 and no adapted frame,
     or a 3-point eigenvalue cluster with W != 0 and no adapted frame.
+    The third-order curvature entry at x (for D lambda) and one curvature
+    batch on the stencil at cfg.step around x are evaluated.
     """
     x = np.asarray(x, dtype=float)
-    entry = curvature_at(chart, x, cfg)
+    entry = chart.curvature_field(cfg).at(x, degree=3)
     g = entry.metric.g
     g_inv = entry.metric.g_inv
     b = entry.ric - entry.s * g / 4.0
@@ -233,7 +326,7 @@ def extract_frame(
                 f"chart '{chart.name}' at {x.tolist()}: Ricci is a multiple of g; "
                 "register an adapted frame to pick the W-eigenframe"
             )
-        lam, E = _eigenframe(entry)
+        lam, E = _eigenframes(g, b)
         source = "eigen"
     clusters = cluster_indices(lam, cluster_rtol, cluster_atol)
 
@@ -258,51 +351,23 @@ def extract_frame(
     split = sd_split(entry.weyl, entry.metric, E)
     w_diag_resid = _w_offdiag(entry, E)
 
-    rotate_clusters = source == "eigen"
-    need_pair_rotation = (
-        rotate_clusters
-        and any(len(c) > 1 for c in clusters)
-        and w_scale > 1e-8 * curv_scale
+    # the frame field and sigma on the stencil around x, in one batch
+    points = axis_stencil(x, cfg)
+    Ey, _, sig_y = _stencil_frames(
+        chart, points.reshape(-1, 4), cfg, source, E, g, clusters, with_sigma=True
     )
+    on_stencil = points.shape[:2] + (4, 4)
+    dE = stencil_derivative(Ey.reshape(on_stencil), cfg)  # dE[m, n, b] = d_m E[n, b]
+    dsig = np.einsum("ma,mbc->abc", E, stencil_derivative(sig_y.reshape(on_stencil), cfg))
+    # D_c lambda_a = (nabla_c b)(e_a, e_a), b = ric - s g / 4 and nabla g = 0
+    dlam = np.einsum("pki,pc,ka,ia->ca", entry.nabla_ric, E, E, E)
+    dlam -= (entry.ds @ E)[:, None] / 4.0
 
-    def frame_field(y):
-        y = np.asarray(y, dtype=float)
-        if np.allclose(y, x, rtol=0.0, atol=1e-15):
-            return E
-        if source == "adapted":
-            Ey = _orthonormalize_columns(
-                np.asarray(chart.adapted_frame_fn(y), dtype=float), chart.eval(y)
-            )
-        else:
-            entry_y = curvature_at(chart, y, cfg)
-            _, Ey = _eigenframe(entry_y)
-            if need_pair_rotation:
-                Ey = _pair_cluster_rotation(entry_y, Ey, clusters)
-        return _align_to_reference(Ey, E, g, clusters, rotate_clusters)
-
-    dE = np.stack([central_diff(frame_field, x, d, cfg) for d in range(4)])
-    # dE[m, n, b] = d_m E[n, b]
-
-    directional = np.einsum("ma,mnb->abn", E, dE)
     correction = np.einsum("nmr,ma,rb->abn", entry.gamma, E, E)
-    gamma_f = np.einsum("abn,nm,mk->abk", directional + correction, g, E)
-
-    # brackets straight from the Jacobians:
-    # [e_a, e_b]^n = e_a^m d_m e_b^n - e_b^m d_m e_a^n
-    F = np.zeros((4, 4))
-    bracket_resid = 0.0
-    for a in range(4):
-        for b2 in range(a + 1, 4):
-            vec = np.einsum("m,mn->n", E[:, a], dE[:, :, b2]) - np.einsum(
-                "m,mn->n", E[:, b2], dE[:, :, a]
-            )
-            coeff = vec @ g @ E
-            F[b2, a] = coeff[a]
-            F[a, b2] = -coeff[b2]
-            for k in range(4):
-                if k not in (a, b2):
-                    bracket_resid = max(bracket_resid, abs(coeff[k]))
-
+    gamma_f = np.einsum("abn,nm,mk->abk", _directional(E, dE) + correction, g, E)
+    C = _brackets(E, dE, g)
+    F = _structure_f(C)
+    bracket_resid = max(abs(C[a, b2, k]) for (a, b2, k) in _TRIPLES if a < b2)
     f_gamma_resid = max(abs(F[b2, a] - gamma_f[a, b2, a]) for (a, b2) in _PAIRS_ORDERED)
 
     diagnostics = {
@@ -316,7 +381,7 @@ def extract_frame(
         "non_d0_warning": bool(bracket_resid > 1e-4),
     }
 
-    frame = RicciFrame(
+    return RicciFrame(
         x=x,
         E=E,
         lam=lam,
@@ -324,52 +389,18 @@ def extract_frame(
         s=float(entry.s),
         F=F,
         gamma=gamma_f,
+        dlam=dlam,
+        dsig=dsig,
         w_plus=split.w_plus,
         w_minus=split.w_minus,
         source=source,
+        clusters=clusters,
+        stencil=cfg,
         diagnostics=diagnostics,
     )
-    frame._field = frame_field  # reused by the derivative helpers
-    frame._entry = entry
-    frame._cfg = cfg
-    frame._chart = chart
-    frame._clusters = clusters
-    return frame
 
 
-def _frame_scalars(chart, frame, y, cfg):
-    """(lam_b(y), sigma_bc(y)) in the center-aligned gauge."""
-    entry = curvature_at(chart, y, cfg)
-    Ey = frame._field(y)
-    g = entry.metric.g
-    b = entry.ric - entry.s * g / 4.0
-    lam = np.array([Ey[:, a] @ b @ Ey[:, a] for a in range(4)])
-    Wf = frame_components(entry.weyl, Ey)
-    sig = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                sig[i, j] = Wf[i, j, i, j]
-    return lam, sig
-
-
-def directional_invariant_derivatives(chart, frame, cfg=None):
-    """D_a lambda_b and D_a sigma_bc along the frame directions."""
-    cfg = cfg or frame._cfg
-    x = frame.x
-
-    def scalars(y):
-        # one frame per stencil point: lam in row 0, sigma in rows 1-4
-        lam, sig = _frame_scalars(chart, frame, y, cfg)
-        return np.vstack([lam, sig])
-
-    d = np.stack([central_diff(scalars, x, k, cfg) for k in range(4)])
-    Dlam = np.einsum("ma,mb->ab", frame.E, d[:, 0])
-    Dsig = np.einsum("ma,mbc->abc", frame.E, d[:, 1:])
-    return Dlam, Dsig
-
-
-def skw_residuals(frame, chart=None, cfg=None):
+def skw_residuals(frame, chart=None):
     """Residuals of the first-order frame identities, keyed by anchor code.
 
     skw.a  Gamma^k_ij + Gamma^j_ik = 0
@@ -379,11 +410,11 @@ def skw_residuals(frame, chart=None, cfg=None):
     skw.e  D_i lam_j = (lam_j - lam_i) Gamma^i_jj
     skw.f  D_j sigma_ij = (sigma_ij - sigma_ik) Gamma^j_kk
                          + (sigma_ij - sigma_il) Gamma^j_ll
+
+    Everything is read off the frame; `chart` is accepted and unused.
     """
-    chart = chart or frame._chart
-    cfg = cfg or frame._cfg
     lam, sig, gm = frame.lam, frame.sigma, frame.gamma
-    Dlam, Dsig = directional_invariant_derivatives(chart, frame, cfg)
+    Dlam, Dsig = frame.dlam, frame.dsig
 
     res_a = max(abs(gm[i, j, k] + gm[i, k, j]) for (i, j, k) in _TRIPLES)
 
@@ -455,9 +486,8 @@ def sy_from_components(sigma, lam, gamma, zero_tol=1e-6):
     }
 
 
-def sy_invariants(frame, chart=None, cfg=None, zero_tol=1e-6):
-    """Selection invariants of a frame; chart/cfg accepted for signature
-    parity with the other frame reports (the data is already stored)."""
+def sy_invariants(frame, zero_tol=1e-6):
+    """Selection invariants of a frame."""
     return sy_from_components(frame.sigma, frame.lam, frame.gamma, zero_tol)
 
 
@@ -528,37 +558,31 @@ class StructureData:
     DF: np.ndarray
 
 
-def structure_f_at(chart, frame, y, cfg=None):
-    """The F-matrix of the center-aligned frame field at a nearby point."""
-    cfg = cfg or frame._cfg
-    y = np.asarray(y, dtype=float)
-    Ey = frame._field(y)
-    dEy = np.stack([central_diff(frame._field, y, d, cfg) for d in range(4)])
-    g_y = chart.eval(y)
-    Fy = np.zeros((4, 4))
-    for a in range(4):
-        for b in range(a + 1, 4):
-            vec = np.einsum("m,mn->n", Ey[:, a], dEy[:, :, b]) - np.einsum(
-                "m,mn->n", Ey[:, b], dEy[:, :, a]
-            )
-            coeff = vec @ g_y @ Ey
-            Fy[b, a] = coeff[a]
-            Fy[a, b] = -coeff[b]
-    return Fy
-
-
 def structure_data(chart, frame, cfg=None):
-    """Numerically differentiate the F-field around the frame's base point."""
-    cfg = cfg or frame._cfg
-    x = frame.x
-
-    def f_field(y):
-        return structure_f_at(chart, frame, y, cfg)
-
-    dF = np.stack(
-        [central_diff(f_field, x, d, cfg, step=cfg.third_step) for d in range(4)]
+    """F and DF at the frame's base point: DF by central differences at
+    cfg.third_step of F, each F from the frame field differenced at
+    cfg.step around its point; all 16 + 256 points (order 4) in one batch.
+    cfg defaults to the frame's own stencil."""
+    cfg = cfg or frame.stencil
+    x, E = frame.x, frame.E
+    g_ref = curvature_at(chart, x, frame.stencil).metric.g
+    outer = axis_stencil(x, cfg, cfg.third_step)  # (4, k, 4)
+    inner = axis_stencil(outer, cfg)  # (4, k, 4, k, 4)
+    n = outer.shape[0] * outer.shape[1]
+    Ey, g, _ = _stencil_frames(
+        chart,
+        np.concatenate([outer.reshape(-1, 4), inner.reshape(-1, 4)]),
+        cfg,
+        frame.source,
+        E,
+        g_ref,
+        frame.clusters,
+        with_sigma=False,
     )
-    DF = np.einsum("ma,mbc->abc", frame.E, dF)
+    dE = stencil_derivative(Ey[n:].reshape((n,) + inner.shape[2:4] + (4, 4)), cfg, axis=1)
+    F = _structure_f(_brackets(Ey[:n], dE, g[:n]))
+    dF = stencil_derivative(F.reshape(outer.shape[:2] + (4, 4)), cfg, cfg.third_step)
+    DF = np.einsum("ma,mbc->abc", E, dF)
     return StructureData(x=x, F=frame.F.copy(), DF=DF)
 
 

@@ -2,7 +2,8 @@
 
 Truncated multivariate Taylor arithmetic (`Jet`), which gives exact metric
 jets for charts written as formulas; central differences on scalar/array
-valued fields, and metric jets up to third partials from one batched
+valued fields, one at a time or contracted over the stencil points of many
+base points at once, and metric jets up to third partials from one batched
 stencil evaluation, for charts without a formula; symmetric eigensystems
 with a deterministic ordering, SVD-based rank decisions, classical
 fixed-step Runge-Kutta integration and the Halton sequence. Everything
@@ -116,19 +117,42 @@ def _jet_layout(order):
     return offsets, center, first, second
 
 
+def axis_stencil(x, cfg=DEFAULT_STENCIL, step=None):
+    """The points `central_diff` touches around stacked x (..., 4), for all
+    four directions: shape (..., 4, k, 4), point [d, a] = x + o_a h e_d with
+    o the k offsets of cfg's first-derivative stencil and h = `step` (default
+    cfg.step). `stencil_derivative` contracts values at these points."""
+    x = np.asarray(x, dtype=float)
+    h = cfg.step if step is None else step
+    offsets = np.asarray(_FD_STENCILS[cfg.order][0], dtype=float)
+    moves = h * np.eye(4)[:, None, :] * offsets[None, :, None]  # [d, a] = h o_a e_d
+    return x[..., None, None, :] + moves
+
+
+def stencil_derivative(values, cfg=DEFAULT_STENCIL, step=None, axis=0):
+    """Central differences from values at `axis_stencil` points: `values` has
+    the (4, k) stencil axes at `axis` and `axis` + 1, and the result keeps the
+    first of them as the axis of the four partials, d[d] = D_d f."""
+    h = cfg.step if step is None else step
+    weights = np.asarray(_FD_STENCILS[cfg.order][1], dtype=float)
+    return np.tensordot(values, weights, axes=(axis + 1, 0)) / h
+
+
 def metric_jet(f_batch, x, cfg=DEFAULT_STENCIL, degree=2):
-    """Value and partials of a field at x, up to `degree` (2 or 3), from one
-    batched call.
+    """Value and partials of a field at stacked points x (..., 4), up to
+    `degree` (2 or 3), from one batched call.
 
     `f_batch` maps stacked points (N, 4) to stacked values (N, ...). At
     degree 2 it is called on the tensor product of cfg's central
-    first-derivative stencil with itself: the points that nested
-    `central_diff` calls touch (129 distinct at order 4). The 1D weights are
-    contracted in the same nested order, so d1[p] = D_p f and d2[q, p] =
-    D_q (D_p f), D_p being the first-derivative stencil along p (Fornberg,
-    Math. Comp. 51, 1988). Degree 3 adds the same product stencil around the
-    points x + o H e_r of the outer stencil at H = cfg.third_step, and
-    d3[r, q, p] = D^H_r (D_q D_p f). Returns [value, d1, d2(, d3)].
+    first-derivative stencil with itself around every point of x: the points
+    that nested `central_diff` calls touch (129 distinct per point at order
+    4). The 1D weights are contracted in the same nested order, so d1[p] =
+    D_p f and d2[q, p] = D_q (D_p f), D_p being the first-derivative stencil
+    along p (Fornberg, Math. Comp. 51, 1988). Degree 3 adds the same product
+    stencil around the points x + o H e_r of the outer stencil at H =
+    cfg.third_step, and d3[r, q, p] = D^H_r (D_q D_p f). Returns [value, d1,
+    d2(, d3)], each with the batch axes of x first and the derivative axes
+    right after them.
     """
     if degree not in (2, 3):
         raise InputError(f"finite-difference jets have degree 2 or 3, got {degree}")
@@ -136,22 +160,23 @@ def metric_jet(f_batch, x, cfg=DEFAULT_STENCIL, degree=2):
     offsets, center, first, second = _jet_layout(cfg.order)
     steps, w = (np.asarray(a, dtype=float) for a in _FD_STENCILS[cfg.order])
     x = np.asarray(x, dtype=float)
-    bases = x[None]
+    lead = x.shape[:-1]
+    bases = x.reshape(-1, 1, 4)
     if degree == 3:
         outer = (cfg.third_step * steps[None, :, None] * np.eye(4)[:, None, :]).reshape(-1, 4)
-        bases = np.concatenate([bases, x + outer])
-    pts = (bases[:, None, :] + h * offsets).reshape(-1, 4)
+        bases = np.concatenate([bases, bases + outer], axis=1)
+    pts = (bases[:, :, None, :] + h * offsets).reshape(-1, 4)
     values = np.asarray(f_batch(pts), dtype=float)
-    values = values.reshape((len(bases), len(offsets)) + values.shape[1:])
-    d1 = np.tensordot(w, values[:, first], axes=(0, 2)) / h
-    inner = np.tensordot(w, values[:, second], axes=(0, 4)) / h
-    d2 = np.tensordot(w, inner, axes=(0, 2)) / h
+    values = values.reshape(bases.shape[:2] + (len(offsets),) + values.shape[1:])
+    d1 = np.tensordot(w, values[:, :, first], axes=(0, 3)) / h
+    inner = np.tensordot(w, values[:, :, second], axes=(0, 5)) / h
+    d2 = np.tensordot(w, inner, axes=(0, 3)) / h
     # copies: a view would keep every stencil value alive with the result
-    jet = [values[0, center].copy(), d1[0].copy(), d2[0].copy()]
+    jet = [values[:, 0, center].copy(), d1[:, 0].copy(), d2[:, 0].copy()]
     if degree == 3:
-        shifted = d2[1:].reshape((4, len(w)) + d2.shape[1:])
-        jet.append(np.tensordot(w, shifted, axes=(0, 1)) / cfg.third_step)
-    return jet
+        shifted = d2[:, 1:].reshape((len(d2), 4, len(w)) + d2.shape[2:])
+        jet.append(np.tensordot(w, shifted, axes=(0, 2)) / cfg.third_step)
+    return [d.reshape(lead + d.shape[1:]) for d in jet]
 
 
 def _multi_indices(nvar, degree):
@@ -439,7 +464,7 @@ class Jet:
 
 @dataclass(frozen=True)
 class EigenResult:
-    """Eigenvalues ascending; `vectors[:, k]` belongs to `values[k]`.
+    """Eigenvalues ascending; `vectors[..., :, k]` belongs to `values[..., k]`.
 
     Each vector is normalized and sign-fixed: its first component of largest
     magnitude is positive.
@@ -450,28 +475,28 @@ class EigenResult:
 
 
 def _fix_signs(vectors):
-    out = vectors.copy()
-    for k in range(out.shape[1]):
-        lead = np.argmax(np.abs(out[:, k]))  # ties resolve to the lowest index
-        if out[lead, k] < 0.0:
-            out[:, k] = -out[:, k]
-    return out
+    # per column (stacked on leading axes): flip unless the first component
+    # of largest magnitude is positive
+    lead = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(vectors, lead, axis=-2) < 0.0, -vectors, vectors)
 
 
 def sym_eigen(A, dim=None):
-    """Deterministic symmetric eigendecomposition for 3x3/4x4/6x6 matrices."""
+    """Deterministic symmetric eigendecomposition for 3x3/4x4/6x6 matrices,
+    stacked on any leading axes."""
     A = np.asarray(A, dtype=float)
-    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+    if A.ndim < 2 or A.shape[-1] != A.shape[-2]:
         raise InputError(f"expected a square matrix, got shape {A.shape}")
-    n = A.shape[0]
+    n = A.shape[-1]
     if n not in (3, 4, 6):
         raise InputError(f"matrix dimension must be 3, 4 or 6, got {n}")
     if dim is not None and n != dim:
         raise InputError(f"expected dimension {dim}, got {n}")
-    scale = max(1.0, float(np.linalg.norm(A)))
-    if np.linalg.norm(A - A.T) > 1e-12 * scale:
+    At = np.swapaxes(A, -1, -2)
+    scale = np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
+    if np.any(np.linalg.norm(A - At, axis=(-2, -1)) > 1e-12 * scale):
         raise InputError("matrix is not symmetric within 1e-12 (relative)")
-    values, vectors = np.linalg.eigh(0.5 * (A + A.T))
+    values, vectors = np.linalg.eigh(0.5 * (A + At))
     return EigenResult(values=values, vectors=_fix_signs(vectors))
 
 

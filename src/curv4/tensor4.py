@@ -62,6 +62,15 @@ class Metric4:
             raise InconsistencyError("metric inverse fails g g^-1 = I within 1e-10")
         object.__setattr__(self, "g_inv", g_inv)
 
+    @classmethod
+    def from_checked(cls, g, g_inv):
+        """The Metric4 of a metric and inverse that have passed these checks
+        already (chart.curvature_batch makes them on every point it takes)."""
+        metric = object.__new__(cls)
+        object.__setattr__(metric, "g", g)
+        object.__setattr__(metric, "g_inv", g_inv)
+        return metric
+
 
 @dataclass(frozen=True)
 class SymBilinear4:

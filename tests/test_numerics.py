@@ -6,12 +6,15 @@ from curv4.numerics import (
     DEFAULT_STENCIL,
     Jet,
     StencilConfig,
+    axis_stencil,
     central_diff,
     gradient,
     halton,
+    metric_jet,
     numerical_rank,
     rk4_integrate,
     rk4_step,
+    stencil_derivative,
     sym_eigen,
 )
 
@@ -234,3 +237,49 @@ def test_jet_batch_axes():
     assert np.allclose(Y.value[..., 0], np.cos(pts @ M) + 1.0, atol=1e-15)
     _, d1, _ = Y.derivatives()
     assert np.allclose(d1[..., 0], -np.sin(pts @ M)[None] * M[:, None, :], atol=1e-14)
+
+
+def test_sym_eigen_stacked_matches_single():
+    rng = np.random.default_rng(7)
+    A = rng.normal(size=(5, 4, 4))
+    A = A + np.swapaxes(A, 1, 2)
+    stacked = sym_eigen(A)
+    for n in range(5):
+        single = sym_eigen(A[n])
+        assert np.array_equal(stacked.values[n], single.values)
+        assert np.array_equal(stacked.vectors[n], single.vectors)
+    with pytest.raises(InputError):
+        sym_eigen(np.stack([np.eye(4), np.arange(16.0).reshape(4, 4)]))
+
+
+def test_axis_stencil_contracts_like_central_diff():
+    def f(y):
+        return np.array([np.sin(y[0]) * y[1], np.exp(y[2] * y[3]) + y[0] ** 3])
+
+    X = np.array([[0.1, 0.2, 0.3, 0.4], [-0.3, 0.5, 0.1, -0.2]])
+    for cfg, step in ((DEFAULT_STENCIL, None), (StencilConfig(order=6), 5e-3)):
+        pts = axis_stencil(X, cfg, step)
+        assert pts.shape == (2, 4, cfg.reach * 2, 4)
+        values = np.array([[[f(p) for p in row] for row in block] for block in pts])
+        got = stencil_derivative(values, cfg, step, axis=1)
+        for n, x in enumerate(X):
+            ref = np.stack([central_diff(f, x, d, cfg, step=step) for d in range(4)])
+            assert np.max(np.abs(got[n] - ref)) <= 1e-12
+
+
+def test_metric_jet_stacked_bases_match_single_points():
+    calls = []
+
+    def f(Y):
+        calls.append(len(Y))
+        return np.stack([np.sin(Y[:, 0]) * Y[:, 1] * Y[:, 3], np.exp(Y[:, 2] * Y[:, 0])], axis=-1)
+
+    X = np.array([[0.1, 0.2, 0.3, 0.4], [-0.3, 0.5, 0.1, -0.2], [0.0, 0.1, -0.4, 0.2]])
+    for degree in (2, 3):
+        calls.clear()
+        stacked = metric_jet(f, X, DEFAULT_STENCIL, degree)
+        assert len(calls) == 1
+        for n, x in enumerate(X):
+            for got, ref in zip(stacked, metric_jet(f, x, DEFAULT_STENCIL, degree)):
+                assert got[n].shape == ref.shape
+                assert np.max(np.abs(got[n] - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
