@@ -10,8 +10,9 @@ the metric on a tensor-product central stencil (numerics.metric_jet), at
 the stencil's `step` up to second partials and its `third_step` for the
 third level. Everything after the jet is closed form and shared by both,
 and it runs on stacked points: `curvature_batch` takes the curvature at N
-points from one jet evaluation (the frame stencils use it), and a cached
-CurvatureField entry is the batch of one point.
+points from one jet evaluation. A harmonicity report is one third-order
+batch of all its sample points, each frame stencil is one batch, and a
+single entry (`curvature_at`) is a batch of one point; nothing is cached.
 The Christoffel symbols and their partials are
 
     Gamma^k_ij = g^km Gamma_mij,  Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2,
@@ -34,11 +35,11 @@ contractions of R, with no further differencing.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._parallel import parallel_map
 from .errors import DomainError, InconsistencyError, InputError
 from .numerics import DEFAULT_STENCIL, Jet, central_diff, halton, metric_jet
 from .tensor4 import Curv4, Metric4, curvature_projection, kulkarni_nomizu
@@ -46,6 +47,25 @@ from .tensor4 import Curv4, Metric4, curvature_projection, kulkarni_nomizu
 # importable from here for perfbench/tracing.py, which counts calls through
 # these names
 from .tensor4 import curvature_symmetrize, ricci_contract, weyl_from_curv  # noqa: F401
+
+
+# scan's cells run on two threads. One thread is faster, but the scan-grid
+# benchmark scales its times by a host-speed slice run as two concurrent
+# threads (perfbench/hostspeed.py), and a one-thread scan's scaled figure then
+# moves with the host's load; keep two until that reference is one thread.
+SCAN_THREADS = 2
+
+
+def parallel_map(fn, items):
+    """[fn(item) for item in items] on SCAN_THREADS threads, in input order.
+    scan runs its cells through it; perfbench/tracing.py times calls through
+    this name (it patches it here and in cli)."""
+    items = list(items)
+    if len(items) <= 1:
+        return [fn(item) for item in items]
+    with ThreadPoolExecutor(max_workers=SCAN_THREADS) as pool:
+        return list(pool.map(fn, items))
+
 
 # residual tolerance tiers: purely algebraic identities, quantities built
 # from second metric derivatives, quantities built from third derivatives
@@ -86,7 +106,6 @@ class MetricChart:
         self.box = np.asarray(self.box, dtype=float)
         if self.box.shape != (4, 2) or np.any(self.box[:, 1] <= self.box[:, 0]):
             raise InputError("box must be (4,2) with lo < hi per axis")
-        self._caches = {}
         if self.validate:
             _validate_chart(self)
 
@@ -122,13 +141,6 @@ class MetricChart:
 
     def metric(self, x):
         return Metric4(g=self.eval(x))
-
-    def curvature_field(self, cfg=DEFAULT_STENCIL):
-        # the chart keeps only the entry cache: a field kept here would point
-        # back at the chart, and the cycle would leave a dropped chart and
-        # its cache to the cyclic garbage collector
-        cache = self._caches.setdefault((cfg.step, cfg.order, cfg.third_step), {})
-        return CurvatureField(self, cfg, cache)
 
 
 def _probe_points(chart, m=5):
@@ -328,6 +340,24 @@ class CurvatureBatch:
         sch = self.ric - self.s[:, None, None] * self.g / 6.0
         return self.R - 0.5 * kulkarni_nomizu(self.g, sch)
 
+    def entry(self, n):
+        """The CurvatureEntry of point n."""
+        derived = {}
+        if self.ds is not None:
+            keys = ("nabla_riem", "nabla_ric", "nabla_weyl", "ds")
+            derived = {key: getattr(self, key)[n] for key in keys}
+        return CurvatureEntry(
+            x=self.x[n],
+            metric=Metric4.from_checked(self.g[n], self.g_inv[n]),
+            gamma=self.gamma[n],
+            riem=Curv4(R=self.R[n], projection_distance=float(self.projection_distance[n])),
+            ric=self.ric[n],
+            s=float(self.s[n]),
+            weyl=Curv4(R=self.weyl[n]),
+            projection_distance=float(self.projection_distance[n]),
+            **derived,
+        )
+
 
 def _norms(T):
     """Frobenius norm of each T[n]."""
@@ -446,47 +476,20 @@ class CurvatureEntry:
 
 
 class CurvatureField:
-    """Memoizing curvature evaluator for one chart and stencil config.
-
-    Fields made by MetricChart.curvature_field share the chart's `cache`.
+    """Curvature entries of one chart and stencil config, each evaluated on
+    request as a curvature batch of one point; nothing is kept between calls.
     """
 
-    def __init__(self, chart, cfg=DEFAULT_STENCIL, cache=None):
+    def __init__(self, chart, cfg=DEFAULT_STENCIL):
         self.chart = chart
         self.cfg = cfg
-        self._cache = {} if cache is None else cache
 
     def at(self, x, degree=2):
         """The entry at x; degree 3 asks for the covariant derivatives too."""
         x = np.asarray(x, dtype=float)
-        key = tuple(np.round(x, 12))
-        entry = self._cache.get(key)
-        if entry is None or (degree == 3 and entry.nabla_ric is None):
-            entry = self._compute(x, degree)
-            self._cache[key] = entry
-        return entry
-
-    def _compute(self, x, degree=2):
         if x.shape != (4,):
             raise InputError(f"chart points are 4-vectors, got shape {x.shape}")
-        batch = curvature_batch(self.chart, x[None], self.cfg, degree)
-        derived = {}
-        if batch.ds is not None:
-            derived = {
-                key: getattr(batch, key)[0]
-                for key in ("nabla_riem", "nabla_ric", "nabla_weyl", "ds")
-            }
-        return CurvatureEntry(
-            x=x,
-            metric=Metric4.from_checked(batch.g[0], batch.g_inv[0]),
-            gamma=batch.gamma[0],
-            riem=Curv4(R=batch.R[0], projection_distance=float(batch.projection_distance[0])),
-            ric=batch.ric[0],
-            s=float(batch.s[0]),
-            weyl=Curv4(R=batch.weyl[0]),
-            projection_distance=float(batch.projection_distance[0]),
-            **derived,
-        )
+        return curvature_batch(self.chart, x[None], self.cfg, degree).entry(0)
 
 
 def _covariant_derivatives(g, g_inv, dg, gamma, dgamma, ddgamma, rm, R):
@@ -519,65 +522,76 @@ def _covariant_derivatives(g, g_inv, dg, gamma, dgamma, ddgamma, rm, R):
     return {"nabla_riem": nabla_riem, "nabla_ric": nabla_ric, "nabla_weyl": nabla_weyl, "ds": ds}
 
 
-def curvature_at(chart, x, cfg=DEFAULT_STENCIL):
-    """Cached curvature entry at x (cache lives on the chart)."""
-    return chart.curvature_field(cfg).at(x)
+def curvature_at(chart, x, cfg=DEFAULT_STENCIL, degree=2):
+    """Curvature entry at x, a batch of one point; degree 3 adds the
+    covariant derivatives."""
+    return CurvatureField(chart, cfg).at(x, degree)
 
 
-def _third_order_entry(chart, x, cfg):
-    return chart.curvature_field(cfg).at(x, degree=3)
+def _metric_norms(T, g_inv):
+    """metric_norm of each T[n] with g_inv[n]."""
+    up = T
+    for axis in range(1, T.ndim):
+        raised = np.einsum("nij,n...j->n...i", g_inv, np.moveaxis(up, axis, -1))
+        up = np.moveaxis(raised, -1, axis)
+    return np.sqrt(np.abs((T * up).reshape(len(T), -1).sum(axis=1)))
 
 
 def metric_norm(T, g_inv):
     """Frobenius norm with all slots raised by g^-1 (chart-invariant)."""
     T = np.asarray(T, dtype=float)
-    up = T
-    for axis in range(T.ndim):
-        up = np.moveaxis(np.tensordot(g_inv, up, axes=(1, axis)), 0, axis)
-    return float(np.sqrt(abs(np.sum(T * up))))
+    return float(_metric_norms(T[None], np.asarray(g_inv, dtype=float)[None])[0])
 
 
-def covariant_ric_derivative(chart, x, cfg=DEFAULT_STENCIL):
-    """DRic[p, k, i] = nabla_p ric_ki."""
-    return _third_order_entry(chart, x, cfg).nabla_ric
+# The harmonicity residuals of a third-order batch, one value per point:
+# 'dvr' = ||d ric|| with (d ric)_kij = nabla_j ric_ki - nabla_i ric_kj
+# (equal to ||div R|| for any metric), 'dvw.w' = ||div W|| and 'dvw.ds' = ||ds||.
+_RESIDUALS = {
+    "dvr": lambda b: _metric_norms(
+        np.einsum("njki->nkij", b.nabla_ric) - np.einsum("nikj->nkij", b.nabla_ric), b.g_inv
+    ),
+    "dvw.w": lambda b: _metric_norms(np.einsum("npi,npijkl->njkl", b.g_inv, b.nabla_weyl), b.g_inv),
+    "dvw.ds": lambda b: _metric_norms(b.ds, b.g_inv),
+}
 
 
-def codazzi_tensor(chart, x, cfg=DEFAULT_STENCIL):
-    """(d ric)_kij = nabla_j ric_ki - nabla_i ric_kj."""
-    dric = covariant_ric_derivative(chart, x, cfg)
-    return np.einsum("jki->kij", dric) - np.einsum("ikj->kij", dric)
+def _at_point(residual, chart, x, cfg):
+    batch = curvature_batch(chart, np.asarray(x, dtype=float)[None], cfg, degree=3)
+    return float(residual(batch)[0])
 
 
 def codazzi_residual(chart, x, cfg=DEFAULT_STENCIL):
     """||d ric|| at x; equals ||div R|| for any metric."""
-    entry = _third_order_entry(chart, x, cfg)
-    return metric_norm(codazzi_tensor(chart, x, cfg), entry.metric.g_inv)
-
-
-def div_riemann_norm(chart, x, cfg=DEFAULT_STENCIL):
-    """Direct ||div R|| via nabla R contracted on its last slot."""
-    entry = _third_order_entry(chart, x, cfg)
-    divR = np.einsum("pq,pijkq->ijk", entry.metric.g_inv, entry.nabla_riem)
-    return metric_norm(divR, entry.metric.g_inv)
+    return _at_point(_RESIDUALS["dvr"], chart, x, cfg)
 
 
 def div_weyl_norm(chart, x, cfg=DEFAULT_STENCIL):
-    entry = _third_order_entry(chart, x, cfg)
-    divW = np.einsum("pi,pijkl->jkl", entry.metric.g_inv, entry.nabla_weyl)
-    return metric_norm(divW, entry.metric.g_inv)
+    """||div W|| at x."""
+    return _at_point(_RESIDUALS["dvw.w"], chart, x, cfg)
 
 
 def scalar_gradient_norm(chart, x, cfg=DEFAULT_STENCIL):
     """||ds|| at x (metric norm of the scalar-curvature gradient)."""
-    entry = _third_order_entry(chart, x, cfg)
-    return metric_norm(entry.ds, entry.metric.g_inv)
+    return _at_point(_RESIDUALS["dvw.ds"], chart, x, cfg)
+
+
+def div_riemann_norm(chart, x, cfg=DEFAULT_STENCIL):
+    """Direct ||div R|| via nabla R contracted on its last slot."""
+
+    def norm(b):
+        return _metric_norms(np.einsum("npq,npijkq->nijk", b.g_inv, b.nabla_riem), b.g_inv)
+
+    return _at_point(norm, chart, x, cfg)
 
 
 def contracted_bianchi_residual(chart, x, cfg=DEFAULT_STENCIL):
     """||2 div ric - ds||; vanishes for every metric (universal identity)."""
-    entry = _third_order_entry(chart, x, cfg)
-    div_ric = np.einsum("pk,pki->i", entry.metric.g_inv, entry.nabla_ric)
-    return metric_norm(2.0 * div_ric - entry.ds, entry.metric.g_inv)
+
+    def norm(b):
+        div_ric = np.einsum("npk,npki->ni", b.g_inv, b.nabla_ric)
+        return _metric_norms(2.0 * div_ric - b.ds, b.g_inv)
+
+    return _at_point(norm, chart, x, cfg)
 
 
 @dataclass(frozen=True)
@@ -586,6 +600,7 @@ class HarmonicityReport:
 
     Residual keys: 'dvr' = ||d ric|| (= ||div R||), 'dvw.w' = ||div W||,
     'dvw.ds' = ||ds||, with 'cst' the spread of s across the samples.
+    `batch` is the third-order curvature batch of the sample points.
     """
 
     points: np.ndarray
@@ -595,35 +610,30 @@ class HarmonicityReport:
     s_spread: float
     harmonic: bool
     tols: dict
+    batch: CurvatureBatch
 
 
 def harmonicity_report(chart, cfg=DEFAULT_STENCIL, count=16, seed=0, tols=None):
+    """The harmonicity residuals at `count` sample points, all evaluated as
+    one third-order curvature batch, and the verdict they give."""
     # precedence: the caller's tolerances, then the chart's, then the defaults
     tols = {**DEFAULT_TOLS, **(chart.default_tols or {}), **(tols or {})}
     pts = sample_points(chart, count=count, seed=seed)
-    chart.curvature_field(cfg)  # create the entry cache the workers share
-
-    def one(x):
-        return {
-            "dvr": codazzi_residual(chart, x, cfg),
-            "dvw.w": div_weyl_norm(chart, x, cfg),
-            "dvw.ds": scalar_gradient_norm(chart, x, cfg),
-        }
-
-    rows = parallel_map(one, pts)
-    s_values = np.array([curvature_at(chart, x, cfg).s for x in pts])
-    maxima = {k: float(max(r[k] for r in rows)) for k in rows[0]}
-    s_spread = float(s_values.max() - s_values.min())
-    tol3 = tols["third"]
-    harmonic = all(v <= tol3 for v in maxima.values()) and s_spread <= tols["second"] * max(
-        1.0, float(np.max(np.abs(s_values)))
-    )
+    batch = curvature_batch(chart, pts, cfg, degree=3)
+    residuals = {key: residual(batch) for key, residual in _RESIDUALS.items()}
+    rows = [{key: float(v[n]) for key, v in residuals.items()} for n in range(len(pts))]
+    maxima = {key: float(v.max()) for key, v in residuals.items()}
+    s_spread = float(batch.s.max() - batch.s.min())
+    s_scale = max(1.0, float(np.max(np.abs(batch.s))))
+    harmonic = all(v <= tols["third"] for v in maxima.values())
+    harmonic = harmonic and s_spread <= tols["second"] * s_scale
     return HarmonicityReport(
         points=pts,
         rows=rows,
-        s_values=s_values,
+        s_values=batch.s,
         maxima=maxima,
         s_spread=s_spread,
         harmonic=harmonic,
         tols=tols,
+        batch=batch,
     )

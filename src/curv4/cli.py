@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import variety as vy
-from ._parallel import parallel_map
-from .chart import harmonicity_report, sample_points
+from .chart import harmonicity_report, parallel_map, sample_points
 from .errors import Curv4Error, DegenerateFrameError, InputError
 from .examples import build_example, canonical_name, example_names, example_spec
 from .frames import (
@@ -127,9 +126,10 @@ def _verify_payload(config):
     frame_count = min(4, len(rep.points))
     skw_max = {}
     for idx in range(frame_count):
-        x = rep.points[idx]
+        # the frame's third-order entry is the report's, at the same point
+        entry = rep.batch.entry(idx)
         try:
-            fr = extract_frame(chart, x, cfg=config.stencil)
+            fr = extract_frame(chart, rep.points[idx], cfg=config.stencil, entry=entry)
         except DegenerateFrameError:
             degenerate += 1
             points[idx]["counts"] = {"degenerate": True}
@@ -368,8 +368,8 @@ def _add_common(p):
 def _config_from_args(args, file_cfg=None):
     file_cfg = file_cfg or {}
     stencil_kwargs = {}
-    for key, attr in (("step", "step"), ("order", "order"), ("third_step", "third_step")):
-        val = getattr(args, attr if attr != "third_step" else "third_step", None)
+    for key in ("step", "order", "third_step"):
+        val = getattr(args, key)
         if val is None:
             val = file_cfg.get(key)
         if val is not None:

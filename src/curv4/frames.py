@@ -22,7 +22,8 @@ order 4), which gives Gamma, F and D sigma; structure_data differences F
 over the stencil at `third_step`, each F from the stencil at `step` around
 its point (16 + 256 points), which gives DF. D lambda needs no stencil:
 D_c lambda_a = (nabla_{e_c} Ric)(e_a, e_a) - ds(e_c) / 4, read from the
-third-order curvature entry at x.
+third-order curvature entry at x. A stencil that would leave the chart box
+is refused up front, with an error naming x and the stencil's reach.
 
 Gauge: frames at stencil points are aligned to the center frame before any
 differentiation: a greedy permutation by overlap and sign fixes always, plus
@@ -40,7 +41,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import curvature_at, curvature_batch, metric_norm
+from .chart import _guard_footprint, curvature_at, curvature_batch, metric_norm
 from .errors import (
     DegenerateFrameError,
     InconsistencyError,
@@ -89,9 +90,9 @@ def cluster_count(values, rtol=1e-5, atol=1e-9):
 class RicciFrame:
     """Ricci eigenframe at a point with its first-order structure functions.
 
-    x: the point; E: the frame vectors as columns, in chart coordinates;
-    lam[a] = lambda_a; sigma[a, b] = sigma_ab; s: scalar curvature;
-    F[j, i] = F_ji; gamma[i, j, k] = g(nabla_{e_i} e_j, e_k);
+    x: the point; g: the metric at x; E: the frame vectors as columns, in
+    chart coordinates; lam[a] = lambda_a; sigma[a, b] = sigma_ab; s: scalar
+    curvature; F[j, i] = F_ji; gamma[i, j, k] = g(nabla_{e_i} e_j, e_k);
     dlam[c, a] = D_c lambda_a, exact; dsig[a, b, c] = D_a sigma_bc, central
     differences on the stencil; w_plus / w_minus: the self-dual and
     anti-self-dual Weyl blocks; source: 'adapted' or 'eigen'; clusters: the
@@ -101,6 +102,7 @@ class RicciFrame:
     """
 
     x: np.ndarray
+    g: np.ndarray
     E: np.ndarray
     lam: np.ndarray
     sigma: np.ndarray
@@ -285,6 +287,7 @@ def extract_frame(
     prefer_adapted=True,
     cluster_rtol=1e-5,
     cluster_atol=1e-9,
+    entry=None,
 ):
     """Build the Ricci eigenframe and structure functions at x.
 
@@ -294,11 +297,15 @@ def extract_frame(
     Raises DegenerateFrameError when no canonical frame exists: Einstein
     and conformally flat, or Einstein with W != 0 and no adapted frame,
     or a 3-point eigenvalue cluster with W != 0 and no adapted frame.
-    The third-order curvature entry at x (for D lambda) and one curvature
-    batch on the stencil at cfg.step around x are evaluated.
+
+    `entry` is the third-order curvature entry at x (for D lambda), as a
+    harmonicity report's batch holds it; it is evaluated when not given.
+    One curvature batch on the stencil at cfg.step around x follows; a
+    stencil that leaves the chart box raises DomainError naming x.
     """
     x = np.asarray(x, dtype=float)
-    entry = chart.curvature_field(cfg).at(x, degree=3)
+    if entry is None:
+        entry = curvature_at(chart, x, cfg, degree=3)
     g = entry.metric.g
     g_inv = entry.metric.g_inv
     b = entry.ric - entry.s * g / 4.0
@@ -352,6 +359,7 @@ def extract_frame(
     w_diag_resid = _w_offdiag(entry, E)
 
     # the frame field and sigma on the stencil around x, in one batch
+    _guard_footprint(chart, x, cfg.reach * cfg.step)
     points = axis_stencil(x, cfg)
     Ey, _, sig_y = _stencil_frames(
         chart, points.reshape(-1, 4), cfg, source, E, g, clusters, with_sigma=True
@@ -383,6 +391,7 @@ def extract_frame(
 
     return RicciFrame(
         x=x,
+        g=g,
         E=E,
         lam=lam,
         sigma=split.sigma,
@@ -400,7 +409,7 @@ def extract_frame(
     )
 
 
-def skw_residuals(frame, chart=None):
+def skw_residuals(frame):
     """Residuals of the first-order frame identities, keyed by anchor code.
 
     skw.a  Gamma^k_ij + Gamma^j_ik = 0
@@ -410,8 +419,6 @@ def skw_residuals(frame, chart=None):
     skw.e  D_i lam_j = (lam_j - lam_i) Gamma^i_jj
     skw.f  D_j sigma_ij = (sigma_ij - sigma_ik) Gamma^j_kk
                          + (sigma_ij - sigma_il) Gamma^j_ll
-
-    Everything is read off the frame; `chart` is accepted and unused.
     """
     lam, sig, gm = frame.lam, frame.sigma, frame.gamma
     Dlam, Dsig = frame.dlam, frame.dsig
@@ -565,7 +572,7 @@ def structure_data(chart, frame, cfg=None):
     cfg defaults to the frame's own stencil."""
     cfg = cfg or frame.stencil
     x, E = frame.x, frame.E
-    g_ref = curvature_at(chart, x, frame.stencil).metric.g
+    _guard_footprint(chart, x, cfg.reach * (cfg.third_step + cfg.step))
     outer = axis_stencil(x, cfg, cfg.third_step)  # (4, k, 4)
     inner = axis_stencil(outer, cfg)  # (4, k, 4, k, 4)
     n = outer.shape[0] * outer.shape[1]
@@ -575,7 +582,7 @@ def structure_data(chart, frame, cfg=None):
         cfg,
         frame.source,
         E,
-        g_ref,
+        frame.g,
         frame.clusters,
         with_sigma=False,
     )

@@ -95,7 +95,7 @@ def test_criterion_3_product_surfaces(s2xs2_chart, s2xs2_frames):
             abs(fr.sigma[0, 2] + 0.5),
         )
         row_err = max(row_err, float(np.max(np.abs(fr.sigma.sum(axis=1)))))
-        skw_worst = max(skw_worst, max(skw_residuals(fr, s2xs2_chart).values()))
+        skw_worst = max(skw_worst, max(skw_residuals(fr).values()))
         gamma_max = max(gamma_max, fr.distinct_gamma_max)
         cross_f = max(
             cross_f, float(np.max(np.abs(fr.F[:2, 2:]))), float(np.max(np.abs(fr.F[2:, :2])))

@@ -13,7 +13,9 @@ from curv4.chart import (
     contracted_bianchi_residual,
     curvature_at,
     div_riemann_norm,
+    div_weyl_norm,
     harmonicity_report,
+    scalar_gradient_norm,
     sample_points,
 )
 from curv4.errors import DomainError, InputError
@@ -21,6 +23,7 @@ from curv4.numerics import StencilConfig
 from tests.conftest import ric_eigenvalues
 
 UNIT_BOX = np.array([[-1.0, 1.0]] * 4)
+REGISTRY_NAMES = ["s4", "h4", "s2xs2:1,2", "rxs3", "kpc", "bump:0.1", "randflat:0"]
 
 
 def flat_chart():
@@ -173,14 +176,9 @@ def test_sample_points_deterministic():
         sample_points(ch, count=0)
 
 
-def test_curvature_cache_identity(s2xs2_chart):
-    x = sample_points(s2xs2_chart, count=1, seed=9)[0]
-    assert curvature_at(s2xs2_chart, x) is curvature_at(s2xs2_chart, x)
-
-
 def test_dropped_chart_frees_its_curvature_cache():
-    # no reference cycle through the cache: the chart goes with its last
-    # reference, without waiting for the cyclic garbage collector
+    # no reference cycle: the chart goes with its last reference, without
+    # waiting for the cyclic garbage collector
     gc.disable()
     try:
         ch = curv4.build_example("s4")
@@ -203,3 +201,42 @@ def test_caller_tols_override_chart_tols(kpc_chart):
     rep = harmonicity_report(kpc_chart, count=1, seed=0, tols={"third": 2e-3})
     assert rep.tols["third"] == 2e-3
     assert rep.tols["second"] == DEFAULT_TOLS["second"]
+
+
+@pytest.mark.parametrize("name", REGISTRY_NAMES + ["s2xs2:1,2 without jet"])
+def test_report_rows_equal_per_point_residuals(name):
+    chart = curv4.build_example(name.split()[0])
+    if name.endswith("without jet"):
+        # the same metric with its third-order jet taken from the stencil
+        chart = MetricChart(name=name, box=chart.box, eval_fn=chart.eval_fn, batched=True)
+    rep = harmonicity_report(chart, count=16, seed=0)
+    assert len(rep.rows) == 16
+    per_point = {"dvr": codazzi_residual, "dvw.w": div_weyl_norm, "dvw.ds": scalar_gradient_norm}
+    for x, row, s in zip(rep.points, rep.rows, rep.s_values):
+        for key, residual in per_point.items():
+            assert row[key] == pytest.approx(residual(chart, x), rel=1e-12, abs=1e-14)
+        assert s == pytest.approx(curvature_at(chart, x, degree=3).s, rel=1e-12, abs=1e-14)
+    assert rep.maxima == {key: max(row[key] for row in rep.rows) for key in per_point}
+
+
+def counting(chart, attr):
+    calls = []
+    inner = getattr(chart, attr)
+
+    def wrapped(x, *args):
+        calls.append(np.shape(x))
+        return inner(x, *args)
+
+    setattr(chart, attr, wrapped)
+    return calls
+
+
+def test_report_is_one_jet_evaluation():
+    chart = curv4.build_example("kpc")
+    jets, evals = counting(chart, "jet_fn"), counting(chart, "eval_fn")
+    harmonicity_report(chart, count=16, seed=0)
+    assert jets == [(16, 4)] and evals == []
+    fd = MetricChart(name="flat-fd", box=UNIT_BOX, eval_fn=lambda x: np.eye(4))
+    batches = counting(fd, "eval_batch")
+    harmonicity_report(fd, count=16, seed=0)
+    assert len(batches) == 1 and batches[0][1] == 4

@@ -1,11 +1,14 @@
 import json
-import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import curv4.cli
+from curv4.chart import sample_points
 from curv4.cli import RunConfig, cmd_verify, main
+from curv4.examples import build_example
 
 
 def run_main(argv, capsys):
@@ -248,22 +251,52 @@ def test_scan_rejects_unknown_parameter(capsys):
     assert "no parameter" in err
 
 
-def test_thread_env_does_not_change_results(capsys):
-    argv = ["verify", "--example", "s2xs2:1,2", "--samples", "3"]
-    old = os.environ.get("CURV4_THREADS")
-    try:
-        os.environ["CURV4_THREADS"] = "1"
+def test_reports_deterministic_in_one_process(capsys):
+    # a verify and a scan, each run twice in one process: equal reports,
+    # the wall time aside
+    for argv in (
+        ["verify", "--example", "s2xs2:1,2", "--samples", "3"],
+        ["scan", "s2xs2", "--param", "k1=1,2", "--param", "k2=2", "--samples", "2"],
+    ):
         _, out1, _ = run_main(argv, capsys)
-        os.environ["CURV4_THREADS"] = "2"
         _, out2, _ = run_main(argv, capsys)
-    finally:
-        if old is None:
-            os.environ.pop("CURV4_THREADS", None)
-        else:
-            os.environ["CURV4_THREADS"] = old
-    a, b = json.loads(out1), json.loads(out2)
-    a.pop("timing"), b.pop("timing")
-    assert a == b
+        a, b = json.loads(out1), json.loads(out2)
+        a.pop("timing"), b.pop("timing")
+        assert a == b
+
+
+@pytest.mark.parametrize("name", ["s2xs2:1,2", "randflat:0", "s4"])
+def test_verify_makes_one_jet_evaluation_per_batch(name, capsys, monkeypatch):
+    # one jet_fn call for the harmonicity batch of all samples, then one
+    # per extracted frame, for its stencil; the frame's own entry comes
+    # from the report's batch
+    calls = []
+
+    def build(spec):
+        chart = build_example(spec)
+        inner = chart.jet_fn
+
+        def jet_fn(x, degree):
+            calls.append(np.shape(x))
+            return inner(x, degree)
+
+        chart.jet_fn = jet_fn
+        return chart
+
+    monkeypatch.setattr(curv4.cli, "build_example", build)
+    code, out, _ = run_main(["verify", "--example", name, "--samples", "16"], capsys)
+    assert code in (0, 1)
+    frames = sum("source" in p["counts"] for p in json.loads(out)["points"])
+    assert calls == [(16, 4)] + [(16, 4)] * frames
+
+
+def test_frame_stencil_error_names_the_frame_point(capsys):
+    # --step 0.5 makes the frame stencil reach 1, out of the s2xs2 box
+    code, _, err = run_main(["verify", "--example", "s2xs2:1,2", "--step", "0.5"], capsys)
+    assert code == 2
+    pts = sample_points(build_example("s2xs2:1,2"), count=16, seed=0)
+    assert "reach 1" in err
+    assert any(str(x.tolist()) in err for x in pts[:4])
 
 
 def test_console_script_entry():

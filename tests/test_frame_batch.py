@@ -308,14 +308,14 @@ def recording(chart, attr):
     "name, structure_attr", [("s2xs2:1,2", "eval_fn"), ("randflat:0", "jet_fn")]
 )
 def test_one_evaluation_per_stencil(name, structure_attr):
-    # the third-order entry at x is made (and cached) first; then the frame
-    # stencil is one jet_fn call, and structure_data one more call: eval_fn
-    # for adapted frames, which need the metric only, jet_fn for eigenframes
+    # given the third-order entry at x, the frame stencil is one jet_fn
+    # call, and structure_data one more call: eval_fn for adapted frames,
+    # which need the metric only, jet_fn for eigenframes
     chart = curv4.build_example(name)
     x = sample_points(chart, count=1, seed=3)[0]
-    chart.curvature_field().at(x, degree=3)
+    entry = curvature_at(chart, x, degree=3)
     jets, evals = recording(chart, "jet_fn"), recording(chart, "eval_fn")
-    fr = extract_frame(chart, x)
+    fr = extract_frame(chart, x, entry=entry)
     assert jets == [(16, 4)] and evals == []
     jets.clear()
     structure_data(chart, fr)
@@ -327,9 +327,9 @@ def test_one_evaluation_per_stencil(name, structure_attr):
 def test_one_evaluation_per_stencil_without_jet():
     chart = without_jet(curv4.build_example("randflat:0"))
     x = sample_points(chart, count=1, seed=3)[0]
-    chart.curvature_field().at(x, degree=3)
+    entry = curvature_at(chart, x, degree=3)
     evals = recording(chart, "eval_fn")
-    fr = extract_frame(chart, x)
+    fr = extract_frame(chart, x, entry=entry)
     assert evals == [(16 * 129, 4)]
     evals.clear()
     structure_data(chart, fr)
@@ -344,13 +344,18 @@ def test_stencil_point_outside_the_box_is_named(registry_charts, name):
     x[0] = chart.box[0, 0] + 0.5 * cfg.reach * cfg.step
     with pytest.raises(DomainError) as err:
         extract_frame(chart, x)
-    # the first stencil point, x - reach * step * e_0, is the one outside
-    assert str(axis_stencil(x, cfg)[0, 0].tolist()) in str(err.value)
+    # the first stencil point, x - reach * step * e_0, is the one outside;
+    # the message names the frame point and the stencil's reach
+    assert axis_stencil(x, cfg)[0, 0, 0] < chart.box[0, 0]
+    assert str(x.tolist()) in str(err.value)
+    assert f"reach {cfg.reach * cfg.step:g}" in str(err.value)
     # a frame well inside, whose structure stencil at third_step reaches out
     x[0] = chart.box[0, 0] + cfg.reach * (cfg.third_step + 0.5 * cfg.step)
     fr = extract_frame(chart, x)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError) as err:
         structure_data(chart, fr)
+    assert str(x.tolist()) in str(err.value)
+    assert f"reach {cfg.reach * (cfg.third_step + cfg.step):g}" in str(err.value)
 
 
 @pytest.mark.parametrize("name", REGISTRY_NAMES)
@@ -359,7 +364,7 @@ def test_curvature_batch_matches_entries(registry_charts, name):
     X = sample_points(chart, count=5, seed=8)
     batch = curvature_batch(chart, X, degree=3)
     for n, x in enumerate(X):
-        e = chart.curvature_field().at(x, degree=3)
+        e = curvature_at(chart, x, degree=3)
         for got, ref in (
             (batch.g[n], e.metric.g),
             (batch.R[n], e.riem.R),

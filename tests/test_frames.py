@@ -135,14 +135,14 @@ def test_kpc_frame_warped_closed_forms(kpc_chart, kpc_frames, kpc_profile):
 
 def test_skw_residuals_product(s2xs2_chart, s2xs2_frames):
     for fr in s2xs2_frames:
-        res = skw_residuals(fr, s2xs2_chart)
+        res = skw_residuals(fr)
         assert set(res) == {"skw.a", "skw.b", "skw.c", "skw.d", "skw.e", "skw.f"}
         assert max(res.values()) <= 1e-4
 
 
 def test_skw_residuals_kpc(kpc_chart, kpc_frames):
     for fr in kpc_frames:
-        res = skw_residuals(fr, kpc_chart)
+        res = skw_residuals(fr)
         assert max(res.values()) <= 1e-3
 
 
@@ -151,7 +151,7 @@ def test_skw_detects_non_harmonic():
     worst = 0.0
     for x in curv4.sample_points(ch, count=4, seed=2):
         fr = extract_frame(ch, x)
-        worst = max(worst, skw_residuals(fr, ch)["skw.e"])
+        worst = max(worst, skw_residuals(fr)["skw.e"])
     assert worst > 1e-2
 
 
