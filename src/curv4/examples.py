@@ -22,7 +22,6 @@ Taylor coefficients at t follow from Picard iterations of the ODE.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass
 
@@ -244,50 +243,68 @@ def solve_kpc_profile(
     """Integrate the profile equations with initial data f=1, f'=0, K=K0,
     K'=0 at t_span[0].
 
-    The fixed-step RK4 loop runs on Python floats and gives the grid that
-    numerics.rk4_step would. Integration stops early (truncated=True) when
-    the state stops being finite or f or K + c approaches its guard floor;
-    K0 = r - c is an exact constant solution.
+    The fixed-step RK4 loop runs on Python floats: the four evaluations of
+    the rhs are `_rk4` and `_profile_rhs` written out, with their operations
+    in the same order, so it gives the grid that numerics.rk4_step would.
+    Integration stops early (truncated=True) when the state stops being
+    finite or f or K + c approaches its guard floor; K0 = r - c is an exact
+    constant solution.
     """
     c, r, K0 = float(c), float(r), float(K0)
     if K0 + c <= kappa_min:
         raise InputError(f"K0 + c = {K0 + c:g} is not above the floor {kappa_min:g}")
-    rhs = functools.partial(_profile_rhs, c, r)
     t0, t1 = float(t_span[0]), float(t_span[1])
     h = (t1 - t0) / int(steps)
-    ts = [t0]
+    a, b, r3 = 0.5 * h, h / 6.0, r**3
+    isfinite = math.isfinite
     ys = [(1.0, 0.0, K0, 0.0)]
+    f, fp, K, Kp = ys[0]
     truncated = False
-    t, y = t0, ys[0]
     for _ in range(int(steps)):
         try:
-            y_next = _rk4(rhs, y, h)
+            # stage n evaluates the rhs at (fn, pn, Kn, qn), stage 1 at (f, fp, K,
+            # Kp); its rates (f', f'', K', K'') are (pn, en, qn, dn)
+            kc = K + c
+            e1, d1 = -K * f, (r3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - (fp / f) * Kp
+            f2, p2, K2, q2 = f + a * fp, fp + a * e1, K + a * Kp, Kp + a * d1
+            kc = K2 + c
+            e2, d2 = -K2 * f2, (r3 - kc**3 + 6.0 * q2**2) / (3.0 * kc) - (p2 / f2) * q2
+            f3, p3, K3, q3 = f + a * p2, fp + a * e2, K + a * q2, Kp + a * d2
+            kc = K3 + c
+            e3, d3 = -K3 * f3, (r3 - kc**3 + 6.0 * q3**2) / (3.0 * kc) - (p3 / f3) * q3
+            f4, p4, K4, q4 = f + h * p3, fp + h * e3, K + h * q3, Kp + h * d3
+            kc = K4 + c
+            e4, d4 = -K4 * f4, (r3 - kc**3 + 6.0 * q4**2) / (3.0 * kc) - (p4 / f4) * q4
         except (ZeroDivisionError, OverflowError):
             # numpy would carry an inf or nan here, and stop below
             truncated = True
             break
-        if not all(math.isfinite(v) for v in y_next):
+        f_next = f + b * (fp + 2.0 * p2 + 2.0 * p3 + p4)
+        fp_next = fp + b * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
+        K_next = K + b * (Kp + 2.0 * q2 + 2.0 * q3 + q4)
+        Kp_next = Kp + b * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
+        if not (isfinite(f_next) and isfinite(fp_next) and isfinite(K_next) and isfinite(Kp_next)):
             truncated = True
             break
-        if y_next[0] < f_min or y_next[2] + c < kappa_min:
+        if f_next < f_min or K_next + c < kappa_min:
             truncated = True
             break
-        t = t + h
-        y = y_next
-        ts.append(t)
-        ys.append(y)
+        f, fp, K, Kp = f_next, fp_next, K_next, Kp_next
+        ys.append((f, fp, K, Kp))
+    # a sequential cumsum adds h in order, as t = t + h does
+    ts = np.cumsum(np.r_[t0, np.full(len(ys) - 1, h)])
     if len(ts) < 32:
         raise IntegrationError(
             f"profile left the admissible region almost immediately "
             f"(c={c:g}, r={r:g}, K0={K0:g})",
-            t_last=ts[-1],
+            t_last=float(ts[-1]),
         )
     arr = np.array(ys)
     return SurfaceProfile(
         c=c,
         r=r,
         K0=K0,
-        ts=np.array(ts),
+        ts=ts,
         fs=arr[:, 0].copy(),
         dfs=arr[:, 1].copy(),
         Ks=arr[:, 2].copy(),

@@ -80,12 +80,6 @@ def central_diff(f, x, direction, cfg=DEFAULT_STENCIL, step=None):
     return acc / h
 
 
-def gradient(f, x, cfg=DEFAULT_STENCIL, step=None):
-    """All four (or n) partials of a scalar/array field, stacked on axis 0."""
-    x = np.asarray(x, dtype=float)
-    return np.stack([central_diff(f, x, d, cfg, step=step) for d in range(x.size)])
-
-
 @functools.lru_cache(maxsize=None)
 def _jet_layout(order):
     """Integer offsets of the nested stencil in R^4, and where each term reads.
@@ -560,22 +554,24 @@ def halton(count, seed=None):
     base. With a `seed`, the digits of each base are scrambled by random
     permutations (Owen, arXiv:1706.02808): one shuffle of range(b) per digit
     that a double can resolve, ceil(54 / log2 b) - 1 of them, drawn from the
-    child generator that np.random.default_rng(seed) spawns. These are the
-    draws scipy.stats.qmc.Halton(d=4, scramble=True,
-    seed=np.random.default_rng(seed)) makes, so both give the same points.
+    child generator that np.random.default_rng(seed) spawns as one
+    `permuted` call per base, which draws what one `permutation` call per
+    digit would. These are the draws scipy.stats.qmc.Halton(d=4,
+    scramble=True, seed=np.random.default_rng(seed)) makes, and the digit
+    terms are summed in scipy's order with its scales (1/b divided by b once
+    per digit), so both give the same points, bit for bit.
     """
     index = np.arange(count, dtype=np.int64)
     rng = None if seed is None else np.random.default_rng(seed).spawn(1)[0]
-    out = np.zeros((count, len(_HALTON_BASES)))
+    out = np.empty((count, len(_HALTON_BASES)))
     for k, b in enumerate(_HALTON_BASES):
-        digits = math.ceil(54 / math.log2(b)) - 1
-        if rng is None:
-            perms = np.tile(np.arange(b), (digits, 1))
-        else:
-            perms = np.array([rng.permutation(b) for _ in range(digits)])
-        q, scale = index.copy(), 1.0 / b
-        for perm in perms:
-            out[:, k] += perm[q % b] * scale
-            scale /= b
-            q //= b
+        ndigits = math.ceil(54 / math.log2(b)) - 1
+        perms = np.tile(np.arange(b), (ndigits, 1))
+        if rng is not None:
+            perms = rng.permuted(perms, axis=1)
+        # digit j of every index; b ** (ndigits - 1) stays below 2 ** 63
+        digits = index[:, None] // b ** np.arange(ndigits, dtype=np.int64) % b
+        scales = np.divide.accumulate(np.r_[1.0 / b, np.full(ndigits - 1, float(b))])
+        terms = perms[np.arange(ndigits), digits] * scales
+        out[:, k] = np.cumsum(terms, axis=1)[:, -1]
     return out

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 import curv4
+import curv4.chart as chart_module
 from curv4.chart import (
     DEFAULT_TOLS,
     MetricChart,
@@ -18,8 +20,8 @@ from curv4.chart import (
     scalar_gradient_norm,
     sample_points,
 )
-from curv4.errors import DomainError, InputError
-from curv4.numerics import StencilConfig
+from curv4.errors import DomainError, InconsistencyError, InputError
+from curv4.numerics import Jet, StencilConfig
 from tests.conftest import ric_eigenvalues
 
 UNIT_BOX = np.array([[-1.0, 1.0]] * 4)
@@ -37,6 +39,76 @@ def test_chart_validation():
         MetricChart(name="not-pd", box=UNIT_BOX, eval_fn=lambda x: np.diag([1.0, -1, 1, 1]))
     with pytest.raises(InputError):
         MetricChart(name="not-sym", box=UNIT_BOX, eval_fn=lambda x: np.triu(np.ones((4, 4))))
+
+
+def conformal(phi):
+    """Batched eval_fn and jet_fn of e^phi(x) delta, phi written against numpy
+    operations, so that it takes arrays and Jets alike."""
+
+    def formula(x):
+        return np.exp(phi(x))[..., None, None] * np.eye(4)
+
+    return formula, lambda x, degree: formula(Jet.variables(x, degree)).coef
+
+
+def test_validation_rejects_inconsistent_evaluators():
+    formula, jet_fn = conformal(lambda x: 0.2 * x[..., 0])
+    _, scaled_jet = conformal(lambda x: 0.2 * x[..., 0] + 1e-3)
+
+    def steeper_jet(x, degree):
+        coef = jet_fn(x, degree)
+        coef[..., 1] += 0.01  # the linear term in x0: value kept, D_0 g off by 0.01
+        return coef
+
+    def build(jet):
+        return MetricChart(name="conf", box=UNIT_BOX, eval_fn=formula, jet_fn=jet, batched=True)
+
+    assert build(jet_fn).jet_fn is jet_fn
+    with pytest.raises(InconsistencyError, match="jet_fn and eval_fn disagree"):
+        build(scaled_jet)
+    with pytest.raises(InconsistencyError, match="jet_fn derivative disagrees"):
+        build(steeper_jet)
+    # order-4 truncation error h^4 |D^5 g| / 30 is about 3e-5 at the first
+    # probe (x0 = 0) for sin(100 x0) at h = 1e-3; order 6 is 4e-4 times that
+    wavy, _ = conformal(lambda x: 0.1 * np.sin(100.0 * x[..., 0]))
+    for batched in (True, False):
+        with pytest.raises(InconsistencyError, match="order-4/order-6"):
+            MetricChart(name="wavy", box=UNIT_BOX, eval_fn=wavy, batched=batched)
+
+
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
+def test_validation_evaluates_each_probe_once(name):
+    # five probes point by point, one batch for the batched comparison, one
+    # for the 8 stencils of the first probe (40 points), one jet_fn call
+    chart = curv4.build_example(name)
+    for batched, stencil in ((True, [(5, 4), (40, 4)]), (False, [(4,)] * 40)):
+        evals, jets = [], []
+
+        def eval_fn(x):
+            evals.append(np.shape(x))
+            return chart.eval_fn(x)
+
+        def jet_fn(x, degree):
+            jets.append(np.shape(x))
+            return chart.jet_fn(x, degree)
+
+        dataclasses.replace(chart, eval_fn=eval_fn, jet_fn=jet_fn, batched=batched)
+        assert evals == [(4,)] * 5 + stencil
+        assert jets == [(5, 4)]
+
+
+def test_probe_points_are_drawn_once(monkeypatch):
+    curv4.build_example("s4")
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return curv4.numerics.halton(*args, **kwargs)
+
+    monkeypatch.setattr(chart_module, "halton", counted)
+    curv4.build_example("s4")
+    curv4.build_example("kpc")
+    assert calls == []
 
 
 def test_eval_contains():

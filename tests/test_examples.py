@@ -129,6 +129,54 @@ def test_kpc_profile_grid_matches_rk4_step():
     assert prof.truncated
 
 
+def _rk4_step_profile(c, r, K0, t_span=(0.0, 2.0), steps=4000, f_min=1e-3, kappa_min=1e-3):
+    """The profile grid from a written-out numerics.rk4_step loop, with the
+    solver's stopping rules: (ts, states, truncated)."""
+
+    def rhs(t, y):
+        f, fp, K, Kp = y
+        kc = K + c
+        return np.array(
+            [fp, -K * f, Kp, (r**3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - (fp / f) * Kp]
+        )
+
+    h = (t_span[1] - t_span[0]) / steps
+    t, y = t_span[0], np.array([1.0, 0.0, K0, 0.0])
+    ts, ys, truncated = [t], [y], False
+    with np.errstate(all="ignore"):
+        for _ in range(steps):
+            y = rk4_step(rhs, t, y, h)
+            if not np.all(np.isfinite(y)) or y[0] < f_min or y[2] + c < kappa_min:
+                truncated = True
+                break
+            t = t + h
+            ts.append(t)
+            ys.append(y)
+    return np.array(ts), np.array(ys), truncated
+
+
+@pytest.mark.parametrize(
+    "args, kwargs",
+    [
+        ((1.0, 1.2, 0.5), {}),  # kpc default
+        ((1.0, 1.2, 5.0), {}),
+        ((1.0, 3.0, 2.0), {}),  # K0 = r - c: constant K
+        ((-0.5, 1.0, 1.0), {}),
+        ((0.0, 1.0, 0.5), {}),
+        ((1.0, 1.2, 0.5), {"steps": 2000}),
+        ((1.0, 1.2, 0.5), {"kappa_min": 1.4}),  # stopped by the K + c floor
+        ((1.0, 0.5, -0.99), {}),  # K + c blows up: stopped by a non-finite state
+    ],
+)
+def test_kpc_profile_grid_matches_rk4_loop(args, kwargs):
+    prof = solve_kpc_profile(*args, **kwargs)
+    ts, ys, truncated = _rk4_step_profile(*args, **kwargs)
+    assert np.array_equal(prof.ts, ts)
+    for k, grid in enumerate((prof.fs, prof.dfs, prof.Ks, prof.dKs)):
+        assert np.array_equal(grid, ys[:, k])
+    assert prof.truncated == truncated
+
+
 def test_kpc_profile_between_nodes():
     # one RK4 step off the nearest node, and Taylor coefficients that
     # satisfy the profile ODE: f'' = -K f and K'' from the cubic equation
