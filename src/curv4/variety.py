@@ -27,8 +27,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import null_space
-from scipy.optimize import least_squares
 
 from .errors import InputError
 from .numerics import numerical_rank
@@ -275,10 +273,24 @@ NAMED_POINTS = {"zeros-with-product-sigma": product_sigma_point}
 _OFFDIAG = [(i, j) for i in range(4) for j in range(4) if i != j]
 
 
-def _sigma_kernel():
-    """Orthonormal basis of the sigma components allowed by eq1, in the
-    coordinates (s12, s13, s14, s23, s24, s34)."""
-    rows = [
+def _null_space(A):
+    """Orthonormal basis of the null space of A, the right singular vectors
+    whose singular values are not above max(M, N) * eps * s_max (the rank
+    rule of scipy.linalg.null_space, whose bits it reproduces on the
+    matrices below).
+
+    The basis is returned row-major, the layout scipy's transpose of its
+    column-major vh has, so that products with it round the same way.
+    """
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    tol = np.amax(s, initial=0.0) * np.finfo(float).eps * max(A.shape)
+    return np.ascontiguousarray(vh[int(np.sum(s > tol)) :].T)
+
+
+# eq1 on sigma in the coordinates (s12, s13, s14, s23, s24, s34): the
+# three pairings, then the four row sums
+_SIGMA_EQ1 = np.array(
+    [
         [1, 0, 0, 0, 0, -1],
         [0, 1, 0, 0, -1, 0],
         [0, 0, 1, -1, 0, 0],
@@ -286,11 +298,18 @@ def _sigma_kernel():
         [1, 0, 0, 1, 1, 0],
         [0, 1, 0, 1, 0, 1],
         [0, 0, 1, 0, 1, 1],
-    ]
-    return null_space(np.array(rows, dtype=float))
+    ],
+    dtype=float,
+)
 
 
-_LAM_KERNEL = null_space(np.ones((1, 4)))
+def _sigma_kernel():
+    """Orthonormal basis of the sigma components allowed by eq1, in the
+    coordinates (s12, s13, s14, s23, s24, s34)."""
+    return _null_space(_SIGMA_EQ1)
+
+
+_LAM_KERNEL = _null_space(np.ones((1, 4)))
 
 
 def _sigma_from_six(six):
@@ -321,13 +340,27 @@ def _polynomial_residuals(point):
     return np.array(out)
 
 
+def least_squares(fun, x0, **kwargs):
+    """scipy.optimize.least_squares, imported on the first call.
+
+    The root search is the one use of scipy in the package, so importing
+    curv4 loads numpy alone; the first 'full' draw pays scipy's import.
+    """
+    from scipy.optimize import least_squares as scipy_least_squares
+
+    return scipy_least_squares(fun, x0, **kwargs)
+
+
 def sample_variety(seed=0, count=8, constraint_mode="full", tol=1e-6):
     """Draw points satisfying the defining equations.
 
     'linear-only' enforces just the lam/sigma linear relations (F free);
     'full' additionally polishes (F, sigma, lam) onto the bilinear and
-    rank equations with a damped least-squares root search, retrying with
-    a smaller initial F when a draw does not converge below tol.
+    rank equations with a damped least-squares root search (MINPACK
+    Levenberg-Marquardt through the module's least_squares, which imports
+    scipy on its first call), capped at 1000 residual evaluations per
+    attempt, retrying with a smaller initial F when a draw does not
+    converge below tol.
     """
     if constraint_mode not in ("linear-only", "full"):
         raise InputError(f"unknown constraint mode: {constraint_mode!r}")
@@ -350,7 +383,7 @@ def sample_variety(seed=0, count=8, constraint_mode="full", tol=1e-6):
                 xtol=1e-15,
                 ftol=1e-15,
                 gtol=1e-15,
-                max_nfev=4000,
+                max_nfev=1000,
             )
             candidate = _assemble(sol.x, sig_kernel)
             report = system_residuals(candidate, tol)

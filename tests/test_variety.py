@@ -4,6 +4,7 @@ import itertools
 import numpy as np
 import pytest
 
+import curv4.variety as variety
 from curv4.errors import InputError
 from curv4.variety import (
     VarietyPoint,
@@ -203,6 +204,42 @@ def test_sampler_full_and_deterministic():
     assert np.any(pts[0].F != sample_variety(seed=1, count=1)[0].F)
     with pytest.raises(InputError):
         sample_variety(seed=0, count=2, constraint_mode="nonsense")
+
+
+def test_kernels_match_scipy_null_space():
+    # the numpy kernel replaces scipy.linalg.null_space without moving a
+    # sampled point: same bits, and products with it round the same way
+    from scipy.linalg import null_space
+
+    rng = np.random.default_rng(3)
+    for ours, ref in (
+        (variety._sigma_kernel(), null_space(variety._SIGMA_EQ1)),
+        (variety._LAM_KERNEL, null_space(np.ones((1, 4)))),
+    ):
+        assert np.array_equal(ours, ref)
+        for _ in range(20):
+            v = rng.standard_normal(ref.shape[1])
+            assert np.array_equal(ours @ v, ref @ v)
+
+
+def test_root_search_goes_through_module_least_squares(monkeypatch):
+    # the layer trace counts variety.lsq_calls and variety.lsq_nfev by
+    # patching this global, so every draw must call it once
+    results = []
+    real = variety.least_squares
+
+    def counting(*args, **kwargs):
+        result = real(*args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(variety, "least_squares", counting)
+    pts = sample_variety(seed=0, count=2)
+    assert len(pts) == 2
+    assert len(results) == 2
+    for result in results:
+        assert result.x.shape == (12 + 2 + 3,)
+        assert 0 < result.nfev <= 1000
 
 
 def test_f_zero_slice_always_passes():
