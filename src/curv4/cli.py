@@ -8,6 +8,7 @@ seed) apart from the wall-time field.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -407,7 +408,9 @@ def _load_spec_file(path):
     return data
 
 
+@functools.cache
 def build_parser():
+    """The `curv4` argument parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="curv4",
         description="numerical verification of harmonic-curvature 4-metrics",

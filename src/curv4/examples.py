@@ -14,9 +14,9 @@ Each chart's metric is one formula written with numpy operations over the
 last axis of its argument. Applied to stacked points (..., 4) it is the
 chart's batched `eval_fn`; applied to the coordinate jets of numerics.Jet
 it is the chart's `jet_fn`, which gives the exact metric jet. The kpc
-profile enters the formula through the profile ODE itself: its value at t
-is one RK4 step off the nearest node of the integration grid, and its
-Taylor coefficients at t follow from Picard iterations of the ODE.
+profile enters the formula through one Taylor-coefficient recurrence of its
+ODE: the solver steps by it, its value at t sums the series of the node to
+the left, and its jet at t is the recurrence started there.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
@@ -106,29 +107,69 @@ def make_line_cross_space(c, half_width=0.5):
     )
 
 
-def _rk4(rhs, y, h):
-    """One classical RK4 step of the autonomous profile system, unrolled so
-    that it runs on Python floats as well as on arrays, with the operations
-    of numerics.rk4_step in the same order."""
-    f, fp, K, Kp = y
-    a = 0.5 * h
-    k1 = rhs(f, fp, K, Kp)
-    k2 = rhs(f + a * k1[0], fp + a * k1[1], K + a * k1[2], Kp + a * k1[3])
-    k3 = rhs(f + a * k2[0], fp + a * k2[1], K + a * k2[2], Kp + a * k2[3])
-    k4 = rhs(f + h * k3[0], fp + h * k3[1], K + h * k3[2], Kp + h * k3[3])
-    b = h / 6.0
-    return (
-        f + b * (k1[0] + 2.0 * k2[0] + 2.0 * k3[0] + k4[0]),
-        fp + b * (k1[1] + 2.0 * k2[1] + 2.0 * k3[1] + k4[1]),
-        K + b * (k1[2] + 2.0 * k2[2] + 2.0 * k3[2] + k4[2]),
-        Kp + b * (k1[3] + 2.0 * k2[3] + 2.0 * k3[3] + k4[3]),
-    )
+# guard floors of the profile: the solver stops where f or K + c falls to one
+F_MIN = 1e-3
+KAPPA_MIN = 1e-3
+# the profile is solved on [0, _T_END] by Taylor series of degree _DEGREE, with
+# steps sized for a last-term error of _TOL, and stops at a step below _H_MIN
+_T_END = 2.0
+_DEGREE = 20
+_TOL = 1e-16
+_H_MIN = 1e-3
 
 
-def _profile_rhs(c, r, f, fp, K, Kp):
-    """(f, f', K, K')' of the profile system, on floats, arrays or jets."""
-    kc = K + c
-    return (fp, -K * f, Kp, (r**3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - (fp / f) * Kp)
+def _cauchy(a, b):
+    """Coefficient k of the product of two series given to degree k."""
+    return sum(map(mul, a, reversed(b)))
+
+
+def _taylor(y, c, r3, degree):
+    """Taylor coefficients to `degree` of the profile state (f, f', K, K')
+    through y: four lists, in plain arithmetic on floats or arrays.
+
+    The profile system is f'' = -K f and
+    K'' = Q - (K + c)^2 / 3 - L K',  Q = (r^3 + 6 K'^2) / (3 (K + c)),  L = f'/f,
+    so coefficient k + 1 of each component is coefficient k of its rate over
+    k + 1. Those of K f, (K + c)^2, K'^2 and L K' are Cauchy products, and
+    those of Q and L solve 3 (K + c) Q = r^3 + 6 K'^2 and f L = f' for the
+    newest one (Jorba & Zou, Experimental Math. 14 (2005) 99-117).
+    """
+    f, p, K, q = ([v] for v in y)
+    kc, Q, L = [K[0] + c], [], []
+    for k in range(degree):
+        n = 6.0 * _cauchy(q, q) + (r3 if k == 0 else 0.0)
+        Q.append((n - 3.0 * _cauchy(kc[1:], Q)) / (3.0 * kc[0]))
+        L.append((p[k] - _cauchy(f[1:], L)) / f[0])
+        s = 1.0 / (k + 1)
+        p.append(-_cauchy(K, f) * s)
+        q.append((Q[k] - _cauchy(kc, kc) / 3.0 - _cauchy(L, q)) * s)
+        f.append(p[k] * s)
+        K.append(q[k] * s)
+        kc.append(K[k + 1])
+    return f, p, K, q
+
+
+def _horner(a, dt):
+    """The polynomial with coefficients a[0], a[1], ... at dt."""
+    acc = a[-1]
+    for ak in a[-2::-1]:
+        acc = acc * dt + ak
+    return acc
+
+
+def _step(a, k):
+    """Longest step at which the k-th terms of the series a stay below _TOL."""
+    norm = sum(abs(am[k]) for am in a)
+    return (_TOL / norm) ** (1.0 / k) if norm else math.inf
+
+
+def _fall_to(a, level, h):
+    """A point of [0, h] where the polynomial a falls to `level`, given
+    a(0) >= level > a(h), by bisection; a stays >= level at the point."""
+    lo, hi = 0.0, h
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (lo, mid) if _horner(a, mid) < level else (mid, hi)
+    return lo
 
 
 @dataclass
@@ -141,8 +182,11 @@ class SurfaceProfile:
         (K + c)^3 + 3 (K + c) Delta K - 6 |dK|^2 = r^3,
         Delta K = K'' + (f'/f) K',   |dK|^2 = K'^2.
 
-    Between grid nodes the state (f, f', K, K') is one RK4 step off the
-    nearest node; `series` gives the Taylor coefficients of f and K there.
+    The solution is kept as nodes ts with their states (fs, dfs, Ks, dKs) and,
+    for every node but the last, the Taylor coefficients of the state there,
+    coefs[n, m, k] for component m of (f, f', K, K'). `state` sums the series
+    of the node to the left; `series` gives the Taylor coefficients of f and
+    K at any t from the profile ODE itself.
     """
 
     c: float
@@ -153,6 +197,7 @@ class SurfaceProfile:
     dfs: np.ndarray
     Ks: np.ndarray
     dKs: np.ndarray
+    coefs: np.ndarray
     truncated: bool
 
     @property
@@ -163,45 +208,22 @@ class SurfaceProfile:
     def t1(self):
         return float(self.ts[-1])
 
-    def rhs(self, f, fp, K, Kp):
-        """(f, f', K, K')' of the profile system, on floats, arrays or jets."""
-        return _profile_rhs(self.c, self.r, f, fp, K, Kp)
-
     def state(self, t):
-        """(f, f', K, K') at t, from the nearest grid node by one RK4 step."""
-        h = self.ts[1] - self.ts[0]
+        """(f, f', K, K') at t, from the series of the node to the left."""
+        n = np.clip(np.searchsorted(self.ts, t, side="right") - 1, 0, len(self.coefs) - 1)
         if np.ndim(t) == 0:
             # one point: Python floats are several times cheaper than numpy scalars
-            t = float(t)
-            n = min(max(round((t - self.t0) / h), 0), len(self.ts) - 1)
-            y = (self.fs.item(n), self.dfs.item(n), self.Ks.item(n), self.dKs.item(n))
-            return _rk4(self.rhs, y, t - self.ts.item(n))
-        n = np.clip(np.rint((t - self.t0) / h), 0, len(self.ts) - 1).astype(int)
-        y = (self.fs[n], self.dfs[n], self.Ks[n], self.dKs[n])
-        return _rk4(self.rhs, y, t - self.ts[n])
+            dt = float(t) - self.ts.item(n)
+            return tuple(_horner(a, dt) for a in self.coefs[n].tolist())
+        y = _horner(np.moveaxis(self.coefs[n], -1, 0), (t - self.ts[n])[..., None])
+        return tuple(np.moveaxis(y, -1, 0))
 
     def series(self, t, degree):
         """Taylor coefficients of f and K at t up to `degree`, shape
-        (..., 2, degree + 1).
-
-        Picard iterations y <- y(t) + int rhs(y) on univariate jets fix one
-        more Taylor coefficient of the state each. The first needs the rhs at
-        t alone, and f and K are the integrals of f' and K', so a state
-        known to degree - 1 takes degree - 2 iterations on jets.
-        """
-        y0 = np.array(self.state(t))
-        scale = 1.0 / np.arange(1, degree + 1)
-        # coef[m, ..., k]: k-th coefficient of state component m, to degree - 1
-        coef = np.zeros(y0.shape + (degree,))
-        coef[..., 0] = y0
-        if degree > 1:
-            coef[..., 1] = self.rhs(*y0)
-        for _ in range(degree - 2):
-            rates = self.rhs(*(Jet(c, nvar=1) for c in coef))
-            coef[..., 1:] = [r.coef[..., :-1] * scale[:-1] for r in rates]
-        # f and K integrate f' and K'
-        fK = np.concatenate([y0[[0, 2], ..., None], coef[[1, 3]] * scale], axis=-1)
-        return fK.transpose((*range(1, fK.ndim - 1), 0, fK.ndim - 1))
+        (..., 2, degree + 1), from the recurrence started at state(t): a
+        jet that satisfies the profile ODE at its point."""
+        f, _, K, _ = _taylor(self.state(t), self.c, self.r**3, degree)
+        return np.stack([np.stack(f, axis=-1), np.stack(K, axis=-1)], axis=-2)
 
     def f_and_K(self, t):
         """(f(t), K(t)); jets of t give jets of f and K."""
@@ -224,110 +246,67 @@ class SurfaceProfile:
         return float(self.state(t)[3])
 
     def to_csv(self, fh):
-        """Write the integration grid as CSV with columns t, f, K."""
+        """Write the nodes as CSV with columns t, f, K."""
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["t", "f", "K"])
         for t, f, K in zip(self.ts, self.fs, self.Ks):
             writer.writerow([repr(float(t)), repr(float(f)), repr(float(K))])
 
 
-def solve_kpc_profile(
-    c,
-    r,
-    K0,
-    t_span=(0.0, 2.0),
-    steps=4000,
-    f_min=1e-3,
-    kappa_min=1e-3,
-):
-    """Integrate the profile equations with initial data f=1, f'=0, K=K0,
-    K'=0 at t_span[0].
+def solve_kpc_profile(c, r, K0):
+    """Solve the profile equations from f=1, f'=0, K=K0, K'=0 at t = 0 to
+    t = 2 by Taylor series of degree 20 on Python floats.
 
-    The fixed-step RK4 loop runs on Python floats: the four evaluations of
-    the rhs are `_rk4` and `_profile_rhs` written out, with their operations
-    in the same order, so it gives the grid that numerics.rk4_step would.
-    Integration stops early (truncated=True) when the state stops being
-    finite or f or K + c approaches its guard floor; K0 = r - c is an exact
+    Each step takes the longest length at which the last two terms of the
+    series stay below 1e-16 and ends at exactly t = 2. The solver stops early
+    (truncated=True) where f falls to F_MIN or K + c to KAPPA_MIN, located by
+    bisection on the series of the step, or where the step falls below 1e-3,
+    which happens within about 1e-2 of a singularity. K0 = r - c is an exact
     constant solution.
     """
     c, r, K0 = float(c), float(r), float(K0)
-    if K0 + c <= kappa_min:
-        raise InputError(f"K0 + c = {K0 + c:g} is not above the floor {kappa_min:g}")
-    t0, t1 = float(t_span[0]), float(t_span[1])
-    h = (t1 - t0) / int(steps)
-    a, b, r3 = 0.5 * h, h / 6.0, r**3
-    isfinite = math.isfinite
-    ys = [(1.0, 0.0, K0, 0.0)]
-    f, fp, K, Kp = ys[0]
-    truncated = False
-    for _ in range(int(steps)):
-        try:
-            # stage n evaluates the rhs at (fn, pn, Kn, qn), stage 1 at (f, fp, K,
-            # Kp); its rates (f', f'', K', K'') are (pn, en, qn, dn)
-            kc = K + c
-            e1, d1 = -K * f, (r3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - (fp / f) * Kp
-            f2, p2, K2, q2 = f + a * fp, fp + a * e1, K + a * Kp, Kp + a * d1
-            kc = K2 + c
-            e2, d2 = -K2 * f2, (r3 - kc**3 + 6.0 * q2**2) / (3.0 * kc) - (p2 / f2) * q2
-            f3, p3, K3, q3 = f + a * p2, fp + a * e2, K + a * q2, Kp + a * d2
-            kc = K3 + c
-            e3, d3 = -K3 * f3, (r3 - kc**3 + 6.0 * q3**2) / (3.0 * kc) - (p3 / f3) * q3
-            f4, p4, K4, q4 = f + h * p3, fp + h * e3, K + h * q3, Kp + h * d3
-            kc = K4 + c
-            e4, d4 = -K4 * f4, (r3 - kc**3 + 6.0 * q4**2) / (3.0 * kc) - (p4 / f4) * q4
-        except (ZeroDivisionError, OverflowError):
-            # numpy would carry an inf or nan here, and stop below
+    if K0 + c <= KAPPA_MIN:
+        raise InputError(f"K0 + c = {K0 + c:g} is not above the floor {KAPPA_MIN:g}")
+    r3, t, y = r**3, 0.0, (1.0, 0.0, K0, 0.0)
+    ts, ys, coefs, truncated = [t], [y], [], False
+    while t < _T_END and not truncated:
+        a = _taylor(y, c, r3, _DEGREE)
+        # an overflowed series gives a step of 0 or nan, which fails the floor
+        steps = [_step(a, k) for k in (_DEGREE - 1, _DEGREE)]
+        if not (steps[0] >= _H_MIN and steps[1] >= _H_MIN):
             truncated = True
             break
-        f_next = f + b * (fp + 2.0 * p2 + 2.0 * p3 + p4)
-        fp_next = fp + b * (e1 + 2.0 * e2 + 2.0 * e3 + e4)
-        K_next = K + b * (Kp + 2.0 * q2 + 2.0 * q3 + q4)
-        Kp_next = Kp + b * (d1 + 2.0 * d2 + 2.0 * d3 + d4)
-        if not (isfinite(f_next) and isfinite(fp_next) and isfinite(K_next) and isfinite(Kp_next)):
-            truncated = True
-            break
-        if f_next < f_min or K_next + c < kappa_min:
-            truncated = True
-            break
-        f, fp, K, Kp = f_next, fp_next, K_next, Kp_next
-        ys.append((f, fp, K, Kp))
-    # a sequential cumsum adds h in order, as t = t + h does
-    ts = np.cumsum(np.r_[t0, np.full(len(ys) - 1, h)])
-    if len(ts) < 32:
+        h = min(_T_END - t, *steps)
+        ends = [_fall_to(a[0], F_MIN, h)] if _horner(a[0], h) < F_MIN else []
+        if _horner(a[2], h) + c < KAPPA_MIN:
+            ends.append(_fall_to(a[2], KAPPA_MIN - c, h))
+        if ends:
+            h, truncated = min(ends), True
+        t = _T_END if h == _T_END - t else t + h
+        y = tuple(_horner(am, h) for am in a)
+        ts.append(t)
+        ys.append(y)
+        coefs.append(a)
+    if not coefs:
         raise IntegrationError(
-            f"profile left the admissible region almost immediately "
-            f"(c={c:g}, r={r:g}, K0={K0:g})",
-            t_last=float(ts[-1]),
+            f"profile left the admissible region at its start (c={c:g}, r={r:g}, K0={K0:g})",
+            t_last=t,
         )
-    arr = np.array(ys)
-    return SurfaceProfile(
-        c=c,
-        r=r,
-        K0=K0,
-        ts=ts,
-        fs=arr[:, 0].copy(),
-        dfs=arr[:, 1].copy(),
-        Ks=arr[:, 2].copy(),
-        dKs=arr[:, 3].copy(),
-        truncated=truncated,
-    )
+    fs, dfs, Ks, dKs = np.array(ys).T.copy()
+    return SurfaceProfile(c, r, K0, np.array(ts), fs, dfs, Ks, dKs, np.array(coefs), truncated)
 
 
 def profile_residual(profile):
-    """Back-substitution residual of (K+c)^3 + 3(K+c) Delta K - 6 |dK|^2 - r^3
-    on the integration grid, with grid central differences for K', K''.
+    """Residual of (K+c)^3 + 3(K+c) Delta K - 6 |dK|^2 - r^3 at the midpoint
+    of each step of the solver, with K', K'' and f' from `series` there.
 
-    Returns the max absolute residual over interior grid points.
+    Returns the max absolute residual.
     """
-    ts, fs, Ks = profile.ts, profile.fs, profile.Ks
-    h = ts[1] - ts[0]
-    Kp = (Ks[2:] - Ks[:-2]) / (2.0 * h)
-    Kpp = (Ks[2:] - 2.0 * Ks[1:-1] + Ks[:-2]) / h**2
-    fp = (fs[2:] - fs[:-2]) / (2.0 * h)
-    f_mid = fs[1:-1]
-    kc = Ks[1:-1] + profile.c
-    lap = Kpp + (fp / f_mid) * Kp
-    resid = kc**3 + 3.0 * kc * lap - 6.0 * Kp**2 - profile.r**3
+    t = 0.5 * (profile.ts[1:] + profile.ts[:-1])
+    (f0, f1, _), (k0, k1, k2) = np.moveaxis(profile.series(t, 2), (-2, -1), (0, 1))
+    kc = k0 + profile.c
+    lap = 2.0 * k2 + (f1 / f0) * k1
+    resid = kc**3 + 3.0 * kc * lap - 6.0 * k1**2 - profile.r**3
     return float(np.max(np.abs(resid)))
 
 

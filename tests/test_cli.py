@@ -68,6 +68,16 @@ def test_verify_deterministic_modulo_timing(capsys):
     assert a == b
 
 
+def test_main_builds_its_parser_once(capsys):
+    curv4.cli.build_parser.cache_clear()
+    argv = ["verify", "--example", "s4", "--samples", "1"]
+    reports = [json.loads(run_main(argv, capsys)[1]) for _ in range(2)]
+    assert curv4.cli.build_parser.cache_info().misses == 1
+    for report in reports:
+        report.pop("timing")
+    assert reports[0] == reports[1]
+
+
 def test_verify_csv_format(capsys):
     code, out, _ = run_main(
         ["verify", "--example", "s2xs2:1,2", "--samples", "3", "--format", "csv"], capsys

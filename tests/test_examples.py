@@ -1,9 +1,11 @@
+import functools
 import io
 
 import numpy as np
 import pytest
 
 import curv4
+from curv4 import examples
 from curv4.errors import InputError
 from curv4.examples import (
     REGISTRY,
@@ -83,11 +85,16 @@ def test_line_cross_space(rxs3_chart):
 
 def test_kpc_profile_constant_solution():
     prof = solve_kpc_profile(1.0, 3.0, 2.0)  # K0 = r - c
-    assert np.max(np.abs(prof.Ks - 2.0)) <= 1e-10
-    assert np.max(np.abs(prof.dKs)) <= 1e-10
+    t = np.linspace(0.0, prof.t1, 401)
+    f, fp, K, Kp = prof.state(t)
+    assert np.max(np.abs(K - 2.0)) <= 1e-10
+    assert np.max(np.abs(Kp)) <= 1e-10
     # f reproduces the constant-curvature profile cos(sqrt(K0) t)
-    assert np.max(np.abs(prof.fs - np.cos(np.sqrt(2.0) * prof.ts))) < 1e-8
-    assert prof.truncated  # f reaches its floor before t = 2
+    assert np.max(np.abs(f - np.cos(np.sqrt(2.0) * t))) < 1e-8
+    assert np.max(np.abs(fp + np.sqrt(2.0) * np.sin(np.sqrt(2.0) * t))) < 1e-8
+    # f reaches its floor before t = 2, where cos(sqrt(2) t) = F_MIN
+    assert prof.truncated
+    assert prof.t1 == pytest.approx(np.arccos(examples.F_MIN) / np.sqrt(2.0), abs=1e-9)
 
 
 def test_kpc_profile_back_substitution(kpc_profile):
@@ -98,17 +105,20 @@ def test_kpc_profile_back_substitution(kpc_profile):
 
 
 def test_kpc_profile_consistency(kpc_profile):
-    # K = -f''/f on the interior grid (grid second differences of f)
-    fs, Ks = kpc_profile.fs, kpc_profile.Ks
-    h = kpc_profile.ts[1] - kpc_profile.ts[0]
-    d2f = (fs[2:] - 2.0 * fs[1:-1] + fs[:-2]) / h**2
-    idx = slice(50, -50, 100)
-    assert np.max(np.abs(Ks[1:-1][idx] + d2f[idx] / fs[1:-1][idx])) < 1e-6
+    # K = -f''/f and f' = df/dt, with central differences of state at dense t
+    prof, d = kpc_profile, 1e-3
+    t = np.linspace(prof.t0 + 0.01, prof.t1 - 0.01, 500)
+    (f_lo, _, _, _), (f, fp, K, _), (f_hi, _, _, _) = (prof.state(t + s) for s in (-d, 0.0, d))
+    assert np.max(np.abs(K + (f_hi - 2.0 * f + f_lo) / d**2 / f)) < 1e-6
+    assert np.max(np.abs(fp - (f_hi - f_lo) / (2.0 * d))) < 1e-6
 
 
-def test_kpc_profile_grid_matches_rk4_step():
-    # the float loop takes the steps numerics.rk4_step takes, bit for bit
-    c, r, K0, steps = 1.0, 1.2, 5.0, 4000
+def _rk4_step_profile(cases, steps):
+    """The profiles of a written-out numerics.rk4_step loop over [0, 2] for
+    parameter sets (c, r, K0, kappa_min), all at once, with the solver's
+    floors: node times (steps + 1,) and states (steps + 1, 4, len(cases)),
+    nan from where a state stops being finite or f or K + c passes its floor."""
+    c, r, K0, kappa_min = np.array(cases).T
 
     def rhs(t, y):
         f, fp, K, Kp = y
@@ -117,88 +127,89 @@ def test_kpc_profile_grid_matches_rk4_step():
             [fp, -K * f, Kp, (r**3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - (fp / f) * Kp]
         )
 
-    prof = solve_kpc_profile(c, r, K0, steps=steps)
     h = 2.0 / steps
-    t, y, ys = 0.0, np.array([1.0, 0.0, K0, 0.0]), []
-    for _ in range(len(prof.ts)):
-        ys.append(y)
-        y = rk4_step(rhs, t, y, h)
-        t = t + h
-    ys = np.array(ys)
-    assert np.array_equal(np.column_stack([prof.fs, prof.dfs, prof.Ks, prof.dKs]), ys)
-    assert prof.truncated
-
-
-def _rk4_step_profile(c, r, K0, t_span=(0.0, 2.0), steps=4000, f_min=1e-3, kappa_min=1e-3):
-    """The profile grid from a written-out numerics.rk4_step loop, with the
-    solver's stopping rules: (ts, states, truncated)."""
-
-    def rhs(t, y):
-        f, fp, K, Kp = y
-        kc = K + c
-        return np.array(
-            [fp, -K * f, Kp, (r**3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - (fp / f) * Kp]
-        )
-
-    h = (t_span[1] - t_span[0]) / steps
-    t, y = t_span[0], np.array([1.0, 0.0, K0, 0.0])
-    ts, ys, truncated = [t], [y], False
+    y = np.array([np.ones_like(c), np.zeros_like(c), K0, np.zeros_like(c)])
+    ys = np.empty((steps + 1, 4, len(cases)))
+    ys[0], t = y, 0.0
     with np.errstate(all="ignore"):
-        for _ in range(steps):
+        for k in range(steps):
             y = rk4_step(rhs, t, y, h)
-            if not np.all(np.isfinite(y)) or y[0] < f_min or y[2] + c < kappa_min:
-                truncated = True
-                break
+            stopped = ~(np.all(np.isfinite(y), axis=0) & (y[0] >= examples.F_MIN))
+            y[:, stopped | (y[2] + c < kappa_min)] = np.nan
             t = t + h
-            ts.append(t)
-            ys.append(y)
-    return np.array(ts), np.array(ys), truncated
+            ys[k + 1] = y
+    return h * np.arange(steps + 1), ys
 
 
-@pytest.mark.parametrize(
-    "args, kwargs",
-    [
-        ((1.0, 1.2, 0.5), {}),  # kpc default
-        ((1.0, 1.2, 5.0), {}),
-        ((1.0, 3.0, 2.0), {}),  # K0 = r - c: constant K
-        ((-0.5, 1.0, 1.0), {}),
-        ((0.0, 1.0, 0.5), {}),
-        ((1.0, 1.2, 0.5), {"steps": 2000}),
-        ((1.0, 1.2, 0.5), {"kappa_min": 1.4}),  # stopped by the K + c floor
-        ((1.0, 0.5, -0.99), {}),  # K + c blows up: stopped by a non-finite state
-    ],
-)
-def test_kpc_profile_grid_matches_rk4_loop(args, kwargs):
-    prof = solve_kpc_profile(*args, **kwargs)
-    ts, ys, truncated = _rk4_step_profile(*args, **kwargs)
-    assert np.array_equal(prof.ts, ts)
-    for k, grid in enumerate((prof.fs, prof.dfs, prof.Ks, prof.dKs)):
-        assert np.array_equal(grid, ys[:, k])
-    assert prof.truncated == truncated
+# (c, r, K0) of each profile checked against RK4, and the solver floors set
+# on the module for its run
+REFERENCE_PROFILES = [
+    ((1.0, 1.2, 0.5), {}),  # kpc default
+    ((1.0, 1.2, 5.0), {}),
+    ((1.0, 3.0, 2.0), {}),  # K0 = r - c: constant K
+    ((-0.5, 1.0, 1.0), {}),
+    ((0.0, 1.0, 0.5), {}),
+    ((1.0, 1.2, -0.5), {}),
+    ((1.0, 1.2, 0.5), {"KAPPA_MIN": 1.4}),  # stopped by the K + c floor
+    ((1.0, 0.5, -0.99), {}),  # stopped by the step floor near a singularity
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _rk4_reference(steps):
+    cases = [args + (kw.get("KAPPA_MIN", examples.KAPPA_MIN),) for args, kw in REFERENCE_PROFILES]
+    return _rk4_step_profile(cases, steps)
+
+
+@pytest.mark.parametrize("args, kwargs", REFERENCE_PROFILES)
+def test_kpc_profile_grid_matches_rk4_loop(args, kwargs, monkeypatch):
+    # the nodes and the series between them agree with a converged 64000-step
+    # RK4 loop on the chart box, to 1e-11 untruncated and 1e-10 truncated;
+    # kwargs are the solver's floors, set on the module for the run
+    case = REFERENCE_PROFILES.index((args, kwargs))
+    # the references read the module's floors, so they are made before patching
+    ts, fine = _rk4_reference(64000)
+    _, coarse = _rk4_reference(32000)
+    for name, value in kwargs.items():
+        monkeypatch.setattr(examples, name, value)
+    prof = solve_kpc_profile(*args)
+    ts, fine, coarse = ts[::2], fine[::2, :, case], coarse[:, :, case]
+    box = (ts >= prof.t0 + 0.03) & (ts <= prof.t1 - 0.03)
+    assert np.count_nonzero(box) > 100
+    scale = np.maximum(1.0, np.abs(fine[box]))
+    # RK4 halves its error 16-fold per halved step: the reference is good to
+    # about 1e-11 on the whole box
+    assert np.max(np.abs(coarse[box] - fine[box]) / scale) <= 1.5e-10
+    err = np.max(np.abs(np.column_stack(prof.state(ts[box])) - fine[box]) / scale)
+    assert err <= (1e-10 if prof.truncated else 1e-11)
+    # only the default profile reaches t = 2, and it ends there exactly
+    assert prof.truncated == (case != 0)
+    assert prof.truncated or prof.t1 == 2.0
+    if kwargs:
+        assert prof.Ks[-1] + prof.c == pytest.approx(kwargs["KAPPA_MIN"], abs=1e-12)
 
 
 def test_kpc_profile_between_nodes():
-    # one RK4 step off the nearest node, and Taylor coefficients that
-    # satisfy the profile ODE: f'' = -K f and K'' from the cubic equation
+    # each node's series reaches the next node exactly, and the Taylor
+    # coefficients at any t satisfy the profile ODE: f'' = -K f and K'' from
+    # the cubic equation
     prof = solve_kpc_profile(1.0, 1.2, 0.5)
-    t = prof.ts[1234] + 0.3 * (prof.ts[1] - prof.ts[0])
-    assert prof.f(prof.ts[1234]) == prof.fs[1234]
+    nodes = np.column_stack([prof.fs, prof.dfs, prof.Ks, prof.dKs])
+    assert np.array_equal(np.column_stack(prof.state(prof.ts)), nodes)
+    assert prof.f(prof.ts[4]) == prof.fs[4]
+    t = np.linspace(prof.t0, prof.t1, 301)
     f, fp, K, Kp = prof.state(t)
-    (f0, f1, f2, f3), (k0, k1, k2, k3) = prof.series(t, 3)
-    assert (f0, f1, k0, k1) == pytest.approx((f, fp, K, Kp), rel=1e-15)
+    # the float path of one point sums the series as the array path does
+    for n in range(0, len(t), 50):
+        assert prof.state(t[n]) == (f[n], fp[n], K[n], Kp[n])
+    (f0, f1, f2, f3), (k0, k1, k2, k3) = np.moveaxis(prof.series(t, 3), (-2, -1), (0, 1))
+    assert np.array_equal(np.array([f0, f1, k0, k1]), np.array([f, fp, K, Kp]))
     assert 2.0 * f2 == pytest.approx(-K * f, rel=1e-13)
     assert 6.0 * f3 == pytest.approx(-(Kp * f + K * fp), rel=1e-13)
     kc = K + prof.c
     assert 2.0 * k2 == pytest.approx(
         (prof.r**3 - kc**3 + 6.0 * Kp**2) / (3.0 * kc) - fp / f * Kp, rel=1e-13
     )
-
-
-def test_kpc_profile_step_convergence():
-    a = solve_kpc_profile(1.0, 1.2, 0.5, steps=4000)
-    b = solve_kpc_profile(1.0, 1.2, 0.5, steps=2000)
-    assert np.max(np.abs(a.fs[::2] - b.fs)) <= 1e-7
-    assert np.max(np.abs(a.Ks[::2] - b.Ks)) <= 1e-7
 
 
 def test_kpc_profile_rejects_bad_start():

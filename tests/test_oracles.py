@@ -1,0 +1,104 @@
+"""A sympy oracle for the closed-form registry charts.
+
+The scalar curvature s and its gradient are derived here from each chart's
+metric written out in sympy (Christoffel symbols, Ricci tensor, trace), with
+no curv4 code, and checked against curv4's third-order curvature entries.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+import sympy as sp
+
+import curv4
+
+X = sp.symbols("x0:4", real=True)
+
+
+def _conformal(k, *coords):
+    return (1 + sp.Rational(k) * sum(y**2 for y in coords) / 4) ** -2
+
+
+def _metric(name):
+    if name in ("s4", "h4"):
+        return _conformal(1 if name == "s4" else -1, *X) * sp.eye(4)
+    if name == "s2xs2:1,2":
+        c1, c2 = _conformal(1, X[0], X[1]), _conformal(2, X[2], X[3])
+        return sp.diag(c1, c1, c2, c2)
+    if name == "rxs3":
+        c = _conformal(1, *X[1:])
+        return sp.diag(1, c, c, c)
+    assert name == "bump:0.1"
+    return sp.exp(2 * sp.Rational(1, 10) * X[0] ** 3) * sp.eye(4)
+
+
+# s of the space forms and products: 12 K for curvature K, 2 k per surface,
+# 6 c for a 3-dimensional factor; the bump's s is checked on its formula
+CLOSED_FORM_S = {"s4": 12, "h4": -12, "s2xs2:1,2": 6, "rxs3": 6}
+BUMP_S = -6 * sp.exp(-sp.Rational(1, 5) * X[0] ** 3) * (
+    sp.Rational(3, 5) * X[0] + sp.Rational(9, 100) * X[0] ** 4
+)
+# where the bump's ds vanishes: d/dx1 of BUMP_S is zero at x1^6 = 0.6 / 0.054
+BUMP_FLAT_X1 = (0.6 / 0.054) ** (1.0 / 6.0)
+NAMES = ["s4", "h4", "s2xs2:1,2", "rxs3", "bump:0.1"]
+
+
+@functools.cache
+def _scalar_curvature(name):
+    """s of the chart's sympy metric: R_ij = d_k G^k_ij - d_j G^k_ik
+    + G^k_kl G^l_ij - G^k_jl G^l_ik, s = g^ij R_ij."""
+    g = _metric(name)
+    g_inv = sp.diag(*[1 / g[i, i] for i in range(4)])  # every metric here is diagonal
+    d = [[[sp.diff(g[i, j], X[k]) for k in range(4)] for j in range(4)] for i in range(4)]
+    gamma = [
+        [
+            [
+                sum(g_inv[k, m] * (d[j][m][i] + d[i][m][j] - d[i][j][m]) for m in range(4)) / 2
+                for j in range(4)
+            ]
+            for i in range(4)
+        ]
+        for k in range(4)
+    ]
+    s = 0
+    for i in range(4):
+        for j in range(4):
+            if g_inv[i, j] == 0:
+                continue
+            ric = sum(
+                sp.diff(gamma[k][i][j], X[k])
+                - sp.diff(gamma[k][i][k], X[j])
+                + sum(gamma[k][k][m] * gamma[m][i][j] - gamma[k][j][m] * gamma[m][i][k] for m in range(4))
+                for k in range(4)
+            )
+            s += g_inv[i, j] * ric
+    return s
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_scalar_curvature_matches_sympy(name):
+    s = _scalar_curvature(name)
+    s_fn = sp.lambdify(X, s, "math")
+    ds_fn = sp.lambdify(X, [sp.diff(s, y) for y in X], "math")
+    closed = sp.lambdify(X, BUMP_S if name == "bump:0.1" else CLOSED_FORM_S[name], "math")
+    chart = curv4.build_example(name)
+    for x in curv4.sample_points(chart, count=3, seed=0):
+        entry = curv4.curvature_at(chart, x, degree=3)
+        # the oracle's own s agrees with the closed form
+        assert s_fn(*x) == pytest.approx(closed(*x), rel=1e-12, abs=1e-12)
+        assert entry.s == pytest.approx(s_fn(*x), rel=1e-10, abs=1e-10)
+        assert entry.ds == pytest.approx(np.array(ds_fn(*x)), rel=1e-9, abs=1e-9)
+
+
+def test_bump_is_harmonic_where_its_ds_vanishes():
+    # a conformally flat 4-metric has d^nabla Ric = ds ^ g / 6, so at the
+    # zero of the bump's ds its curvature is harmonic
+    ds1 = sp.lambdify(X[0], sp.diff(BUMP_S, X[0]), "math")
+    assert abs(ds1(BUMP_FLAT_X1)) < 1e-14
+    assert abs(ds1(BUMP_FLAT_X1 + 1e-3)) > 1e-3
+    chart = curv4.build_example("bump:0.1")
+    for x in ([BUMP_FLAT_X1, 0.0, 0.0, 0.0], [BUMP_FLAT_X1, 0.3, -0.2, 0.1]):
+        x = np.array(x)
+        assert curv4.codazzi_residual(chart, x) < 1e-12
+        assert curv4.scalar_gradient_norm(chart, x) < 1e-12
