@@ -11,8 +11,9 @@ the stencil's `step` up to second partials and its `third_step` for the
 third level. Everything after the jet is closed form and shared by both,
 and it runs on stacked points: `curvature_batch` takes the curvature at N
 points from one jet evaluation. A harmonicity report is one third-order
-batch of all its sample points, each frame stencil is one batch, and a
-single entry (`curvature_at`) is a batch of one point; nothing is cached.
+batch of all its sample points, the stencil of frames.structure_data is
+one batch, and a single entry (`curvature_at`) is a batch of one point;
+nothing is cached.
 The Christoffel symbols and their partials are
 
     Gamma^k_ij = g^km Gamma_mij,  Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2,
@@ -87,9 +88,11 @@ class MetricChart:
     """Smooth metric on a coordinate box.
 
     eval_fn(x) returns the 4x4 metric components; adapted_frame_fn, when
-    registered, returns four linearly independent column vectors that
-    diagonalize the Ricci tensor (used by the frame extraction when the
-    Ricci spectrum is degenerate). `params` is serialized into reports.
+    registered, returns four g-orthogonal column vectors that diagonalize
+    the Ricci tensor (used by the frame extraction when the Ricci spectrum
+    is degenerate). Their directions must be constant over the box: frame
+    derivatives take only their normalization into account, and validation
+    rejects a frame that varies. `params` is serialized into reports.
 
     `batched` declares that eval_fn also accepts stacked points, mapping
     shape (..., 4) to (..., 4, 4); eval_batch then makes one call for a
@@ -175,7 +178,9 @@ def _validate_chart(chart):
     At five fixed probe points:
     - eval gives a (4, 4) metric, symmetric to 1e-10 relative and positive
       definite (least eigenvalue above 1e-6), and jet_fn at degree 1 gives
-      shape (5, 4, 4, 5); InputError otherwise;
+      shape (5, 4, 4, 5); adapted_frame_fn, when registered, gives (4, 4)
+      frames whose column directions are the same at every probe to 1e-12;
+      InputError otherwise;
     - eval_batch of a batched chart and the values of jet_fn equal the
       point values to 1e-12 relative, and at the first probe the order-4
       and order-6 central first derivatives of eval_fn agree to 1e-6, as do
@@ -196,6 +201,16 @@ def _validate_chart(chart):
             raise InputError(f"chart '{chart.name}' metric not positive definite at {x.tolist()}")
         gs.append(g)
     gs = np.array(gs)
+    if chart.adapted_frame_fn is not None:
+        frames = np.array([np.asarray(chart.adapted_frame_fn(x), dtype=float) for x in pts])
+        if frames.shape != (len(pts), 4, 4):
+            raise InputError(f"chart '{chart.name}' adapted frame has shape {frames.shape[1:]}")
+        directions = frames / np.linalg.norm(frames, axis=1, keepdims=True)
+        if np.max(np.abs(directions - directions[0])) > 1e-12:
+            raise InputError(
+                f"chart '{chart.name}': adapted frame directions vary over the box; "
+                "frame derivatives assume constant directions"
+            )
     if chart.batched:
         G = chart.eval_batch(pts)
         if np.max(np.abs(G - gs)) > 1e-12 * max(1.0, np.max(np.abs(G))):

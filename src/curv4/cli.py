@@ -347,16 +347,20 @@ def _add_common(p):
         "--step",
         type=float,
         default=None,
-        help="FD step for 1st/2nd metric derivatives on charts without an exact jet, "
-        "and for frame derivatives",
+        help="FD step for 1st/2nd metric derivatives on charts without an exact jet",
     )
-    p.add_argument("--order", type=int, choices=(2, 4, 6), default=None, help="FD stencil order")
+    p.add_argument(
+        "--order",
+        type=int,
+        choices=(2, 4, 6),
+        default=None,
+        help="FD stencil order of the metric jet of charts without an exact jet",
+    )
     p.add_argument(
         "--third-step",
         type=float,
         default=None,
-        help="FD step for 3rd metric derivatives on charts without an exact jet, "
-        "and for the outer derivative of frame structure functions",
+        help="FD step for 3rd metric derivatives on charts without an exact jet",
     )
     p.add_argument("--tol-algebraic", type=float, default=None)
     p.add_argument("--tol-second", type=float, default=None)

@@ -12,26 +12,28 @@ polynomial identities of harmonic-curvature geometry:
 Index conventions: everything in code is 0-based; a quantity named after a
 1-based identity (say D_1 lambda_2) lands at the corresponding 0-based slots.
 
-Derivatives of the frame field are central differences over a stencil, and
-every stencil is evaluated as one batch: one curvature evaluation (or, for
-adapted frames in structure_data, one metric evaluation) at all its points,
-one batched eigensolve, one batched alignment, then the difference weights
-contracted over the stencil axis. extract_frame differences the frame and
-sigma over the first-derivative stencil at `step` around x (16 points at
-order 4), which gives Gamma, F and D sigma; structure_data differences F
-over the stencil at `third_step`, each F from the stencil at `step` around
-its point (16 + 256 points), which gives DF. D lambda needs no stencil:
-D_c lambda_a = (nabla_{e_c} Ric)(e_a, e_a) - ds(e_c) / 4, read from the
-third-order curvature entry at x. A stencil that would leave the chart box
-is refused up front, with an error naming x and the stencil's reach.
+Derivatives of the frame field are closed form in the third-order
+curvature entry at the point: A[p, k, b] = g(e_k, d_p e_b), so d_p E = E A_p,
+is fixed by orthonormality (its symmetric part, -(E^T d_p g E) / 2, with d g
+from g and the Christoffel symbols) and, across lambda clusters, by the
+eigen-equation differentiated: (nabla_p b)(e_b, e_k) / (lambda_b -
+lambda_k) minus the connection term. Gamma, F and D sigma follow from A,
+nabla W and W, and D lambda from nabla Ric and ds; extract_frame evaluates
+nothing beyond its entry. structure_data takes DF by central differences of
+the exact F over one stencil at `third_step` around x (16 points at order
+4), evaluated as one curvature batch; a stencil that would leave the chart
+box is refused up front, with an error naming x and the stencil's reach.
 
-Gauge: frames at stencil points are aligned to the center frame before any
-differentiation: a greedy permutation by overlap and sign fixes always, plus
-orthogonal Procrustes inside eigenvalue clusters for numerically extracted
-frames (registered adapted frames are already smooth and must not be
-re-rotated). The rotation that diagonalizes W inside a pair cluster is made
-at the center only; at a stencil point it would be dead work, since
-Procrustes returns the same block from any basis of the cluster.
+Gauge: a frame's derivative is that of the frame field aligned to it the
+way _align_to_reference aligns frames: a permutation and sign fixes, which
+leave derivatives alone, and inside the clusters of a numerically extracted
+frame an orthogonal Procrustes rotation, which keeps E_ref^T g_ref E
+symmetric. At the reference point that makes the in-cluster block of A
+symmetric (the block above); at structure_data's stencil points, aligned to
+the frame at x, it adds an antisymmetric in-cluster rotation solved from the
+same condition. Registered adapted frames have constant directions and are
+only normalized. The rotation that diagonalizes W inside a pair cluster is
+made at the frame point only.
 """
 
 from __future__ import annotations
@@ -93,12 +95,13 @@ class RicciFrame:
     x: the point; g: the metric at x; E: the frame vectors as columns, in
     chart coordinates; lam[a] = lambda_a; sigma[a, b] = sigma_ab; s: scalar
     curvature; F[j, i] = F_ji; gamma[i, j, k] = g(nabla_{e_i} e_j, e_k);
-    dlam[c, a] = D_c lambda_a, exact; dsig[a, b, c] = D_a sigma_bc, central
-    differences on the stencil; w_plus / w_minus: the self-dual and
-    anti-self-dual Weyl blocks; source: 'adapted' or 'eigen'; clusters: the
-    lambda clusters (index lists) the stencil frames were aligned by;
-    stencil: the StencilConfig the derivatives were taken with, and the
-    default of structure_data.
+    dlam[c, a] = D_c lambda_a and dsig[a, b, c] = D_a sigma_bc, closed form
+    from the third-order entry at x, as are F and gamma; w_plus / w_minus:
+    the self-dual and anti-self-dual Weyl blocks; source: 'adapted' or
+    'eigen'; clusters: the lambda clusters (index lists) that set the gauge
+    of the frame derivatives; stencil: the StencilConfig of the entry's
+    metric jet (for charts without jet_fn), and the default of
+    structure_data.
     """
 
     x: np.ndarray
@@ -187,9 +190,9 @@ def _pair_cluster_rotation(entry, E, clusters):
     return E
 
 
-def _w_offdiag(entry, E):
-    """How far the frame is from diagonalizing W (max cross component)."""
-    Wf = frame_components(entry.weyl, E)
+def _w_offdiag(Wf):
+    """How far the frame is from diagonalizing W (max cross component), from
+    W's frame components."""
     worst = 0.0
     for (i, j) in itertools.combinations(range(4), 2):
         for (k, l) in itertools.combinations(range(4), 2):
@@ -231,36 +234,64 @@ def _align_to_reference(E, E_ref, g_ref, clusters, rotate_clusters):
     return out
 
 
-def _stencil_frames(chart, X, cfg, source, E_ref, g_ref, clusters, with_sigma):
-    """The frame field at stacked points X (N, 4), aligned to the reference
-    frame E_ref (with the metric g_ref and the lambda clusters at its
-    point), and the metric at X; with_sigma adds sigma[n, i, j] at X.
+def _frame_connection(E, g, gamma, same, lam=None, nabla_ric=None):
+    """N[..., p, k, b] = g(e_k, nabla_p e_b) and its Christoffel part
+    G[..., p, k, b] = g(e_k, Gamma_p e_b), (Gamma_p)^n_m = Gamma^n_pm, at
+    stacked points; the frame derivative is d_p E = E A_p with A = N - G.
 
-    One curvature batch serves every point; adapted frames that need no
-    sigma read only the metric, by one eval_batch call.
+    same[k, b] marks k and b in one lambda cluster (every pair, for adapted
+    frames). Orthonormality makes N_p antisymmetric, so A_p has the
+    symmetric part -(E^T d_p g E) / 2 = -(G_p + G_p^T) / 2; inside a cluster
+    that is all of A, the first-order form of a frame aligned to itself
+    (Procrustes) or of normalized constant directions, and N = (G - G^T) / 2.
+    Across clusters, differentiating b(e_b, e_k) = 0 with b = ric - s g / 4
+    gives N[p, k, b] = (nabla_p b)(e_b, e_k) / (lam_b - lam_k), where the ds
+    term drops out since g(e_b, e_k) = 0.
     """
-    if source == "adapted" and not with_sigma:
-        g, batch = chart.eval_batch(X), None
-    else:
-        batch = curvature_batch(chart, X, cfg)
-        g = batch.g
-    if source == "adapted":
-        E = _orthonormalize_columns(
-            np.stack([np.asarray(chart.adapted_frame_fn(y), dtype=float) for y in X]), g
-        )
-    else:
-        _, E = _eigenframes(g, batch.ric - batch.s[:, None, None] * g / 4.0)
-    E = _align_to_reference(E, E_ref, g_ref, clusters, rotate_clusters=source == "eigen")
-    return E, g, (_sigma(batch.weyl, E) if with_sigma else None)
+    G = np.einsum("...nk,...npm,...mb->...pkb", g @ E, gamma, E)
+    N = 0.5 * (G - np.swapaxes(G, -1, -2))
+    if not same.all():
+        nabla_b = np.einsum("...pij,...ib,...jk->...pkb", nabla_ric, E, E)
+        gap = lam[..., None, :] - lam[..., :, None]  # gap[k, b] = lam_b - lam_k
+        N = np.where(same, N, nabla_b / np.where(same, 1.0, gap)[..., None, :, :])
+    return N, G
 
 
-def _sigma(weyl, E):
-    """sigma[n, i, j] = W(e_i, e_j, e_i, e_j) at stacked points (zero for
-    i = j), from W contracted with the frame as one matrix on index pairs."""
-    n = len(E)
-    pairs = np.einsum("npi,nqj->npqij", E, E).reshape(n, 16, 16)
-    Wf = np.swapaxes(pairs, 1, 2) @ weyl.reshape(n, 16, 16) @ pairs
-    return np.diagonal(Wf, axis1=1, axis2=2).reshape(n, 4, 4) * _OFF_DIAGONAL
+def _aligned_cluster_blocks(A, E, ref, clusters):
+    """A at points whose frames E were aligned to a reference frame by
+    Procrustes inside the clusters; ref = g_ref E_ref.
+
+    The alignment keeps P = E_ref,cl^T g_ref E_cl symmetric near each point,
+    so d_p P = P A_cl,cl + K, K = E_ref,cl^T g_ref E_rest A_rest,cl, must be
+    symmetric too. With A_cl,cl = S + Omega, S the symmetric part already in
+    A and Omega antisymmetric, that is P Omega + Omega P = -(C - C^T) with
+    C = P S + K, solved in the eigenbasis of P. At the reference point P = I
+    and K = 0, so Omega = 0 there.
+    """
+    A = A.copy()
+    for cl in clusters:
+        if len(cl) == 1:
+            continue
+        rest = [k for k in range(4) if k not in cl]
+        inside = (Ellipsis, *np.ix_(cl, cl))
+        S = A[inside]
+        P = ref[:, cl].T @ E[..., :, cl]
+        K = (ref[:, cl].T @ E[..., :, rest])[..., None, :, :] @ A[(Ellipsis, *np.ix_(rest, cl))]
+        C = P[..., None, :, :] @ S + K
+        d, V = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
+        V = V[..., None, :, :]
+        Vt = np.swapaxes(V, -1, -2)
+        rhs = Vt @ (np.swapaxes(C, -1, -2) - C) @ V
+        omega = V @ (rhs / (d[..., :, None] + d[..., None, :])[..., None, :, :]) @ Vt
+        A[inside] = S + omega
+    return A
+
+
+def _same_cluster(clusters):
+    same = np.zeros((4, 4), dtype=bool)
+    for cl in clusters:
+        same[np.ix_(cl, cl)] = True
+    return same
 
 
 def _directional(E, dE):
@@ -298,10 +329,9 @@ def extract_frame(
     and conformally flat, or Einstein with W != 0 and no adapted frame,
     or a 3-point eigenvalue cluster with W != 0 and no adapted frame.
 
-    `entry` is the third-order curvature entry at x (for D lambda), as a
-    harmonicity report's batch holds it; it is evaluated when not given.
-    One curvature batch on the stencil at cfg.step around x follows; a
-    stencil that leaves the chart box raises DomainError naming x.
+    `entry` is the third-order curvature entry at x, as a harmonicity
+    report's batch holds it; it is evaluated when not given, and nothing
+    else is: every derivative of the frame is closed form in the entry.
     """
     x = np.asarray(x, dtype=float)
     if entry is None:
@@ -356,23 +386,27 @@ def extract_frame(
     lam = np.diag(b_frame).copy()
 
     split = sd_split(entry.weyl, entry.metric, E)
-    w_diag_resid = _w_offdiag(entry, E)
+    Wf = frame_components(entry.weyl, E)
+    w_diag_resid = _w_offdiag(Wf)
 
-    # the frame field and sigma on the stencil around x, in one batch
-    _guard_footprint(chart, x, cfg.reach * cfg.step)
-    points = axis_stencil(x, cfg)
-    Ey, _, sig_y = _stencil_frames(
-        chart, points.reshape(-1, 4), cfg, source, E, g, clusters, with_sigma=True
-    )
-    on_stencil = points.shape[:2] + (4, 4)
-    dE = stencil_derivative(Ey.reshape(on_stencil), cfg)  # dE[m, n, b] = d_m E[n, b]
-    dsig = np.einsum("ma,mbc->abc", E, stencil_derivative(sig_y.reshape(on_stencil), cfg))
+    same = np.ones((4, 4), dtype=bool) if adapted else _same_cluster(clusters)
+    N, G = _frame_connection(E, g, entry.gamma, same, lam, entry.nabla_ric)
+    dE = E @ (N - G)  # dE[p, n, b] = d_p E[n, b]
+    gamma_f = np.einsum("pa,pkb->abk", E, N)
     # D_c lambda_a = (nabla_c b)(e_a, e_a), b = ric - s g / 4 and nabla g = 0
     dlam = np.einsum("pki,pc,ka,ia->ca", entry.nabla_ric, E, E, E)
     dlam -= (entry.ds @ E)[:, None] / 4.0
+    # D_a sigma_bc = (nabla_a W)(e_b, e_c, e_b, e_c)
+    #   + 2 W(nabla_a e_b, e_c, e_b, e_c) + 2 W(e_b, nabla_a e_c, e_b, e_c)
+    nabla_w = entry.nabla_weyl
+    for _ in range(5):
+        nabla_w = np.tensordot(nabla_w, E, axes=(0, 0))
+    dsig = (
+        np.einsum("abcbc->abc", nabla_w)
+        + 2.0 * np.einsum("abk,kcbc->abc", gamma_f, Wf)
+        + 2.0 * np.einsum("ack,bkbc->abc", gamma_f, Wf)
+    ) * _OFF_DIAGONAL
 
-    correction = np.einsum("nmr,ma,rb->abn", entry.gamma, E, E)
-    gamma_f = np.einsum("abn,nm,mk->abk", _directional(E, dE) + correction, g, E)
     C = _brackets(E, dE, g)
     F = _structure_f(C)
     bracket_resid = max(abs(C[a, b2, k]) for (a, b2, k) in _TRIPLES if a < b2)
@@ -567,27 +601,33 @@ class StructureData:
 
 def structure_data(chart, frame, cfg=None):
     """F and DF at the frame's base point: DF by central differences at
-    cfg.third_step of F, each F from the frame field differenced at
-    cfg.step around its point; all 16 + 256 points (order 4) in one batch.
-    cfg defaults to the frame's own stencil."""
+    cfg.third_step of the exact F at the outer stencil points, all of them
+    (16 at order 4) one curvature batch, of degree 3 for eigenframes (which
+    need nabla Ric) and 2 for adapted frames (which need d g only). The
+    frames there are aligned to the frame at x, and F keeps that gauge.
+    cfg defaults to the frame's own stencil; a stencil that leaves the
+    chart box raises DomainError naming x."""
     cfg = cfg or frame.stencil
     x, E = frame.x, frame.E
-    _guard_footprint(chart, x, cfg.reach * (cfg.third_step + cfg.step))
+    _guard_footprint(chart, x, cfg.reach * cfg.third_step)
     outer = axis_stencil(x, cfg, cfg.third_step)  # (4, k, 4)
-    inner = axis_stencil(outer, cfg)  # (4, k, 4, k, 4)
-    n = outer.shape[0] * outer.shape[1]
-    Ey, g, _ = _stencil_frames(
-        chart,
-        np.concatenate([outer.reshape(-1, 4), inner.reshape(-1, 4)]),
-        cfg,
-        frame.source,
-        E,
-        frame.g,
-        frame.clusters,
-        with_sigma=False,
-    )
-    dE = stencil_derivative(Ey[n:].reshape((n,) + inner.shape[2:4] + (4, 4)), cfg, axis=1)
-    F = _structure_f(_brackets(Ey[:n], dE, g[:n]))
+    adapted = frame.source == "adapted"
+    batch = curvature_batch(chart, outer.reshape(-1, 4), cfg, degree=2 if adapted else 3)
+    g = batch.g
+    if adapted:
+        # constant directions: the frame's own columns, normalized in g(y)
+        Ey = _orthonormalize_columns(np.broadcast_to(E, g.shape), g)
+        N, G = _frame_connection(Ey, g, batch.gamma, np.ones((4, 4), dtype=bool))
+        A = N - G
+    else:
+        b = batch.ric - batch.s[:, None, None] * g / 4.0
+        _, Ey = _eigenframes(g, b)
+        Ey = _align_to_reference(Ey, E, frame.g, frame.clusters, rotate_clusters=True)
+        lam = np.einsum("nia,nij,nja->na", Ey, b, Ey)
+        same = _same_cluster(frame.clusters)
+        N, G = _frame_connection(Ey, g, batch.gamma, same, lam, batch.nabla_ric)
+        A = _aligned_cluster_blocks(N - G, Ey, frame.g @ E, frame.clusters)
+    F = _structure_f(_brackets(Ey, Ey[:, None] @ A, g))
     dF = stencil_derivative(F.reshape(outer.shape[:2] + (4, 4)), cfg, cfg.third_step)
     DF = np.einsum("ma,mbc->abc", E, dF)
     return StructureData(x=x, F=frame.F.copy(), DF=DF)

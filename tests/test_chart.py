@@ -41,6 +41,26 @@ def test_chart_validation():
         MetricChart(name="not-sym", box=UNIT_BOX, eval_fn=lambda x: np.triu(np.ones((4, 4))))
 
 
+def test_validation_rejects_a_varying_adapted_frame():
+    # frame derivatives take constant adapted directions for granted, so a
+    # frame that turns over the box is refused; a constant frame given with
+    # other column lengths is the same frame and passes
+    def turning(x):
+        c, s = np.cos(x[0]), np.sin(x[0])
+        return np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.0]])
+
+    def chart(name, frame):
+        return MetricChart(
+            name=name, box=UNIT_BOX, eval_fn=lambda x: np.eye(4), adapted_frame_fn=frame
+        )
+
+    with pytest.raises(InputError, match="adapted frame directions vary"):
+        chart("turning", turning)
+    with pytest.raises(InputError, match="adapted frame has shape"):
+        chart("short", lambda x: np.eye(3))
+    chart("scaled", lambda x: (1.0 + x[0] ** 2) * np.eye(4))
+
+
 def conformal(phi):
     """Batched eval_fn and jet_fn of e^phi(x) delta, phi written against numpy
     operations, so that it takes arrays and Jets alike."""

@@ -1,11 +1,14 @@
 """A sympy oracle for the closed-form registry charts.
 
-The scalar curvature s and its gradient are derived here from each chart's
-metric written out in sympy (Christoffel symbols, Ricci tensor, trace), with
-no curv4 code, and checked against curv4's third-order curvature entries.
+The curvature tensor R, the scalar curvature s and its gradient are derived
+here from each chart's metric written out in sympy (Christoffel symbols,
+their derivatives, contractions), with no curv4 code, and checked against
+curv4's third-order curvature entries and against the sectional curvatures
+that curv4 rebuilds from the structure functions F and DF of its frames.
 """
 
 import functools
+import itertools
 
 import numpy as np
 import pytest
@@ -45,9 +48,8 @@ NAMES = ["s4", "h4", "s2xs2:1,2", "rxs3", "bump:0.1"]
 
 
 @functools.cache
-def _scalar_curvature(name):
-    """s of the chart's sympy metric: R_ij = d_k G^k_ij - d_j G^k_ik
-    + G^k_kl G^l_ij - G^k_jl G^l_ik, s = g^ij R_ij."""
+def _christoffel(name):
+    """g, g^-1 and G[k][i][j] = Gamma^k_ij of the chart's sympy metric."""
     g = _metric(name)
     g_inv = sp.diag(*[1 / g[i, i] for i in range(4)])  # every metric here is diagonal
     d = [[[sp.diff(g[i, j], X[k]) for k in range(4)] for j in range(4)] for i in range(4)]
@@ -61,6 +63,14 @@ def _scalar_curvature(name):
         ]
         for k in range(4)
     ]
+    return g, g_inv, gamma
+
+
+@functools.cache
+def _scalar_curvature(name):
+    """s of the chart's sympy metric: R_ij = d_k G^k_ij - d_j G^k_ik
+    + G^k_kl G^l_ij - G^k_jl G^l_ik, s = g^ij R_ij."""
+    _, g_inv, gamma = _christoffel(name)
     s = 0
     for i in range(4):
         for j in range(4):
@@ -74,6 +84,27 @@ def _scalar_curvature(name):
             )
             s += g_inv[i, j] * ric
     return s
+
+
+@functools.cache
+def _riemann(name):
+    """x -> R[i, j, k, l] = g_lm R^m_ijk with R^m_ijk = d_j G^m_ik - d_i G^m_jk
+    + G^p_ik G^m_jp - G^p_jk G^m_ip, positive R_ijij on round spheres."""
+    g, _, gamma = _christoffel(name)
+    R = sp.MutableDenseNDimArray.zeros(4, 4, 4, 4)
+    for i, j, k in itertools.product(range(4), repeat=3):
+        for m in range(4):
+            rm = (
+                sp.diff(gamma[m][i][k], X[j])
+                - sp.diff(gamma[m][j][k], X[i])
+                + sum(
+                    gamma[p][i][k] * gamma[m][j][p] - gamma[p][j][k] * gamma[m][i][p]
+                    for p in range(4)
+                )
+            )
+            R[i, j, k, m] = g[m, m] * rm
+    fn = sp.lambdify(X, R.tolist(), "math")
+    return lambda x: np.array(fn(*x))
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -102,3 +133,29 @@ def test_bump_is_harmonic_where_its_ds_vanishes():
         x = np.array(x)
         assert curv4.codazzi_residual(chart, x) < 1e-12
         assert curv4.scalar_gradient_norm(chart, x) < 1e-12
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_riemann_tensor_matches_sympy(name):
+    chart = curv4.build_example(name)
+    R = _riemann(name)
+    for x in curv4.sample_points(chart, count=3, seed=0):
+        exact = R(x)
+        scale = max(1.0, float(np.abs(exact).max()))
+        assert np.max(np.abs(curv4.curvature_at(chart, x).riem.R - exact)) <= 1e-10 * scale
+    if name == "s4":
+        # the sign convention: R_ijij = K g_ii g_jj > 0 on the round sphere
+        assert R(np.zeros(4))[0, 1, 0, 1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("name", ["s2xs2:1,2", "bump:0.1"])
+def test_sectional_curvature_from_structure_matches_sympy(name):
+    # F and DF alone rebuild R_ijij in the reported frame: the adapted frame
+    # of the product, and the bump's eigenframe with its 3-point cluster
+    chart = curv4.build_example(name)
+    R = _riemann(name)
+    for x in curv4.sample_points(chart, count=3, seed=1):
+        fr = curv4.extract_frame(chart, x)
+        sec, _ = curv4.curvature_from_structure(curv4.structure_data(chart, fr), fr)
+        Rf = np.einsum("abcd,ai,bj,ck,dl->ijkl", R(x), fr.E, fr.E, fr.E, fr.E)
+        assert np.max(np.abs(sec - np.einsum("ijij->ij", Rf))) <= 1e-8
