@@ -7,8 +7,8 @@ curvature are asked for (the harmonicity residuals). A chart with a
 `jet_fn` gives the jet exactly, by truncated Taylor arithmetic
 (numerics.Jet); for any other chart it comes from one batched evaluation of
 the metric on a tensor-product central stencil (numerics.metric_jet), at
-the stencil's `step` up to second partials and its `third_step` for the
-third level. Everything after the jet is closed form and shared by both,
+the chart stencil's `step` up to second partials and its `third_step` for
+the third level. Everything after the jet is closed form and shared by both,
 and it runs on stacked points: `curvature_batch` takes the curvature at N
 points from one jet evaluation. A harmonicity report is one third-order
 batch of all its sample points, the stencil of frames.structure_data is
@@ -102,7 +102,10 @@ class MetricChart:
     of the metric at stacked points x (..., 4) up to `degree`, shape
     (..., 4, 4, ncoef) in the layout of numerics.Jet; curvature entries then
     use no finite differences. Without it the metric jet is taken by finite
-    differences of eval_fn.
+    differences of eval_fn on `stencil`.
+
+    `stencil` is how the chart differences where it has to: its metric jet
+    when it has no jet_fn, and the outer stencil of frames.structure_data.
     """
 
     name: str
@@ -111,16 +114,15 @@ class MetricChart:
     params: dict = field(default_factory=dict)
     adapted_frame_fn: object = None
     default_tols: dict = None
-    validate: bool = True
     batched: bool = False
     jet_fn: object = None
+    stencil: StencilConfig = DEFAULT_STENCIL
 
     def __post_init__(self):
         self.box = np.asarray(self.box, dtype=float)
         if self.box.shape != (4, 2) or np.any(self.box[:, 1] <= self.box[:, 0]):
             raise InputError("box must be (4,2) with lo < hi per axis")
-        if self.validate:
-            _validate_chart(self)
+        _validate_chart(self)
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -298,14 +300,14 @@ def christoffel(chart, x, cfg=DEFAULT_STENCIL):
     return gamma
 
 
-def _jet_blocks(chart, X, cfg, degree):
+def _jet_blocks(chart, X, degree):
     """The metric jet at stacked points X (N, 4), as a function of a block
     (lo, hi) that returns [g, dg, ddg(, dddg)] at X[lo:hi], the point axis
     first and the derivative axes after it, dg[n, p] = d_p g at X[n] and so
     on: exact from one jet_fn call on all of X (the derivative tensors made
     block by block, so that a large batch never holds them for all its points
-    at once), otherwise finite differences from one eval_batch call
-    (numerics.metric_jet)."""
+    at once), otherwise finite differences on the chart's stencil from one
+    eval_batch call (numerics.metric_jet)."""
     if chart.jet_fn is not None:
         outside = ~np.all((X >= chart.box[:, 0]) & (X <= chart.box[:, 1]), axis=1)
         if outside.any():
@@ -321,6 +323,7 @@ def _jet_blocks(chart, X, cfg, degree):
         return block
     # the nested stencil reaches twice as far as a single one, and the
     # third level adds the outer stencil
+    cfg = chart.stencil
     reach = 2 * cfg.reach * cfg.step + (cfg.reach * cfg.third_step if degree == 3 else 0.0)
     _guard_footprint(chart, X, reach)
     derivs = metric_jet(chart.eval_batch, X, cfg, degree)
@@ -439,9 +442,10 @@ def _checked_inverse(X, g):
 _BLOCK = 32
 
 
-def curvature_batch(chart, X, cfg=DEFAULT_STENCIL, degree=2):
+def curvature_batch(chart, X, degree=2):
     """Curvature at stacked points X (N, 4) from one metric jet evaluation:
-    one jet_fn call, or one eval_batch call on the stencils of all points.
+    one jet_fn call, or one eval_batch call on the chart stencil around all
+    points.
     The algebra after the jet runs on blocks of points, to bound the
     memory a large batch holds at once.
 
@@ -454,7 +458,7 @@ def curvature_batch(chart, X, cfg=DEFAULT_STENCIL, degree=2):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 4:
         raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
-    jet = _jet_blocks(chart, X, cfg, degree)
+    jet = _jet_blocks(chart, X, degree)
     if len(X) <= _BLOCK:
         return CurvatureBatch(x=X, **_curvature_algebra(X, *jet(0, len(X))))
     out = {}
@@ -527,20 +531,19 @@ class CurvatureEntry:
 
 
 class CurvatureField:
-    """Curvature entries of one chart and stencil config, each evaluated on
-    request as a curvature batch of one point; nothing is kept between calls.
+    """Curvature entries of one chart, each evaluated on request as a
+    curvature batch of one point; nothing is kept between calls.
     """
 
-    def __init__(self, chart, cfg=DEFAULT_STENCIL):
+    def __init__(self, chart):
         self.chart = chart
-        self.cfg = cfg
 
     def at(self, x, degree=2):
         """The entry at x; degree 3 asks for the covariant derivatives too."""
         x = np.asarray(x, dtype=float)
         if x.shape != (4,):
             raise InputError(f"chart points are 4-vectors, got shape {x.shape}")
-        return curvature_batch(self.chart, x[None], self.cfg, degree).entry(0)
+        return curvature_batch(self.chart, x[None], degree).entry(0)
 
 
 def _covariant_derivatives(g, g_inv, dg, gamma, dgamma, ddgamma, rm, R):
@@ -573,10 +576,10 @@ def _covariant_derivatives(g, g_inv, dg, gamma, dgamma, ddgamma, rm, R):
     return {"nabla_riem": nabla_riem, "nabla_ric": nabla_ric, "nabla_weyl": nabla_weyl, "ds": ds}
 
 
-def curvature_at(chart, x, cfg=DEFAULT_STENCIL, degree=2):
+def curvature_at(chart, x, degree=2):
     """Curvature entry at x, a batch of one point; degree 3 adds the
     covariant derivatives."""
-    return CurvatureField(chart, cfg).at(x, degree)
+    return CurvatureField(chart).at(x, degree)
 
 
 def _metric_norms(T, g_inv):
@@ -606,43 +609,43 @@ _RESIDUALS = {
 }
 
 
-def _at_point(residual, chart, x, cfg):
-    batch = curvature_batch(chart, np.asarray(x, dtype=float)[None], cfg, degree=3)
+def _at_point(residual, chart, x):
+    batch = curvature_batch(chart, np.asarray(x, dtype=float)[None], degree=3)
     return float(residual(batch)[0])
 
 
-def codazzi_residual(chart, x, cfg=DEFAULT_STENCIL):
+def codazzi_residual(chart, x):
     """||d ric|| at x; equals ||div R|| for any metric."""
-    return _at_point(_RESIDUALS["dvr"], chart, x, cfg)
+    return _at_point(_RESIDUALS["dvr"], chart, x)
 
 
-def div_weyl_norm(chart, x, cfg=DEFAULT_STENCIL):
+def div_weyl_norm(chart, x):
     """||div W|| at x."""
-    return _at_point(_RESIDUALS["dvw.w"], chart, x, cfg)
+    return _at_point(_RESIDUALS["dvw.w"], chart, x)
 
 
-def scalar_gradient_norm(chart, x, cfg=DEFAULT_STENCIL):
+def scalar_gradient_norm(chart, x):
     """||ds|| at x (metric norm of the scalar-curvature gradient)."""
-    return _at_point(_RESIDUALS["dvw.ds"], chart, x, cfg)
+    return _at_point(_RESIDUALS["dvw.ds"], chart, x)
 
 
-def div_riemann_norm(chart, x, cfg=DEFAULT_STENCIL):
+def div_riemann_norm(chart, x):
     """Direct ||div R|| via nabla R contracted on its last slot."""
 
     def norm(b):
         return _metric_norms(np.einsum("npq,npijkq->nijk", b.g_inv, b.nabla_riem), b.g_inv)
 
-    return _at_point(norm, chart, x, cfg)
+    return _at_point(norm, chart, x)
 
 
-def contracted_bianchi_residual(chart, x, cfg=DEFAULT_STENCIL):
+def contracted_bianchi_residual(chart, x):
     """||2 div ric - ds||; vanishes for every metric (universal identity)."""
 
     def norm(b):
         div_ric = np.einsum("npk,npki->ni", b.g_inv, b.nabla_ric)
         return _metric_norms(2.0 * div_ric - b.ds, b.g_inv)
 
-    return _at_point(norm, chart, x, cfg)
+    return _at_point(norm, chart, x)
 
 
 @dataclass(frozen=True)
@@ -664,13 +667,13 @@ class HarmonicityReport:
     batch: CurvatureBatch
 
 
-def harmonicity_report(chart, cfg=DEFAULT_STENCIL, count=16, seed=0, tols=None):
+def harmonicity_report(chart, count=16, seed=0, tols=None):
     """The harmonicity residuals at `count` sample points, all evaluated as
     one third-order curvature batch, and the verdict they give."""
     # precedence: the caller's tolerances, then the chart's, then the defaults
     tols = {**DEFAULT_TOLS, **(chart.default_tols or {}), **(tols or {})}
     pts = sample_points(chart, count=count, seed=seed)
-    batch = curvature_batch(chart, pts, cfg, degree=3)
+    batch = curvature_batch(chart, pts, degree=3)
     residuals = {key: residual(batch) for key, residual in _RESIDUALS.items()}
     rows = [{key: float(v[n]) for key, v in residuals.items()} for n in range(len(pts))]
     maxima = {key: float(v.max()) for key, v in residuals.items()}

@@ -1,8 +1,11 @@
 """Command-line driver: verify examples, exercise the variety, scan grids.
 
 Exit codes: 0 all verdicts pass, 1 a verification ran and failed, 2 usage
-or configuration error. Reports are deterministic for a fixed (config,
-seed) apart from the wall-time field.
+or configuration error, among them a tolerance that is not a finite
+positive number, an unknown spec-file key or parameter name and a scan grid
+axis with no values. Reports (schema "2") are deterministic for a fixed (config, seed)
+apart from the wall-time field. Every registry chart has an exact metric
+jet, so no finite-difference setting enters a report.
 """
 
 from __future__ import annotations
@@ -11,6 +14,7 @@ import argparse
 import functools
 import itertools
 import json
+import math
 import sys
 import time
 from dataclasses import dataclass, field
@@ -28,9 +32,13 @@ from .frames import (
     skw_residuals,
     sy_invariants,
 )
-from .numerics import StencilConfig
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
+
+# the keys a --spec file may hold
+_SPEC_KEYS = ("example", "kind", "name", "params", "samples", "seed", "tolerances")
+_TOL_TIERS = ("algebraic", "second", "third")
+
 
 @dataclass
 class RunConfig:
@@ -38,7 +46,6 @@ class RunConfig:
 
     example: str = ""
     samples: int = 16
-    stencil: StencilConfig = field(default_factory=StencilConfig)
     # explicit overrides only; the chart's own tolerances and DEFAULT_TOLS fill in the rest
     tolerances: dict = field(default_factory=dict)
     seed: int = 0
@@ -49,9 +56,6 @@ class RunConfig:
         return {
             "example": self.example,
             "samples": self.samples,
-            "step": self.stencil.step,
-            "order": self.stencil.order,
-            "third_step": self.stencil.third_step,
             "tolerances": dict(self.tolerances),
             "seed": self.seed,
             "format": self.fmt,
@@ -109,11 +113,7 @@ def _verify_payload(config):
     chart = build_example(config.example)
     t_start = time.perf_counter()
     rep = harmonicity_report(
-        chart,
-        cfg=config.stencil,
-        count=config.samples,
-        seed=config.seed,
-        tols=config.tolerances,
+        chart, count=config.samples, seed=config.seed, tols=config.tolerances
     )
     tols = rep.tols
 
@@ -130,7 +130,7 @@ def _verify_payload(config):
         # the frame's third-order entry is the report's, at the same point
         entry = rep.batch.entry(idx)
         try:
-            fr = extract_frame(chart, rep.points[idx], cfg=config.stencil, entry=entry)
+            fr = extract_frame(chart, rep.points[idx], entry=entry)
         except DegenerateFrameError:
             degenerate += 1
             points[idx]["counts"] = {"degenerate": True}
@@ -224,7 +224,7 @@ def cmd_variety(config, source, count, mode, tol):
         xs = sample_points(chart, count=count, seed=config.seed)
         tol = 1e-3 if tol is None else tol
         for x in xs:
-            fr = extract_frame(chart, x, cfg=config.stencil)
+            fr = extract_frame(chart, x)
             points.append(vy.from_frame(fr).normalized())
         origin = {"from_example": name, "count": count}
 
@@ -271,14 +271,22 @@ def cmd_variety(config, source, count, mode, tol):
     return Report(payload=payload, exit_code=0 if all_passed else 1), csv_writer
 
 
+def _check_param_names(spec, names):
+    for name in names:
+        if name not in spec.param_names:
+            raise InputError(
+                f"{spec.kind} has no parameter {name!r} "
+                f"(has: {', '.join(spec.param_names) or 'none'})"
+            )
+
+
 def cmd_scan(config, kind, param_grid):
     spec = example_spec(kind)
     kind = spec.kind
-    for name in param_grid:
-        if name not in spec.param_names:
-            raise InputError(
-                f"{kind} has no parameter {name!r} (has: {', '.join(spec.param_names) or 'none'})"
-            )
+    _check_param_names(spec, param_grid)
+    for name, values in param_grid.items():
+        if not values:
+            raise InputError(f"--param {name} has no grid values")
     axes = []
     for name, default in zip(spec.param_names, spec.defaults):
         axes.append([(name, v) for v in param_grid.get(name, [default])])
@@ -295,7 +303,6 @@ def cmd_scan(config, kind, param_grid):
         sub = RunConfig(
             example=name,
             samples=config.samples,
-            stencil=config.stencil,
             tolerances=config.tolerances,
             seed=config.seed,
         )
@@ -343,25 +350,6 @@ def cmd_scan(config, kind, param_grid):
 def _add_common(p):
     # numeric defaults live in _config_from_args so a --spec file can fill them
     p.add_argument("--samples", type=int, default=None, help="sample point count (default 16)")
-    p.add_argument(
-        "--step",
-        type=float,
-        default=None,
-        help="FD step for 1st/2nd metric derivatives on charts without an exact jet",
-    )
-    p.add_argument(
-        "--order",
-        type=int,
-        choices=(2, 4, 6),
-        default=None,
-        help="FD stencil order of the metric jet of charts without an exact jet",
-    )
-    p.add_argument(
-        "--third-step",
-        type=float,
-        default=None,
-        help="FD step for 3rd metric derivatives on charts without an exact jet",
-    )
     p.add_argument("--tol-algebraic", type=float, default=None)
     p.add_argument("--tol-second", type=float, default=None)
     p.add_argument("--tol-third", type=float, default=None)
@@ -370,30 +358,31 @@ def _add_common(p):
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
 
+def _tolerance(name, value):
+    """value, if it is a finite positive number; InputError naming it otherwise."""
+    ok = isinstance(value, int | float) and not isinstance(value, bool)
+    if not (ok and math.isfinite(value) and value > 0.0):
+        raise InputError(f"{name} must be a finite positive number, got {value!r}")
+    return value
+
+
 def _config_from_args(args, file_cfg=None):
     file_cfg = file_cfg or {}
-    stencil_kwargs = {}
-    for key in ("step", "order", "third_step"):
-        val = getattr(args, key)
-        if val is None:
-            val = file_cfg.get(key)
-        if val is not None:
-            stencil_kwargs[key] = val
-    if "order" in stencil_kwargs:
-        stencil_kwargs["order"] = int(stencil_kwargs["order"])
-    stencil = StencilConfig(**stencil_kwargs)
     tols = dict(file_cfg.get("tolerances", {}))
-    for tier in ("algebraic", "second", "third"):
+    for tier, val in tols.items():
+        if tier not in _TOL_TIERS:
+            raise InputError(f"unknown tolerance tier {tier!r}; tiers: {', '.join(_TOL_TIERS)}")
+        _tolerance(f"tolerance {tier!r}", val)
+    for tier in _TOL_TIERS:
         val = getattr(args, f"tol_{tier}")
         if val is not None:
-            tols[tier] = val
+            tols[tier] = _tolerance(f"--tol-{tier}", val)
     samples = args.samples if args.samples is not None else file_cfg.get("samples", 16)
     if samples < 1:
         raise InputError("--samples must be at least 1")
     seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
     return RunConfig(
         samples=int(samples),
-        stencil=stencil,
         tolerances=tols,
         seed=int(seed),
         output=args.out,
@@ -409,6 +398,13 @@ def _load_spec_file(path):
         raise InputError(f"cannot read spec file {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise InputError(f"spec file {path} must hold a JSON object")
+    for key in data:
+        if key not in _SPEC_KEYS:
+            raise InputError(
+                f"spec file {path}: unknown key {key!r}; keys: {', '.join(_SPEC_KEYS)}"
+            )
+    if not isinstance(data.get("tolerances", {}), dict):
+        raise InputError(f"spec file {path}: 'tolerances' must be a JSON object")
     return data
 
 
@@ -464,6 +460,7 @@ def main(argv=None):
                     if example is None and "kind" in file_cfg:
                         params = file_cfg.get("params", {})
                         spec = example_spec(file_cfg["kind"])
+                        _check_param_names(spec, params)
                         vals = [params.get(n, d) for n, d in zip(spec.param_names, spec.defaults)]
                         example = (
                             f"{spec.kind}:{','.join(f'{v:g}' for v in vals)}" if vals else spec.kind
@@ -492,8 +489,9 @@ def main(argv=None):
             else:
                 source = ("example", args.from_example)
                 config.example = canonical_name(args.from_example)
+            tol = None if args.tol is None else _tolerance("--tol", args.tol)
             report, csv_writer = cmd_variety(
-                config, source, count=args.count, mode=args.mode, tol=args.tol
+                config, source, count=args.count, mode=args.mode, tol=tol
             )
             _emit(report.payload, config.fmt, config.output, csv_writer=csv_writer)
             return report.exit_code

@@ -54,10 +54,11 @@ def _conformal_factor(k, *coords):
     return (1.0 + 0.25 * k * rho2) ** -2.0
 
 
-def make_constant_curvature(K0, name=None, half_width=0.6):
-    """Space form of sectional curvature K0: g = (1 + K0 |x|^2/4)^-2 delta."""
+def make_constant_curvature(K0, name=None):
+    """Space form of sectional curvature K0: g = (1 + K0 |x|^2/4)^-2 delta
+    on the box [-0.6, 0.6]^4, where |x|^2 reaches 4 * 0.6^2."""
     K0 = float(K0)
-    if K0 < 0.0 and 1.0 + 0.25 * K0 * 4.0 * half_width**2 <= 0.05:
+    if K0 < 0.0 and 1.0 + 0.25 * K0 * 4.0 * 0.6**2 <= 0.05:
         raise InputError("box reaches the conformal-factor singularity")
 
     def formula(x):
@@ -67,12 +68,12 @@ def make_constant_curvature(K0, name=None, half_width=0.6):
     return _formula_chart(
         formula,
         name=name or ("s4" if K0 > 0 else "h4" if K0 < 0 else "flat"),
-        box=np.array([[-half_width, half_width]] * 4),
+        box=np.array([[-0.6, 0.6]] * 4),
         params={"K0": K0},
     )
 
 
-def make_product_surfaces(k1, k2, half_width=0.5):
+def make_product_surfaces(k1, k2):
     """S^2(k1) x S^2(k2) style product in per-factor stereographic charts."""
     k1, k2 = float(k1), float(k2)
 
@@ -84,13 +85,13 @@ def make_product_surfaces(k1, k2, half_width=0.5):
     return _formula_chart(
         formula,
         name=f"s2xs2:{k1:g},{k2:g}",
-        box=np.array([[-half_width, half_width]] * 4),
+        box=np.array([[-0.5, 0.5]] * 4),
         params={"k1": k1, "k2": k2},
         adapted_frame_fn=lambda x: np.eye(4),
     )
 
 
-def make_line_cross_space(c, half_width=0.5):
+def make_line_cross_space(c):
     """R x N^3(c): flat line factor times a 3-dimensional space form."""
     c = float(c)
 
@@ -101,7 +102,7 @@ def make_line_cross_space(c, half_width=0.5):
     return _formula_chart(
         formula,
         name=f"rxs3:{c:g}",
-        box=np.array([[-0.6, 0.6]] + [[-half_width, half_width]] * 3),
+        box=np.array([[-0.6, 0.6]] + [[-0.5, 0.5]] * 3),
         params={"c": c},
         adapted_frame_fn=lambda x: np.eye(4),
     )
@@ -116,6 +117,8 @@ _T_END = 2.0
 _DEGREE = 20
 _TOL = 1e-16
 _H_MIN = 1e-3
+# the kpc chart's t-range keeps this far inside the profile's ends
+_T_MARGIN = 0.03
 
 
 def _cauchy(a, b):
@@ -321,7 +324,7 @@ def _generalized_sine(c):
     return lambda u: u
 
 
-def make_kpc_warped(profile, margin=0.03):
+def make_kpc_warped(profile):
     """The warped 4-metric (h x h^c) / (K + c)^2 over the profile surface.
 
     Coordinates (t, theta, u, v): h = dt^2 + f(t)^2 dtheta^2 on the base,
@@ -333,8 +336,8 @@ def make_kpc_warped(profile, margin=0.03):
         u_box = [0.2 * np.pi / np.sqrt(c), 0.8 * np.pi / np.sqrt(c)]
     else:
         u_box = [0.5, 1.5]
-    t_box = [profile.t0 + margin, profile.t1 - margin]
-    if t_box[1] - t_box[0] < 10.0 * margin:
+    t_box = [profile.t0 + _T_MARGIN, profile.t1 - _T_MARGIN]
+    if t_box[1] - t_box[0] < 10.0 * _T_MARGIN:
         raise InputError("profile domain too short for a usable chart")
 
     def formula(x):
@@ -373,24 +376,30 @@ def make_bump_nonharmonic(a):
     )
 
 
-def make_random_perturbed_flat(seed, amplitude=0.15, waves=2, half_width=0.5):
+# diagonal amplitude of randflat's perturbation, and its waves per component
+_RANDFLAT_AMPLITUDE = 0.15
+_RANDFLAT_WAVES = 2
+
+
+def make_random_perturbed_flat(seed):
     """delta plus a seeded trigonometric symmetric perturbation.
 
-    Off-diagonal amplitudes are amplitude/3 so Gershgorin keeps the metric
-    far from degenerate on the box; frequencies sit in [0.8, 2.0], large
-    enough that curvature is order one against the flat background.
+    Off-diagonal amplitudes are a third of the diagonal ones, so Gershgorin
+    keeps the metric far from degenerate on the box; frequencies sit in
+    [0.8, 2.0], large enough that curvature is order one against the flat
+    background.
     """
     seed = int(seed)
     rng = np.random.default_rng(seed)
     wavevectors, phases, spread = [], [], []
     for i in range(4):
         for j in range(i, 4):
-            amp = amplitude if i == j else amplitude / 3.0
-            for _ in range(waves):
+            amp = _RANDFLAT_AMPLITUDE if i == j else _RANDFLAT_AMPLITUDE / 3.0
+            for _ in range(_RANDFLAT_WAVES):
                 wavevectors.append(rng.uniform(0.8, 2.0, size=4) * rng.choice([-1.0, 1.0], size=4))
                 phases.append(rng.uniform(0.0, 2.0 * np.pi))
                 slot = np.zeros((4, 4))
-                slot[i, j] = slot[j, i] = amp / waves
+                slot[i, j] = slot[j, i] = amp / _RANDFLAT_WAVES
                 spread.append(slot.ravel())
     # wave t adds spread[t] * sin(k_t . x + phase_t) to the flattened metric
     wavevectors, phases, spread = np.array(wavevectors), np.array(phases), np.array(spread)
@@ -402,8 +411,8 @@ def make_random_perturbed_flat(seed, amplitude=0.15, waves=2, half_width=0.5):
     return _formula_chart(
         formula,
         name=f"randflat:{seed}",
-        box=np.array([[-half_width, half_width]] * 4),
-        params={"seed": seed, "amplitude": amplitude},
+        box=np.array([[-0.5, 0.5]] * 4),
+        params={"seed": seed, "amplitude": _RANDFLAT_AMPLITUDE},
     )
 
 

@@ -20,9 +20,10 @@ eigen-equation differentiated: (nabla_p b)(e_b, e_k) / (lambda_b -
 lambda_k) minus the connection term. Gamma, F and D sigma follow from A,
 nabla W and W, and D lambda from nabla Ric and ds; extract_frame evaluates
 nothing beyond its entry. structure_data takes DF by central differences of
-the exact F over one stencil at `third_step` around x (16 points at order
-4), evaluated as one curvature batch; a stencil that would leave the chart
-box is refused up front, with an error naming x and the stencil's reach.
+the exact F over one stencil around x, at the `third_step` of the chart's
+stencil (16 points at order 4), evaluated as one curvature batch; a stencil
+that would leave the chart box is refused up front, with an error naming x
+and the stencil's reach.
 
 Gauge: a frame's derivative is that of the frame field aligned to it the
 way _align_to_reference aligns frames: a permutation and sign fixes, which
@@ -54,7 +55,7 @@ from .errors import (
 # central_diff stays importable from here for perfbench/tracing.py, which
 # counts calls through this name
 from .numerics import (  # noqa: F401
-    DEFAULT_STENCIL,
+    _fix_signs,
     axis_stencil,
     central_diff,
     stencil_derivative,
@@ -66,14 +67,22 @@ _TRIPLES = [t for t in itertools.permutations(range(4), 3)]
 _PAIRS_ORDERED = [(i, j) for i in range(4) for j in range(4) if i != j]
 _OFF_DIAGONAL = 1.0 - np.eye(4)
 
+# eigenvalues closer than max(CLUSTER_ATOL, CLUSTER_RTOL * spread) count as one
+CLUSTER_RTOL = 1e-5
+CLUSTER_ATOL = 1e-9
+# S_l and y_l at or below ZERO_TOL count as zero
+ZERO_TOL = 1e-6
+# distinct-index Gamma up to D0_TOL counts as an orthogonal web
+D0_TOL = 1e-4
 
-def cluster_indices(values, rtol=1e-5, atol=1e-9):
+
+def cluster_indices(values):
     """Group sorted-value indices into clusters separated by gaps above
-    max(atol, rtol * spread)."""
+    max(CLUSTER_ATOL, CLUSTER_RTOL * spread)."""
     values = np.asarray(values, dtype=float)
     order = np.argsort(values, kind="stable")
     spread = float(values.max() - values.min()) if values.size else 0.0
-    gap = max(atol, rtol * spread)
+    gap = max(CLUSTER_ATOL, CLUSTER_RTOL * spread)
     clusters, current = [], [int(order[0])]
     for a, b in zip(order[:-1], order[1:]):
         if values[b] - values[a] > gap:
@@ -84,8 +93,8 @@ def cluster_indices(values, rtol=1e-5, atol=1e-9):
     return clusters
 
 
-def cluster_count(values, rtol=1e-5, atol=1e-9):
-    return len(cluster_indices(values, rtol, atol))
+def cluster_count(values):
+    return len(cluster_indices(values))
 
 
 @dataclass
@@ -99,9 +108,7 @@ class RicciFrame:
     from the third-order entry at x, as are F and gamma; w_plus / w_minus:
     the self-dual and anti-self-dual Weyl blocks; source: 'adapted' or
     'eigen'; clusters: the lambda clusters (index lists) that set the gauge
-    of the frame derivatives; stencil: the StencilConfig of the entry's
-    metric jet (for charts without jet_fn), and the default of
-    structure_data.
+    of the frame derivatives.
     """
 
     x: np.ndarray
@@ -118,7 +125,6 @@ class RicciFrame:
     w_minus: np.ndarray
     source: str
     clusters: list
-    stencil: object
     diagnostics: dict = field(default_factory=dict)
 
     @property
@@ -152,15 +158,6 @@ def _eigenframes(g, b):
     s_inv = _metric_sqrt_inv(g)
     res = sym_eigen(s_inv @ b @ s_inv)
     return res.values, s_inv @ res.vectors
-
-
-def _fix_column_signs(E):
-    E = E.copy()
-    for a in range(4):
-        lead = int(np.argmax(np.abs(E[:, a])))
-        if E[lead, a] < 0.0:
-            E[:, a] = -E[:, a]
-    return E
 
 
 def _pair_cluster_rotation(entry, E, clusters):
@@ -201,14 +198,13 @@ def _w_offdiag(Wf):
     return float(worst)
 
 
-def _align_to_reference(E, E_ref, g_ref, clusters, rotate_clusters):
-    """Permute/flip (and for extracted frames, rotate) the columns of the
-    stacked frames E (N, 4, 4) to match the reference frame.
+def _align_to_reference(E, E_ref, g_ref, clusters):
+    """Permute, flip and rotate the columns of the stacked eigenframes E
+    (N, 4, 4) to match the reference frame.
 
     Permutation by greedy max-overlap, then signs for singleton clusters;
-    multi-point clusters get an orthogonal Procrustes block rotation only
-    when rotate_clusters is set (numeric eigenframes carry an arbitrary
-    in-cluster basis, adapted frames are already coherent).
+    multi-point clusters, in which numeric eigenframes carry an arbitrary
+    basis, get an orthogonal Procrustes block rotation.
     """
     overlap = np.abs(np.swapaxes(E, 1, 2) @ (g_ref @ E_ref))
     rows = np.arange(len(E))
@@ -224,7 +220,7 @@ def _align_to_reference(E, E_ref, g_ref, clusters, rotate_clusters):
     out = E.copy()
     for cl in clusters:
         ref = g_ref @ E_ref[:, cl]
-        if len(cl) > 1 and rotate_clusters:
+        if len(cl) > 1:
             block = E[:, :, cl]
             U, _, Vt = np.linalg.svd(np.swapaxes(block, 1, 2) @ ref)
             out[:, :, cl] = block @ (U @ Vt)
@@ -311,15 +307,7 @@ def _structure_f(C):
     return np.einsum("...iji->...ji", C)
 
 
-def extract_frame(
-    chart,
-    x,
-    cfg=DEFAULT_STENCIL,
-    prefer_adapted=True,
-    cluster_rtol=1e-5,
-    cluster_atol=1e-9,
-    entry=None,
-):
+def extract_frame(chart, x, entry=None):
     """Build the Ricci eigenframe and structure functions at x.
 
     Uses the chart's registered adapted frame when available (source
@@ -335,7 +323,7 @@ def extract_frame(
     """
     x = np.asarray(x, dtype=float)
     if entry is None:
-        entry = curvature_at(chart, x, cfg, degree=3)
+        entry = curvature_at(chart, x, degree=3)
     g = entry.metric.g
     g_inv = entry.metric.g_inv
     b = entry.ric - entry.s * g / 4.0
@@ -348,7 +336,7 @@ def extract_frame(
             f"chart '{chart.name}' at {x.tolist()}: Ricci is a multiple of g and W = 0"
         )
 
-    adapted = chart.adapted_frame_fn is not None and prefer_adapted
+    adapted = chart.adapted_frame_fn is not None
     if adapted:
         E = _orthonormalize_columns(np.asarray(chart.adapted_frame_fn(x), dtype=float), g)
         lam = np.array([E[:, a] @ b @ E[:, a] for a in range(4)])
@@ -365,7 +353,7 @@ def extract_frame(
             )
         lam, E = _eigenframes(g, b)
         source = "eigen"
-    clusters = cluster_indices(lam, cluster_rtol, cluster_atol)
+    clusters = cluster_indices(lam)
 
     if source == "eigen" and any(len(c) > 1 for c in clusters):
         if w_scale > 1e-8 * curv_scale:
@@ -376,7 +364,7 @@ def extract_frame(
                 )
             E = _pair_cluster_rotation(entry, E, clusters)
 
-    E = _fix_column_signs(E)
+    E = _fix_signs(E)
     if np.linalg.det(E) < 0.0:
         E[:, 3] = -E[:, 3]
 
@@ -438,7 +426,6 @@ def extract_frame(
         w_minus=split.w_minus,
         source=source,
         clusters=clusters,
-        stencil=cfg,
         diagnostics=diagnostics,
     )
 
@@ -493,7 +480,7 @@ def skw_residuals(frame):
     }
 
 
-def sy_from_components(sigma, lam, gamma, zero_tol=1e-6):
+def sy_from_components(sigma, lam, gamma):
     """S_l, y_l and alpha_l = S_l / y_l from raw frame components.
 
     For {i, j, k, l} = {1, 2, 3, 4}: S_l = (sigma_ij - sigma_ik) Gamma^k_ij,
@@ -514,9 +501,9 @@ def sy_from_components(sigma, lam, gamma, zero_tol=1e-6):
         y_alt = (lam[k] - lam[i]) * gamma[j, k, i]
         consistency = max(consistency, abs(S[l] - s_alt), abs(y[l] - y_alt))
     alpha = np.full(4, np.nan)
-    mask = np.abs(y) > zero_tol
+    mask = np.abs(y) > ZERO_TOL
     alpha[mask] = S[mask] / y[mask]
-    zeta = int(np.sum(np.abs(S) > zero_tol))
+    zeta = int(np.sum(np.abs(S) > ZERO_TOL))
     return {
         "S": S,
         "y": y,
@@ -527,9 +514,9 @@ def sy_from_components(sigma, lam, gamma, zero_tol=1e-6):
     }
 
 
-def sy_invariants(frame, zero_tol=1e-6):
+def sy_invariants(frame):
     """Selection invariants of a frame."""
-    return sy_from_components(frame.sigma, frame.lam, frame.gamma, zero_tol)
+    return sy_from_components(frame.sigma, frame.lam, frame.gamma)
 
 
 @dataclass(frozen=True)
@@ -559,9 +546,7 @@ def _case_label(r, w, d):
     return {0: "D0", 1: "D1"}.get(d, "D2-excluded")
 
 
-def invariant_counts(
-    frames, cluster_rtol=1e-5, cluster_atol=1e-9, zero_tol=1e-6, degenerate_points=0
-):
+def invariant_counts(frames, degenerate_points=0):
     """Fold frames from several sample points into the discrete invariants.
 
     With no frames at all (every sampled point Einstein and conformally
@@ -576,10 +561,10 @@ def invariant_counts(
         )
     r = w = wm = d = 0
     for fr in frames:
-        r = max(r, cluster_count(fr.lam, cluster_rtol, cluster_atol))
-        w = max(w, cluster_count(np.linalg.eigvalsh(fr.w_plus), cluster_rtol, cluster_atol))
-        wm = max(wm, cluster_count(np.linalg.eigvalsh(fr.w_minus), cluster_rtol, cluster_atol))
-        d = max(d, sy_invariants(fr, zero_tol=zero_tol)["zeta"])
+        r = max(r, cluster_count(fr.lam))
+        w = max(w, cluster_count(np.linalg.eigvalsh(fr.w_plus)))
+        wm = max(wm, cluster_count(np.linalg.eigvalsh(fr.w_minus)))
+        d = max(d, sy_invariants(fr)["zeta"])
     return InvariantCounts(
         r=r,
         w=w,
@@ -599,20 +584,20 @@ class StructureData:
     DF: np.ndarray
 
 
-def structure_data(chart, frame, cfg=None):
-    """F and DF at the frame's base point: DF by central differences at
-    cfg.third_step of the exact F at the outer stencil points, all of them
-    (16 at order 4) one curvature batch, of degree 3 for eigenframes (which
-    need nabla Ric) and 2 for adapted frames (which need d g only). The
-    frames there are aligned to the frame at x, and F keeps that gauge.
-    cfg defaults to the frame's own stencil; a stencil that leaves the
-    chart box raises DomainError naming x."""
-    cfg = cfg or frame.stencil
+def structure_data(chart, frame):
+    """F and DF at the frame's base point: DF by central differences, on the
+    chart's stencil at its third_step, of the exact F at the outer stencil
+    points, all of them (16 at order 4) one curvature batch, of degree 3 for
+    eigenframes (which need nabla Ric) and 2 for adapted frames (which need
+    d g only). The frames there are aligned to the frame at x, and F keeps
+    that gauge. A stencil that leaves the chart box raises DomainError
+    naming x."""
+    cfg = chart.stencil
     x, E = frame.x, frame.E
     _guard_footprint(chart, x, cfg.reach * cfg.third_step)
     outer = axis_stencil(x, cfg, cfg.third_step)  # (4, k, 4)
     adapted = frame.source == "adapted"
-    batch = curvature_batch(chart, outer.reshape(-1, 4), cfg, degree=2 if adapted else 3)
+    batch = curvature_batch(chart, outer.reshape(-1, 4), degree=2 if adapted else 3)
     g = batch.g
     if adapted:
         # constant directions: the frame's own columns, normalized in g(y)
@@ -622,7 +607,7 @@ def structure_data(chart, frame, cfg=None):
     else:
         b = batch.ric - batch.s[:, None, None] * g / 4.0
         _, Ey = _eigenframes(g, b)
-        Ey = _align_to_reference(Ey, E, frame.g, frame.clusters, rotate_clusters=True)
+        Ey = _align_to_reference(Ey, E, frame.g, frame.clusters)
         lam = np.einsum("nia,nij,nja->na", Ey, b, Ey)
         same = _same_cluster(frame.clusters)
         N, G = _frame_connection(Ey, g, batch.gamma, same, lam, batch.nabla_ric)
@@ -633,7 +618,7 @@ def structure_data(chart, frame, cfg=None):
     return StructureData(x=x, F=frame.F.copy(), DF=DF)
 
 
-def curvature_from_structure(sd, frame=None, d0_tol=1e-4):
+def curvature_from_structure(sd, frame=None):
     """Frame curvature components rebuilt from (F, DF) alone.
 
     sectional[i, j] = R_ijij
@@ -641,11 +626,11 @@ def curvature_from_structure(sd, frame=None, d0_tol=1e-4):
     mixed[i, j, k] = R_kijk = D_i F_jk - (F_ji - F_jk) F_ik,
     the latter vanishing exactly for harmonic-curvature data. The formulas
     presuppose an orthogonal web: when the originating frame is supplied,
-    its distinct-index Gamma components must stay below d0_tol.
+    its distinct-index Gamma components must not exceed D0_TOL.
     """
-    if frame is not None and frame.distinct_gamma_max > d0_tol:
+    if frame is not None and frame.distinct_gamma_max > D0_TOL:
         raise PreconditionError(
-            f"distinct-index Gamma reach {frame.distinct_gamma_max:.3e} > {d0_tol:g}; "
+            f"distinct-index Gamma reach {frame.distinct_gamma_max:.3e} > {D0_TOL:g}; "
             "the web reconstruction formulas do not apply"
         )
     F, DF = sd.F, sd.DF

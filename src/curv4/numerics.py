@@ -123,13 +123,13 @@ def axis_stencil(x, cfg=DEFAULT_STENCIL, step=None):
     return x[..., None, None, :] + moves
 
 
-def stencil_derivative(values, cfg=DEFAULT_STENCIL, step=None, axis=0):
+def stencil_derivative(values, cfg=DEFAULT_STENCIL, step=None):
     """Central differences from values at `axis_stencil` points: `values` has
-    the (4, k) stencil axes at `axis` and `axis` + 1, and the result keeps the
-    first of them as the axis of the four partials, d[d] = D_d f."""
+    the (4, k) stencil axes first, and the result keeps the first of them as
+    the axis of the four partials, d[d] = D_d f."""
     h = cfg.step if step is None else step
     weights = np.asarray(_FD_STENCILS[cfg.order][1], dtype=float)
-    return np.tensordot(values, weights, axes=(axis + 1, 0)) / h
+    return np.tensordot(values, weights, axes=(1, 0)) / h
 
 
 def metric_jet(f_batch, x, cfg=DEFAULT_STENCIL, degree=2):
@@ -475,7 +475,7 @@ def _fix_signs(vectors):
     return np.where(np.take_along_axis(vectors, lead, axis=-2) < 0.0, -vectors, vectors)
 
 
-def sym_eigen(A, dim=None):
+def sym_eigen(A):
     """Deterministic symmetric eigendecomposition for 3x3/4x4/6x6 matrices,
     stacked on any leading axes."""
     A = np.asarray(A, dtype=float)
@@ -484,8 +484,6 @@ def sym_eigen(A, dim=None):
     n = A.shape[-1]
     if n not in (3, 4, 6):
         raise InputError(f"matrix dimension must be 3, 4 or 6, got {n}")
-    if dim is not None and n != dim:
-        raise InputError(f"expected dimension {dim}, got {n}")
     At = np.swapaxes(A, -1, -2)
     scale = np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
     if np.any(np.linalg.norm(A - At, axis=(-2, -1)) > 1e-12 * scale):

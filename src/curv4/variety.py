@@ -356,11 +356,14 @@ def sample_variety(seed=0, count=8, constraint_mode="full", tol=1e-6):
 
     'linear-only' enforces just the lam/sigma linear relations (F free);
     'full' additionally polishes (F, sigma, lam) onto the bilinear and
-    rank equations with a damped least-squares root search (MINPACK
-    Levenberg-Marquardt through the module's least_squares, which imports
+    rank equations with a least-squares root search (the trust-region
+    reflective method through the module's least_squares, which imports
     scipy on its first call), capped at 1000 residual evaluations per
     attempt, retrying with a smaller initial F when a draw does not
-    converge below tol.
+    converge below tol. It stops on small steps or residual changes, not on
+    a small gradient, which vanishes before the residuals do near these
+    roots. Draws are the same in every process for a given seed; MINPACK's
+    'lm' steps from the same start can differ between fresh processes.
     """
     if constraint_mode not in ("linear-only", "full"):
         raise InputError(f"unknown constraint mode: {constraint_mode!r}")
@@ -379,10 +382,10 @@ def sample_variety(seed=0, count=8, constraint_mode="full", tol=1e-6):
             sol = least_squares(
                 lambda p: _polynomial_residuals(_assemble(p, sig_kernel)),
                 params,
-                method="lm",
+                method="trf",
                 xtol=1e-15,
                 ftol=1e-15,
-                gtol=1e-15,
+                gtol=None,
                 max_nfev=1000,
             )
             candidate = _assemble(sol.x, sig_kernel)

@@ -196,12 +196,17 @@ def test_curvature_product_ric(s2xs2_chart):
 def test_order_convergence_s4(s4_chart):
     # order 2 -> 4 must improve the curvature error by >= 100x; the stencil
     # only runs on charts without an exact jet, so take the s4 metric alone
-    chart = MetricChart(name="s4-fd", box=s4_chart.box, eval_fn=s4_chart.eval_fn, batched=True)
     x = np.array([0.21, -0.13, 0.05, 0.32])
 
     def err(order):
-        e = curvature_at(chart, x, StencilConfig(order=order))
-        return abs(e.s - 12.0)
+        chart = MetricChart(
+            name="s4-fd",
+            box=s4_chart.box,
+            eval_fn=s4_chart.eval_fn,
+            batched=True,
+            stencil=StencilConfig(order=order),
+        )
+        return abs(curvature_at(chart, x).s - 12.0)
 
     assert err(2) / err(4) >= 100.0
 

@@ -21,7 +21,8 @@ def test_verify_product(capsys):
     code, out, _ = run_main(["verify", "--example", "s2xs2:1,2", "--samples", "4"], capsys)
     assert code == 0
     payload = json.loads(out)
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
+    assert set(payload["config"]) == {"example", "samples", "tolerances", "seed", "format"}
     counts = payload["summary"]["counts"]
     assert counts["r"] == 2 and counts["w"] == 2
     assert payload["summary"]["verdicts"]["overall"] == 1
@@ -98,7 +99,7 @@ def test_verify_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert "wrote" in out and str(path) in out
-    assert json.loads(path.read_text())["schema_version"] == "1"
+    assert json.loads(path.read_text())["schema_version"] == "2"
 
 
 def test_verify_spec_file(tmp_path, capsys):
@@ -202,6 +203,19 @@ def test_variety_sample_csv_deterministic(capsys):
     assert out1.splitlines()[0].startswith("#")
 
 
+def test_variety_sample_same_in_fresh_processes():
+    # each interpreter makes its first root search here: the draws must not
+    # depend on the process
+    argv = ["-m", "curv4.cli", "variety", "--sample", "3", "--seed", "7", "--format", "csv"]
+    outs = []
+    for _ in range(2):
+        proc = subprocess.run([sys.executable, *argv], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        outs.append(proc.stdout)
+    assert outs[0] == outs[1]
+    assert len(outs[0].splitlines()) == 2 + 3
+
+
 def test_variety_linear_only_fails_membership(capsys):
     code, out, _ = run_main(
         ["variety", "--sample", "4", "--mode", "linear-only", "--seed", "1"], capsys
@@ -261,6 +275,67 @@ def test_scan_rejects_unknown_parameter(capsys):
     assert "no parameter" in err
 
 
+def test_scan_rejects_an_empty_grid_axis(capsys):
+    # no cells would run, and all_harmonic would hold vacuously
+    code, out, err = run_main(["scan", "s2xs2", "--param", "k1=,"], capsys)
+    assert code == 2 and out == ""
+    assert "k1" in err and "no grid values" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("flag", ["--tol-algebraic", "--tol-second", "--tol-third"])
+def test_verify_rejects_bad_tolerance_flags(flag, value, capsys):
+    # a nan or negative third tier would call the round sphere non-harmonic
+    code, out, err = run_main(["verify", "--example", "s4", "--samples", "1", flag, value], capsys)
+    assert code == 2 and out == ""
+    assert flag in err and "finite positive" in err
+
+
+@pytest.mark.parametrize("value", [float("nan"), -1.0, 0.0, "1e-4", True])
+def test_verify_rejects_bad_spec_tolerances(value, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"example": "s4", "samples": 1, "tolerances": {"third": value}}))
+    code, out, err = run_main(["verify", "--spec", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "'third'" in err and "finite positive" in err
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "0"])
+def test_variety_rejects_bad_tol(value, capsys):
+    argv = ["variety", "--point", "zeros-with-product-sigma", "--tol", value]
+    code, out, err = run_main(argv, capsys)
+    assert code == 2 and out == ""
+    assert "--tol" in err and "finite positive" in err
+
+
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"example": "s4", "step": 0.01}, "'step'"),
+        ({"example": "s4", "order": 6}, "'order'"),
+        ({"example": "s4", "third_step": 0.01}, "'third_step'"),
+        ({"example": "s4", "sample": 3}, "'sample'"),
+        ({"example": "s4", "tolerances": {"fourth": 1e-3}}, "'fourth'"),
+        ({"example": "s4", "tolerances": [1e-3]}, "'tolerances'"),
+        ({"kind": "s2xs2", "params": {"k3": 5.0}}, "'k3'"),
+    ],
+)
+def test_verify_rejects_unknown_spec_keys(spec, key, tmp_path, capsys):
+    # a key the file may no longer carry fails loudly instead of doing nothing
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(spec))
+    code, out, err = run_main(["verify", "--spec", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert key in err
+
+
+def test_stencil_flags_are_gone(capsys):
+    for flag in ("--step", "--order", "--third-step"):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--example", "s4", flag, "4"])
+        assert exc.value.code == 2
+
+
 def test_reports_deterministic_in_one_process(capsys):
     # a verify and a scan, each run twice in one process: equal reports,
     # the wall time aside
@@ -298,20 +373,6 @@ def test_verify_makes_one_jet_evaluation_per_batch(name, capsys, monkeypatch):
     frames = sum("source" in p["counts"] for p in json.loads(out)["points"])
     assert frames == (0 if name == "s4" else 4)
     assert calls == [(16, 4)]
-
-
-def test_verify_frames_do_not_depend_on_step(capsys):
-    # frame derivatives come from the exact jet: --step 0.5, which would
-    # reach out of the s2xs2 box, changes nothing in the report but its config
-    reports = []
-    for extra in ([], ["--step", "0.5"]):
-        code, out, _ = run_main(["verify", "--example", "s2xs2:1,2"] + extra, capsys)
-        assert code == 0
-        payload = json.loads(out)
-        payload.pop("timing"), payload.pop("config")
-        reports.append(payload)
-    assert reports[0] == reports[1]
-    assert all("skw.f" in p["residuals"] for p in reports[0]["points"][:4])
 
 
 def test_console_script_entry():

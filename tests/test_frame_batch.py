@@ -10,6 +10,7 @@ default step) does not hide in the comparison; DF keeps the outer step of
 structure_data, whose truncation both sides share.
 """
 import contextlib
+import dataclasses
 import io
 import itertools
 import json
@@ -41,6 +42,11 @@ def without_jet(chart):
     return MetricChart(
         name=f"{chart.name}-fd", box=chart.box, eval_fn=chart.eval_fn, batched=True
     )
+
+
+def eigen_only(chart):
+    """The chart without its adapted frame: frames take the eigen path."""
+    return dataclasses.replace(chart, adapted_frame_fn=None)
 
 
 def ref_eigenframe(entry):
@@ -99,9 +105,9 @@ def ref_align(E, E_ref, g_ref, clusters, rotate):
     return out
 
 
-def ref_center(chart, x, prefer_adapted, cfg=DEFAULT_STENCIL):
+def ref_center(chart, x):
     """(E, lam, sigma, source, clusters) at x, or DegenerateFrameError."""
-    e = curvature_at(chart, x, cfg)
+    e = curvature_at(chart, x)
     g = e.metric.g
     b = e.ric - e.s * g / 4.0
     b_norm = np.sqrt(np.einsum("ij,kl,ik,jl->", b, b, e.metric.g_inv, e.metric.g_inv))
@@ -109,7 +115,7 @@ def ref_center(chart, x, prefer_adapted, cfg=DEFAULT_STENCIL):
     flat_w = e.weyl.norm <= 1e-8 * max(1.0, e.riem.norm)
     if einstein and flat_w:
         raise DegenerateFrameError("Einstein and W = 0")
-    if chart.adapted_frame_fn is not None and prefer_adapted:
+    if chart.adapted_frame_fn is not None:
         E = np.asarray(chart.adapted_frame_fn(x), dtype=float)
         E = E / np.sqrt(np.einsum("ma,mn,na->a", E, g, E))
         lam = np.diag(E.T @ b @ E)
@@ -133,10 +139,12 @@ def ref_center(chart, x, prefer_adapted, cfg=DEFAULT_STENCIL):
     return E, np.diag(E.T @ b @ E), sigma, source, clusters
 
 
-def reference(chart, x, prefer_adapted=True, cfg=DEFAULT_STENCIL):
-    """Every frame quantity the batched path computes, one point at a time."""
-    E, lam, sigma, source, clusters = ref_center(chart, x, prefer_adapted, cfg)
-    entry = curvature_at(chart, x, cfg)
+def reference(chart, x, cfg=DEFAULT_STENCIL):
+    """Every frame quantity the batched path computes, one point at a time,
+    with central differences on cfg; the curvature entries come from the
+    chart's exact jet."""
+    E, lam, sigma, source, clusters = ref_center(chart, x)
+    entry = curvature_at(chart, x)
     g = entry.metric.g
 
     def field(y):
@@ -145,7 +153,7 @@ def reference(chart, x, prefer_adapted=True, cfg=DEFAULT_STENCIL):
             gy = chart.eval(y)
             Ey = Ey / np.sqrt(np.einsum("ma,mn,na->a", Ey, gy, Ey))
         else:
-            ey = curvature_at(chart, y, cfg)
+            ey = curvature_at(chart, y)
             Ey = ref_pair_rotation(ey, ref_eigenframe(ey), clusters)
         return ref_align(Ey, E, g, clusters, source == "eigen")
 
@@ -159,7 +167,7 @@ def reference(chart, x, prefer_adapted=True, cfg=DEFAULT_STENCIL):
         return F
 
     def sigma_at(y):
-        Wf = frame_components(curvature_at(chart, y, cfg).weyl, field(y))
+        Wf = frame_components(curvature_at(chart, y).weyl, field(y))
         return np.array([[Wf[i, j, i, j] if i != j else 0.0 for j in range(4)] for i in range(4)])
 
     def f_at(y):
@@ -184,18 +192,18 @@ def reference(chart, x, prefer_adapted=True, cfg=DEFAULT_STENCIL):
     }
 
 
-def extrapolated_reference(chart, x, prefer_adapted=True):
+def extrapolated_reference(chart, x):
     """The reference with its first-derivative level extrapolated."""
-    ref_h = reference(chart, x, prefer_adapted)
-    ref_2h = reference(chart, x, prefer_adapted, DOUBLE_STEP)
+    ref_h = reference(chart, x)
+    ref_2h = reference(chart, x, DOUBLE_STEP)
     out = dict(ref_h)
     for key in ("F", "gamma", "dsig", "DF"):
         out[key] = (16.0 * ref_h[key] - ref_2h[key]) / 15.0
     return out
 
 
-def closed_form(chart, x, prefer_adapted=True):
-    fr = extract_frame(chart, x, prefer_adapted=prefer_adapted)
+def closed_form(chart, x):
+    fr = extract_frame(chart, x)
     sd = structure_data(chart, fr)
     return {
         "E": fr.E,
@@ -235,11 +243,11 @@ def test_batched_eigen_path_with_pair_clusters(registry_charts, name):
     # the eigen path on charts with 2-point Ricci clusters and W != 0: the
     # reference rotates inside the clusters at every stencil point, the
     # closed form takes the in-cluster blocks from the alignment's gauge
-    chart = registry_charts[name]
+    chart = eigen_only(registry_charts[name])
     x = sample_points(chart, count=1, seed=6)[0]
-    got = closed_form(chart, x, prefer_adapted=False)
+    got = closed_form(chart, x)
     assert got["source"] == "eigen"
-    assert_matches(got, extrapolated_reference(chart, x, prefer_adapted=False))
+    assert_matches(got, extrapolated_reference(chart, x))
 
 
 def rotated_product_chart(with_jet):
@@ -318,11 +326,11 @@ def test_closed_form_cluster_gauge_in_curved_coordinates(name):
     # rotation meets the aligned per-point reference
     chart = sheared_chart(name)
     x = sample_points(chart, count=1, seed=5)[0]
-    got = closed_form(chart, x, prefer_adapted=False)
+    got = closed_form(chart, x)
     assert [len(c) for c in extract_frame(chart, x).clusters] == (
         [2, 2] if name == "s2xs2:1,2" else [1, 3]
     )
-    assert_matches(got, extrapolated_reference(chart, x, prefer_adapted=False))
+    assert_matches(got, extrapolated_reference(chart, x))
 
 
 # a finite-difference metric jet carries its own error into every frame
@@ -367,10 +375,10 @@ def test_dlam_is_the_derivative_of_lambda(registry_charts, name):
     # exact D_c lambda_a against central differences of lambda along the
     # aligned frame field, accurate on these charts; s is constant on kpc
     # and not on bump, so both terms of D lambda are seen
-    chart = registry_charts[name]
+    chart = eigen_only(registry_charts[name])
     x = sample_points(chart, count=1, seed=2)[0]
-    fr = extract_frame(chart, x, prefer_adapted=False)
-    E, lam, sigma, source, clusters = ref_center(chart, x, False)
+    fr = extract_frame(chart, x)
+    E, lam, sigma, source, clusters = ref_center(chart, x)
     g = curvature_at(chart, x).metric.g
 
     def lam_at(y):
@@ -396,11 +404,11 @@ def test_batched_alignment_matches_per_frame_alignment():
     tie = np.eye(4)
     tie[:, :2] = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]) / np.sqrt(2.0)
     frames.append(tie)
-    for clusters, rotate in (([[0], [1], [2], [3]], False), ([[0, 1], [2], [3]], True)):
+    for clusters in ([[0], [1], [2], [3]], [[0, 1], [2], [3]]):
         for ref_frame in (E_ref, np.eye(4)):
-            got = _align_to_reference(np.stack(frames), ref_frame, g, clusters, rotate)
+            got = _align_to_reference(np.stack(frames), ref_frame, g, clusters)
             for n, E in enumerate(frames):
-                expected = ref_align(E, ref_frame, g, clusters, rotate)
+                expected = ref_align(E, ref_frame, g, clusters, True)
                 assert np.max(np.abs(got[n] - expected)) <= 1e-14
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -78,7 +80,7 @@ def test_einstein_needs_adapted_frame():
     fr = extract_frame(ch, x)
     assert fr.source == "adapted"
     with pytest.raises(DegenerateFrameError):
-        extract_frame(ch, x, prefer_adapted=False)
+        extract_frame(dataclasses.replace(ch, adapted_frame_fn=None), x)
 
 
 def test_eigen_frame_budgets():
@@ -97,7 +99,7 @@ def test_eigen_pair_cluster_matches_adapted(s2xs2_chart):
     # W+ must reproduce the adapted-frame invariants
     x = curv4.sample_points(s2xs2_chart, count=1, seed=4)[0]
     fa = extract_frame(s2xs2_chart, x)
-    fe = extract_frame(s2xs2_chart, x, prefer_adapted=False)
+    fe = extract_frame(dataclasses.replace(s2xs2_chart, adapted_frame_fn=None), x)
     assert fe.source == "eigen"
     assert fe.diagnostics["gram_resid"] < 1e-6
     assert fe.diagnostics["ric_diag_resid"] < 1e-6
@@ -109,7 +111,7 @@ def test_eigen_pair_cluster_matches_adapted(s2xs2_chart):
 
 def test_eigen_kpc_matches_adapted(kpc_chart, kpc_frames):
     fa = kpc_frames[0]
-    fe = extract_frame(kpc_chart, fa.x, prefer_adapted=False)
+    fe = extract_frame(dataclasses.replace(kpc_chart, adapted_frame_fn=None), fa.x)
     assert fe.lam == pytest.approx(fa.lam, abs=1e-6)
     assert np.linalg.eigvalsh(fe.w_plus) == pytest.approx(
         np.linalg.eigvalsh(fa.w_plus), abs=1e-6

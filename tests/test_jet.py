@@ -16,10 +16,14 @@ def registry_charts():
     return {name: curv4.build_example(name) for name in REGISTRY_NAMES}
 
 
-def without_jet(chart):
+def without_jet(chart, stencil=DEFAULT_STENCIL):
     """The same metric as a hand-built chart, whose jet comes from the stencil."""
     return MetricChart(
-        name=f"{chart.name}-fd", box=chart.box, eval_fn=chart.eval_fn, batched=True
+        name=f"{chart.name}-fd",
+        box=chart.box,
+        eval_fn=chart.eval_fn,
+        batched=True,
+        stencil=stencil,
     )
 
 
@@ -98,14 +102,14 @@ def test_entry_guard_covers_the_nested_footprint(registry_charts):
     x[0] = chart.box[0, 0] + 1.5 * reach
     christoffel(chart, x, cfg)  # a single stencil still fits
     with pytest.raises(DomainError):
-        curvature_at(chart, x, cfg)
+        curvature_at(chart, x)
     x[0] = chart.box[0, 0] + 2.5 * reach
-    assert curvature_at(chart, x, cfg).riem.norm > 0.0
+    assert curvature_at(chart, x).riem.norm > 0.0
 
 
 @pytest.mark.parametrize("order, points", [(2, 41), (4, 129), (6, 265)])
 def test_one_batched_evaluation_per_entry(order, points):
-    chart = without_jet(curv4.build_example("s2xs2:1,2"))
+    chart = without_jet(curv4.build_example("s2xs2:1,2"), StencilConfig(order=order))
     shapes = []
     inner = chart.eval_fn
 
@@ -115,7 +119,7 @@ def test_one_batched_evaluation_per_entry(order, points):
 
     chart.eval_fn = recording
     x = sample_points(chart, count=1, seed=17)[0]
-    curvature_at(chart, x, StencilConfig(order=order))
+    curvature_at(chart, x)
     assert shapes == [(points, 4)]
 
 

@@ -97,8 +97,6 @@ def test_sym_eigen_rejects():
         sym_eigen(np.arange(16.0).reshape(4, 4))  # not symmetric
     with pytest.raises(InputError):
         sym_eigen(np.eye(5))
-    with pytest.raises(InputError):
-        sym_eigen(np.eye(4), dim=3)
 
 
 def test_numerical_rank_basics():
@@ -258,10 +256,10 @@ def test_axis_stencil_contracts_like_central_diff():
         pts = axis_stencil(X, cfg, step)
         assert pts.shape == (2, 4, cfg.reach * 2, 4)
         values = np.array([[[f(p) for p in row] for row in block] for block in pts])
-        got = stencil_derivative(values, cfg, step, axis=1)
         for n, x in enumerate(X):
+            got = stencil_derivative(values[n], cfg, step)
             ref = np.stack([central_diff(f, x, d, cfg, step=step) for d in range(4)])
-            assert np.max(np.abs(got[n] - ref)) <= 1e-12
+            assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 def test_metric_jet_stacked_bases_match_single_points():
