@@ -36,8 +36,6 @@ contractions of R, with no further differencing.
 
 from __future__ import annotations
 
-import functools
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -60,22 +58,12 @@ from .tensor4 import Curv4, Metric4, curvature_projection, kulkarni_nomizu
 from .tensor4 import curvature_symmetrize, ricci_contract, weyl_from_curv  # noqa: F401
 
 
-# scan's cells run on two threads. One thread is faster, but the scan-grid
-# benchmark scales its times by a host-speed slice run as two concurrent
-# threads (perfbench/hostspeed.py), and a one-thread scan's scaled figure then
-# moves with the host's load; keep two until that reference is one thread.
-SCAN_THREADS = 2
-
-
 def parallel_map(fn, items):
-    """[fn(item) for item in items] on SCAN_THREADS threads, in input order.
-    scan runs its cells through it; perfbench/tracing.py times calls through
-    this name (it patches it here and in cli)."""
-    items = list(items)
-    if len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=SCAN_THREADS) as pool:
-        return list(pool.map(fn, items))
+    """[fn(item) for item in items], in order in the calling thread. scan
+    runs its cells through it. It is kept only as the name perfbench/tracing.py
+    patches here and in cli to count and time scan's cells, until the
+    tracer is re-pointed."""
+    return [fn(item) for item in items]
 
 
 # residual tolerance tiers: purely algebraic identities, quantities built
@@ -158,20 +146,17 @@ class MetricChart:
         return Metric4(g=self.eval(x))
 
 
-@functools.lru_cache(maxsize=None)
-def _unit_probes(m):
-    # fixed unscrambled Halton probes in [0, 1)^4, shared read-only
-    u = halton(m + 1)[1:]  # drop the degenerate all-zeros first point
-    u.setflags(write=False)
-    return u
+# five fixed unscrambled Halton probes in [0, 1)^4, shared read-only; the
+# degenerate all-zeros first point is dropped
+_UNIT_PROBES = halton(6)[1:]
+_UNIT_PROBES.setflags(write=False)
 
 
-def _probe_points(chart, m=5):
+def _probe_points(chart):
     # the unit probes pulled 20% inside the box
-    u = _unit_probes(m)
     lo, hi = chart.box[:, 0], chart.box[:, 1]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + (2.0 * u - 1.0) * 0.8 * half
+    return mid + (2.0 * _UNIT_PROBES - 1.0) * 0.8 * half
 
 
 def _validate_chart(chart):
@@ -367,12 +352,28 @@ def _christoffel_jet(g_inv, dg, ddg, dddg=None):
     return gamma, dgamma, ddgamma
 
 
+def _weyl(g, R, ric, s):
+    """W = R - (g ^ Sch) / 2 with the Schouten tensor Sch = ric - s g / 6,
+    at stacked points."""
+    sch = ric - s[:, None, None] * g / 6.0
+    return R - 0.5 * kulkarni_nomizu(g, sch)
+
+
+def _nabla_weyl(g, nabla_riem, nabla_ric, ds):
+    """nabla W from nabla R, nabla ric and ds at stacked points: W is linear
+    in R, ric and s, and nabla g = 0."""
+    nabla_sch = nabla_ric - ds[..., None, None] * g[:, None, :, :] / 6.0
+    return nabla_riem - 0.5 * kulkarni_nomizu(g[:, None, :, :], nabla_sch)
+
+
 @dataclass(frozen=True)
 class CurvatureBatch:
     """Curvature at stacked points x (N, 4), the point axis first: g, g_inv,
     gamma[n, k, i, j] = Gamma^k_ij, R[n, i, j, k, l], ric, s (N,), weyl and
     the projection distance per point. Batches made from a third-order jet
-    also carry nabla_riem[n, p, ...], nabla_ric, nabla_weyl and ds[n, p]."""
+    also carry nabla_riem[n, p, ...], nabla_ric, nabla_weyl and ds[n, p].
+    weyl and nabla_weyl are made on request: not every caller of a large
+    batch reads them."""
 
     x: np.ndarray
     g: np.ndarray
@@ -384,22 +385,28 @@ class CurvatureBatch:
     projection_distance: np.ndarray
     nabla_riem: np.ndarray = None
     nabla_ric: np.ndarray = None
-    nabla_weyl: np.ndarray = None
     ds: np.ndarray = None
 
     @property
     def weyl(self):
-        """W = R - (g ^ Sch) / 2 with the Schouten tensor Sch = ric - s g / 6,
-        made on request: not every caller of a large batch reads it."""
-        sch = self.ric - self.s[:, None, None] * self.g / 6.0
-        return self.R - 0.5 * kulkarni_nomizu(self.g, sch)
+        return _weyl(self.g, self.R, self.ric, self.s)
+
+    @property
+    def nabla_weyl(self):
+        if self.ds is None:
+            return None
+        return _nabla_weyl(self.g, self.nabla_riem, self.nabla_ric, self.ds)
 
     def entry(self, n):
-        """The CurvatureEntry of point n."""
+        """The CurvatureEntry of point n; its W and nabla W are made for that
+        point alone."""
+        at = slice(n, n + 1)
         derived = {}
         if self.ds is not None:
-            keys = ("nabla_riem", "nabla_ric", "nabla_weyl", "ds")
-            derived = {key: getattr(self, key)[n] for key in keys}
+            derived = {key: getattr(self, key)[n] for key in ("nabla_riem", "nabla_ric", "ds")}
+            derived["nabla_weyl"] = _nabla_weyl(
+                self.g[at], self.nabla_riem[at], self.nabla_ric[at], self.ds[at]
+            )[0]
         return CurvatureEntry(
             x=self.x[n],
             metric=Metric4.from_checked(self.g[n], self.g_inv[n]),
@@ -407,7 +414,7 @@ class CurvatureBatch:
             riem=Curv4(R=self.R[n], projection_distance=float(self.projection_distance[n])),
             ric=self.ric[n],
             s=float(self.s[n]),
-            weyl=Curv4(R=self.weyl[n]),
+            weyl=Curv4(R=_weyl(self.g[at], self.R[at], self.ric[at], self.s[at])[0]),
             projection_distance=float(self.projection_distance[n]),
             **derived,
         )
@@ -547,8 +554,8 @@ class CurvatureField:
 
 
 def _covariant_derivatives(g, g_inv, dg, gamma, dgamma, ddgamma, rm, R):
-    """nabla R, nabla ric, nabla W and ds in closed form from the jet, with
-    any leading point axes."""
+    """nabla R, nabla ric and ds in closed form from the jet, with any
+    leading point axes."""
     # d_q of R^m_(i,j,k), term by term
     drm = (
         np.einsum("...qjmik->...qmijk", ddgamma)
@@ -570,10 +577,7 @@ def _covariant_derivatives(g, g_inv, dg, gamma, dgamma, ddgamma, rm, R):
     )
     nabla_ric = np.einsum("...ik,...qijkl->...qjl", g_inv, nabla_riem)
     ds = np.einsum("...jl,...qjl->...q", g_inv, nabla_ric)
-    # W = R - (g ^ Sch) / 2 with Sch = ric - s g / 6, and nabla g = 0
-    nabla_sch = nabla_ric - ds[..., None, None] * g[..., None, :, :] / 6.0
-    nabla_weyl = nabla_riem - 0.5 * kulkarni_nomizu(g[..., None, :, :], nabla_sch)
-    return {"nabla_riem": nabla_riem, "nabla_ric": nabla_ric, "nabla_weyl": nabla_weyl, "ds": ds}
+    return {"nabla_riem": nabla_riem, "nabla_ric": nabla_ric, "ds": ds}
 
 
 def curvature_at(chart, x, degree=2):

@@ -2,9 +2,10 @@
 
 Exit codes: 0 all verdicts pass, 1 a verification ran and failed, 2 usage
 or configuration error, among them a tolerance that is not a finite
-positive number, an unknown spec-file key or parameter name and a scan grid
-axis with no values. Reports (schema "2") are deterministic for a fixed (config, seed)
-apart from the wall-time field. Every registry chart has an exact metric
+positive number, a spec-file sample count or seed that is not an integer, a
+negative seed, an unknown spec-file key or parameter name and a scan grid
+axis with no values. Reports (schema "2") are deterministic for a fixed
+(config, seed) apart from the wall-time field. Every registry chart has an exact metric
 jet, so no finite-difference setting enters a report.
 """
 
@@ -366,6 +367,15 @@ def _tolerance(name, value):
     return value
 
 
+def _integer(key, value):
+    """A spec file's integer `key`: value as an int, if it is an integer or an
+    integral float; InputError naming the key otherwise."""
+    ok = isinstance(value, int | float) and not isinstance(value, bool)
+    if not (ok and math.isfinite(value) and value == int(value)):
+        raise InputError(f"spec key {key!r} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _config_from_args(args, file_cfg=None):
     file_cfg = file_cfg or {}
     tols = dict(file_cfg.get("tolerances", {}))
@@ -377,14 +387,19 @@ def _config_from_args(args, file_cfg=None):
         val = getattr(args, f"tol_{tier}")
         if val is not None:
             tols[tier] = _tolerance(f"--tol-{tier}", val)
-    samples = args.samples if args.samples is not None else file_cfg.get("samples", 16)
+    samples = args.samples
+    if samples is None:
+        samples = _integer("samples", file_cfg.get("samples", 16))
     if samples < 1:
         raise InputError("--samples must be at least 1")
-    seed = args.seed if args.seed is not None else file_cfg.get("seed", 0)
+    seed = args.seed if args.seed is not None else _integer("seed", file_cfg.get("seed", 0))
+    if seed < 0:
+        # numpy's generators take no negative seed
+        raise InputError(f"--seed must be non-negative, got {seed}")
     return RunConfig(
-        samples=int(samples),
+        samples=samples,
         tolerances=tols,
-        seed=int(seed),
+        seed=seed,
         output=args.out,
         fmt=args.fmt,
     )

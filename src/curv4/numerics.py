@@ -5,10 +5,9 @@ jets for charts written as formulas; central differences on scalar/array
 valued fields, one at a time or contracted over the stencil points of many
 base points at once, and metric jets up to third partials from one batched
 stencil evaluation, for charts without a formula; symmetric eigensystems
-with a deterministic ordering, SVD-based rank decisions, classical
-fixed-step Runge-Kutta integration and the Halton sequence. Everything
-downstream (curvature, frames, variety checks) funnels its numerics through
-this module.
+with a deterministic ordering, SVD-based rank decisions and the Halton
+sequence. Everything downstream (curvature, frames, variety checks) funnels
+its numerics through this module.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InputError, IntegrationError
+from .errors import InputError
 
 # offsets and weights of the standard central first-derivative stencils
 _FD_STENCILS = {
@@ -496,50 +495,22 @@ def sym_eigen(A):
 class RankResult:
     singular_values: np.ndarray
     rank: int
-    rtol: float
-    atol: float
 
 
-def numerical_rank(A, rtol=1e-8, atol=1e-12):
-    """Rank = number of singular values above max(atol, rtol * largest)."""
+RANK_RTOL = 1e-8
+RANK_ATOL = 1e-12
+
+
+def numerical_rank(A):
+    """Rank = number of singular values above max(RANK_ATOL, RANK_RTOL * largest)."""
     A = np.asarray(A, dtype=float)
     if A.ndim != 2:
         raise InputError(f"expected a matrix, got ndim {A.ndim}")
     sv = np.linalg.svd(A, compute_uv=False)
     if sv.size == 0 or sv[0] == 0.0:
-        return RankResult(singular_values=sv, rank=0, rtol=rtol, atol=atol)
-    cut = max(atol, rtol * sv[0])
-    return RankResult(singular_values=sv, rank=int(np.sum(sv > cut)), rtol=rtol, atol=atol)
-
-
-def rk4_step(rhs, t, y, h):
-    """One classical Runge-Kutta step."""
-    k1 = np.asarray(rhs(t, y), dtype=float)
-    k2 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k1), dtype=float)
-    k3 = np.asarray(rhs(t + 0.5 * h, y + 0.5 * h * k2), dtype=float)
-    k4 = np.asarray(rhs(t + h, y + h * k3), dtype=float)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def rk4_integrate(rhs, y0, t0, t1, steps):
-    """Fixed-step RK4 over [t0, t1]; returns (times, states).
-
-    states[k] is the solution at times[k]; a non-finite state aborts with
-    IntegrationError carrying the last valid parameter value.
-    """
-    if steps < 1:
-        raise InputError("steps must be >= 1")
-    y = np.atleast_1d(np.asarray(y0, dtype=float))
-    ts = t0 + (t1 - t0) * np.arange(steps + 1) / steps
-    ys = np.empty((steps + 1, y.size))
-    ys[0] = y
-    h = (t1 - t0) / steps
-    for k in range(steps):
-        y = rk4_step(rhs, ts[k], y, h)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state at t={ts[k + 1]}", t_last=ts[k])
-        ys[k + 1] = y
-    return ts, ys
+        return RankResult(singular_values=sv, rank=0)
+    cut = max(RANK_ATOL, RANK_RTOL * sv[0])
+    return RankResult(singular_values=sv, rank=int(np.sum(sv > cut)))
 
 
 _HALTON_BASES = (2, 3, 5, 7)

@@ -351,7 +351,11 @@ def least_squares(fun, x0, **kwargs):
     return scipy_least_squares(fun, x0, **kwargs)
 
 
-def sample_variety(seed=0, count=8, constraint_mode="full", tol=1e-6):
+# membership tolerance a full draw must meet before it is accepted
+SAMPLE_TOL = 1e-6
+
+
+def sample_variety(seed=0, count=8, constraint_mode="full"):
     """Draw points satisfying the defining equations.
 
     'linear-only' enforces just the lam/sigma linear relations (F free);
@@ -360,10 +364,11 @@ def sample_variety(seed=0, count=8, constraint_mode="full", tol=1e-6):
     reflective method through the module's least_squares, which imports
     scipy on its first call), capped at 1000 residual evaluations per
     attempt, retrying with a smaller initial F when a draw does not
-    converge below tol. It stops on small steps or residual changes, not on
-    a small gradient, which vanishes before the residuals do near these
-    roots. Draws are the same in every process for a given seed; MINPACK's
-    'lm' steps from the same start can differ between fresh processes.
+    converge below SAMPLE_TOL. It stops on small steps or residual changes,
+    not on a small gradient, which vanishes before the residuals do near
+    these roots. Draws are the same in every process for a given seed;
+    MINPACK's 'lm' steps from the same start can differ between fresh
+    processes.
     """
     if constraint_mode not in ("linear-only", "full"):
         raise InputError(f"unknown constraint mode: {constraint_mode!r}")
@@ -389,13 +394,13 @@ def sample_variety(seed=0, count=8, constraint_mode="full", tol=1e-6):
                 max_nfev=1000,
             )
             candidate = _assemble(sol.x, sig_kernel)
-            report = system_residuals(candidate, tol)
+            report = system_residuals(candidate, SAMPLE_TOL)
             if report.passed:
                 point = candidate
                 break
         if point is None:
             raise InputError(
-                f"variety sampling did not converge below {tol} (seed {seed})"
+                f"variety sampling did not converge below {SAMPLE_TOL} (seed {seed})"
             )
         points.append(point)
     return points

@@ -337,3 +337,29 @@ def test_report_is_one_jet_evaluation():
     batches = counting(fd, "eval_batch")
     harmonicity_report(fd, count=16, seed=0)
     assert len(batches) == 1 and batches[0][1] == 4
+
+
+def test_weyl_is_made_on_request(monkeypatch):
+    # a report makes nabla W once, for all its sample points, and an entry
+    # makes W and nabla W for its own point alone; structure_data's stencil
+    # batch makes neither
+    calls = []
+    for name in ("_weyl", "_nabla_weyl"):
+        made = getattr(chart_module, name)
+
+        def counted(g, *args, made=made, name=name):
+            calls.append((name, len(g)))
+            return made(g, *args)
+
+        monkeypatch.setattr(chart_module, name, counted)
+    chart = curv4.build_example("randflat:0")
+    report = harmonicity_report(chart, count=16, seed=0)
+    assert calls == [("_nabla_weyl", 16)]
+    calls.clear()
+    report.batch.entry(3)
+    assert sorted(calls) == [("_nabla_weyl", 1), ("_weyl", 1)]
+    frame = curv4.extract_frame(chart, report.points[3])
+    assert frame.source == "eigen"  # a degree-3 stencil batch
+    calls.clear()
+    curv4.structure_data(chart, frame)
+    assert calls == []

@@ -257,16 +257,21 @@ def test_scan_grid(capsys):
 
 
 def test_scan_single_cell_matches_verify(capsys):
+    # each single cell of a 2x2 grid, run in order in this thread, reads
+    # what its own verify reads, bit for bit
     code, out, _ = run_main(
-        ["scan", "s2xs2", "--param", "k1=1", "--param", "k2=2", "--samples", "3"], capsys
+        ["scan", "s2xs2", "--param", "k1=1,2", "--param", "k2=2,3", "--samples", "3"], capsys
     )
     assert code == 0
-    cell = json.loads(out)["points"][0]
-    _, vout, _ = run_main(["verify", "--example", "s2xs2:1,2", "--samples", "3"], capsys)
-    verify = json.loads(vout)
-    assert cell["counts"] == verify["summary"]["counts"]
-    for key, val in verify["summary"]["maxima"].items():
-        assert cell["maxima"][key] == pytest.approx(val, rel=1e-12, abs=1e-300)
+    rows = json.loads(out)["points"]
+    assert [row["example"] for row in rows] == [
+        "s2xs2:1,2", "s2xs2:1,3", "s2xs2:2,2", "s2xs2:2,3"
+    ]
+    for row in rows:
+        _, vout, _ = run_main(["verify", "--example", row["example"], "--samples", "3"], capsys)
+        verify = json.loads(vout)
+        assert row["counts"] == verify["summary"]["counts"]
+        assert row["maxima"] == verify["summary"]["maxima"]
 
 
 def test_scan_rejects_unknown_parameter(capsys):
@@ -298,6 +303,36 @@ def test_verify_rejects_bad_spec_tolerances(value, tmp_path, capsys):
     code, out, err = run_main(["verify", "--spec", str(path)], capsys)
     assert code == 2 and out == ""
     assert "'third'" in err and "finite positive" in err
+
+
+@pytest.mark.parametrize("value", ["3", "x", True, 2.5, float("nan"), None, [1]])
+@pytest.mark.parametrize("key", ["samples", "seed"])
+def test_verify_rejects_non_integer_spec_samples_and_seed(key, value, tmp_path, capsys):
+    # a string, bool or fractional count or seed is a usage error (exit 2),
+    # not a traceback with the exit code of a failed verification
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"example": "s4", "samples": 1, key: value}))
+    code, out, err = run_main(["verify", "--spec", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert repr(key) in err and "integer" in err
+
+
+def test_verify_rejects_a_negative_seed(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"example": "s4", "samples": 1, "seed": -1}))
+    for argv in (["verify", "--spec", str(path)], ["scan", "s2xs2", "--seed", "-1"]):
+        code, out, err = run_main(argv, capsys)
+        assert code == 2 and out == ""
+        assert "--seed must be non-negative" in err
+
+
+def test_verify_spec_accepts_integral_float_samples(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"example": "s4", "samples": 2.0, "seed": 3.0}))
+    code, out, _ = run_main(["verify", "--spec", str(path)], capsys)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config["samples"] == 2 and config["seed"] == 3
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "0"])
@@ -392,6 +427,19 @@ def test_import_leaves_out_scipy_stats():
         "import sys, curv4, curv4.cli; "
         "curv4.cli.main(['verify', '--example', 's4', '--samples', '1']); "
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+def test_scan_loads_no_thread_pool():
+    # scan's cells run in the calling thread: importing the package and
+    # running a two-cell scan load no concurrent.futures module
+    code = (
+        "import sys, curv4, curv4.cli; "
+        "curv4.cli.main(['scan', 's2xs2', '--param', 'k1=1,2', '--samples', '1']); "
+        "print(sorted(m for m in sys.modules if m.startswith('concurrent')))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr

@@ -19,7 +19,6 @@ from curv4.examples import (
     solve_kpc_profile,
 )
 from curv4.frames import extract_frame
-from curv4.numerics import rk4_step
 from tests.conftest import ric_eigenvalues
 
 
@@ -113,11 +112,20 @@ def test_kpc_profile_consistency(kpc_profile):
     assert np.max(np.abs(fp - (f_hi - f_lo) / (2.0 * d))) < 1e-6
 
 
+def _rk4_step(rhs, t, y, h):
+    """One classical Runge-Kutta step."""
+    k1 = rhs(t, y)
+    k2 = rhs(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = rhs(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = rhs(t + h, y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def _rk4_step_profile(cases, steps):
-    """The profiles of a written-out numerics.rk4_step loop over [0, 2] for
-    parameter sets (c, r, K0, kappa_min), all at once, with the solver's
-    floors: node times (steps + 1,) and states (steps + 1, 4, len(cases)),
-    nan from where a state stops being finite or f or K + c passes its floor."""
+    """The profiles of a classical RK4 loop over [0, 2] for parameter sets
+    (c, r, K0, kappa_min), all at once, with the solver's floors: node times
+    (steps + 1,) and states (steps + 1, 4, len(cases)), nan from where a
+    state stops being finite or f or K + c passes its floor."""
     c, r, K0, kappa_min = np.array(cases).T
 
     def rhs(t, y):
@@ -133,7 +141,7 @@ def _rk4_step_profile(cases, steps):
     ys[0], t = y, 0.0
     with np.errstate(all="ignore"):
         for k in range(steps):
-            y = rk4_step(rhs, t, y, h)
+            y = _rk4_step(rhs, t, y, h)
             stopped = ~(np.all(np.isfinite(y), axis=0) & (y[0] >= examples.F_MIN))
             y[:, stopped | (y[2] + c < kappa_min)] = np.nan
             t = t + h

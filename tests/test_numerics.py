@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curv4.errors import InputError, IntegrationError
+from curv4.errors import InputError
 from curv4.numerics import (
     DEFAULT_STENCIL,
     Jet,
@@ -11,8 +11,6 @@ from curv4.numerics import (
     halton,
     metric_jet,
     numerical_rank,
-    rk4_integrate,
-    rk4_step,
     stencil_derivative,
     sym_eigen,
 )
@@ -116,47 +114,6 @@ def test_numerical_rank_zero_column_monotone():
     A = rng.standard_normal((4, 5))
     r0 = numerical_rank(A).rank
     assert numerical_rank(np.hstack([A, np.zeros((4, 1))])).rank == r0
-
-
-def test_rk4_exponential():
-    ts, ys = rk4_integrate(lambda t, y: y, np.array([1.0]), 0.0, 1.0, 1000)
-    assert ts[-1] == 1.0
-    assert abs(ys[-1][0] - np.e) < 1e-10
-
-
-def test_rk4_constant_and_oscillator():
-    _, ys = rk4_integrate(lambda t, y: 0.0 * y, np.array([2.0, -1.0]), 0.0, 5.0, 64)
-    assert np.array_equal(ys[-1], [2.0, -1.0])
-    # y'' = -y from (1, 0) reaches (-1, 0) at t = pi
-    rhs = lambda t, y: np.array([y[1], -y[0]])
-    _, ys = rk4_integrate(rhs, np.array([1.0, 0.0]), 0.0, np.pi, 2000)
-    assert ys[-1] == pytest.approx([-1.0, 0.0], abs=1e-8)
-
-
-def test_rk4_order():
-    # halving the step cuts the error by >= 8x (4th order, well above 8)
-    def err(steps):
-        _, ys = rk4_integrate(lambda t, y: y, np.array([1.0]), 0.0, 1.0, steps)
-        return abs(ys[-1][0] - np.e)
-
-    assert err(50) / err(100) >= 8.0
-
-
-def test_rk4_nonfinite_rhs():
-    def rhs(t, y):
-        with np.errstate(divide="ignore"):
-            return np.array([1.0 / (0.5 - t)])
-
-    with pytest.raises(IntegrationError):
-        rk4_integrate(rhs, np.array([0.0]), 0.0, 1.0, 100)
-
-
-def test_rk4_step_matches_integrate():
-    rhs = lambda t, y: np.array([np.cos(t)])
-    y = np.array([0.0])
-    h = 0.1
-    stepped = rk4_step(rhs, 0.0, y, h)
-    assert stepped == pytest.approx([np.sin(0.1)], abs=1e-7)
 
 
 def test_halton_matches_scipy_qmc():
