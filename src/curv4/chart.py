@@ -1,37 +1,34 @@
 """Coordinate charts and curvature from metric jets.
 
 A MetricChart is a box in R^4 with a smooth closed-form metric evaluator.
-Every curvature entry starts from the metric jet at x, the partials of g
-up to second order, or third order where covariant derivatives of
-curvature are asked for (the harmonicity residuals). A chart with a
-`jet_fn` gives the jet exactly, by truncated Taylor arithmetic
-(numerics.Jet); for any other chart it comes from one batched evaluation of
-the metric on a tensor-product central stencil (numerics.metric_jet), at
-the chart stencil's `step` up to second partials and its `third_step` for
-the third level. Everything after the jet is closed form and shared by both,
-and it runs on stacked points: `curvature_batch` takes the curvature at N
-points from one jet evaluation. A harmonicity report is one third-order
-batch of all its sample points, the stencil of frames.structure_data is
-one batch, and a single entry (`curvature_at`) is a batch of one point;
-nothing is cached.
-The Christoffel symbols and their partials are
+Every curvature entry starts from the Taylor coefficients of the metric at
+x to a degree d: 2, or 3 for the covariant derivatives of curvature (the
+harmonicity residuals). A chart with a `jet_fn` gives them exactly, by
+truncated Taylor arithmetic (numerics.Jet); for any other chart they are the
+finite-difference partials of one batched evaluation of the metric
+(numerics.metric_jet), each over its alpha! and averaged over the orderings
+of its derivatives. The rest is shared, and runs on stacked points:
+`curvature_batch` takes the curvature at N points from one jet evaluation,
+a harmonicity report is one batch of its sample points, and a single entry
+(`curvature_at`) a batch of one point; nothing is cached.
 
-    Gamma^k_ij = g^km Gamma_mij,  Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2,
-    d_p Gamma^k_ij = g^km d_p Gamma_mij + d_p(g^km) Gamma_mij,
-    d_p(g^-1) = -g^-1 (d_p g) g^-1,
+Every quantity after the metric is a jet too, made by contractions of jets
+and their partials (numerics.jet_contract, numerics.jet_partials), so one
+code path serves every degree:
 
-differentiated once more for the third order, and the curvature tensor is
-
+    g^-1 = sum_k (-e)^k g0^-1,  e = g0^-1 (g - g0)               (to degree d - 1)
+    Gamma^k_ij = g^km Gamma_mij,  Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2
     R(d_i, d_j) d_k = [d_j Gamma^m_ik - d_i Gamma^m_jk
                        + Gamma^p_ik Gamma^m_jp - Gamma^p_jk Gamma^m_ip] d_m,
-    R_ijkl = g_lm R^m(i,j,k),
+    R_ijkl = g_lm R^m(i,j,k)                                      (to degree d - 2)
+    nabla_q R_ijkl = d_q R_ijkl - Gamma^m_qi R_mjkl - Gamma^m_qj R_imkl
+                     - Gamma^m_qk R_ijml - Gamma^m_ql R_ijkm        (to degree d - 3)
 
 which reproduces R_ijij > 0 on round spheres (the package-wide sign
 convention, see tensor4). Raw curvature is projected onto the algebraic
-curvature tensors; the projection distance is kept as a noise diagnostic.
-At third order the partials d_p R_ijkl follow by the product rule, and
-nabla R, nabla Ric, nabla W and ds by the connection terms and the
-contractions of R, with no further differencing.
+curvature tensors, coefficient by coefficient; the projection distance of
+the value is kept as a noise diagnostic. nabla Ric, ds and nabla W follow
+by contractions, with no further differencing.
 """
 
 from __future__ import annotations
@@ -43,13 +40,15 @@ import numpy as np
 from .errors import DomainError, InconsistencyError, InputError
 from .numerics import (
     DEFAULT_STENCIL,
-    Jet,
     StencilConfig,
     axis_stencil,
     central_diff,
     halton,
+    jet_contract,
+    jet_partials,
     metric_jet,
     stencil_derivative,
+    taylor_coefficients,
 )
 from .tensor4 import Curv4, Metric4, curvature_projection, kulkarni_nomizu
 
@@ -66,9 +65,9 @@ def parallel_map(fn, items):
     return [fn(item) for item in items]
 
 
-# residual tolerance tiers: purely algebraic identities, quantities built
-# from second metric derivatives, quantities built from third derivatives
-DEFAULT_TOLS = {"algebraic": 1e-8, "second": 1e-5, "third": 1e-4}
+# residual tolerance tiers: quantities built from second metric derivatives,
+# quantities built from third derivatives
+DEFAULT_TOLS = {"second": 1e-5, "third": 1e-4}
 
 
 @dataclass
@@ -101,7 +100,6 @@ class MetricChart:
     eval_fn: object
     params: dict = field(default_factory=dict)
     adapted_frame_fn: object = None
-    default_tols: dict = None
     batched: bool = False
     jet_fn: object = None
     stencil: StencilConfig = DEFAULT_STENCIL
@@ -208,7 +206,7 @@ def _validate_chart(chart):
         coef = np.asarray(chart.jet_fn(pts, 1), dtype=float)
         if coef.shape != (len(pts), 4, 4, 5):
             raise InputError(f"chart '{chart.name}' jet_fn returned shape {coef.shape}")
-        values, jet_d1 = Jet(coef).derivatives()
+        values, jet_d1 = coef[..., 0], np.moveaxis(coef[..., 1:], -1, 0)
         if np.max(np.abs(values - gs)) > 1e-12 * max(1.0, np.max(np.abs(values))):
             raise InconsistencyError(f"chart '{chart.name}': jet_fn and eval_fn disagree")
     # stencil-order consistency: order-4 and order-6 first derivatives agree,
@@ -257,16 +255,16 @@ def _guard_footprint(chart, X, margin):
 
 
 def _first_kind(dg):
-    """Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2 from dg[..., p] = d_p g."""
-    return 0.5 * (np.einsum("...imj->...mij", dg) + np.einsum("...jmi->...mij", dg) - dg)
+    """Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2 from dg[..., i, j, p] = d_p g_ij."""
+    return 0.5 * (np.einsum("...mji->...mij", dg) + dg - np.einsum("...ijm->...mij", dg))
 
 
 def _check_compatible(X, g, gamma, dg):
     # metric compatibility is exact by construction; verify to catch misassembly
     nabla_g = (
         dg
-        - np.einsum("...mki,...mj->...kij", gamma, g)
-        - np.einsum("...mkj,...im->...kij", gamma, g)
+        - np.einsum("...mki,...mj->...ijk", gamma, g)
+        - np.einsum("...mkj,...im->...ijk", gamma, g)
     )
     worst = np.abs(nabla_g.reshape(-1, 64)).max(axis=1)
     bad = worst > 5e-7 * np.maximum(1.0, _norms(g.reshape(-1, 4, 4)))
@@ -279,77 +277,32 @@ def christoffel(chart, x, cfg=DEFAULT_STENCIL):
     x = np.asarray(x, dtype=float)
     _guard_footprint(chart, x, cfg.reach * cfg.step)
     g = chart.eval(x)
-    dg = np.stack([central_diff(chart.eval_fn, x, d, cfg) for d in range(4)])
+    dg = np.stack([central_diff(chart.eval_fn, x, d, cfg) for d in range(4)], axis=-1)
     gamma = np.einsum("km,mij->kij", np.linalg.inv(g), _first_kind(dg))
     _check_compatible(x, g, gamma, dg)
     return gamma
 
 
-def _jet_blocks(chart, X, degree):
-    """The metric jet at stacked points X (N, 4), as a function of a block
-    (lo, hi) that returns [g, dg, ddg(, dddg)] at X[lo:hi], the point axis
-    first and the derivative axes after it, dg[n, p] = d_p g at X[n] and so
-    on: exact from one jet_fn call on all of X (the derivative tensors made
-    block by block, so that a large batch never holds them for all its points
-    at once), otherwise finite differences on the chart's stencil from one
-    eval_batch call (numerics.metric_jet)."""
-    if chart.jet_fn is not None:
-        outside = ~np.all((X >= chart.box[:, 0]) & (X <= chart.box[:, 1]), axis=1)
-        if outside.any():
-            raise DomainError(f"point {X[outside][0].tolist()} outside chart '{chart.name}' box")
-        # a single point goes in unstacked: formulas run faster on scalars
-        jet = Jet(chart.jet_fn(X[0], degree)[None] if len(X) == 1 else chart.jet_fn(X, degree))
-
-        def block(lo, hi):
-            # Jet puts the derivative axes ahead of the point axis
-            derivs = jet[lo:hi].derivatives()
-            return [d.transpose(k, *range(k), *range(k + 1, d.ndim)) for k, d in enumerate(derivs)]
-
-        return block
-    # the nested stencil reaches twice as far as a single one, and the
-    # third level adds the outer stencil
-    cfg = chart.stencil
-    reach = 2 * cfg.reach * cfg.step + (cfg.reach * cfg.third_step if degree == 3 else 0.0)
-    _guard_footprint(chart, X, reach)
-    derivs = metric_jet(chart.eval_batch, X, cfg, degree)
-    return lambda lo, hi: [d[lo:hi] for d in derivs]
-
-
-def _christoffel_jet(g_inv, dg, ddg, dddg=None):
-    """Gamma[..., k, i, j], dGamma[..., p, k, i, j] = d_p Gamma^k_ij and,
-    given third partials, ddGamma[..., q, p, k, i, j] = d_q d_p Gamma^k_ij,
-    in closed form from the metric jet (dg[..., p] = d_p g, ddg[..., q, p] =
-    d_q d_p g, ...), with any leading point axes."""
-    first = _first_kind(dg)
-    dfirst = 0.5 * (
-        np.einsum("...pimj->...pmij", ddg) + np.einsum("...pjmi->...pmij", ddg) - ddg
-    )
-    G = g_inv[..., None, :, :]  # broadcasts over the derivative axis
-    dg_inv = -(G @ dg @ G)
-    gamma = np.einsum("...km,...mij->...kij", g_inv, first)
-    dgamma = np.einsum("...km,...pmij->...pkij", g_inv, dfirst) + np.einsum(
-        "...pkm,...mij->...pkij", dg_inv, first
-    )
-    if dddg is None:
-        return gamma, dgamma, None
-    ddfirst = 0.5 * (
-        np.einsum("...qpimj->...qpmij", dddg) + np.einsum("...qpjmi->...qpmij", dddg) - dddg
-    )
-    # d_q d_p (g^-1) = -d_q(g^-1) (d_p g) g^-1 - g^-1 (d_q d_p g) g^-1 - g^-1 (d_p g) d_q(g^-1)
-    GG = G[..., None, :, :]
-    ddg_inv = -(
-        dg_inv[..., :, None, :, :] @ (dg @ G)[..., None, :, :, :]
-        + GG @ ddg @ GG
-        + (G @ dg)[..., None, :, :, :] @ dg_inv[..., :, None, :, :]
-    )
-    cross = np.einsum("...qkm,...pmij->...qpkij", dg_inv, dfirst)
-    ddgamma = (
-        np.einsum("...km,...qpmij->...qpkij", g_inv, ddfirst)
-        + cross
-        + np.einsum("...qpkij->...pqkij", cross)
-        + np.einsum("...qpkm,...mij->...qpkij", ddg_inv, first)
-    )
-    return gamma, dgamma, ddgamma
+def _metric_coefficients(chart, X, degree):
+    """The metric's Taylor coefficients at stacked points X (N, 4), shape
+    (ncoef, N, 4, 4) with the coefficient axis first: from one jet_fn call
+    on all of X, otherwise from one eval_batch call on the chart's stencil
+    (numerics.metric_jet)."""
+    if chart.jet_fn is None:
+        # the nested stencil reaches twice as far as a single one, and the
+        # third level adds the outer stencil
+        cfg = chart.stencil
+        reach = 2 * cfg.reach * cfg.step + (cfg.reach * cfg.third_step if degree == 3 else 0.0)
+        _guard_footprint(chart, X, reach)
+        derivs = metric_jet(chart.eval_batch, X, cfg, degree)
+        # the point axis goes behind the derivative axes
+        return taylor_coefficients([np.moveaxis(d, 0, k) for k, d in enumerate(derivs)])
+    outside = ~np.all((X >= chart.box[:, 0]) & (X <= chart.box[:, 1]), axis=1)
+    if outside.any():
+        raise DomainError(f"point {X[outside][0].tolist()} outside chart '{chart.name}' box")
+    # a single point goes in unstacked: formulas run faster on scalars
+    coef = chart.jet_fn(X[0], degree)[None] if len(X) == 1 else chart.jet_fn(X, degree)
+    return np.moveaxis(np.asarray(coef, dtype=float), -1, 0)
 
 
 def _weyl(g, R, ric, s):
@@ -370,8 +323,8 @@ def _nabla_weyl(g, nabla_riem, nabla_ric, ds):
 class CurvatureBatch:
     """Curvature at stacked points x (N, 4), the point axis first: g, g_inv,
     gamma[n, k, i, j] = Gamma^k_ij, R[n, i, j, k, l], ric, s (N,), weyl and
-    the projection distance per point. Batches made from a third-order jet
-    also carry nabla_riem[n, p, ...], nabla_ric, nabla_weyl and ds[n, p].
+    the projection distance per point. Batches of degree 3 or more also
+    carry nabla_riem[n, p, ...], nabla_ric, nabla_weyl and ds[n, p].
     weyl and nabla_weyl are made on request: not every caller of a large
     batch reads them."""
 
@@ -444,15 +397,16 @@ def _checked_inverse(X, g):
     return g_inv
 
 
-# points whose curvature algebra runs at once: the 4^4-per-point temporaries
-# of one block stay well under a megabyte however many points a batch has
+# points whose curvature algebra runs at once: the pair gathers of one block
+# stay at a few megabytes even at degree 4, however many points a batch has
 _BLOCK = 32
 
 
 def curvature_batch(chart, X, degree=2):
-    """Curvature at stacked points X (N, 4) from one metric jet evaluation:
-    one jet_fn call, or one eval_batch call on the chart stencil around all
-    points.
+    """Curvature at stacked points X (N, 4) from one metric jet of `degree`
+    (2, or 3 and more for the covariant derivatives; 2 or 3 for charts
+    without a jet_fn): one jet_fn call, or one eval_batch call on the chart
+    stencil around all points.
     The algebra after the jet runs on blocks of points, to bound the
     memory a large batch holds at once.
 
@@ -465,35 +419,37 @@ def curvature_batch(chart, X, degree=2):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 4:
         raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
-    jet = _jet_blocks(chart, X, degree)
-    if len(X) <= _BLOCK:
-        return CurvatureBatch(x=X, **_curvature_algebra(X, *jet(0, len(X))))
-    out = {}
+    coef = _metric_coefficients(chart, X, degree)
+    blocks = []
     for lo in range(0, len(X), _BLOCK):
-        block = _curvature_algebra(X[lo : lo + _BLOCK], *jet(lo, lo + _BLOCK))
-        for key, value in block.items():
-            if key not in out:
-                out[key] = np.empty((len(X),) + value.shape[1:])
-            out[key][lo : lo + len(value)] = value
-    return CurvatureBatch(x=X, **out)
+        jets, dist = _curvature_algebra(X[lo : lo + _BLOCK], coef[:, lo : lo + _BLOCK], degree)
+        blocks.append({"projection_distance": dist, **{key: jet[0] for key, jet in jets.items()}})
+    fields = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+    return CurvatureBatch(x=X, **fields)
 
 
-def _curvature_algebra(X, g, dg, ddg, dddg=None):
-    """The fields of CurvatureBatch (but x) at stacked points X from their
-    metric jet, after every check of a single entry."""
-    g_inv = _checked_inverse(X, g)
-    gamma, dgamma, ddgamma = _christoffel_jet(g_inv, dg, ddg, dddg)
-    _check_compatible(X, g, gamma, dg)
-    # R^m_(i,j,k) per the curvature convention in the module docstring
-    rm = (
-        np.einsum("...jmik->...mijk", dgamma)
-        - np.einsum("...imjk->...mijk", dgamma)
-        + np.einsum("...pik,...mjp->...mijk", gamma, gamma)
-        - np.einsum("...pjk,...mip->...mijk", gamma, gamma)
-    )
-    raw = np.einsum("...lm,...mijk->...ijkl", g, rm)
+def _curvature_algebra(X, coef, degree):
+    """The coefficients of CurvatureBatch's fields but x, and the projection
+    distance, at points X (N, 4) from the metric's, coef (ncoef, N, 4, 4) of
+    degree >= 2, after every check of a single entry: g_inv and gamma to
+    degree - 1, R, ric, s to degree - 2, nabla_riem, nabla_ric, ds to degree - 3."""
+    g_inv0 = _checked_inverse(X, coef[0])
+    dg = jet_partials(coef)
+    # g^-1 = (1 + e)^-1 g0^-1 with e = g0^-1 (g - g0), by Horner's rule
+    e = np.concatenate([np.zeros_like(g_inv0[None]), g_inv0 @ coef[1 : len(dg)]])
+    g_inv = const = np.concatenate([g_inv0[None], np.zeros_like(e[1:])])
+    for _ in range(degree - 1):
+        g_inv = const - jet_contract("ij,jk->ik", e, g_inv)
+    gamma = jet_contract("km,mij->kij", g_inv, _first_kind(dg))
+    _check_compatible(X, coef[0], gamma[0], dg[0])
+    # R^m_(i,j,k) per the curvature convention in the module docstring: the
+    # part u = d_j Gamma^m_ik + Gamma^p_ik Gamma^m_jp, minus u with i, j swapped
+    dgamma = np.einsum("...mikj->...mijk", jet_partials(gamma))
+    u = dgamma + jet_contract("pik,mjp->mijk", gamma[: len(dgamma)], gamma)
+    rm = u - np.swapaxes(u, -3, -2)
+    raw = jet_contract("lm,mijk->ijkl", coef, rm)
     R = curvature_projection(raw)
-    dist, scale = _norms(raw - R), _norms(raw)
+    dist, scale = _norms(raw[0] - R[0]), _norms(raw[0])
     far = (scale > 0.0) & (dist > 1e-3 * scale)
     if far.any():
         n = int(np.argmax(far))
@@ -501,23 +457,28 @@ def _curvature_algebra(X, g, dg, ddg, dddg=None):
             f"projection distance {dist[n]:.3e} exceeds 1e-3 * ||raw|| = {1e-3 * scale[n]:.3e} "
             f"at {X[n].tolist()}"
         )
-    ric = np.einsum("...ik,...ijkl->...jl", g_inv, R)
+    ric = jet_contract("ik,ijkl->jl", g_inv, R)
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
-    s = np.einsum("...jl,...jl->...", g_inv, ric)
-    derived = {}
-    if ddgamma is not None:
-        derived = _covariant_derivatives(g, g_inv, dg, gamma, dgamma, ddgamma, rm, R)
-    return {
-        "g": g, "g_inv": g_inv, "gamma": gamma, "R": R, "ric": ric, "s": s,
-        "projection_distance": dist, **derived,
-    }
+    s = jet_contract("jl,jl->", g_inv, ric)
+    jets = {"g": coef, "g_inv": g_inv, "gamma": gamma, "R": R, "ric": ric, "s": s}
+    if degree >= 3:
+        # nabla_q R_ijkl = d_q R_ijkl - v_qijkl - v_qklij by the symmetries of
+        # R, v being t = Gamma^m_qa R_mbcd antisymmetrized in (a, b)
+        dR = jet_partials(R)
+        t = jet_contract("mqa,mbcd->qabcd", gamma[: len(dR)], R)
+        v = t - np.swapaxes(t, -4, -3)
+        nabla_riem = np.einsum("...ijklq->...qijkl", dR) - v - np.einsum("...qklij->...qijkl", v)
+        nabla_ric = jet_contract("ik,qijkl->qjl", g_inv, nabla_riem)
+        ds = jet_contract("jl,qjl->q", g_inv, nabla_ric)
+        jets.update(nabla_riem=nabla_riem, nabla_ric=nabla_ric, ds=ds)
+    return jets, dist
 
 
 @dataclass(frozen=True)
 class CurvatureEntry:
     """Everything curvature-related at one point.
 
-    Entries made from a third-order jet also carry the covariant derivatives
+    Entries of degree 3 and more also carry the covariant derivatives
     nabla_riem[p, i, j, k, l] = nabla_p R_ijkl, nabla_ric[p, k, i] =
     nabla_p ric_ki, nabla_weyl[p, ...] and ds[p] = d_p s; other entries
     leave them None.
@@ -551,33 +512,6 @@ class CurvatureField:
         if x.shape != (4,):
             raise InputError(f"chart points are 4-vectors, got shape {x.shape}")
         return curvature_batch(self.chart, x[None], degree).entry(0)
-
-
-def _covariant_derivatives(g, g_inv, dg, gamma, dgamma, ddgamma, rm, R):
-    """nabla R, nabla ric and ds in closed form from the jet, with any
-    leading point axes."""
-    # d_q of R^m_(i,j,k), term by term
-    drm = (
-        np.einsum("...qjmik->...qmijk", ddgamma)
-        - np.einsum("...qimjk->...qmijk", ddgamma)
-        + np.einsum("...qpik,...mjp->...qmijk", dgamma, gamma)
-        + np.einsum("...pik,...qmjp->...qmijk", gamma, dgamma)
-        - np.einsum("...qpjk,...mip->...qmijk", dgamma, gamma)
-        - np.einsum("...pjk,...qmip->...qmijk", gamma, dgamma)
-    )
-    draw = np.einsum("...qlm,...mijk->...qijkl", dg, rm) + np.einsum(
-        "...lm,...qmijk->...qijkl", g, drm
-    )
-    nabla_riem = (
-        curvature_projection(draw)
-        - np.einsum("...mqi,...mjkl->...qijkl", gamma, R)
-        - np.einsum("...mqj,...imkl->...qijkl", gamma, R)
-        - np.einsum("...mqk,...ijml->...qijkl", gamma, R)
-        - np.einsum("...mql,...ijkm->...qijkl", gamma, R)
-    )
-    nabla_ric = np.einsum("...ik,...qijkl->...qjl", g_inv, nabla_riem)
-    ds = np.einsum("...jl,...qjl->...q", g_inv, nabla_ric)
-    return {"nabla_riem": nabla_riem, "nabla_ric": nabla_ric, "ds": ds}
 
 
 def curvature_at(chart, x, degree=2):
@@ -674,8 +608,7 @@ class HarmonicityReport:
 def harmonicity_report(chart, count=16, seed=0, tols=None):
     """The harmonicity residuals at `count` sample points, all evaluated as
     one third-order curvature batch, and the verdict they give."""
-    # precedence: the caller's tolerances, then the chart's, then the defaults
-    tols = {**DEFAULT_TOLS, **(chart.default_tols or {}), **(tols or {})}
+    tols = {**DEFAULT_TOLS, **(tols or {})}
     pts = sample_points(chart, count=count, seed=seed)
     batch = curvature_batch(chart, pts, degree=3)
     residuals = {key: residual(batch) for key, residual in _RESIDUALS.items()}

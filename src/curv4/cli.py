@@ -38,7 +38,7 @@ SCHEMA_VERSION = "2"
 
 # the keys a --spec file may hold
 _SPEC_KEYS = ("example", "kind", "name", "params", "samples", "seed", "tolerances")
-_TOL_TIERS = ("algebraic", "second", "third")
+_TOL_TIERS = ("second", "third")
 
 
 @dataclass
@@ -47,7 +47,7 @@ class RunConfig:
 
     example: str = ""
     samples: int = 16
-    # explicit overrides only; the chart's own tolerances and DEFAULT_TOLS fill in the rest
+    # explicit overrides only; DEFAULT_TOLS fills in the rest
     tolerances: dict = field(default_factory=dict)
     seed: int = 0
     output: str = ""
@@ -351,7 +351,6 @@ def cmd_scan(config, kind, param_grid):
 def _add_common(p):
     # numeric defaults live in _config_from_args so a --spec file can fill them
     p.add_argument("--samples", type=int, default=None, help="sample point count (default 16)")
-    p.add_argument("--tol-algebraic", type=float, default=None)
     p.add_argument("--tol-second", type=float, default=None)
     p.add_argument("--tol-third", type=float, default=None)
     p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")

@@ -356,7 +356,6 @@ def make_kpc_warped(profile):
         box=np.array([t_box, [-0.6, 0.6], u_box, [-0.6, 0.6]]),
         params={"c": c, "r": profile.r, "K0": profile.K0},
         adapted_frame_fn=lambda x: np.eye(4),
-        default_tols={"third": 1e-3},
     )
 
 

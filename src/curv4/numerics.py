@@ -1,10 +1,12 @@
 """Shared numerical kernels.
 
 Truncated multivariate Taylor arithmetic (`Jet`), which gives exact metric
-jets for charts written as formulas; central differences on scalar/array
-valued fields, one at a time or contracted over the stencil points of many
-base points at once, and metric jets up to third partials from one batched
-stencil evaluation, for charts without a formula; symmetric eigensystems
+jets for charts written as formulas, with the contraction (`jet_contract`)
+and partials (`jet_partials`) of coefficient arrays that build curvature at
+any degree; central differences on scalar/array valued fields, one at a
+time or contracted over the stencil points of many base points at once, and
+metric jets up to third partials from one batched stencil evaluation, for
+charts without a formula; symmetric eigensystems
 with a deterministic ordering, SVD-based rank decisions and the Halton
 sequence. Everything downstream (curvature, frames, variety checks) funnels
 its numerics through this module.
@@ -220,6 +222,72 @@ def _jet_tables(nvar, degree):
     for arr in (left, right, fold, *gathers, *factors):
         arr.setflags(write=False)
     return tables
+
+
+_NVAR = 4  # the coefficient arrays below are jets in the four chart coordinates
+
+
+def taylor_coefficients(derivs):
+    """Taylor coefficients, coefficient axis first, from the partials [f, df,
+    ..., d^k f], derivative axes first: each partial over its alpha!, and
+    averaged over the orderings of its derivative axes (their sum over k!),
+    where they do not commute as metric_jet's third partials do not."""
+    idx = _jet_tables(_NVAR, len(derivs) - 1)[3]
+    coef = np.zeros((math.comb(_NVAR + len(derivs) - 1, _NVAR),) + np.shape(derivs[0]))
+    for k, d in enumerate(derivs):
+        np.add.at(coef, idx[k].ravel(), np.reshape(d, (-1,) + coef.shape[1:]) / math.factorial(k))
+    return coef
+
+
+@functools.lru_cache(maxsize=None)
+def _partial_tables(degree):
+    # coefficient beta of d f / dx_p is (beta_p + 1) c[beta + e_p]
+    index = {a: n for n, a in enumerate(_multi_indices(_NVAR, degree))}
+    lower = np.array([a for a in index if sum(a) < degree], dtype=int).reshape(-1, _NVAR)
+    up = (lower[:, None, :] + np.eye(_NVAR, dtype=int)).reshape(-1, _NVAR).tolist()
+    tables = np.array([index[tuple(a)] for a in up]).reshape(lower.shape), lower + 1.0
+    for arr in tables:
+        arr.setflags(write=False)
+    return tables
+
+
+def jet_partials(coef):
+    """First partials of jets with the coefficient axis first: coef (C_d,
+    ...) of degree d gives (C_(d-1), ..., 4), [..., p] the coefficients of
+    d f / dx_p. Cut to a lower degree, a jet is a leading slice."""
+    source, factor = _partial_tables(_jet_degree(_NVAR, len(coef)))
+    return np.moveaxis(coef[source] * factor.reshape(factor.shape + (1,) * (coef.ndim - 1)), 1, -1)
+
+
+@functools.lru_cache(maxsize=None)
+def _contraction_plan(spec):
+    # a's tensor axes as (free, summed), b's as (summed, free), output order
+    inputs, out = spec.split("->")
+    x, y = inputs.split(",")
+    summed = [c for c in x if c in y]
+    rows, cols = ([c for c in t if c not in summed] for t in (x, y))
+    perms = (tuple(x.index(c) for c in rows + summed), tuple(y.index(c) for c in summed + cols))
+    return *perms, len(rows), len(summed), tuple((rows + cols).index(c) for c in out)
+
+
+def jet_contract(spec, a, b):
+    """np.einsum(spec, a, b) for jets of tensors, coefficient axis first, to
+    the lower of their degrees: `spec` names the trailing tensor axes, ahead
+    of them are batch axes, and every index of both is summed. Laid out as
+    matrices, it is Jet's pair table with a matrix product."""
+    perm_a, perm_b, nrows, nsum, perm_out = _contraction_plan(spec)
+    size, k = min(len(a), len(b)), a.ndim - len(perm_a)
+    a = a[:size].transpose(*range(k), *(k + i for i in perm_a))
+    b = b[:size].transpose(*range(k), *(k + i for i in perm_b))
+    lead, free = a.shape[:k], a.shape[k : k + nrows] + b.shape[k + nsum :]
+    inner = math.prod(b.shape[k : k + nsum])
+    a, b = a.reshape(lead + (-1, inner)), b.reshape(lead + (inner, -1))
+    if size == 1:
+        out = a @ b
+    else:
+        left, right, fold, _, _ = _jet_tables(_NVAR, _jet_degree(_NVAR, size))
+        out = fold.T @ (a.take(left, axis=0) @ b.take(right, axis=0)).reshape(len(fold), -1)
+    return out.reshape(lead + free).transpose(*range(k), *(k + i for i in perm_out))
 
 
 @functools.lru_cache(maxsize=None)

@@ -1,9 +1,17 @@
 """Shared fixtures: charts and frames are expensive, so build once per session."""
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 import curv4
 from curv4.frames import extract_frame
+
+# the CLI tests start fresh interpreters: they import the package from the
+# same src/ that pyproject's `pythonpath` puts on this process's path
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 @pytest.fixture(scope="session")

@@ -273,7 +273,7 @@ def test_sample_points_deterministic():
         sample_points(ch, count=0)
 
 
-def test_dropped_chart_frees_its_curvature_cache():
+def test_dropped_chart_is_freed_without_the_cyclic_gc():
     # no reference cycle: the chart goes with its last reference, without
     # waiting for the cyclic garbage collector
     gc.disable()
@@ -287,17 +287,12 @@ def test_dropped_chart_frees_its_curvature_cache():
         gc.enable()
 
 
-def test_default_tols_override(kpc_chart):
-    # the warped chart carries a looser third-derivative tier
-    rep = harmonicity_report(kpc_chart, count=3, seed=0)
-    assert rep.tols["third"] == pytest.approx(1e-3)
-
-
-def test_caller_tols_override_chart_tols(kpc_chart):
-    # both name the third tier: the caller's value wins over the chart's
+def test_caller_tols_override_defaults(kpc_chart):
+    # the caller's third tier wins over the default; the tier it leaves out
+    # keeps its default, and no chart has tiers of its own
+    assert harmonicity_report(kpc_chart, count=1, seed=0).tols == DEFAULT_TOLS
     rep = harmonicity_report(kpc_chart, count=1, seed=0, tols={"third": 2e-3})
-    assert rep.tols["third"] == 2e-3
-    assert rep.tols["second"] == DEFAULT_TOLS["second"]
+    assert rep.tols == {"second": DEFAULT_TOLS["second"], "third": 2e-3}
 
 
 @pytest.mark.parametrize("name", REGISTRY_NAMES + ["s2xs2:1,2 without jet"])

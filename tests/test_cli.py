@@ -143,7 +143,7 @@ def test_verify_tol_flags(capsys):
 
 
 def test_verify_tol_flag_on_chart_with_own_tols(capsys):
-    # kpc carries its own third tier; an explicit one overrides it
+    # an explicit third tier is judged by and echoed in the report config
     code, out, _ = run_main(
         ["verify", "--example", "kpc", "--samples", "2", "--tol-third", "1e-3"], capsys
     )
@@ -288,7 +288,7 @@ def test_scan_rejects_an_empty_grid_axis(capsys):
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-@pytest.mark.parametrize("flag", ["--tol-algebraic", "--tol-second", "--tol-third"])
+@pytest.mark.parametrize("flag", ["--tol-second", "--tol-third"])
 def test_verify_rejects_bad_tolerance_flags(flag, value, capsys):
     # a nan or negative third tier would call the round sphere non-harmonic
     code, out, err = run_main(["verify", "--example", "s4", "--samples", "1", flag, value], capsys)
@@ -353,6 +353,8 @@ def test_variety_rejects_bad_tol(value, capsys):
         ({"example": "s4", "tolerances": {"fourth": 1e-3}}, "'fourth'"),
         ({"example": "s4", "tolerances": [1e-3]}, "'tolerances'"),
         ({"kind": "s2xs2", "params": {"k3": 5.0}}, "'k3'"),
+        # the algebraic tier judged nothing and is gone
+        ({"example": "s4", "tolerances": {"algebraic": 1e-8}}, "'algebraic'"),
     ],
 )
 def test_verify_rejects_unknown_spec_keys(spec, key, tmp_path, capsys):

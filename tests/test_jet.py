@@ -3,7 +3,15 @@ import numpy as np
 import pytest
 
 import curv4
-from curv4.chart import MetricChart, christoffel, curvature_at, sample_points
+from curv4.chart import (
+    MetricChart,
+    _curvature_algebra,
+    _metric_coefficients,
+    christoffel,
+    curvature_at,
+    curvature_batch,
+    sample_points,
+)
 from curv4.errors import Curv4Error, DomainError
 from curv4.numerics import DEFAULT_STENCIL, StencilConfig, central_diff, metric_jet
 from curv4.tensor4 import curvature_symmetrize
@@ -162,3 +170,30 @@ def test_exact_jet_entry_needs_no_stencil_room(registry_charts):
     assert curvature_at(chart, x).s == pytest.approx(12.0, abs=1e-12)
     with pytest.raises(DomainError):
         curvature_at(chart, x - 1e-6)
+
+
+@pytest.mark.parametrize("name", REGISTRY_NAMES + ["kpc:1,1.2,5"])
+def test_degree_four_nabla_ric_jet_matches_richardson(registry_charts, name):
+    # the same algebra at degree 4 carries nabla Ric as a jet of degree 1:
+    # its value term is the degree-3 nabla_ric, and its first partials match
+    # a Richardson central difference (steps h and h/2) of it to 1e-7
+    chart = registry_charts.get(name) or curv4.build_example(name)
+    X = sample_points(chart, count=4, seed=3)
+    jets, _ = _curvature_algebra(X, _metric_coefficients(chart, X, 4), 4)
+    batch = curvature_batch(chart, X, degree=3)
+    roundoff = 1e-13 * max(1.0, np.max(np.abs(batch.R)), np.max(np.abs(batch.nabla_ric)))
+    for key in ("g_inv", "gamma", "R", "ric", "s", "nabla_riem", "nabla_ric", "ds"):
+        assert np.max(np.abs(jets[key][0] - getattr(batch, key))) <= roundoff, key
+    steps = np.eye(4)[:, None, :]
+
+    def central(h):
+        plus, minus = (
+            curvature_batch(chart, (X + sign * h * steps).reshape(-1, 4), degree=3).nabla_ric
+            for sign in (1.0, -1.0)
+        )
+        return ((plus - minus) / (2.0 * h)).reshape((4, len(X)) + plus.shape[1:])
+
+    h = 5e-4
+    richardson = (4.0 * central(h / 2) - central(h)) / 3.0
+    scale = max(1.0, float(np.max(np.abs(richardson))))
+    assert np.max(np.abs(jets["nabla_ric"][1:5] - richardson)) <= 1e-7 * scale

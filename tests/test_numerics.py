@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -9,10 +11,13 @@ from curv4.numerics import (
     axis_stencil,
     central_diff,
     halton,
+    jet_contract,
+    jet_partials,
     metric_jet,
     numerical_rank,
     stencil_derivative,
     sym_eigen,
+    taylor_coefficients,
 )
 
 
@@ -189,6 +194,50 @@ def test_jet_batch_axes():
     assert np.allclose(Y.value[..., 0], np.cos(pts @ M) + 1.0, atol=1e-15)
     _, d1, _ = Y.derivatives()
     assert np.allclose(d1[..., 0], -np.sin(pts @ M)[None] * M[:, None, :], atol=1e-14)
+
+
+def test_jet_partials_one_degree_lower():
+    # the partials of a degree-d jet are the jets of the partials at d - 1
+    x = np.array([0.5, -1.5, 2.0, 0.7])
+    for degree in (1, 3, 5):
+        X = Jet.variables(x, degree)
+        f = X[0] ** 2 * X[1] + X[2] * np.sin(X[3])
+        Y = Jet.variables(x, degree - 1)
+        grads = [2 * Y[0] * Y[1], Y[0] ** 2, np.sin(Y[3]), Y[2] * np.cos(Y[3])]
+        partials = jet_partials(f.coef)
+        for p, grad in enumerate(grads):
+            assert np.allclose(partials[:, p], grad.coef, atol=1e-14)
+
+
+def test_jet_contract_matches_jet_products():
+    # an einsum of jets of tensors, against products and sums of Jet entries;
+    # batch axes ahead of the tensor axes, and the lower degree wins
+    rng = np.random.default_rng(3)
+    A = Jet(rng.normal(size=(2, 3, 4, 35)))
+    B = Jet(rng.normal(size=(2, 4, 3, 15)))
+    got = jet_contract("im,mj->ji", np.moveaxis(A.coef, -1, 0), np.moveaxis(B.coef, -1, 0))
+    A2 = Jet(A.coef[..., :15])
+    for n in range(2):
+        for i in range(3):
+            for j in range(3):
+                ref = sum(A2[n, i, m] * B[n, m, j] for m in range(4))
+                assert np.allclose(got[:, n, j, i], ref.coef, atol=1e-13)
+    a, b = np.moveaxis(A2.coef[:, :, :3], -1, 0), np.moveaxis(B.coef[:, :3], -1, 0)
+    trace = jet_contract("ij,ij->", a, b)
+    ref = sum(A2[1, i, j] * B[1, i, j] for i in range(3) for j in range(3))
+    assert trace.shape == (15, 2) and np.allclose(trace[:, 1], ref.coef, atol=1e-13)
+
+
+def test_taylor_coefficients_invert_derivatives():
+    # coefficients from exact partials are the jet's own; partials that do
+    # not commute are averaged over their orderings
+    X = Jet.variables(np.array([0.3, -0.2, 0.9, 0.1]), 3)
+    f = np.exp(X[0] * X[1]) + X[2] ** 3 * X[3]
+    derivs = f.derivatives()
+    assert np.allclose(taylor_coefficients(derivs), f.coef, atol=1e-15)
+    skewed = derivs[:3] + [derivs[3] + np.arange(64.0).reshape(4, 4, 4)]
+    mean = np.mean([np.transpose(skewed[3], p) for p in itertools.permutations(range(3))], axis=0)
+    assert np.allclose(Jet(taylor_coefficients(skewed)).derivatives()[3], mean, atol=1e-12)
 
 
 def test_sym_eigen_stacked_matches_single():
