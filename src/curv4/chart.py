@@ -2,15 +2,17 @@
 
 A MetricChart is a box in R^4 with a smooth closed-form metric evaluator.
 Every curvature entry starts from the Taylor coefficients of the metric at
-x to a degree d: 2, or 3 for the covariant derivatives of curvature (the
-harmonicity residuals). A chart with a `jet_fn` gives them exactly, by
-truncated Taylor arithmetic (numerics.Jet); for any other chart they are the
+x to a degree d: 2, 3 for the covariant derivatives of curvature (the
+harmonicity residuals), 4 for their first partials as well (the frame
+structure data). A chart with a `jet_fn` gives them exactly, by truncated
+Taylor arithmetic (numerics.Jet); for any other chart they are the
 finite-difference partials of one batched evaluation of the metric
 (numerics.metric_jet), each over its alpha! and averaged over the orderings
 of its derivatives. The rest is shared, and runs on stacked points:
-`curvature_batch` takes the curvature at N points from one jet evaluation,
-a harmonicity report is one batch of its sample points, and a single entry
-(`curvature_at`) a batch of one point; nothing is cached.
+`curvature_jets` takes the curvature jets at N points from one jet
+evaluation and `curvature_batch` their values, a harmonicity report is one
+batch of its sample points, and a single entry (`curvature_at`) a batch of
+one point; nothing is cached.
 
 Every quantity after the metric is a jet too, made by contractions of jets
 and their partials (numerics.jet_contract, numerics.jet_partials), so one
@@ -91,8 +93,8 @@ class MetricChart:
     use no finite differences. Without it the metric jet is taken by finite
     differences of eval_fn on `stencil`.
 
-    `stencil` is how the chart differences where it has to: its metric jet
-    when it has no jet_fn, and the outer stencil of frames.structure_data.
+    `stencil` is how a chart without a jet_fn differences its metric jet;
+    a chart with one differences nothing.
     """
 
     name: str
@@ -289,10 +291,10 @@ def _metric_coefficients(chart, X, degree):
     on all of X, otherwise from one eval_batch call on the chart's stencil
     (numerics.metric_jet)."""
     if chart.jet_fn is None:
-        # the nested stencil reaches twice as far as a single one, and the
-        # third level adds the outer stencil
+        # the nested stencil reaches twice as far as a single one, and each
+        # level above the second adds the outer stencil once
         cfg = chart.stencil
-        reach = 2 * cfg.reach * cfg.step + (cfg.reach * cfg.third_step if degree == 3 else 0.0)
+        reach = cfg.reach * (2 * cfg.step + (degree - 2) * cfg.third_step)
         _guard_footprint(chart, X, reach)
         derivs = metric_jet(chart.eval_batch, X, cfg, degree)
         # the point axis goes behind the derivative axes
@@ -402,37 +404,57 @@ def _checked_inverse(X, g):
 _BLOCK = 32
 
 
+def _curvature_blocks(chart, X, degree):
+    # (jets, projection distance) of _curvature_algebra, block by block
+    if isinstance(degree, bool) or not isinstance(degree, int | np.integer) or degree < 2:
+        raise InputError(f"curvature degree must be an integer >= 2, got {degree!r}")
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != 4:
+        raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
+    coef = _metric_coefficients(chart, X, degree)
+    for lo in range(0, len(X), _BLOCK):
+        yield _curvature_algebra(X[lo : lo + _BLOCK], coef[:, lo : lo + _BLOCK], degree)
+
+
 def curvature_batch(chart, X, degree=2):
-    """Curvature at stacked points X (N, 4) from one metric jet of `degree`
-    (2, or 3 and more for the covariant derivatives; 2 or 3 for charts
-    without a jet_fn): one jet_fn call, or one eval_batch call on the chart
-    stencil around all points.
-    The algebra after the jet runs on blocks of points, to bound the
+    """Curvature at stacked points X (N, 4) from one metric jet of `degree`,
+    an integer >= 2 (3 and more for the covariant derivatives; at most 4
+    for charts without a jet_fn): one jet_fn call, or one eval_batch call
+    on the chart stencil around all points. The fields are the value terms
+    of `curvature_jets`; the algebra runs on blocks of points, to bound the
     memory a large batch holds at once.
 
     Every point gets the checks of a single entry: a symmetric
     positive-definite metric with g g^-1 = I, nabla g = 0, and a raw
     curvature within 1e-3 * ||raw|| of its projection. A point outside the
     box (or, for finite-difference jets, one whose stencil leaves it) raises
-    DomainError naming that point.
+    DomainError naming that point; a degree that is not an integer >= 2
+    raises InputError.
     """
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 4:
-        raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
-    coef = _metric_coefficients(chart, X, degree)
-    blocks = []
-    for lo in range(0, len(X), _BLOCK):
-        jets, dist = _curvature_algebra(X[lo : lo + _BLOCK], coef[:, lo : lo + _BLOCK], degree)
-        blocks.append({"projection_distance": dist, **{key: jet[0] for key, jet in jets.items()}})
+    blocks = [
+        {"projection_distance": dist, **{key: jet[0] for key, jet in jets.items()}}
+        for jets, dist in _curvature_blocks(chart, X, degree)
+    ]
     fields = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
-    return CurvatureBatch(x=X, **fields)
+    return CurvatureBatch(x=np.asarray(X, dtype=float), **fields)
+
+
+def curvature_jets(chart, X, degree=2):
+    """The Taylor coefficients of curvature_batch(chart, X, degree)'s fields
+    but x and the projection distance, after the same checks: a dict from
+    field name to an array with the coefficient axis first (numerics.Jet's
+    layout) and the point axis second. g comes to `degree`, g_inv and gamma
+    to degree - 1, R, ric and s to degree - 2, and nabla_riem, nabla_ric
+    and ds to degree - 3."""
+    blocks = [jets for jets, _ in _curvature_blocks(chart, X, degree)]
+    return {key: np.concatenate([b[key] for b in blocks], axis=1) for key in blocks[0]}
 
 
 def _curvature_algebra(X, coef, degree):
-    """The coefficients of CurvatureBatch's fields but x, and the projection
-    distance, at points X (N, 4) from the metric's, coef (ncoef, N, 4, 4) of
-    degree >= 2, after every check of a single entry: g_inv and gamma to
-    degree - 1, R, ric, s to degree - 2, nabla_riem, nabla_ric, ds to degree - 3."""
+    """The coefficients of CurvatureBatch's fields but x, to the degrees
+    curvature_jets gives, and the projection distance, at points X (N, 4)
+    from the metric's, coef (ncoef, N, 4, 4) of degree >= 2, after every
+    check of a single entry."""
     g_inv0 = _checked_inverse(X, coef[0])
     dg = jet_partials(coef)
     # g^-1 = (1 + e)^-1 g0^-1 with e = g0^-1 (g - g0), by Horner's rule

@@ -19,22 +19,26 @@ from g and the Christoffel symbols) and, across lambda clusters, by the
 eigen-equation differentiated: (nabla_p b)(e_b, e_k) / (lambda_b -
 lambda_k) minus the connection term. Gamma, F and D sigma follow from A,
 nabla W and W, and D lambda from nabla Ric and ds; extract_frame evaluates
-nothing beyond its entry. structure_data takes DF by central differences of
-the exact F over one stencil around x, at the `third_step` of the chart's
-stencil (16 points at order 4), evaluated as one curvature batch; a stencil
-that would leave the chart box is refused up front, with an error naming x
-and the stencil's reach.
+nothing beyond its entry. structure_data carries the same construction one
+order further, as first-order Taylor jets at x (Griewank & Walther,
+Evaluating Derivatives, SIAM 2008, ch. 13): E(x + h) = E + h^p E A_p, and
+the connection, the brackets and F from the first-order jets of g, Gamma
+and, for eigenframes, nabla Ric and lambda, so DF is the exact first
+partial of F from one curvature jet at x (numerics.jet_contract does the
+product rule).
 
-Gauge: a frame's derivative is that of the frame field aligned to it the
-way _align_to_reference aligns frames: a permutation and sign fixes, which
-leave derivatives alone, and inside the clusters of a numerically extracted
-frame an orthogonal Procrustes rotation, which keeps E_ref^T g_ref E
-symmetric. At the reference point that makes the in-cluster block of A
-symmetric (the block above); at structure_data's stencil points, aligned to
-the frame at x, it adds an antisymmetric in-cluster rotation solved from the
-same condition. Registered adapted frames have constant directions and are
-only normalized. The rotation that diagonalizes W inside a pair cluster is
-made at the frame point only.
+Gauge: a frame's derivative is that of the frame field aligned to it: in
+each lambda cluster, the frame E_y at a nearby point y is the basis of its
+cluster's eigenspace that keeps P = E_cl^T g(x) E_y,cl symmetric (the
+orthogonal Procrustes alignment to E), after a permutation and sign fixes,
+which leave derivatives alone. At x that makes the in-cluster block of A
+symmetric (the block above). Away from x it adds an antisymmetric
+in-cluster rotation rate Omega_p, fixed by d_p P staying symmetric; Omega
+is 0 at x, and its first partial there is d_q Omega_p = -(M - M^T) / 2 on
+the cluster blocks, M = A_q A_p, which is what DF needs. Registered adapted
+frames have constant directions and are only normalized, so they get no
+Omega. The rotation that diagonalizes W inside a pair cluster is made at
+the frame point only.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import _guard_footprint, curvature_at, curvature_batch, metric_norm
+from .chart import curvature_at, curvature_jets, metric_norm
 from .errors import (
     DegenerateFrameError,
     InconsistencyError,
@@ -54,13 +58,7 @@ from .errors import (
 
 # central_diff stays importable from here for perfbench/tracing.py, which
 # counts calls through this name
-from .numerics import (  # noqa: F401
-    _fix_signs,
-    axis_stencil,
-    central_diff,
-    stencil_derivative,
-    sym_eigen,
-)
+from .numerics import _fix_signs, central_diff, jet_contract, sym_eigen  # noqa: F401
 from .tensor4 import frame_components, sd_split
 
 _TRIPLES = [t for t in itertools.permutations(range(4), 3)]
@@ -135,26 +133,23 @@ class RicciFrame:
 
 
 def _orthonormalize_columns(E, g):
-    """Normalize columns in g (frames stacked on leading axes); verify they
-    were already g-orthogonal."""
-    E = np.asarray(E, dtype=float)
-    E = E / np.sqrt(np.einsum("...ma,...mn,...na->...a", E, g, E))[..., None, :]
-    gram = np.swapaxes(E, -1, -2) @ g @ E
+    """Normalize columns in g; verify they were already g-orthogonal."""
+    E = E / np.sqrt(np.einsum("ma,mn,na->a", E, g, E))
+    gram = E.T @ g @ E
     if np.max(np.abs(gram - np.eye(4))) > 1e-8:
         raise InconsistencyError("adapted frame columns are not g-orthogonal")
     return E
 
 
 def _metric_sqrt_inv(g):
-    """g^(-1/2), metrics stacked on leading axes."""
+    """g^(-1/2)."""
     res = sym_eigen(g)
-    scaled = res.vectors * (1.0 / np.sqrt(res.values))[..., None, :]
-    return scaled @ np.swapaxes(res.vectors, -1, -2)
+    return (res.vectors * (1.0 / np.sqrt(res.values))) @ res.vectors.T
 
 
 def _eigenframes(g, b):
-    """g-orthonormal eigenframes of traceless Ricci forms b, ascending
-    values; metrics and forms stacked on leading axes."""
+    """The g-orthonormal eigenframe of the traceless Ricci form b, ascending
+    values."""
     s_inv = _metric_sqrt_inv(g)
     res = sym_eigen(s_inv @ b @ s_inv)
     return res.values, s_inv @ res.vectors
@@ -198,89 +193,37 @@ def _w_offdiag(Wf):
     return float(worst)
 
 
-def _align_to_reference(E, E_ref, g_ref, clusters):
-    """Permute, flip and rotate the columns of the stacked eigenframes E
-    (N, 4, 4) to match the reference frame.
-
-    Permutation by greedy max-overlap, then signs for singleton clusters;
-    multi-point clusters, in which numeric eigenframes carry an arbitrary
-    basis, get an orthogonal Procrustes block rotation.
-    """
-    overlap = np.abs(np.swapaxes(E, 1, 2) @ (g_ref @ E_ref))
-    rows = np.arange(len(E))
-    perm = np.empty((len(E), 4), dtype=int)
-    free = np.ones((len(E), 4), dtype=bool)
-    for b in range(4):
-        # the largest overlap with reference column b among unused columns;
-        # ties go to the lowest index
-        a = np.argmax(np.where(free, overlap[:, :, b], -1.0), axis=1)
-        perm[:, b] = a
-        free[rows, a] = False
-    E = np.take_along_axis(E, perm[:, None, :], axis=2)
-    out = E.copy()
-    for cl in clusters:
-        ref = g_ref @ E_ref[:, cl]
-        if len(cl) > 1:
-            block = E[:, :, cl]
-            U, _, Vt = np.linalg.svd(np.swapaxes(block, 1, 2) @ ref)
-            out[:, :, cl] = block @ (U @ Vt)
-        else:
-            dots = np.einsum("nma,ma->na", E[:, :, cl], ref)
-            out[:, :, cl] = np.where(dots[:, None, :] < 0.0, -E[:, :, cl], E[:, :, cl])
-    return out
-
-
 def _frame_connection(E, g, gamma, same, lam=None, nabla_ric=None):
-    """N[..., p, k, b] = g(e_k, nabla_p e_b) and its Christoffel part
-    G[..., p, k, b] = g(e_k, Gamma_p e_b), (Gamma_p)^n_m = Gamma^n_pm, at
-    stacked points; the frame derivative is d_p E = E A_p with A = N - G.
+    """N[p, k, b] = g(e_k, nabla_p e_b) and its Christoffel part
+    G[p, k, b] = g(e_k, Gamma_p e_b), (Gamma_p)^n_m = Gamma^n_pm, from jets
+    of degree 0 or 1 (coefficient axis first, numerics.Jet's layout) of the
+    frame, g, gamma, and for eigenframes lam and nabla_ric; the frame
+    derivative is d_p E = E A_p with A = N - G.
 
     same[k, b] marks k and b in one lambda cluster (every pair, for adapted
     frames). Orthonormality makes N_p antisymmetric, so A_p has the
     symmetric part -(E^T d_p g E) / 2 = -(G_p + G_p^T) / 2; inside a cluster
-    that is all of A, the first-order form of a frame aligned to itself
-    (Procrustes) or of normalized constant directions, and N = (G - G^T) / 2.
-    Across clusters, differentiating b(e_b, e_k) = 0 with b = ric - s g / 4
-    gives N[p, k, b] = (nabla_p b)(e_b, e_k) / (lam_b - lam_k), where the ds
-    term drops out since g(e_b, e_k) = 0.
+    that is all of A at the frame point, the first-order form of a frame
+    aligned to itself (Procrustes) or of normalized constant directions, and
+    N = (G - G^T) / 2. Across clusters, differentiating b(e_b, e_k) = 0 with
+    b = ric - s g / 4 gives N[p, k, b] = (nabla_p b)(e_b, e_k) / (lam_b -
+    lam_k), where the ds term drops out since g(e_b, e_k) = 0.
     """
-    G = np.einsum("...nk,...npm,...mb->...pkb", g @ E, gamma, E)
+    gE = jet_contract("nm,mk->nk", g, E)
+    G = jet_contract("nk,npb->pkb", gE, jet_contract("npm,mb->npb", gamma, E))
     N = 0.5 * (G - np.swapaxes(G, -1, -2))
     if not same.all():
-        nabla_b = np.einsum("...pij,...ib,...jk->...pkb", nabla_ric, E, E)
-        gap = lam[..., None, :] - lam[..., :, None]  # gap[k, b] = lam_b - lam_k
-        N = np.where(same, N, nabla_b / np.where(same, 1.0, gap)[..., None, :, :])
+        nabla_b = jet_contract("pjb,jk->pkb", jet_contract("pij,ib->pjb", nabla_ric, E), E)
+        gap = lam[:, None, :] - lam[:, :, None]  # gap[k, b] = lam_b - lam_k
+        # the constant 1 inside clusters, where N is no quotient
+        gap[:, same] = 0.0
+        gap[0, same] = 1.0
+        gap = gap[: len(nabla_b), None]
+        # the quotient of jets of degree 0 or 1
+        value = nabla_b[:1] / gap[:1]
+        cross = np.concatenate([value, (nabla_b[1:] - value * gap[1:]) / gap[:1]])
+        N = np.where(same, N, cross)
     return N, G
-
-
-def _aligned_cluster_blocks(A, E, ref, clusters):
-    """A at points whose frames E were aligned to a reference frame by
-    Procrustes inside the clusters; ref = g_ref E_ref.
-
-    The alignment keeps P = E_ref,cl^T g_ref E_cl symmetric near each point,
-    so d_p P = P A_cl,cl + K, K = E_ref,cl^T g_ref E_rest A_rest,cl, must be
-    symmetric too. With A_cl,cl = S + Omega, S the symmetric part already in
-    A and Omega antisymmetric, that is P Omega + Omega P = -(C - C^T) with
-    C = P S + K, solved in the eigenbasis of P. At the reference point P = I
-    and K = 0, so Omega = 0 there.
-    """
-    A = A.copy()
-    for cl in clusters:
-        if len(cl) == 1:
-            continue
-        rest = [k for k in range(4) if k not in cl]
-        inside = (Ellipsis, *np.ix_(cl, cl))
-        S = A[inside]
-        P = ref[:, cl].T @ E[..., :, cl]
-        K = (ref[:, cl].T @ E[..., :, rest])[..., None, :, :] @ A[(Ellipsis, *np.ix_(rest, cl))]
-        C = P[..., None, :, :] @ S + K
-        d, V = np.linalg.eigh(0.5 * (P + np.swapaxes(P, -1, -2)))
-        V = V[..., None, :, :]
-        Vt = np.swapaxes(V, -1, -2)
-        rhs = Vt @ (np.swapaxes(C, -1, -2) - C) @ V
-        omega = V @ (rhs / (d[..., :, None] + d[..., None, :])[..., None, :, :]) @ Vt
-        A[inside] = S + omega
-    return A
 
 
 def _same_cluster(clusters):
@@ -290,15 +233,11 @@ def _same_cluster(clusters):
     return same
 
 
-def _directional(E, dE):
-    """D[..., a, b, n] = e_a^m d_m E[n, b] from dE[..., m, n, b] = d_m E[n, b]."""
-    return np.einsum("...ma,...mnb->...abn", E, dE)
-
-
 def _brackets(E, dE, g):
-    """C[..., a, b, k] = g([e_a, e_b], e_k), with
-    [e_a, e_b]^n = e_a^m d_m e_b^n - e_b^m d_m e_a^n."""
-    J = _directional(E, dE) @ (g @ E)[..., None, :, :]
+    """C[a, b, k] = g([e_a, e_b], e_k), with [e_a, e_b]^n = e_a^m d_m e_b^n -
+    e_b^m d_m e_a^n, from jets of E, dE[m, n, b] = d_m E[n, b] and g."""
+    directional = jet_contract("ma,mnb->abn", E, dE)
+    J = jet_contract("abn,nk->abk", directional, jet_contract("nm,mk->nk", g, E))
     return J - np.swapaxes(J, -3, -2)
 
 
@@ -319,11 +258,20 @@ def extract_frame(chart, x, entry=None):
 
     `entry` is the third-order curvature entry at x, as a harmonicity
     report's batch holds it; it is evaluated when not given, and nothing
-    else is: every derivative of the frame is closed form in the entry.
+    else is: every derivative of the frame is closed form in the entry. An
+    entry without covariant derivatives, or at another point, raises
+    InputError.
     """
     x = np.asarray(x, dtype=float)
     if entry is None:
         entry = curvature_at(chart, x, degree=3)
+    elif entry.nabla_ric is None:
+        raise InputError(
+            f"the curvature entry at {x.tolist()} has no covariant derivatives; "
+            "frames need an entry of degree 3 or more"
+        )
+    elif not np.array_equal(entry.x, x):
+        raise InputError(f"the curvature entry is at {entry.x.tolist()}, not at {x.tolist()}")
     g = entry.metric.g
     g_inv = entry.metric.g_inv
     b = entry.ric - entry.s * g / 4.0
@@ -378,9 +326,12 @@ def extract_frame(chart, x, entry=None):
     w_diag_resid = _w_offdiag(Wf)
 
     same = np.ones((4, 4), dtype=bool) if adapted else _same_cluster(clusters)
-    N, G = _frame_connection(E, g, entry.gamma, same, lam, entry.nabla_ric)
-    dE = E @ (N - G)  # dE[p, n, b] = d_p E[n, b]
-    gamma_f = np.einsum("pa,pkb->abk", E, N)
+    # the connection and the brackets take jets; values are jets of degree 0
+    N, G = _frame_connection(
+        E[None], g[None], entry.gamma[None], same, lam[None], entry.nabla_ric[None]
+    )
+    dE = E @ (N - G)[0]  # dE[p, n, b] = d_p E[n, b]
+    gamma_f = np.einsum("pa,pkb->abk", E, N[0])
     # D_c lambda_a = (nabla_c b)(e_a, e_a), b = ric - s g / 4 and nabla g = 0
     dlam = np.einsum("pki,pc,ka,ia->ca", entry.nabla_ric, E, E, E)
     dlam -= (entry.ds @ E)[:, None] / 4.0
@@ -395,7 +346,7 @@ def extract_frame(chart, x, entry=None):
         + 2.0 * np.einsum("ack,bkbc->abc", gamma_f, Wf)
     ) * _OFF_DIAGONAL
 
-    C = _brackets(E, dE, g)
+    C = _brackets(E[None], dE[None], g[None])[0]
     F = _structure_f(C)
     bracket_resid = max(abs(C[a, b2, k]) for (a, b2, k) in _TRIPLES if a < b2)
     f_gamma_resid = max(abs(F[b2, a] - gamma_f[a, b2, a]) for (a, b2) in _PAIRS_ORDERED)
@@ -585,36 +536,42 @@ class StructureData:
 
 
 def structure_data(chart, frame):
-    """F and DF at the frame's base point: DF by central differences, on the
-    chart's stencil at its third_step, of the exact F at the outer stencil
-    points, all of them (16 at order 4) one curvature batch, of degree 3 for
-    eigenframes (which need nabla Ric) and 2 for adapted frames (which need
-    d g only). The frames there are aligned to the frame at x, and F keeps
-    that gauge. A stencil that leaves the chart box raises DomainError
-    naming x."""
-    cfg = chart.stencil
+    """F and DF at the frame's base point, DF[a, b, c] = D_a F_bc the exact
+    first partial of F along e_a in the gauge of the module docstring, from
+    one curvature jet at x: of degree 2 for adapted frames, whose A needs
+    d g and d Gamma, and of degree 4 for eigenframes, whose A needs
+    d nabla Ric too. A chart without a jet_fn differences that jet on its
+    stencil (numerics.metric_jet); a stencil that leaves the chart box
+    raises DomainError naming x and the stencil's reach."""
     x, E = frame.x, frame.E
-    _guard_footprint(chart, x, cfg.reach * cfg.third_step)
-    outer = axis_stencil(x, cfg, cfg.third_step)  # (4, k, 4)
     adapted = frame.source == "adapted"
-    batch = curvature_batch(chart, outer.reshape(-1, 4), degree=2 if adapted else 3)
-    g = batch.g
-    if adapted:
-        # constant directions: the frame's own columns, normalized in g(y)
-        Ey = _orthonormalize_columns(np.broadcast_to(E, g.shape), g)
-        N, G = _frame_connection(Ey, g, batch.gamma, np.ones((4, 4), dtype=bool))
-        A = N - G
-    else:
-        b = batch.ric - batch.s[:, None, None] * g / 4.0
-        _, Ey = _eigenframes(g, b)
-        Ey = _align_to_reference(Ey, E, frame.g, frame.clusters)
-        lam = np.einsum("nia,nij,nja->na", Ey, b, Ey)
-        same = _same_cluster(frame.clusters)
-        N, G = _frame_connection(Ey, g, batch.gamma, same, lam, batch.nabla_ric)
-        A = _aligned_cluster_blocks(N - G, Ey, frame.g @ E, frame.clusters)
-    F = _structure_f(_brackets(Ey, Ey[:, None] @ A, g))
-    dF = stencil_derivative(F.reshape(outer.shape[:2] + (4, 4)), cfg, cfg.third_step)
-    DF = np.einsum("ma,mbc->abc", E, dF)
+    jets = curvature_jets(chart, x[None], degree=2 if adapted else 4)
+    # first-order jets at x (value and four partials), the point axis dropped
+    g, gamma = jets["g"][:5, 0], jets["gamma"][:5, 0]
+    same = np.ones((4, 4), dtype=bool) if adapted else _same_cluster(frame.clusters)
+    lam = nabla_ric = None
+    if not adapted:
+        nabla_ric = jets["nabla_ric"][:, 0]
+        # d_q lambda_a = (nabla_q b)(e_a, e_a) with b = ric - s g / 4; its
+        # -d_q s / 4 is the same for every a and cancels in lam's only use,
+        # the gaps lam_b - lam_k
+        dlam = np.einsum("qij,ia,ja->qa", nabla_ric[0], E, E)
+        lam = np.concatenate([frame.lam[None], dlam])
+    # A at x first (a frame jet of degree 0 truncates every product to its
+    # values), then the frame as a jet, E(x + h) = E + h^p E A_p
+    N, G = _frame_connection(E[None], g, gamma, same, lam, nabla_ric)
+    A = (N - G)[0]
+    E_jet = np.concatenate([E[None], E @ A])
+    N, G = _frame_connection(E_jet, g, gamma, same, lam, nabla_ric)
+    A_jet = N - G
+    if not adapted:
+        # the alignment's in-cluster rotation rate: d_q Omega_p = -(M - M^T) / 2
+        # on the cluster blocks, M = A_q A_p
+        M = A[:, None] @ A[None, :]
+        A_jet[1:] -= 0.5 * (M - np.swapaxes(M, -1, -2)) * same
+    dE = jet_contract("nk,pkb->pnb", E_jet, A_jet)  # dE[p, n, b] = d_p E[n, b]
+    F = _structure_f(_brackets(E_jet, dE, g))
+    DF = np.einsum("ma,mbc->abc", E, F[1:])
     return StructureData(x=x, F=frame.F.copy(), DF=DF)
 
 

@@ -5,7 +5,7 @@ jets for charts written as formulas, with the contraction (`jet_contract`)
 and partials (`jet_partials`) of coefficient arrays that build curvature at
 any degree; central differences on scalar/array valued fields, one at a
 time or contracted over the stencil points of many base points at once, and
-metric jets up to third partials from one batched stencil evaluation, for
+metric jets up to fourth partials from one batched stencil evaluation, for
 charts without a formula; symmetric eigensystems
 with a deterministic ordering, SVD-based rank decisions and the Halton
 sequence. Everything downstream (curvature, frames, variety checks) funnels
@@ -40,8 +40,8 @@ class StencilConfig:
 
     `step` drives first and second derivatives (the metric jet, built from
     nested first-derivative stencils); `third_step` is the wider outer step
-    of the third level: the third metric partials of a chart without an
-    exact jet, and the outer derivative of frame structure functions.
+    of the levels above: the third and fourth metric partials of a chart
+    without an exact jet.
     """
 
     step: float = 1e-3
@@ -135,7 +135,7 @@ def stencil_derivative(values, cfg=DEFAULT_STENCIL, step=None):
 
 def metric_jet(f_batch, x, cfg=DEFAULT_STENCIL, degree=2):
     """Value and partials of a field at stacked points x (..., 4), up to
-    `degree` (2 or 3), from one batched call.
+    `degree` (2, 3 or 4), from one batched call.
 
     `f_batch` maps stacked points (N, 4) to stacked values (N, ...). At
     degree 2 it is called on the tensor product of cfg's central
@@ -143,34 +143,42 @@ def metric_jet(f_batch, x, cfg=DEFAULT_STENCIL, degree=2):
     that nested `central_diff` calls touch (129 distinct per point at order
     4). The 1D weights are contracted in the same nested order, so d1[p] =
     D_p f and d2[q, p] = D_q (D_p f), D_p being the first-derivative stencil
-    along p (Fornberg, Math. Comp. 51, 1988). Degree 3 adds the same product
-    stencil around the points x + o H e_r of the outer stencil at H =
-    cfg.third_step, and d3[r, q, p] = D^H_r (D_q D_p f). Returns [value, d1,
-    d2(, d3)], each with the batch axes of x first and the derivative axes
-    right after them.
+    along p (Fornberg, Math. Comp. 51, 1988). Higher degrees take the same
+    nested stencil, at H = cfg.third_step, as outer levels: degree 3 adds
+    the product stencil around the points x + o H e_r, and d3[r, q, p] =
+    D^H_r (D_q D_p f); degree 4 adds it around x + o' H e_s + o H e_r too
+    (129 outer points at order 4), and d4[s, r, q, p] = D^H_s D^H_r (D_q D_p
+    f). Returns [value, d1, d2, ...], each with the batch axes of x first
+    and the derivative axes right after them.
     """
-    if degree not in (2, 3):
-        raise InputError(f"finite-difference jets have degree 2 or 3, got {degree}")
+    if degree not in (2, 3, 4):
+        raise InputError(f"finite-difference jets have degree 2, 3 or 4, got {degree}")
     h = cfg.step
     offsets, center, first, second = _jet_layout(cfg.order)
-    steps, w = (np.asarray(a, dtype=float) for a in _FD_STENCILS[cfg.order])
+    w = np.asarray(_FD_STENCILS[cfg.order][1], dtype=float)
     x = np.asarray(x, dtype=float)
     lead = x.shape[:-1]
-    bases = x.reshape(-1, 1, 4)
-    if degree == 3:
-        outer = (cfg.third_step * steps[None, :, None] * np.eye(4)[:, None, :]).reshape(-1, 4)
-        bases = np.concatenate([bases, bases + outer], axis=1)
+    # the outer points: the nested layout's center, its first level, and at
+    # degree 4 its second, in layout order
+    outer = {2: 1, 3: 1 + first.size, 4: len(offsets)}[degree]
+    bases = x.reshape(-1, 1, 4) + cfg.third_step * offsets[:outer]
     pts = (bases[:, :, None, :] + h * offsets).reshape(-1, 4)
     values = np.asarray(f_batch(pts), dtype=float)
     values = values.reshape(bases.shape[:2] + (len(offsets),) + values.shape[1:])
+
+    def nested(v, at, step):
+        # D_q (D_p v) from values on the nested layout along axis `at` of v
+        inner = np.tensordot(w, v.take(second, axis=at), axes=(0, at + 3)) / step
+        return np.tensordot(w, inner, axes=(0, at + 1)) / step
+
     d1 = np.tensordot(w, values[:, :, first], axes=(0, 3)) / h
-    inner = np.tensordot(w, values[:, :, second], axes=(0, 5)) / h
-    d2 = np.tensordot(w, inner, axes=(0, 3)) / h
+    d2 = nested(values, 2, h)
     # copies: a view would keep every stencil value alive with the result
     jet = [values[:, 0, center].copy(), d1[:, 0].copy(), d2[:, 0].copy()]
-    if degree == 3:
-        shifted = d2[:, 1:].reshape((len(d2), 4, len(w)) + d2.shape[2:])
-        jet.append(np.tensordot(w, shifted, axes=(0, 2)) / cfg.third_step)
+    if degree >= 3:
+        jet.append(np.tensordot(w, d2[:, first], axes=(0, 2)) / cfg.third_step)
+    if degree == 4:
+        jet.append(nested(d2, 1, cfg.third_step))
     return [d.reshape(lead + d.shape[1:]) for d in jet]
 
 
@@ -260,14 +268,20 @@ def jet_partials(coef):
 
 
 @functools.lru_cache(maxsize=None)
-def _contraction_plan(spec):
-    # a's tensor axes as (free, summed), b's as (summed, free), output order
+def _contraction_plan(spec, k):
+    # the transpositions that put a's tensor axes as (free, summed) and b's
+    # as (summed, free) behind the k leading axes, and the output's order
     inputs, out = spec.split("->")
     x, y = inputs.split(",")
     summed = [c for c in x if c in y]
     rows, cols = ([c for c in t if c not in summed] for t in (x, y))
-    perms = (tuple(x.index(c) for c in rows + summed), tuple(y.index(c) for c in summed + cols))
-    return *perms, len(rows), len(summed), tuple((rows + cols).index(c) for c in out)
+    lead = tuple(range(k))
+    perms = (
+        lead + tuple(k + x.index(c) for c in rows + summed),
+        lead + tuple(k + y.index(c) for c in summed + cols),
+        lead + tuple(k + (rows + cols).index(c) for c in out),
+    )
+    return *perms, len(rows), len(summed)
 
 
 def jet_contract(spec, a, b):
@@ -275,10 +289,10 @@ def jet_contract(spec, a, b):
     the lower of their degrees: `spec` names the trailing tensor axes, ahead
     of them are batch axes, and every index of both is summed. Laid out as
     matrices, it is Jet's pair table with a matrix product."""
-    perm_a, perm_b, nrows, nsum, perm_out = _contraction_plan(spec)
-    size, k = min(len(a), len(b)), a.ndim - len(perm_a)
-    a = a[:size].transpose(*range(k), *(k + i for i in perm_a))
-    b = b[:size].transpose(*range(k), *(k + i for i in perm_b))
+    k = a.ndim - spec.index(",")
+    perm_a, perm_b, perm_out, nrows, nsum = _contraction_plan(spec, k)
+    size = min(len(a), len(b))
+    a, b = a[:size].transpose(perm_a), b[:size].transpose(perm_b)
     lead, free = a.shape[:k], a.shape[k : k + nrows] + b.shape[k + nsum :]
     inner = math.prod(b.shape[k : k + nsum])
     a, b = a.reshape(lead + (-1, inner)), b.reshape(lead + (inner, -1))
@@ -287,7 +301,7 @@ def jet_contract(spec, a, b):
     else:
         left, right, fold, _, _ = _jet_tables(_NVAR, _jet_degree(_NVAR, size))
         out = fold.T @ (a.take(left, axis=0) @ b.take(right, axis=0)).reshape(len(fold), -1)
-    return out.reshape(lead + free).transpose(*range(k), *(k + i for i in perm_out))
+    return out.reshape(lead + free).transpose(perm_out)
 
 
 @functools.lru_cache(maxsize=None)

@@ -323,6 +323,14 @@ def counting(chart, attr):
     return calls
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2.5])
+def test_curvature_degree_below_two_or_fractional_is_named(degree):
+    chart = curv4.build_example("s4")
+    with pytest.raises(InputError) as err:
+        chart_module.curvature_batch(chart, sample_points(chart, count=2), degree=degree)
+    assert f"got {degree!r}" in str(err.value)
+
+
 def test_report_is_one_jet_evaluation():
     chart = curv4.build_example("kpc")
     jets, evals = counting(chart, "jet_fn"), counting(chart, "eval_fn")
@@ -336,8 +344,8 @@ def test_report_is_one_jet_evaluation():
 
 def test_weyl_is_made_on_request(monkeypatch):
     # a report makes nabla W once, for all its sample points, and an entry
-    # makes W and nabla W for its own point alone; structure_data's stencil
-    # batch makes neither
+    # makes W and nabla W for its own point alone; structure_data's jet
+    # makes neither
     calls = []
     for name in ("_weyl", "_nabla_weyl"):
         made = getattr(chart_module, name)
@@ -354,7 +362,7 @@ def test_weyl_is_made_on_request(monkeypatch):
     report.batch.entry(3)
     assert sorted(calls) == [("_nabla_weyl", 1), ("_weyl", 1)]
     frame = curv4.extract_frame(chart, report.points[3])
-    assert frame.source == "eigen"  # a degree-3 stencil batch
+    assert frame.source == "eigen"  # a degree-4 jet at the frame point
     calls.clear()
     curv4.structure_data(chart, frame)
     assert calls == []

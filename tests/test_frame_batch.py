@@ -6,8 +6,9 @@ clusters at every point), aligned to the center frame, then nested
 `central_diff` calls for dE, D sigma and DF. Its first-derivative level is
 taken at two steps and Richardson-extrapolated, (16 ref_h - ref_2h) / 15, so
 that the order-4 truncation error it carries (up to 9e-9 on randflat at the
-default step) does not hide in the comparison; DF keeps the outer step of
-structure_data, whose truncation both sides share.
+default step) does not hide in the comparison; DF's outer level is
+extrapolated the same way in its step, third_step and third_step / 2, since
+structure_data's DF is exact.
 """
 import contextlib
 import dataclasses
@@ -22,15 +23,20 @@ import curv4
 import curv4.cli
 from curv4.chart import MetricChart, curvature_at, curvature_batch, sample_points
 from curv4.errors import DegenerateFrameError, DomainError
-from curv4.frames import _align_to_reference, extract_frame, structure_data
+from curv4.frames import extract_frame, structure_data
 from curv4.numerics import DEFAULT_STENCIL, Jet, StencilConfig, central_diff
 from curv4.tensor4 import frame_components
 
 REGISTRY_NAMES = ["s4", "h4", "s2xs2:1,2", "rxs3", "kpc", "bump:0.1", "randflat:0"]
 # closed-form and reference values agree to this, relative to max(1, |reference|)
 RTOL = 1e-9
-# the reference's first-derivative level at twice the default step
+# the reference's first-derivative level at twice the default step, and its
+# outer level of DF at half the default third_step
 DOUBLE_STEP = StencilConfig(step=2 * DEFAULT_STENCIL.step, third_step=DEFAULT_STENCIL.third_step)
+HALF_THIRD = StencilConfig(third_step=DEFAULT_STENCIL.third_step / 2)
+HALF_THIRD_DOUBLE_STEP = StencilConfig(
+    step=2 * DEFAULT_STENCIL.step, third_step=DEFAULT_STENCIL.third_step / 2
+)
 
 
 @pytest.fixture(scope="module")
@@ -139,10 +145,10 @@ def ref_center(chart, x):
     return E, np.diag(E.T @ b @ E), sigma, source, clusters
 
 
-def reference(chart, x, cfg=DEFAULT_STENCIL):
-    """Every frame quantity the batched path computes, one point at a time,
-    with central differences on cfg; the curvature entries come from the
-    chart's exact jet."""
+def reference(chart, x, cfg=DEFAULT_STENCIL, df_only=False):
+    """Every frame quantity the closed form computes (DF alone with
+    df_only), one point at a time, with central differences on cfg; the
+    curvature entries come from the chart's exact jet."""
     E, lam, sigma, source, clusters = ref_center(chart, x)
     entry = curvature_at(chart, x)
     g = entry.metric.g
@@ -174,31 +180,44 @@ def reference(chart, x, cfg=DEFAULT_STENCIL):
         dEy = np.stack([central_diff(field, y, d, cfg) for d in range(4)])
         return brackets(field(y), dEy, chart.eval(y))
 
+    dF = np.stack([central_diff(f_at, x, d, cfg, step=cfg.third_step) for d in range(4)])
+    out = {"DF": np.einsum("ma,mbc->abc", E, dF), "source": source}
+    if df_only:
+        return out
     dE = np.stack([central_diff(field, x, d, cfg) for d in range(4)])
     directional = np.einsum("ma,mnb->abn", E, dE)
     correction = np.einsum("nmr,ma,rb->abn", entry.gamma, E, E)
     gamma = np.einsum("abn,nm,mk->abk", directional + correction, g, E)
     dsig = np.stack([central_diff(sigma_at, x, d, cfg) for d in range(4)])
-    dF = np.stack([central_diff(f_at, x, d, cfg, step=cfg.third_step) for d in range(4)])
     return {
+        **out,
         "E": E,
         "lam": lam,
         "sigma": sigma,
         "F": brackets(E, dE, g),
         "gamma": gamma,
         "dsig": np.einsum("ma,mbc->abc", E, dsig),
-        "DF": np.einsum("ma,mbc->abc", E, dF),
-        "source": source,
     }
 
 
+def richardson(fine, coarse):
+    # order-4 truncation removed: the step of `coarse` is twice that of `fine`
+    return (16.0 * fine - coarse) / 15.0
+
+
 def extrapolated_reference(chart, x):
-    """The reference with its first-derivative level extrapolated."""
+    """The reference with its first-derivative level extrapolated in the
+    step, and DF's outer level in third_step as well."""
     ref_h = reference(chart, x)
     ref_2h = reference(chart, x, DOUBLE_STEP)
     out = dict(ref_h)
     for key in ("F", "gamma", "dsig", "DF"):
-        out[key] = (16.0 * ref_h[key] - ref_2h[key]) / 15.0
+        out[key] = richardson(ref_h[key], ref_2h[key])
+    half = richardson(
+        reference(chart, x, HALF_THIRD, df_only=True)["DF"],
+        reference(chart, x, HALF_THIRD_DOUBLE_STEP, df_only=True)["DF"],
+    )
+    out["DF"] = richardson(half, out["DF"])
     return out
 
 
@@ -390,28 +409,6 @@ def test_dlam_is_the_derivative_of_lambda(registry_charts, name):
     assert np.max(np.abs(fr.dlam - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(fd))))
 
 
-def test_batched_alignment_matches_per_frame_alignment():
-    # random orthonormal frames near a permuted, sign-flipped reference, plus
-    # a tie: two columns overlap reference column 0 equally, and the greedy
-    # pass must not hand the same column to two reference columns
-    rng = np.random.default_rng(4)
-    g = np.eye(4)
-    E_ref = np.linalg.qr(rng.normal(size=(4, 4)))[0]
-    frames = []
-    for _ in range(6):
-        turn = np.linalg.qr(np.eye(4) + 0.3 * rng.normal(size=(4, 4)))[0]
-        frames.append((E_ref @ turn)[:, rng.permutation(4)] * rng.choice([-1.0, 1.0], size=4))
-    tie = np.eye(4)
-    tie[:, :2] = np.array([[1.0, 1.0], [1.0, -1.0], [0.0, 0.0], [0.0, 0.0]]) / np.sqrt(2.0)
-    frames.append(tie)
-    for clusters in ([[0], [1], [2], [3]], [[0, 1], [2], [3]]):
-        for ref_frame in (E_ref, np.eye(4)):
-            got = _align_to_reference(np.stack(frames), ref_frame, g, clusters)
-            for n, E in enumerate(frames):
-                expected = ref_align(E, ref_frame, g, clusters, True)
-                assert np.max(np.abs(got[n] - expected)) <= 1e-14
-
-
 def recording(chart, attr):
     calls = []
     inner = getattr(chart, attr)
@@ -427,8 +424,9 @@ def recording(chart, attr):
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "randflat:0"])
 def test_one_evaluation_per_stencil(name):
     # given the third-order entry at x, the frame evaluates nothing more,
-    # and structure_data is one jet_fn call on its outer stencil: degree 2
-    # for adapted frames, which need d g only, degree 3 for eigenframes
+    # and structure_data is one jet_fn call at x: degree 2 for adapted
+    # frames, which need d g and d Gamma, degree 4 for eigenframes, which
+    # need d nabla Ric
     chart = curv4.build_example(name)
     x = sample_points(chart, count=1, seed=3)[0]
     entry = curvature_at(chart, x, degree=3)
@@ -436,13 +434,13 @@ def test_one_evaluation_per_stencil(name):
     fr = extract_frame(chart, x, entry=entry)
     assert jets == [] and evals == []
     structure_data(chart, fr)
-    assert jets == [(16, 4)] and evals == []
+    assert jets == [(4,)] and evals == []
 
 
 def test_one_evaluation_per_stencil_without_jet():
-    # the finite-difference jet of the 16 outer points: the nested stencil
-    # (129 points) around each of them and around its own third-level
-    # stencil, 16 * 17 * 129 points in one call
+    # the finite-difference degree-4 jet at x: the nested stencil (129
+    # points) around each of the 129 points of the same stencil at
+    # third_step, in one call
     chart = without_jet(curv4.build_example("randflat:0"))
     x = sample_points(chart, count=1, seed=3)[0]
     entry = curvature_at(chart, x, degree=3)
@@ -450,7 +448,7 @@ def test_one_evaluation_per_stencil_without_jet():
     fr = extract_frame(chart, x, entry=entry)
     assert evals == []
     structure_data(chart, fr)
-    assert evals == [(16 * 17 * 129, 4)]
+    assert evals == [(129 * 129, 4)]
 
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "randflat:0"])
@@ -459,19 +457,25 @@ def test_stencil_point_outside_the_box_is_named(registry_charts, name):
     cfg = DEFAULT_STENCIL
     x = np.zeros(4)
     x[0] = chart.box[0, 0] + 0.5 * cfg.reach * cfg.step
-    # an exact jet needs no room around the frame point; a finite-difference
-    # one does, and its error names the point
-    assert extract_frame(chart, x).source in ("adapted", "eigen")
+    # an exact jet needs no room around the frame point, for the frame or
+    # its structure data; a finite-difference one does, and its error names
+    # the point
+    fr = extract_frame(chart, x)
+    assert fr.source in ("adapted", "eigen")
+    assert np.all(np.isfinite(structure_data(chart, fr).DF))
     with pytest.raises(DomainError) as err:
         extract_frame(without_jet(chart), x)
     assert str(x.tolist()) in str(err.value)
-    # a frame whose structure stencil at third_step reaches out of the box
-    x[0] = chart.box[0, 0] + 0.5 * cfg.reach * cfg.third_step
-    fr = extract_frame(chart, x)
+    # a jet-less frame whose degree-4 jet, one outer level wider than its
+    # degree-3 entry, reaches out of the box
+    fd = without_jet(eigen_only(chart))
+    x[0] = chart.box[0, 0] + cfg.reach * (2 * cfg.step + 1.5 * cfg.third_step)
+    fr = extract_frame(fd, x)
+    reach = cfg.reach * (2 * cfg.step + 2 * cfg.third_step)
     with pytest.raises(DomainError) as err:
-        structure_data(chart, fr)
+        structure_data(fd, fr)
     assert str(x.tolist()) in str(err.value)
-    assert f"reach {cfg.reach * cfg.third_step:g}" in str(err.value)
+    assert f"reach {reach:g}" in str(err.value)
 
 
 @pytest.mark.parametrize("name", REGISTRY_NAMES)

@@ -1,10 +1,11 @@
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
 import curv4
-from curv4.errors import DegenerateFrameError, PreconditionError
+from curv4.errors import DegenerateFrameError, InputError, PreconditionError
 from curv4.frames import (
     StructureData,
     cluster_count,
@@ -252,6 +253,34 @@ def test_structure_reconstruction(s2xs2_chart, kpc_chart, s2xs2_frames, kpc_fram
                 if i != j:
                     assert sec[i, j] == pytest.approx(Rf[i, j, i, j], abs=1e-3)
         assert np.max(np.abs(mixed)) < 1e-3
+
+
+@pytest.mark.parametrize("name", ["s2xs2:1,2", "rxs3", "kpc", "kpc:1,1.2,5", "bump:0.1"])
+def test_structure_rebuilds_the_frame_curvature(name):
+    # the sectional curvatures R_ijij and mixed components R_kijk that F and
+    # DF rebuild are those of the point's own curvature entry in the frame,
+    # to roundoff: DF is the exact partial of F, with no step to truncate
+    chart = curv4.build_example(name)
+    for x in curv4.sample_points(chart, count=4, seed=0):
+        fr = extract_frame(chart, x)
+        sec, mixed = curvature_from_structure(structure_data(chart, fr), fr)
+        Rf = frame_components(curv4.curvature_at(chart, x).riem, fr.E)
+        tol = 1e-9 * max(1.0, float(np.max(np.abs(Rf))))
+        assert np.max(np.abs(sec - np.einsum("ijij->ij", Rf))) <= tol
+        for i, j, k in itertools.permutations(range(4), 3):
+            assert abs(mixed[i, j, k] - Rf[k, i, j, k]) <= tol
+
+
+def test_frame_entry_must_carry_derivatives_at_the_point(s2xs2_chart):
+    # the entry a caller hands in must be of degree 3 and at x itself
+    x, y = curv4.sample_points(s2xs2_chart, count=2, seed=0)
+    with pytest.raises(InputError, match="covariant derivatives"):
+        extract_frame(s2xs2_chart, x, entry=curv4.curvature_at(s2xs2_chart, x, degree=2))
+    with pytest.raises(InputError) as err:
+        extract_frame(s2xs2_chart, x, entry=curv4.curvature_at(s2xs2_chart, y, degree=3))
+    assert str(x.tolist()) in str(err.value) and str(y.tolist()) in str(err.value)
+    entry = curv4.curvature_at(s2xs2_chart, x, degree=3)
+    assert np.array_equal(extract_frame(s2xs2_chart, x, entry=entry).E, extract_frame(s2xs2_chart, x).E)
 
 
 def test_structure_zero_data():

@@ -5,11 +5,10 @@ import pytest
 import curv4
 from curv4.chart import (
     MetricChart,
-    _curvature_algebra,
-    _metric_coefficients,
     christoffel,
     curvature_at,
     curvature_batch,
+    curvature_jets,
     sample_points,
 )
 from curv4.errors import Curv4Error, DomainError
@@ -163,6 +162,20 @@ def test_exact_jet_matches_third_order_stencil(registry_charts, name):
         assert np.max(np.abs(exact.nabla_ric - fd.nabla_ric)) <= 1e-6 * scale
 
 
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
+def test_exact_jet_matches_fourth_order_stencil(registry_charts, name):
+    # a degree-4 finite-difference jet (a second outer level at third_step)
+    # against the exact one: the first partials of nabla Ric to 1e-4 of the
+    # curvature scale, measured up to 2e-5 (the nested stencil's roundoff,
+    # 1e-16 / step^2, differenced twice at third_step)
+    chart = registry_charts[name]
+    X = sample_points(chart, count=2, seed=11)
+    exact = curvature_jets(chart, X, 4)
+    fd = curvature_jets(without_jet(chart), X, 4)
+    scale = max(1.0, float(np.max(np.abs(exact["R"][0]))))
+    assert np.max(np.abs(exact["nabla_ric"] - fd["nabla_ric"])) <= 1e-4 * scale
+
+
 def test_exact_jet_entry_needs_no_stencil_room(registry_charts):
     # an exact jet reads the metric at x alone: entries reach the box edge
     chart = registry_charts["s4"]
@@ -179,7 +192,7 @@ def test_degree_four_nabla_ric_jet_matches_richardson(registry_charts, name):
     # a Richardson central difference (steps h and h/2) of it to 1e-7
     chart = registry_charts.get(name) or curv4.build_example(name)
     X = sample_points(chart, count=4, seed=3)
-    jets, _ = _curvature_algebra(X, _metric_coefficients(chart, X, 4), 4)
+    jets = curvature_jets(chart, X, 4)
     batch = curvature_batch(chart, X, degree=3)
     roundoff = 1e-13 * max(1.0, np.max(np.abs(batch.R)), np.max(np.abs(batch.nabla_ric)))
     for key in ("g_inv", "gamma", "R", "ric", "s", "nabla_riem", "nabla_ric", "ds"):

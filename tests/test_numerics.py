@@ -276,7 +276,7 @@ def test_metric_jet_stacked_bases_match_single_points():
         return np.stack([np.sin(Y[:, 0]) * Y[:, 1] * Y[:, 3], np.exp(Y[:, 2] * Y[:, 0])], axis=-1)
 
     X = np.array([[0.1, 0.2, 0.3, 0.4], [-0.3, 0.5, 0.1, -0.2], [0.0, 0.1, -0.4, 0.2]])
-    for degree in (2, 3):
+    for degree in (2, 3, 4):
         calls.clear()
         stacked = metric_jet(f, X, DEFAULT_STENCIL, degree)
         assert len(calls) == 1
