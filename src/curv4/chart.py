@@ -10,9 +10,10 @@ finite-difference partials of one batched evaluation of the metric
 (numerics.metric_jet), each over its alpha! and averaged over the orderings
 of its derivatives. The rest is shared, and runs on stacked points:
 `curvature_jets` takes the curvature jets at N points from one jet
-evaluation and `curvature_batch` their values, a harmonicity report is one
-batch of its sample points, and a single entry (`curvature_at`) a batch of
-one point; nothing is cached.
+evaluation and `curvature_batch` their values (`connection_jets` stops at
+g^-1 and Gamma), a harmonicity report is one batch of its sample points,
+and a single entry (`curvature_at`) a batch of one point; nothing is
+cached.
 
 Every quantity after the metric is a jet too, made by contractions of jets
 and their partials (numerics.jet_contract, numerics.jet_partials), so one
@@ -159,35 +160,49 @@ def _probe_points(chart):
     return mid + (2.0 * _UNIT_PROBES - 1.0) * 0.8 * half
 
 
+# the first-derivative stencils of the consistency check around the first
+# probe: 4 directions x 4 offsets at order 4, then 4 x 6 at order 6 (40 points)
+_CHECK_ORDERS = (StencilConfig(order=4), StencilConfig(order=6))
+_CHECK_MOVES = np.concatenate(
+    [axis_stencil(np.zeros(4), cfg).reshape(-1, 4) for cfg in _CHECK_ORDERS]
+)
+_CHECK_MOVES.setflags(write=False)
+
+
 def _validate_chart(chart):
     """Reject a chart whose metric is malformed or whose evaluators disagree.
 
     At five fixed probe points:
-    - eval gives a (4, 4) metric, symmetric to 1e-10 relative and positive
-      definite (least eigenvalue above 1e-6), and jet_fn at degree 1 gives
-      shape (5, 4, 4, 5); adapted_frame_fn, when registered, gives (4, 4)
-      frames whose column directions are the same at every probe to 1e-12;
-      InputError otherwise;
-    - eval_batch of a batched chart and the values of jet_fn equal the
-      point values to 1e-12 relative, and at the first probe the order-4
-      and order-6 central first derivatives of eval_fn agree to 1e-6, as do
-      the first partials of jet_fn and the order-6 ones; InconsistencyError
-      otherwise.
-    Each probe goes through eval once; the eight derivative stencils are
-    one eval_fn call (one per point when the chart is not batched).
+    - eval_fn gives a (4, 4) metric, symmetric to 1e-10 relative and
+      positive definite (least eigenvalue above 1e-6), and jet_fn at degree
+      1 gives shape (5, 4, 4, 5); adapted_frame_fn, when registered, gives
+      (4, 4) frames whose column directions are the same at every probe to
+      1e-12; InputError otherwise, naming the first probe that fails;
+    - eval_fn on stacked points (batched charts) and the values of jet_fn
+      equal the point values to 1e-12 relative, and at the first probe the
+      order-4 and order-6 central first derivatives of eval_fn agree to
+      1e-6, as do the first partials of jet_fn and the order-6 ones;
+      InconsistencyError otherwise.
+    Each probe goes through eval_fn once, and the symmetry and definiteness
+    checks run on the five metrics stacked. A batched chart makes one more
+    eval_fn call, on the five probes and the 40 points of the derivative
+    stencils together; a chart that is not batched evaluates the stencil
+    points one by one.
     """
     pts = _probe_points(chart)
     gs = []
     for x in pts:
-        g = chart.eval(x)
+        g = np.asarray(chart.eval_fn(x), dtype=float)
         if g.shape != (4, 4):
             raise InputError(f"chart '{chart.name}' returned shape {g.shape}")
-        if np.linalg.norm(g - g.T) > 1e-10 * max(1.0, np.linalg.norm(g)):
-            raise InputError(f"chart '{chart.name}' metric not symmetric at {x.tolist()}")
-        if np.linalg.eigvalsh(0.5 * (g + g.T))[0] <= 1e-6:
-            raise InputError(f"chart '{chart.name}' metric not positive definite at {x.tolist()}")
         gs.append(g)
     gs = np.array(gs)
+    asym = _norms(gs - np.swapaxes(gs, 1, 2)) > 1e-10 * np.maximum(1.0, _norms(gs))
+    low = np.linalg.eigvalsh(0.5 * (gs + np.swapaxes(gs, 1, 2)))[:, 0] <= 1e-6
+    if asym.any() or low.any():
+        n = int(np.argmax(asym | low))
+        fault = "not symmetric" if asym[n] else "not positive definite"
+        raise InputError(f"chart '{chart.name}' metric {fault} at {pts[n].tolist()}")
     if chart.adapted_frame_fn is not None:
         frames = np.array([np.asarray(chart.adapted_frame_fn(x), dtype=float) for x in pts])
         if frames.shape != (len(pts), 4, 4):
@@ -197,12 +212,6 @@ def _validate_chart(chart):
             raise InputError(
                 f"chart '{chart.name}': adapted frame directions vary over the box; "
                 "frame derivatives assume constant directions"
-            )
-    if chart.batched:
-        G = chart.eval_batch(pts)
-        if np.max(np.abs(G - gs)) > 1e-12 * max(1.0, np.max(np.abs(G))):
-            raise InconsistencyError(
-                f"chart '{chart.name}': batched and point-wise evaluation disagree"
             )
     if chart.jet_fn is not None:
         coef = np.asarray(chart.jet_fn(pts, 1), dtype=float)
@@ -214,13 +223,21 @@ def _validate_chart(chart):
     # stencil-order consistency: order-4 and order-6 first derivatives agree,
     # and with the jet where there is one
     x = pts[0]
-    c4, c6 = StencilConfig(order=4), StencilConfig(order=6)
-    P = np.concatenate([axis_stencil(x, c4).reshape(-1, 4), axis_stencil(x, c6).reshape(-1, 4)])
+    P = x + _CHECK_MOVES
     if chart.batched:
-        V = np.asarray(chart.eval_fn(P), dtype=float)
+        V = np.asarray(chart.eval_fn(np.concatenate([pts, P])), dtype=float)
+        if V.shape != (len(pts) + len(P), 4, 4):
+            raise InputError(
+                f"chart '{chart.name}' returned shape {V.shape} for {len(pts) + len(P)} points"
+            )
+        G, V = V[: len(pts)], V[len(pts) :]
+        if np.max(np.abs(G - gs)) > 1e-12 * max(1.0, np.max(np.abs(G))):
+            raise InconsistencyError(
+                f"chart '{chart.name}': batched and point-wise evaluation disagree"
+            )
     else:
         V = np.array([np.asarray(chart.eval_fn(y), dtype=float) for y in P])
-    # 4 directions x 4 offsets at order 4, then x 6 at order 6
+    c4, c6 = _CHECK_ORDERS
     d4 = stencil_derivative(V[:16].reshape(4, 4, 4, 4), c4)
     d6 = stencil_derivative(V[16:].reshape(4, 6, 4, 4), c6)
     if np.max(np.abs(d4 - d6)) > 1e-6:
@@ -404,8 +421,8 @@ def _checked_inverse(X, g):
 _BLOCK = 32
 
 
-def _curvature_blocks(chart, X, degree):
-    # (jets, projection distance) of _curvature_algebra, block by block
+def _jet_blocks(chart, X, degree, algebra):
+    # algebra(X, coef, degree) on the metric coefficients, block by block
     if isinstance(degree, bool) or not isinstance(degree, int | np.integer) or degree < 2:
         raise InputError(f"curvature degree must be an integer >= 2, got {degree!r}")
     X = np.asarray(X, dtype=float)
@@ -413,7 +430,7 @@ def _curvature_blocks(chart, X, degree):
         raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
     coef = _metric_coefficients(chart, X, degree)
     for lo in range(0, len(X), _BLOCK):
-        yield _curvature_algebra(X[lo : lo + _BLOCK], coef[:, lo : lo + _BLOCK], degree)
+        yield algebra(X[lo : lo + _BLOCK], coef[:, lo : lo + _BLOCK], degree)
 
 
 def curvature_batch(chart, X, degree=2):
@@ -433,7 +450,7 @@ def curvature_batch(chart, X, degree=2):
     """
     blocks = [
         {"projection_distance": dist, **{key: jet[0] for key, jet in jets.items()}}
-        for jets, dist in _curvature_blocks(chart, X, degree)
+        for jets, dist in _jet_blocks(chart, X, degree, _curvature_algebra)
     ]
     fields = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
     return CurvatureBatch(x=np.asarray(X, dtype=float), **fields)
@@ -446,15 +463,22 @@ def curvature_jets(chart, X, degree=2):
     layout) and the point axis second. g comes to `degree`, g_inv and gamma
     to degree - 1, R, ric and s to degree - 2, and nabla_riem, nabla_ric
     and ds to degree - 3."""
-    blocks = [jets for jets, _ in _curvature_blocks(chart, X, degree)]
+    blocks = [jets for jets, _ in _jet_blocks(chart, X, degree, _curvature_algebra)]
     return {key: np.concatenate([b[key] for b in blocks], axis=1) for key in blocks[0]}
 
 
-def _curvature_algebra(X, coef, degree):
-    """The coefficients of CurvatureBatch's fields but x, to the degrees
-    curvature_jets gives, and the projection distance, at points X (N, 4)
-    from the metric's, coef (ncoef, N, 4, 4) of degree >= 2, after every
-    check of a single entry."""
+def connection_jets(chart, X, degree=2):
+    """The g, g_inv and gamma entries of curvature_jets(chart, X, degree),
+    bit for bit, after the checks of g^-1 and nabla g = 0 only: no
+    curvature is formed, so neither is the projection gate on it."""
+    blocks = list(_jet_blocks(chart, X, degree, _connection_algebra))
+    return {key: np.concatenate([b[key] for b in blocks], axis=1) for key in blocks[0]}
+
+
+def _connection_algebra(X, coef, degree):
+    """The coefficients of g, g_inv and gamma at points X (N, 4) from the
+    metric's, coef (ncoef, N, 4, 4) of degree >= 2, after the checks of a
+    single entry on the metric (_checked_inverse) and nabla g = 0."""
     g_inv0 = _checked_inverse(X, coef[0])
     dg = jet_partials(coef)
     # g^-1 = (1 + e)^-1 g0^-1 with e = g0^-1 (g - g0), by Horner's rule
@@ -464,6 +488,16 @@ def _curvature_algebra(X, coef, degree):
         g_inv = const - jet_contract("ij,jk->ik", e, g_inv)
     gamma = jet_contract("km,mij->kij", g_inv, _first_kind(dg))
     _check_compatible(X, coef[0], gamma[0], dg[0])
+    return {"g": coef, "g_inv": g_inv, "gamma": gamma}
+
+
+def _curvature_algebra(X, coef, degree):
+    """The coefficients of CurvatureBatch's fields but x, to the degrees
+    curvature_jets gives, and the projection distance, at points X (N, 4)
+    from the metric's, coef (ncoef, N, 4, 4) of degree >= 2, after every
+    check of a single entry."""
+    jets = _connection_algebra(X, coef, degree)
+    g_inv, gamma = jets["g_inv"], jets["gamma"]
     # R^m_(i,j,k) per the curvature convention in the module docstring: the
     # part u = d_j Gamma^m_ik + Gamma^p_ik Gamma^m_jp, minus u with i, j swapped
     dgamma = np.einsum("...mikj->...mijk", jet_partials(gamma))
@@ -482,7 +516,7 @@ def _curvature_algebra(X, coef, degree):
     ric = jet_contract("ik,ijkl->jl", g_inv, R)
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
     s = jet_contract("jl,jl->", g_inv, ric)
-    jets = {"g": coef, "g_inv": g_inv, "gamma": gamma, "R": R, "ric": ric, "s": s}
+    jets.update(R=R, ric=ric, s=s)
     if degree >= 3:
         # nabla_q R_ijkl = d_q R_ijkl - v_qijkl - v_qklij by the symmetries of
         # R, v being t = Gamma^m_qa R_mbcd antisymmetrized in (a, b)
@@ -544,10 +578,11 @@ def curvature_at(chart, x, degree=2):
 
 def _metric_norms(T, g_inv):
     """metric_norm of each T[n] with g_inv[n]."""
+    slots = "abcdefghijklm"[: T.ndim - 1]
     up = T
-    for axis in range(1, T.ndim):
-        raised = np.einsum("nij,n...j->n...i", g_inv, np.moveaxis(up, axis, -1))
-        up = np.moveaxis(raised, -1, axis)
+    for c in slots:
+        # slot c contracted with g^-1, its raised index z in its place
+        up = np.einsum(f"nz{c},n{slots}->n{slots.replace(c, 'z')}", g_inv, up)
     return np.sqrt(np.abs((T * up).reshape(len(T), -1).sum(axis=1)))
 
 

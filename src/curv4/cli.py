@@ -26,13 +26,7 @@ from . import variety as vy
 from .chart import harmonicity_report, parallel_map, sample_points
 from .errors import Curv4Error, DegenerateFrameError, InputError
 from .examples import build_example, canonical_name, example_names, example_spec
-from .frames import (
-    cluster_count,
-    extract_frame,
-    invariant_counts,
-    skw_residuals,
-    sy_invariants,
-)
+from .frames import extract_frame, fold_invariants, frame_invariants, skw_residuals
 
 SCHEMA_VERSION = "2"
 
@@ -123,7 +117,7 @@ def _verify_payload(config):
         for x, rows in zip(rep.points, rep.rows)
     ]
 
-    frames = []
+    invariants = []
     degenerate = 0
     frame_count = min(4, len(rep.points))
     skw_max = {}
@@ -136,21 +130,14 @@ def _verify_payload(config):
             degenerate += 1
             points[idx]["counts"] = {"degenerate": True}
             continue
-        frames.append(fr)
         rows = skw_residuals(fr)
-        sy = sy_invariants(fr)
+        invariants.append(frame_invariants(fr))
         points[idx]["residuals"].update(rows)
-        points[idx]["counts"] = {
-            "r": cluster_count(fr.lam),
-            "w": cluster_count(np.linalg.eigvalsh(fr.w_plus)),
-            "w_minus": cluster_count(np.linalg.eigvalsh(fr.w_minus)),
-            "zeta": sy["zeta"],
-            "source": fr.source,
-        }
+        points[idx]["counts"] = {**invariants[-1], "source": fr.source}
         for key, val in rows.items():
             skw_max[key] = max(skw_max.get(key, 0.0), val)
 
-    counts = invariant_counts(frames, degenerate_points=degenerate)
+    counts = fold_invariants(invariants, degenerate_points=degenerate)
     skw_ok = all(v <= tols["third"] for v in skw_max.values()) if skw_max else True
 
     maxima = dict(rep.maxima)

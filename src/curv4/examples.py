@@ -481,7 +481,9 @@ def build_example(name):
     """Instantiate a chart from a registry string like 'kpc:1,1.2,0.5'.
 
     Aliases and a '-default' suffix are accepted (see canonical_name).
-    Omitted parameters take the registry defaults; extra ones are an error.
+    Omitted parameters take the registry defaults; extra ones are an error,
+    and so is a value that is not a finite number, or a randflat seed that
+    is not a non-negative integer (InputError naming the parameter).
     """
     kind, _, raw = canonical_name(name).partition(":")
     spec = example_spec(kind)
@@ -497,6 +499,14 @@ def build_example(name):
                 values[idx] = float(part)
             except ValueError as exc:
                 raise InputError(f"bad parameter {part!r} for {kind}") from exc
+            if not math.isfinite(values[idx]):
+                raise InputError(
+                    f"{kind} parameter {spec.param_names[idx]!r} must be finite, got {part!r}"
+                )
+    if kind == "randflat" and not (values[0] >= 0 and values[0] == int(values[0])):
+        raise InputError(
+            f"randflat parameter 'seed' must be a non-negative integer, got {values[0]:g}"
+        )
 
     if kind == "s4":
         return make_constant_curvature(1.0, name="s4")

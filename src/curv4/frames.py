@@ -48,7 +48,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import curvature_at, curvature_jets, metric_norm
+from .chart import connection_jets, curvature_at, curvature_jets, metric_norm
 from .errors import (
     DegenerateFrameError,
     InconsistencyError,
@@ -59,10 +59,28 @@ from .errors import (
 # central_diff stays importable from here for perfbench/tracing.py, which
 # counts calls through this name
 from .numerics import _fix_signs, central_diff, jet_contract, sym_eigen  # noqa: F401
-from .tensor4 import frame_components, sd_split
+from .tensor4 import bivector_matrix, frame_components, weyl_split
+
+# sd_split stays importable from here for perfbench/tracing.py, which counts
+# calls through this name
+from .tensor4 import sd_split  # noqa: F401
 
 _TRIPLES = [t for t in itertools.permutations(range(4), 3)]
-_PAIRS_ORDERED = [(i, j) for i in range(4) for j in range(4) if i != j]
+
+
+def _complement(*indices):
+    return sorted(set(range(4)) - set(indices))
+
+
+# index arrays over the distinct triples (i, j, k); over the ordered pairs
+# (i, j) with the other two indices k < l; over the pairs (0, j) with theirs;
+# and over i = 0..3 with the other three indices, ascending
+_TRIPLE_INDEX = np.array(_TRIPLES).T
+_PAIR_INDEX = np.array([(*p, *_complement(*p)) for p in itertools.permutations(range(4), 2)]).T
+_PAIRINGS = np.array([(0, j, *_complement(0, j)) for j in (1, 2, 3)]).T
+_OTHERS = np.array([_complement(i) for i in range(4)]).T
+# the triples (a, b, k) with a < b
+_BRACKET_TRIPLES = tuple(_TRIPLE_INDEX[:, _TRIPLE_INDEX[0] < _TRIPLE_INDEX[1]])
 _OFF_DIAGONAL = 1.0 - np.eye(4)
 
 # eigenvalues closer than max(CLUSTER_ATOL, CLUSTER_RTOL * spread) count as one
@@ -129,7 +147,7 @@ class RicciFrame:
     def distinct_gamma_max(self):
         """Largest |Gamma^k_ij| over mutually distinct (i, j, k); zero for
         the orthogonal-web ('D0') structure."""
-        return max(abs(self.gamma[i, j, k]) for (i, j, k) in _TRIPLES)
+        return float(np.abs(self.gamma[tuple(_TRIPLE_INDEX)]).max())
 
 
 def _orthonormalize_columns(E, g):
@@ -182,23 +200,23 @@ def _pair_cluster_rotation(entry, E, clusters):
     return E
 
 
+# the cross components W_ijkl, i < j, k < l, (i, j) != (k, l): the entries
+# off the diagonal of W's bivector matrix
+_BIVECTOR_CROSS = ~np.eye(6, dtype=bool)
+
+
 def _w_offdiag(Wf):
     """How far the frame is from diagonalizing W (max cross component), from
     W's frame components."""
-    worst = 0.0
-    for (i, j) in itertools.combinations(range(4), 2):
-        for (k, l) in itertools.combinations(range(4), 2):
-            if (i, j) != (k, l):
-                worst = max(worst, abs(Wf[i, j, k, l]))
-    return float(worst)
+    return float(np.abs(bivector_matrix(Wf)[_BIVECTOR_CROSS]).max())
 
 
-def _frame_connection(E, g, gamma, same, lam=None, nabla_ric=None):
+def _frame_connection(E, gE, gamma, same, lam=None, nabla_ric=None):
     """N[p, k, b] = g(e_k, nabla_p e_b) and its Christoffel part
     G[p, k, b] = g(e_k, Gamma_p e_b), (Gamma_p)^n_m = Gamma^n_pm, from jets
     of degree 0 or 1 (coefficient axis first, numerics.Jet's layout) of the
-    frame, g, gamma, and for eigenframes lam and nabla_ric; the frame
-    derivative is d_p E = E A_p with A = N - G.
+    frame, its lowered columns gE = g E, gamma, and for eigenframes lam and
+    nabla_ric; the frame derivative is d_p E = E A_p with A = N - G.
 
     same[k, b] marks k and b in one lambda cluster (every pair, for adapted
     frames). Orthonormality makes N_p antisymmetric, so A_p has the
@@ -209,7 +227,6 @@ def _frame_connection(E, g, gamma, same, lam=None, nabla_ric=None):
     b = ric - s g / 4 gives N[p, k, b] = (nabla_p b)(e_b, e_k) / (lam_b -
     lam_k), where the ds term drops out since g(e_b, e_k) = 0.
     """
-    gE = jet_contract("nm,mk->nk", g, E)
     G = jet_contract("nk,npb->pkb", gE, jet_contract("npm,mb->npb", gamma, E))
     N = 0.5 * (G - np.swapaxes(G, -1, -2))
     if not same.all():
@@ -233,11 +250,11 @@ def _same_cluster(clusters):
     return same
 
 
-def _brackets(E, dE, g):
+def _brackets(E, dE, gE):
     """C[a, b, k] = g([e_a, e_b], e_k), with [e_a, e_b]^n = e_a^m d_m e_b^n -
-    e_b^m d_m e_a^n, from jets of E, dE[m, n, b] = d_m E[n, b] and g."""
+    e_b^m d_m e_a^n, from jets of E, dE[m, n, b] = d_m E[n, b] and gE = g E."""
     directional = jet_contract("ma,mnb->abn", E, dE)
-    J = jet_contract("abn,nk->abk", directional, jet_contract("nm,mk->nk", g, E))
+    J = jet_contract("abn,nk->abk", directional, gE)
     return J - np.swapaxes(J, -3, -2)
 
 
@@ -316,19 +333,24 @@ def extract_frame(chart, x, entry=None):
     if np.linalg.det(E) < 0.0:
         E[:, 3] = -E[:, 3]
 
-    gram_resid = float(np.max(np.abs(E.T @ g @ E - np.eye(4))))
+    gE = g @ E
+    gram = E.T @ gE
+    gram_resid = float(np.max(np.abs(gram - np.eye(4))))
+    if np.linalg.norm(gram - np.eye(4)) > 1e-8:
+        raise InputError("frame is not g-orthonormal within 1e-8")
     b_frame = E.T @ b @ E
     diag_resid = float(np.max(np.abs(b_frame - np.diag(np.diag(b_frame)))))
     lam = np.diag(b_frame).copy()
 
-    split = sd_split(entry.weyl, entry.metric, E)
+    # W's frame components, made once; E is positively oriented
     Wf = frame_components(entry.weyl, E)
+    split = weyl_split(Wf, 1)
     w_diag_resid = _w_offdiag(Wf)
 
     same = np.ones((4, 4), dtype=bool) if adapted else _same_cluster(clusters)
     # the connection and the brackets take jets; values are jets of degree 0
     N, G = _frame_connection(
-        E[None], g[None], entry.gamma[None], same, lam[None], entry.nabla_ric[None]
+        E[None], gE[None], entry.gamma[None], same, lam[None], entry.nabla_ric[None]
     )
     dE = E @ (N - G)[0]  # dE[p, n, b] = d_p E[n, b]
     gamma_f = np.einsum("pa,pkb->abk", E, N[0])
@@ -337,19 +359,18 @@ def extract_frame(chart, x, entry=None):
     dlam -= (entry.ds @ E)[:, None] / 4.0
     # D_a sigma_bc = (nabla_a W)(e_b, e_c, e_b, e_c)
     #   + 2 W(nabla_a e_b, e_c, e_b, e_c) + 2 W(e_b, nabla_a e_c, e_b, e_c)
-    nabla_w = entry.nabla_weyl
-    for _ in range(5):
-        nabla_w = np.tensordot(nabla_w, E, axes=(0, 0))
+    nabla_w = frame_components(entry.nabla_weyl, E)
     dsig = (
         np.einsum("abcbc->abc", nabla_w)
         + 2.0 * np.einsum("abk,kcbc->abc", gamma_f, Wf)
         + 2.0 * np.einsum("ack,bkbc->abc", gamma_f, Wf)
     ) * _OFF_DIAGONAL
 
-    C = _brackets(E[None], dE[None], g[None])[0]
+    C = _brackets(E[None], dE[None], gE[None])[0]
     F = _structure_f(C)
-    bracket_resid = max(abs(C[a, b2, k]) for (a, b2, k) in _TRIPLES if a < b2)
-    f_gamma_resid = max(abs(F[b2, a] - gamma_f[a, b2, a]) for (a, b2) in _PAIRS_ORDERED)
+    bracket_resid = np.abs(C[_BRACKET_TRIPLES]).max()
+    i, j = _PAIR_INDEX[:2]
+    f_gamma_resid = np.abs(F[j, i] - gamma_f[i, j, i]).max()
 
     diagnostics = {
         "gram_resid": gram_resid,
@@ -394,32 +415,27 @@ def skw_residuals(frame):
     """
     lam, sig, gm = frame.lam, frame.sigma, frame.gamma
     Dlam, Dsig = frame.dlam, frame.dsig
+    i, j, k = _TRIPLE_INDEX
+    res_a = np.abs(gm[i, j, k] + gm[i, k, j]).max()
+    res_c = np.abs((lam[j] - lam[k]) * gm[i, j, k] - (lam[k] - lam[i]) * gm[j, k, i]).max()
+    res_d = np.abs(
+        (sig[i, j] - sig[i, k]) * gm[i, j, k] - (sig[j, k] - sig[j, i]) * gm[j, k, i]
+    ).max()
 
-    res_a = max(abs(gm[i, j, k] + gm[i, k, j]) for (i, j, k) in _TRIPLES)
+    # the pairings over the complementary pairs of (0, 1), (0, 2), (0, 3)
+    # and the row sums, each summed in column order
+    i, j, k, l = _PAIRINGS
+    rows, (a, b, c) = np.arange(4), _OTHERS
+    res_b = max(
+        np.abs(sig[i, j] - sig[k, l]).max(),
+        np.abs(sig[rows, a] + sig[rows, b] + sig[rows, c]).max(),
+    )
 
-    res_b = 0.0
-    for (i, j) in ((0, 1), (0, 2), (0, 3)):
-        k, l = sorted(set(range(4)) - {i, j})
-        res_b = max(res_b, abs(sig[i, j] - sig[k, l]))
-    for i in range(4):
-        res_b = max(res_b, abs(sum(sig[i, j] for j in range(4) if j != i)))
-
-    res_c = max(
-        abs((lam[j] - lam[k]) * gm[i, j, k] - (lam[k] - lam[i]) * gm[j, k, i])
-        for (i, j, k) in _TRIPLES
-    )
-    res_d = max(
-        abs((sig[i, j] - sig[i, k]) * gm[i, j, k] - (sig[j, k] - sig[j, i]) * gm[j, k, i])
-        for (i, j, k) in _TRIPLES
-    )
-    res_e = max(
-        abs(Dlam[i, j] - (lam[j] - lam[i]) * gm[j, j, i]) for (i, j) in _PAIRS_ORDERED
-    )
-    res_f = 0.0
-    for (i, j) in _PAIRS_ORDERED:
-        k, l = sorted(set(range(4)) - {i, j})
-        rhs = (sig[i, j] - sig[i, k]) * gm[k, k, j] + (sig[i, j] - sig[i, l]) * gm[l, l, j]
-        res_f = max(res_f, abs(Dsig[j, i, j] - rhs))
+    # ordered pairs (i, j), with k < l the other two indices
+    i, j, k, l = _PAIR_INDEX
+    res_e = np.abs(Dlam[i, j] - (lam[j] - lam[i]) * gm[j, j, i]).max()
+    rhs = (sig[i, j] - sig[i, k]) * gm[k, k, j] + (sig[i, j] - sig[i, l]) * gm[l, l, j]
+    res_f = np.abs(Dsig[j, i, j] - rhs).max()
 
     return {
         "skw.a": float(res_a),
@@ -441,16 +457,13 @@ def sy_from_components(sigma, lam, gamma):
     sigma = np.asarray(sigma, dtype=float)
     lam = np.asarray(lam, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
-    S = np.zeros(4)
-    y = np.zeros(4)
-    consistency = 0.0
-    for l in range(4):
-        i, j, k = sorted(set(range(4)) - {l})
-        S[l] = (sigma[i, j] - sigma[i, k]) * gamma[i, j, k]
-        y[l] = (lam[j] - lam[k]) * gamma[i, j, k]
-        s_alt = (sigma[j, k] - sigma[j, i]) * gamma[j, k, i]
-        y_alt = (lam[k] - lam[i]) * gamma[j, k, i]
-        consistency = max(consistency, abs(S[l] - s_alt), abs(y[l] - y_alt))
+    # S_l and y_l from the ascending triple (i, j, k) of the indices other than l
+    i, j, k = _OTHERS
+    S = (sigma[i, j] - sigma[i, k]) * gamma[i, j, k]
+    y = (lam[j] - lam[k]) * gamma[i, j, k]
+    s_alt = (sigma[j, k] - sigma[j, i]) * gamma[j, k, i]
+    y_alt = (lam[k] - lam[i]) * gamma[j, k, i]
+    consistency = max(0.0, np.abs(S - s_alt).max(), np.abs(y - y_alt).max())
     alpha = np.full(4, np.nan)
     mask = np.abs(y) > ZERO_TOL
     alpha[mask] = S[mask] / y[mask]
@@ -497,25 +510,34 @@ def _case_label(r, w, d):
     return {0: "D0", 1: "D1"}.get(d, "D2-excluded")
 
 
-def invariant_counts(frames, degenerate_points=0):
-    """Fold frames from several sample points into the discrete invariants.
+def frame_invariants(frame):
+    """The discrete invariants of one frame: r distinct Ricci eigenvalues,
+    w / w_minus distinct eigenvalues of the W+ / W- blocks, and zeta, the
+    count of nonzero S_l."""
+    w_plus, w_minus = np.linalg.eigvalsh(np.stack([frame.w_plus, frame.w_minus]))
+    return {
+        "r": cluster_count(frame.lam),
+        "w": cluster_count(w_plus),
+        "w_minus": cluster_count(w_minus),
+        "zeta": sy_invariants(frame)["zeta"],
+    }
 
-    With no frames at all (every sampled point Einstein and conformally
+
+def fold_invariants(rows, degenerate_points=0):
+    """Fold the frame_invariants of frames from several sample points into
+    the discrete invariants: the maximum of each count.
+
+    With no rows at all (every sampled point Einstein and conformally
     flat) the counts collapse to the constant-curvature pattern r = w = 1.
     """
-    frames = list(frames)
-    if not frames:
+    rows = list(rows)
+    if not rows:
         if degenerate_points == 0:
             raise InputError("no frames and no degenerate points")
         return InvariantCounts(
             r=1, w=1, w_minus=1, d_lower=0, case_label="A", degenerate_points=degenerate_points
         )
-    r = w = wm = d = 0
-    for fr in frames:
-        r = max(r, cluster_count(fr.lam))
-        w = max(w, cluster_count(np.linalg.eigvalsh(fr.w_plus)))
-        wm = max(wm, cluster_count(np.linalg.eigvalsh(fr.w_minus)))
-        d = max(d, sy_invariants(fr)["zeta"])
+    r, w, wm, d = (max(row[key] for row in rows) for key in ("r", "w", "w_minus", "zeta"))
     return InvariantCounts(
         r=r,
         w=w,
@@ -524,6 +546,12 @@ def invariant_counts(frames, degenerate_points=0):
         case_label=_case_label(r, w, d),
         degenerate_points=degenerate_points,
     )
+
+
+def invariant_counts(frames, degenerate_points=0):
+    """Fold frames from several sample points into the discrete invariants
+    (fold_invariants of their frame_invariants)."""
+    return fold_invariants(map(frame_invariants, frames), degenerate_points)
 
 
 @dataclass(frozen=True)
@@ -538,14 +566,20 @@ class StructureData:
 def structure_data(chart, frame):
     """F and DF at the frame's base point, DF[a, b, c] = D_a F_bc the exact
     first partial of F along e_a in the gauge of the module docstring, from
-    one curvature jet at x: of degree 2 for adapted frames, whose A needs
-    d g and d Gamma, and of degree 4 for eigenframes, whose A needs
-    d nabla Ric too. A chart without a jet_fn differences that jet on its
-    stencil (numerics.metric_jet); a stencil that leaves the chart box
-    raises DomainError naming x and the stencil's reach."""
+    one jet at x: the degree-2 connection jet (chart.connection_jets) for
+    adapted frames, whose A needs d g and d Gamma only, and the degree-4
+    curvature jet for eigenframes, whose A needs d nabla Ric too. A chart
+    without a jet_fn differences that jet on its stencil
+    (numerics.metric_jet); a stencil that leaves the chart box raises
+    DomainError naming x and the stencil's reach."""
     x, E = frame.x, frame.E
     adapted = frame.source == "adapted"
-    jets = curvature_jets(chart, x[None], degree=2 if adapted else 4)
+    if adapted:
+        # g and Gamma only: the frame's own degree-3 entry at x has passed
+        # the curvature checks
+        jets = connection_jets(chart, x[None], degree=2)
+    else:
+        jets = curvature_jets(chart, x[None], degree=4)
     # first-order jets at x (value and four partials), the point axis dropped
     g, gamma = jets["g"][:5, 0], jets["gamma"][:5, 0]
     same = np.ones((4, 4), dtype=bool) if adapted else _same_cluster(frame.clusters)
@@ -559,10 +593,11 @@ def structure_data(chart, frame):
         lam = np.concatenate([frame.lam[None], dlam])
     # A at x first (a frame jet of degree 0 truncates every product to its
     # values), then the frame as a jet, E(x + h) = E + h^p E A_p
-    N, G = _frame_connection(E[None], g, gamma, same, lam, nabla_ric)
+    N, G = _frame_connection(E[None], (g[0] @ E)[None], gamma, same, lam, nabla_ric)
     A = (N - G)[0]
     E_jet = np.concatenate([E[None], E @ A])
-    N, G = _frame_connection(E_jet, g, gamma, same, lam, nabla_ric)
+    gE = jet_contract("nm,mk->nk", g, E_jet)
+    N, G = _frame_connection(E_jet, gE, gamma, same, lam, nabla_ric)
     A_jet = N - G
     if not adapted:
         # the alignment's in-cluster rotation rate: d_q Omega_p = -(M - M^T) / 2
@@ -570,7 +605,7 @@ def structure_data(chart, frame):
         M = A[:, None] @ A[None, :]
         A_jet[1:] -= 0.5 * (M - np.swapaxes(M, -1, -2)) * same
     dE = jet_contract("nk,pkb->pnb", E_jet, A_jet)  # dE[p, n, b] = d_p E[n, b]
-    F = _structure_f(_brackets(E_jet, dE, g))
+    F = _structure_f(_brackets(E_jet, dE, gE))
     DF = np.einsum("ma,mbc->abc", E, F[1:])
     return StructureData(x=x, F=frame.F.copy(), DF=DF)
 

@@ -598,6 +598,24 @@ def numerical_rank(A):
 _HALTON_BASES = (2, 3, 5, 7)
 
 
+def _halton_tables(b):
+    # per base: the identity digit permutations, one row per digit that a
+    # double can resolve (ceil(54 / log2 b) - 1 of them), the digit place
+    # values b ** j (b ** (ndigits - 1) stays below 2 ** 63), and scipy's
+    # digit scales, 1/b divided by b once per digit
+    ndigits = math.ceil(54 / math.log2(b)) - 1
+    identity = np.tile(np.arange(b), (ndigits, 1))
+    places = b ** np.arange(ndigits, dtype=np.int64)
+    scales = np.divide.accumulate(np.concatenate([[1.0 / b], np.full(ndigits - 1, float(b))]))
+    rows = np.arange(ndigits)
+    for arr in (identity, places, scales, rows):
+        arr.setflags(write=False)
+    return b, identity, places, scales, rows
+
+
+_HALTON_TABLES = tuple(_halton_tables(b) for b in _HALTON_BASES)
+
+
 def halton(count, seed=None):
     """First `count` points of the 4-d Halton sequence, in [0, 1)^4.
 
@@ -605,24 +623,25 @@ def halton(count, seed=None):
     base. With a `seed`, the digits of each base are scrambled by random
     permutations (Owen, arXiv:1706.02808): one shuffle of range(b) per digit
     that a double can resolve, ceil(54 / log2 b) - 1 of them, drawn from the
-    child generator that np.random.default_rng(seed) spawns as one
-    `permuted` call per base, which draws what one `permutation` call per
-    digit would. These are the draws scipy.stats.qmc.Halton(d=4,
-    scramble=True, seed=np.random.default_rng(seed)) makes, and the digit
-    terms are summed in scipy's order with its scales (1/b divided by b once
-    per digit), so both give the same points, bit for bit.
+    child generator that np.random.default_rng(seed) spawns (a PCG64 on the
+    first child of np.random.SeedSequence(seed), made here without the
+    parent generator) as one `permuted` call per base, which draws what one
+    `permutation` call per digit would. These are the draws
+    scipy.stats.qmc.Halton(d=4, scramble=True,
+    seed=np.random.default_rng(seed)) makes, and the digit terms are summed
+    in scipy's order with its scales (1/b divided by b once per digit), so
+    both give the same points, bit for bit. The per-base tables (identity
+    permutations, digit place values, scales) are module constants; a call
+    makes only the draws and the digit sums.
     """
-    index = np.arange(count, dtype=np.int64)
-    rng = None if seed is None else np.random.default_rng(seed).spawn(1)[0]
+    index = np.arange(count, dtype=np.int64)[:, None]
+    rng = None
+    if seed is not None:
+        rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed).spawn(1)[0]))
     out = np.empty((count, len(_HALTON_BASES)))
-    for k, b in enumerate(_HALTON_BASES):
-        ndigits = math.ceil(54 / math.log2(b)) - 1
-        perms = np.tile(np.arange(b), (ndigits, 1))
+    for k, (b, perms, places, scales, rows) in enumerate(_HALTON_TABLES):
         if rng is not None:
             perms = rng.permuted(perms, axis=1)
-        # digit j of every index; b ** (ndigits - 1) stays below 2 ** 63
-        digits = index[:, None] // b ** np.arange(ndigits, dtype=np.int64) % b
-        scales = np.divide.accumulate(np.r_[1.0 / b, np.full(ndigits - 1, float(b))])
-        terms = perms[np.arange(ndigits), digits] * scales
+        terms = perms[rows, index // places % b] * scales
         out[:, k] = np.cumsum(terms, axis=1)[:, -1]
     return out

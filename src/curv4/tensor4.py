@@ -212,12 +212,7 @@ def hodge_star(orientation=1):
     """Hodge star on bivectors as a BivectorOp (symmetric involution, trace 0)."""
     if orientation not in (1, -1):
         raise InputError("orientation must be +1 or -1")
-    M = np.zeros((6, 6))
-    for p, (i, j) in enumerate(PAIRS):
-        k, l = sorted(set(range(N)) - {i, j})
-        sign = _perm_sign((i, j, k, l))
-        M[_PAIR_INDEX[(k, l)], p] = sign * orientation
-    return BivectorOp(M=M)
+    return BivectorOp(M=orientation * _STAR)
 
 
 def _perm_sign(perm):
@@ -244,15 +239,36 @@ class BivectorOp:
         object.__setattr__(self, "M", M)
 
 
+def _star_matrix():
+    # the star of the standard orientation: e_i ^ e_j -> sign(i j k l) e_k ^ e_l
+    M = np.zeros((6, 6))
+    for p, (i, j) in enumerate(PAIRS):
+        k, l = sorted(set(range(N)) - {i, j})
+        M[_PAIR_INDEX[(k, l)], p] = _perm_sign((i, j, k, l))
+    M.setflags(write=False)
+    return M
+
+
+_STAR = _star_matrix()
+
+
 def frame_components(R, frame):
-    """Components of a 4-covariant tensor in a frame given by columns of `frame`."""
-    out = R.R if isinstance(R, Curv4) else np.asarray(R, dtype=float)
+    """Components of a covariant tensor of any rank in a frame given by the
+    columns of `frame`: T(e_a, e_b, ...)."""
+    T = R.R if isinstance(R, Curv4) else np.asarray(R, dtype=float)
     E = np.asarray(frame, dtype=float)
-    # contract the leading slot with E four times; each new frame index is
-    # appended last, so the result comes out ordered (a, b, c, d)
-    for _ in range(4):
-        out = np.tensordot(out, E, axes=(0, 0))
-    return out
+    # contract the leading slot with E, once per slot: the slot-first matrix,
+    # transposed, times E appends the new frame index last, so the result
+    # comes out ordered (a, b, c, ...)
+    out = T
+    for _ in range(T.ndim):
+        out = out.reshape(N, -1).T @ E
+    return out.reshape(T.shape)
+
+
+# bivector_matrix's gather: entry [p, q] reads slots (i_q, j_q, k_p, l_p)
+_FIRST, _SECOND = np.array(PAIRS).T
+_BIVECTOR_GATHER = (_FIRST, _SECOND, _FIRST[:, None], _SECOND[:, None])
 
 
 def bivector_matrix(A_frame):
@@ -261,11 +277,7 @@ def bivector_matrix(A_frame):
     In an orthonormal frame the operator sends e_i ^ e_j to
     sum_{k<l} A_ijkl e_k ^ e_l, so entry [(kl),(ij)] is A_ijkl.
     """
-    M = np.empty((6, 6))
-    for q, (i, j) in enumerate(PAIRS):
-        for p, (k, l) in enumerate(PAIRS):
-            M[p, q] = A_frame[i, j, k, l]
-    return M
+    return np.asarray(A_frame)[_BIVECTOR_GATHER]
 
 
 # normalized self-dual / anti-self-dual bases as columns over the PAIRS axis:
@@ -313,32 +325,38 @@ def sd_split(W, metric, frame):
 
     `frame` holds g-orthonormal columns; a negatively oriented frame flips
     the star operator so the split stays tied to the coordinate orientation.
-    Raises PreconditionError when the Ricci contraction is not ~0 and
-    InconsistencyError when the operator fails to commute with the star.
+    Raises InputError when the frame is not g-orthonormal, and otherwise
+    what weyl_split raises.
     """
     E = np.asarray(frame, dtype=float)
     gram = E.T @ metric.g @ E
     if np.linalg.norm(gram - np.eye(N)) > 1e-8:
         raise InputError("frame is not g-orthonormal within 1e-8")
-    Wf = frame_components(W, E)
-    scale = max(1e-300, _norm(Wf))
-    ric_contr = np.einsum("abad->bd", Wf)
-    if np.linalg.norm(ric_contr) > 1e-8 * max(1.0, scale):
-        raise PreconditionError("operator has a nonvanishing Ricci contraction")
     orientation = 1 if np.linalg.det(E) > 0 else -1
+    return weyl_split(frame_components(W, E), orientation)
+
+
+# sigma keeps the sectional values W_ijij off the diagonal only
+_OFF_DIAGONAL = ~np.eye(N, dtype=bool)
+
+
+def weyl_split(Wf, orientation):
+    """sd_split from the components Wf[a, b, c, d] of W in an orthonormal
+    frame of the given orientation (+1 or -1). Raises PreconditionError when
+    the Ricci contraction is not ~0 and InconsistencyError when the operator
+    fails to commute with the star."""
+    scale = max(1e-300, _norm(Wf))
+    if _norm(np.einsum("abad->bd", Wf)) > 1e-8 * max(1.0, scale):
+        raise PreconditionError("operator has a nonvanishing Ricci contraction")
     M = bivector_matrix(Wf)
-    star = hodge_star(orientation).M
-    if np.linalg.norm(M @ star - star @ M) > 1e-9 * max(1.0, scale):
+    star = orientation * _STAR
+    if _norm(M @ star - star @ M) > 1e-9 * max(1.0, scale):
         raise InconsistencyError("operator does not commute with the Hodge star")
     w_plus = _BASIS_PLUS.T @ M @ _BASIS_PLUS
     w_minus = _BASIS_MINUS.T @ M @ _BASIS_MINUS
     if orientation < 0:
         w_plus, w_minus = w_minus, w_plus
-    sigma = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                sigma[i, j] = Wf[i, j, i, j]
+    sigma = np.where(_OFF_DIAGONAL, np.einsum("ijij->ij", Wf), 0.0)
     return WeylSplit(w_plus=w_plus, w_minus=w_minus, sigma=sigma, orientation=orientation)
 
 

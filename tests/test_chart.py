@@ -98,10 +98,11 @@ def test_validation_rejects_inconsistent_evaluators():
 
 @pytest.mark.parametrize("name", REGISTRY_NAMES)
 def test_validation_evaluates_each_probe_once(name):
-    # five probes point by point, one batch for the batched comparison, one
-    # for the 8 stencils of the first probe (40 points), one jet_fn call
+    # five probes point by point, then one batch of the five probes for the
+    # batched comparison together with the 8 stencils of the first probe (40
+    # points), or those 40 points one by one, and one jet_fn call
     chart = curv4.build_example(name)
-    for batched, stencil in ((True, [(5, 4), (40, 4)]), (False, [(4,)] * 40)):
+    for batched, stencil in ((True, [(45, 4)]), (False, [(4,)] * 40)):
         evals, jets = [], []
 
         def eval_fn(x):
@@ -115,6 +116,21 @@ def test_validation_evaluates_each_probe_once(name):
         dataclasses.replace(chart, eval_fn=eval_fn, jet_fn=jet_fn, batched=batched)
         assert evals == [(4,)] * 5 + stencil
         assert jets == [(5, 4)]
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
+def test_metric_norms_match_one_full_contraction(rank):
+    # sqrt(g^a1b1 ... g^arbr T_a1..ar T_b1..br) at each of three points, with
+    # a random symmetric positive-definite g^-1 per point
+    rng = np.random.default_rng(rank)
+    A = rng.normal(size=(3, 4, 4))
+    g_inv = A @ np.swapaxes(A, 1, 2) + 4.0 * np.eye(4)
+    T = rng.normal(size=(3,) + (4,) * rank)
+    up, down = "abcde"[:rank], "fghij"[:rank]
+    spec = ",".join(f"n{u}{d}" for u, d in zip(up, down)) + f",n{up},n{down}->n"
+    expected = np.sqrt(np.einsum(spec, *[g_inv] * rank, T, T))
+    assert np.allclose(chart_module._metric_norms(T, g_inv), expected, rtol=1e-13, atol=0.0)
+    assert chart_module.metric_norm(T[1], g_inv[1]) == pytest.approx(expected[1], rel=1e-13)
 
 
 def test_probe_points_are_drawn_once(monkeypatch):

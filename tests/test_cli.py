@@ -287,6 +287,33 @@ def test_scan_rejects_an_empty_grid_axis(capsys):
     assert "k1" in err and "no grid values" in err
 
 
+@pytest.mark.parametrize(
+    "example, param",
+    [
+        ("s2xs2:nan,2", "'k1'"),
+        ("rxs3:nan", "'c'"),
+        ("bump:nan", "'a'"),
+        ("kpc:1,inf", "'r'"),
+        ("randflat:nan", "'seed'"),
+        ("randflat:-1", "'seed'"),
+        ("randflat:1.5", "'seed'"),
+    ],
+)
+def test_verify_rejects_bad_example_parameters(example, param, capsys):
+    # a usage error (exit 2) naming the parameter, not a numpy traceback with
+    # the exit code of a failed verification, nor randflat:1 for randflat:1.5
+    code, out, err = run_main(["verify", "--example", example, "--samples", "1"], capsys)
+    assert code == 2 and out == ""
+    assert param in err
+
+
+@pytest.mark.parametrize("grid, param", [("k1=nan", "'k1'"), ("k2=1,inf", "'k2'")])
+def test_scan_rejects_non_finite_grid_values(grid, param, capsys):
+    code, out, err = run_main(["scan", "s2xs2", "--param", grid, "--samples", "1"], capsys)
+    assert code == 2 and out == ""
+    assert param in err and "finite" in err
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
 @pytest.mark.parametrize("flag", ["--tol-second", "--tol-third"])
 def test_verify_rejects_bad_tolerance_flags(flag, value, capsys):

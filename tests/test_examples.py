@@ -37,6 +37,11 @@ def test_registry_and_parsing():
         build_example("s2xs2:1,2,3")
     with pytest.raises(InputError):
         build_example("s4:abc")
+    # parameters are finite, and randflat's seed a non-negative integer
+    for bad in ("s2xs2:nan,2", "rxs3:inf", "bump:-inf", "randflat:-1", "randflat:1.5"):
+        with pytest.raises(InputError):
+            build_example(bad)
+    assert build_example("randflat:3.0").name == "randflat:3"
     # long aliases and the '-default' suffix work anywhere a name does
     assert build_example("product_surfaces:1,2").name == "s2xs2:1,2"
     assert build_example("s4-default").name == "s4"

@@ -7,6 +7,7 @@ import pytest
 import curv4
 from curv4.errors import DegenerateFrameError, InputError, PreconditionError
 from curv4.frames import (
+    RicciFrame,
     StructureData,
     cluster_count,
     cluster_indices,
@@ -176,6 +177,70 @@ def test_sy_synthetic_oracle():
     assert out["consistency"] == pytest.approx(0.0)
     assert out["consistent"]
     assert out["zeta"] == 1
+
+
+def _rest(*idx):
+    return sorted(set(range(4)) - set(idx))
+
+
+def _loop_skw(fr):
+    # skw_residuals as loops over index tuples
+    lam, sig, gm, Dlam, Dsig = fr.lam, fr.sigma, fr.gamma, fr.dlam, fr.dsig
+    triples = list(itertools.permutations(range(4), 3))
+    pairs = [(i, j) for i in range(4) for j in range(4) if i != j]
+    res_b = 0.0
+    for i, j in ((0, 1), (0, 2), (0, 3)):
+        k, l = _rest(i, j)
+        res_b = max(res_b, abs(sig[i, j] - sig[k, l]))
+    for i in range(4):
+        res_b = max(res_b, abs(sum(sig[i, j] for j in range(4) if j != i)))
+    res_f = 0.0
+    for i, j in pairs:
+        k, l = _rest(i, j)
+        rhs = (sig[i, j] - sig[i, k]) * gm[k, k, j] + (sig[i, j] - sig[i, l]) * gm[l, l, j]
+        res_f = max(res_f, abs(Dsig[j, i, j] - rhs))
+    return {
+        "skw.a": max(abs(gm[i, j, k] + gm[i, k, j]) for i, j, k in triples),
+        "skw.b": res_b,
+        "skw.c": max(
+            abs((lam[j] - lam[k]) * gm[i, j, k] - (lam[k] - lam[i]) * gm[j, k, i])
+            for i, j, k in triples
+        ),
+        "skw.d": max(
+            abs((sig[i, j] - sig[i, k]) * gm[i, j, k] - (sig[j, k] - sig[j, i]) * gm[j, k, i])
+            for i, j, k in triples
+        ),
+        "skw.e": max(abs(Dlam[i, j] - (lam[j] - lam[i]) * gm[j, j, i]) for i, j in pairs),
+        "skw.f": res_f,
+    }
+
+
+def test_skw_and_sy_match_loop_references():
+    # skw_residuals and sy_from_components read index arrays; on generic
+    # data they give exactly what loops over the index tuples give
+    rng = np.random.default_rng(5)
+    for _ in range(5):
+        sig = rng.normal(size=(4, 4))
+        sig = sig + sig.T
+        np.fill_diagonal(sig, 0.0)
+        lam, gm = rng.normal(size=4), rng.normal(size=(4, 4, 4))
+        fr = RicciFrame(
+            x=np.zeros(4), g=np.eye(4), E=np.eye(4), lam=lam, sigma=sig, s=0.0,
+            F=np.zeros((4, 4)), gamma=gm, dlam=rng.normal(size=(4, 4)),
+            dsig=rng.normal(size=(4, 4, 4)), w_plus=np.zeros((3, 3)),
+            w_minus=np.zeros((3, 3)), source="eigen", clusters=[[0], [1], [2], [3]],
+        )  # fmt: skip
+        assert skw_residuals(fr) == {key: float(v) for key, v in _loop_skw(fr).items()}
+        out = sy_from_components(sig, lam, gm)
+        consistency = 0.0
+        for l in range(4):
+            i, j, k = _rest(l)
+            assert out["S"][l] == (sig[i, j] - sig[i, k]) * gm[i, j, k]
+            assert out["y"][l] == (lam[j] - lam[k]) * gm[i, j, k]
+            s_alt = (sig[j, k] - sig[j, i]) * gm[j, k, i]
+            y_alt = (lam[k] - lam[i]) * gm[j, k, i]
+            consistency = max(consistency, abs(out["S"][l] - s_alt), abs(out["y"][l] - y_alt))
+        assert out["consistency"] == consistency
 
 
 def test_sy_zero_on_web_examples(s2xs2_frames, kpc_frames):

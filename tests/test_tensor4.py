@@ -4,8 +4,10 @@ import pytest
 from curv4.errors import InconsistencyError, InputError, PreconditionError
 from curv4.numerics import sym_eigen
 from curv4.tensor4 import (
+    PAIRS,
     Curv4,
     Metric4,
+    bivector_matrix,
     check_weyl_frame_identities,
     curvature_symmetrize,
     frame_components,
@@ -244,3 +246,28 @@ def test_frame_components_rotation():
     assert Rf[0, 1, 0, 1] == pytest.approx(
         np.einsum("ijkl,i,j,k,l->", R, v, E[:, 1], v, E[:, 1]), abs=1e-12
     )
+
+
+def test_frame_components_and_bivector_gather_match_loop_references():
+    # frame_components against the tensordot chain it replaced, at ranks 4
+    # and 5, and bivector_matrix and the star against their loops
+    rng = np.random.default_rng(8)
+    E = rng.normal(size=(4, 4))
+    for rank in (4, 5):
+        T = rng.normal(size=(4,) * rank)
+        ref = T
+        for _ in range(rank):
+            ref = np.tensordot(ref, E, axes=(0, 0))
+        assert np.allclose(frame_components(T, E), ref, rtol=1e-14, atol=1e-14)
+    A = rng.normal(size=(4, 4, 4, 4))
+    M = np.empty((6, 6))
+    for q, (i, j) in enumerate(PAIRS):
+        for p, (k, l) in enumerate(PAIRS):
+            M[p, q] = A[i, j, k, l]
+    assert np.array_equal(bivector_matrix(A), M)
+    star = np.zeros((6, 6))
+    for p, (i, j) in enumerate(PAIRS):
+        k, l = sorted(set(range(4)) - {i, j})
+        star[PAIRS.index((k, l)), p] = np.linalg.det(np.eye(4)[[i, j, k, l]])
+    for orientation in (1, -1):
+        assert np.array_equal(hodge_star(orientation).M, orientation * star)
