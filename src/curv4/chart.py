@@ -1,7 +1,7 @@
 """Coordinate charts and curvature from metric jets.
 
 A MetricChart is a box in R^4 with a smooth closed-form metric evaluator.
-Every curvature entry starts from the Taylor coefficients of the metric at
+All curvature starts from the Taylor coefficients of the metric at
 x to a degree d: 2, 3 for the covariant derivatives of curvature (the
 harmonicity residuals), 4 for their first partials as well (the frame
 structure data). A chart with a `jet_fn` gives them exactly, by truncated
@@ -12,8 +12,9 @@ of its derivatives. The rest is shared, and runs on stacked points:
 `curvature_jets` takes the curvature jets at N points from one jet
 evaluation and `curvature_batch` their values (`connection_jets` stops at
 g^-1 and Gamma), a harmonicity report is one batch of its sample points,
-and a single entry (`curvature_at`) a batch of one point; nothing is
-cached.
+and the curvature at one point (`curvature_at`, `batch[n]`) is a point of
+a curvature batch, the same record with the point axis dropped; nothing
+is cached.
 
 Every quantity after the metric is a jet too, made by contractions of jets
 and their partials (numerics.jet_contract, numerics.jet_partials), so one
@@ -36,6 +37,7 @@ by contractions, with no further differencing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,7 +55,7 @@ from .numerics import (
     stencil_derivative,
     taylor_coefficients,
 )
-from .tensor4 import Curv4, Metric4, curvature_projection, kulkarni_nomizu
+from .tensor4 import curvature_projection, kulkarni_nomizu
 
 # importable from here for perfbench/tracing.py, which counts calls through
 # these names
@@ -73,6 +75,25 @@ def parallel_map(fn, items):
 DEFAULT_TOLS = {"second": 1e-5, "third": 1e-4}
 
 
+def _tolerance(name, value):
+    """value, if it is a finite positive number; InputError naming it otherwise."""
+    ok = isinstance(value, int | float) and not isinstance(value, bool)
+    if not (ok and math.isfinite(value) and value > 0.0):
+        raise InputError(f"{name} must be a finite positive number, got {value!r}")
+    return value
+
+
+def _checked_tols(tols):
+    """DEFAULT_TOLS with the tiers of `tols` overridden; InputError for a
+    tier that DEFAULT_TOLS does not have or a value that is not a finite
+    positive number."""
+    for tier, value in tols.items():
+        if tier not in DEFAULT_TOLS:
+            raise InputError(f"unknown tolerance tier {tier!r}; tiers: {', '.join(DEFAULT_TOLS)}")
+        _tolerance(f"tolerance {tier!r}", value)
+    return {**DEFAULT_TOLS, **tols}
+
+
 @dataclass
 class MetricChart:
     """Smooth metric on a coordinate box.
@@ -90,8 +111,8 @@ class MetricChart:
 
     `jet_fn(x, degree)`, when given, returns the exact Taylor coefficients
     of the metric at stacked points x (..., 4) up to `degree`, shape
-    (..., 4, 4, ncoef) in the layout of numerics.Jet; curvature entries then
-    use no finite differences. Without it the metric jet is taken by finite
+    (..., 4, 4, ncoef) in the layout of numerics.Jet; curvature then uses
+    no finite differences. Without it the metric jet is taken by finite
     differences of eval_fn on `stencil`.
 
     `stencil` is how a chart without a jet_fn differences its metric jet;
@@ -142,9 +163,6 @@ class MetricChart:
         if G.shape != (len(X), 4, 4):
             raise InputError(f"chart '{self.name}' returned shape {G.shape} for {len(X)} points")
         return G
-
-    def metric(self, x):
-        return Metric4(g=self.eval(x))
 
 
 # five fixed unscrambled Halton probes in [0, 1)^4, shared read-only; the
@@ -326,16 +344,17 @@ def _metric_coefficients(chart, X, degree):
 
 def _weyl(g, R, ric, s):
     """W = R - (g ^ Sch) / 2 with the Schouten tensor Sch = ric - s g / 6,
-    at stacked points."""
-    sch = ric - s[:, None, None] * g / 6.0
+    over any leading axes."""
+    sch = ric - s[..., None, None] * g / 6.0
     return R - 0.5 * kulkarni_nomizu(g, sch)
 
 
 def _nabla_weyl(g, nabla_riem, nabla_ric, ds):
-    """nabla W from nabla R, nabla ric and ds at stacked points: W is linear
-    in R, ric and s, and nabla g = 0."""
-    nabla_sch = nabla_ric - ds[..., None, None] * g[:, None, :, :] / 6.0
-    return nabla_riem - 0.5 * kulkarni_nomizu(g[:, None, :, :], nabla_sch)
+    """nabla W from nabla R, nabla ric and ds over any leading axes: W is
+    linear in R, ric and s, and nabla g = 0."""
+    g = g[..., None, :, :]
+    nabla_sch = nabla_ric - ds[..., None, None] * g / 6.0
+    return nabla_riem - 0.5 * kulkarni_nomizu(g, nabla_sch)
 
 
 @dataclass(frozen=True)
@@ -343,9 +362,13 @@ class CurvatureBatch:
     """Curvature at stacked points x (N, 4), the point axis first: g, g_inv,
     gamma[n, k, i, j] = Gamma^k_ij, R[n, i, j, k, l], ric, s (N,), weyl and
     the projection distance per point. Batches of degree 3 or more also
-    carry nabla_riem[n, p, ...], nabla_ric, nabla_weyl and ds[n, p].
-    weyl and nabla_weyl are made on request: not every caller of a large
-    batch reads them."""
+    carry nabla_riem[n, p, ...], nabla_ric, nabla_weyl and ds[n, p]; other
+    batches leave them None. weyl and nabla_weyl are made on request: not
+    every caller of a large batch reads them.
+
+    batch[n] is point n, the same record without the point axis: x (4,),
+    g[i, j], nabla_riem[p, i, j, k, l], s a scalar, and so on; its weyl and
+    nabla_weyl are made for that point alone."""
 
     x: np.ndarray
     g: np.ndarray
@@ -369,27 +392,10 @@ class CurvatureBatch:
             return None
         return _nabla_weyl(self.g, self.nabla_riem, self.nabla_ric, self.ds)
 
-    def entry(self, n):
-        """The CurvatureEntry of point n; its W and nabla W are made for that
-        point alone."""
-        at = slice(n, n + 1)
-        derived = {}
-        if self.ds is not None:
-            derived = {key: getattr(self, key)[n] for key in ("nabla_riem", "nabla_ric", "ds")}
-            derived["nabla_weyl"] = _nabla_weyl(
-                self.g[at], self.nabla_riem[at], self.nabla_ric[at], self.ds[at]
-            )[0]
-        return CurvatureEntry(
-            x=self.x[n],
-            metric=Metric4.from_checked(self.g[n], self.g_inv[n]),
-            gamma=self.gamma[n],
-            riem=Curv4(R=self.R[n], projection_distance=float(self.projection_distance[n])),
-            ric=self.ric[n],
-            s=float(self.s[n]),
-            weyl=Curv4(R=_weyl(self.g[at], self.R[at], self.ric[at], self.s[at])[0]),
-            projection_distance=float(self.projection_distance[n]),
-            **derived,
-        )
+    def __getitem__(self, n):
+        """Point n with the point axis dropped: each field is the n-th slice
+        of the batch's, None staying None."""
+        return CurvatureBatch(**{k: None if v is None else v[n] for k, v in vars(self).items()})
 
 
 def _norms(T):
@@ -441,7 +447,7 @@ def curvature_batch(chart, X, degree=2):
     of `curvature_jets`; the algebra runs on blocks of points, to bound the
     memory a large batch holds at once.
 
-    Every point gets the checks of a single entry: a symmetric
+    Every point gets the same checks: a symmetric
     positive-definite metric with g g^-1 = I, nabla g = 0, and a raw
     curvature within 1e-3 * ||raw|| of its projection. A point outside the
     box (or, for finite-difference jets, one whose stencil leaves it) raises
@@ -477,8 +483,8 @@ def connection_jets(chart, X, degree=2):
 
 def _connection_algebra(X, coef, degree):
     """The coefficients of g, g_inv and gamma at points X (N, 4) from the
-    metric's, coef (ncoef, N, 4, 4) of degree >= 2, after the checks of a
-    single entry on the metric (_checked_inverse) and nabla g = 0."""
+    metric's, coef (ncoef, N, 4, 4) of degree >= 2, after the checks of
+    curvature_batch on the metric (_checked_inverse) and nabla g = 0."""
     g_inv0 = _checked_inverse(X, coef[0])
     dg = jet_partials(coef)
     # g^-1 = (1 + e)^-1 g0^-1 with e = g0^-1 (g - g0), by Horner's rule
@@ -495,7 +501,7 @@ def _curvature_algebra(X, coef, degree):
     """The coefficients of CurvatureBatch's fields but x, to the degrees
     curvature_jets gives, and the projection distance, at points X (N, 4)
     from the metric's, coef (ncoef, N, 4, 4) of degree >= 2, after every
-    check of a single entry."""
+    check of curvature_batch."""
     jets = _connection_algebra(X, coef, degree)
     g_inv, gamma = jets["g_inv"], jets["gamma"]
     # R^m_(i,j,k) per the curvature convention in the module docstring: the
@@ -530,32 +536,8 @@ def _curvature_algebra(X, coef, degree):
     return jets, dist
 
 
-@dataclass(frozen=True)
-class CurvatureEntry:
-    """Everything curvature-related at one point.
-
-    Entries of degree 3 and more also carry the covariant derivatives
-    nabla_riem[p, i, j, k, l] = nabla_p R_ijkl, nabla_ric[p, k, i] =
-    nabla_p ric_ki, nabla_weyl[p, ...] and ds[p] = d_p s; other entries
-    leave them None.
-    """
-
-    x: np.ndarray
-    metric: Metric4
-    gamma: np.ndarray
-    riem: Curv4
-    ric: np.ndarray
-    s: float
-    weyl: Curv4
-    projection_distance: float
-    nabla_riem: np.ndarray = None
-    nabla_ric: np.ndarray = None
-    nabla_weyl: np.ndarray = None
-    ds: np.ndarray = None
-
-
 class CurvatureField:
-    """Curvature entries of one chart, each evaluated on request as a
+    """Curvature at points of one chart, each evaluated on request as a
     curvature batch of one point; nothing is kept between calls.
     """
 
@@ -563,16 +545,18 @@ class CurvatureField:
         self.chart = chart
 
     def at(self, x, degree=2):
-        """The entry at x; degree 3 asks for the covariant derivatives too."""
+        """The point of a curvature batch at x; degree 3 asks for the
+        covariant derivatives too."""
         x = np.asarray(x, dtype=float)
         if x.shape != (4,):
             raise InputError(f"chart points are 4-vectors, got shape {x.shape}")
-        return curvature_batch(self.chart, x[None], degree).entry(0)
+        return curvature_batch(self.chart, x[None], degree)[0]
 
 
 def curvature_at(chart, x, degree=2):
-    """Curvature entry at x, a batch of one point; degree 3 adds the
-    covariant derivatives."""
+    """Curvature at x, the point of a one-point curvature batch:
+    curvature_batch(chart, x[None], degree)[0]. Degree 3 adds the covariant
+    derivatives."""
     return CurvatureField(chart).at(x, degree)
 
 
@@ -664,8 +648,10 @@ class HarmonicityReport:
 
 def harmonicity_report(chart, count=16, seed=0, tols=None):
     """The harmonicity residuals at `count` sample points, all evaluated as
-    one third-order curvature batch, and the verdict they give."""
-    tols = {**DEFAULT_TOLS, **(tols or {})}
+    one third-order curvature batch, and the verdict they give. `tols`
+    overrides tiers of DEFAULT_TOLS; a tier it does not have, or a value
+    that is not a finite positive number, raises InputError."""
+    tols = _checked_tols(tols or {})
     pts = sample_points(chart, count=count, seed=seed)
     batch = curvature_batch(chart, pts, degree=3)
     residuals = {key: residual(batch) for key, residual in _RESIDUALS.items()}

@@ -23,7 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import variety as vy
-from .chart import harmonicity_report, parallel_map, sample_points
+from .chart import (
+    DEFAULT_TOLS,
+    _checked_tols,
+    _tolerance,
+    harmonicity_report,
+    parallel_map,
+    sample_points,
+)
 from .errors import Curv4Error, DegenerateFrameError, InputError
 from .examples import build_example, canonical_name, example_names, example_spec
 from .frames import extract_frame, fold_invariants, frame_invariants, skw_residuals
@@ -32,7 +39,7 @@ SCHEMA_VERSION = "2"
 
 # the keys a --spec file may hold
 _SPEC_KEYS = ("example", "kind", "name", "params", "samples", "seed", "tolerances")
-_TOL_TIERS = ("second", "third")
+_TOL_TIERS = tuple(DEFAULT_TOLS)
 
 
 @dataclass
@@ -122,10 +129,9 @@ def _verify_payload(config):
     frame_count = min(4, len(rep.points))
     skw_max = {}
     for idx in range(frame_count):
-        # the frame's third-order entry is the report's, at the same point
-        entry = rep.batch.entry(idx)
         try:
-            fr = extract_frame(chart, rep.points[idx], entry=entry)
+            # the frame's third-order curvature is the report's, at the same point
+            fr = extract_frame(chart, rep.points[idx], entry=rep.batch[idx])
         except DegenerateFrameError:
             degenerate += 1
             points[idx]["counts"] = {"degenerate": True}
@@ -345,14 +351,6 @@ def _add_common(p):
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
 
 
-def _tolerance(name, value):
-    """value, if it is a finite positive number; InputError naming it otherwise."""
-    ok = isinstance(value, int | float) and not isinstance(value, bool)
-    if not (ok and math.isfinite(value) and value > 0.0):
-        raise InputError(f"{name} must be a finite positive number, got {value!r}")
-    return value
-
-
 def _integer(key, value):
     """A spec file's integer `key`: value as an int, if it is an integer or an
     integral float; InputError naming the key otherwise."""
@@ -365,10 +363,7 @@ def _integer(key, value):
 def _config_from_args(args, file_cfg=None):
     file_cfg = file_cfg or {}
     tols = dict(file_cfg.get("tolerances", {}))
-    for tier, val in tols.items():
-        if tier not in _TOL_TIERS:
-            raise InputError(f"unknown tolerance tier {tier!r}; tiers: {', '.join(_TOL_TIERS)}")
-        _tolerance(f"tolerance {tier!r}", val)
+    _checked_tols(tols)
     for tier in _TOL_TIERS:
         val = getattr(args, f"tol_{tier}")
         if val is not None:

@@ -13,13 +13,14 @@ Index conventions: everything in code is 0-based; a quantity named after a
 1-based identity (say D_1 lambda_2) lands at the corresponding 0-based slots.
 
 Derivatives of the frame field are closed form in the third-order
-curvature entry at the point: A[p, k, b] = g(e_k, d_p e_b), so d_p E = E A_p,
-is fixed by orthonormality (its symmetric part, -(E^T d_p g E) / 2, with d g
-from g and the Christoffel symbols) and, across lambda clusters, by the
-eigen-equation differentiated: (nabla_p b)(e_b, e_k) / (lambda_b -
-lambda_k) minus the connection term. Gamma, F and D sigma follow from A,
-nabla W and W, and D lambda from nabla Ric and ds; extract_frame evaluates
-nothing beyond its entry. structure_data carries the same construction one
+curvature at the point, a point of a curvature batch: A[p, k, b] =
+g(e_k, d_p e_b), so d_p E = E A_p, is fixed by orthonormality (its
+symmetric part, -(E^T d_p g E) / 2, with d g from g and the Christoffel
+symbols) and, across lambda clusters, by the eigen-equation
+differentiated: (nabla_p b)(e_b, e_k) / (lambda_b - lambda_k) minus the
+connection term. Gamma, F and D sigma follow from A, nabla W and W, and
+D lambda from nabla Ric and ds; extract_frame evaluates nothing beyond
+that curvature. structure_data carries the same construction one
 order further, as first-order Taylor jets at x (Griewank & Walther,
 Evaluating Derivatives, SIAM 2008, ch. 13): E(x + h) = E + h^p E A_p, and
 the connection, the brackets and F from the first-order jets of g, Gamma
@@ -59,7 +60,7 @@ from .errors import (
 # central_diff stays importable from here for perfbench/tracing.py, which
 # counts calls through this name
 from .numerics import _fix_signs, central_diff, jet_contract, sym_eigen  # noqa: F401
-from .tensor4 import bivector_matrix, frame_components, weyl_split
+from .tensor4 import _norm, bivector_matrix, frame_components, weyl_split
 
 # sd_split stays importable from here for perfbench/tracing.py, which counts
 # calls through this name
@@ -121,9 +122,9 @@ class RicciFrame:
     chart coordinates; lam[a] = lambda_a; sigma[a, b] = sigma_ab; s: scalar
     curvature; F[j, i] = F_ji; gamma[i, j, k] = g(nabla_{e_i} e_j, e_k);
     dlam[c, a] = D_c lambda_a and dsig[a, b, c] = D_a sigma_bc, closed form
-    from the third-order entry at x, as are F and gamma; w_plus / w_minus:
-    the self-dual and anti-self-dual Weyl blocks; source: 'adapted' or
-    'eigen'; clusters: the lambda clusters (index lists) that set the gauge
+    from the third-order curvature at x, as are F and gamma; w_plus /
+    w_minus: the self-dual and anti-self-dual Weyl blocks; source: 'adapted'
+    or 'eigen'; clusters: the lambda clusters (index lists) that set the gauge
     of the frame derivatives.
     """
 
@@ -173,7 +174,7 @@ def _eigenframes(g, b):
     return res.values, s_inv @ res.vectors
 
 
-def _pair_cluster_rotation(entry, E, clusters):
+def _pair_cluster_rotation(W, E, clusters):
     """Rotate inside 2-point lambda clusters so the frame diagonalizes W.
 
     The Jacobi angle zeroing W(a,c,b,c) for one complementary direction c
@@ -186,7 +187,7 @@ def _pair_cluster_rotation(entry, E, clusters):
             continue
         a, b = cl
         c1 = [c for c in range(4) if c not in (a, b)][0]
-        Wf = frame_components(entry.weyl, E)
+        Wf = frame_components(W, E)
         num = 2.0 * Wf[a, c1, b, c1]
         den = Wf[a, c1, a, c1] - Wf[b, c1, b, c1]
         if abs(num) < 1e-14 and abs(den) < 1e-14:
@@ -273,28 +274,28 @@ def extract_frame(chart, x, entry=None):
     and conformally flat, or Einstein with W != 0 and no adapted frame,
     or a 3-point eigenvalue cluster with W != 0 and no adapted frame.
 
-    `entry` is the third-order curvature entry at x, as a harmonicity
-    report's batch holds it; it is evaluated when not given, and nothing
-    else is: every derivative of the frame is closed form in the entry. An
-    entry without covariant derivatives, or at another point, raises
-    InputError.
+    `entry` is the third-order curvature at x, a point of a curvature
+    batch (chart.CurvatureBatch) such as report.batch[n] of a harmonicity
+    report; it is evaluated when not given, and nothing else is: every
+    derivative of the frame is closed form in it. A point without
+    covariant derivatives, or at another x, raises InputError.
     """
     x = np.asarray(x, dtype=float)
     if entry is None:
         entry = curvature_at(chart, x, degree=3)
     elif entry.nabla_ric is None:
         raise InputError(
-            f"the curvature entry at {x.tolist()} has no covariant derivatives; "
-            "frames need an entry of degree 3 or more"
+            f"the curvature at {x.tolist()} has no covariant derivatives; "
+            "frames need curvature of degree 3 or more"
         )
     elif not np.array_equal(entry.x, x):
-        raise InputError(f"the curvature entry is at {entry.x.tolist()}, not at {x.tolist()}")
-    g = entry.metric.g
-    g_inv = entry.metric.g_inv
+        raise InputError(f"the curvature is at {entry.x.tolist()}, not at {x.tolist()}")
+    g, g_inv = entry.g, entry.g_inv
     b = entry.ric - entry.s * g / 4.0
     b_scale = metric_norm(b, g_inv)
-    w_scale = entry.weyl.norm
-    curv_scale = max(1.0, entry.riem.norm)
+    W = entry.weyl
+    w_scale = _norm(W)
+    curv_scale = max(1.0, _norm(entry.R))
     einstein = b_scale <= 1e-8 * max(1.0, abs(entry.s))
     if einstein and w_scale <= 1e-8 * curv_scale:
         raise DegenerateFrameError(
@@ -327,7 +328,7 @@ def extract_frame(chart, x, entry=None):
                     f"chart '{chart.name}' at {x.tolist()}: Ricci eigenvalue cluster "
                     "of size > 2 with W != 0; register an adapted frame"
                 )
-            E = _pair_cluster_rotation(entry, E, clusters)
+            E = _pair_cluster_rotation(W, E, clusters)
 
     E = _fix_signs(E)
     if np.linalg.det(E) < 0.0:
@@ -343,7 +344,7 @@ def extract_frame(chart, x, entry=None):
     lam = np.diag(b_frame).copy()
 
     # W's frame components, made once; E is positively oriented
-    Wf = frame_components(entry.weyl, E)
+    Wf = frame_components(W, E)
     split = weyl_split(Wf, 1)
     w_diag_resid = _w_offdiag(Wf)
 
@@ -575,8 +576,8 @@ def structure_data(chart, frame):
     x, E = frame.x, frame.E
     adapted = frame.source == "adapted"
     if adapted:
-        # g and Gamma only: the frame's own degree-3 entry at x has passed
-        # the curvature checks
+        # g and Gamma only: the frame's own degree-3 curvature at x has
+        # passed the curvature checks
         jets = connection_jets(chart, x[None], degree=2)
     else:
         jets = curvature_jets(chart, x[None], degree=4)

@@ -62,15 +62,6 @@ class Metric4:
             raise InconsistencyError("metric inverse fails g g^-1 = I within 1e-10")
         object.__setattr__(self, "g_inv", g_inv)
 
-    @classmethod
-    def from_checked(cls, g, g_inv):
-        """The Metric4 of a metric and inverse that have passed these checks
-        already (chart.curvature_batch makes them on every point it takes)."""
-        metric = object.__new__(cls)
-        object.__setattr__(metric, "g", g)
-        object.__setattr__(metric, "g_inv", g_inv)
-        return metric
-
 
 @dataclass(frozen=True)
 class SymBilinear4:
@@ -185,8 +176,6 @@ def kulkarni_nomizu(a, b):
     Leading axes of a and b broadcast (a stack of forms gives a stack of
     products).
     """
-    a = a.b if isinstance(a, SymBilinear4) else np.asarray(a, dtype=float)
-    b = b.b if isinstance(b, SymBilinear4) else np.asarray(b, dtype=float)
     return (
         np.einsum("...ik,...jl->...ijkl", a, b)
         + np.einsum("...jl,...ik->...ijkl", a, b)
@@ -208,13 +197,6 @@ def weyl_from_curv(R, metric):
     return Curv4(R=W, projection_distance=0.0)
 
 
-def hodge_star(orientation=1):
-    """Hodge star on bivectors as a BivectorOp (symmetric involution, trace 0)."""
-    if orientation not in (1, -1):
-        raise InputError("orientation must be +1 or -1")
-    return BivectorOp(M=orientation * _STAR)
-
-
 def _perm_sign(perm):
     sign = 1
     for a in range(len(perm)):
@@ -222,21 +204,6 @@ def _perm_sign(perm):
             if perm[a] > perm[b]:
                 sign = -sign
     return sign
-
-
-@dataclass(frozen=True)
-class BivectorOp:
-    """Symmetric operator on the 6-dimensional bivector space."""
-
-    M: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.M, dtype=float)
-        if M.shape != (6, 6):
-            raise InputError(f"bivector operator must be 6x6, got {M.shape}")
-        if _norm(M - M.T) > 1e-10 * max(1.0, _norm(M)):
-            raise InputError("bivector operator is not symmetric")
-        object.__setattr__(self, "M", M)
 
 
 def _star_matrix():
@@ -358,48 +325,3 @@ def weyl_split(Wf, orientation):
         w_plus, w_minus = w_minus, w_plus
     sigma = np.where(_OFF_DIAGONAL, np.einsum("ijij->ij", Wf), 0.0)
     return WeylSplit(w_plus=w_plus, w_minus=w_minus, sigma=sigma, orientation=orientation)
-
-
-def sectional_from_invariants(sigma, lam, s):
-    """R_ijij = sigma_ij + (lambda_i + lambda_j)/2 + s/12 for an orthonormal
-    frame diagonalizing both the traceless Ricci tensor and the Weyl tensor."""
-    sigma = np.asarray(sigma, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    sec = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                sec[i, j] = sigma[i, j] + 0.5 * (lam[i] + lam[j]) + s / 12.0
-    return sec
-
-
-def invariants_from_sectional(sec):
-    """Inverse of sectional_from_invariants: (sigma, lam, s) from R_ijij."""
-    sec = np.asarray(sec, dtype=float)
-    ric_diag = sec.sum(axis=1)
-    s = float(ric_diag.sum())
-    lam = ric_diag - s / 4.0
-    sigma = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            if i != j:
-                sigma[i, j] = sec[i, j] - 0.5 * (lam[i] + lam[j]) - s / 12.0
-    return sigma, lam, s
-
-
-def check_weyl_frame_identities(sigma):
-    """Residuals of the sectional-Weyl frame identities.
-
-    In a frame diagonalizing the Weyl operator: sigma_ij = sigma_kl for
-    complementary pairs, and each row sums to zero,
-    sigma_ij + sigma_ik + sigma_il = 0.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    out = {}
-    for (i, j) in ((0, 1), (0, 2), (0, 3)):
-        k, l = sorted(set(range(N)) - {i, j})
-        out[f"pair_{i + 1}{j + 1}_{k + 1}{l + 1}"] = float(abs(sigma[i, j] - sigma[k, l]))
-    for i in range(N):
-        others = [j for j in range(N) if j != i]
-        out[f"row_{i + 1}"] = float(abs(sum(sigma[i, j] for j in others)))
-    return out

@@ -63,5 +63,5 @@ def randflat_charts():
 
 def ric_eigenvalues(entry):
     """Eigenvalues of Ric as an endomorphism (g^-1 Ric), ascending."""
-    vals = np.linalg.eigvals(entry.metric.g_inv @ entry.ric)
+    vals = np.linalg.eigvals(entry.g_inv @ entry.ric)
     return np.sort(vals.real)

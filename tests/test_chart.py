@@ -191,7 +191,7 @@ def test_christoffel_domain_guard():
 
 def test_curvature_flat():
     e = curvature_at(flat_chart(), np.zeros(4))
-    assert e.riem.norm < 1e-10
+    assert np.linalg.norm(e.R) < 1e-10
     assert abs(e.s) < 1e-10
 
 
@@ -199,7 +199,7 @@ def test_curvature_s4(s4_chart):
     for x in sample_points(s4_chart, count=3, seed=0):
         e = curvature_at(s4_chart, x)
         assert e.s == pytest.approx(12.0, abs=1e-6)
-        assert e.weyl.norm < 1e-6
+        assert np.linalg.norm(e.weyl) < 1e-6
 
 
 def test_curvature_product_ric(s2xs2_chart):
@@ -245,7 +245,7 @@ def test_codazzi_equals_div_riemann(s2xs2_chart):
             e = curvature_at(ch, x)
             a = codazzi_residual(ch, x)
             b = div_riemann_norm(ch, x)
-            assert abs(a - b) <= 1e-6 * (1.0 + e.riem.norm)
+            assert abs(a - b) <= 1e-6 * (1.0 + np.linalg.norm(e.R))
 
 
 def test_contracted_bianchi_universal():
@@ -311,6 +311,25 @@ def test_caller_tols_override_defaults(kpc_chart):
     assert rep.tols == {"second": DEFAULT_TOLS["second"], "third": 2e-3}
 
 
+@pytest.mark.parametrize(
+    "tols, named",
+    [
+        ({"thrid": 10.0}, "unknown tolerance tier 'thrid'; tiers: second, third"),
+        ({"third": float("nan")}, "tolerance 'third' must be a finite positive number, got nan"),
+        ({"third": float("inf")}, "tolerance 'third'"),
+        ({"second": -1}, "tolerance 'second' must be a finite positive number, got -1"),
+        ({"second": 0.0}, "tolerance 'second'"),
+        ({"third": True}, "tolerance 'third'"),
+        ({"third": "1e-3"}, "tolerance 'third'"),
+    ],
+)
+def test_report_rejects_bad_tols(tols, named):
+    # a misspelt tier is not ignored, and no tolerance turns every verdict false
+    with pytest.raises(InputError) as err:
+        harmonicity_report(flat_chart(), count=1, seed=0, tols=tols)
+    assert named in str(err.value)
+
+
 @pytest.mark.parametrize("name", REGISTRY_NAMES + ["s2xs2:1,2 without jet"])
 def test_report_rows_equal_per_point_residuals(name):
     chart = curv4.build_example(name.split()[0])
@@ -359,24 +378,29 @@ def test_report_is_one_jet_evaluation():
 
 
 def test_weyl_is_made_on_request(monkeypatch):
-    # a report makes nabla W once, for all its sample points, and an entry
-    # makes W and nabla W for its own point alone; structure_data's jet
-    # makes neither
+    # a report makes nabla W once, for all its sample points; a point of its
+    # batch makes W and nabla W on access, for that point alone, and a frame
+    # from the point makes each once; structure_data's jet makes neither
     calls = []
     for name in ("_weyl", "_nabla_weyl"):
         made = getattr(chart_module, name)
 
         def counted(g, *args, made=made, name=name):
-            calls.append((name, len(g)))
+            calls.append((name, g.shape[:-2]))
             return made(g, *args)
 
         monkeypatch.setattr(chart_module, name, counted)
     chart = curv4.build_example("randflat:0")
     report = harmonicity_report(chart, count=16, seed=0)
-    assert calls == [("_nabla_weyl", 16)]
+    assert calls == [("_nabla_weyl", (16,))]
     calls.clear()
-    report.batch.entry(3)
-    assert sorted(calls) == [("_nabla_weyl", 1), ("_weyl", 1)]
+    point = report.batch[3]
+    assert calls == []
+    point.weyl, point.nabla_weyl
+    assert calls == [("_weyl", ()), ("_nabla_weyl", ())]
+    calls.clear()
+    curv4.extract_frame(chart, report.points[3], entry=point)
+    assert sorted(calls) == [("_nabla_weyl", ()), ("_weyl", ())]
     frame = curv4.extract_frame(chart, report.points[3])
     assert frame.source == "eigen"  # a degree-4 jet at the frame point
     calls.clear()

@@ -59,7 +59,7 @@ def ref_eigenframe(entry):
     # inside a cluster the basis eigh returns is arbitrary, and the center's
     # is kept: symmetrize and scale exactly as frames.py does, so that the
     # center's basis comes out bit for bit the same
-    g = entry.metric.g
+    g = entry.g
     b = entry.ric - entry.s * g / 4.0
     w, V = np.linalg.eigh(0.5 * (g + g.T))
     s_inv = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
@@ -114,11 +114,11 @@ def ref_align(E, E_ref, g_ref, clusters, rotate):
 def ref_center(chart, x):
     """(E, lam, sigma, source, clusters) at x, or DegenerateFrameError."""
     e = curvature_at(chart, x)
-    g = e.metric.g
+    g = e.g
     b = e.ric - e.s * g / 4.0
-    b_norm = np.sqrt(np.einsum("ij,kl,ik,jl->", b, b, e.metric.g_inv, e.metric.g_inv))
+    b_norm = np.sqrt(np.einsum("ij,kl,ik,jl->", b, b, e.g_inv, e.g_inv))
     einstein = b_norm <= 1e-8 * max(1.0, abs(e.s))
-    flat_w = e.weyl.norm <= 1e-8 * max(1.0, e.riem.norm)
+    flat_w = np.linalg.norm(e.weyl) <= 1e-8 * max(1.0, np.linalg.norm(e.R))
     if einstein and flat_w:
         raise DegenerateFrameError("Einstein and W = 0")
     if chart.adapted_frame_fn is not None:
@@ -151,7 +151,7 @@ def reference(chart, x, cfg=DEFAULT_STENCIL, df_only=False):
     curvature entries come from the chart's exact jet."""
     E, lam, sigma, source, clusters = ref_center(chart, x)
     entry = curvature_at(chart, x)
-    g = entry.metric.g
+    g = entry.g
 
     def field(y):
         if source == "adapted":
@@ -384,7 +384,7 @@ def test_batched_frames_on_a_chart_without_jet(registry_charts, make):
         # gauge equal those of the exact curvature in that frame
         fr = extract_frame(chart, x)
         sec, _ = curv4.curvature_from_structure(structure_data(chart, fr), fr)
-        Rf = frame_components(curvature_at(exact, x).riem, fr.E)
+        Rf = frame_components(curvature_at(exact, x).R, fr.E)
         exact_sec = np.einsum("ijij->ij", Rf)
         assert np.max(np.abs(sec - exact_sec)) <= FD_JET_RTOL["DF"] * max(1.0, np.abs(Rf).max())
 
@@ -398,12 +398,12 @@ def test_dlam_is_the_derivative_of_lambda(registry_charts, name):
     x = sample_points(chart, count=1, seed=2)[0]
     fr = extract_frame(chart, x)
     E, lam, sigma, source, clusters = ref_center(chart, x)
-    g = curvature_at(chart, x).metric.g
+    g = curvature_at(chart, x).g
 
     def lam_at(y):
         e = curvature_at(chart, y)
         Ey = ref_align(ref_pair_rotation(e, ref_eigenframe(e), clusters), E, g, clusters, True)
-        return np.diag(Ey.T @ (e.ric - e.s * e.metric.g / 4.0) @ Ey)
+        return np.diag(Ey.T @ (e.ric - e.s * e.g / 4.0) @ Ey)
 
     fd = np.einsum("ma,mb->ab", E, np.stack([central_diff(lam_at, x, d) for d in range(4)]))
     assert np.max(np.abs(fr.dlam - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(fd))))
@@ -486,15 +486,34 @@ def test_curvature_batch_matches_entries(registry_charts, name):
     for n, x in enumerate(X):
         e = curvature_at(chart, x, degree=3)
         for got, ref in (
-            (batch.g[n], e.metric.g),
-            (batch.R[n], e.riem.R),
+            (batch.g[n], e.g),
+            (batch.R[n], e.R),
             (batch.ric[n], e.ric),
-            (batch.weyl[n], e.weyl.R),
+            (batch.weyl[n], e.weyl),
             (batch.nabla_ric[n], e.nabla_ric),
             (batch.ds[n], e.ds),
         ):
             assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, float(np.max(np.abs(ref))))
         assert batch.s[n] == pytest.approx(e.s, rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
+def test_batch_point_is_the_batch_slice(registry_charts, name):
+    # batch[n] holds the n-th slices of the batch's fields, bit for bit, and
+    # makes W and nabla W for its point alone with the same bits
+    chart = registry_charts[name]
+    batch = curvature_batch(chart, sample_points(chart, count=3, seed=4), degree=3)
+    weyl, nabla_weyl = batch.weyl, batch.nabla_weyl
+    for n in range(3):
+        point = batch[n]
+        for key, value in vars(batch).items():
+            assert np.array_equal(getattr(point, key), value[n])
+        assert np.array_equal(point.weyl, weyl[n])
+        assert np.array_equal(point.nabla_weyl, nabla_weyl[n])
+    point = curvature_batch(chart, batch.x, degree=2)[1]
+    assert point.x.shape == (4,) and point.R.shape == (4, 4, 4, 4) and np.ndim(point.s) == 0
+    assert point.nabla_riem is None and point.nabla_ric is None and point.ds is None
+    assert point.nabla_weyl is None
 
 
 def test_curvature_batch_names_the_point_outside(registry_charts):

@@ -142,7 +142,7 @@ def test_riemann_tensor_matches_sympy(name):
     for x in curv4.sample_points(chart, count=3, seed=0):
         exact = R(x)
         scale = max(1.0, float(np.abs(exact).max()))
-        assert np.max(np.abs(curv4.curvature_at(chart, x).riem.R - exact)) <= 1e-10 * scale
+        assert np.max(np.abs(curv4.curvature_at(chart, x).R - exact)) <= 1e-10 * scale
     if name == "s4":
         # the sign convention: R_ijij = K g_ii g_jj > 0 on the round sphere
         assert R(np.zeros(4))[0, 1, 0, 1] == pytest.approx(1.0)

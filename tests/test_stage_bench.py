@@ -47,18 +47,18 @@ def test_stage_residual_norms(benchmark, one_point):
 
 def test_stage_extract_frame(benchmark, one_point):
     chart, x, batch = one_point
-    frame = benchmark(extract_frame, chart, x, batch.entry(0))
+    frame = benchmark(extract_frame, chart, x, batch[0])
     assert frame.source == ("adapted" if chart.adapted_frame_fn else "eigen")
 
 
 def test_stage_skw_residuals(benchmark, one_point):
     chart, x, batch = one_point
-    rows = benchmark(skw_residuals, extract_frame(chart, x, batch.entry(0)))
+    rows = benchmark(skw_residuals, extract_frame(chart, x, batch[0]))
     assert set(rows) == {"skw.a", "skw.b", "skw.c", "skw.d", "skw.e", "skw.f"}
 
 
 def test_stage_structure_data(benchmark, one_point):
     chart, x, batch = one_point
-    frame = extract_frame(chart, x, batch.entry(0))
+    frame = extract_frame(chart, x, batch[0])
     sd = benchmark(structure_data, chart, frame)
     assert sd.DF.shape == (4, 4, 4)
