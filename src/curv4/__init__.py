@@ -20,9 +20,6 @@ from .numerics import (
     sym_eigen,
 )
 from .tensor4 import (
-    Curv4,
-    Metric4,
-    SymBilinear4,
     WeylSplit,
     bivector_matrix,
     curvature_symmetrize,

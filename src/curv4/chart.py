@@ -30,9 +30,11 @@ code path serves every degree:
 
 which reproduces R_ijij > 0 on round spheres (the package-wide sign
 convention, see tensor4). Raw curvature is projected onto the algebraic
-curvature tensors, coefficient by coefficient; the projection distance of
-the value is kept as a noise diagnostic. nabla Ric, ds and nabla W follow
-by contractions, with no further differencing.
+curvature tensors, coefficient by coefficient (tensor4.curvature_symmetrize);
+a value farther than 1e-3 * ||raw|| from its projection raises, and the
+distance is kept as a noise diagnostic. nabla Ric and ds follow by
+contractions, W and nabla W by tensor4.weyl_from_curv, with no further
+differencing.
 """
 
 from __future__ import annotations
@@ -55,11 +57,11 @@ from .numerics import (
     stencil_derivative,
     taylor_coefficients,
 )
-from .tensor4 import curvature_projection, kulkarni_nomizu
+from .tensor4 import curvature_symmetrize, weyl_from_curv
 
 # importable from here for perfbench/tracing.py, which counts calls through
-# these names
-from .tensor4 import curvature_symmetrize, ricci_contract, weyl_from_curv  # noqa: F401
+# this name
+from .tensor4 import ricci_contract  # noqa: F401
 
 
 def parallel_map(fn, items):
@@ -80,6 +82,14 @@ def _tolerance(name, value):
     ok = isinstance(value, int | float) and not isinstance(value, bool)
     if not (ok and math.isfinite(value) and value > 0.0):
         raise InputError(f"{name} must be a finite positive number, got {value!r}")
+    return value
+
+
+def _integer_at_least(name, value, least):
+    """value, if it is an integer (not a bool) >= least; InputError naming it
+    otherwise."""
+    if isinstance(value, bool) or not isinstance(value, int | np.integer) or value < least:
+        raise InputError(f"{name} must be an integer >= {least}, got {value!r}")
     return value
 
 
@@ -269,10 +279,11 @@ def _validate_chart(chart):
 
 
 def sample_points(chart, count=16, seed=0):
-    """Deterministic scrambled-Halton samples in the 10%-shrunk box."""
-    if count < 1:
-        raise InputError("count must be >= 1")
-    u = halton(count, seed=seed)
+    """Deterministic scrambled-Halton samples in the 10%-shrunk box. A count
+    that is not an integer >= 1, or a seed that is not an integer >= 0,
+    raises InputError."""
+    count = _integer_at_least("sample count", count, 1)
+    u = halton(count, seed=_integer_at_least("seed", seed, 0))
     lo, hi = chart.box[:, 0], chart.box[:, 1]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
     return mid + (2.0 * u - 1.0) * 0.9 * half
@@ -342,21 +353,6 @@ def _metric_coefficients(chart, X, degree):
     return np.moveaxis(np.asarray(coef, dtype=float), -1, 0)
 
 
-def _weyl(g, R, ric, s):
-    """W = R - (g ^ Sch) / 2 with the Schouten tensor Sch = ric - s g / 6,
-    over any leading axes."""
-    sch = ric - s[..., None, None] * g / 6.0
-    return R - 0.5 * kulkarni_nomizu(g, sch)
-
-
-def _nabla_weyl(g, nabla_riem, nabla_ric, ds):
-    """nabla W from nabla R, nabla ric and ds over any leading axes: W is
-    linear in R, ric and s, and nabla g = 0."""
-    g = g[..., None, :, :]
-    nabla_sch = nabla_ric - ds[..., None, None] * g / 6.0
-    return nabla_riem - 0.5 * kulkarni_nomizu(g, nabla_sch)
-
-
 @dataclass(frozen=True)
 class CurvatureBatch:
     """Curvature at stacked points x (N, 4), the point axis first: g, g_inv,
@@ -384,13 +380,14 @@ class CurvatureBatch:
 
     @property
     def weyl(self):
-        return _weyl(self.g, self.R, self.ric, self.s)
+        return weyl_from_curv(self.g, self.R, self.ric, self.s)
 
     @property
     def nabla_weyl(self):
+        # W is linear in R, ric and s, and nabla g = 0
         if self.ds is None:
             return None
-        return _nabla_weyl(self.g, self.nabla_riem, self.nabla_ric, self.ds)
+        return weyl_from_curv(self.g[..., None, :, :], self.nabla_riem, self.nabla_ric, self.ds)
 
     def __getitem__(self, n):
         """Point n with the point axis dropped: each field is the n-th slice
@@ -405,8 +402,10 @@ def _norms(T):
 
 
 def _checked_inverse(X, g):
-    """g^-1 at every point, after the checks Metric4 makes on one metric:
-    symmetric, positive definite, and g g^-1 = I."""
+    """g^-1 at every point X[n] (N, 4) of the metrics g (N, 4, 4), after
+    checking each g: symmetric to 1e-12 relative, positive definite (least
+    eigenvalue above 1e-6), and g g^-1 = I within 1e-10. InputError or
+    InconsistencyError names the first point that fails."""
     asym = _norms(g - np.swapaxes(g, 1, 2)) > 1e-12 * np.maximum(1.0, _norms(g))
     if asym.any():
         raise InputError(f"metric is not symmetric at {X[asym][0].tolist()}")
@@ -429,8 +428,7 @@ _BLOCK = 32
 
 def _jet_blocks(chart, X, degree, algebra):
     # algebra(X, coef, degree) on the metric coefficients, block by block
-    if isinstance(degree, bool) or not isinstance(degree, int | np.integer) or degree < 2:
-        raise InputError(f"curvature degree must be an integer >= 2, got {degree!r}")
+    _integer_at_least("curvature degree", degree, 2)
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != 4:
         raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
@@ -510,7 +508,7 @@ def _curvature_algebra(X, coef, degree):
     u = dgamma + jet_contract("pik,mjp->mijk", gamma[: len(dgamma)], gamma)
     rm = u - np.swapaxes(u, -3, -2)
     raw = jet_contract("lm,mijk->ijkl", coef, rm)
-    R = curvature_projection(raw)
+    R = curvature_symmetrize(raw)
     dist, scale = _norms(raw[0] - R[0]), _norms(raw[0])
     far = (scale > 0.0) & (dist > 1e-3 * scale)
     if far.any():
@@ -650,7 +648,8 @@ def harmonicity_report(chart, count=16, seed=0, tols=None):
     """The harmonicity residuals at `count` sample points, all evaluated as
     one third-order curvature batch, and the verdict they give. `tols`
     overrides tiers of DEFAULT_TOLS; a tier it does not have, or a value
-    that is not a finite positive number, raises InputError."""
+    that is not a finite positive number, raises InputError, as do the
+    count and seed that sample_points rejects."""
     tols = _checked_tols(tols or {})
     pts = sample_points(chart, count=count, seed=seed)
     batch = curvature_batch(chart, pts, degree=3)

@@ -3,10 +3,12 @@
 Exit codes: 0 all verdicts pass, 1 a verification ran and failed, 2 usage
 or configuration error, among them a tolerance that is not a finite
 positive number, a spec-file sample count or seed that is not an integer, a
-negative seed, an unknown spec-file key or parameter name and a scan grid
-axis with no values. Reports (schema "2") are deterministic for a fixed
-(config, seed) apart from the wall-time field. Every registry chart has an exact metric
-jet, so no finite-difference setting enters a report.
+negative seed, an unknown spec-file key or parameter name, a spec-file
+example, name or kind that is not a string, params that are not an object
+of numbers, and a scan grid axis with no values. Reports (schema "2") are
+deterministic for a fixed (config, seed) apart from the wall-time field.
+Every registry chart has an exact metric jet, so no finite-difference
+setting enters a report.
 """
 
 from __future__ import annotations
@@ -341,11 +343,17 @@ def cmd_scan(config, kind, param_grid):
     return Report(payload=payload, exit_code=0 if all_harmonic else 1), csv_writer
 
 
-def _add_common(p):
-    # numeric defaults live in _config_from_args so a --spec file can fill them
+def _add_sampling(p):
+    """--samples and the tolerance tiers, for verify and scan; variety takes
+    --count and --tol instead. Numeric defaults (here and in _add_common)
+    live in _config_from_args, so a --spec file can fill them."""
     p.add_argument("--samples", type=int, default=None, help="sample point count (default 16)")
     p.add_argument("--tol-second", type=float, default=None)
     p.add_argument("--tol-third", type=float, default=None)
+
+
+def _add_common(p):
+    """--seed, --out and --format, for every subcommand."""
     p.add_argument("--seed", type=int, default=None, help="sampling seed (default 0)")
     p.add_argument("--out", default="", help="write the report here instead of stdout")
     p.add_argument("--format", dest="fmt", choices=("json", "csv"), default="json")
@@ -365,10 +373,10 @@ def _config_from_args(args, file_cfg=None):
     tols = dict(file_cfg.get("tolerances", {}))
     _checked_tols(tols)
     for tier in _TOL_TIERS:
-        val = getattr(args, f"tol_{tier}")
+        val = getattr(args, f"tol_{tier}", None)
         if val is not None:
             tols[tier] = _tolerance(f"--tol-{tier}", val)
-    samples = args.samples
+    samples = getattr(args, "samples", None)
     if samples is None:
         samples = _integer("samples", file_cfg.get("samples", 16))
     if samples < 1:
@@ -399,8 +407,17 @@ def _load_spec_file(path):
             raise InputError(
                 f"spec file {path}: unknown key {key!r}; keys: {', '.join(_SPEC_KEYS)}"
             )
-    if not isinstance(data.get("tolerances", {}), dict):
-        raise InputError(f"spec file {path}: 'tolerances' must be a JSON object")
+    for key in ("tolerances", "params"):
+        if not isinstance(data.get(key, {}), dict):
+            raise InputError(f"spec file {path}: {key!r} must be a JSON object")
+    for key in ("example", "name", "kind"):
+        if not isinstance(data.get(key, ""), str):
+            raise InputError(f"spec file {path}: {key!r} must be a string, got {data[key]!r}")
+    for name, value in data.get("params", {}).items():
+        if isinstance(value, bool) or not isinstance(value, int | float):
+            raise InputError(
+                f"spec file {path}: parameter {name!r} must be a number, got {value!r}"
+            )
     return data
 
 
@@ -416,6 +433,7 @@ def build_parser():
     pv = sub.add_parser("verify", help="harmonicity and frame-identity report")
     pv.add_argument("--example", default=None, help=f"one of: {', '.join(example_names())}")
     pv.add_argument("--spec", default=None, help="JSON config file with an example definition")
+    _add_sampling(pv)
     _add_common(pv)
 
     pt = sub.add_parser("variety", help="polynomial-system membership")
@@ -437,6 +455,7 @@ def build_parser():
         metavar="name=v1,v2,...",
         help="grid values for one parameter; repeatable",
     )
+    _add_sampling(ps)
     _add_common(ps)
 
     return parser

@@ -12,6 +12,10 @@ polynomial identities of harmonic-curvature geometry:
 Index conventions: everything in code is 0-based; a quantity named after a
 1-based identity (say D_1 lambda_2) lands at the corresponding 0-based slots.
 
+extract_frame fixes the frame's orientation to positive and checks that it
+is g-orthonormal; W's components in it (tensor4.frame_components) then give
+sigma and, by tensor4.sd_split, the W+ and W- blocks.
+
 Derivatives of the frame field are closed form in the third-order
 curvature at the point, a point of a curvature batch: A[p, k, b] =
 g(e_k, d_p e_b), so d_p E = E A_p, is fixed by orthonormality (its
@@ -60,11 +64,7 @@ from .errors import (
 # central_diff stays importable from here for perfbench/tracing.py, which
 # counts calls through this name
 from .numerics import _fix_signs, central_diff, jet_contract, sym_eigen  # noqa: F401
-from .tensor4 import _norm, bivector_matrix, frame_components, weyl_split
-
-# sd_split stays importable from here for perfbench/tracing.py, which counts
-# calls through this name
-from .tensor4 import sd_split  # noqa: F401
+from .tensor4 import _norm, bivector_matrix, frame_components, sd_split
 
 _TRIPLES = [t for t in itertools.permutations(range(4), 3)]
 
@@ -345,7 +345,7 @@ def extract_frame(chart, x, entry=None):
 
     # W's frame components, made once; E is positively oriented
     Wf = frame_components(W, E)
-    split = weyl_split(Wf, 1)
+    split = sd_split(Wf, 1)
     w_diag_resid = _w_offdiag(Wf)
 
     same = np.ones((4, 4), dtype=bool) if adapted else _same_cluster(clusters)

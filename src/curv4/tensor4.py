@@ -16,16 +16,23 @@ Conventions, fixed once here and relied on everywhere else:
 * Bivector basis order: e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4. With the
   standard orientation the Hodge star maps e1^e2 -> e3^e4,
   e1^e3 -> -e2^e4, e1^e4 -> e2^e3 (an involution with zero trace).
+
+Each operation is written once, on plain arrays. curvature_symmetrize,
+ricci_contract, weyl_from_curv and kulkarni_nomizu work over any leading
+axes: a stack of points, a coefficient axis of a jet, or none.
+frame_components and sd_split take one point. Curvature batches (chart)
+and Ricci eigenframes (frames) call them by these names, and check the
+metric, the projection distance and the frame before they do.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InconsistencyError, InputError, PreconditionError
+from .errors import InconsistencyError, PreconditionError
 
 N = 4
 
@@ -40,93 +47,14 @@ def _norm(T):
     return math.sqrt(flat.dot(flat))
 
 
-@dataclass(frozen=True)
-class Metric4:
-    """Positive-definite symmetric 4x4 metric with its cached inverse."""
+def curvature_symmetrize(raw):
+    """Project raw arrays onto the algebraic curvature tensors, on the last
+    four axes (any leading axes are a stack).
 
-    g: np.ndarray
-    g_inv: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.shape != (N, N):
-            raise InputError(f"metric must be 4x4, got {g.shape}")
-        if _norm(g - g.T) > 1e-12 * max(1.0, _norm(g)):
-            raise InputError("metric is not symmetric")
-        eigvals = np.linalg.eigvalsh(0.5 * (g + g.T))
-        if eigvals[0] <= 1e-6:
-            raise InputError(f"metric is not positive definite (min eigenvalue {eigvals[0]:.3e})")
-        object.__setattr__(self, "g", g)
-        g_inv = np.linalg.inv(g)
-        if _norm(g @ g_inv - np.eye(N)) > 1e-10:
-            raise InconsistencyError("metric inverse fails g g^-1 = I within 1e-10")
-        object.__setattr__(self, "g_inv", g_inv)
-
-
-@dataclass(frozen=True)
-class SymBilinear4:
-    """Symmetric bilinear form (Ricci, Schouten, traceless Ricci, ...)."""
-
-    b: np.ndarray
-
-    def __post_init__(self):
-        b = np.asarray(self.b, dtype=float)
-        if b.shape != (N, N):
-            raise InputError(f"bilinear form must be 4x4, got {b.shape}")
-        if _norm(b - b.T) > 1e-10 * max(1.0, _norm(b)):
-            raise InputError("bilinear form is not symmetric")
-        object.__setattr__(self, "b", 0.5 * (b + b.T))
-
-
-# flat positions of the slot permutations the symmetry checks compare R
-# with, and how each check combines them with R itself
-_SYM_GATHER = np.stack(
-    [
-        np.arange(N**4).reshape(N, N, N, N).transpose(perm).ravel()
-        for perm in ((1, 0, 2, 3), (0, 1, 3, 2), (2, 3, 0, 1), (1, 2, 0, 3), (2, 0, 1, 3))
-    ]
-)
-_SYM_WEIGHTS = np.array(
-    [[1.0, 0, 0, 0, 0], [0, 1.0, 0, 0, 0], [0, 0, -1.0, 0, 0], [0, 0, 0, 1.0, 1.0]]
-)
-
-
-def _sym_residuals(R):
-    """Max violations of the four algebraic curvature symmetries + Bianchi:
-    R + R_jikl, R + R_ijlk, R - R_klij and the cyclic sum over i, j, k."""
-    flat = R.ravel()
-    worst = np.abs(flat + _SYM_WEIGHTS @ flat[_SYM_GATHER]).max(axis=1).tolist()
-    return dict(zip(("antisym_ij", "antisym_kl", "pair", "bianchi"), worst))
-
-
-@dataclass(frozen=True)
-class Curv4:
-    """Algebraic curvature tensor: both antisymmetries, pair symmetry and the
-    first Bianchi identity hold within 1e-10 * ||R|| at construction."""
-
-    R: np.ndarray
-    projection_distance: float = 0.0
-
-    def __post_init__(self):
-        R = np.asarray(self.R, dtype=float)
-        if R.shape != (N, N, N, N):
-            raise InputError(f"curvature tensor must be 4^4, got {R.shape}")
-        budget = 1e-10 * max(1.0, _norm(R))
-        bad = {k: v for k, v in _sym_residuals(R).items() if v > budget}
-        if bad:
-            raise InputError(f"curvature symmetries violated: {bad}")
-        object.__setattr__(self, "R", R)
-
-    @property
-    def norm(self):
-        return _norm(self.R)
-
-
-def curvature_projection(raw):
-    """The linear projection of curvature_symmetrize, on the last four axes.
-
-    Being linear, it commutes with differentiation: the partials of a
-    projected field are the projected partials.
+    Antisymmetrize both index pairs, symmetrize the pair swap, then remove
+    the totally antisymmetric (Bianchi-violating) part. Being linear, the
+    projection commutes with differentiation: the partials of a projected
+    field are the projected partials.
     """
     lead = tuple(range(raw.ndim - 4))
 
@@ -140,34 +68,11 @@ def curvature_projection(raw):
     return P - B / 3.0
 
 
-def curvature_symmetrize(raw):
-    """Project a raw 4^4 array onto the algebraic curvature tensors.
-
-    Antisymmetrize both index pairs, symmetrize the pair swap, then remove
-    the totally antisymmetric (Bianchi-violating) part. Returns a Curv4
-    whose `projection_distance` records ||raw - projected||; a distance
-    beyond 1e-3 * ||raw|| means the input was not approximately a curvature
-    tensor and raises instead.
-    """
-    raw = np.asarray(raw, dtype=float)
-    if raw.shape != (N, N, N, N):
-        raise InputError(f"expected a 4^4 array, got {raw.shape}")
-    proj = curvature_projection(raw)
-    dist = _norm(raw - proj)
-    scale = _norm(raw)
-    if scale > 0.0 and dist > 1e-3 * scale:
-        raise InconsistencyError(
-            f"projection distance {dist:.3e} exceeds 1e-3 * ||raw|| = {1e-3 * scale:.3e}"
-        )
-    return Curv4(R=proj, projection_distance=dist)
-
-
-def ricci_contract(R, metric):
-    """Ricci tensor ric_jl = g^ik R_ijkl and scalar curvature s."""
-    Rarr = R.R if isinstance(R, Curv4) else np.asarray(R, dtype=float)
-    ric = np.einsum("ik,ijkl->jl", metric.g_inv, Rarr)
-    s = float(np.einsum("jl,jl->", metric.g_inv, ric))
-    return SymBilinear4(b=ric), s
+def ricci_contract(R, g_inv):
+    """Ricci tensor ric_jl = g^ik R_ijkl and scalar curvature s = g^jl ric_jl,
+    over any leading axes of R and g_inv."""
+    ric = np.einsum("...ik,...ijkl->...jl", g_inv, R)
+    return ric, np.einsum("...jl,...jl->...", g_inv, ric)
 
 
 def kulkarni_nomizu(a, b):
@@ -184,17 +89,14 @@ def kulkarni_nomizu(a, b):
     )
 
 
-def weyl_from_curv(R, metric):
-    """Weyl part of an algebraic curvature tensor (n = 4).
-
-    W = R - (n-2)^-1 g ^ Sch, Sch = ric - s g / (2(n-1)). The Ricci
-    contraction of the result vanishes identically up to roundoff.
-    """
-    ric, s = ricci_contract(R, metric)
-    sch = ric.b - s * metric.g / (2.0 * (N - 1))
-    Rarr = R.R if isinstance(R, Curv4) else np.asarray(R, dtype=float)
-    W = Rarr - kulkarni_nomizu(metric.g, sch) / (N - 2)
-    return Curv4(R=W, projection_distance=0.0)
+def weyl_from_curv(g, R, ric, s):
+    """Weyl part W = R - (g ^ Sch) / 2 of a curvature tensor (n = 4), with
+    the Schouten tensor Sch = ric - s g / 6, over any leading axes. W is
+    linear in R, ric and s, so the same call with nabla R, nabla ric, ds and
+    g[..., None, :, :] gives nabla W (nabla g = 0). The Ricci contraction of
+    W vanishes identically up to roundoff."""
+    sch = ric - s[..., None, None] * g / 6.0
+    return R - 0.5 * kulkarni_nomizu(g, sch)
 
 
 def _perm_sign(perm):
@@ -222,7 +124,7 @@ _STAR = _star_matrix()
 def frame_components(R, frame):
     """Components of a covariant tensor of any rank in a frame given by the
     columns of `frame`: T(e_a, e_b, ...)."""
-    T = R.R if isinstance(R, Curv4) else np.asarray(R, dtype=float)
+    T = np.asarray(R, dtype=float)
     E = np.asarray(frame, dtype=float)
     # contract the leading slot with E, once per slot: the slot-first matrix,
     # transposed, times E appends the new frame index last, so the result
@@ -280,38 +182,19 @@ class WeylSplit:
     w_plus: np.ndarray
     w_minus: np.ndarray
     sigma: np.ndarray
-    orientation: int = 1
-
-    @property
-    def traces(self):
-        return float(np.trace(self.w_plus)), float(np.trace(self.w_minus))
-
-
-def sd_split(W, metric, frame):
-    """Split a Ricci-traceless curvature tensor into its W+ and W- blocks.
-
-    `frame` holds g-orthonormal columns; a negatively oriented frame flips
-    the star operator so the split stays tied to the coordinate orientation.
-    Raises InputError when the frame is not g-orthonormal, and otherwise
-    what weyl_split raises.
-    """
-    E = np.asarray(frame, dtype=float)
-    gram = E.T @ metric.g @ E
-    if np.linalg.norm(gram - np.eye(N)) > 1e-8:
-        raise InputError("frame is not g-orthonormal within 1e-8")
-    orientation = 1 if np.linalg.det(E) > 0 else -1
-    return weyl_split(frame_components(W, E), orientation)
 
 
 # sigma keeps the sectional values W_ijij off the diagonal only
 _OFF_DIAGONAL = ~np.eye(N, dtype=bool)
 
 
-def weyl_split(Wf, orientation):
-    """sd_split from the components Wf[a, b, c, d] of W in an orthonormal
-    frame of the given orientation (+1 or -1). Raises PreconditionError when
-    the Ricci contraction is not ~0 and InconsistencyError when the operator
-    fails to commute with the star."""
+def sd_split(Wf, orientation):
+    """Split a Ricci-traceless curvature tensor into its W+ and W- blocks,
+    from its components Wf[a, b, c, d] in an orthonormal frame of the given
+    orientation (+1 or -1): a negatively oriented frame flips the star
+    operator, so the split stays tied to the coordinate orientation. Raises
+    PreconditionError when the Ricci contraction is not ~0 and
+    InconsistencyError when the operator fails to commute with the star."""
     scale = max(1e-300, _norm(Wf))
     if _norm(np.einsum("abad->bd", Wf)) > 1e-8 * max(1.0, scale):
         raise PreconditionError("operator has a nonvanishing Ricci contraction")
@@ -324,4 +207,4 @@ def weyl_split(Wf, orientation):
     if orientation < 0:
         w_plus, w_minus = w_minus, w_plus
     sigma = np.where(_OFF_DIAGONAL, np.einsum("ijij->ij", Wf), 0.0)
-    return WeylSplit(w_plus=w_plus, w_minus=w_minus, sigma=sigma, orientation=orientation)
+    return WeylSplit(w_plus=w_plus, w_minus=w_minus, sigma=sigma)

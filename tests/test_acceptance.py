@@ -19,7 +19,7 @@ from curv4.frames import (
     curvature_from_structure,
     sy_invariants,
 )
-from curv4.tensor4 import Metric4, frame_components, ricci_contract, sd_split
+from curv4.tensor4 import frame_components, ricci_contract, sd_split
 from curv4.variety import VarietyPoint, from_frame, h_components, permute_point, system_residuals, z_components
 from tests.conftest import ric_eigenvalues
 from tests.test_variety import brute_force_h, brute_force_z, random_point
@@ -38,10 +38,10 @@ def test_criterion_1_universal_identities(randflat_charts):
             nr = np.linalg.norm(e.R)
             worst["brt"] = max(worst["brt"], curv4.contracted_bianchi_residual(ch, x))
             worst["sym"] = max(worst["sym"], e.projection_distance / nr)
-            metric = Metric4(g=e.g)
-            wric, _ = ricci_contract(e.weyl, metric)
-            worst["weyl_ric"] = max(worst["weyl_ric"], np.linalg.norm(wric.b) / nr)
-            split = sd_split(e.weyl, metric, _metric_sqrt_inv(e.g))
+            wric, _ = ricci_contract(e.weyl, e.g_inv)
+            worst["weyl_ric"] = max(worst["weyl_ric"], np.linalg.norm(wric) / nr)
+            E = _metric_sqrt_inv(e.g)
+            split = sd_split(frame_components(e.weyl, E), 1 if np.linalg.det(E) > 0 else -1)
             tp, tm = np.trace(split.w_plus), np.trace(split.w_minus)
             worst["tr_wpm"] = max(
                 worst["tr_wpm"], max(abs(tp), abs(tm)) / max(np.linalg.norm(e.weyl), 1e-300)

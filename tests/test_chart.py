@@ -287,6 +287,20 @@ def test_sample_points_deterministic():
     assert np.all(np.abs(a) <= 0.9 + 1e-12)
     with pytest.raises(InputError):
         sample_points(ch, count=0)
+    # numpy integers are integers
+    assert np.array_equal(sample_points(ch, count=np.int64(8), seed=np.int64(3)), a)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"count": 2.5}, {"count": True}, {"count": "4"}, {"seed": -1}, {"seed": 1.5}, {"seed": None}],
+)
+def test_sample_count_and_seed_must_be_integers(kwargs):
+    ch = flat_chart()
+    with pytest.raises(InputError, match="must be an integer"):
+        sample_points(ch, **kwargs)
+    with pytest.raises(InputError, match="must be an integer"):
+        harmonicity_report(ch, **kwargs)
 
 
 def test_dropped_chart_is_freed_without_the_cyclic_gc():
@@ -380,27 +394,28 @@ def test_report_is_one_jet_evaluation():
 def test_weyl_is_made_on_request(monkeypatch):
     # a report makes nabla W once, for all its sample points; a point of its
     # batch makes W and nabla W on access, for that point alone, and a frame
-    # from the point makes each once; structure_data's jet makes neither
+    # from the point makes each once; structure_data's jet makes neither.
+    # Both go through weyl_from_curv: nabla W passes g with a derivative
+    # axis, g[..., None, :, :], so the shape of g tells them apart
     calls = []
-    for name in ("_weyl", "_nabla_weyl"):
-        made = getattr(chart_module, name)
+    made = chart_module.weyl_from_curv
 
-        def counted(g, *args, made=made, name=name):
-            calls.append((name, g.shape[:-2]))
-            return made(g, *args)
+    def counted(g, *args):
+        calls.append(g.shape[:-2])
+        return made(g, *args)
 
-        monkeypatch.setattr(chart_module, name, counted)
+    monkeypatch.setattr(chart_module, "weyl_from_curv", counted)
     chart = curv4.build_example("randflat:0")
     report = harmonicity_report(chart, count=16, seed=0)
-    assert calls == [("_nabla_weyl", (16,))]
+    assert calls == [(16, 1)]
     calls.clear()
     point = report.batch[3]
     assert calls == []
     point.weyl, point.nabla_weyl
-    assert calls == [("_weyl", ()), ("_nabla_weyl", ())]
+    assert calls == [(), (1,)]
     calls.clear()
     curv4.extract_frame(chart, report.points[3], entry=point)
-    assert sorted(calls) == [("_nabla_weyl", ()), ("_weyl", ())]
+    assert sorted(calls) == [(), (1,)]
     frame = curv4.extract_frame(chart, report.points[3])
     assert frame.source == "eigen"  # a degree-4 jet at the frame point
     calls.clear()

@@ -393,6 +393,43 @@ def test_verify_rejects_unknown_spec_keys(spec, key, tmp_path, capsys):
     assert key in err
 
 
+@pytest.mark.parametrize(
+    "spec, key",
+    [
+        ({"kind": "s2xs2", "params": [1.0, 2.0]}, "'params'"),
+        ({"kind": "s2xs2", "params": "k1=1"}, "'params'"),
+        ({"kind": "s2xs2", "params": {"k1": "1"}}, "'k1'"),
+        ({"kind": "s2xs2", "params": {"k1": None}}, "'k1'"),
+        ({"kind": "s2xs2", "params": {"k1": True}}, "'k1'"),
+        ({"kind": "s2xs2", "params": {"k1": [1.0]}}, "'k1'"),
+        ({"example": 4}, "'example'"),
+        ({"example": None}, "'example'"),
+        ({"name": ["s4"]}, "'name'"),
+        ({"kind": {"s2xs2": 1}}, "'kind'"),
+    ],
+)
+def test_verify_rejects_mistyped_spec_values(spec, key, tmp_path, capsys):
+    # a spec value of the wrong type is a usage error (exit 2), not a
+    # traceback with the exit code of a failed verification
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"samples": 1, **spec}))
+    code, out, err = run_main(["verify", "--spec", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert key in err and "spec file" in err
+
+
+@pytest.mark.parametrize("flag", ["--samples", "--tol-second", "--tol-third"])
+def test_variety_takes_no_sampling_flags(flag, capsys):
+    # variety harvests --count points and judges them by --tol; these flags
+    # only echoed into its report and are gone, while the keys stay
+    with pytest.raises(SystemExit) as exc:
+        main(["variety", "--point", "zeros-with-product-sigma", flag, "4"])
+    assert exc.value.code == 2
+    code, out, _ = run_main(["variety", "--point", "zeros-with-product-sigma"], capsys)
+    config = json.loads(out)["config"]
+    assert code == 0 and config["samples"] == 16 and config["tolerances"] == {}
+
+
 def test_stencil_flags_are_gone(capsys):
     for flag in ("--step", "--order", "--third-step"):
         with pytest.raises(SystemExit) as exc:

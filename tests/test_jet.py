@@ -49,7 +49,7 @@ def nested_riemann(chart, x, cfg=DEFAULT_STENCIL):
         + np.einsum("pik,mjp->mijk", gamma, gamma)
         - np.einsum("pjk,mip->mijk", gamma, gamma)
     )
-    return curvature_symmetrize(np.einsum("lm,mijk->ijkl", g, rm)).R, gamma
+    return curvature_symmetrize(np.einsum("lm,mijk->ijkl", g, rm)), gamma
 
 
 @pytest.mark.parametrize("name", REGISTRY_NAMES)

@@ -1,13 +1,15 @@
 import numpy as np
 import pytest
 
+import curv4
+from curv4 import chart as chart_module
+from curv4 import frames as frames_module
+from curv4.chart import _checked_inverse
 from curv4.errors import InconsistencyError, InputError, PreconditionError
 from curv4.numerics import sym_eigen
 from curv4.tensor4 import (
     _STAR,
     PAIRS,
-    Curv4,
-    Metric4,
     bivector_matrix,
     curvature_symmetrize,
     frame_components,
@@ -44,19 +46,20 @@ def product_s2xs2_curvature(k1=1.0, k2=1.0):
 
 
 def test_metric4_validation():
-    m = Metric4(g=np.diag([1.0, 4.0, 1.0, 1.0]))
-    assert np.max(np.abs(m.g @ m.g_inv - np.eye(4))) < 1e-10
-    with pytest.raises(InputError):
-        Metric4(g=np.arange(16.0).reshape(4, 4))
-    with pytest.raises(InputError):
-        Metric4(g=np.diag([1.0, -1.0, 1.0, 1.0]))
+    # the metric checks of every curvature batch, on one point
+    x = np.zeros((1, 4))
+    g = np.diag([1.0, 4.0, 1.0, 1.0])
+    g_inv = _checked_inverse(x, g[None])[0]
+    assert np.max(np.abs(g @ g_inv - np.eye(4))) < 1e-10
+    with pytest.raises(InputError, match="not symmetric"):
+        _checked_inverse(x, np.arange(16.0).reshape(1, 4, 4))
+    with pytest.raises(InputError, match="not positive definite"):
+        _checked_inverse(x, np.diag([1.0, -1.0, 1.0, 1.0])[None])
 
 
 def test_curvature_symmetrize_fixed_point():
     R = constant_curvature_tensor(np.eye(4))
-    out = curvature_symmetrize(R)
-    assert np.max(np.abs(out.R - R)) < 1e-14
-    assert out.projection_distance < 1e-14
+    assert np.max(np.abs(curvature_symmetrize(R) - R)) < 1e-14
 
 
 def test_curvature_symmetrize_removes_noise():
@@ -64,31 +67,52 @@ def test_curvature_symmetrize_removes_noise():
     rng = np.random.default_rng(3)
     noise = rng.standard_normal((4, 4, 4, 4)) * 1e-8
     anti = noise + np.einsum("jikl->ijkl", noise)  # symmetric in (ij): killed
-    out = curvature_symmetrize(R + anti)
-    assert np.max(np.abs(out.R - R)) < 1e-7
-    assert curvature_symmetrize(np.zeros((4,) * 4)).norm == 0.0
+    assert np.max(np.abs(curvature_symmetrize(R + anti) - R)) < 1e-7
+    assert np.all(curvature_symmetrize(np.zeros((4,) * 4)) == 0.0)
+    # over leading axes, each slice is projected on its own
+    stack = np.stack([R + anti, R, np.zeros((4,) * 4)])
+    assert np.array_equal(
+        curvature_symmetrize(stack), np.stack([curvature_symmetrize(T) for T in stack])
+    )
 
 
-def test_curvature_symmetrize_rejects_garbage():
-    rng = np.random.default_rng(0)
-    with pytest.raises(InconsistencyError):
-        curvature_symmetrize(rng.standard_normal((4, 4, 4, 4)))
+def test_projection_gate_rejects_a_far_projection(monkeypatch):
+    # raw curvature farther than 1e-3 * ||raw|| from its projection raises,
+    # naming the point; a faithful projection passes the same point
+    chart = curv4.build_example("s2xs2:1,2")
+    x = curv4.sample_points(chart, count=1, seed=0)
+    chart_module.curvature_batch(chart, x)
+    monkeypatch.setattr(chart_module, "curvature_symmetrize", lambda raw: 0.99 * raw)
+    with pytest.raises(InconsistencyError, match=r"projection distance .* at \["):
+        chart_module.curvature_batch(chart, x)
 
 
-def test_curv4_invariant_check():
+def test_curvature_symmetrize_satisfies_the_symmetries():
     bad = np.zeros((4, 4, 4, 4))
     bad[0, 1, 2, 3] = 1.0  # violates every symmetry
-    with pytest.raises(InputError):
-        Curv4(R=bad)
+    R = curvature_symmetrize(bad)
+    assert np.abs(R).max() > 0.0
+    assert np.array_equal(R, -np.einsum("jikl->ijkl", R))
+    assert np.array_equal(R, -np.einsum("ijlk->ijkl", R))
+    assert np.max(np.abs(R - np.einsum("klij->ijkl", R))) < 1e-15
+    bianchi = R + np.einsum("jkil->ijkl", R) + np.einsum("kijl->ijkl", R)
+    assert np.max(np.abs(bianchi)) < 1e-15
+    assert np.max(np.abs(curvature_symmetrize(R) - R)) < 1e-15
 
 
 def test_ricci_contract_constant_curvature():
-    m = Metric4(g=np.eye(4))
-    ric, s = ricci_contract(constant_curvature_tensor(m.g), m)
-    assert np.max(np.abs(ric.b - 3.0 * np.eye(4))) < 1e-12
+    g = np.eye(4)
+    ric, s = ricci_contract(constant_curvature_tensor(g), g)
+    assert np.max(np.abs(ric - 3.0 * np.eye(4))) < 1e-12
     assert s == pytest.approx(12.0, abs=1e-12)
-    ric0, s0 = ricci_contract(np.zeros((4,) * 4), m)
-    assert np.all(ric0.b == 0.0) and s0 == 0.0
+    ric0, s0 = ricci_contract(np.zeros((4,) * 4), g)
+    assert np.all(ric0 == 0.0) and s0 == 0.0
+    # over leading axes: sectional curvature K has ric = 3 K g and s = 12 K
+    G = np.stack([g, 2.0 * g])
+    R = np.stack([constant_curvature_tensor(G[0], 1.0), constant_curvature_tensor(G[1], 0.5)])
+    ric, s = ricci_contract(R, np.linalg.inv(G))
+    assert np.max(np.abs(ric - np.stack([3.0 * G[0], 1.5 * G[1]]))) < 1e-12
+    assert s == pytest.approx([12.0, 6.0], abs=1e-12)
 
 
 def test_kulkarni_nomizu_identities():
@@ -103,35 +127,38 @@ def test_kulkarni_nomizu_identities():
     assert np.all(kulkarni_nomizu(np.zeros((4, 4)), b) == 0.0)
 
 
+def weyl(R, g):
+    """weyl_from_curv with ric and s contracted from R."""
+    ric, s = ricci_contract(R, np.linalg.inv(g))
+    return weyl_from_curv(g, R, ric, s)
+
+
 def test_weyl_constant_curvature_vanishes():
-    m = Metric4(g=np.eye(4))
-    W = weyl_from_curv(constant_curvature_tensor(m.g, 2.5), m)
-    assert W.norm < 1e-12
+    g = np.eye(4)
+    assert np.linalg.norm(weyl(constant_curvature_tensor(g, 2.5), g)) < 1e-12
 
 
 def test_weyl_traceless_for_generic_curvature():
     for seed in range(4):
         R = random_algebraic_curvature(seed)
-        m = Metric4(g=np.eye(4))
-        W = weyl_from_curv(R, m)
-        ric, _ = ricci_contract(W, m)
-        assert np.linalg.norm(ric.b) < 1e-9 * np.linalg.norm(R)
+        W = weyl(R, np.eye(4))
+        ric, _ = ricci_contract(W, np.eye(4))
+        assert np.linalg.norm(ric) < 1e-9 * np.linalg.norm(R)
 
 
 def test_weyl_s2xs2_sigma_values():
     # S2(1) x S2(1): sigma_12 = 2/3, sigma_13 = sigma_14 = -1/3
-    m = Metric4(g=np.eye(4))
     R = product_s2xs2_curvature()
-    ric, s = ricci_contract(R, m)
-    assert np.max(np.abs(ric.b - np.eye(4))) < 1e-12 and s == pytest.approx(4.0)
-    W = weyl_from_curv(R, m)
-    assert W.R[0, 1, 0, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
-    assert W.R[0, 2, 0, 2] == pytest.approx(-1.0 / 3.0, abs=1e-12)
-    assert W.R[0, 3, 0, 3] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    ric, s = ricci_contract(R, np.eye(4))
+    assert np.max(np.abs(ric - np.eye(4))) < 1e-12 and s == pytest.approx(4.0)
+    W = weyl_from_curv(np.eye(4), R, ric, s)
+    assert W[0, 1, 0, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
+    assert W[0, 2, 0, 2] == pytest.approx(-1.0 / 3.0, abs=1e-12)
+    assert W[0, 3, 0, 3] == pytest.approx(-1.0 / 3.0, abs=1e-12)
 
 
 def test_hodge_star():
-    # the star weyl_split reads: a symmetric involution with zero trace
+    # the star sd_split reads: a symmetric involution with zero trace
     star = _STAR
     assert np.array_equal(star, star.T)
     assert np.array_equal(star @ star, np.eye(6))
@@ -143,22 +170,21 @@ def test_hodge_star():
 
 
 def test_sd_split_zero_and_traces():
-    m = Metric4(g=np.eye(4))
-    split = sd_split(np.zeros((4,) * 4), m, np.eye(4))
+    E = np.eye(4)
+    split = sd_split(frame_components(np.zeros((4,) * 4), E), 1)
     assert np.all(split.w_plus == 0.0) and np.all(split.w_minus == 0.0)
     for seed in range(4):
-        W = weyl_from_curv(random_algebraic_curvature(seed), m)
-        split = sd_split(W, m, np.eye(4))
-        tp, tm = split.traces
-        assert abs(tp) < 1e-10 * max(1.0, W.norm)
-        assert abs(tm) < 1e-10 * max(1.0, W.norm)
+        W = weyl(random_algebraic_curvature(seed), np.eye(4))
+        split = sd_split(frame_components(W, E), 1)
+        tp, tm = np.trace(split.w_plus), np.trace(split.w_minus)
+        assert abs(tp) < 1e-10 * max(1.0, np.linalg.norm(W))
+        assert abs(tm) < 1e-10 * max(1.0, np.linalg.norm(W))
         assert np.max(np.abs(split.w_plus - split.w_plus.T)) < 1e-12
 
 
 def test_sd_split_s2xs2_spectrum():
-    m = Metric4(g=np.eye(4))
-    W = weyl_from_curv(product_s2xs2_curvature(), m)
-    split = sd_split(W, m, np.eye(4))
+    W = weyl(product_s2xs2_curvature(), np.eye(4))
+    split = sd_split(frame_components(W, np.eye(4)), 1)
     spec = sym_eigen(split.w_plus).values
     assert spec == pytest.approx([-1 / 3, -1 / 3, 2 / 3], abs=1e-12)
     assert split.sigma[0, 1] == pytest.approx(2 / 3)
@@ -168,28 +194,28 @@ def test_sd_split_s2xs2_spectrum():
 
 def test_sd_split_orientation_swap():
     # flipping one frame vector swaps the roles of L+ and L-
-    m = Metric4(g=np.eye(4))
-    W = weyl_from_curv(random_algebraic_curvature(2), m)
+    W = weyl(random_algebraic_curvature(2), np.eye(4))
     E = np.eye(4)
     F = E.copy()
     F[:, 3] = -F[:, 3]
-    a = sd_split(W, m, E)
-    b = sd_split(W, m, F)
+    a = sd_split(frame_components(W, E), 1)
+    b = sd_split(frame_components(W, F), -1)
     assert sym_eigen(a.w_plus).values == pytest.approx(sym_eigen(b.w_plus).values, abs=1e-12)
 
 
 def test_sd_split_rejects_nonweyl():
-    m = Metric4(g=np.eye(4))
     with pytest.raises(PreconditionError):
-        sd_split(constant_curvature_tensor(m.g), m, np.eye(4))
-    W = weyl_from_curv(random_algebraic_curvature(1), m)
-    with pytest.raises(InputError):
-        sd_split(W, m, 2.0 * np.eye(4))  # not orthonormal
+        sd_split(constant_curvature_tensor(np.eye(4)), 1)
+    # no Ricci contraction, but not pair symmetric: e1^e2 -> e3^e4 only
+    A = np.zeros((4, 4, 4, 4))
+    A[0, 1, 2, 3] = A[1, 0, 3, 2] = 1.0
+    A[1, 0, 2, 3] = A[0, 1, 3, 2] = -1.0
+    with pytest.raises(InconsistencyError):
+        sd_split(A, 1)
 
 
 def test_frame_components_rotation():
     # components transform correctly under an orthogonal change of frame
-    m = Metric4(g=np.eye(4))
     R = random_algebraic_curvature(4)
     th = 0.3
     E = np.eye(4)
@@ -224,3 +250,24 @@ def test_frame_components_and_bivector_gather_match_loop_references():
         k, l = sorted(set(range(4)) - {i, j})
         star[PAIRS.index((k, l)), p] = np.linalg.det(np.eye(4)[[i, j, k, l]])
     assert np.array_equal(_STAR, star)
+
+
+def test_the_running_path_calls_the_tensor4_names(monkeypatch):
+    # the benchmark's trace counts calls through chart.curvature_symmetrize
+    # and frames.sd_split: a report projects its one batch once, and a frame
+    # projects its own curvature once and splits W once
+    calls = []
+    for module, name in ((chart_module, "curvature_symmetrize"), (frames_module, "sd_split")):
+        made = getattr(module, name)
+
+        def counted(*args, made=made, name=name):
+            calls.append(name)
+            return made(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    chart = curv4.build_example("randflat:0")
+    report = curv4.harmonicity_report(chart, count=16, seed=0)
+    assert calls == ["curvature_symmetrize"]
+    calls.clear()
+    curv4.extract_frame(chart, report.points[0])
+    assert calls == ["curvature_symmetrize", "sd_split"]
