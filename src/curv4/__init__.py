@@ -75,7 +75,6 @@ from .variety import (
 )
 from .examples import (
     REGISTRY,
-    ExampleSpec,
     SurfaceProfile,
     build_example,
     example_names,

@@ -5,10 +5,14 @@ or configuration error, among them a tolerance that is not a finite
 positive number, a spec-file sample count or seed that is not an integer, a
 negative seed, an unknown spec-file key or parameter name, a spec-file
 example, name or kind that is not a string, params that are not an object
-of numbers, and a scan grid axis with no values. Reports (schema "2") are
-deterministic for a fixed (config, seed) apart from the wall-time field.
-Every registry chart has an exact metric jet, so no finite-difference
-setting enters a report.
+of numbers, a spec file that names its example more than once or gives
+params without kind, a scan grid axis with no values or given twice, and a
+variety --mode without --sample or --count without --from-example. Reports
+(schema "2") are deterministic for a fixed (config, seed) apart from the
+wall-time field. Every chart is built by examples.build_example, from a
+registry string or from a kind and its parameter values, and reports the
+exact name it was built under. Every registry chart has an exact metric
+jet, so no finite-difference setting enters a report.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -34,7 +38,7 @@ from .chart import (
     sample_points,
 )
 from .errors import Curv4Error, DegenerateFrameError, InputError
-from .examples import build_example, canonical_name, example_names, example_spec
+from .examples import REGISTRY, build_example, canonical_name, example_names
 from .frames import extract_frame, fold_invariants, frame_invariants, skw_residuals
 
 SCHEMA_VERSION = "2"
@@ -112,9 +116,8 @@ def _emit(payload, fmt, out, csv_writer=None):
         sys.stdout.write(text)
 
 
-def _verify_payload(config):
-    """Assemble the verify report body (shared with scan cells)."""
-    chart = build_example(config.example)
+def _verify_payload(config, chart):
+    """Assemble the verify report body on `chart` (shared with scan cells)."""
     t_start = time.perf_counter()
     rep = harmonicity_report(
         chart, count=config.samples, seed=config.seed, tols=config.tolerances
@@ -190,13 +193,18 @@ def _verify_csv(payload, fh):
         fh.write(",".join(vals) + "\n")
 
 
-def cmd_verify(config):
-    payload = _verify_payload(config)
+def cmd_verify(config, chart=None):
+    """The verify report on `chart`, by default build_example(config.example)."""
+    if chart is None:
+        chart = build_example(config.example)
+    payload = _verify_payload(config, chart)
     exit_code = 0 if payload["summary"]["verdicts"]["overall"] else 1
     return Report(payload=payload, exit_code=exit_code)
 
 
-def cmd_variety(config, source, count, mode, tol):
+def cmd_variety(config, source, tol):
+    """Membership of the points of one source: ("point", name),
+    ("sample", count, mode) or ("example", name, count)."""
     t_start = time.perf_counter()
     points = []
     origin = {}
@@ -210,12 +218,12 @@ def cmd_variety(config, source, count, mode, tol):
         origin = {"point": name}
         tol = 1e-6 if tol is None else tol
     elif source[0] == "sample":
-        count = source[1]
+        _, count, mode = source
         points = vy.sample_variety(seed=config.seed, count=count, constraint_mode=mode)
         origin = {"sample": count, "mode": mode}
         tol = 1e-6 if tol is None else tol
     else:
-        name = canonical_name(source[1])
+        name, count = canonical_name(source[1]), source[2]
         chart = build_example(name)
         xs = sample_points(chart, count=count, seed=config.seed)
         tol = 1e-3 if tol is None else tol
@@ -267,52 +275,30 @@ def cmd_variety(config, source, count, mode, tol):
     return Report(payload=payload, exit_code=0 if all_passed else 1), csv_writer
 
 
-def _check_param_names(spec, names):
-    for name in names:
-        if name not in spec.param_names:
-            raise InputError(
-                f"{spec.kind} has no parameter {name!r} "
-                f"(has: {', '.join(spec.param_names) or 'none'})"
-            )
-
-
 def cmd_scan(config, kind, param_grid):
-    spec = example_spec(kind)
-    kind = spec.kind
-    _check_param_names(spec, param_grid)
+    kind = canonical_name(kind)
     for name, values in param_grid.items():
         if not values:
             raise InputError(f"--param {name} has no grid values")
-    axes = []
-    for name, default in zip(spec.param_names, spec.defaults):
-        axes.append([(name, v) for v in param_grid.get(name, [default])])
-    cells = [dict(combo) for combo in itertools.product(*axes)] if axes else [{}]
+    # the grid replaces default axes; build_example judges the kind and each cell
+    grid = {n: [d] for n, d in REGISTRY.get(kind, (None, {}))[1].items()} | param_grid
+    cells = [dict(zip(grid, combo)) for combo in itertools.product(*grid.values())]
 
     t_start = time.perf_counter()
 
     def run_cell(cell):
-        if cell:
-            arg = ",".join(f"{cell[n]:g}" for n in spec.param_names)
-            name = f"{kind}:{arg}"
-        else:
-            name = kind
-        sub = RunConfig(
-            example=name,
-            samples=config.samples,
-            tolerances=config.tolerances,
-            seed=config.seed,
-        )
-        payload = _verify_payload(sub)
+        chart = build_example(kind, cell)
+        payload = _verify_payload(replace(config, example=chart.name), chart)
         return {
             "params": cell,
-            "example": name,
+            "example": chart.name,
             "maxima": payload["summary"]["maxima"],
             "counts": payload["summary"]["counts"],
             "harmonic": payload["summary"]["verdicts"]["harmonic"],
         }
 
     rows = parallel_map(run_cell, cells)
-    rows.sort(key=lambda r: tuple(r["params"].get(n, 0.0) for n in spec.param_names))
+    rows.sort(key=lambda r: tuple(r["params"].values()))
     all_harmonic = all(r["harmonic"] for r in rows)
     agg = {}
     for row in rows:
@@ -333,9 +319,9 @@ def cmd_scan(config, kind, param_grid):
     def csv_writer(fh):
         keys = sorted(agg)
         fh.write(f"# curv4 scan {kind} schema {SCHEMA_VERSION}\n")
-        fh.write(",".join(list(spec.param_names) + keys + ["case", "harmonic"]) + "\n")
+        fh.write(",".join(list(grid) + keys + ["case", "harmonic"]) + "\n")
         for row in rows:
-            vals = [repr(float(row["params"].get(n, 0.0))) for n in spec.param_names]
+            vals = [repr(float(v)) for v in row["params"].values()]
             vals += [repr(row["maxima"].get(k, 0.0)) for k in keys]
             vals += [row["counts"]["case"], str(int(row["harmonic"]))]
             fh.write(",".join(vals) + "\n")
@@ -407,6 +393,12 @@ def _load_spec_file(path):
             raise InputError(
                 f"spec file {path}: unknown key {key!r}; keys: {', '.join(_SPEC_KEYS)}"
             )
+    named = [key for key in ("name", "example", "kind", "params") if key in data]
+    if named not in ([], ["name"], ["example"], ["kind"], ["kind", "params"]):
+        raise InputError(
+            f"spec file {path} has keys {named}: name the example by one of 'name', "
+            "'example' or 'kind', and give 'params' only with 'kind'"
+        )
     for key in ("tolerances", "params"):
         if not isinstance(data.get(key, {}), dict):
             raise InputError(f"spec file {path}: {key!r} must be a JSON object")
@@ -441,8 +433,10 @@ def build_parser():
     src.add_argument("--from-example", default=None, help="harvest frame data from an example")
     src.add_argument("--point", default=None, help="named point, e.g. zeros-with-product-sigma")
     src.add_argument("--sample", type=int, default=None, metavar="N", help="draw N variety samples")
-    pt.add_argument("--count", type=int, default=4, help="points to harvest with --from-example")
-    pt.add_argument("--mode", choices=("linear-only", "full"), default="full")
+    pt.add_argument("--count", type=int, help="points --from-example harvests (default 4)")
+    pt.add_argument(
+        "--mode", choices=("linear-only", "full"), help="--sample draw constraints (default full)"
+    )
     pt.add_argument("--tol", type=float, default=None, help="membership tolerance")
     _add_common(pt)
 
@@ -466,25 +460,20 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
-            file_cfg = {}
-            example = args.example
-            if args.spec:
-                file_cfg = _load_spec_file(args.spec)
-                if example is None:
-                    example = file_cfg.get("name") or file_cfg.get("example")
-                    if example is None and "kind" in file_cfg:
-                        params = file_cfg.get("params", {})
-                        spec = example_spec(file_cfg["kind"])
-                        _check_param_names(spec, params)
-                        vals = [params.get(n, d) for n, d in zip(spec.param_names, spec.defaults)]
-                        example = (
-                            f"{spec.kind}:{','.join(f'{v:g}' for v in vals)}" if vals else spec.kind
-                        )
-            if example is None:
-                raise InputError("verify needs --example or --spec")
+            file_cfg = _load_spec_file(args.spec) if args.spec else {}
             config = _config_from_args(args, file_cfg)
-            config.example = canonical_name(example)
-            report = cmd_verify(config)
+            # --example overrides the one example the spec file names
+            if args.example is not None:
+                name, params = args.example, None
+            elif "kind" in file_cfg:
+                name, params = file_cfg["kind"], file_cfg.get("params", {})
+            else:
+                name, params = file_cfg.get("name", file_cfg.get("example")), None
+            if name is None:
+                raise InputError("verify needs --example or a --spec file that names an example")
+            chart = build_example(name, params)
+            config.example = canonical_name(name) if params is None else chart.name
+            report = cmd_verify(config, chart)
             _emit(
                 report.payload,
                 config.fmt,
@@ -495,33 +484,38 @@ def main(argv=None):
 
         if args.command == "variety":
             config = _config_from_args(args)
+            if args.mode is not None and args.sample is None:
+                raise InputError("--mode applies to --sample draws only")
+            if args.count is not None and args.from_example is None:
+                raise InputError("--count applies to --from-example only")
             if args.point is not None:
                 source = ("point", args.point)
             elif args.sample is not None:
                 if args.sample < 1:
                     raise InputError("--sample must be at least 1")
-                source = ("sample", args.sample)
+                source = ("sample", args.sample, args.mode or "full")
             else:
-                source = ("example", args.from_example)
+                source = ("example", args.from_example, 4 if args.count is None else args.count)
                 config.example = canonical_name(args.from_example)
             tol = None if args.tol is None else _tolerance("--tol", args.tol)
-            report, csv_writer = cmd_variety(
-                config, source, count=args.count, mode=args.mode, tol=tol
-            )
+            report, csv_writer = cmd_variety(config, source, tol)
             _emit(report.payload, config.fmt, config.output, csv_writer=csv_writer)
             return report.exit_code
 
         grid = {}
         for item in args.param:
             name, _, raw = item.partition("=")
+            name = name.strip()
             if not raw:
                 raise InputError(f"--param needs name=v1,v2,... (got {item!r})")
+            if name in grid:
+                raise InputError(f"--param {name} is given twice; give each axis once")
             try:
-                grid[name.strip()] = [float(v) for v in raw.split(",") if v.strip()]
+                grid[name] = [float(v) for v in raw.split(",") if v.strip()]
             except ValueError as exc:
                 raise InputError(f"bad grid values in {item!r}") from exc
         config = _config_from_args(args)
-        report, csv_writer = cmd_scan(config, args.kind.strip(), grid)
+        report, csv_writer = cmd_scan(config, args.kind, grid)
         _emit(report.payload, config.fmt, config.output, csv_writer=csv_writer)
         return report.exit_code
     except Curv4Error as exc:

@@ -22,6 +22,7 @@ the left, and its jet at t is the recurrence started there.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass
 from operator import mul
@@ -46,6 +47,14 @@ def _formula_chart(formula, **kwargs):
         return formula(Jet.variables(x, degree)).coef
 
     return MetricChart(eval_fn=formula, jet_fn=jet_fn, batched=True, **kwargs)
+
+
+def _chart_name(kind, *values):
+    """'kind:v1,v2,...' with the shortest repr of each value, less the '.0'
+    of an integral float: float() reads every value back exactly, so
+    build_example(chart.name) rebuilds the chart."""
+    texts = [repr(v) for v in values]
+    return kind + ":" + ",".join(t[:-2] if t.endswith(".0") else t for t in texts)
 
 
 def _conformal_factor(k, *coords):
@@ -84,7 +93,7 @@ def make_product_surfaces(k1, k2):
 
     return _formula_chart(
         formula,
-        name=f"s2xs2:{k1:g},{k2:g}",
+        name=_chart_name("s2xs2", k1, k2),
         box=np.array([[-0.5, 0.5]] * 4),
         params={"k1": k1, "k2": k2},
         adapted_frame_fn=lambda x: np.eye(4),
@@ -101,7 +110,7 @@ def make_line_cross_space(c):
 
     return _formula_chart(
         formula,
-        name=f"rxs3:{c:g}",
+        name=_chart_name("rxs3", c),
         box=np.array([[-0.6, 0.6]] + [[-0.5, 0.5]] * 3),
         params={"c": c},
         adapted_frame_fn=lambda x: np.eye(4),
@@ -269,7 +278,7 @@ def solve_kpc_profile(c, r, K0):
     """
     c, r, K0 = float(c), float(r), float(K0)
     if K0 + c <= KAPPA_MIN:
-        raise InputError(f"K0 + c = {K0 + c:g} is not above the floor {KAPPA_MIN:g}")
+        raise InputError(f"K0 + c = {K0 + c!r} is not above the floor {KAPPA_MIN!r}")
     r3, t, y = r**3, 0.0, (1.0, 0.0, K0, 0.0)
     ts, ys, coefs, truncated = [t], [y], [], False
     while t < _T_END and not truncated:
@@ -292,7 +301,7 @@ def solve_kpc_profile(c, r, K0):
         coefs.append(a)
     if not coefs:
         raise IntegrationError(
-            f"profile left the admissible region at its start (c={c:g}, r={r:g}, K0={K0:g})",
+            f"profile left the admissible region at its start (c={c!r}, r={r!r}, K0={K0!r})",
             t_last=t,
         )
     fs, dfs, Ks, dKs = np.array(ys).T.copy()
@@ -352,7 +361,7 @@ def make_kpc_warped(profile):
 
     return _formula_chart(
         formula,
-        name=f"kpc:{c:g},{profile.r:g},{profile.K0:g}",
+        name=_chart_name("kpc", c, profile.r, profile.K0),
         box=np.array([t_box, [-0.6, 0.6], u_box, [-0.6, 0.6]]),
         params={"c": c, "r": profile.r, "K0": profile.K0},
         adapted_frame_fn=lambda x: np.eye(4),
@@ -369,7 +378,7 @@ def make_bump_nonharmonic(a):
 
     return _formula_chart(
         formula,
-        name=f"bump:{a:g}",
+        name=_chart_name("bump", a),
         box=np.array([[0.4, 1.6], [-0.6, 0.6], [-0.6, 0.6], [-0.6, 0.6]]),
         params={"a": a},
     )
@@ -386,8 +395,12 @@ def make_random_perturbed_flat(seed):
     Off-diagonal amplitudes are a third of the diagonal ones, so Gershgorin
     keeps the metric far from degenerate on the box; frequencies sit in
     [0.8, 2.0], large enough that curvature is order one against the flat
-    background.
+    background. The seed is a non-negative integer (InputError otherwise).
     """
+    if not (seed >= 0 and float(seed).is_integer()):
+        raise InputError(
+            f"randflat parameter 'seed' must be a non-negative integer, got {seed!r}"
+        )
     seed = int(seed)
     rng = np.random.default_rng(seed)
     wavevectors, phases, spread = [], [], []
@@ -409,37 +422,25 @@ def make_random_perturbed_flat(seed):
 
     return _formula_chart(
         formula,
-        name=f"randflat:{seed}",
+        name=_chart_name("randflat", seed),
         box=np.array([[-0.5, 0.5]] * 4),
         params={"seed": seed, "amplitude": _RANDFLAT_AMPLITUDE},
     )
 
 
-@dataclass(frozen=True)
-class ExampleSpec:
-    """One registry entry: factory plus named defaults."""
-
-    kind: str
-    param_names: tuple
-    defaults: tuple
-    harmonic: bool
-    description: str
-
-
+# kind -> (factory, the defaults of its keyword parameters in name order);
+# build_example fills a request into the defaults and calls factory(**values)
 REGISTRY = {
-    "s4": ExampleSpec("s4", (), (), True, "round sphere, curvature +1"),
-    "h4": ExampleSpec("h4", (), (), True, "hyperbolic space, curvature -1"),
-    "s2xs2": ExampleSpec(
-        "s2xs2", ("k1", "k2"), (1.0, 2.0), True, "product of constant-curvature surfaces"
+    "s4": (functools.partial(make_constant_curvature, 1.0), {}),
+    "h4": (functools.partial(make_constant_curvature, -1.0), {}),
+    "s2xs2": (make_product_surfaces, {"k1": 1.0, "k2": 2.0}),
+    "rxs3": (make_line_cross_space, {"c": 1.0}),
+    "kpc": (
+        lambda c, r, K0: make_kpc_warped(solve_kpc_profile(c, r, K0)),
+        {"c": 1.0, "r": 1.2, "K0": 0.5},
     ),
-    "rxs3": ExampleSpec("rxs3", ("c",), (1.0,), True, "line times 3d space form"),
-    "kpc": ExampleSpec(
-        "kpc", ("c", "r", "K0"), (1.0, 1.2, 0.5), True, "warped product over a profile surface"
-    ),
-    "bump": ExampleSpec("bump", ("a",), (0.1,), False, "non-harmonic conformal control"),
-    "randflat": ExampleSpec(
-        "randflat", ("seed",), (0,), False, "seeded perturbed flat metric"
-    ),
+    "bump": (make_bump_nonharmonic, {"a": 0.1}),
+    "randflat": (make_random_perturbed_flat, {"seed": 0}),
 }
 
 
@@ -469,57 +470,41 @@ def canonical_name(name):
     return _KIND_ALIASES.get(kind, kind) + sep + raw
 
 
-def example_spec(kind):
-    """The registry entry of a kind (aliases accepted)."""
-    kind = canonical_name(kind)
+def build_example(name, params=None):
+    """The chart a request names: a registry string such as 'kpc:1,1.2,0.5',
+    or a kind and a mapping of parameter names to numbers, as in
+    build_example('kpc', {'r': 1.2}).
+
+    Aliases and a '-default' suffix are accepted (see canonical_name), and
+    omitted parameters take the registry defaults. These are InputErrors
+    that name what is wrong: an unknown kind, more values than the kind has
+    parameters, a name with values together with `params`, a parameter name
+    the kind does not have, and a value that is not a finite number. The
+    factory rejects values outside its domain, such as a randflat seed that
+    is not a non-negative integer. Chart names are exact, so
+    build_example(chart.name) rebuilds the same chart.
+    """
+    kind, colon, raw = canonical_name(name).partition(":")
     if kind not in REGISTRY:
         raise InputError(f"unknown example {kind!r}; choices: {', '.join(example_names())}")
-    return REGISTRY[kind]
-
-
-def build_example(name):
-    """Instantiate a chart from a registry string like 'kpc:1,1.2,0.5'.
-
-    Aliases and a '-default' suffix are accepted (see canonical_name).
-    Omitted parameters take the registry defaults; extra ones are an error,
-    and so is a value that is not a finite number, or a randflat seed that
-    is not a non-negative integer (InputError naming the parameter).
-    """
-    kind, _, raw = canonical_name(name).partition(":")
-    spec = example_spec(kind)
-    values = list(spec.defaults)
-    if raw.strip():
-        parts = [p.strip() for p in raw.split(",")]
-        if len(parts) > len(spec.param_names):
+    factory, defaults = REGISTRY[kind]
+    if params is None:
+        parts = [p.strip() for p in raw.split(",")] if raw.strip() else []
+        if len(parts) > len(defaults):
+            raise InputError(f"{kind} takes at most {len(defaults)} parameters, got {len(parts)}")
+        params = dict(zip(defaults, parts))
+    elif colon:
+        raise InputError(f"{name!r} carries parameters; give them in the name or in params")
+    values = dict(defaults)
+    for key, value in params.items():
+        if key not in defaults:
             raise InputError(
-                f"{kind} takes at most {len(spec.param_names)} parameters, got {len(parts)}"
+                f"{kind} has no parameter {key!r} (has: {', '.join(defaults) or 'none'})"
             )
-        for idx, part in enumerate(parts):
-            try:
-                values[idx] = float(part)
-            except ValueError as exc:
-                raise InputError(f"bad parameter {part!r} for {kind}") from exc
-            if not math.isfinite(values[idx]):
-                raise InputError(
-                    f"{kind} parameter {spec.param_names[idx]!r} must be finite, got {part!r}"
-                )
-    if kind == "randflat" and not (values[0] >= 0 and values[0] == int(values[0])):
-        raise InputError(
-            f"randflat parameter 'seed' must be a non-negative integer, got {values[0]:g}"
-        )
-
-    if kind == "s4":
-        return make_constant_curvature(1.0, name="s4")
-    if kind == "h4":
-        return make_constant_curvature(-1.0, name="h4")
-    if kind == "s2xs2":
-        return make_product_surfaces(*values)
-    if kind == "rxs3":
-        return make_line_cross_space(*values)
-    if kind == "kpc":
-        profile = solve_kpc_profile(*values)
-        return make_kpc_warped(profile)
-    if kind == "bump":
-        return make_bump_nonharmonic(*values)
-    profile_seed = int(values[0])
-    return make_random_perturbed_flat(profile_seed)
+        try:
+            values[key] = float(value)
+        except (TypeError, ValueError) as exc:
+            raise InputError(f"bad parameter {value!r} for {kind}") from exc
+        if not math.isfinite(values[key]):
+            raise InputError(f"{kind} parameter {key!r} must be finite, got {value!r}")
+    return factory(**values)

@@ -223,6 +223,11 @@ class MembershipReport:
         )
 
 
+def _fsi_terms(H, Z):
+    """The six terms H_ji Z_j + H_ij Z_i, i < j, of the bilinear identity."""
+    return [H[j, i] * Z[j] + H[i, j] * Z[i] for i in range(4) for j in range(i + 1, 4)]
+
+
 def system_residuals(point, tol=1e-6):
     """Evaluate every defining equation of the variety at the point."""
     sig, lam = point.sigma, point.lam
@@ -235,16 +240,10 @@ def system_residuals(point, tol=1e-6):
     eq1_row = float(np.max(np.abs(np.sum(sig, axis=1))))
 
     H, Z = point.H, point.Z
-    fsi = max(
-        abs(H[j, i] * Z[j] + H[i, j] * Z[i])
-        for i in range(4)
-        for j in range(i + 1, 4)
-    )
-
-    M = fsp_matrix(H)
-    sv = np.linalg.svd(M, compute_uv=False)
+    fsi = max(map(abs, _fsi_terms(H, Z)))
+    ranked = numerical_rank(fsp_matrix(H))
+    sv = ranked.singular_values
     fsp_sv4 = float(sv[3] / max(1.0, sv[0]))
-    rank = numerical_rank(M).rank
 
     rows = {
         "eq1.lam": eq1_lam,
@@ -255,7 +254,7 @@ def system_residuals(point, tol=1e-6):
         "fsp.sv4": fsp_sv4,
         "zje": abs(float(np.sum(Z))),
     }
-    return MembershipReport(point=point, rows=rows, rank=rank, tol=tol)
+    return MembershipReport(point=point, rows=rows, rank=ranked.rank, tol=tol)
 
 
 def product_sigma_point():
@@ -330,10 +329,8 @@ def _assemble(params, sig_kernel):
 
 def _polynomial_residuals(point):
     """fsi terms and all 4 x 4 minors of the rank matrix, flattened."""
-    H, Z = point.H, point.Z
-    out = [
-        H[j, i] * Z[j] + H[i, j] * Z[i] for i in range(4) for j in range(i + 1, 4)
-    ]
+    H = point.H
+    out = _fsi_terms(H, point.Z)
     M = fsp_matrix(H)
     for cols in itertools.combinations(range(7), 4):
         out.append(float(np.linalg.det(M[:, cols])))

@@ -124,6 +124,37 @@ def test_verify_spec_file_alias_kind(tmp_path, capsys):
     assert json.loads(out)["config"]["example"] == "s2xs2:1,3"
 
 
+def test_verify_spec_report_names_the_chart_it_verified(tmp_path, capsys):
+    # kind and params reach the chart exactly, not through a six-digit name
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"kind": "randflat", "params": {"seed": 12345678}, "samples": 1}))
+    code, out, _ = run_main(["verify", "--spec", str(path)], capsys)
+    payload = json.loads(out)
+    assert code in (0, 1)
+    assert payload["config"]["example"] == payload["chart"]["name"] == "randflat:12345678"
+    assert payload["chart"]["params"]["seed"] == 12345678
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        {"example": "s4", "kind": "s2xs2", "params": {"k9": 1}},
+        {"name": "h4", "example": "s4"},
+        {"name": "s4", "kind": "s4"},
+        {"example": "s4", "params": {"k1": 1.0}},
+        {"name": "s2xs2", "params": {"k1": 1.0}},
+    ],
+)
+def test_verify_spec_names_its_example_once(spec, tmp_path, capsys):
+    # a second name, or params beside a name, is an input error and not a
+    # run of whichever name the reader looked at first
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"samples": 1, **spec}))
+    code, out, err = run_main(["verify", "--spec", str(path)], capsys)
+    assert code == 2 and out == ""
+    assert "spec file" in err
+
+
 def test_verify_bad_spec_file(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text("not json")
@@ -274,6 +305,24 @@ def test_scan_single_cell_matches_verify(capsys):
         assert row["maxima"] == verify["summary"]["maxima"]
 
 
+def test_scan_row_names_the_chart_it_verified(capsys):
+    code, out, _ = run_main(["scan", "s2xs2", "--param", "k1=1.23456789", "--samples", "2"], capsys)
+    assert code == 0
+    (row,) = json.loads(out)["points"]
+    assert row["params"] == {"k1": 1.23456789, "k2": 2.0}
+    assert row["example"] == "s2xs2:1.23456789,2"
+    _, vout, _ = run_main(["verify", "--example", row["example"], "--samples", "2"], capsys)
+    verify = json.loads(vout)
+    assert verify["chart"]["params"] == row["params"]
+    assert verify["summary"]["maxima"] == row["maxima"]
+
+
+def test_scan_rejects_a_repeated_axis(capsys):
+    code, out, err = run_main(["scan", "s2xs2", "--param", "k1=1", "--param", "k1=2"], capsys)
+    assert code == 2 and out == ""
+    assert "k1" in err and "twice" in err
+
+
 def test_scan_rejects_unknown_parameter(capsys):
     code, _, err = run_main(["scan", "s2xs2", "--param", "bogus=1"], capsys)
     assert code == 2
@@ -418,6 +467,23 @@ def test_verify_rejects_mistyped_spec_values(spec, key, tmp_path, capsys):
     assert key in err and "spec file" in err
 
 
+@pytest.mark.parametrize(
+    "source, flag",
+    [
+        (["--point", "zeros-with-product-sigma"], ["--mode", "linear-only"]),
+        (["--from-example", "kpc"], ["--mode", "full"]),
+        (["--point", "zeros-with-product-sigma"], ["--count", "99"]),
+        (["--sample", "2"], ["--count", "3"]),
+    ],
+)
+def test_variety_rejects_a_flag_its_source_does_not_read(source, flag, capsys):
+    # --mode shapes --sample draws and --count sizes a --from-example harvest;
+    # with another source the flag would be dropped without a word
+    code, out, err = run_main(["variety", *source, *flag], capsys)
+    assert code == 2 and out == ""
+    assert flag[0] in err
+
+
 @pytest.mark.parametrize("flag", ["--samples", "--tol-second", "--tol-third"])
 def test_variety_takes_no_sampling_flags(flag, capsys):
     # variety harvests --count points and judges them by --tol; these flags
@@ -457,8 +523,8 @@ def test_verify_makes_one_jet_evaluation_per_batch(name, capsys, monkeypatch):
     # read their entries from that batch and evaluate nothing more
     calls = []
 
-    def build(spec):
-        chart = build_example(spec)
+    def build(*request):
+        chart = build_example(*request)
         inner = chart.jet_fn
 
         def jet_fn(x, degree):

@@ -47,10 +47,49 @@ def test_registry_and_parsing():
     assert build_example("s4-default").name == "s4"
 
 
-def test_registry_descriptions():
-    for kind, spec in REGISTRY.items():
-        assert spec.description
-        assert len(spec.param_names) == len(spec.defaults)
+def test_registry_factories_build_their_kind():
+    # each entry is a factory and its keyword defaults, and the defaults
+    # build the chart that the bare kind names
+    for kind, (factory, defaults) in REGISTRY.items():
+        chart = factory(**defaults)
+        assert chart.name.partition(":")[0] == kind
+        assert build_example(kind).name == chart.name
+
+
+def test_chart_names_round_trip():
+    # every kind at its defaults, and values that six significant digits cut
+    names = list(REGISTRY) + ["s2xs2:1.23456789", "randflat:12345678", "bump:1e-7"]
+    for name in names:
+        chart = build_example(name)
+        again = build_example(chart.name)
+        assert again.name == chart.name and again.params == chart.params
+    assert build_example("s2xs2:1.23456789").name == "s2xs2:1.23456789,2"
+    assert build_example("randflat:12345678").params["seed"] == 12345678
+    assert build_example("bump:1e-7").params["a"] == 1e-7
+
+
+def test_build_example_takes_a_kind_and_params():
+    chart = build_example("product_surfaces", {"k2": 1.23456789})
+    assert chart.name == "s2xs2:1,1.23456789"
+    assert build_example("s4", {}).name == "s4"
+    assert build_example("randflat", {"seed": 12345678.0}).name == "randflat:12345678"
+    for name, params, match in (
+        ("s2xs2:1", {"k2": 3.0}, "carries parameters"),
+        ("s2xs2", {"k3": 1.0}, "no parameter 'k3'"),
+        ("s4", {"K0": 2.0}, "no parameter 'K0'"),
+        ("bump", {"a": float("nan")}, "'a' must be finite"),
+        ("nosuch", {}, "unknown example"),
+    ):
+        with pytest.raises(InputError, match=match):
+            build_example(name, params)
+
+
+def test_randflat_factory_checks_its_seed():
+    # the check lives in the factory, so a direct call cannot truncate 1.5 to 1
+    for bad in (1.5, -1, float("nan"), float("inf")):
+        with pytest.raises(InputError, match="'seed'"):
+            curv4.make_random_perturbed_flat(bad)
+    assert curv4.make_random_perturbed_flat(3.0).name == "randflat:3"
 
 
 def test_constant_curvature_values():
