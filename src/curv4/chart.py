@@ -11,7 +11,11 @@ finite-difference partials of one batched evaluation of the metric
 of its derivatives. The rest is shared, and runs on stacked points:
 `curvature_jets` takes the curvature jets at N points from one jet
 evaluation and `curvature_batch` their values (`connection_jets` stops at
-g^-1 and Gamma), a harmonicity report is one batch of its sample points,
+g^-1 and Gamma). `stacked_curvature_batch` stacks the points of several
+charts in one batch, each chart's metric jet from its own evaluation, and
+`curvature_batch` is its one-chart case. The harmonicity reports of
+several charts (`harmonicity_reports`, a scan's cells) are slices of one
+stacked batch of their sample points, a single report its one-chart case,
 and the curvature at one point (`curvature_at`, `batch[n]`) is a point of
 a curvature batch, the same record with the point axis dropped; nothing
 is cached.
@@ -66,9 +70,10 @@ from .tensor4 import ricci_contract  # noqa: F401
 
 def parallel_map(fn, items):
     """[fn(item) for item in items], in order in the calling thread. scan
-    runs its cells through it. It is kept only as the name perfbench/tracing.py
-    patches here and in cli to count and time scan's cells, until the
-    tracer is re-pointed."""
+    runs each cell's frames and payload through it, after one stacked
+    harmonicity batch for all cells. It is kept only as the name
+    perfbench/tracing.py patches here and in cli to count and time scan's
+    cells, until the tracer is re-pointed."""
     return [fn(item) for item in items]
 
 
@@ -278,15 +283,25 @@ def _validate_chart(chart):
         )
 
 
+def _unit_samples(count, seed):
+    """halton(count, seed), after InputError for a count that is not an
+    integer >= 1 or a seed that is not an integer >= 0."""
+    count = _integer_at_least("sample count", count, 1)
+    return halton(count, seed=_integer_at_least("seed", seed, 0))
+
+
+def _in_box(chart, u):
+    # unit points u (N, 4) mapped into the 10%-shrunk box
+    lo, hi = chart.box[:, 0], chart.box[:, 1]
+    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return mid + (2.0 * u - 1.0) * 0.9 * half
+
+
 def sample_points(chart, count=16, seed=0):
     """Deterministic scrambled-Halton samples in the 10%-shrunk box. A count
     that is not an integer >= 1, or a seed that is not an integer >= 0,
     raises InputError."""
-    count = _integer_at_least("sample count", count, 1)
-    u = halton(count, seed=_integer_at_least("seed", seed, 0))
-    lo, hi = chart.box[:, 0], chart.box[:, 1]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + (2.0 * u - 1.0) * 0.9 * half
+    return _in_box(chart, _unit_samples(count, seed))
 
 
 def _guard_footprint(chart, X, margin):
@@ -426,15 +441,36 @@ def _checked_inverse(X, g):
 _BLOCK = 32
 
 
-def _jet_blocks(chart, X, degree, algebra):
-    # algebra(X, coef, degree) on the metric coefficients, block by block
+def _jet_blocks(parts, degree, algebra):
+    # algebra(X, coef, degree) on the metric coefficients of every (chart, X)
+    # part, stacked on the point axis, block by block
     _integer_at_least("curvature degree", degree, 2)
-    X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != 4:
-        raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
-    coef = _metric_coefficients(chart, X, degree)
+    Xs, coefs = [], []
+    for chart, X in parts:
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != 4:
+            raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
+        Xs.append(X)
+        coefs.append(_metric_coefficients(chart, X, degree))
+    X, coef = np.concatenate(Xs), np.concatenate(coefs, axis=1)
     for lo in range(0, len(X), _BLOCK):
         yield algebra(X[lo : lo + _BLOCK], coef[:, lo : lo + _BLOCK], degree)
+
+
+def stacked_curvature_batch(parts, degree=2):
+    """curvature_batch over several charts at once: `parts` is a sequence of
+    (chart, X) pairs, and the batch holds every part's points in order, each
+    part's metric coefficients from its own one jet_fn or eval_batch call,
+    the algebra running once per block of the stacked points. Each point
+    equals its point of curvature_batch(chart, X, degree) on its own part,
+    bit for bit."""
+    blocks = [
+        {"projection_distance": dist, **{key: jet[0] for key, jet in jets.items()}}
+        for jets, dist in _jet_blocks(parts, degree, _curvature_algebra)
+    ]
+    fields = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
+    X = np.concatenate([np.asarray(X, dtype=float) for _, X in parts])
+    return CurvatureBatch(x=X, **fields)
 
 
 def curvature_batch(chart, X, degree=2):
@@ -443,7 +479,8 @@ def curvature_batch(chart, X, degree=2):
     for charts without a jet_fn): one jet_fn call, or one eval_batch call
     on the chart stencil around all points. The fields are the value terms
     of `curvature_jets`; the algebra runs on blocks of points, to bound the
-    memory a large batch holds at once.
+    memory a large batch holds at once. It is the one-part
+    stacked_curvature_batch.
 
     Every point gets the same checks: a symmetric
     positive-definite metric with g g^-1 = I, nabla g = 0, and a raw
@@ -452,12 +489,7 @@ def curvature_batch(chart, X, degree=2):
     DomainError naming that point; a degree that is not an integer >= 2
     raises InputError.
     """
-    blocks = [
-        {"projection_distance": dist, **{key: jet[0] for key, jet in jets.items()}}
-        for jets, dist in _jet_blocks(chart, X, degree, _curvature_algebra)
-    ]
-    fields = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
-    return CurvatureBatch(x=np.asarray(X, dtype=float), **fields)
+    return stacked_curvature_batch([(chart, X)], degree)
 
 
 def curvature_jets(chart, X, degree=2):
@@ -467,7 +499,7 @@ def curvature_jets(chart, X, degree=2):
     layout) and the point axis second. g comes to `degree`, g_inv and gamma
     to degree - 1, R, ric and s to degree - 2, and nabla_riem, nabla_ric
     and ds to degree - 3."""
-    blocks = [jets for jets, _ in _jet_blocks(chart, X, degree, _curvature_algebra)]
+    blocks = [jets for jets, _ in _jet_blocks([(chart, X)], degree, _curvature_algebra)]
     return {key: np.concatenate([b[key] for b in blocks], axis=1) for key in blocks[0]}
 
 
@@ -475,7 +507,7 @@ def connection_jets(chart, X, degree=2):
     """The g, g_inv and gamma entries of curvature_jets(chart, X, degree),
     bit for bit, after the checks of g^-1 and nabla g = 0 only: no
     curvature is formed, so neither is the projection gate on it."""
-    blocks = list(_jet_blocks(chart, X, degree, _connection_algebra))
+    blocks = list(_jet_blocks([(chart, X)], degree, _connection_algebra))
     return {key: np.concatenate([b[key] for b in blocks], axis=1) for key in blocks[0]}
 
 
@@ -631,7 +663,8 @@ class HarmonicityReport:
 
     Residual keys: 'dvr' = ||d ric|| (= ||div R||), 'dvw.w' = ||div W||,
     'dvw.ds' = ||ds||, with 'cst' the spread of s across the samples.
-    `batch` is the third-order curvature batch of the sample points.
+    `batch` is the third-order curvature batch of the sample points, the
+    report's slice of a stacked batch when reports are made together.
     """
 
     points: np.ndarray
@@ -644,29 +677,47 @@ class HarmonicityReport:
     batch: CurvatureBatch
 
 
+def harmonicity_reports(charts, count=16, seed=0, tols=None):
+    """One harmonicity report per chart, in order, all from one third-order
+    stacked_curvature_batch: each chart's `count` samples are one Halton
+    draw mapped into its box (the points sample_points gives), the
+    residuals are taken once over the stack, and each report holds its
+    chart's slice of it. `tols` overrides tiers of DEFAULT_TOLS; a tier it
+    does not have, or a value that is not a finite positive number, raises
+    InputError, as do the count and seed that sample_points rejects."""
+    tols = _checked_tols(tols or {})
+    u = _unit_samples(count, seed)
+    parts = [(chart, _in_box(chart, u)) for chart in charts]
+    stack = stacked_curvature_batch(parts, degree=3)
+    residuals = {key: residual(stack) for key, residual in _RESIDUALS.items()}
+    reports = []
+    for n, (_, pts) in enumerate(parts):
+        part = slice(n * count, (n + 1) * count)
+        batch, values = stack[part], {key: v[part] for key, v in residuals.items()}
+        rows = [{key: float(v[i]) for key, v in values.items()} for i in range(count)]
+        maxima = {key: float(v.max()) for key, v in values.items()}
+        s_spread = float(batch.s.max() - batch.s.min())
+        s_scale = max(1.0, float(np.max(np.abs(batch.s))))
+        harmonic = all(v <= tols["third"] for v in maxima.values())
+        harmonic = harmonic and s_spread <= tols["second"] * s_scale
+        reports.append(
+            HarmonicityReport(
+                points=pts,
+                rows=rows,
+                s_values=batch.s,
+                maxima=maxima,
+                s_spread=s_spread,
+                harmonic=harmonic,
+                tols=tols,
+                batch=batch,
+            )
+        )
+    return reports
+
+
 def harmonicity_report(chart, count=16, seed=0, tols=None):
     """The harmonicity residuals at `count` sample points, all evaluated as
-    one third-order curvature batch, and the verdict they give. `tols`
-    overrides tiers of DEFAULT_TOLS; a tier it does not have, or a value
-    that is not a finite positive number, raises InputError, as do the
-    count and seed that sample_points rejects."""
-    tols = _checked_tols(tols or {})
-    pts = sample_points(chart, count=count, seed=seed)
-    batch = curvature_batch(chart, pts, degree=3)
-    residuals = {key: residual(batch) for key, residual in _RESIDUALS.items()}
-    rows = [{key: float(v[n]) for key, v in residuals.items()} for n in range(len(pts))]
-    maxima = {key: float(v.max()) for key, v in residuals.items()}
-    s_spread = float(batch.s.max() - batch.s.min())
-    s_scale = max(1.0, float(np.max(np.abs(batch.s))))
-    harmonic = all(v <= tols["third"] for v in maxima.values())
-    harmonic = harmonic and s_spread <= tols["second"] * s_scale
-    return HarmonicityReport(
-        points=pts,
-        rows=rows,
-        s_values=batch.s,
-        maxima=maxima,
-        s_spread=s_spread,
-        harmonic=harmonic,
-        tols=tols,
-        batch=batch,
-    )
+    one third-order curvature batch, and the verdict they give: the
+    one-chart harmonicity_reports."""
+    (report,) = harmonicity_reports([chart], count=count, seed=seed, tols=tols)
+    return report

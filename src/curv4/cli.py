@@ -33,7 +33,9 @@ from .chart import (
     DEFAULT_TOLS,
     _checked_tols,
     _tolerance,
+    curvature_batch,
     harmonicity_report,
+    harmonicity_reports,
     parallel_map,
     sample_points,
 )
@@ -116,12 +118,11 @@ def _emit(payload, fmt, out, csv_writer=None):
         sys.stdout.write(text)
 
 
-def _verify_payload(config, chart):
-    """Assemble the verify report body on `chart` (shared with scan cells)."""
-    t_start = time.perf_counter()
-    rep = harmonicity_report(
-        chart, count=config.samples, seed=config.seed, tols=config.tolerances
-    )
+def _verify_payload(config, chart, rep):
+    """The verify report body on `chart` from its harmonicity report `rep`,
+    without timing: the frames at its first four samples read their
+    curvature from rep.batch and evaluate none. verify and each scan cell
+    make it the same way."""
     tols = rep.tols
 
     points = [
@@ -178,7 +179,6 @@ def _verify_payload(config, chart):
             },
             "tolerances": tols,
         },
-        "timing": {"wall_seconds": time.perf_counter() - t_start},
     }
     return payload
 
@@ -194,10 +194,14 @@ def _verify_csv(payload, fh):
 
 
 def cmd_verify(config, chart=None):
-    """The verify report on `chart`, by default build_example(config.example)."""
+    """The verify report on `chart`, by default build_example(config.example):
+    the one-chart case of a scan cell."""
     if chart is None:
         chart = build_example(config.example)
-    payload = _verify_payload(config, chart)
+    t_start = time.perf_counter()
+    rep = harmonicity_report(chart, count=config.samples, seed=config.seed, tols=config.tolerances)
+    payload = _verify_payload(config, chart, rep)
+    payload["timing"] = {"wall_seconds": time.perf_counter() - t_start}
     exit_code = 0 if payload["summary"]["verdicts"]["overall"] else 1
     return Report(payload=payload, exit_code=exit_code)
 
@@ -226,9 +230,10 @@ def cmd_variety(config, source, tol):
         name, count = canonical_name(source[1]), source[2]
         chart = build_example(name)
         xs = sample_points(chart, count=count, seed=config.seed)
+        batch = curvature_batch(chart, xs, degree=3)
         tol = 1e-3 if tol is None else tol
-        for x in xs:
-            fr = extract_frame(chart, x)
+        for n, x in enumerate(xs):
+            fr = extract_frame(chart, x, entry=batch[n])
             points.append(vy.from_frame(fr).normalized())
         origin = {"from_example": name, "count": count}
 
@@ -276,6 +281,11 @@ def cmd_variety(config, source, tol):
 
 
 def cmd_scan(config, kind, param_grid):
+    """The scan report over the grid's cells: every cell's chart is built
+    before any curvature is evaluated, so a cell its factory rejects ends
+    the scan (exit 2); then all cells' samples go through one stacked
+    harmonicity pass (harmonicity_reports), and each cell's frames and row
+    are made from its own report, as its verify would make them."""
     kind = canonical_name(kind)
     for name, values in param_grid.items():
         if not values:
@@ -285,10 +295,14 @@ def cmd_scan(config, kind, param_grid):
     cells = [dict(zip(grid, combo)) for combo in itertools.product(*grid.values())]
 
     t_start = time.perf_counter()
+    charts = [build_example(kind, cell) for cell in cells]
+    reports = harmonicity_reports(
+        charts, count=config.samples, seed=config.seed, tols=config.tolerances
+    )
 
-    def run_cell(cell):
-        chart = build_example(kind, cell)
-        payload = _verify_payload(replace(config, example=chart.name), chart)
+    def run_cell(item):
+        cell, chart, rep = item
+        payload = _verify_payload(replace(config, example=chart.name), chart, rep)
         return {
             "params": cell,
             "example": chart.name,
@@ -297,7 +311,7 @@ def cmd_scan(config, kind, param_grid):
             "harmonic": payload["summary"]["verdicts"]["harmonic"],
         }
 
-    rows = parallel_map(run_cell, cells)
+    rows = parallel_map(run_cell, list(zip(cells, charts, reports)))
     rows.sort(key=lambda r: tuple(r["params"].values()))
     all_harmonic = all(r["harmonic"] for r in rows)
     agg = {}

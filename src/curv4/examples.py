@@ -65,8 +65,15 @@ def _conformal_factor(k, *coords):
 
 def make_constant_curvature(K0, name=None):
     """Space form of sectional curvature K0: g = (1 + K0 |x|^2/4)^-2 delta
-    on the box [-0.6, 0.6]^4, where |x|^2 reaches 4 * 0.6^2."""
+    on the box [-0.6, 0.6]^4, where |x|^2 reaches 4 * 0.6^2. Its name is
+    `name`, or the registry kind that builds it, 's4' at K0 = 1 and 'h4' at
+    K0 = -1; any other K0 without a name raises InputError, since no
+    registry string would build it back."""
     K0 = float(K0)
+    if name is None:
+        if K0 not in (1.0, -1.0):
+            raise InputError(f"a constant-curvature chart with K0 = {K0:g} needs an explicit name")
+        name = "s4" if K0 > 0 else "h4"
     if K0 < 0.0 and 1.0 + 0.25 * K0 * 4.0 * 0.6**2 <= 0.05:
         raise InputError("box reaches the conformal-factor singularity")
 
@@ -76,7 +83,7 @@ def make_constant_curvature(K0, name=None):
 
     return _formula_chart(
         formula,
-        name=name or ("s4" if K0 > 0 else "h4" if K0 < 0 else "flat"),
+        name=name,
         box=np.array([[-0.6, 0.6]] * 4),
         params={"K0": K0},
     )

@@ -421,3 +421,27 @@ def test_weyl_is_made_on_request(monkeypatch):
     calls.clear()
     curv4.structure_data(chart, frame)
     assert calls == []
+
+
+def test_stacked_batch_points_equal_their_own_batches():
+    # charts with and without a jet_fn, stacked across a block boundary
+    # (20 + 20 > 32 points): each point is its own chart's batch point, bit
+    # for bit, and each report is the one its chart makes alone
+    s2 = curv4.build_example("s2xs2:1,2")
+    fd = MetricChart(name="s2xs2 fd", box=s2.box, eval_fn=s2.eval_fn, batched=True)
+    bump = curv4.build_example("bump:0.1")
+    parts = [
+        (s2, sample_points(s2, count=20, seed=1)),
+        (fd, sample_points(fd, count=20, seed=2)),
+        (bump, sample_points(bump, count=3, seed=3)),
+    ]
+    stack = chart_module.stacked_curvature_batch(parts, degree=3)
+    own = [chart_module.curvature_batch(chart, X, degree=3) for chart, X in parts]
+    for key, value in vars(stack).items():
+        assert np.array_equal(value, np.concatenate([getattr(b, key) for b in own])), key
+    charts = [chart for chart, _ in parts]
+    for rep, chart in zip(chart_module.harmonicity_reports(charts, count=5, seed=4), charts):
+        alone = harmonicity_report(chart, count=5, seed=4)
+        assert np.array_equal(rep.points, alone.points) and rep.rows == alone.rows
+        assert (rep.maxima, rep.s_spread, rep.harmonic) == (alone.maxima, alone.s_spread, alone.harmonic)
+        assert np.array_equal(rep.batch.R, alone.batch.R)

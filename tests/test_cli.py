@@ -1,3 +1,4 @@
+import itertools
 import json
 import subprocess
 import sys
@@ -288,21 +289,67 @@ def test_scan_grid(capsys):
 
 
 def test_scan_single_cell_matches_verify(capsys):
-    # each single cell of a 2x2 grid, run in order in this thread, reads
-    # what its own verify reads, bit for bit
-    code, out, _ = run_main(
-        ["scan", "s2xs2", "--param", "k1=1,2", "--param", "k2=2,3", "--samples", "3"], capsys
-    )
+    # every cell of one stacked scan batch, adapted frames (s2xs2) and
+    # eigenframes (bump), reads what its own verify reads, bit for bit
+    grids = {
+        "s2xs2": ["--param", "k1=1,2,3", "--param", "k2=1,2,3"],
+        "bump": ["--param", "a=0.05,0.1,0.2"],
+    }
+    for (kind, grid), samples in itertools.product(grids.items(), ("1", "3")):
+        code, out, _ = run_main(["scan", kind, *grid, "--samples", samples], capsys)
+        assert code in (0, 1)
+        rows = json.loads(out)["points"]
+        assert len(rows) == (9 if kind == "s2xs2" else 3)
+        for row in rows:
+            argv = ["verify", "--example", row["example"], "--samples", samples]
+            verify = json.loads(run_main(argv, capsys)[1])
+            assert row["counts"] == verify["summary"]["counts"]
+            assert row["maxima"] == verify["summary"]["maxima"]
+            assert row["harmonic"] == verify["summary"]["verdicts"]["harmonic"]
+
+
+def _counting_jet_fns(monkeypatch, calls):
+    # cli.build_example with each chart's jet_fn logging the shape it is given
+    def build(*request):
+        chart = build_example(*request)
+        inner = chart.jet_fn
+
+        def jet_fn(x, degree):
+            calls.append(np.shape(x))
+            return inner(x, degree)
+
+        chart.jet_fn = jet_fn
+        return chart
+
+    monkeypatch.setattr(curv4.cli, "build_example", build)
+
+
+@pytest.mark.parametrize("samples, algebra_calls", [("1", 1), ("4", 2)])
+def test_scan_is_one_curvature_batch(samples, algebra_calls, capsys, monkeypatch):
+    # the 9 cells' samples are stacked into one batch: one jet_fn call per
+    # cell, and one curvature algebra call per 32 stacked points
+    jets, blocks = [], []
+    algebra = curv4.chart._curvature_algebra
+
+    def counted(X, coef, degree):
+        blocks.append(len(X))
+        return algebra(X, coef, degree)
+
+    _counting_jet_fns(monkeypatch, jets)
+    monkeypatch.setattr(curv4.chart, "_curvature_algebra", counted)
+    argv = ["scan", "s2xs2", "--param", "k1=1,2,3", "--param", "k2=1,2,3", "--samples", samples]
+    code, _, _ = run_main(argv, capsys)
     assert code == 0
-    rows = json.loads(out)["points"]
-    assert [row["example"] for row in rows] == [
-        "s2xs2:1,2", "s2xs2:1,3", "s2xs2:2,2", "s2xs2:2,3"
-    ]
-    for row in rows:
-        _, vout, _ = run_main(["verify", "--example", row["example"], "--samples", "3"], capsys)
-        verify = json.loads(vout)
-        assert row["counts"] == verify["summary"]["counts"]
-        assert row["maxima"] == verify["summary"]["maxima"]
+    n = int(samples)
+    assert jets == [(4,) if n == 1 else (n, 4)] * 9
+    assert len(blocks) == algebra_calls and sum(blocks) == 9 * n
+
+
+def test_scan_with_one_rejected_cell_exits_2(capsys):
+    # K0 = -5 puts K0 + c below the kpc floor; its cell ends the whole scan
+    code, out, err = run_main(["scan", "kpc", "--param", "K0=0.5,-5", "--samples", "1"], capsys)
+    assert code == 2 and out == ""
+    assert "floor" in err
 
 
 def test_scan_row_names_the_chart_it_verified(capsys):
@@ -522,24 +569,24 @@ def test_verify_makes_one_jet_evaluation_per_batch(name, capsys, monkeypatch):
     # one jet_fn call for the harmonicity batch of all samples; the frames
     # read their entries from that batch and evaluate nothing more
     calls = []
-
-    def build(*request):
-        chart = build_example(*request)
-        inner = chart.jet_fn
-
-        def jet_fn(x, degree):
-            calls.append(np.shape(x))
-            return inner(x, degree)
-
-        chart.jet_fn = jet_fn
-        return chart
-
-    monkeypatch.setattr(curv4.cli, "build_example", build)
+    _counting_jet_fns(monkeypatch, calls)
     code, out, _ = run_main(["verify", "--example", name, "--samples", "16"], capsys)
     assert code in (0, 1)
     frames = sum("source" in p["counts"] for p in json.loads(out)["points"])
     assert frames == (0 if name == "s4" else 4)
     assert calls == [(16, 4)]
+
+
+@pytest.mark.parametrize("name", ["s2xs2:1,2", "bump:0.1"])
+def test_variety_from_example_makes_one_jet_evaluation(name, capsys, monkeypatch):
+    # one degree-3 curvature batch over the --count points; each frame reads
+    # its own point of it
+    calls = []
+    _counting_jet_fns(monkeypatch, calls)
+    code, out, _ = run_main(["variety", "--from-example", name, "--count", "5"], capsys)
+    assert code in (0, 1)
+    assert len(json.loads(out)["points"]) == 5
+    assert calls == [(5, 4)]
 
 
 def test_console_script_entry():

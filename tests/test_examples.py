@@ -104,6 +104,18 @@ def test_constant_curvature_values():
     assert np.linalg.norm(e.R) < 1e-10
 
 
+def test_constant_curvature_name_builds_it_back():
+    # only the registry's own K0 take its names; any other needs a name
+    for K0, name in ((1.0, "s4"), (-1.0, "h4")):
+        ch = make_constant_curvature(K0)
+        assert ch.name == name
+        assert build_example(ch.name).params == ch.params
+    for K0 in (0.5, -0.5, 0.0, 2.0):
+        with pytest.raises(InputError, match="explicit name"):
+            make_constant_curvature(K0)
+    assert make_constant_curvature(0.5, name="cc:0.5").params == {"K0": 0.5}
+
+
 def test_product_einstein_case():
     # equal curvatures: lambda = 0 and W+ spectrum {2/3, -1/3, -1/3}
     ch = make_product_surfaces(1, 1)

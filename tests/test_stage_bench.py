@@ -7,8 +7,9 @@ addopts), so they check only that every stage runs. For the timings:
 
 prints per-stage statistics: chart validation, one scrambled Halton draw,
 the three harmonicity residual norms of a one-point batch, extract_frame
-on an adapted (s2xs2) and an eigen (bump) frame, skw_residuals, and
-structure_data.
+on an adapted (s2xs2) and an eigen (bump) frame, skw_residuals,
+structure_data, and the stacked harmonicity pass of a 3x3 s2xs2 scan at
+one sample per cell (nine reports from one curvature batch).
 """
 
 import numpy as np
@@ -62,3 +63,9 @@ def test_stage_structure_data(benchmark, one_point):
     frame = extract_frame(chart, x, batch[0])
     sd = benchmark(structure_data, chart, frame)
     assert sd.DF.shape == (4, 4, 4)
+
+
+def test_stage_stacked_harmonicity(benchmark):
+    charts = [curv4.build_example(f"s2xs2:{k1},{k2}") for k1 in (1, 2, 3) for k2 in (1, 2, 3)]
+    reports = benchmark(chart_module.harmonicity_reports, charts, count=1, seed=3)
+    assert [len(r.points) for r in reports] == [1] * 9
