@@ -60,7 +60,6 @@ from .frames import (
     sy_invariants,
 )
 from .variety import (
-    EVEN_PERMS,
     MembershipReport,
     NAMED_POINTS,
     VarietyPoint,
@@ -68,7 +67,6 @@ from .variety import (
     from_frame,
     fsp_matrix,
     h_components,
-    permute_point,
     sample_variety,
     system_residuals,
     z_components,

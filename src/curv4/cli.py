@@ -238,28 +238,21 @@ def cmd_variety(config, source, tol):
         origin = {"from_example": name, "count": count}
 
     reports = [vy.system_residuals(p, tol) for p in points]
-    rows = []
-    for rep in reports:
-        rows.append(
-            {
-                "residuals": dict(rep.rows),
-                "rank": rep.rank,
-                "passed": rep.passed,
-            }
-        )
     all_passed = all(r.passed for r in reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "config": {**config.to_dict(), "origin": origin, "tol": tol},
         "points": [
             {
-                "F": p.F,
-                "sigma": p.sigma,
-                "lam": p.lam,
-                "s": p.s,
-                **row,
+                "F": rep.point.F,
+                "sigma": rep.point.sigma,
+                "lam": rep.point.lam,
+                "s": rep.point.s,
+                "residuals": dict(rep.rows),
+                "rank": rep.rank,
+                "passed": rep.passed,
             }
-            for p, row in zip(points, rows)
+            for rep in reports
         ],
         "summary": {
             "verdicts": {"membership": all_passed, "overall": all_passed},
@@ -275,7 +268,7 @@ def cmd_variety(config, source, tol):
 
     def csv_writer(fh):
         note = f"curv4 variety {origin} seed {config.seed} tol {tol:g}"
-        vy.export_csv(points, fh, tol=tol, note=note)
+        vy.export_csv(reports, fh, note=note)
 
     return Report(payload=payload, exit_code=0 if all_passed else 1), csv_writer
 

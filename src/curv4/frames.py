@@ -9,8 +9,8 @@ polynomial identities of harmonic-curvature geometry:
 * Gamma[i, j, k] = g(nabla_{e_i} e_j, e_k)  (direction, field, component);
 * F_ji, defined by [e_i, e_j] = F_ji e_i - F_ij e_j, equal to Gamma[i, j, i].
 
-Index conventions: everything in code is 0-based; a quantity named after a
-1-based identity (say D_1 lambda_2) lands at the corresponding 0-based slots.
+Indices are 0-based, and every gather over index tuples reads
+tensor4's index tables (its docstring fixes the convention).
 
 extract_frame fixes the frame's orientation to positive and checks that it
 is g-orthonormal; W's components in it (tensor4.frame_components) then give
@@ -48,7 +48,6 @@ the frame point only.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,25 +63,20 @@ from .errors import (
 # central_diff stays importable from here for perfbench/tracing.py, which
 # counts calls through this name
 from .numerics import _fix_signs, central_diff, jet_contract, sym_eigen  # noqa: F401
-from .tensor4 import _norm, bivector_matrix, frame_components, sd_split
+from .tensor4 import (
+    OFF_DIAGONAL,
+    ORDERED_PAIRS,
+    OTHERS,
+    TRIPLES,
+    _norm,
+    bivector_matrix,
+    frame_components,
+    sd_split,
+    sigma_relations,
+)
 
-_TRIPLES = [t for t in itertools.permutations(range(4), 3)]
-
-
-def _complement(*indices):
-    return sorted(set(range(4)) - set(indices))
-
-
-# index arrays over the distinct triples (i, j, k); over the ordered pairs
-# (i, j) with the other two indices k < l; over the pairs (0, j) with theirs;
-# and over i = 0..3 with the other three indices, ascending
-_TRIPLE_INDEX = np.array(_TRIPLES).T
-_PAIR_INDEX = np.array([(*p, *_complement(*p)) for p in itertools.permutations(range(4), 2)]).T
-_PAIRINGS = np.array([(0, j, *_complement(0, j)) for j in (1, 2, 3)]).T
-_OTHERS = np.array([_complement(i) for i in range(4)]).T
 # the triples (a, b, k) with a < b
-_BRACKET_TRIPLES = tuple(_TRIPLE_INDEX[:, _TRIPLE_INDEX[0] < _TRIPLE_INDEX[1]])
-_OFF_DIAGONAL = 1.0 - np.eye(4)
+_BRACKET_TRIPLES = tuple(TRIPLES[:, TRIPLES[0] < TRIPLES[1]])
 
 # eigenvalues closer than max(CLUSTER_ATOL, CLUSTER_RTOL * spread) count as one
 CLUSTER_RTOL = 1e-5
@@ -148,7 +142,7 @@ class RicciFrame:
     def distinct_gamma_max(self):
         """Largest |Gamma^k_ij| over mutually distinct (i, j, k); zero for
         the orthogonal-web ('D0') structure."""
-        return float(np.abs(self.gamma[tuple(_TRIPLE_INDEX)]).max())
+        return float(np.abs(self.gamma[tuple(TRIPLES)]).max())
 
 
 def _orthonormalize_columns(E, g):
@@ -365,12 +359,12 @@ def extract_frame(chart, x, entry=None):
         np.einsum("abcbc->abc", nabla_w)
         + 2.0 * np.einsum("abk,kcbc->abc", gamma_f, Wf)
         + 2.0 * np.einsum("ack,bkbc->abc", gamma_f, Wf)
-    ) * _OFF_DIAGONAL
+    ) * OFF_DIAGONAL
 
     C = _brackets(E[None], dE[None], gE[None])[0]
     F = _structure_f(C)
     bracket_resid = np.abs(C[_BRACKET_TRIPLES]).max()
-    i, j = _PAIR_INDEX[:2]
+    i, j = ORDERED_PAIRS[:2]
     f_gamma_resid = np.abs(F[j, i] - gamma_f[i, j, i]).max()
 
     diagnostics = {
@@ -416,24 +410,17 @@ def skw_residuals(frame):
     """
     lam, sig, gm = frame.lam, frame.sigma, frame.gamma
     Dlam, Dsig = frame.dlam, frame.dsig
-    i, j, k = _TRIPLE_INDEX
+    i, j, k = TRIPLES
     res_a = np.abs(gm[i, j, k] + gm[i, k, j]).max()
     res_c = np.abs((lam[j] - lam[k]) * gm[i, j, k] - (lam[k] - lam[i]) * gm[j, k, i]).max()
     res_d = np.abs(
         (sig[i, j] - sig[i, k]) * gm[i, j, k] - (sig[j, k] - sig[j, i]) * gm[j, k, i]
     ).max()
 
-    # the pairings over the complementary pairs of (0, 1), (0, 2), (0, 3)
-    # and the row sums, each summed in column order
-    i, j, k, l = _PAIRINGS
-    rows, (a, b, c) = np.arange(4), _OTHERS
-    res_b = max(
-        np.abs(sig[i, j] - sig[k, l]).max(),
-        np.abs(sig[rows, a] + sig[rows, b] + sig[rows, c]).max(),
-    )
+    pairings, row_sums = sigma_relations(sig)
+    res_b = max(np.abs(pairings).max(), np.abs(row_sums).max())
 
-    # ordered pairs (i, j), with k < l the other two indices
-    i, j, k, l = _PAIR_INDEX
+    i, j, k, l = ORDERED_PAIRS
     res_e = np.abs(Dlam[i, j] - (lam[j] - lam[i]) * gm[j, j, i]).max()
     rhs = (sig[i, j] - sig[i, k]) * gm[k, k, j] + (sig[i, j] - sig[i, l]) * gm[l, l, j]
     res_f = np.abs(Dsig[j, i, j] - rhs).max()
@@ -459,7 +446,7 @@ def sy_from_components(sigma, lam, gamma):
     lam = np.asarray(lam, dtype=float)
     gamma = np.asarray(gamma, dtype=float)
     # S_l and y_l from the ascending triple (i, j, k) of the indices other than l
-    i, j, k = _OTHERS
+    i, j, k = OTHERS
     S = (sigma[i, j] - sigma[i, k]) * gamma[i, j, k]
     y = (lam[j] - lam[k]) * gamma[i, j, k]
     s_alt = (sigma[j, k] - sigma[j, i]) * gamma[j, k, i]
@@ -627,20 +614,16 @@ def curvature_from_structure(sd, frame=None):
             "the web reconstruction formulas do not apply"
         )
     F, DF = sd.F, sd.DF
+    i, j, k, l = ORDERED_PAIRS
     sec = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            rest = [c for c in range(4) if c not in (i, j)]
-            sec[i, j] = -(
-                DF[i, i, j]
-                + DF[j, j, i]
-                + F[i, j] ** 2
-                + F[j, i] ** 2
-                + sum(F[c, i] * F[c, j] for c in rest)
-            )
+    sec[i, j] = -(
+        DF[i, i, j]
+        + DF[j, j, i]
+        + F[i, j] * F[i, j]
+        + F[j, i] * F[j, i]
+        + (F[k, i] * F[k, j] + F[l, i] * F[l, j])
+    )
+    i, j, k = TRIPLES
     mixed = np.zeros((4, 4, 4))
-    for (i, j, k) in _TRIPLES:
-        mixed[i, j, k] = DF[i, j, k] - (F[j, i] - F[j, k]) * F[i, k]
+    mixed[i, j, k] = DF[i, j, k] - (F[j, i] - F[j, k]) * F[i, k]
     return sec, mixed

@@ -16,6 +16,10 @@ Conventions, fixed once here and relied on everywhere else:
 * Bivector basis order: e1^e2, e1^e3, e1^e4, e2^e3, e2^e4, e3^e4. With the
   standard orientation the Hodge star maps e1^e2 -> e3^e4,
   e1^e3 -> -e2^e4, e1^e4 -> e2^e3 (an involution with zero trace).
+* Index tables: every gather over index tuples of the four frame indices
+  (the pairs, ordered pairs, triples, complements and the even triples of
+  the Z_l sums) reads the read-only tables below, 0-based, with 1-based
+  identities landing at the corresponding 0-based slots.
 
 Each operation is written once, on plain arrays. curvature_symmetrize,
 ricci_contract, weyl_from_curv and kulkarni_nomizu work over any leading
@@ -36,9 +40,58 @@ from .errors import InconsistencyError, PreconditionError
 
 N = 4
 
-# index pairs of the bivector basis, in order
+
+def _perm_sign(perm):
+    inversions = sum(a > b for n, a in enumerate(perm) for b in perm[n + 1 :])
+    return -1 if inversions % 2 else 1
+
+
+def _table(rows):
+    T = np.array(rows, dtype=np.intp)
+    T.setflags(write=False)
+    return T
+
+
+def _others(*indices):
+    return tuple(c for c in range(N) if c not in indices)
+
+
+# index pairs of the bivector basis, in order, as a tuple and as the rows
+# (i, j) of a table over the six pairs
 PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_PAIR_INDEX = {p: k for k, p in enumerate(PAIRS)}
+PAIR_INDICES = _table(PAIRS).T
+# PAIR_COLUMN[i, j]: the position of the pair {i, j} in PAIRS; the diagonal
+# holds 6, past every pair, so that reading it from a pair axis raises
+PAIR_COLUMN = _table(
+    [[PAIRS.index((min(i, j), max(i, j))) if i != j else 6 for j in range(N)] for i in range(N)]
+)
+# rows (i, j, k, l) over the ordered pairs i != j, lexicographic, with k < l
+# the other two indices
+ORDERED_PAIRS = _table([(i, j, *_others(i, j)) for i in range(N) for j in range(N) if i != j]).T
+# rows (i, j, k) over the distinct triples, lexicographic
+TRIPLES = _table(
+    [(i, j, k) for i in range(N) for j in range(N) for k in range(N) if len({i, j, k}) == 3]
+).T
+# column l: the other three indices, ascending
+OTHERS = _table([_others(l) for l in range(N)]).T
+# column l: the triple (i, j, k) of the Z_l sum, the first even permutation
+# (i, j, k, l) in lexicographic order; the other two even choices are its
+# cyclic rotations
+CYCLIC = _table(
+    [
+        (i, j, k) if _perm_sign((i, j, k, l)) > 0 else (i, k, j)
+        for l, (i, j, k) in enumerate(OTHERS.T)
+    ]
+).T
+# the entries off the diagonal of a 4 x 4 array
+OFF_DIAGONAL = ~np.eye(N, dtype=bool)
+OFF_DIAGONAL.setflags(write=False)
+# the column sets of the maximal minors of a 4 x 7 matrix (the six pair
+# columns and one more), lexicographic
+_C7 = range(len(PAIRS) + 1)
+MINOR_COLUMNS = _table(
+    [(a, b, c, d) for a in _C7 for b in _C7 for c in _C7 for d in _C7 if a < b < c < d]
+)
 
 
 def _norm(T):
@@ -99,21 +152,11 @@ def weyl_from_curv(g, R, ric, s):
     return R - 0.5 * kulkarni_nomizu(g, sch)
 
 
-def _perm_sign(perm):
-    sign = 1
-    for a in range(len(perm)):
-        for b in range(a + 1, len(perm)):
-            if perm[a] > perm[b]:
-                sign = -sign
-    return sign
-
-
 def _star_matrix():
     # the star of the standard orientation: e_i ^ e_j -> sign(i j k l) e_k ^ e_l
+    i, j, k, l = ORDERED_PAIRS[:, ORDERED_PAIRS[0] < ORDERED_PAIRS[1]]
     M = np.zeros((6, 6))
-    for p, (i, j) in enumerate(PAIRS):
-        k, l = sorted(set(range(N)) - {i, j})
-        M[_PAIR_INDEX[(k, l)], p] = _perm_sign((i, j, k, l))
+    M[PAIR_COLUMN[k, l], PAIR_COLUMN[i, j]] = [_perm_sign(p) for p in zip(i, j, k, l)]
     M.setflags(write=False)
     return M
 
@@ -136,8 +179,7 @@ def frame_components(R, frame):
 
 
 # bivector_matrix's gather: entry [p, q] reads slots (i_q, j_q, k_p, l_p)
-_FIRST, _SECOND = np.array(PAIRS).T
-_BIVECTOR_GATHER = (_FIRST, _SECOND, _FIRST[:, None], _SECOND[:, None])
+_BIVECTOR_GATHER = (*PAIR_INDICES, *PAIR_INDICES[:, :, None])
 
 
 def bivector_matrix(A_frame):
@@ -149,29 +191,12 @@ def bivector_matrix(A_frame):
     return np.asarray(A_frame)[_BIVECTOR_GATHER]
 
 
-# normalized self-dual / anti-self-dual bases as columns over the PAIRS axis:
+# normalized self-dual / anti-self-dual bases as columns over the PAIRS axis,
+# (e_p +- *e_p)/sqrt2 for the first three pairs p:
 # (e1^e2 +- e3^e4)/sqrt2, (e1^e3 -+ e2^e4)/sqrt2, (e1^e4 +- e2^e3)/sqrt2
 _SQ = 1.0 / np.sqrt(2.0)
-_BASIS_PLUS = np.array(
-    [
-        [_SQ, 0.0, 0.0],
-        [0.0, _SQ, 0.0],
-        [0.0, 0.0, _SQ],
-        [0.0, 0.0, _SQ],
-        [0.0, -_SQ, 0.0],
-        [_SQ, 0.0, 0.0],
-    ]
-)
-_BASIS_MINUS = np.array(
-    [
-        [_SQ, 0.0, 0.0],
-        [0.0, _SQ, 0.0],
-        [0.0, 0.0, _SQ],
-        [0.0, 0.0, -_SQ],
-        [0.0, _SQ, 0.0],
-        [-_SQ, 0.0, 0.0],
-    ]
-)
+_BASIS_PLUS = (np.eye(6) + _STAR)[:, :3] * _SQ
+_BASIS_MINUS = (np.eye(6) - _STAR)[:, :3] * _SQ
 
 
 @dataclass(frozen=True)
@@ -182,10 +207,6 @@ class WeylSplit:
     w_plus: np.ndarray
     w_minus: np.ndarray
     sigma: np.ndarray
-
-
-# sigma keeps the sectional values W_ijij off the diagonal only
-_OFF_DIAGONAL = ~np.eye(N, dtype=bool)
 
 
 def sd_split(Wf, orientation):
@@ -206,5 +227,17 @@ def sd_split(Wf, orientation):
     w_minus = _BASIS_MINUS.T @ M @ _BASIS_MINUS
     if orientation < 0:
         w_plus, w_minus = w_minus, w_plus
-    sigma = np.where(_OFF_DIAGONAL, np.einsum("ijij->ij", Wf), 0.0)
+    sigma = np.where(OFF_DIAGONAL, np.einsum("ijij->ij", Wf), 0.0)
     return WeylSplit(w_plus=w_plus, w_minus=w_minus, sigma=sigma)
+
+
+def sigma_relations(sigma):
+    """The linear relations of W's sectional values sigma[i, j] =
+    W(e_i, e_j, e_i, e_j), zero diagonal: the three pairings
+    sigma_0j - sigma_kl over the pairs (0, j) and their complements, and the
+    four row sums, each summed in column order (W is Ricci-traceless). Both
+    vanish for a Weyl tensor."""
+    i, j, k, l = ORDERED_PAIRS[:, :3]
+    a, b, c = OTHERS
+    rows = np.arange(N)
+    return sigma[i, j] - sigma[k, l], sigma[rows, a] + sigma[rows, b] + sigma[rows, c]

@@ -16,36 +16,30 @@ Z_l the cyclic sum (lam_i - lam_j) sigma_ij + (lam_j - lam_k) sigma_jk
 + (lam_k - lam_i) sigma_ki over an even permutation (i,j,k,l), and the rank
 bound rank(fsp_matrix(H)) <= 3.
 
-All arrays here are 0-based; names keep the 1-based subscripts of the
-identities they implement.
+All arrays here are 0-based, and every gather over index tuples reads
+tensor4's index tables (its docstring fixes the convention); names keep
+the 1-based subscripts of the identities they implement.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InputError
 from .numerics import numerical_rank
-
-# even permutations of (0,1,2,3), lexicographic
-EVEN_PERMS = tuple(
-    p
-    for p in itertools.permutations(range(4))
-    if sum(1 for a in range(4) for b in range(a + 1, 4) if p[a] > p[b]) % 2 == 0
+from .tensor4 import (
+    CYCLIC,
+    MINOR_COLUMNS,
+    ORDERED_PAIRS,
+    PAIR_COLUMN,
+    PAIR_INDICES,
+    PAIRS,
+    sigma_relations,
 )
-assert len(EVEN_PERMS) == 12
-
-_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
-_PAIR_COL = {frozenset(p): c for c, p in enumerate(_PAIRS)}
-
-# canonical even permutation (i, j, k, l) for each trailing index l;
-# the three even choices differ by a cyclic rotation of (i, j, k), under
-# which the Z_l sum is invariant
-_CANON_PERM = {l: next(p for p in EVEN_PERMS if p[3] == l) for l in range(4)}
 
 
 def h_components(F):
@@ -54,13 +48,9 @@ def h_components(F):
     Symmetric under k <-> l, so the complement pair needs no ordering.
     """
     F = np.asarray(F, dtype=float)
+    i, j, k, l = ORDERED_PAIRS
     H = np.zeros((4, 4))
-    for i in range(4):
-        for j in range(4):
-            if i == j:
-                continue
-            k, l = sorted(set(range(4)) - {i, j})
-            H[i, j] = F[k, l] * F[l, j] + F[l, k] * F[k, j] - F[k, j] * F[l, j]
+    H[i, j] = F[k, l] * F[l, j] + F[l, k] * F[k, j] - F[k, j] * F[l, j]
     return H
 
 
@@ -69,15 +59,12 @@ def z_components(sigma, lam):
     for (i, j, k, l) an even permutation of (1, 2, 3, 4)."""
     sigma = np.asarray(sigma, dtype=float)
     lam = np.asarray(lam, dtype=float)
-    Z = np.zeros(4)
-    for l in range(4):
-        i, j, k = _CANON_PERM[l][:3]
-        Z[l] = (
-            (lam[i] - lam[j]) * sigma[i, j]
-            + (lam[j] - lam[k]) * sigma[j, k]
-            + (lam[k] - lam[i]) * sigma[k, i]
-        )
-    return Z
+    i, j, k = CYCLIC
+    return (
+        (lam[i] - lam[j]) * sigma[i, j]
+        + (lam[j] - lam[k]) * sigma[j, k]
+        + (lam[k] - lam[i]) * sigma[k, i]
+    )
 
 
 def fsp_matrix(H):
@@ -87,12 +74,10 @@ def fsp_matrix(H):
     ordered 12, 13, 14, 23, 24, 34), plus a trailing column of ones.
     """
     H = np.asarray(H, dtype=float)
+    i, j = ORDERED_PAIRS[:2]
     M = np.zeros((4, 7))
-    for i in range(4):
-        for j in range(4):
-            if i != j:
-                M[i, _PAIR_COL[frozenset((i, j))]] = H[i, j]
-        M[i, 6] = 1.0
+    M[i, PAIR_COLUMN[i, j]] = H[i, j]
+    M[:, 6] = 1.0
     return M
 
 
@@ -102,6 +87,9 @@ def _check_shapes(F, sigma, lam):
     lam = np.asarray(lam, dtype=float)
     if F.shape != (4, 4) or sigma.shape != (4, 4) or lam.shape != (4,):
         raise InputError("expected F (4,4), sigma (4,4), lam (4,)")
+    for name, value in (("F", F), ("sigma", sigma), ("lam", lam)):
+        if not np.isfinite(value).all():
+            raise InputError(f"{name} has a component that is not finite")
     if np.max(np.abs(np.diag(F))) > 0.0 or np.max(np.abs(np.diag(sigma))) > 0.0:
         raise InputError("F and sigma must have zero diagonal")
     return F, sigma, lam
@@ -118,6 +106,8 @@ class VarietyPoint:
 
     def __post_init__(self):
         F, sigma, lam = _check_shapes(self.F, self.sigma, self.lam)
+        if not math.isfinite(self.s):
+            raise InputError("s is not finite")
         object.__setattr__(self, "F", F)
         object.__setattr__(self, "sigma", sigma)
         object.__setattr__(self, "lam", lam)
@@ -148,8 +138,8 @@ class VarietyPoint:
         It matches a metric rescaling g -> g/t, under which H picks up the
         factor t and Z the factor t^2; membership is preserved.
         """
-        if t <= 0.0:
-            raise InputError("scale factor must be positive")
+        if not (math.isfinite(t) and t > 0.0):
+            raise InputError(f"scale factor t must be finite and positive, got {t!r}")
         return VarietyPoint(
             np.sqrt(t) * self.F, t * self.sigma, t * self.lam, t * self.s
         )
@@ -162,22 +152,6 @@ def from_frame(frame):
     F = frame.F.copy()
     np.fill_diagonal(F, 0.0)
     return VarietyPoint(F=F, sigma=sig, lam=frame.lam.copy(), s=frame.s)
-
-
-def permute_point(point, perm):
-    """Relabel the frame indices by perm (new index a carries old perm[a]).
-
-    The defining residuals are invariant under any relabeling: eq1 and fsp
-    shuffle rows/columns, and the fsi terms at worst change sign with the
-    orientation.
-    """
-    perm = list(perm)
-    if sorted(perm) != [0, 1, 2, 3]:
-        raise InputError(f"not a permutation of 0..3: {perm!r}")
-    ix = np.ix_(perm, perm)
-    return VarietyPoint(
-        F=point.F[ix], sigma=point.sigma[ix], lam=point.lam[perm], s=point.s
-    )
 
 
 @dataclass(frozen=True)
@@ -225,33 +199,24 @@ class MembershipReport:
 
 def _fsi_terms(H, Z):
     """The six terms H_ji Z_j + H_ij Z_i, i < j, of the bilinear identity."""
-    return [H[j, i] * Z[j] + H[i, j] * Z[i] for i in range(4) for j in range(i + 1, 4)]
+    i, j = PAIR_INDICES
+    return H[j, i] * Z[j] + H[i, j] * Z[i]
 
 
 def system_residuals(point, tol=1e-6):
     """Evaluate every defining equation of the variety at the point."""
-    sig, lam = point.sigma, point.lam
-    eq1_lam = abs(float(np.sum(lam)))
-    eq1_sym = float(np.max(np.abs(sig - sig.T)))
-    eq1_pair = 0.0
-    for (i, j) in ((0, 1), (0, 2), (0, 3)):
-        k, l = sorted(set(range(4)) - {i, j})
-        eq1_pair = max(eq1_pair, abs(sig[i, j] - sig[k, l]))
-    eq1_row = float(np.max(np.abs(np.sum(sig, axis=1))))
-
+    sig = point.sigma
+    pairings, row_sums = sigma_relations(sig)
     H, Z = point.H, point.Z
-    fsi = max(map(abs, _fsi_terms(H, Z)))
     ranked = numerical_rank(fsp_matrix(H))
     sv = ranked.singular_values
-    fsp_sv4 = float(sv[3] / max(1.0, sv[0]))
-
     rows = {
-        "eq1.lam": eq1_lam,
-        "eq1.sym": eq1_sym,
-        "eq1.pair": eq1_pair,
-        "eq1.row": eq1_row,
-        "fsi": float(fsi),
-        "fsp.sv4": fsp_sv4,
+        "eq1.lam": abs(float(np.sum(point.lam))),
+        "eq1.sym": float(np.max(np.abs(sig - sig.T))),
+        "eq1.pair": float(np.abs(pairings).max()),
+        "eq1.row": float(np.abs(row_sums).max()),
+        "fsi": float(np.abs(_fsi_terms(H, Z)).max()),
+        "fsp.sv4": float(sv[3] / max(1.0, sv[0])),
         "zje": abs(float(np.sum(Z))),
     }
     return MembershipReport(point=point, rows=rows, rank=ranked.rank, tol=tol)
@@ -269,8 +234,6 @@ def product_sigma_point():
 
 NAMED_POINTS = {"zeros-with-product-sigma": product_sigma_point}
 
-_OFFDIAG = [(i, j) for i in range(4) for j in range(4) if i != j]
-
 
 def _null_space(A):
     """Orthonormal basis of the null space of A, the right singular vectors
@@ -286,55 +249,42 @@ def _null_space(A):
     return np.ascontiguousarray(vh[int(np.sum(s > tol)) :].T)
 
 
-# eq1 on sigma in the coordinates (s12, s13, s14, s23, s24, s34): the
-# three pairings, then the four row sums
-_SIGMA_EQ1 = np.array(
-    [
-        [1, 0, 0, 0, 0, -1],
-        [0, 1, 0, 0, -1, 0],
-        [0, 0, 1, -1, 0, 0],
-        [1, 1, 1, 0, 0, 0],
-        [1, 0, 0, 1, 1, 0],
-        [0, 1, 0, 1, 0, 1],
-        [0, 0, 1, 0, 1, 1],
-    ],
-    dtype=float,
-)
-
-
-def _sigma_kernel():
-    """Orthonormal basis of the sigma components allowed by eq1, in the
-    coordinates (s12, s13, s14, s23, s24, s34)."""
-    return _null_space(_SIGMA_EQ1)
-
-
-_LAM_KERNEL = _null_space(np.ones((1, 4)))
-
-
 def _sigma_from_six(six):
+    """The symmetric sigma of its six components over PAIRS."""
+    i, j = PAIR_INDICES
     sig = np.zeros((4, 4))
-    for c, (i, j) in enumerate(_PAIRS):
-        sig[i, j] = sig[j, i] = six[c]
+    sig[i, j] = sig[j, i] = six
     return sig
 
 
-def _assemble(params, sig_kernel):
+# eq1 on sigma in the coordinates (s12, s13, s14, s23, s24, s34), the sigma
+# relations of each coordinate vector: the three pairings, then the four
+# row sums
+_SIGMA_EQ1 = np.column_stack(
+    [np.concatenate(sigma_relations(_sigma_from_six(e))) for e in np.eye(len(PAIRS))]
+)
+# orthonormal bases of the sigma and lam components allowed by eq1
+_SIGMA_KERNEL = _null_space(_SIGMA_EQ1)
+_LAM_KERNEL = _null_space(np.ones((1, 4)))
+_N_SIGMA = _SIGMA_KERNEL.shape[1]
+
+
+def _assemble(params):
+    """The point of the parameters: F's twelve entries over the ordered
+    pairs, then sigma and lam in their eq1 kernels."""
+    i, j = ORDERED_PAIRS[:2]
     F = np.zeros((4, 4))
-    for c, (i, j) in enumerate(_OFFDIAG):
-        F[i, j] = params[c]
-    sig = _sigma_from_six(sig_kernel @ params[12 : 12 + sig_kernel.shape[1]])
-    lam = _LAM_KERNEL @ params[12 + sig_kernel.shape[1] :]
+    F[i, j] = params[:12]
+    sig = _sigma_from_six(_SIGMA_KERNEL @ params[12 : 12 + _N_SIGMA])
+    lam = _LAM_KERNEL @ params[12 + _N_SIGMA :]
     return VarietyPoint(F=F, sigma=sig, lam=lam, s=0.0)
 
 
 def _polynomial_residuals(point):
     """fsi terms and all 4 x 4 minors of the rank matrix, flattened."""
     H = point.H
-    out = _fsi_terms(H, point.Z)
-    M = fsp_matrix(H)
-    for cols in itertools.combinations(range(7), 4):
-        out.append(float(np.linalg.det(M[:, cols])))
-    return np.array(out)
+    minors = np.linalg.det(fsp_matrix(H)[:, MINOR_COLUMNS].swapaxes(0, 1))
+    return np.concatenate([_fsi_terms(H, point.Z), minors])
 
 
 def least_squares(fun, x0, **kwargs):
@@ -370,8 +320,7 @@ def sample_variety(seed=0, count=8, constraint_mode="full"):
     if constraint_mode not in ("linear-only", "full"):
         raise InputError(f"unknown constraint mode: {constraint_mode!r}")
     rng = np.random.default_rng(seed)
-    sig_kernel = _sigma_kernel()
-    n_params = 12 + sig_kernel.shape[1] + _LAM_KERNEL.shape[1]
+    n_params = 12 + _N_SIGMA + _LAM_KERNEL.shape[1]
     points = []
     for _ in range(count):
         point = None
@@ -379,10 +328,10 @@ def sample_variety(seed=0, count=8, constraint_mode="full"):
             params = rng.standard_normal(n_params)
             params[:12] *= damping
             if constraint_mode == "linear-only":
-                point = _assemble(params, sig_kernel)
+                point = _assemble(params)
                 break
             sol = least_squares(
-                lambda p: _polynomial_residuals(_assemble(p, sig_kernel)),
+                lambda p: _polynomial_residuals(_assemble(p)),
                 params,
                 method="trf",
                 xtol=1e-15,
@@ -390,7 +339,7 @@ def sample_variety(seed=0, count=8, constraint_mode="full"):
                 gtol=None,
                 max_nfev=1000,
             )
-            candidate = _assemble(sol.x, sig_kernel)
+            candidate = _assemble(sol.x)
             report = system_residuals(candidate, SAMPLE_TOL)
             if report.passed:
                 point = candidate
@@ -404,15 +353,17 @@ def sample_variety(seed=0, count=8, constraint_mode="full"):
 
 
 CSV_COLUMNS = (
-    [f"F{i + 1}{j + 1}" for (i, j) in _OFFDIAG]
-    + [f"sigma{i + 1}{j + 1}" for (i, j) in _PAIRS]
+    [f"F{i + 1}{j + 1}" for i, j in zip(*ORDERED_PAIRS[:2])]
+    + [f"sigma{i + 1}{j + 1}" for i, j in PAIRS]
     + ["lambda1", "lambda2", "lambda3", "lambda4", "s"]
     + ["eq1_residual", "fsi_residual", "fsp_sv4", "passed"]
 )
 
 
-def export_csv(points, fh, tol=1e-6, note=None):
-    """Write points with their membership residuals as CSV.
+def export_csv(reports, fh, note=None):
+    """Write membership reports (system_residuals) as CSV, one row per
+    report: its point's components, then its residuals and verdict at its
+    tol.
 
     A leading comment line records the provenance note; the next row is
     the header. fh is any text file object.
@@ -421,11 +372,11 @@ def export_csv(points, fh, tol=1e-6, note=None):
         fh.write(f"# {note}\n")
     writer = csv.writer(fh)
     writer.writerow(CSV_COLUMNS)
-    for p in points:
-        rep = system_residuals(p, tol)
+    for rep in reports:
+        p = rep.point
         row = (
-            [repr(float(p.F[i, j])) for (i, j) in _OFFDIAG]
-            + [repr(float(p.sigma[i, j])) for (i, j) in _PAIRS]
+            [repr(float(v)) for v in p.F[tuple(ORDERED_PAIRS[:2])]]
+            + [repr(float(v)) for v in p.sigma[tuple(PAIR_INDICES)]]
             + [repr(float(v)) for v in p.lam]
             + [repr(float(p.s))]
             + [

@@ -20,9 +20,9 @@ from curv4.frames import (
     sy_invariants,
 )
 from curv4.tensor4 import frame_components, ricci_contract, sd_split
-from curv4.variety import VarietyPoint, from_frame, h_components, permute_point, system_residuals, z_components
+from curv4.variety import VarietyPoint, from_frame, h_components, system_residuals, z_components
 from tests.conftest import ric_eigenvalues
-from tests.test_variety import brute_force_h, brute_force_z, random_point
+from tests.test_variety import brute_force_h, brute_force_z, permuted, random_point
 
 
 def report(n, ok, detail):
@@ -180,7 +180,7 @@ def test_criterion_6_variety_membership(s2xs2_frames, kpc_frames):
     perm_dev = 0.0
     base = system_residuals(points[-1])
     for perm in itertools.permutations(range(4)):
-        rep = system_residuals(permute_point(points[-1], perm))
+        rep = system_residuals(permuted(points[-1], perm))
         perm_dev = max(
             perm_dev,
             abs(rep.eq1_residual - base.eq1_residual),

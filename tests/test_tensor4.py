@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 
 import curv4
 from curv4 import chart as chart_module
 from curv4 import frames as frames_module
+from curv4 import tensor4
 from curv4.chart import _checked_inverse
 from curv4.errors import InconsistencyError, InputError, PreconditionError
 from curv4.numerics import sym_eigen
@@ -250,6 +253,48 @@ def test_frame_components_and_bivector_gather_match_loop_references():
         k, l = sorted(set(range(4)) - {i, j})
         star[PAIRS.index((k, l)), p] = np.linalg.det(np.eye(4)[[i, j, k, l]])
     assert np.array_equal(_STAR, star)
+
+
+def test_index_tables_match_itertools():
+    # each table against the itertools enumeration it replaces
+    others = [tuple(sorted(set(range(4)) - set(t))) for t in itertools.permutations(range(4), 2)]
+    assert tensor4.ORDERED_PAIRS.T.tolist() == [
+        [*p, *o] for p, o in zip(itertools.permutations(range(4), 2), others)
+    ]
+    assert tensor4.TRIPLES.T.tolist() == [list(t) for t in itertools.permutations(range(4), 3)]
+    assert tensor4.PAIR_INDICES.T.tolist() == [list(p) for p in itertools.combinations(range(4), 2)]
+    assert tensor4.MINOR_COLUMNS.tolist() == [list(c) for c in itertools.combinations(range(7), 4)]
+    for l in range(4):
+        assert tensor4.OTHERS[:, l].tolist() == sorted(set(range(4)) - {l})
+        # the first even permutation (i, j, k, l), lexicographic
+        even = [p for p in itertools.permutations(range(4)) if p[3] == l]
+        even = [p for p in even if np.linalg.det(np.eye(4)[list(p)]) > 0]
+        assert tuple(tensor4.CYCLIC[:, l]) == even[0][:3]
+        for i in range(4):
+            column = tensor4.PAIR_COLUMN[i, l]
+            assert column == (PAIRS.index(tuple(sorted((i, l)))) if i != l else len(PAIRS))
+    assert np.array_equal(tensor4.OFF_DIAGONAL, ~np.eye(4, dtype=bool))
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "PAIR_INDICES",
+        "PAIR_COLUMN",
+        "ORDERED_PAIRS",
+        "TRIPLES",
+        "OTHERS",
+        "CYCLIC",
+        "OFF_DIAGONAL",
+        "MINOR_COLUMNS",
+    ],
+)
+def test_index_tables_are_read_only(name):
+    # every module gathers through the same arrays: one write would move
+    # every identity at once
+    table = getattr(tensor4, name)
+    with pytest.raises(ValueError, match="read-only"):
+        table[(0,) * table.ndim] = 1
 
 
 def test_the_running_path_calls_the_tensor4_names(monkeypatch):

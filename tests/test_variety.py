@@ -1,3 +1,4 @@
+import hashlib
 import io
 import itertools
 
@@ -12,7 +13,6 @@ from curv4.variety import (
     from_frame,
     fsp_matrix,
     h_components,
-    permute_point,
     product_sigma_point,
     sample_variety,
     system_residuals,
@@ -56,6 +56,15 @@ def brute_force_z(sigma, lam):
         assert max(vals) - min(vals) < 1e-12  # cyclic choices agree
         Z[l] = vals[0]
     return Z
+
+
+def permuted(point, perm):
+    """The point with its frame indices relabeled: new index a carries old
+    perm[a]."""
+    ix = np.ix_(perm, perm)
+    return VarietyPoint(
+        F=point.F[ix], sigma=point.sigma[ix], lam=point.lam[list(perm)], s=point.s
+    )
 
 
 def random_point(rng):
@@ -106,6 +115,27 @@ def test_variety_point_validation():
         VarietyPoint(F=F, sigma=np.zeros((4, 4)), lam=np.zeros(4), s=0.0)
 
 
+@pytest.mark.parametrize("field", ["F", "sigma", "lam", "s"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_variety_point_rejects_non_finite_components(field, bad):
+    p = product_sigma_point()
+    parts = {"F": p.F.copy(), "sigma": p.sigma.copy(), "lam": p.lam.copy(), "s": p.s}
+    if field == "s":
+        parts["s"] = bad
+    else:
+        parts[field].flat[1] = bad  # off the diagonal of F and sigma
+    with pytest.raises(InputError, match=f"^{field} (has a component that )?is not finite"):
+        VarietyPoint(**parts)
+
+
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), 0.0, -1.0])
+def test_scaled_rejects_a_non_finite_or_non_positive_factor(t):
+    # a nan factor passes a bare t <= 0 check, and system_residuals then
+    # ends in numpy's LinAlgError, not a Curv4Error
+    with pytest.raises(InputError, match="scale factor t must be finite and positive"):
+        product_sigma_point().scaled(t)
+
+
 def test_product_point_membership():
     rep = system_residuals(product_sigma_point())
     assert rep.passed
@@ -149,7 +179,7 @@ def test_permutation_invariance():
     p = VarietyPoint(F=F, sigma=sigma, lam=lam, s=0.3).normalized()
     base = system_residuals(p)
     for perm in itertools.permutations(range(4)):
-        q = permute_point(p, perm)
+        q = permuted(p, perm)
         rep = system_residuals(q)
         assert abs(rep.eq1_residual - base.eq1_residual) < 1e-12
         assert abs(rep.fsi_residual - base.fsi_residual) < 1e-12
@@ -213,7 +243,7 @@ def test_kernels_match_scipy_null_space():
 
     rng = np.random.default_rng(3)
     for ours, ref in (
-        (variety._sigma_kernel(), null_space(variety._SIGMA_EQ1)),
+        (variety._SIGMA_KERNEL, null_space(variety._SIGMA_EQ1)),
         (variety._LAM_KERNEL, null_space(np.ones((1, 4)))),
     ):
         assert np.array_equal(ours, ref)
@@ -255,8 +285,8 @@ def test_f_zero_slice_always_passes():
 def test_export_csv_deterministic():
     pts = sample_variety(seed=4, count=3)
     out1, out2 = io.StringIO(), io.StringIO()
-    export_csv(pts, out1, note="round one")
-    export_csv(pts, out2, note="round one")
+    export_csv([system_residuals(p) for p in pts], out1, note="round one")
+    export_csv([system_residuals(p) for p in pts], out2, note="round one")
     assert out1.getvalue() == out2.getvalue()
     lines = out1.getvalue().splitlines()
     assert lines[0].startswith("#")
@@ -269,3 +299,47 @@ def test_from_frame_symmetrizes(s2xs2_frames):
     assert np.max(np.abs(p.sigma - p.sigma.T)) == 0.0
     assert np.all(np.diag(p.sigma) == 0.0)
     assert np.all(np.diag(p.F) == 0.0)
+
+
+def test_export_csv_writes_every_residual_as_a_plain_float():
+    # eq1.pair is the largest eq1 row here: a numpy scalar there would be
+    # written as its repr, "np.float64(2.0)"
+    sigma = np.zeros((4, 4))
+    sigma[0, 1] = sigma[1, 0] = sigma[1, 3] = sigma[3, 1] = 1.0
+    sigma[2, 3] = sigma[3, 2] = sigma[0, 2] = sigma[2, 0] = -1.0
+    rep = system_residuals(VarietyPoint(F=np.zeros((4, 4)), sigma=sigma, lam=np.zeros(4)))
+    assert rep.rows["eq1.pair"] == rep.eq1_residual == 2.0
+    out = io.StringIO()
+    export_csv([rep], out)
+    header, row = out.getvalue().splitlines()
+    fields = dict(zip(header.split(","), row.split(",")))
+    assert fields["eq1_residual"] == "2.0"
+    assert float(fields["fsi_residual"]) == rep.fsi_residual
+
+
+def test_minors_match_one_det_per_column_set():
+    # the 35 stacked minors of _polynomial_residuals against one
+    # np.linalg.det call per 4-column subset, bit for bit
+    rng = np.random.default_rng(6)
+    for _ in range(50):
+        F, sigma, lam = random_point(rng)
+        p = VarietyPoint(F=F, sigma=sigma, lam=lam)
+        M = fsp_matrix(p.H)
+        ref = [np.linalg.det(M[:, cols]) for cols in itertools.combinations(range(7), 4)]
+        assert np.array_equal(variety._polynomial_residuals(p)[6:], ref)
+
+
+# sha256 of the F, sigma and lam bytes of sample_variety(seed=0, count=2),
+# recorded before the residuals were written as gathers over tensor4's tables
+FULL_DRAWS_DIGEST = "7b915121338cb0c8fe905975aaf96fc16df96c798f811137a33f14ae308ee986"
+
+
+def test_full_draws_are_pinned():
+    # a change to the residuals that moves a draw by one bit changes the
+    # digest; draws depend on numpy's and scipy's LAPACK, so a different
+    # build of either can move them as well
+    digest = hashlib.sha256()
+    for p in sample_variety(seed=0, count=2):
+        for a in (p.F, p.sigma, p.lam):
+            digest.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    assert digest.hexdigest() == FULL_DRAWS_DIGEST
