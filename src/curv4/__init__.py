@@ -53,6 +53,7 @@ from .frames import (
     cluster_indices,
     curvature_from_structure,
     extract_frame,
+    extract_frames,
     invariant_counts,
     skw_residuals,
     structure_data,

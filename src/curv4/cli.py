@@ -12,7 +12,8 @@ variety --mode without --sample or --count without --from-example. Reports
 wall-time field. Every chart is built by examples.build_example, from a
 registry string or from a kind and its parameter values, and reports the
 exact name it was built under. Every registry chart has an exact metric
-jet, so no finite-difference setting enters a report.
+jet, so no finite-difference setting enters a report. verify and each scan
+cell frame every sample, in one stacked frame pass over their batch.
 """
 
 from __future__ import annotations
@@ -39,9 +40,9 @@ from .chart import (
     parallel_map,
     sample_points,
 )
-from .errors import Curv4Error, DegenerateFrameError, InputError
+from .errors import Curv4Error, InputError
 from .examples import REGISTRY, build_example, canonical_name, example_names
-from .frames import extract_frame, fold_invariants, frame_invariants, skw_residuals
+from .frames import extract_frames, fold_invariants, frame_invariants, skw_residuals
 
 SCHEMA_VERSION = "2"
 
@@ -120,37 +121,30 @@ def _emit(payload, fmt, out, csv_writer=None):
 
 def _verify_payload(config, chart, rep):
     """The verify report body on `chart` from its harmonicity report `rep`,
-    without timing: the frames at its first four samples read their
-    curvature from rep.batch and evaluate none. verify and each scan cell
-    make it the same way."""
+    without timing: every sample is framed, in one stacked pass over
+    rep.batch (extract_frames), which evaluates no curvature of its own.
+    verify and each scan cell make it the same way."""
     tols = rep.tols
-
+    frames = extract_frames(chart, rep.batch)
+    framed = frames.framed
     points = [
-        {"x": list(map(float, x)), "residuals": dict(rows), "counts": {}}
+        {"x": list(map(float, x)), "residuals": dict(rows), "counts": {"degenerate": True}}
         for x, rows in zip(rep.points, rep.rows)
     ]
+    skw_max, invariants = {}, {}
+    if framed.any():
+        # the rows and counts of the framed points, as Python numbers
+        at = np.flatnonzero(framed)
+        skw = {key: v[at].tolist() for key, v in skw_residuals(frames).items()}
+        invariants = {key: v[at].tolist() for key, v in frame_invariants(frames).items()}
+        for m, n in enumerate(at.tolist()):
+            points[n]["residuals"].update((key, v[m]) for key, v in skw.items())
+            counts = {key: v[m] for key, v in invariants.items()}
+            points[n]["counts"] = {**counts, "source": frames.source}
+        skw_max = {key: max(v) for key, v in skw.items()}
 
-    invariants = []
-    degenerate = 0
-    frame_count = min(4, len(rep.points))
-    skw_max = {}
-    for idx in range(frame_count):
-        try:
-            # the frame's third-order curvature is the report's, at the same point
-            fr = extract_frame(chart, rep.points[idx], entry=rep.batch[idx])
-        except DegenerateFrameError:
-            degenerate += 1
-            points[idx]["counts"] = {"degenerate": True}
-            continue
-        rows = skw_residuals(fr)
-        invariants.append(frame_invariants(fr))
-        points[idx]["residuals"].update(rows)
-        points[idx]["counts"] = {**invariants[-1], "source": fr.source}
-        for key, val in rows.items():
-            skw_max[key] = max(skw_max.get(key, 0.0), val)
-
-    counts = fold_invariants(invariants, degenerate_points=degenerate)
-    skw_ok = all(v <= tols["third"] for v in skw_max.values()) if skw_max else True
+    counts = fold_invariants(invariants, degenerate_points=int(np.count_nonzero(~framed)))
+    skw_ok = all(v <= tols["third"] for v in skw_max.values())
 
     maxima = dict(rep.maxima)
     maxima.update(skw_max)
@@ -230,11 +224,10 @@ def cmd_variety(config, source, tol):
         name, count = canonical_name(source[1]), source[2]
         chart = build_example(name)
         xs = sample_points(chart, count=count, seed=config.seed)
-        batch = curvature_batch(chart, xs, degree=3)
+        frames = extract_frames(chart, curvature_batch(chart, xs, degree=3))
         tol = 1e-3 if tol is None else tol
-        for n, x in enumerate(xs):
-            fr = extract_frame(chart, x, entry=batch[n])
-            points.append(vy.from_frame(fr).normalized())
+        # frames[n] raises DegenerateFrameError at a point with no frame
+        points = [vy.from_frame(frames[n]).normalized() for n in range(len(xs))]
         origin = {"from_example": name, "count": count}
 
     reports = [vy.system_residuals(p, tol) for p in points]
@@ -277,8 +270,8 @@ def cmd_scan(config, kind, param_grid):
     """The scan report over the grid's cells: every cell's chart is built
     before any curvature is evaluated, so a cell its factory rejects ends
     the scan (exit 2); then all cells' samples go through one stacked
-    harmonicity pass (harmonicity_reports), and each cell's frames and row
-    are made from its own report, as its verify would make them."""
+    harmonicity pass (harmonicity_reports), and each cell's row, its every
+    sample framed, is made from its own report as its verify would make it."""
     kind = canonical_name(kind)
     for name, values in param_grid.items():
         if not values:

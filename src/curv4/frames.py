@@ -12,9 +12,10 @@ polynomial identities of harmonic-curvature geometry:
 Indices are 0-based, and every gather over index tuples reads
 tensor4's index tables (its docstring fixes the convention).
 
-extract_frame fixes the frame's orientation to positive and checks that it
-is g-orthonormal; W's components in it (tensor4.frame_components) then give
-sigma and, by tensor4.sd_split, the W+ and W- blocks.
+extract_frames builds the frames at every point of a third-order curvature
+batch in one stacked pass, the point axis first; a point with no canonical
+frame gets a status naming why, which extract_frame, the one-point case,
+raises.
 
 Derivatives of the frame field are closed form in the third-order
 curvature at the point, a point of a curvature batch: A[p, k, b] =
@@ -23,7 +24,7 @@ symmetric part, -(E^T d_p g E) / 2, with d g from g and the Christoffel
 symbols) and, across lambda clusters, by the eigen-equation
 differentiated: (nabla_p b)(e_b, e_k) / (lambda_b - lambda_k) minus the
 connection term. Gamma, F and D sigma follow from A, nabla W and W, and
-D lambda from nabla Ric and ds; extract_frame evaluates nothing beyond
+D lambda from nabla Ric and ds; extract_frames evaluates nothing beyond
 that curvature. structure_data carries the same construction one
 order further, as first-order Taylor jets at x (Griewank & Walther,
 Evaluating Derivatives, SIAM 2008, ch. 13): E(x + h) = E + h^p E A_p, and
@@ -52,13 +53,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import connection_jets, curvature_at, curvature_jets, metric_norm
-from .errors import (
-    DegenerateFrameError,
-    InconsistencyError,
-    InputError,
-    PreconditionError,
-)
+from .chart import CurvatureBatch, _metric_norms, connection_jets, curvature_at, curvature_jets
+from .errors import DegenerateFrameError, InconsistencyError, InputError, PreconditionError
 
 # central_diff stays importable from here for perfbench/tracing.py, which
 # counts calls through this name
@@ -86,31 +82,53 @@ ZERO_TOL = 1e-6
 # distinct-index Gamma up to D0_TOL counts as an orthogonal web
 D0_TOL = 1e-4
 
+_FRAME_SHAPES = dict(E=(4, 4), lam=(4,), sigma=(4, 4), s=(), F=(4, 4), gamma=(4, 4, 4),
+                     dlam=(4, 4), dsig=(4, 4, 4), w_plus=(3, 3), w_minus=(3, 3))  # fmt: skip
+# why a point has no canonical frame, in the order the conditions are read
+_DEGENERATE = (
+    "Ricci is a multiple of g and W = 0",
+    "Ricci is a multiple of g; register an adapted frame to pick the W-eigenframe",
+    "Ricci eigenvalue cluster of size > 2 with W != 0; register an adapted frame",
+)
+
+
+def _status(chart, X, causes):
+    # per point: '' where no cause holds, else the _DEGENERATE message of
+    # the first that does; and the points where none holds
+    degenerate = np.logical_or.reduce(causes)
+    status = [""] * len(X)
+    if degenerate.any():
+        for n in np.flatnonzero(degenerate):
+            why = next(k for k, cause in enumerate(causes) if cause[n])
+            status[n] = f"chart '{chart.name}' at {X[n].tolist()}: {_DEGENERATE[why]}"
+    return tuple(status), ~degenerate
+
+
+def _cluster_steps(values):
+    # the sorted values, and where a gap exceeds max(ATOL, RTOL * spread)
+    ranked = np.sort(values, axis=-1)
+    gap = np.maximum(CLUSTER_ATOL, CLUSTER_RTOL * (ranked[..., -1:] - ranked[..., :1]))
+    return ranked, ranked[..., 1:] - ranked[..., :-1] > gap
+
 
 def cluster_indices(values):
-    """Group sorted-value indices into clusters separated by gaps above
-    max(CLUSTER_ATOL, CLUSTER_RTOL * spread)."""
+    """The cluster of each value over the last axis, leading axes a stack:
+    the sorted values split where a gap exceeds max(CLUSTER_ATOL,
+    CLUSTER_RTOL * spread), numbered 0, 1, ... in ascending order."""
     values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="stable")
-    spread = float(values.max() - values.min()) if values.size else 0.0
-    gap = max(CLUSTER_ATOL, CLUSTER_RTOL * spread)
-    clusters, current = [], [int(order[0])]
-    for a, b in zip(order[:-1], order[1:]):
-        if values[b] - values[a] > gap:
-            clusters.append(current)
-            current = []
-        current.append(int(b))
-    clusters.append(current)
-    return clusters
+    ranked, steps = _cluster_steps(values)
+    # a value's cluster counts the steps below it
+    return (steps[..., None, :] & (ranked[..., None, 1:] <= values[..., :, None])).sum(axis=-1)
 
 
 def cluster_count(values):
-    return len(cluster_indices(values))
+    return _cluster_steps(np.asarray(values, dtype=float))[1].sum(axis=-1) + 1
 
 
 @dataclass
 class RicciFrame:
-    """Ricci eigenframe at a point with its first-order structure functions.
+    """Ricci eigenframes at stacked points and their first-order structure
+    functions, the point axis first; frames[n] is point n without it.
 
     x: the point; g: the metric at x; E: the frame vectors as columns, in
     chart coordinates; lam[a] = lambda_a; sigma[a, b] = sigma_ab; s: scalar
@@ -118,8 +136,9 @@ class RicciFrame:
     dlam[c, a] = D_c lambda_a and dsig[a, b, c] = D_a sigma_bc, closed form
     from the third-order curvature at x, as are F and gamma; w_plus /
     w_minus: the self-dual and anti-self-dual Weyl blocks; source: 'adapted'
-    or 'eigen'; clusters: the lambda clusters (index lists) that set the gauge
-    of the frame derivatives.
+    or 'eigen', one per stack; clusters[a]: the lambda cluster of e_a (the
+    gauge of the derivatives); status: '' at a canonical frame, else why
+    there is none (frames[n] raises it as DegenerateFrameError).
     """
 
     x: np.ndarray
@@ -127,7 +146,7 @@ class RicciFrame:
     E: np.ndarray
     lam: np.ndarray
     sigma: np.ndarray
-    s: float
+    s: np.ndarray
     F: np.ndarray
     gamma: np.ndarray
     dlam: np.ndarray
@@ -135,63 +154,90 @@ class RicciFrame:
     w_plus: np.ndarray
     w_minus: np.ndarray
     source: str
-    clusters: list
+    clusters: np.ndarray
+    status: tuple | str = ""
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def framed(self):
+        """Per point of a stack: whether it has its canonical frame."""
+        return np.array([not why for why in self.status], dtype=bool)
 
     @property
     def distinct_gamma_max(self):
         """Largest |Gamma^k_ij| over mutually distinct (i, j, k); zero for
         the orthogonal-web ('D0') structure."""
-        return float(np.abs(self.gamma[tuple(TRIPLES)]).max())
+        return np.abs(self.gamma[(..., *TRIPLES)]).max(axis=-1)
 
-
-def _orthonormalize_columns(E, g):
-    """Normalize columns in g; verify they were already g-orthogonal."""
-    E = E / np.sqrt(np.einsum("ma,mn,na->a", E, g, E))
-    gram = E.T @ g @ E
-    if np.max(np.abs(gram - np.eye(4))) > 1e-8:
-        raise InconsistencyError("adapted frame columns are not g-orthogonal")
-    return E
+    def __getitem__(self, n):
+        if self.status[n]:
+            raise DegenerateFrameError(self.status[n])
+        point = {k: v[n] for k, v in vars(self).items() if k not in ("source", "diagnostics")}
+        diagnostics = {k: v[n] for k, v in self.diagnostics.items()}
+        return RicciFrame(**point, source=self.source, diagnostics=diagnostics)
 
 
 def _metric_sqrt_inv(g):
-    """g^(-1/2)."""
-    res = sym_eigen(g)
-    return (res.vectors * (1.0 / np.sqrt(res.values))) @ res.vectors.T
+    """g^(-1/2), over leading axes."""
+    V = sym_eigen(g)
+    return (V.vectors * (1.0 / np.sqrt(V.values))[..., None, :]) @ V.vectors.swapaxes(-1, -2)
 
 
 def _eigenframes(g, b):
-    """The g-orthonormal eigenframe of the traceless Ricci form b, ascending
-    values."""
+    """The g-orthonormal eigenframes of the traceless Ricci forms b and their
+    ascending values, over leading axes."""
     s_inv = _metric_sqrt_inv(g)
     res = sym_eigen(s_inv @ b @ s_inv)
     return res.values, s_inv @ res.vectors
 
 
-def _pair_cluster_rotation(W, E, clusters):
-    """Rotate inside 2-point lambda clusters so the frame diagonalizes W.
+def _adapted_frames(chart, X, g, b, framed):
+    """The chart's adapted frame at each point X[n], its columns normalized
+    in g[n] and ordered by ascending b(e_a, e_a), and those values. Raises
+    InconsistencyError where a framed point's columns are not g-orthogonal."""
+    E = np.array([np.asarray(chart.adapted_frame_fn(x), dtype=float) for x in X])
+    E = E / np.sqrt(np.einsum("...ma,...mn,...na->...a", E, g, E))[..., None, :]
+    gram = np.abs(E.swapaxes(-1, -2) @ g @ E - np.eye(4)).reshape(len(X), -1)
+    if (gram.max(axis=-1)[framed] > 1e-8).any():
+        raise InconsistencyError("adapted frame columns are not g-orthogonal")
+    lam = np.einsum("...ma,...mn,...na->...a", E, b, E)
+    # round before sorting so FD noise cannot shuffle registered columns
+    # inside an eigenvalue cluster
+    order = np.argsort(np.round(lam, 9), axis=-1, kind="stable")
+    rows = np.arange(len(X))[:, None]
+    return lam[rows, order], E[rows, :, order].swapaxes(-1, -2)
+
+
+# the adjacent pairs (a, a + 1) a pair cluster can be, in ascending order,
+# each with the first index c outside it
+_ADJACENT = ((0, 1, 2), (1, 2, 0), (2, 3, 0))
+
+
+def _pair_cluster_rotation(W, E, rotate):
+    """Rotate the frames E (N, 4, 4) inside the 2-point lambda clusters
+    (a, a + 1) that rotate (N, 3) marks so that they diagonalize W: one
+    masked step per pair in ascending order, each reading W in the frames
+    the steps before it left.
 
     The Jacobi angle zeroing W(a,c,b,c) for one complementary direction c
     zeroes it for the other as well: tracelessness of W ties the two
     numerators and denominators together with opposite signs.
     """
     E = E.copy()
-    for cl in clusters:
-        if len(cl) == 1:
+    for step, (a, b, c) in enumerate(_ADJACENT):
+        at = np.flatnonzero(rotate[:, step])
+        if not at.size:
             continue
-        a, b = cl
-        c1 = [c for c in range(4) if c not in (a, b)][0]
-        Wf = frame_components(W, E)
-        num = 2.0 * Wf[a, c1, b, c1]
-        den = Wf[a, c1, a, c1] - Wf[b, c1, b, c1]
-        if abs(num) < 1e-14 and abs(den) < 1e-14:
-            continue
-        t = 0.5 * np.arctan2(num, den)
-        R = np.eye(4)
-        R[a, a] = R[b, b] = np.cos(t)
-        R[a, b] = -np.sin(t)
-        R[b, a] = np.sin(t)
-        E = E @ R
+        Wf = frame_components(W[at], E[at])
+        num = 2.0 * Wf[:, a, c, b, c]
+        den = Wf[:, a, c, a, c] - Wf[:, b, c, b, c]
+        turn = (np.abs(num) >= 1e-14) | (np.abs(den) >= 1e-14)
+        at, t = at[turn], 0.5 * np.arctan2(num[turn], den[turn])
+        R = np.tile(np.eye(4), (len(at), 1, 1))
+        R[:, a, a] = R[:, b, b] = np.cos(t)
+        R[:, a, b] = -np.sin(t)
+        R[:, b, a] = np.sin(t)
+        E[at] = E[at] @ R
     return E
 
 
@@ -200,21 +246,16 @@ def _pair_cluster_rotation(W, E, clusters):
 _BIVECTOR_CROSS = ~np.eye(6, dtype=bool)
 
 
-def _w_offdiag(Wf):
-    """How far the frame is from diagonalizing W (max cross component), from
-    W's frame components."""
-    return float(np.abs(bivector_matrix(Wf)[_BIVECTOR_CROSS]).max())
-
-
 def _frame_connection(E, gE, gamma, same, lam=None, nabla_ric=None):
     """N[p, k, b] = g(e_k, nabla_p e_b) and its Christoffel part
     G[p, k, b] = g(e_k, Gamma_p e_b), (Gamma_p)^n_m = Gamma^n_pm, from jets
-    of degree 0 or 1 (coefficient axis first, numerics.Jet's layout) of the
-    frame, its lowered columns gE = g E, gamma, and for eigenframes lam and
-    nabla_ric; the frame derivative is d_p E = E A_p with A = N - G.
+    of degree 0 or 1 (coefficient axis first, numerics.Jet's layout, and
+    any stack axes next) of the frame, its lowered columns gE = g E, gamma,
+    and for eigenframes lam and nabla_ric; the frame derivative is
+    d_p E = E A_p with A = N - G.
 
-    same[k, b] marks k and b in one lambda cluster (every pair, for adapted
-    frames). Orthonormality makes N_p antisymmetric, so A_p has the
+    same[..., k, b] marks k and b in one lambda cluster (every pair, for
+    adapted frames). Orthonormality makes N_p antisymmetric, so A_p has the
     symmetric part -(E^T d_p g E) / 2 = -(G_p + G_p^T) / 2; inside a cluster
     that is all of A at the frame point, the first-order form of a frame
     aligned to itself (Procrustes) or of normalized constant directions, and
@@ -223,26 +264,19 @@ def _frame_connection(E, gE, gamma, same, lam=None, nabla_ric=None):
     lam_k), where the ds term drops out since g(e_b, e_k) = 0.
     """
     G = jet_contract("nk,npb->pkb", gE, jet_contract("npm,mb->npb", gamma, E))
-    N = 0.5 * (G - np.swapaxes(G, -1, -2))
+    N = 0.5 * (G - G.swapaxes(-1, -2))
     if not same.all():
         nabla_b = jet_contract("pjb,jk->pkb", jet_contract("pij,ib->pjb", nabla_ric, E), E)
-        gap = lam[:, None, :] - lam[:, :, None]  # gap[k, b] = lam_b - lam_k
+        gap = lam[..., None, :] - lam[..., :, None]  # gap[k, b] = lam_b - lam_k
         # the constant 1 inside clusters, where N is no quotient
         gap[:, same] = 0.0
         gap[0, same] = 1.0
-        gap = gap[: len(nabla_b), None]
+        gap = gap[: len(nabla_b), ..., None, :, :]
         # the quotient of jets of degree 0 or 1
         value = nabla_b[:1] / gap[:1]
         cross = np.concatenate([value, (nabla_b[1:] - value * gap[1:]) / gap[:1]])
-        N = np.where(same, N, cross)
+        N = np.where(same[..., None, :, :], N, cross)
     return N, G
-
-
-def _same_cluster(clusters):
-    same = np.zeros((4, 4), dtype=bool)
-    for cl in clusters:
-        same[np.ix_(cl, cl)] = True
-    return same
 
 
 def _brackets(E, dE, gE):
@@ -258,147 +292,138 @@ def _structure_f(C):
     return np.einsum("...iji->...ji", C)
 
 
-def extract_frame(chart, x, entry=None):
-    """Build the Ricci eigenframe and structure functions at x.
+def extract_frames(chart, batch):
+    """The Ricci eigenframes and structure functions at every point of the
+    third-order curvature batch `batch` (chart.CurvatureBatch) of `chart`,
+    in one stacked pass that evaluates nothing beyond the batch.
 
-    Uses the chart's registered adapted frame when available (source
-    'adapted'), otherwise the numeric eigenframe of the traceless Ricci
-    form with within-cluster rotations diagonalizing W (source 'eigen').
-    Raises DegenerateFrameError when no canonical frame exists: Einstein
-    and conformally flat, or Einstein with W != 0 and no adapted frame,
-    or a 3-point eigenvalue cluster with W != 0 and no adapted frame.
-
-    `entry` is the third-order curvature at x, a point of a curvature
-    batch (chart.CurvatureBatch) such as report.batch[n] of a harmonicity
-    report; it is evaluated when not given, and nothing else is: every
-    derivative of the frame is closed form in it. A point without
-    covariant derivatives, or at another x, raises InputError.
+    Source 'adapted' is the chart's registered frame, 'eigen' the eigenframe
+    of the traceless Ricci form rotated in pair clusters to diagonalize W.
+    A point has no canonical frame (a status instead) when Einstein and
+    conformally flat or, without an adapted frame, Einstein, or with a
+    3-point cluster and W != 0. The checks (adapted columns g-orthogonal,
+    the frame g-orthonormal, sd_split's) read the framed points only.
     """
-    x = np.asarray(x, dtype=float)
-    if entry is None:
-        entry = curvature_at(chart, x, degree=3)
-    elif entry.nabla_ric is None:
+    X, g, ric_d = batch.x, batch.g, batch.nabla_ric
+    if ric_d is None:
         raise InputError(
-            f"the curvature at {x.tolist()} has no covariant derivatives; "
+            f"the curvature at {X[0].tolist()} has no covariant derivatives; "
             "frames need curvature of degree 3 or more"
         )
-    elif not np.array_equal(entry.x, x):
-        raise InputError(f"the curvature is at {entry.x.tolist()}, not at {x.tolist()}")
-    g, g_inv = entry.g, entry.g_inv
-    b = entry.ric - entry.s * g / 4.0
-    b_scale = metric_norm(b, g_inv)
-    W = entry.weyl
-    w_scale = _norm(W)
-    curv_scale = max(1.0, _norm(entry.R))
-    einstein = b_scale <= 1e-8 * max(1.0, abs(entry.s))
-    if einstein and w_scale <= 1e-8 * curv_scale:
-        raise DegenerateFrameError(
-            f"chart '{chart.name}' at {x.tolist()}: Ricci is a multiple of g and W = 0"
-        )
+    b = batch.ric - batch.s[:, None, None] * g / 4.0
+    b_scale = _metric_norms(b, batch.g_inv)
+    W = batch.weyl
+    w_scale = _norm(W, 4)
+    einstein = b_scale <= 1e-8 * np.maximum(1.0, np.abs(batch.s))
+    w_zero = w_scale <= 1e-8 * np.maximum(1.0, _norm(batch.R, 4))
 
     adapted = chart.adapted_frame_fn is not None
+    source = "adapted" if adapted else "eigen"
+    # why a point has no canonical frame, in _DEGENERATE's order
+    causes = [einstein & w_zero] + ([] if adapted else [einstein])
+    status, framed = _status(chart, X, causes)
+    if not framed.any():
+        # no point has a frame (as on a constant-curvature chart): zeros fill in
+        zeros = {name: np.zeros((len(X), *shape)) for name, shape in _FRAME_SHAPES.items()}
+        clusters = np.zeros(X.shape, dtype=int)
+        return RicciFrame(x=X, g=g, source=source, clusters=clusters, status=status, **zeros)
     if adapted:
-        E = _orthonormalize_columns(np.asarray(chart.adapted_frame_fn(x), dtype=float), g)
-        lam = np.array([E[:, a] @ b @ E[:, a] for a in range(4)])
-        # round before sorting so FD noise cannot shuffle registered columns
-        # inside an eigenvalue cluster
-        order = np.argsort(np.round(lam, 9), kind="stable")
-        E, lam = E[:, order], lam[order]
-        source = "adapted"
+        lam, E = _adapted_frames(chart, X, g, b, framed)
     else:
-        if einstein:
-            raise DegenerateFrameError(
-                f"chart '{chart.name}' at {x.tolist()}: Ricci is a multiple of g; "
-                "register an adapted frame to pick the W-eigenframe"
-            )
         lam, E = _eigenframes(g, b)
-        source = "eigen"
     clusters = cluster_indices(lam)
+    # same[n, k, b]: e_k and e_b turn together in the gauge (module docstring)
+    same = np.ones(lam.shape + (4,), bool) if adapted else clusters[..., None] == clusters[:, None]
+    if not adapted:
+        # eigh's values ascend, so a cluster is a run of adjacent indices:
+        # adjacent[:, a] marks e_a and e_(a + 1) in one
+        adjacent = same[:, (0, 1, 2), (1, 2, 3)]
+        causes.append(~w_zero & (adjacent[:, 1:] & adjacent[:, :-1]).any(axis=-1))
+        if causes[-1].any():
+            status, framed = _status(chart, X, causes)
 
-    if source == "eigen" and any(len(c) > 1 for c in clusters):
-        if w_scale > 1e-8 * curv_scale:
-            if any(len(c) > 2 for c in clusters):
-                raise DegenerateFrameError(
-                    f"chart '{chart.name}' at {x.tolist()}: Ricci eigenvalue cluster "
-                    "of size > 2 with W != 0; register an adapted frame"
-                )
-            E = _pair_cluster_rotation(W, E, clusters)
+    if not adapted:
+        rotate = adjacent & (framed & ~w_zero)[:, None]
+        if rotate.any():
+            E = _pair_cluster_rotation(W, E, rotate)
 
     E = _fix_signs(E)
-    if np.linalg.det(E) < 0.0:
-        E[:, 3] = -E[:, 3]
+    # a negatively oriented frame turns its last vector
+    flip = np.linalg.det(E) < 0.0
+    if flip.any():
+        E[flip, :, 3] = -E[flip, :, 3]
 
     gE = g @ E
-    gram = E.T @ gE
-    gram_resid = float(np.max(np.abs(gram - np.eye(4))))
-    if np.linalg.norm(gram - np.eye(4)) > 1e-8:
+    gram = E.swapaxes(-1, -2) @ gE - np.eye(4)
+    if (_norm(gram, 2)[framed] > 1e-8).any():
         raise InputError("frame is not g-orthonormal within 1e-8")
-    b_frame = E.T @ b @ E
-    diag_resid = float(np.max(np.abs(b_frame - np.diag(np.diag(b_frame)))))
-    lam = np.diag(b_frame).copy()
+    b_frame = E.swapaxes(-1, -2) @ b @ E
+    lam = np.diagonal(b_frame, axis1=-2, axis2=-1).copy()
 
-    # W's frame components, made once; E is positively oriented
+    # W's frame components, made once; E is positively oriented, and the
+    # split reads the framed points only
     Wf = frame_components(W, E)
-    split = sd_split(Wf, 1)
-    w_diag_resid = _w_offdiag(Wf)
+    split = sd_split(Wf * framed[:, None, None, None, None], 1)
 
-    same = np.ones((4, 4), dtype=bool) if adapted else _same_cluster(clusters)
     # the connection and the brackets take jets; values are jets of degree 0
-    N, G = _frame_connection(
-        E[None], gE[None], entry.gamma[None], same, lam[None], entry.nabla_ric[None]
-    )
-    dE = E @ (N - G)[0]  # dE[p, n, b] = d_p E[n, b]
-    gamma_f = np.einsum("pa,pkb->abk", E, N[0])
+    N, G = _frame_connection(E[None], gE[None], batch.gamma[None], same, lam[None], ric_d[None])
+    dE = E[:, None] @ (N - G)[0]  # dE[n, p, m, b] = d_p E[m, b]
+    gamma_f = np.einsum("...pa,...pkb->...abk", E, N[0])
     # D_c lambda_a = (nabla_c b)(e_a, e_a), b = ric - s g / 4 and nabla g = 0
-    dlam = np.einsum("pki,pc,ka,ia->ca", entry.nabla_ric, E, E, E)
-    dlam -= (entry.ds @ E)[:, None] / 4.0
+    dlam = np.einsum("...pki,...pc,...ka,...ia->...ca", ric_d, E, E, E)
+    dlam -= (batch.ds[:, None, :] @ E).swapaxes(-1, -2) / 4.0
     # D_a sigma_bc = (nabla_a W)(e_b, e_c, e_b, e_c)
     #   + 2 W(nabla_a e_b, e_c, e_b, e_c) + 2 W(e_b, nabla_a e_c, e_b, e_c)
-    nabla_w = frame_components(entry.nabla_weyl, E)
+    nabla_w = frame_components(batch.nabla_weyl, E)
     dsig = (
-        np.einsum("abcbc->abc", nabla_w)
-        + 2.0 * np.einsum("abk,kcbc->abc", gamma_f, Wf)
-        + 2.0 * np.einsum("ack,bkbc->abc", gamma_f, Wf)
+        np.einsum("...abcbc->...abc", nabla_w)
+        + 2.0 * np.einsum("...abk,...kcbc->...abc", gamma_f, Wf)
+        + 2.0 * np.einsum("...ack,...bkbc->...abc", gamma_f, Wf)
     ) * OFF_DIAGONAL
 
     C = _brackets(E[None], dE[None], gE[None])[0]
     F = _structure_f(C)
-    bracket_resid = np.abs(C[_BRACKET_TRIPLES]).max()
+    bracket_resid = np.abs(C[(..., *_BRACKET_TRIPLES)]).max(axis=-1)
     i, j = ORDERED_PAIRS[:2]
-    f_gamma_resid = np.abs(F[j, i] - gamma_f[i, j, i]).max()
-
     diagnostics = {
-        "gram_resid": gram_resid,
-        "ric_diag_resid": diag_resid,
-        "w_diag_resid": w_diag_resid,
-        "bracket_offplane_resid": float(bracket_resid),
-        "f_vs_gamma_resid": float(f_gamma_resid),
-        "b_scale": float(b_scale),
-        "w_scale": float(w_scale),
-        "non_d0_warning": bool(bracket_resid > 1e-4),
+        "gram_resid": np.abs(gram).reshape(len(X), -1).max(axis=-1),
+        "ric_diag_resid": np.abs(b_frame[..., OFF_DIAGONAL]).max(axis=-1),
+        "w_diag_resid": np.abs(bivector_matrix(Wf)[..., _BIVECTOR_CROSS]).max(axis=-1),
+        "bracket_offplane_resid": bracket_resid,
+        "f_vs_gamma_resid": np.abs(F[..., j, i] - gamma_f[..., i, j, i]).max(axis=-1),
+        "b_scale": b_scale,
+        "w_scale": w_scale,
+        "non_d0_warning": bracket_resid > 1e-4,
     }
 
     return RicciFrame(
-        x=x,
-        g=g,
-        E=E,
-        lam=lam,
-        sigma=split.sigma,
-        s=float(entry.s),
-        F=F,
-        gamma=gamma_f,
-        dlam=dlam,
-        dsig=dsig,
-        w_plus=split.w_plus,
-        w_minus=split.w_minus,
-        source=source,
-        clusters=clusters,
-        diagnostics=diagnostics,
-    )
+        x=X, g=g, E=E, lam=lam, sigma=split.sigma, s=batch.s, F=F, gamma=gamma_f, dlam=dlam,
+        dsig=dsig, w_plus=split.w_plus, w_minus=split.w_minus, source=source, clusters=clusters,
+        status=status, diagnostics=diagnostics,
+    )  # fmt: skip
+
+
+def extract_frame(chart, x, entry=None):
+    """The Ricci eigenframe and structure functions at x, the one-point case
+    of extract_frames: DegenerateFrameError where x has no canonical frame.
+
+    `entry` is the third-order curvature at x, a point of a curvature batch
+    such as report.batch[n] of a harmonicity report, evaluated when not
+    given; nothing else is. An entry without covariant derivatives, or at
+    another x, raises InputError.
+    """
+    x = np.asarray(x, dtype=float)
+    if entry is None:
+        entry = curvature_at(chart, x, degree=3)
+    elif not np.array_equal(entry.x, x):
+        raise InputError(f"the curvature is at {entry.x.tolist()}, not at {x.tolist()}")
+    batch = CurvatureBatch(**{k: None if v is None else v[None] for k, v in vars(entry).items()})
+    return extract_frames(chart, batch)[0]
 
 
 def skw_residuals(frame):
-    """Residuals of the first-order frame identities, keyed by anchor code.
+    """Residuals of the first-order frame identities, keyed by anchor code,
+    one value per point of a stack of frames (a scalar for one point).
 
     skw.a  Gamma^k_ij + Gamma^j_ik = 0
     skw.b  sigma pairings (sigma_ij = sigma_kl) and row sums
@@ -409,65 +434,47 @@ def skw_residuals(frame):
                          + (sigma_ij - sigma_il) Gamma^j_ll
     """
     lam, sig, gm = frame.lam, frame.sigma, frame.gamma
-    Dlam, Dsig = frame.dlam, frame.dsig
     i, j, k = TRIPLES
-    res_a = np.abs(gm[i, j, k] + gm[i, k, j]).max()
-    res_c = np.abs((lam[j] - lam[k]) * gm[i, j, k] - (lam[k] - lam[i]) * gm[j, k, i]).max()
-    res_d = np.abs(
-        (sig[i, j] - sig[i, k]) * gm[i, j, k] - (sig[j, k] - sig[j, i]) * gm[j, k, i]
-    ).max()
-
-    pairings, row_sums = sigma_relations(sig)
-    res_b = max(np.abs(pairings).max(), np.abs(row_sums).max())
-
+    g_ijk, g_jki = gm[..., i, j, k], gm[..., j, k, i]
+    a = g_ijk + gm[..., i, k, j]
+    c = (lam[..., j] - lam[..., k]) * g_ijk - (lam[..., k] - lam[..., i]) * g_jki
+    d = (sig[..., i, j] - sig[..., i, k]) * g_ijk - (sig[..., j, k] - sig[..., j, i]) * g_jki
+    b = np.concatenate(sigma_relations(sig), axis=-1)
     i, j, k, l = ORDERED_PAIRS
-    res_e = np.abs(Dlam[i, j] - (lam[j] - lam[i]) * gm[j, j, i]).max()
-    rhs = (sig[i, j] - sig[i, k]) * gm[k, k, j] + (sig[i, j] - sig[i, l]) * gm[l, l, j]
-    res_f = np.abs(Dsig[j, i, j] - rhs).max()
+    s_ij = sig[..., i, j]
+    e = frame.dlam[..., i, j] - (lam[..., j] - lam[..., i]) * gm[..., j, j, i]
+    rhs = (s_ij - sig[..., i, k]) * gm[..., k, k, j] + (s_ij - sig[..., i, l]) * gm[..., l, l, j]
+    f = frame.dsig[..., j, i, j] - rhs
 
-    return {
-        "skw.a": float(res_a),
-        "skw.b": float(res_b),
-        "skw.c": float(res_c),
-        "skw.d": float(res_d),
-        "skw.e": float(res_e),
-        "skw.f": float(res_f),
-    }
+    rows = {"skw.a": a, "skw.b": b, "skw.c": c, "skw.d": d, "skw.e": e, "skw.f": f}
+    return {key: np.abs(v).max(axis=-1) for key, v in rows.items()}
 
 
 def sy_from_components(sigma, lam, gamma):
-    """S_l, y_l and alpha_l = S_l / y_l from raw frame components.
+    """S_l, y_l and alpha_l = S_l / y_l from raw frame components, over any
+    leading axes.
 
     For {i, j, k, l} = {1, 2, 3, 4}: S_l = (sigma_ij - sigma_ik) Gamma^k_ij,
     y_l = (lam_j - lam_k) Gamma^k_ij; both are selection-independent, and
     the cross-selection disagreement is returned as a consistency residual.
     """
-    sigma = np.asarray(sigma, dtype=float)
-    lam = np.asarray(lam, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
+    sigma, lam, gamma = (np.asarray(v, dtype=float) for v in (sigma, lam, gamma))
     # S_l and y_l from the ascending triple (i, j, k) of the indices other than l
     i, j, k = OTHERS
-    S = (sigma[i, j] - sigma[i, k]) * gamma[i, j, k]
-    y = (lam[j] - lam[k]) * gamma[i, j, k]
-    s_alt = (sigma[j, k] - sigma[j, i]) * gamma[j, k, i]
-    y_alt = (lam[k] - lam[i]) * gamma[j, k, i]
-    consistency = max(0.0, np.abs(S - s_alt).max(), np.abs(y - y_alt).max())
-    alpha = np.full(4, np.nan)
-    mask = np.abs(y) > ZERO_TOL
-    alpha[mask] = S[mask] / y[mask]
-    zeta = int(np.sum(np.abs(S) > ZERO_TOL))
-    return {
-        "S": S,
-        "y": y,
-        "alpha": alpha,
-        "zeta": zeta,
-        "consistency": float(consistency),
-        "consistent": bool(consistency <= 1e-4),
-    }
+    g_ijk, g_jki = gamma[..., i, j, k], gamma[..., j, k, i]
+    S = (sigma[..., i, j] - sigma[..., i, k]) * g_ijk
+    y = (lam[..., j] - lam[..., k]) * g_ijk
+    s_alt = (sigma[..., j, k] - sigma[..., j, i]) * g_jki
+    y_alt = (lam[..., k] - lam[..., i]) * g_jki
+    consistency = np.maximum(np.abs(S - s_alt).max(axis=-1), np.abs(y - y_alt).max(axis=-1))
+    alpha = np.divide(S, y, out=np.full(S.shape, np.nan), where=np.abs(y) > ZERO_TOL)
+    zeta = (np.abs(S) > ZERO_TOL).sum(axis=-1)
+    return {"S": S, "y": y, "alpha": alpha, "zeta": zeta, "consistency": consistency,
+            "consistent": consistency <= 1e-4}  # fmt: skip
 
 
 def sy_invariants(frame):
-    """Selection invariants of a frame."""
+    """Selection invariants of a frame, or of each frame of a stack."""
     return sy_from_components(frame.sigma, frame.lam, frame.gamma)
 
 
@@ -498,48 +505,40 @@ def _case_label(r, w, d):
     return {0: "D0", 1: "D1"}.get(d, "D2-excluded")
 
 
+_INVARIANTS = ("r", "w", "w_minus", "zeta")
+
+
 def frame_invariants(frame):
-    """The discrete invariants of one frame: r distinct Ricci eigenvalues,
-    w / w_minus distinct eigenvalues of the W+ / W- blocks, and zeta, the
-    count of nonzero S_l."""
+    """The discrete invariants of a frame, or of each frame of a stack: r
+    distinct Ricci eigenvalues, w / w_minus distinct eigenvalues of the
+    W+ / W- blocks, and zeta, the count of nonzero S_l."""
     w_plus, w_minus = np.linalg.eigvalsh(np.stack([frame.w_plus, frame.w_minus]))
-    return {
-        "r": cluster_count(frame.lam),
-        "w": cluster_count(w_plus),
-        "w_minus": cluster_count(w_minus),
-        "zeta": sy_invariants(frame)["zeta"],
-    }
+    r, w, wm = (cluster_count(v) for v in (frame.lam, w_plus, w_minus))
+    return {"r": r, "w": w, "w_minus": wm, "zeta": sy_invariants(frame)["zeta"]}
 
 
-def fold_invariants(rows, degenerate_points=0):
-    """Fold the frame_invariants of frames from several sample points into
-    the discrete invariants: the maximum of each count.
+def fold_invariants(invariants, degenerate_points=0):
+    """Fold frame_invariants over several sample points, each key's values at
+    the framed points, into the discrete invariants: each count's maximum.
 
-    With no rows at all (every sampled point Einstein and conformally
-    flat) the counts collapse to the constant-curvature pattern r = w = 1.
+    With no frames at all (every sampled point Einstein and conformally
+    flat; invariants may be empty) the counts are those of constant curvature.
     """
-    rows = list(rows)
-    if not rows:
-        if degenerate_points == 0:
-            raise InputError("no frames and no degenerate points")
-        return InvariantCounts(
-            r=1, w=1, w_minus=1, d_lower=0, case_label="A", degenerate_points=degenerate_points
-        )
-    r, w, wm, d = (max(row[key] for row in rows) for key in ("r", "w", "w_minus", "zeta"))
-    return InvariantCounts(
-        r=r,
-        w=w,
-        w_minus=wm,
-        d_lower=d,
-        case_label=_case_label(r, w, d),
-        degenerate_points=degenerate_points,
-    )
+    if len(invariants.get("r", ())):
+        r, w, wm, d = (int(max(invariants[key])) for key in _INVARIANTS)
+    elif degenerate_points:
+        r, w, wm, d = 1, 1, 1, 0
+    else:
+        raise InputError("no frames and no degenerate points")
+    return InvariantCounts(r, w, wm, d, _case_label(r, w, d), degenerate_points)
 
 
 def invariant_counts(frames, degenerate_points=0):
     """Fold frames from several sample points into the discrete invariants
     (fold_invariants of their frame_invariants)."""
-    return fold_invariants(map(frame_invariants, frames), degenerate_points)
+    rows = [frame_invariants(fr) for fr in frames]
+    invariants = {key: [row[key] for row in rows] for key in _INVARIANTS}
+    return fold_invariants(invariants, degenerate_points)
 
 
 @dataclass(frozen=True)
@@ -570,7 +569,7 @@ def structure_data(chart, frame):
         jets = curvature_jets(chart, x[None], degree=4)
     # first-order jets at x (value and four partials), the point axis dropped
     g, gamma = jets["g"][:5, 0], jets["gamma"][:5, 0]
-    same = np.ones((4, 4), dtype=bool) if adapted else _same_cluster(frame.clusters)
+    same = np.ones((4, 4), dtype=bool) if adapted else frame.clusters[:, None] == frame.clusters
     lam = nabla_ric = None
     if not adapted:
         nabla_ric = jets["nabla_ric"][:, 0]
@@ -591,7 +590,7 @@ def structure_data(chart, frame):
         # the alignment's in-cluster rotation rate: d_q Omega_p = -(M - M^T) / 2
         # on the cluster blocks, M = A_q A_p
         M = A[:, None] @ A[None, :]
-        A_jet[1:] -= 0.5 * (M - np.swapaxes(M, -1, -2)) * same
+        A_jet[1:] -= 0.5 * (M - M.swapaxes(-1, -2)) * same
     dE = jet_contract("nk,pkb->pnb", E_jet, A_jet)  # dE[p, n, b] = d_p E[n, b]
     F = _structure_f(_brackets(E_jet, dE, gE))
     DF = np.einsum("ma,mbc->abc", E, F[1:])

@@ -551,9 +551,10 @@ class EigenResult:
 
 def _fix_signs(vectors):
     # per column (stacked on leading axes): flip unless the first component
-    # of largest magnitude is positive
-    lead = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
-    return np.where(np.take_along_axis(vectors, lead, axis=-2) < 0.0, -vectors, vectors)
+    # of largest magnitude is positive, picked by a one-hot row mask
+    lead = np.argmax(np.abs(vectors), axis=-2)
+    first = vectors * (np.arange(vectors.shape[-2])[:, None] == lead[..., None, :])
+    return np.where(first.sum(axis=-2, keepdims=True) < 0.0, -vectors, vectors)
 
 
 def sym_eigen(A):
@@ -565,9 +566,10 @@ def sym_eigen(A):
     n = A.shape[-1]
     if n not in (3, 4, 6):
         raise InputError(f"matrix dimension must be 3, 4 or 6, got {n}")
-    At = np.swapaxes(A, -1, -2)
-    scale = np.maximum(1.0, np.linalg.norm(A, axis=(-2, -1)))
-    if np.any(np.linalg.norm(A - At, axis=(-2, -1)) > 1e-12 * scale):
+    At = A.swapaxes(-1, -2)
+    # |A - A^T| > 1e-12 max(1, |A|) in Frobenius norms, compared squared
+    squares = ((A - At) ** 2).sum(axis=(-2, -1)), (A * A).sum(axis=(-2, -1))
+    if (squares[0] > 1e-24 * np.maximum(1.0, squares[1])).any():
         raise InputError("matrix is not symmetric within 1e-12 (relative)")
     values, vectors = np.linalg.eigh(0.5 * (A + At))
     return EigenResult(values=values, vectors=_fix_signs(vectors))

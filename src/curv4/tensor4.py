@@ -21,17 +21,15 @@ Conventions, fixed once here and relied on everywhere else:
   the Z_l sums) reads the read-only tables below, 0-based, with 1-based
   identities landing at the corresponding 0-based slots.
 
-Each operation is written once, on plain arrays. curvature_symmetrize,
-ricci_contract, weyl_from_curv and kulkarni_nomizu work over any leading
-axes: a stack of points, a coefficient axis of a jet, or none.
-frame_components and sd_split take one point. Curvature batches (chart)
-and Ricci eigenframes (frames) call them by these names, and check the
-metric, the projection distance and the frame before they do.
+Each operation is written once, on plain arrays, and works over any
+leading axes: a stack of points, a coefficient axis of a jet, or none.
+Curvature batches (chart) and the stacked Ricci eigenframes (frames) call
+them by these names, and check the metric, the projection distance and
+the frame before they do.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,10 +92,16 @@ MINOR_COLUMNS = _table(
 )
 
 
-def _norm(T):
-    # Frobenius norm, the value np.linalg.norm gives, without its dispatch
-    flat = np.asarray(T, dtype=float).ravel()
-    return math.sqrt(flat.dot(flat))
+def _norm(T, rank):
+    """Frobenius norm over the last `rank` axes, leading axes a stack."""
+    flat = T.reshape(T.shape[: T.ndim - rank] + (1, -1))
+    return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
+
+
+def _slots(T, *perm):
+    # T with its last four axes permuted, leading axes kept
+    lead = tuple(range(T.ndim - 4))
+    return T.transpose(lead + tuple(len(lead) + p for p in perm))
 
 
 def curvature_symmetrize(raw):
@@ -109,15 +113,10 @@ def curvature_symmetrize(raw):
     projection commutes with differentiation: the partials of a projected
     field are the projected partials.
     """
-    lead = tuple(range(raw.ndim - 4))
-
-    def slots(T, *perm):
-        return T.transpose(lead + tuple(len(lead) + p for p in perm))
-
-    A = 0.25 * (raw - slots(raw, 1, 0, 2, 3) - slots(raw, 0, 1, 3, 2) + slots(raw, 1, 0, 3, 2))
-    P = 0.5 * (A + slots(A, 2, 3, 0, 1))
+    A = 0.25 * (raw - _slots(raw, 1, 0, 2, 3) - _slots(raw, 0, 1, 3, 2) + _slots(raw, 1, 0, 3, 2))
+    P = 0.5 * (A + _slots(A, 2, 3, 0, 1))
     # cyclic sum over the first three slots is totally antisymmetric here
-    B = P + slots(P, 1, 2, 0, 3) + slots(P, 2, 0, 1, 3)
+    B = P + _slots(P, 1, 2, 0, 3) + _slots(P, 2, 0, 1, 3)
     return P - B / 3.0
 
 
@@ -132,14 +131,11 @@ def kulkarni_nomizu(a, b):
     """(a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il.
 
     Leading axes of a and b broadcast (a stack of forms gives a stack of
-    products).
+    products). The four terms are the one outer product t_ijkl = a_ik b_jl
+    read with its slots swapped.
     """
-    return (
-        np.einsum("...ik,...jl->...ijkl", a, b)
-        + np.einsum("...jl,...ik->...ijkl", a, b)
-        - np.einsum("...il,...jk->...ijkl", a, b)
-        - np.einsum("...jk,...il->...ijkl", a, b)
-    )
+    t = np.einsum("...ik,...jl->...ijkl", a, b)
+    return t + _slots(t, 1, 0, 3, 2) - _slots(t, 0, 1, 3, 2) - _slots(t, 1, 0, 2, 3)
 
 
 def weyl_from_curv(g, R, ric, s):
@@ -165,16 +161,18 @@ _STAR = _star_matrix()
 
 
 def frame_components(R, frame):
-    """Components of a covariant tensor of any rank in a frame given by the
-    columns of `frame`: T(e_a, e_b, ...)."""
+    """Components T(e_a, e_b, ...) of a covariant tensor of any rank in a
+    frame given by the columns of `frame`. Leading axes of `frame` (..., 4, 4)
+    are a stack, which R shares ahead of its tensor slots."""
     T = np.asarray(R, dtype=float)
     E = np.asarray(frame, dtype=float)
-    # contract the leading slot with E, once per slot: the slot-first matrix,
+    lead = E.shape[:-2]
+    # contract the first slot with E, once per slot: the slot-first matrix,
     # transposed, times E appends the new frame index last, so the result
     # comes out ordered (a, b, c, ...)
     out = T
-    for _ in range(T.ndim):
-        out = out.reshape(N, -1).T @ E
+    for _ in range(T.ndim - len(lead)):
+        out = out.reshape(lead + (N, -1)).swapaxes(-1, -2) @ E
     return out.reshape(T.shape)
 
 
@@ -183,12 +181,13 @@ _BIVECTOR_GATHER = (*PAIR_INDICES, *PAIR_INDICES[:, :, None])
 
 
 def bivector_matrix(A_frame):
-    """6x6 matrix of a curvature-type tensor acting on bivectors.
+    """6x6 matrix of a curvature-type tensor acting on bivectors, over any
+    leading axes.
 
     In an orthonormal frame the operator sends e_i ^ e_j to
     sum_{k<l} A_ijkl e_k ^ e_l, so entry [(kl),(ij)] is A_ijkl.
     """
-    return np.asarray(A_frame)[_BIVECTOR_GATHER]
+    return np.asarray(A_frame)[(..., *_BIVECTOR_GATHER)]
 
 
 # normalized self-dual / anti-self-dual bases as columns over the PAIRS axis,
@@ -211,23 +210,24 @@ class WeylSplit:
 
 def sd_split(Wf, orientation):
     """Split a Ricci-traceless curvature tensor into its W+ and W- blocks,
-    from its components Wf[a, b, c, d] in an orthonormal frame of the given
-    orientation (+1 or -1): a negatively oriented frame flips the star
-    operator, so the split stays tied to the coordinate orientation. Raises
-    PreconditionError when the Ricci contraction is not ~0 and
-    InconsistencyError when the operator fails to commute with the star."""
-    scale = max(1e-300, _norm(Wf))
-    if _norm(np.einsum("abad->bd", Wf)) > 1e-8 * max(1.0, scale):
+    from its components Wf[..., a, b, c, d] in orthonormal frames of the
+    given orientation (+1 or -1), leading axes a stack: a negatively oriented
+    frame flips the star operator, so the split stays tied to the coordinate
+    orientation. Raises PreconditionError when a Ricci contraction is not ~0
+    and InconsistencyError when an operator fails to commute with the star."""
+    Wf = np.asarray(Wf, dtype=float)
+    bound = np.maximum(1.0, _norm(Wf, 4))
+    if (_norm(np.einsum("...abad->...bd", Wf), 2) > 1e-8 * bound).any():
         raise PreconditionError("operator has a nonvanishing Ricci contraction")
     M = bivector_matrix(Wf)
     star = orientation * _STAR
-    if _norm(M @ star - star @ M) > 1e-9 * max(1.0, scale):
+    if (_norm(M @ star - star @ M, 2) > 1e-9 * bound).any():
         raise InconsistencyError("operator does not commute with the Hodge star")
     w_plus = _BASIS_PLUS.T @ M @ _BASIS_PLUS
     w_minus = _BASIS_MINUS.T @ M @ _BASIS_MINUS
     if orientation < 0:
         w_plus, w_minus = w_minus, w_plus
-    sigma = np.where(OFF_DIAGONAL, np.einsum("ijij->ij", Wf), 0.0)
+    sigma = np.where(OFF_DIAGONAL, np.einsum("...ijij->...ij", Wf), 0.0)
     return WeylSplit(w_plus=w_plus, w_minus=w_minus, sigma=sigma)
 
 
@@ -236,8 +236,9 @@ def sigma_relations(sigma):
     W(e_i, e_j, e_i, e_j), zero diagonal: the three pairings
     sigma_0j - sigma_kl over the pairs (0, j) and their complements, and the
     four row sums, each summed in column order (W is Ricci-traceless). Both
-    vanish for a Weyl tensor."""
+    vanish for a Weyl tensor. Leading axes of sigma are a stack."""
     i, j, k, l = ORDERED_PAIRS[:, :3]
     a, b, c = OTHERS
     rows = np.arange(N)
-    return sigma[i, j] - sigma[k, l], sigma[rows, a] + sigma[rows, b] + sigma[rows, c]
+    row_sums = sigma[..., rows, a] + sigma[..., rows, b] + sigma[..., rows, c]
+    return sigma[..., i, j] - sigma[..., k, l], row_sums

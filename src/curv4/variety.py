@@ -125,12 +125,17 @@ class VarietyPoint:
         """Rescale all components by one common factor so that the joint
         euclidean norm of (F, sigma) becomes 1; membership is preserved
         because every defining equation is homogeneous."""
-        scale = float(np.sqrt(np.sum(self.F**2) + np.sum(self.sigma**2)))
+        with np.errstate(over="ignore"):
+            squares = np.sum(self.F**2) + np.sum(self.sigma**2)
+        if not np.isfinite(squares):
+            # the squares overflow: divide by the largest component first
+            big = max(np.abs(self.F).max(), np.abs(self.sigma).max())
+            point = VarietyPoint(self.F / big, self.sigma / big, self.lam / big, self.s / big)
+            return point.normalized()
+        scale = float(np.sqrt(squares))
         if scale == 0.0:
             return self
-        return VarietyPoint(
-            self.F / scale, self.sigma / scale, self.lam / scale, self.s / scale
-        )
+        return VarietyPoint(self.F / scale, self.sigma / scale, self.lam / scale, self.s / scale)
 
     def scaled(self, t):
         """The weighted rescaling (sqrt(t) F, t sigma, t lam, t s), t > 0.
@@ -270,21 +275,20 @@ _N_SIGMA = _SIGMA_KERNEL.shape[1]
 
 
 def _assemble(params):
-    """The point of the parameters: F's twelve entries over the ordered
-    pairs, then sigma and lam in their eq1 kernels."""
+    """(F, sigma, lam) of the parameters: F's twelve entries over the ordered
+    pairs, then sigma and lam in their eq1 kernels; valid by construction."""
     i, j = ORDERED_PAIRS[:2]
     F = np.zeros((4, 4))
     F[i, j] = params[:12]
     sig = _sigma_from_six(_SIGMA_KERNEL @ params[12 : 12 + _N_SIGMA])
-    lam = _LAM_KERNEL @ params[12 + _N_SIGMA :]
-    return VarietyPoint(F=F, sigma=sig, lam=lam, s=0.0)
+    return F, sig, _LAM_KERNEL @ params[12 + _N_SIGMA :]
 
 
-def _polynomial_residuals(point):
+def _polynomial_residuals(F, sigma, lam):
     """fsi terms and all 4 x 4 minors of the rank matrix, flattened."""
-    H = point.H
+    H = h_components(F)
     minors = np.linalg.det(fsp_matrix(H)[:, MINOR_COLUMNS].swapaxes(0, 1))
-    return np.concatenate([_fsi_terms(H, point.Z), minors])
+    return np.concatenate([_fsi_terms(H, z_components(sigma, lam)), minors])
 
 
 def least_squares(fun, x0, **kwargs):
@@ -328,10 +332,10 @@ def sample_variety(seed=0, count=8, constraint_mode="full"):
             params = rng.standard_normal(n_params)
             params[:12] *= damping
             if constraint_mode == "linear-only":
-                point = _assemble(params)
+                point = VarietyPoint(*_assemble(params))
                 break
             sol = least_squares(
-                lambda p: _polynomial_residuals(_assemble(p)),
+                lambda p: _polynomial_residuals(*_assemble(p)),
                 params,
                 method="trf",
                 xtol=1e-15,
@@ -339,7 +343,7 @@ def sample_variety(seed=0, count=8, constraint_mode="full"):
                 gtol=None,
                 max_nfev=1000,
             )
-            candidate = _assemble(sol.x)
+            candidate = VarietyPoint(*_assemble(sol.x))
             report = system_residuals(candidate, SAMPLE_TOL)
             if report.passed:
                 point = candidate

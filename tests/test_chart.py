@@ -394,7 +394,8 @@ def test_report_is_one_jet_evaluation():
 def test_weyl_is_made_on_request(monkeypatch):
     # a report makes nabla W once, for all its sample points; a point of its
     # batch makes W and nabla W on access, for that point alone, and a frame
-    # from the point makes each once; structure_data's jet makes neither.
+    # from the point makes each once, on its one-point stack; structure_data's
+    # jet makes neither.
     # Both go through weyl_from_curv: nabla W passes g with a derivative
     # axis, g[..., None, :, :], so the shape of g tells them apart
     calls = []
@@ -415,7 +416,7 @@ def test_weyl_is_made_on_request(monkeypatch):
     assert calls == [(), (1,)]
     calls.clear()
     curv4.extract_frame(chart, report.points[3], entry=point)
-    assert sorted(calls) == [(), (1,)]
+    assert sorted(calls) == [(1,), (1, 1)]
     frame = curv4.extract_frame(chart, report.points[3])
     assert frame.source == "eigen"  # a degree-4 jet at the frame point
     calls.clear()

@@ -566,14 +566,16 @@ def test_reports_deterministic_in_one_process(capsys):
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "randflat:0", "s4"])
 def test_verify_makes_one_jet_evaluation_per_batch(name, capsys, monkeypatch):
-    # one jet_fn call for the harmonicity batch of all samples; the frames
-    # read their entries from that batch and evaluate nothing more
+    # one jet_fn call for the harmonicity batch of all samples; every sample
+    # is framed (or degenerate) from that batch, and nothing more is evaluated
     calls = []
     _counting_jet_fns(monkeypatch, calls)
     code, out, _ = run_main(["verify", "--example", name, "--samples", "16"], capsys)
     assert code in (0, 1)
-    frames = sum("source" in p["counts"] for p in json.loads(out)["points"])
-    assert frames == (0 if name == "s4" else 4)
+    points = json.loads(out)["points"]
+    frames = sum("source" in p["counts"] for p in points)
+    degenerate = sum(p["counts"].get("degenerate", False) for p in points)
+    assert (frames, degenerate) == ((0, 16) if name == "s4" else (16, 0))
     assert calls == [(16, 4)]
 
 

@@ -23,7 +23,13 @@ import curv4
 import curv4.cli
 from curv4.chart import MetricChart, curvature_at, curvature_batch, sample_points
 from curv4.errors import DegenerateFrameError, DomainError
-from curv4.frames import extract_frame, structure_data
+from curv4.frames import (
+    extract_frame,
+    extract_frames,
+    frame_invariants,
+    skw_residuals,
+    structure_data,
+)
 from curv4.numerics import DEFAULT_STENCIL, Jet, StencilConfig, central_diff
 from curv4.tensor4 import frame_components
 
@@ -70,6 +76,19 @@ def ref_eigenframe(entry):
         if U[np.argmax(np.abs(U[:, a])), a] < 0.0:
             U[:, a] = -U[:, a]
     return s_inv @ U
+
+
+def ref_clusters(lam):
+    # the lambda clusters as index lists, sorted values split at gaps above
+    # frames.py's threshold, walked one neighbour at a time
+    order = np.argsort(lam, kind="stable")
+    gap = max(curv4.frames.CLUSTER_ATOL, curv4.frames.CLUSTER_RTOL * (lam.max() - lam.min()))
+    clusters = [[int(order[0])]]
+    for a, b in zip(order[:-1], order[1:]):
+        if lam[b] - lam[a] > gap:
+            clusters.append([])
+        clusters[-1].append(int(b))
+    return clusters
 
 
 def ref_pair_rotation(entry, E, clusters):
@@ -132,7 +151,7 @@ def ref_center(chart, x):
             raise DegenerateFrameError("Einstein without an adapted frame")
         E, source = ref_eigenframe(e), "eigen"
     lam = np.diag(E.T @ b @ E)
-    clusters = curv4.cluster_indices(lam)
+    clusters = ref_clusters(lam)
     if source == "eigen" and not flat_w:
         E = ref_pair_rotation(e, E, clusters)
     for a in range(4):
@@ -269,6 +288,92 @@ def test_batched_eigen_path_with_pair_clusters(registry_charts, name):
     assert_matches(got, extrapolated_reference(chart, x))
 
 
+def assert_same_frame(a, b):
+    # every field of two point frames, bit for bit
+    assert vars(a).keys() == vars(b).keys()
+    for key, value in vars(a).items():
+        other = getattr(b, key)
+        if key == "diagnostics":
+            assert value.keys() == other.keys()
+            assert all(np.array_equal(value[k], other[k]) for k in value), key
+        else:
+            assert np.array_equal(value, other), key
+
+
+def test_stacked_frames_with_mixed_cluster_patterns(registry_charts):
+    # one stack whose points differ in cluster pattern, all on the eigen
+    # path: two pair clusters on s2xs2, one on kpc, none on randflat, so the
+    # rotation's masked steps run on some points and pairs and skip others,
+    # and s4's points have no frame. extract_frames reads a chart only for
+    # its adapted frame and its name, so one eigen-only chart serves the
+    # stack; each framed point equals its own chart's one-point frame, bit
+    # for bit, and each s4 point raises as it does alone
+    names = ("s2xs2:1,2", "kpc", "randflat:0", "s4")
+    charts = [eigen_only(registry_charts[n]) for n in names]
+    parts = [(chart, sample_points(chart, count=3, seed=0)) for chart in charts]
+    batch = curv4.chart.stacked_curvature_batch(parts, degree=3)
+    frames = extract_frames(charts[0], batch)
+    assert frames.framed.tolist() == [True] * 9 + [False] * 3 and frames.source == "eigen"
+    patterns = [sorted(np.bincount(c).tolist()) for c in frames.clusters[:9]]
+    assert patterns == [[2, 2]] * 3 + [[1, 1, 2]] * 3 + [[1, 1, 1, 1]] * 3
+    points = [(chart, x) for chart, X in parts for x in X]
+    for n, (chart, x) in enumerate(points[:9]):
+        assert_same_frame(frames[n], extract_frame(chart, x))
+    for n, (chart, x) in enumerate(points[9:], start=9):
+        with pytest.raises(DegenerateFrameError, match="Ricci is a multiple of g and W = 0"):
+            frames[n]
+    # the stack's skw rows and invariants are those of its framed points
+    rows, counts = skw_residuals(frames), frame_invariants(frames)
+    for n in range(9):
+        assert {k: v[n] for k, v in rows.items()} == skw_residuals(frames[n])
+        assert {k: v[n] for k, v in counts.items()} == frame_invariants(frames[n])
+
+
+def test_stacked_pair_rotation_matches_one_point_at_a_time():
+    # the registry's pair clusters are W-isotropic, so their Jacobi angle is
+    # 0; on random Weyl tensors and frames the masked steps over (0, 1),
+    # (1, 2), (2, 3) turn, and each frame equals the one-point loop over its
+    # clusters in ascending order, each angle read in the frame the turns
+    # before it left, bit for bit
+    rng = np.random.default_rng(11)
+    patterns = [(1, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
+    rotate = np.array(patterns * 2, dtype=bool)
+    g = np.eye(4)
+    R = curv4.curvature_symmetrize(rng.normal(size=(len(rotate), 4, 4, 4, 4)))
+    ric, s = curv4.ricci_contract(R, g)
+    W = curv4.weyl_from_curv(g, R, ric, s)
+    E = np.linalg.qr(rng.normal(size=(len(rotate), 4, 4)))[0]
+    got = curv4.frames._pair_cluster_rotation(W, E, rotate)
+    for n, marks in enumerate(rotate):
+        ref = E[n].copy()
+        for a in np.flatnonzero(marks):
+            b, c = a + 1, 2 if a == 0 else 0
+            Wf = frame_components(W[n], ref)
+            t = 0.5 * np.arctan2(2.0 * Wf[a, c, b, c], Wf[a, c, a, c] - Wf[b, c, b, c])
+            turn = np.eye(4)
+            turn[a, a] = turn[b, b] = np.cos(t)
+            turn[a, b], turn[b, a] = -np.sin(t), np.sin(t)
+            ref = ref @ turn
+        assert np.array_equal(got[n], ref)
+        assert np.array_equal(got[n], E[n]) == (not marks.any())
+
+
+def test_stacked_degenerate_points_carry_their_status():
+    # s4's points are Einstein and conformally flat: the stack frames none
+    # of them, and each point raises the error extract_frame raises there
+    chart = curv4.build_example("s4")
+    X = sample_points(chart, count=3, seed=0)
+    frames = extract_frames(chart, curvature_batch(chart, X, degree=3))
+    assert not frames.framed.any()
+    for n, x in enumerate(X):
+        with pytest.raises(DegenerateFrameError) as stacked:
+            frames[n]
+        with pytest.raises(DegenerateFrameError) as alone:
+            extract_frame(chart, x)
+        assert str(stacked.value) == str(alone.value) == frames.status[n]
+        assert "Ricci is a multiple of g and W = 0" in frames.status[n]
+
+
 def rotated_product_chart(with_jet):
     """S2(1) x S2(2) in coordinates turned by a fixed rotation: its Ricci
     eigenspaces are two planes that no coordinate axis lies in, so the
@@ -346,7 +451,7 @@ def test_closed_form_cluster_gauge_in_curved_coordinates(name):
     chart = sheared_chart(name)
     x = sample_points(chart, count=1, seed=5)[0]
     got = closed_form(chart, x)
-    assert [len(c) for c in extract_frame(chart, x).clusters] == (
+    assert np.bincount(extract_frame(chart, x).clusters).tolist() == (
         [2, 2] if name == "s2xs2:1,2" else [1, 3]
     )
     assert_matches(got, extrapolated_reference(chart, x))

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import curv4
-from curv4.errors import DegenerateFrameError, InputError, PreconditionError
+from curv4.errors import DegenerateFrameError, InconsistencyError, InputError, PreconditionError
 from curv4.frames import (
     RicciFrame,
     StructureData,
@@ -23,11 +23,17 @@ from curv4.tensor4 import frame_components
 
 
 def test_cluster_indices():
-    assert cluster_indices([1.0, 1.0, 2.0, 2.0]) == [[0, 1], [2, 3]]
+    # each value's cluster, numbered in ascending order of the values
+    assert cluster_indices([1.0, 1.0, 2.0, 2.0]).tolist() == [0, 0, 1, 1]
+    assert cluster_indices([2.0, 1.0, 3.0, 1.0]).tolist() == [1, 0, 2, 0]
     assert cluster_count([0.0, 0.0, 0.0, 0.0]) == 1
     assert cluster_count([1.0, 1.0 + 1e-12, 2.0, 3.0]) == 3
     # gaps compare against the overall spread, not the neighbour magnitude
     assert cluster_count([0.0, 1e-7, 1.0, 1.0 + 1e-7]) == 2
+    # over a stack, one sort per row
+    stack = [[1.0, 1.0, 2.0, 2.0], [0.0, 0.0, 0.0, 0.0], [3.0, 2.0, 1.0, 0.0]]
+    assert cluster_indices(stack).tolist() == [[0, 0, 1, 1], [0, 0, 0, 0], [3, 2, 1, 0]]
+    assert cluster_count(stack).tolist() == [2, 1, 4]
 
 
 def test_product_adapted_frame_values(s2xs2_chart, s2xs2_frames):
@@ -83,6 +89,18 @@ def test_einstein_needs_adapted_frame():
     assert fr.source == "adapted"
     with pytest.raises(DegenerateFrameError):
         extract_frame(dataclasses.replace(ch, adapted_frame_fn=None), x)
+
+
+def test_adapted_frame_must_be_g_orthogonal():
+    # a registered frame whose columns are not g-orthogonal is the chart's
+    # inconsistency, raised for the whole stack, not a degenerate point
+    sheared = np.eye(4) + 0.1 * np.triu(np.ones((4, 4)), 1)
+    ch = dataclasses.replace(curv4.build_example("s2xs2:1,2"), adapted_frame_fn=lambda x: sheared)
+    X = curv4.sample_points(ch, count=3, seed=0)
+    with pytest.raises(InconsistencyError, match="not g-orthogonal"):
+        extract_frame(ch, X[0])
+    with pytest.raises(InconsistencyError, match="not g-orthogonal"):
+        curv4.extract_frames(ch, curv4.chart.curvature_batch(ch, X, degree=3))
 
 
 def test_eigen_frame_budgets():
@@ -228,7 +246,7 @@ def test_skw_and_sy_match_loop_references():
             x=np.zeros(4), g=np.eye(4), E=np.eye(4), lam=lam, sigma=sig, s=0.0,
             F=np.zeros((4, 4)), gamma=gm, dlam=rng.normal(size=(4, 4)),
             dsig=rng.normal(size=(4, 4, 4)), w_plus=np.zeros((3, 3)),
-            w_minus=np.zeros((3, 3)), source="eigen", clusters=[[0], [1], [2], [3]],
+            w_minus=np.zeros((3, 3)), source="eigen", clusters=np.arange(4),
         )  # fmt: skip
         assert skw_residuals(fr) == {key: float(v) for key, v in _loop_skw(fr).items()}
         out = sy_from_components(sig, lam, gm)

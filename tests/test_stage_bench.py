@@ -8,8 +8,9 @@ addopts), so they check only that every stage runs. For the timings:
 prints per-stage statistics: chart validation, one scrambled Halton draw,
 the three harmonicity residual norms of a one-point batch, extract_frame
 on an adapted (s2xs2) and an eigen (bump) frame, skw_residuals,
-structure_data, and the stacked harmonicity pass of a 3x3 s2xs2 scan at
-one sample per cell (nine reports from one curvature batch).
+structure_data, the stacked harmonicity pass of a 3x3 s2xs2 scan at
+one sample per cell (nine reports from one curvature batch), and the
+stacked frames of a 16-sample verify with their skw rows and invariants.
 """
 
 import numpy as np
@@ -17,7 +18,13 @@ import pytest
 
 import curv4
 import curv4.chart as chart_module
-from curv4.frames import extract_frame, skw_residuals, structure_data
+from curv4.frames import (
+    extract_frame,
+    extract_frames,
+    frame_invariants,
+    skw_residuals,
+    structure_data,
+)
 from curv4.numerics import halton
 
 EXAMPLES = ["s2xs2:1,2", "bump:0.1"]
@@ -69,3 +76,18 @@ def test_stage_stacked_harmonicity(benchmark):
     charts = [curv4.build_example(f"s2xs2:{k1},{k2}") for k1 in (1, 2, 3) for k2 in (1, 2, 3)]
     reports = benchmark(chart_module.harmonicity_reports, charts, count=1, seed=3)
     assert [len(r.points) for r in reports] == [1] * 9
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_stage_stacked_frames(benchmark, name):
+    # every sample of a default verify framed in one pass, as its report
+    # makes them: the frames, their skw rows and their invariants
+    chart = curv4.build_example(name)
+    batch = chart_module.harmonicity_report(chart, count=16, seed=3).batch
+
+    def frame_stage():
+        frames = extract_frames(chart, batch)
+        return frames, skw_residuals(frames), frame_invariants(frames)
+
+    frames, rows, counts = benchmark(frame_stage)
+    assert frames.framed.all() and rows["skw.a"].shape == counts["r"].shape == (16,)

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,29 @@ def test_normalized_scale_invariant_verdict():
         )
 
 
+def test_normalized_does_not_overflow():
+    # components near 1e200 overflow their squares: the point must still
+    # come out at unit norm, failing eq1.pair as the raw point does, not as
+    # the all-zero point that passes every equation
+    F, sigma = np.zeros((4, 4)), np.zeros((4, 4))
+    F[0, 1], F[2, 3], sigma[0, 1] = 1e200, 3e200, 5e199
+    raw = VarietyPoint(F=F, sigma=sigma, lam=np.zeros(4))
+    assert system_residuals(raw).rows["eq1.pair"] == 5e199
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        n = raw.normalized()
+    norm = np.sqrt(np.sum(n.F**2) + np.sum(n.sigma**2))
+    assert norm == pytest.approx(1.0, abs=1e-15)
+    assert n.sigma[0, 1] == pytest.approx(0.5 / np.sqrt(10.25), rel=1e-15)
+    assert not system_residuals(n).passed
+    # where the squares are finite, the scale is the plain one, bit for bit
+    F, sigma, lam = random_point(np.random.default_rng(3))
+    n = VarietyPoint(F=F, sigma=sigma, lam=lam, s=2.0).normalized()
+    scale = float(np.sqrt(np.sum(F**2) + np.sum(sigma**2)))
+    assert np.array_equal(n.F, F / scale) and np.array_equal(n.sigma, sigma / scale)
+    assert np.array_equal(n.lam, lam / scale) and n.s == 2.0 / scale
+
+
 def test_sampler_linear_only():
     pts = sample_variety(seed=2, count=6, constraint_mode="linear-only")
     fsi_vals = []
@@ -326,7 +350,7 @@ def test_minors_match_one_det_per_column_set():
         p = VarietyPoint(F=F, sigma=sigma, lam=lam)
         M = fsp_matrix(p.H)
         ref = [np.linalg.det(M[:, cols]) for cols in itertools.combinations(range(7), 4)]
-        assert np.array_equal(variety._polynomial_residuals(p)[6:], ref)
+        assert np.array_equal(variety._polynomial_residuals(F, sigma, lam)[6:], ref)
 
 
 # sha256 of the F, sigma and lam bytes of sample_variety(seed=0, count=2),
