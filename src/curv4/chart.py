@@ -17,8 +17,9 @@ charts in one batch, each chart's metric jet from its own evaluation, and
 several charts (`harmonicity_reports`, a scan's cells) are slices of one
 stacked batch of their sample points, a single report its one-chart case,
 and the curvature at one point (`curvature_at`, `batch[n]`) is a point of
-a curvature batch, the same record with the point axis dropped; nothing
-is cached.
+a curvature batch, the same record with the point axis dropped. Nothing
+is cached across batches; a batch keeps the W and nabla W it makes, so the
+residuals and the frames of one stack make each once.
 
 Every quantity after the metric is a jet too, made by contractions of jets
 and their partials (numerics.jet_contract, numerics.jet_partials), so one
@@ -43,8 +44,9 @@ differencing.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -70,10 +72,10 @@ from .tensor4 import ricci_contract  # noqa: F401
 
 def parallel_map(fn, items):
     """[fn(item) for item in items], in order in the calling thread. scan
-    runs each cell's frames and payload through it, after one stacked
-    harmonicity batch for all cells. It is kept only as the name
-    perfbench/tracing.py patches here and in cli to count and time scan's
-    cells, until the tracer is re-pointed."""
+    makes each cell's row through it, from the cell's slices of one
+    stacked harmonicity batch and one frame pass for all cells. It is kept
+    only as the name perfbench/tracing.py patches here and in cli to count
+    and time scan's cells, until the tracer is re-pointed."""
     return [fn(item) for item in items]
 
 
@@ -374,12 +376,14 @@ class CurvatureBatch:
     gamma[n, k, i, j] = Gamma^k_ij, R[n, i, j, k, l], ric, s (N,), weyl and
     the projection distance per point. Batches of degree 3 or more also
     carry nabla_riem[n, p, ...], nabla_ric, nabla_weyl and ds[n, p]; other
-    batches leave them None. weyl and nabla_weyl are made on request: not
-    every caller of a large batch reads them.
+    batches leave them None. weyl and nabla_weyl are made on first request
+    and kept on the batch: not every caller of a large batch reads them, and
+    the harmonicity residuals and the frames of one stack share them.
 
     batch[n] is point n, the same record without the point axis: x (4,),
-    g[i, j], nabla_riem[p, i, j, k, l], s a scalar, and so on; its weyl and
-    nabla_weyl are made for that point alone."""
+    g[i, j], nabla_riem[p, i, j, k, l], s a scalar, and so on; batch[lo:hi]
+    is a sub-stack. Either is a new batch of slices of the fields, whose
+    weyl and nabla_weyl are made for its own points alone."""
 
     x: np.ndarray
     g: np.ndarray
@@ -393,11 +397,11 @@ class CurvatureBatch:
     nabla_ric: np.ndarray = None
     ds: np.ndarray = None
 
-    @property
+    @functools.cached_property
     def weyl(self):
         return weyl_from_curv(self.g, self.R, self.ric, self.s)
 
-    @property
+    @functools.cached_property
     def nabla_weyl(self):
         # W is linear in R, ric and s, and nabla g = 0
         if self.ds is None:
@@ -405,9 +409,16 @@ class CurvatureBatch:
         return weyl_from_curv(self.g[..., None, :, :], self.nabla_riem, self.nabla_ric, self.ds)
 
     def __getitem__(self, n):
-        """Point n with the point axis dropped: each field is the n-th slice
-        of the batch's, None staying None."""
-        return CurvatureBatch(**{k: None if v is None else v[n] for k, v in vars(self).items()})
+        """Point n with the point axis dropped, or the sub-stack of a slice
+        (batch[None] stacks a point as a one-point batch): each field is
+        the n-th slice of the batch's, None staying None; the kept weyl and
+        nabla_weyl are not passed on."""
+        return CurvatureBatch(
+            **{k: None if (v := getattr(self, k)) is None else v[n] for k in _BATCH_FIELDS}
+        )
+
+
+_BATCH_FIELDS = tuple(f.name for f in fields(CurvatureBatch))
 
 
 def _norms(T):
@@ -445,11 +456,15 @@ def _jet_blocks(parts, degree, algebra):
     # algebra(X, coef, degree) on the metric coefficients of every (chart, X)
     # part, stacked on the point axis, block by block
     _integer_at_least("curvature degree", degree, 2)
+    if not len(parts):
+        raise InputError("the curvature stack has no charts")
     Xs, coefs = [], []
     for chart, X in parts:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != 4:
             raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
+        if not len(X):
+            raise InputError(f"the curvature stack has no points of chart '{chart.name}'")
         Xs.append(X)
         coefs.append(_metric_coefficients(chart, X, degree))
     X, coef = np.concatenate(Xs), np.concatenate(coefs, axis=1)
@@ -463,7 +478,7 @@ def stacked_curvature_batch(parts, degree=2):
     part's metric coefficients from its own one jet_fn or eval_batch call,
     the algebra running once per block of the stacked points. Each point
     equals its point of curvature_batch(chart, X, degree) on its own part,
-    bit for bit."""
+    bit for bit. No parts, or a part with no points, raises InputError."""
     blocks = [
         {"projection_distance": dist, **{key: jet[0] for key, jet in jets.items()}}
         for jets, dist in _jet_blocks(parts, degree, _curvature_algebra)
@@ -486,8 +501,8 @@ def curvature_batch(chart, X, degree=2):
     positive-definite metric with g g^-1 = I, nabla g = 0, and a raw
     curvature within 1e-3 * ||raw|| of its projection. A point outside the
     box (or, for finite-difference jets, one whose stencil leaves it) raises
-    DomainError naming that point; a degree that is not an integer >= 2
-    raises InputError.
+    DomainError naming that point; a degree that is not an integer >= 2,
+    or X with no points, raises InputError.
     """
     return stacked_curvature_batch([(chart, X)], degree)
 
@@ -663,8 +678,9 @@ class HarmonicityReport:
 
     Residual keys: 'dvr' = ||d ric|| (= ||div R||), 'dvw.w' = ||div W||,
     'dvw.ds' = ||ds||, with 'cst' the spread of s across the samples.
-    `batch` is the third-order curvature batch of the sample points, the
-    report's slice of a stacked batch when reports are made together.
+    `stack` is the third-order curvature batch the residuals were taken on,
+    shared by every report made with this one, and `span` the report's
+    slice of it; `batch` is that slice, the batch of the report's samples.
     """
 
     points: np.ndarray
@@ -674,17 +690,24 @@ class HarmonicityReport:
     s_spread: float
     harmonic: bool
     tols: dict
-    batch: CurvatureBatch
+    stack: CurvatureBatch
+    span: slice
+
+    @property
+    def batch(self):
+        return self.stack[self.span]
 
 
 def harmonicity_reports(charts, count=16, seed=0, tols=None):
     """One harmonicity report per chart, in order, all from one third-order
     stacked_curvature_batch: each chart's `count` samples are one Halton
     draw mapped into its box (the points sample_points gives), the
-    residuals are taken once over the stack, and each report holds its
-    chart's slice of it. `tols` overrides tiers of DEFAULT_TOLS; a tier it
-    does not have, or a value that is not a finite positive number, raises
-    InputError, as do the count and seed that sample_points rejects."""
+    residuals are taken once over the stack, and each report holds the
+    stack and its chart's span of it, so the frames of every report can be
+    made in one pass over the same stack. `tols` overrides tiers of
+    DEFAULT_TOLS; a tier it does not have, or a value that is not a finite
+    positive number, raises InputError, as do the count and seed that
+    sample_points rejects and an empty sequence of charts."""
     tols = _checked_tols(tols or {})
     u = _unit_samples(count, seed)
     parts = [(chart, _in_box(chart, u)) for chart in charts]
@@ -692,24 +715,25 @@ def harmonicity_reports(charts, count=16, seed=0, tols=None):
     residuals = {key: residual(stack) for key, residual in _RESIDUALS.items()}
     reports = []
     for n, (_, pts) in enumerate(parts):
-        part = slice(n * count, (n + 1) * count)
-        batch, values = stack[part], {key: v[part] for key, v in residuals.items()}
+        span = slice(n * count, (n + 1) * count)
+        s_values, values = stack.s[span], {key: v[span] for key, v in residuals.items()}
         rows = [{key: float(v[i]) for key, v in values.items()} for i in range(count)]
         maxima = {key: float(v.max()) for key, v in values.items()}
-        s_spread = float(batch.s.max() - batch.s.min())
-        s_scale = max(1.0, float(np.max(np.abs(batch.s))))
+        s_spread = float(s_values.max() - s_values.min())
+        s_scale = max(1.0, float(np.max(np.abs(s_values))))
         harmonic = all(v <= tols["third"] for v in maxima.values())
         harmonic = harmonic and s_spread <= tols["second"] * s_scale
         reports.append(
             HarmonicityReport(
                 points=pts,
                 rows=rows,
-                s_values=batch.s,
+                s_values=s_values,
                 maxima=maxima,
                 s_spread=s_spread,
                 harmonic=harmonic,
                 tols=tols,
-                batch=batch,
+                stack=stack,
+                span=span,
             )
         )
     return reports

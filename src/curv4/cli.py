@@ -12,8 +12,10 @@ variety --mode without --sample or --count without --from-example. Reports
 wall-time field. Every chart is built by examples.build_example, from a
 registry string or from a kind and its parameter values, and reports the
 exact name it was built under. Every registry chart has an exact metric
-jet, so no finite-difference setting enters a report. verify and each scan
-cell frame every sample, in one stacked frame pass over their batch.
+jet, so no finite-difference setting enters a report. verify and scan frame
+every sample: a scan's cells, like verify's one chart, take one stacked
+harmonicity batch and one frame pass over it, and each cell's row reads its
+slice of the frames, skw rows and invariants.
 """
 
 from __future__ import annotations
@@ -119,14 +121,29 @@ def _emit(payload, fmt, out, csv_writer=None):
         sys.stdout.write(text)
 
 
-def _verify_payload(config, chart, rep):
-    """The verify report body on `chart` from its harmonicity report `rep`,
-    without timing: every sample is framed, in one stacked pass over
-    rep.batch (extract_frames), which evaluates no curvature of its own.
-    verify and each scan cell make it the same way."""
-    tols = rep.tols
-    frames = extract_frames(chart, rep.batch)
+def _frame_pass(charts, reports):
+    """One stacked frame pass over the reports' one stack (extract_frames,
+    which evaluates no curvature of its own), as the tuple (framed, source,
+    skw rows, invariants), each over every sample of the reports of
+    `charts`: which samples have a frame, its source, and the skw_residuals
+    and frame_invariants of the stack."""
+    point_charts = [chart for chart, rep in zip(charts, reports) for _ in rep.points]
+    frames = extract_frames(point_charts, reports[0].stack)
     framed = frames.framed
+    if not framed.any():
+        # no sample has a frame (constant curvature): there are no rows to read
+        return framed, frames.source, {}, {}
+    return framed, frames.source, skw_residuals(frames), frame_invariants(frames)
+
+
+def _verify_payload(config, chart, rep, framing):
+    """The verify report body on `chart` from its harmonicity report `rep`
+    and the _frame_pass `framing` of rep's stack, without timing: the rows
+    and counts of rep's samples are their slice rep.span of the stack's
+    framing. verify and each scan cell make it the same way."""
+    tols = rep.tols
+    stack_framed, source, stack_skw, stack_invariants = framing
+    framed = stack_framed[rep.span]
     points = [
         {"x": list(map(float, x)), "residuals": dict(rows), "counts": {"degenerate": True}}
         for x, rows in zip(rep.points, rep.rows)
@@ -135,12 +152,12 @@ def _verify_payload(config, chart, rep):
     if framed.any():
         # the rows and counts of the framed points, as Python numbers
         at = np.flatnonzero(framed)
-        skw = {key: v[at].tolist() for key, v in skw_residuals(frames).items()}
-        invariants = {key: v[at].tolist() for key, v in frame_invariants(frames).items()}
+        skw = {key: v[rep.span][at].tolist() for key, v in stack_skw.items()}
+        invariants = {key: v[rep.span][at].tolist() for key, v in stack_invariants.items()}
         for m, n in enumerate(at.tolist()):
             points[n]["residuals"].update((key, v[m]) for key, v in skw.items())
             counts = {key: v[m] for key, v in invariants.items()}
-            points[n]["counts"] = {**counts, "source": frames.source}
+            points[n]["counts"] = {**counts, "source": source}
         skw_max = {key: max(v) for key, v in skw.items()}
 
     counts = fold_invariants(invariants, degenerate_points=int(np.count_nonzero(~framed)))
@@ -189,12 +206,12 @@ def _verify_csv(payload, fh):
 
 def cmd_verify(config, chart=None):
     """The verify report on `chart`, by default build_example(config.example):
-    the one-chart case of a scan cell."""
+    the one-chart case of a scan."""
     if chart is None:
         chart = build_example(config.example)
     t_start = time.perf_counter()
     rep = harmonicity_report(chart, count=config.samples, seed=config.seed, tols=config.tolerances)
-    payload = _verify_payload(config, chart, rep)
+    payload = _verify_payload(config, chart, rep, _frame_pass([chart], [rep]))
     payload["timing"] = {"wall_seconds": time.perf_counter() - t_start}
     exit_code = 0 if payload["summary"]["verdicts"]["overall"] else 1
     return Report(payload=payload, exit_code=exit_code)
@@ -270,8 +287,9 @@ def cmd_scan(config, kind, param_grid):
     """The scan report over the grid's cells: every cell's chart is built
     before any curvature is evaluated, so a cell its factory rejects ends
     the scan (exit 2); then all cells' samples go through one stacked
-    harmonicity pass (harmonicity_reports), and each cell's row, its every
-    sample framed, is made from its own report as its verify would make it."""
+    harmonicity pass (harmonicity_reports) and one frame pass over the same
+    stack (_frame_pass), and each cell's row is made from its report and
+    its slice of the frames, as its verify would make it."""
     kind = canonical_name(kind)
     for name, values in param_grid.items():
         if not values:
@@ -285,10 +303,11 @@ def cmd_scan(config, kind, param_grid):
     reports = harmonicity_reports(
         charts, count=config.samples, seed=config.seed, tols=config.tolerances
     )
+    framing = _frame_pass(charts, reports)
 
     def run_cell(item):
         cell, chart, rep = item
-        payload = _verify_payload(replace(config, example=chart.name), chart, rep)
+        payload = _verify_payload(replace(config, example=chart.name), chart, rep, framing)
         return {
             "params": cell,
             "example": chart.name,

@@ -13,9 +13,9 @@ Indices are 0-based, and every gather over index tuples reads
 tensor4's index tables (its docstring fixes the convention).
 
 extract_frames builds the frames at every point of a third-order curvature
-batch in one stacked pass, the point axis first; a point with no canonical
-frame gets a status naming why, which extract_frame, the one-point case,
-raises.
+batch in one stacked pass, the point axis first, each point framed on its
+own chart (a scan's cells are one stack); a point with no canonical frame
+gets a status naming why, which extract_frame, the one-point case, raises.
 
 Derivatives of the frame field are closed form in the third-order
 curvature at the point, a point of a curvature batch: A[p, k, b] =
@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import CurvatureBatch, _metric_norms, connection_jets, curvature_at, curvature_jets
+from .chart import MetricChart, _metric_norms, connection_jets, curvature_batch, curvature_jets
 from .errors import DegenerateFrameError, InconsistencyError, InputError, PreconditionError
 
 # central_diff stays importable from here for perfbench/tracing.py, which
@@ -92,15 +92,16 @@ _DEGENERATE = (
 )
 
 
-def _status(chart, X, causes):
+def _status(charts, X, causes):
     # per point: '' where no cause holds, else the _DEGENERATE message of
-    # the first that does; and the points where none holds
+    # the first that does, naming the point's chart; and the points where
+    # none holds
     degenerate = np.logical_or.reduce(causes)
     status = [""] * len(X)
     if degenerate.any():
         for n in np.flatnonzero(degenerate):
             why = next(k for k, cause in enumerate(causes) if cause[n])
-            status[n] = f"chart '{chart.name}' at {X[n].tolist()}: {_DEGENERATE[why]}"
+            status[n] = f"chart '{charts[n].name}' at {X[n].tolist()}: {_DEGENERATE[why]}"
     return tuple(status), ~degenerate
 
 
@@ -128,7 +129,8 @@ def cluster_count(values):
 @dataclass
 class RicciFrame:
     """Ricci eigenframes at stacked points and their first-order structure
-    functions, the point axis first; frames[n] is point n without it.
+    functions, the point axis first; frames[n] is point n without it, and
+    frames[lo:hi] the sub-stack of those points.
 
     x: the point; g: the metric at x; E: the frame vectors as columns, in
     chart coordinates; lam[a] = lambda_a; sigma[a, b] = sigma_ab; s: scalar
@@ -170,11 +172,13 @@ class RicciFrame:
         return np.abs(self.gamma[(..., *TRIPLES)]).max(axis=-1)
 
     def __getitem__(self, n):
-        if self.status[n]:
+        """Point n, DegenerateFrameError where it has no canonical frame; or
+        the sub-stack of a slice, statuses and all."""
+        if not isinstance(n, slice) and self.status[n]:
             raise DegenerateFrameError(self.status[n])
-        point = {k: v[n] for k, v in vars(self).items() if k not in ("source", "diagnostics")}
+        part = {k: v[n] for k, v in vars(self).items() if k not in ("source", "diagnostics")}
         diagnostics = {k: v[n] for k, v in self.diagnostics.items()}
-        return RicciFrame(**point, source=self.source, diagnostics=diagnostics)
+        return RicciFrame(**part, source=self.source, diagnostics=diagnostics)
 
 
 def _metric_sqrt_inv(g):
@@ -191,11 +195,12 @@ def _eigenframes(g, b):
     return res.values, s_inv @ res.vectors
 
 
-def _adapted_frames(chart, X, g, b, framed):
-    """The chart's adapted frame at each point X[n], its columns normalized
-    in g[n] and ordered by ascending b(e_a, e_a), and those values. Raises
-    InconsistencyError where a framed point's columns are not g-orthogonal."""
-    E = np.array([np.asarray(chart.adapted_frame_fn(x), dtype=float) for x in X])
+def _adapted_frames(charts, X, g, b, framed):
+    """The adapted frame of the chart charts[n] at each point X[n], its
+    columns normalized in g[n] and ordered by ascending b(e_a, e_a), and
+    those values. Raises InconsistencyError where a framed point's columns
+    are not g-orthogonal."""
+    E = np.array([np.asarray(c.adapted_frame_fn(x), dtype=float) for c, x in zip(charts, X)])
     E = E / np.sqrt(np.einsum("...ma,...mn,...na->...a", E, g, E))[..., None, :]
     gram = np.abs(E.swapaxes(-1, -2) @ g @ E - np.eye(4)).reshape(len(X), -1)
     if (gram.max(axis=-1)[framed] > 1e-8).any():
@@ -292,17 +297,22 @@ def _structure_f(C):
     return np.einsum("...iji->...ji", C)
 
 
-def extract_frames(chart, batch):
+def extract_frames(charts, batch):
     """The Ricci eigenframes and structure functions at every point of the
-    third-order curvature batch `batch` (chart.CurvatureBatch) of `chart`,
-    in one stacked pass that evaluates nothing beyond the batch.
+    third-order curvature batch `batch` (chart.CurvatureBatch), in one
+    stacked pass that evaluates nothing beyond the batch. `charts` is the
+    chart of each point, in order, or one chart for them all: a scan frames
+    the samples of all its cells at once, on the stack their harmonicity
+    residuals were taken on, and each cell reads its slice.
 
-    Source 'adapted' is the chart's registered frame, 'eigen' the eigenframe
-    of the traceless Ricci form rotated in pair clusters to diagonalize W.
-    A point has no canonical frame (a status instead) when Einstein and
-    conformally flat or, without an adapted frame, Einstein, or with a
-    3-point cluster and W != 0. The checks (adapted columns g-orthogonal,
-    the frame g-orthonormal, sd_split's) read the framed points only.
+    Source 'adapted' is the registered frame of each point's chart, 'eigen'
+    the eigenframe of the traceless Ricci form rotated in pair clusters to
+    diagonalize W; it is one per stack, and a stack whose charts mix them
+    raises InputError. A point has no canonical frame (a status naming its
+    chart instead) when Einstein and conformally flat or, without an
+    adapted frame, Einstein, or with a 3-point cluster and W != 0. The
+    checks (adapted columns g-orthogonal, the frame g-orthonormal,
+    sd_split's) read the framed points only.
     """
     X, g, ric_d = batch.x, batch.g, batch.nabla_ric
     if ric_d is None:
@@ -310,6 +320,13 @@ def extract_frames(chart, batch):
             f"the curvature at {X[0].tolist()} has no covariant derivatives; "
             "frames need curvature of degree 3 or more"
         )
+    charts = [charts] * len(X) if isinstance(charts, MetricChart) else list(charts)
+    if len(charts) != len(X):
+        raise InputError(f"{len(charts)} charts for a stack of {len(X)} points")
+    sources = {c.adapted_frame_fn is not None for c in charts}
+    if len(sources) > 1:
+        raise InputError("the stack mixes charts with and without an adapted frame")
+    (adapted,) = sources
     b = batch.ric - batch.s[:, None, None] * g / 4.0
     b_scale = _metric_norms(b, batch.g_inv)
     W = batch.weyl
@@ -317,18 +334,17 @@ def extract_frames(chart, batch):
     einstein = b_scale <= 1e-8 * np.maximum(1.0, np.abs(batch.s))
     w_zero = w_scale <= 1e-8 * np.maximum(1.0, _norm(batch.R, 4))
 
-    adapted = chart.adapted_frame_fn is not None
     source = "adapted" if adapted else "eigen"
     # why a point has no canonical frame, in _DEGENERATE's order
     causes = [einstein & w_zero] + ([] if adapted else [einstein])
-    status, framed = _status(chart, X, causes)
+    status, framed = _status(charts, X, causes)
     if not framed.any():
         # no point has a frame (as on a constant-curvature chart): zeros fill in
         zeros = {name: np.zeros((len(X), *shape)) for name, shape in _FRAME_SHAPES.items()}
         clusters = np.zeros(X.shape, dtype=int)
         return RicciFrame(x=X, g=g, source=source, clusters=clusters, status=status, **zeros)
     if adapted:
-        lam, E = _adapted_frames(chart, X, g, b, framed)
+        lam, E = _adapted_frames(charts, X, g, b, framed)
     else:
         lam, E = _eigenframes(g, b)
     clusters = cluster_indices(lam)
@@ -340,7 +356,7 @@ def extract_frames(chart, batch):
         adjacent = same[:, (0, 1, 2), (1, 2, 3)]
         causes.append(~w_zero & (adjacent[:, 1:] & adjacent[:, :-1]).any(axis=-1))
         if causes[-1].any():
-            status, framed = _status(chart, X, causes)
+            status, framed = _status(charts, X, causes)
 
     if not adapted:
         rotate = adjacent & (framed & ~w_zero)[:, None]
@@ -414,10 +430,11 @@ def extract_frame(chart, x, entry=None):
     """
     x = np.asarray(x, dtype=float)
     if entry is None:
-        entry = curvature_at(chart, x, degree=3)
-    elif not np.array_equal(entry.x, x):
+        batch = curvature_batch(chart, x[None], degree=3)
+    elif np.array_equal(entry.x, x):
+        batch = entry[None]
+    else:
         raise InputError(f"the curvature is at {entry.x.tolist()}, not at {x.tolist()}")
-    batch = CurvatureBatch(**{k: None if v is None else v[None] for k, v in vars(entry).items()})
     return extract_frames(chart, batch)[0]
 
 

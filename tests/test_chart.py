@@ -392,10 +392,12 @@ def test_report_is_one_jet_evaluation():
 
 
 def test_weyl_is_made_on_request(monkeypatch):
-    # a report makes nabla W once, for all its sample points; a point of its
-    # batch makes W and nabla W on access, for that point alone, and a frame
-    # from the point makes each once, on its one-point stack; structure_data's
-    # jet makes neither.
+    # a report makes nabla W once, for all its sample points, and keeps it on
+    # its stack: the frames of the stack make W once and read that nabla W,
+    # and a second frame pass over the stack makes neither again. A point of
+    # the stack is a new batch: it makes W and nabla W on access, for that
+    # point alone, once each, and a frame from the point makes each once, on
+    # its one-point stack; structure_data's jet makes neither.
     # Both go through weyl_from_curv: nabla W passes g with a derivative
     # axis, g[..., None, :, :], so the shape of g tells them apart
     calls = []
@@ -410,9 +412,14 @@ def test_weyl_is_made_on_request(monkeypatch):
     report = harmonicity_report(chart, count=16, seed=0)
     assert calls == [(16, 1)]
     calls.clear()
+    curv4.extract_frames(chart, report.stack)
+    assert calls == [(16,)]
+    curv4.extract_frames(chart, report.stack)
+    assert calls == [(16,)]
+    calls.clear()
     point = report.batch[3]
     assert calls == []
-    point.weyl, point.nabla_weyl
+    point.weyl, point.nabla_weyl, point.weyl, point.nabla_weyl
     assert calls == [(), (1,)]
     calls.clear()
     curv4.extract_frame(chart, report.points[3], entry=point)
@@ -446,3 +453,28 @@ def test_stacked_batch_points_equal_their_own_batches():
         assert np.array_equal(rep.points, alone.points) and rep.rows == alone.rows
         assert (rep.maxima, rep.s_spread, rep.harmonic) == (alone.maxima, alone.s_spread, alone.harmonic)
         assert np.array_equal(rep.batch.R, alone.batch.R)
+
+
+def test_report_holds_its_span_of_the_stack():
+    # reports made together share one stack; each batch is its span of it
+    charts = [curv4.build_example(name) for name in ("s2xs2:1,2", "bump:0.1", "kpc")]
+    reports = chart_module.harmonicity_reports(charts, count=3, seed=2)
+    stack = reports[0].stack
+    assert all(rep.stack is stack for rep in reports) and len(stack.x) == 9
+    for n, rep in enumerate(reports):
+        assert rep.span == slice(3 * n, 3 * n + 3)
+        assert np.array_equal(rep.batch.x, rep.points) and np.array_equal(rep.batch.R, stack.R[rep.span])
+
+
+@pytest.mark.parametrize(
+    "make, named",
+    [
+        (lambda chart: chart_module.curvature_batch(chart, np.zeros((0, 4)), 3), "no points"),
+        (lambda chart: chart_module.stacked_curvature_batch([(chart, np.zeros((0, 4)))]), "no points"),
+        (lambda chart: chart_module.stacked_curvature_batch([]), "no charts"),
+        (lambda chart: chart_module.harmonicity_reports([]), "no charts"),
+    ],
+)
+def test_empty_stack_is_named(make, named):
+    with pytest.raises(InputError, match=named):
+        make(curv4.build_example("s2xs2:1,2"))

@@ -345,6 +345,29 @@ def test_scan_is_one_curvature_batch(samples, algebra_calls, capsys, monkeypatch
     assert len(blocks) == algebra_calls and sum(blocks) == 9 * n
 
 
+@pytest.mark.parametrize("samples", [1, 4])
+def test_scan_is_one_frame_pass(samples, capsys, monkeypatch):
+    # the 9 cells' samples are framed in one extract_frames call over the
+    # stack their residuals were taken on, with one W+/W- split for them all
+    passes, splits = [], []
+    extract, split = curv4.cli.extract_frames, curv4.frames.sd_split
+
+    def counted_extract(charts, batch):
+        passes.append((len(charts), len(batch.x)))
+        return extract(charts, batch)
+
+    def counted_split(Wf, orientation):
+        splits.append(len(Wf))
+        return split(Wf, orientation)
+
+    monkeypatch.setattr(curv4.cli, "extract_frames", counted_extract)
+    monkeypatch.setattr(curv4.frames, "sd_split", counted_split)
+    argv = ["scan", "s2xs2", "--param", "k1=1,2,3", "--param", "k2=1,2,3", "--samples", str(samples)]
+    code, _, _ = run_main(argv, capsys)
+    assert code == 0
+    assert passes == [(9 * samples, 9 * samples)] and splits == [9 * samples]
+
+
 def test_scan_with_one_rejected_cell_exits_2(capsys):
     # K0 = -5 puts K0 + c below the kpc floor; its cell ends the whole scan
     code, out, err = run_main(["scan", "kpc", "--param", "K0=0.5,-5", "--samples", "1"], capsys)

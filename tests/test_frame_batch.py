@@ -21,8 +21,14 @@ import pytest
 
 import curv4
 import curv4.cli
-from curv4.chart import MetricChart, curvature_at, curvature_batch, sample_points
-from curv4.errors import DegenerateFrameError, DomainError
+from curv4.chart import (
+    MetricChart,
+    curvature_at,
+    curvature_batch,
+    sample_points,
+    stacked_curvature_batch,
+)
+from curv4.errors import DegenerateFrameError, DomainError, InputError
 from curv4.frames import (
     extract_frame,
     extract_frames,
@@ -372,6 +378,77 @@ def test_stacked_degenerate_points_carry_their_status():
             extract_frame(chart, x)
         assert str(stacked.value) == str(alone.value) == frames.status[n]
         assert "Ricci is a multiple of g and W = 0" in frames.status[n]
+
+
+def framed_stack(charts, count=2, seed=1):
+    """Each chart's `count` sample points stacked in one third-order batch,
+    framed in one pass on the chart of each point; and the (chart, X) parts."""
+    parts = [(chart, sample_points(chart, count=count, seed=seed)) for chart in charts]
+    at = [chart for chart, X in parts for _ in X]
+    return extract_frames(at, stacked_curvature_batch(parts, degree=3)), parts
+
+
+@pytest.mark.parametrize(
+    "names",
+    [
+        ("s2xs2:1,2", "s2xs2:2,3", "s2xs2:3,0.5", "kpc", "rxs3"),
+        ("bump:0.1", "randflat:0", "s4"),
+    ],
+)
+def test_multi_chart_stack_equals_each_chart_alone(names):
+    # a stack of adapted charts (s2xs2 cells, kpc, rxs3) and one of eigen
+    # charts (bump, randflat, s4): each chart's slice of the stack's frames,
+    # diagnostics, skw rows and invariants is its own extract_frames, bit
+    # for bit; s4's points have no frame, and their status names s4
+    charts = [curv4.build_example(name) for name in names]
+    frames, parts = framed_stack(charts)
+    rows, counts = skw_residuals(frames), frame_invariants(frames)
+    lo = 0
+    for chart, X in parts:
+        part = slice(lo, lo + len(X))
+        lo += len(X)
+        alone = extract_frames(chart, curvature_batch(chart, X, degree=3))
+        if chart.name == "s4":
+            assert frames[part].status == alone.status and not alone.framed.any()
+            assert all(f"chart '{chart.name}'" in why for why in alone.status)
+            continue
+        assert alone.framed.all() and frames.source == alone.source
+        assert_same_frame(frames[part], alone)
+        for key, value in skw_residuals(alone).items():
+            assert np.array_equal(rows[key][part], value), key
+        for key, value in frame_invariants(alone).items():
+            assert np.array_equal(counts[key][part], value), key
+
+
+def test_a_stack_that_mixes_frame_sources_is_rejected(registry_charts):
+    charts = [registry_charts["s2xs2:1,2"], registry_charts["bump:0.1"]]
+    with pytest.raises(InputError, match="adapted frame"):
+        framed_stack(charts)
+    batch = curvature_batch(charts[1], sample_points(charts[1], count=3), degree=3)
+    with pytest.raises(InputError, match="2 charts for a stack of 3 points"):
+        extract_frames(charts[1:] * 2, batch)
+
+
+def test_frame_stack_slices(registry_charts):
+    # a slice is the sub-stack, its statuses and diagnostics sliced too; an
+    # integer index still raises at a point with no frame
+    chart = registry_charts["s2xs2:1,2"]
+    frames = extract_frames(chart, curvature_batch(chart, sample_points(chart, count=3), degree=3))
+    head = frames[0:2]
+    assert head.status == ("", "") and head.framed.all() and head.source == "adapted"
+    for key, value in vars(head).items():
+        if key == "diagnostics":
+            assert all(np.array_equal(v, frames.diagnostics[k][0:2]) for k, v in value.items())
+        elif key not in ("source", "status"):
+            assert np.array_equal(value, getattr(frames, key)[0:2]), key
+    assert_same_frame(head[1], frames[1])
+    charts = [registry_charts[name] for name in ("bump:0.1", "s4")]
+    frames, _ = framed_stack(charts)
+    tail = frames[1:4]
+    assert tail.status == frames.status[1:4] and tail.framed.tolist() == [True, False, False]
+    assert_same_frame(tail[0], frames[1])
+    with pytest.raises(DegenerateFrameError, match="chart 's4'"):
+        tail[1]
 
 
 def rotated_product_chart(with_jet):

@@ -9,8 +9,12 @@ prints per-stage statistics: chart validation, one scrambled Halton draw,
 the three harmonicity residual norms of a one-point batch, extract_frame
 on an adapted (s2xs2) and an eigen (bump) frame, skw_residuals,
 structure_data, the stacked harmonicity pass of a 3x3 s2xs2 scan at
-one sample per cell (nine reports from one curvature batch), and the
-stacked frames of a 16-sample verify with their skw rows and invariants.
+one sample per cell (nine reports from one curvature batch), the frames
+of those nine cells as one stack with their skw rows and invariants, and
+the stacked frames of a 16-sample verify with theirs. A stack keeps the
+W and nabla W it makes, so the frame stages time every round after the
+first without them, as a scan's or verify's frame pass reads the nabla W
+its harmonicity pass made.
 """
 
 import numpy as np
@@ -78,12 +82,26 @@ def test_stage_stacked_harmonicity(benchmark):
     assert [len(r.points) for r in reports] == [1] * 9
 
 
+def test_stage_stacked_scan_frames(benchmark):
+    # the frames of the nine one-sample cells of a 3x3 s2xs2 scan, made in
+    # one pass over their stacked harmonicity batch, each point on its chart
+    charts = [curv4.build_example(f"s2xs2:{k1},{k2}") for k1 in (1, 2, 3) for k2 in (1, 2, 3)]
+    stack = chart_module.harmonicity_reports(charts, count=1, seed=3)[0].stack
+
+    def frame_stage():
+        frames = extract_frames(charts, stack)
+        return frames, skw_residuals(frames), frame_invariants(frames)
+
+    frames, rows, counts = benchmark(frame_stage)
+    assert frames.framed.all() and rows["skw.a"].shape == counts["r"].shape == (9,)
+
+
 @pytest.mark.parametrize("name", EXAMPLES)
 def test_stage_stacked_frames(benchmark, name):
     # every sample of a default verify framed in one pass, as its report
     # makes them: the frames, their skw rows and their invariants
     chart = curv4.build_example(name)
-    batch = chart_module.harmonicity_report(chart, count=16, seed=3).batch
+    batch = chart_module.harmonicity_report(chart, count=16, seed=3).stack
 
     def frame_stage():
         frames = extract_frames(chart, batch)
