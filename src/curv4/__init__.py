@@ -31,6 +31,7 @@ from .tensor4 import (
 )
 from .chart import (
     DEFAULT_TOLS,
+    ChartFamily,
     CurvatureField,
     HarmonicityReport,
     MetricChart,
@@ -76,6 +77,7 @@ from .examples import (
     REGISTRY,
     SurfaceProfile,
     build_example,
+    build_examples,
     example_names,
     make_bump_nonharmonic,
     make_constant_curvature,

@@ -1,8 +1,16 @@
 """Coordinate charts and curvature from metric jets.
 
 A MetricChart is a box in R^4 with a smooth closed-form metric evaluator.
-All curvature starts from the Taylor coefficients of the metric at
-x to a degree d: 2, 3 for the covariant derivatives of curvature (the
+A ChartFamily is one closed form, `formula(x, **params)` with parameters
+that broadcast over the leading axes of x, and a chart per row of
+parameters: its rows are validated together (_validate_chart runs each
+check once over the rows stacked, with its bound applied per row), and a
+stack of their points takes its metric jet from one formula call, each
+point with its own row's parameters. A chart made alone is validated as
+the one-row case.
+
+All curvature starts from the Taylor coefficients of the metric at x to a
+degree d: 2, 3 for the covariant derivatives of curvature (the
 harmonicity residuals), 4 for their first partials as well (the frame
 structure data). A chart with a `jet_fn` gives them exactly, by truncated
 Taylor arithmetic (numerics.Jet); for any other chart they are the
@@ -12,9 +20,10 @@ of its derivatives. The rest is shared, and runs on stacked points:
 `curvature_jets` takes the curvature jets at N points from one jet
 evaluation and `curvature_batch` their values (`connection_jets` stops at
 g^-1 and Gamma). `stacked_curvature_batch` stacks the points of several
-charts in one batch, each chart's metric jet from its own evaluation, and
-`curvature_batch` is its one-chart case. The harmonicity reports of
-several charts (`harmonicity_reports`, a scan's cells) are slices of one
+charts in one batch, the metric jet of consecutive rows of one family (a
+scan's cells) from one family evaluation and any other chart's from its
+own, and `curvature_batch` is its one-chart case. The harmonicity reports
+of several charts (`harmonicity_reports`, a scan's cells) are slices of one
 stacked batch of their sample points, a single report its one-chart case,
 and the curvature at one point (`curvature_at`, `batch[n]`) is a point of
 a curvature batch, the same record with the point axis dropped. Nothing
@@ -46,13 +55,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 import numpy as np
 
 from .errors import DomainError, InconsistencyError, InputError
 from .numerics import (
     DEFAULT_STENCIL,
+    Jet,
     StencilConfig,
     axis_stencil,
     central_diff,
@@ -134,6 +144,12 @@ class MetricChart:
 
     `stencil` is how a chart without a jet_fn differences its metric jet;
     a chart with one differences nothing.
+
+    A chart that ChartFamily.charts makes is a row of its family: `family`
+    is the ChartFamily and `row` the formula's keyword arguments for this
+    chart, and the family validates all its rows at once. Any other chart,
+    one that dataclasses.replace makes included, has neither and is
+    validated alone.
     """
 
     name: str
@@ -144,12 +160,16 @@ class MetricChart:
     batched: bool = False
     jet_fn: object = None
     stencil: StencilConfig = DEFAULT_STENCIL
+    # (family, row), given by ChartFamily.charts only
+    family_row: InitVar[tuple] = None
 
-    def __post_init__(self):
+    def __post_init__(self, family_row):
         self.box = np.asarray(self.box, dtype=float)
         if self.box.shape != (4, 2) or np.any(self.box[:, 1] <= self.box[:, 0]):
             raise InputError("box must be (4,2) with lo < hi per axis")
-        _validate_chart(self)
+        self.family, self.row = family_row or (None, None)
+        if self.family is None:
+            _validate_chart(self)
 
     def contains(self, x):
         x = np.asarray(x, dtype=float)
@@ -182,6 +202,77 @@ class MetricChart:
         return G
 
 
+@dataclass(frozen=True, eq=False)
+class ChartFamily:
+    """Metric charts that share one closed form, a chart per row of its
+    parameters.
+
+    `formula(x, **row)` is the metric at stacked points x (..., 4), written
+    with numpy operations, so that on the coordinate jets of numerics.Jet it
+    gives the exact metric jet. A row is the formula's keyword arguments for
+    one chart. Each chart evaluates the formula with its own row as it is
+    (Python floats, a point (4,) unstacked), and a stack of rows goes through
+    it in one call (`evaluate`): a family that `broadcasts` takes every
+    argument as the array (R, 1) of the rows' values against points
+    (R, P, 4); any other is called once per row, for rows whose arguments
+    are prepared per row (a kpc profile, randflat's wave tables).
+    `adapted_frame_fn` is every row's.
+    """
+
+    formula: object
+    broadcasts: bool = True
+    adapted_frame_fn: object = None
+
+    def charts(self, rows):
+        """The charts of the family at `rows`, (row, name, box, params) each,
+        validated together (_validate_chart)."""
+        charts = [
+            MetricChart(
+                name=name,
+                box=box,
+                eval_fn=functools.partial(self.formula, **row),
+                params=params,
+                adapted_frame_fn=self.adapted_frame_fn,
+                batched=True,
+                jet_fn=functools.partial(self._jet, row),
+                family_row=(self, row),
+            )
+            for row, name, box, params in rows
+        ]
+        if charts:
+            _validate_chart(*charts)
+        return charts
+
+    def _jet(self, row, x, degree):
+        return self.formula(Jet.variables(x, degree), **row).coef
+
+    def evaluate(self, X, rows, degree=None):
+        """The metric (degree None) or its Taylor coefficients to `degree` at
+        stacked rows of points X (R, P, 4), X[n] with rows[n]: shape
+        (R, P, 4, 4), or (R, P, 4, 4, ncoef)."""
+
+        def at(x, row):
+            if degree is None:
+                return np.asarray(self.formula(x, **row), dtype=float)
+            return self._jet(row, x, degree)
+
+        if self.broadcasts:
+            return at(X, {key: np.array([row[key] for row in rows])[:, None] for key in rows[0]})
+        return np.stack([at(x, row) for x, row in zip(X, rows)])
+
+
+def _rows_evaluate(charts, X, degree=None):
+    """The metric (degree None) or its Taylor coefficients to `degree` of
+    every chart at its points X[n] (R, P, 4), the row axis first: one call
+    for the rows of a family, or one eval_fn or jet_fn call of a chart alone
+    on X[0]."""
+    if len(charts) > 1:
+        return charts[0].family.evaluate(X, [chart.row for chart in charts], degree)
+    (chart,) = charts
+    values = chart.eval_fn(X[0]) if degree is None else chart.jet_fn(X[0], degree)
+    return np.asarray(values, dtype=float)[None]
+
+
 # five fixed unscrambled Halton probes in [0, 1)^4, shared read-only; the
 # degenerate all-zeros first point is dropped
 _UNIT_PROBES = halton(6)[1:]
@@ -204,10 +295,14 @@ _CHECK_MOVES = np.concatenate(
 _CHECK_MOVES.setflags(write=False)
 
 
-def _validate_chart(chart):
-    """Reject a chart whose metric is malformed or whose evaluators disagree.
+def _validate_chart(*charts):
+    """Reject charts whose metric is malformed or whose evaluators disagree.
 
-    At five fixed probe points:
+    `charts` is one chart, or rows of one ChartFamily checked together:
+    every check runs once over the rows stacked, with its bound applied to
+    each row alone (a relative bound scaled by that row's own values), and
+    a failure names the first row where the check fails, in the words of
+    that chart checked alone. At five fixed probe points of each chart:
     - eval_fn gives a (4, 4) metric, symmetric to 1e-10 relative and
       positive definite (least eigenvalue above 1e-6), and jet_fn at degree
       1 gives shape (5, 4, 4, 5); adapted_frame_fn, when registered, gives
@@ -218,70 +313,94 @@ def _validate_chart(chart):
       order-4 and order-6 central first derivatives of eval_fn agree to
       1e-6, as do the first partials of jet_fn and the order-6 ones;
       InconsistencyError otherwise.
-    Each probe goes through eval_fn once, and the symmetry and definiteness
-    checks run on the five metrics stacked. A batched chart makes one more
-    eval_fn call, on the five probes and the 40 points of the derivative
-    stencils together; a chart that is not batched evaluates the stencil
-    points one by one.
+    Each probe goes through its chart's eval_fn once, and the symmetry and
+    definiteness checks run on every row's five metrics stacked. The rest
+    is one call for all rows (_rows_evaluate) each: jet_fn at degree 1 on
+    the probes, and for batched charts eval_fn on the five probes and the
+    40 points of the derivative stencils together; a chart that is not
+    batched evaluates the stencil points one by one.
     """
-    pts = _probe_points(chart)
+    pts = np.array([_probe_points(chart) for chart in charts])
     gs = []
-    for x in pts:
-        g = np.asarray(chart.eval_fn(x), dtype=float)
-        if g.shape != (4, 4):
-            raise InputError(f"chart '{chart.name}' returned shape {g.shape}")
-        gs.append(g)
+    for chart, xs in zip(charts, pts):
+        for x in xs:
+            g = np.asarray(chart.eval_fn(x), dtype=float)
+            if g.shape != (4, 4):
+                raise InputError(f"chart '{chart.name}' returned shape {g.shape}")
+            gs.append(g)
     gs = np.array(gs)
     asym = _norms(gs - np.swapaxes(gs, 1, 2)) > 1e-10 * np.maximum(1.0, _norms(gs))
     low = np.linalg.eigvalsh(0.5 * (gs + np.swapaxes(gs, 1, 2)))[:, 0] <= 1e-6
     if asym.any() or low.any():
         n = int(np.argmax(asym | low))
         fault = "not symmetric" if asym[n] else "not positive definite"
-        raise InputError(f"chart '{chart.name}' metric {fault} at {pts[n].tolist()}")
-    if chart.adapted_frame_fn is not None:
-        frames = np.array([np.asarray(chart.adapted_frame_fn(x), dtype=float) for x in pts])
-        if frames.shape != (len(pts), 4, 4):
-            raise InputError(f"chart '{chart.name}' adapted frame has shape {frames.shape[1:]}")
-        directions = frames / np.linalg.norm(frames, axis=1, keepdims=True)
-        if np.max(np.abs(directions - directions[0])) > 1e-12:
+        chart, x = charts[n // pts.shape[1]], pts.reshape(-1, 4)[n]
+        raise InputError(f"chart '{chart.name}' metric {fault} at {x.tolist()}")
+    gs = gs.reshape(pts.shape + (4,))
+    first = charts[0]
+    if first.adapted_frame_fn is not None:
+        frames = np.array([[first.adapted_frame_fn(x) for x in xs] for xs in pts], dtype=float)
+        if frames.shape != gs.shape:
+            raise InputError(f"chart '{first.name}' adapted frame has shape {frames.shape[2:]}")
+        directions = frames / np.linalg.norm(frames, axis=2, keepdims=True)
+        turning = np.max(np.abs(directions - directions[:, :1]), axis=(1, 2, 3)) > 1e-12
+        if turning.any():
             raise InputError(
-                f"chart '{chart.name}': adapted frame directions vary over the box; "
-                "frame derivatives assume constant directions"
+                f"chart '{charts[int(np.argmax(turning))].name}': adapted frame directions vary "
+                "over the box; frame derivatives assume constant directions"
             )
-    if chart.jet_fn is not None:
-        coef = np.asarray(chart.jet_fn(pts, 1), dtype=float)
-        if coef.shape != (len(pts), 4, 4, 5):
-            raise InputError(f"chart '{chart.name}' jet_fn returned shape {coef.shape}")
-        values, jet_d1 = coef[..., 0], np.moveaxis(coef[..., 1:], -1, 0)
-        if np.max(np.abs(values - gs)) > 1e-12 * max(1.0, np.max(np.abs(values))):
-            raise InconsistencyError(f"chart '{chart.name}': jet_fn and eval_fn disagree")
+
+    def worst(T):
+        # max |T| over each row
+        return np.abs(T).reshape(len(T), -1).max(axis=1)
+
+    def reject(bad, message):
+        # InconsistencyError naming the first row where `bad` holds
+        if bad.any():
+            n = int(np.argmax(bad))
+            raise InconsistencyError(message(charts[n].name, pts[n, 0].tolist()))
+
+    if first.jet_fn is not None:
+        coef = _rows_evaluate(charts, pts, 1)
+        if coef.shape != gs.shape + (5,):
+            raise InputError(f"chart '{first.name}' jet_fn returned shape {coef.shape[1:]}")
+        values = coef[..., 0]
+        reject(
+            worst(values - gs) > 1e-12 * np.maximum(1.0, worst(values)),
+            lambda name, _: f"chart '{name}': jet_fn and eval_fn disagree",
+        )
     # stencil-order consistency: order-4 and order-6 first derivatives agree,
     # and with the jet where there is one
-    x = pts[0]
-    P = x + _CHECK_MOVES
-    if chart.batched:
-        V = np.asarray(chart.eval_fn(np.concatenate([pts, P])), dtype=float)
-        if V.shape != (len(pts) + len(P), 4, 4):
+    P = pts[:, :1] + _CHECK_MOVES
+    if first.batched:
+        V = _rows_evaluate(charts, np.concatenate([pts, P], axis=1))
+        if V.shape != (len(charts), pts.shape[1] + len(_CHECK_MOVES), 4, 4):
             raise InputError(
-                f"chart '{chart.name}' returned shape {V.shape} for {len(pts) + len(P)} points"
+                f"chart '{first.name}' returned shape {V.shape[1:]} for "
+                f"{pts.shape[1] + len(_CHECK_MOVES)} points"
             )
-        G, V = V[: len(pts)], V[len(pts) :]
-        if np.max(np.abs(G - gs)) > 1e-12 * max(1.0, np.max(np.abs(G))):
-            raise InconsistencyError(
-                f"chart '{chart.name}': batched and point-wise evaluation disagree"
-            )
-    else:
-        V = np.array([np.asarray(chart.eval_fn(y), dtype=float) for y in P])
-    c4, c6 = _CHECK_ORDERS
-    d4 = stencil_derivative(V[:16].reshape(4, 4, 4, 4), c4)
-    d6 = stencil_derivative(V[16:].reshape(4, 6, 4, 4), c6)
-    if np.max(np.abs(d4 - d6)) > 1e-6:
-        raise InconsistencyError(
-            f"chart '{chart.name}': order-4/order-6 derivatives disagree at {x.tolist()}"
+        G, V = V[:, : pts.shape[1]], V[:, pts.shape[1] :]
+        reject(
+            worst(G - gs) > 1e-12 * np.maximum(1.0, worst(G)),
+            lambda name, _: f"chart '{name}': batched and point-wise evaluation disagree",
         )
-    if chart.jet_fn is not None and np.max(np.abs(jet_d1[:, 0] - d6)) > 1e-6:
-        raise InconsistencyError(
-            f"chart '{chart.name}': jet_fn derivative disagrees with eval_fn at {x.tolist()}"
+    else:
+        (chart,) = charts
+        V = np.array([[np.asarray(chart.eval_fn(y), dtype=float) for y in P[0]]])
+    # the stencil axes (direction, offset) first, the row axis after them;
+    # d[p, n] = D_p g of row n
+    V = V.swapaxes(0, 1)
+    c4, c6 = _CHECK_ORDERS
+    d4 = stencil_derivative(V[:16].reshape(4, 4, -1, 4, 4), c4)
+    d6 = stencil_derivative(V[16:].reshape(4, 6, -1, 4, 4), c6)
+    reject(
+        worst((d4 - d6).swapaxes(0, 1)) > 1e-6,
+        lambda name, x: f"chart '{name}': order-4/order-6 derivatives disagree at {x}",
+    )
+    if first.jet_fn is not None:
+        reject(
+            worst(coef[:, 0, ..., 1:] - d6.transpose(1, 2, 3, 0)) > 1e-6,
+            lambda name, x: f"chart '{name}': jet_fn derivative disagrees with eval_fn at {x}",
         )
 
 
@@ -348,11 +467,16 @@ def christoffel(chart, x, cfg=DEFAULT_STENCIL):
     return gamma
 
 
-def _metric_coefficients(chart, X, degree):
-    """The metric's Taylor coefficients at stacked points X (N, 4), shape
-    (ncoef, N, 4, 4) with the coefficient axis first: from one jet_fn call
-    on all of X, otherwise from one eval_batch call on the chart's stencil
+def _metric_coefficients(run, degree):
+    """The metric's Taylor coefficients at the points of `run`, shape
+    (ncoef, N, 4, 4) with the coefficient axis first and the parts' N
+    points in order: `run` is one (chart, X) part, or parts whose charts
+    are rows of one family with as many points X (P, 4) each. The
+    coefficients come from one call: the family's on all rows stacked
+    (ChartFamily.evaluate), the chart's jet_fn on all of X, or one
+    eval_batch call on the chart's stencil for a chart without a jet_fn
     (numerics.metric_jet)."""
+    chart, X = run[0]
     if chart.jet_fn is None:
         # the nested stencil reaches twice as far as a single one, and each
         # level above the second adds the outer stencil once
@@ -362,11 +486,19 @@ def _metric_coefficients(chart, X, degree):
         derivs = metric_jet(chart.eval_batch, X, cfg, degree)
         # the point axis goes behind the derivative axes
         return taylor_coefficients([np.moveaxis(d, 0, k) for k, d in enumerate(derivs)])
-    outside = ~np.all((X >= chart.box[:, 0]) & (X <= chart.box[:, 1]), axis=1)
-    if outside.any():
-        raise DomainError(f"point {X[outside][0].tolist()} outside chart '{chart.name}' box")
-    # a single point goes in unstacked: formulas run faster on scalars
-    coef = chart.jet_fn(X[0], degree)[None] if len(X) == 1 else chart.jet_fn(X, degree)
+    for chart, X in run:
+        outside = ~np.all((X >= chart.box[:, 0]) & (X <= chart.box[:, 1]), axis=1)
+        if outside.any():
+            raise DomainError(f"point {X[outside][0].tolist()} outside chart '{chart.name}' box")
+    if len(run) > 1:
+        rows = [chart.row for chart, _ in run]
+        coef = chart.family.evaluate(np.stack([X for _, X in run]), rows, degree)
+        coef = coef.reshape((-1,) + coef.shape[2:])
+    elif len(X) == 1:
+        # a single point goes in unstacked: formulas run faster on scalars
+        coef = chart.jet_fn(X[0], degree)[None]
+    else:
+        coef = chart.jet_fn(X, degree)
     return np.moveaxis(np.asarray(coef, dtype=float), -1, 0)
 
 
@@ -458,25 +590,34 @@ def _jet_blocks(parts, degree, algebra):
     _integer_at_least("curvature degree", degree, 2)
     if not len(parts):
         raise InputError("the curvature stack has no charts")
-    Xs, coefs = [], []
+    runs = []
     for chart, X in parts:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != 4:
             raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
         if not len(X):
             raise InputError(f"the curvature stack has no points of chart '{chart.name}'")
-        Xs.append(X)
-        coefs.append(_metric_coefficients(chart, X, degree))
-    X, coef = np.concatenate(Xs), np.concatenate(coefs, axis=1)
+        # consecutive rows of one family with as many points each share a run
+        run = runs[-1] if runs else None
+        joins = run and chart.family is not None and chart.family is run[0][0].family
+        if joins and len(X) == len(run[0][1]):
+            run.append((chart, X))
+        else:
+            runs.append([(chart, X)])
+    X = np.concatenate([X for run in runs for _, X in run])
+    coef = np.concatenate([_metric_coefficients(run, degree) for run in runs], axis=1)
     for lo in range(0, len(X), _BLOCK):
         yield algebra(X[lo : lo + _BLOCK], coef[:, lo : lo + _BLOCK], degree)
 
 
 def stacked_curvature_batch(parts, degree=2):
     """curvature_batch over several charts at once: `parts` is a sequence of
-    (chart, X) pairs, and the batch holds every part's points in order, each
-    part's metric coefficients from its own one jet_fn or eval_batch call,
-    the algebra running once per block of the stacked points. Each point
+    (chart, X) pairs, and the batch holds every part's points in order. The
+    metric coefficients of consecutive parts whose charts are rows of one
+    family, with as many points each, come from one call of the family's
+    formula, each point with its own row's parameters; any other part's
+    from its own one jet_fn or eval_batch call. The algebra runs once per
+    block of the stacked points. Each point
     equals its point of curvature_batch(chart, X, degree) on its own part,
     bit for bit. No parts, or a part with no points, raises InputError."""
     blocks = [

@@ -9,13 +9,17 @@ of numbers, a spec file that names its example more than once or gives
 params without kind, a scan grid axis with no values or given twice, and a
 variety --mode without --sample or --count without --from-example. Reports
 (schema "2") are deterministic for a fixed (config, seed) apart from the
-wall-time field. Every chart is built by examples.build_example, from a
-registry string or from a kind and its parameter values, and reports the
-exact name it was built under. Every registry chart has an exact metric
-jet, so no finite-difference setting enters a report. verify and scan frame
-every sample: a scan's cells, like verify's one chart, take one stacked
-harmonicity batch and one frame pass over it, and each cell's row reads its
-slice of the frames, skw rows and invariants.
+wall-time field. Every chart is built by examples.build_examples, from a
+kind and its parameter values, as one chart family: a scan's cells are its
+rows, validated together, and verify's one chart (examples.build_example,
+from a registry string or a kind and its values) is the one-row case. A
+report names the exact chart it was built under. Every registry chart has
+an exact metric jet, so no finite-difference setting enters a report.
+verify and scan frame every sample: a scan's cells, like verify's one
+chart, take one stacked harmonicity batch and one frame pass over it, and
+each cell's row reads its slice of the frames, skw rows and invariants.
+A scan's verdict and exit code read each cell's `harmonic` only; verify's
+read `harmonic` and `skw`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ from .chart import (
     sample_points,
 )
 from .errors import Curv4Error, InputError
-from .examples import REGISTRY, build_example, canonical_name, example_names
+from .examples import REGISTRY, build_example, build_examples, canonical_name, example_names
 from .frames import extract_frames, fold_invariants, frame_invariants, skw_residuals
 
 SCHEMA_VERSION = "2"
@@ -284,22 +288,29 @@ def cmd_variety(config, source, tol):
 
 
 def cmd_scan(config, kind, param_grid):
-    """The scan report over the grid's cells: every cell's chart is built
-    before any curvature is evaluated, so a cell its factory rejects ends
-    the scan (exit 2); then all cells' samples go through one stacked
-    harmonicity pass (harmonicity_reports) and one frame pass over the same
-    stack (_frame_pass), and each cell's row is made from its report and
-    its slice of the frames, as its verify would make it."""
+    """The scan report over the grid's cells: the cells' charts are built
+    as the rows of one chart family (build_examples) before any curvature
+    is evaluated, so a cell whose values its kind rejects, or whose chart
+    fails validation, ends the scan (exit 2, naming that cell's chart);
+    then all cells' samples go through one stacked harmonicity pass
+    (harmonicity_reports), whose metric jet is one call of the family's
+    formula, and one frame pass over the same stack (_frame_pass), and each
+    cell's row is made from its report and its slice of the frames, as its
+    verify would make it. A row's `harmonic` reads the harmonicity
+    residuals and spread only, and the scan's verdict and exit code read
+    every row's `harmonic`: the skw maxima are reported in each row but not
+    judged, where verify's overall verdict and exit code judge `harmonic`
+    and `skw` both."""
     kind = canonical_name(kind)
     for name, values in param_grid.items():
         if not values:
             raise InputError(f"--param {name} has no grid values")
     # the grid replaces default axes; build_example judges the kind and each cell
-    grid = {n: [d] for n, d in REGISTRY.get(kind, (None, {}))[1].items()} | param_grid
+    grid = {n: [d] for n, d in REGISTRY.get(kind, (None, None, {}))[2].items()} | param_grid
     cells = [dict(zip(grid, combo)) for combo in itertools.product(*grid.values())]
 
     t_start = time.perf_counter()
-    charts = [build_example(kind, cell) for cell in cells]
+    charts = build_examples(kind, cells)
     reports = harmonicity_reports(
         charts, count=config.samples, seed=config.seed, tols=config.tolerances
     )

@@ -10,13 +10,21 @@ Registry names (parameters after a colon, comma-separated):
     bump:a          conformally flat non-harmonic control, phi = a x1^3
     randflat:seed   seeded smooth perturbation of the flat metric
 
-Each chart's metric is one formula written with numpy operations over the
-last axis of its argument. Applied to stacked points (..., 4) it is the
-chart's batched `eval_fn`; applied to the coordinate jets of numerics.Jet
-it is the chart's `jet_fn`, which gives the exact metric jet. The kpc
-profile enters the formula through one Taylor-coefficient recurrence of its
-ODE: the solver steps by it, its value at t sums the series of the node to
-the left, and its jet at t is the recurrence started there.
+Each kind is a chart family (chart.ChartFamily): one metric formula
+`formula(x, **params)` written with numpy operations over the last axis of
+x, and a row maker that checks one row of registry values and prepares the
+formula's parameters from them. Applied to stacked points (..., 4) the
+formula is a chart's batched `eval_fn`; applied to the coordinate jets of
+numerics.Jet it is the chart's `jet_fn`, which gives the exact metric jet.
+With every parameter an array (R, 1) of the rows' values, against points
+(R, P, 4), it evaluates the charts of R rows in one call: build_examples
+makes a scan's cells as one family, and build_example is its one-row case,
+whose formula takes the row's Python floats. The kpc and randflat formulas
+take parameters prepared per row (a solved profile, the seed's wave
+tables), so their families evaluate one row at a time. The kpc profile
+enters the formula through one Taylor-coefficient recurrence of its ODE:
+the solver steps by it, its value at t sums the series of the node to the
+left, and its jet at t is the recurrence started there.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from operator import mul
 
 import numpy as np
 
-from .chart import MetricChart
+from .chart import ChartFamily
 from .errors import InputError, IntegrationError
 from .numerics import Jet
 
@@ -40,13 +48,15 @@ _D1000, _D0111 = np.diag([1.0, 0, 0, 0]), np.diag([0.0, 1, 1, 1])
 _D1010, _D0100, _D0001 = np.diag([1.0, 0, 1, 0]), np.diag([0.0, 1, 0, 0]), np.diag([0.0, 0, 0, 1])
 
 
-def _formula_chart(formula, **kwargs):
-    """A batched chart whose eval_fn and jet_fn both come from `formula`."""
+def _chart(family, row):
+    """The chart of `family` at one row, (row, name, box, params)."""
+    (chart,) = family.charts([row])
+    return chart
 
-    def jet_fn(x, degree):
-        return formula(Jet.variables(x, degree)).coef
 
-    return MetricChart(eval_fn=formula, jet_fn=jet_fn, batched=True, **kwargs)
+def _unit_frame(x):
+    # the coordinate frame: adapted to the product and warped-product kinds
+    return np.eye(4)
 
 
 def _chart_name(kind, *values):
@@ -63,12 +73,15 @@ def _conformal_factor(k, *coords):
     return (1.0 + 0.25 * k * rho2) ** -2.0
 
 
-def make_constant_curvature(K0, name=None):
-    """Space form of sectional curvature K0: g = (1 + K0 |x|^2/4)^-2 delta
-    on the box [-0.6, 0.6]^4, where |x|^2 reaches 4 * 0.6^2. Its name is
-    `name`, or the registry kind that builds it, 's4' at K0 = 1 and 'h4' at
-    K0 = -1; any other K0 without a name raises InputError, since no
-    registry string would build it back."""
+def _space_form(x, K0):
+    conf = _conformal_factor(K0, *(x[..., i] for i in range(4)))
+    return conf[..., None, None] * _EYE
+
+
+_SPACE_FORMS = ChartFamily(_space_form)
+
+
+def _space_form_row(K0, name=None):
     K0 = float(K0)
     if name is None:
         if K0 not in (1.0, -1.0):
@@ -76,52 +89,55 @@ def make_constant_curvature(K0, name=None):
         name = "s4" if K0 > 0 else "h4"
     if K0 < 0.0 and 1.0 + 0.25 * K0 * 4.0 * 0.6**2 <= 0.05:
         raise InputError("box reaches the conformal-factor singularity")
+    return {"K0": K0}, name, np.array([[-0.6, 0.6]] * 4), {"K0": K0}
 
-    def formula(x):
-        conf = _conformal_factor(K0, *(x[..., i] for i in range(4)))
-        return conf[..., None, None] * _EYE
 
-    return _formula_chart(
-        formula,
-        name=name,
-        box=np.array([[-0.6, 0.6]] * 4),
-        params={"K0": K0},
-    )
+def make_constant_curvature(K0, name=None):
+    """Space form of sectional curvature K0: g = (1 + K0 |x|^2/4)^-2 delta
+    on the box [-0.6, 0.6]^4, where |x|^2 reaches 4 * 0.6^2. Its name is
+    `name`, or the registry kind that builds it, 's4' at K0 = 1 and 'h4' at
+    K0 = -1; any other K0 without a name raises InputError, since no
+    registry string would build it back."""
+    return _chart(_SPACE_FORMS, _space_form_row(K0, name))
+
+
+def _product(x, k1, k2):
+    c1 = _conformal_factor(k1, x[..., 0], x[..., 1])
+    c2 = _conformal_factor(k2, x[..., 2], x[..., 3])
+    return c1[..., None, None] * _D1100 + c2[..., None, None] * _D0011
+
+
+_PRODUCTS = ChartFamily(_product, adapted_frame_fn=_unit_frame)
+
+
+def _product_row(k1, k2):
+    k1, k2 = float(k1), float(k2)
+    row = {"k1": k1, "k2": k2}
+    return row, _chart_name("s2xs2", k1, k2), np.array([[-0.5, 0.5]] * 4), dict(row)
 
 
 def make_product_surfaces(k1, k2):
     """S^2(k1) x S^2(k2) style product in per-factor stereographic charts."""
-    k1, k2 = float(k1), float(k2)
+    return _chart(_PRODUCTS, _product_row(k1, k2))
 
-    def formula(x):
-        c1 = _conformal_factor(k1, x[..., 0], x[..., 1])
-        c2 = _conformal_factor(k2, x[..., 2], x[..., 3])
-        return c1[..., None, None] * _D1100 + c2[..., None, None] * _D0011
 
-    return _formula_chart(
-        formula,
-        name=_chart_name("s2xs2", k1, k2),
-        box=np.array([[-0.5, 0.5]] * 4),
-        params={"k1": k1, "k2": k2},
-        adapted_frame_fn=lambda x: np.eye(4),
-    )
+def _line_cross_space(x, c):
+    conf = _conformal_factor(c, x[..., 1], x[..., 2], x[..., 3])
+    return conf[..., None, None] * _D0111 + _D1000
+
+
+_LINE_CROSS_SPACES = ChartFamily(_line_cross_space, adapted_frame_fn=_unit_frame)
+
+
+def _line_cross_space_row(c):
+    c = float(c)
+    box = np.array([[-0.6, 0.6]] + [[-0.5, 0.5]] * 3)
+    return {"c": c}, _chart_name("rxs3", c), box, {"c": c}
 
 
 def make_line_cross_space(c):
     """R x N^3(c): flat line factor times a 3-dimensional space form."""
-    c = float(c)
-
-    def formula(x):
-        conf = _conformal_factor(c, x[..., 1], x[..., 2], x[..., 3])
-        return conf[..., None, None] * _D0111 + _D1000
-
-    return _formula_chart(
-        formula,
-        name=_chart_name("rxs3", c),
-        box=np.array([[-0.6, 0.6]] + [[-0.5, 0.5]] * 3),
-        params={"c": c},
-        adapted_frame_fn=lambda x: np.eye(4),
-    )
+    return _chart(_LINE_CROSS_SPACES, _line_cross_space_row(c))
 
 
 # guard floors of the profile: the solver stops where f or K + c falls to one
@@ -340,14 +356,23 @@ def _generalized_sine(c):
     return lambda u: u
 
 
-def make_kpc_warped(profile):
-    """The warped 4-metric (h x h^c) / (K + c)^2 over the profile surface.
+def _kpc_warped(x, profile):
+    f, K = profile.f_and_K(x[..., 0])
+    s = _generalized_sine(profile.c)(x[..., 2])
+    conf = (K + profile.c) ** -2.0
+    return (
+        conf[..., None, None] * _D1010
+        + (conf * f * f)[..., None, None] * _D0100
+        + (conf * s * s)[..., None, None] * _D0001
+    )
 
-    Coordinates (t, theta, u, v): h = dt^2 + f(t)^2 dtheta^2 on the base,
-    h^c = du^2 + sc_c(u)^2 dv^2 of constant curvature c on the fibre.
-    """
+
+# each row has its own profile, so the rows are evaluated one at a time
+_KPC_WARPED = ChartFamily(_kpc_warped, broadcasts=False, adapted_frame_fn=_unit_frame)
+
+
+def _kpc_row(profile):
     c = profile.c
-    sc = _generalized_sine(c)
     if c > 0.0:
         u_box = [0.2 * np.pi / np.sqrt(c), 0.8 * np.pi / np.sqrt(c)]
     else:
@@ -355,40 +380,40 @@ def make_kpc_warped(profile):
     t_box = [profile.t0 + _T_MARGIN, profile.t1 - _T_MARGIN]
     if t_box[1] - t_box[0] < 10.0 * _T_MARGIN:
         raise InputError("profile domain too short for a usable chart")
-
-    def formula(x):
-        f, K = profile.f_and_K(x[..., 0])
-        s = sc(x[..., 2])
-        conf = (K + c) ** -2.0
-        return (
-            conf[..., None, None] * _D1010
-            + (conf * f * f)[..., None, None] * _D0100
-            + (conf * s * s)[..., None, None] * _D0001
-        )
-
-    return _formula_chart(
-        formula,
-        name=_chart_name("kpc", c, profile.r, profile.K0),
-        box=np.array([t_box, [-0.6, 0.6], u_box, [-0.6, 0.6]]),
-        params={"c": c, "r": profile.r, "K0": profile.K0},
-        adapted_frame_fn=lambda x: np.eye(4),
+    return (
+        {"profile": profile},
+        _chart_name("kpc", c, profile.r, profile.K0),
+        np.array([t_box, [-0.6, 0.6], u_box, [-0.6, 0.6]]),
+        {"c": c, "r": profile.r, "K0": profile.K0},
     )
+
+
+def make_kpc_warped(profile):
+    """The warped 4-metric (h x h^c) / (K + c)^2 over the profile surface.
+
+    Coordinates (t, theta, u, v): h = dt^2 + f(t)^2 dtheta^2 on the base,
+    h^c = du^2 + sc_c(u)^2 dv^2 of constant curvature c on the fibre.
+    """
+    return _chart(_KPC_WARPED, _kpc_row(profile))
+
+
+def _bump(x, a):
+    return np.exp(2.0 * a * x[..., 0] ** 3)[..., None, None] * _EYE
+
+
+_BUMPS = ChartFamily(_bump)
+
+
+def _bump_row(a):
+    a = float(a)
+    box = np.array([[0.4, 1.6], [-0.6, 0.6], [-0.6, 0.6], [-0.6, 0.6]])
+    return {"a": a}, _chart_name("bump", a), box, {"a": a}
 
 
 def make_bump_nonharmonic(a):
     """Conformally flat control e^{2 phi} delta with phi = a x1^3; its
     scalar curvature is wildly nonconstant, so div R != 0."""
-    a = float(a)
-
-    def formula(x):
-        return np.exp(2.0 * a * x[..., 0] ** 3)[..., None, None] * _EYE
-
-    return _formula_chart(
-        formula,
-        name=_chart_name("bump", a),
-        box=np.array([[0.4, 1.6], [-0.6, 0.6], [-0.6, 0.6], [-0.6, 0.6]]),
-        params={"a": a},
-    )
+    return _chart(_BUMPS, _bump_row(a))
 
 
 # diagonal amplitude of randflat's perturbation, and its waves per component
@@ -396,14 +421,17 @@ _RANDFLAT_AMPLITUDE = 0.15
 _RANDFLAT_WAVES = 2
 
 
-def make_random_perturbed_flat(seed):
-    """delta plus a seeded trigonometric symmetric perturbation.
+def _random_perturbed_flat(x, wavevectors, phases, spread):
+    # wave t adds spread[t] * sin(k_t . x + phase_t) to the flattened metric
+    waves_x = np.sin(x @ wavevectors.T + phases) @ spread
+    return waves_x.reshape(x.shape[:-1] + (4, 4)) + _EYE
 
-    Off-diagonal amplitudes are a third of the diagonal ones, so Gershgorin
-    keeps the metric far from degenerate on the box; frequencies sit in
-    [0.8, 2.0], large enough that curvature is order one against the flat
-    background. The seed is a non-negative integer (InputError otherwise).
-    """
+
+# each row has its own wave tables, so the rows are evaluated one at a time
+_RANDOM_PERTURBED_FLATS = ChartFamily(_random_perturbed_flat, broadcasts=False)
+
+
+def _random_perturbed_flat_row(seed):
     if not (seed >= 0 and float(seed).is_integer()):
         raise InputError(
             f"randflat parameter 'seed' must be a non-negative integer, got {seed!r}"
@@ -420,34 +448,38 @@ def make_random_perturbed_flat(seed):
                 slot = np.zeros((4, 4))
                 slot[i, j] = slot[j, i] = amp / _RANDFLAT_WAVES
                 spread.append(slot.ravel())
-    # wave t adds spread[t] * sin(k_t . x + phase_t) to the flattened metric
-    wavevectors, phases, spread = np.array(wavevectors), np.array(phases), np.array(spread)
-
-    def formula(x):
-        waves_x = np.sin(x @ wavevectors.T + phases) @ spread
-        return waves_x.reshape(x.shape[:-1] + (4, 4)) + _EYE
-
-    return _formula_chart(
-        formula,
-        name=_chart_name("randflat", seed),
-        box=np.array([[-0.5, 0.5]] * 4),
-        params={"seed": seed, "amplitude": _RANDFLAT_AMPLITUDE},
-    )
+    row = {"wavevectors": np.array(wavevectors), "phases": np.array(phases)}
+    row["spread"] = np.array(spread)
+    params = {"seed": seed, "amplitude": _RANDFLAT_AMPLITUDE}
+    return row, _chart_name("randflat", seed), np.array([[-0.5, 0.5]] * 4), params
 
 
-# kind -> (factory, the defaults of its keyword parameters in name order);
-# build_example fills a request into the defaults and calls factory(**values)
+def make_random_perturbed_flat(seed):
+    """delta plus a seeded trigonometric symmetric perturbation.
+
+    Off-diagonal amplitudes are a third of the diagonal ones, so Gershgorin
+    keeps the metric far from degenerate on the box; frequencies sit in
+    [0.8, 2.0], large enough that curvature is order one against the flat
+    background. The seed is a non-negative integer (InputError otherwise).
+    """
+    return _chart(_RANDOM_PERTURBED_FLATS, _random_perturbed_flat_row(seed))
+
+
+# kind -> (its chart family, the row maker, the defaults of the row maker's
+# keyword parameters in name order); build_examples fills each request into
+# the defaults and makes family.charts from row(**values) of every request
 REGISTRY = {
-    "s4": (functools.partial(make_constant_curvature, 1.0), {}),
-    "h4": (functools.partial(make_constant_curvature, -1.0), {}),
-    "s2xs2": (make_product_surfaces, {"k1": 1.0, "k2": 2.0}),
-    "rxs3": (make_line_cross_space, {"c": 1.0}),
+    "s4": (_SPACE_FORMS, functools.partial(_space_form_row, 1.0), {}),
+    "h4": (_SPACE_FORMS, functools.partial(_space_form_row, -1.0), {}),
+    "s2xs2": (_PRODUCTS, _product_row, {"k1": 1.0, "k2": 2.0}),
+    "rxs3": (_LINE_CROSS_SPACES, _line_cross_space_row, {"c": 1.0}),
     "kpc": (
-        lambda c, r, K0: make_kpc_warped(solve_kpc_profile(c, r, K0)),
+        _KPC_WARPED,
+        lambda c, r, K0: _kpc_row(solve_kpc_profile(c, r, K0)),
         {"c": 1.0, "r": 1.2, "K0": 0.5},
     ),
-    "bump": (make_bump_nonharmonic, {"a": 0.1}),
-    "randflat": (make_random_perturbed_flat, {"seed": 0}),
+    "bump": (_BUMPS, _bump_row, {"a": 0.1}),
+    "randflat": (_RANDOM_PERTURBED_FLATS, _random_perturbed_flat_row, {"seed": 0}),
 }
 
 
@@ -477,6 +509,43 @@ def canonical_name(name):
     return _KIND_ALIASES.get(kind, kind) + sep + raw
 
 
+def _registry_entry(kind):
+    if kind not in REGISTRY:
+        raise InputError(f"unknown example {kind!r}; choices: {', '.join(example_names())}")
+    return REGISTRY[kind]
+
+
+def build_examples(kind, cells):
+    """The charts of a registry kind at each of `cells`, mappings of
+    parameter names to numbers, made as one chart family
+    (chart.ChartFamily): every cell fills the kind's defaults and is
+    checked and prepared in order, then all the charts are validated in one
+    stacked pass. The InputErrors are build_example's, raised for the first
+    cell that has one; a kind given with values ('s2xs2:1') is one of them.
+    build_example is the one-cell case."""
+    request = kind
+    kind, colon, _ = canonical_name(request).partition(":")
+    family, make_row, defaults = _registry_entry(kind)
+    if colon:
+        raise InputError(f"{request!r} carries parameters; give them in the name or in params")
+    rows = []
+    for cell in cells:
+        values = dict(defaults)
+        for key, value in cell.items():
+            if key not in defaults:
+                raise InputError(
+                    f"{kind} has no parameter {key!r} (has: {', '.join(defaults) or 'none'})"
+                )
+            try:
+                values[key] = float(value)
+            except (TypeError, ValueError) as exc:
+                raise InputError(f"bad parameter {value!r} for {kind}") from exc
+            if not math.isfinite(values[key]):
+                raise InputError(f"{kind} parameter {key!r} must be finite, got {value!r}")
+        rows.append(make_row(**values))
+    return family.charts(rows)
+
+
 def build_example(name, params=None):
     """The chart a request names: a registry string such as 'kpc:1,1.2,0.5',
     or a kind and a mapping of parameter names to numbers, as in
@@ -487,31 +556,17 @@ def build_example(name, params=None):
     that name what is wrong: an unknown kind, more values than the kind has
     parameters, a name with values together with `params`, a parameter name
     the kind does not have, and a value that is not a finite number. The
-    factory rejects values outside its domain, such as a randflat seed that
-    is not a non-negative integer. Chart names are exact, so
-    build_example(chart.name) rebuilds the same chart.
+    kind's row maker rejects values outside its domain, such as a randflat
+    seed that is not a non-negative integer. Chart names are exact, so
+    build_example(chart.name) rebuilds the same chart. It is the one-row
+    family of build_examples.
     """
-    kind, colon, raw = canonical_name(name).partition(":")
-    if kind not in REGISTRY:
-        raise InputError(f"unknown example {kind!r}; choices: {', '.join(example_names())}")
-    factory, defaults = REGISTRY[kind]
     if params is None:
+        kind, _, raw = canonical_name(name).partition(":")
+        defaults = _registry_entry(kind)[2]
         parts = [p.strip() for p in raw.split(",")] if raw.strip() else []
         if len(parts) > len(defaults):
             raise InputError(f"{kind} takes at most {len(defaults)} parameters, got {len(parts)}")
-        params = dict(zip(defaults, parts))
-    elif colon:
-        raise InputError(f"{name!r} carries parameters; give them in the name or in params")
-    values = dict(defaults)
-    for key, value in params.items():
-        if key not in defaults:
-            raise InputError(
-                f"{kind} has no parameter {key!r} (has: {', '.join(defaults) or 'none'})"
-            )
-        try:
-            values[key] = float(value)
-        except (TypeError, ValueError) as exc:
-            raise InputError(f"bad parameter {value!r} for {kind}") from exc
-        if not math.isfinite(values[key]):
-            raise InputError(f"{kind} parameter {key!r} must be finite, got {value!r}")
-    return factory(**values)
+        name, params = kind, dict(zip(defaults, parts))
+    (chart,) = build_examples(name, [params])
+    return chart

@@ -162,7 +162,10 @@ class RicciFrame:
 
     @property
     def framed(self):
-        """Per point of a stack: whether it has its canonical frame."""
+        """Per point of a stack: whether it has its canonical frame; a 0-d
+        boolean on a one-point frame, whose status is one string."""
+        if isinstance(self.status, str):
+            return np.array(not self.status)
         return np.array([not why for why in self.status], dtype=bool)
 
     @property

@@ -96,6 +96,48 @@ def test_validation_rejects_inconsistent_evaluators():
             MetricChart(name="wavy", box=UNIT_BOX, eval_fn=wavy, batched=batched)
 
 
+@pytest.mark.parametrize(
+    "formula, bad, error, match",
+    [
+        # 1 + a x0^2 falls below 0 inside the box
+        (
+            lambda x, a: (1.0 + a * x[..., 0] * x[..., 0])[..., None, None] * np.eye(4),
+            -5.0,
+            InputError,
+            "not positive definite",
+        ),
+        # g_01 without g_10
+        (
+            lambda x, a: np.exp(0.1 * x[..., 0])[..., None, None]
+            * (np.eye(4) + np.asarray(a)[..., None, None] * np.triu(np.ones((4, 4)), 1)),
+            0.5,
+            InputError,
+            "not symmetric",
+        ),
+        # the order-4 and order-6 derivatives of a fast wave disagree
+        (
+            lambda x, a: (1.0 + a * np.sin(100.0 * x[..., 0]))[..., None, None] * np.eye(4),
+            0.1,
+            InconsistencyError,
+            "order-4/order-6",
+        ),
+    ],
+)
+def test_family_names_its_rejected_row(formula, bad, error, match):
+    # the rows of a family are validated together; a bad row in the middle
+    # raises what its chart validated alone raises, and the good rows pass
+    family = chart_module.ChartFamily(formula)
+    rows = [({"a": a}, f"row{n}", UNIT_BOX, {"a": a}) for n, a in enumerate((0.0, bad, 0.0))]
+    with pytest.raises(error, match=match) as stacked:
+        family.charts(rows)
+    with pytest.raises(error) as alone:
+        family.charts(rows[1:2])
+    assert str(stacked.value) == str(alone.value) and "chart 'row1'" in str(alone.value)
+    charts = family.charts(rows[::2])
+    assert [chart.name for chart in charts] == ["row0", "row2"]
+    assert all(chart.family is family for chart in charts)
+
+
 @pytest.mark.parametrize("name", REGISTRY_NAMES)
 def test_validation_evaluates_each_probe_once(name):
     # five probes point by point, then one batch of the five probes for the
@@ -453,6 +495,30 @@ def test_stacked_batch_points_equal_their_own_batches():
         assert np.array_equal(rep.points, alone.points) and rep.rows == alone.rows
         assert (rep.maxima, rep.s_spread, rep.harmonic) == (alone.maxima, alone.s_spread, alone.harmonic)
         assert np.array_equal(rep.batch.R, alone.batch.R)
+
+
+@pytest.mark.parametrize("count", [1, 3])
+@pytest.mark.parametrize(
+    "kind, cells",
+    [
+        ("s2xs2", [{"k1": k1, "k2": k2} for k1 in (1, 2, 3) for k2 in (1, 2, 3)]),
+        ("rxs3", [{"c": c} for c in (0.5, 1, 2)]),
+        ("bump", [{"a": a} for a in (0.05, 0.1, 0.2)]),
+        ("kpc", [{"r": r} for r in (1.1, 1.2)]),
+        ("randflat", [{"seed": seed} for seed in (0, 1)]),
+    ],
+)
+def test_family_batch_points_equal_their_own_batches(kind, cells, count):
+    # the rows of one family take their metric jet from one formula call,
+    # each point with its own row's parameters: every field equals each
+    # chart's own batch bit for bit, one-point batches (whose formula takes
+    # x (4,) and Python floats) included
+    charts = curv4.build_examples(kind, cells)
+    parts = [(chart, sample_points(chart, count=count, seed=n)) for n, chart in enumerate(charts)]
+    stack = chart_module.stacked_curvature_batch(parts, degree=3)
+    own = [chart_module.curvature_batch(chart, X, degree=3) for chart, X in parts]
+    for key, value in vars(stack).items():
+        assert np.array_equal(value, np.concatenate([getattr(b, key) for b in own])), key
 
 
 def test_report_holds_its_span_of_the_stack():

@@ -289,17 +289,24 @@ def test_scan_grid(capsys):
 
 
 def test_scan_single_cell_matches_verify(capsys):
-    # every cell of one stacked scan batch, adapted frames (s2xs2) and
-    # eigenframes (bump), reads what its own verify reads, bit for bit
+    # every cell of one stacked scan batch reads what its own verify reads,
+    # bit for bit: adapted frames (s2xs2, rxs3, kpc with one profile per
+    # row) and eigenframes (bump, randflat with its own waves per row), and
+    # h4, a kind without parameters, whose one cell has no frame
     grids = {
         "s2xs2": ["--param", "k1=1,2,3", "--param", "k2=1,2,3"],
         "bump": ["--param", "a=0.05,0.1,0.2"],
+        "rxs3": ["--param", "c=0.5,1,2"],
+        "kpc": ["--param", "r=1.1,1.2"],
+        "randflat": ["--param", "seed=0,1"],
+        "h4": [],
     }
+    cells = {"s2xs2": 9, "bump": 3, "rxs3": 3, "kpc": 2, "randflat": 2, "h4": 1}
     for (kind, grid), samples in itertools.product(grids.items(), ("1", "3")):
         code, out, _ = run_main(["scan", kind, *grid, "--samples", samples], capsys)
         assert code in (0, 1)
         rows = json.loads(out)["points"]
-        assert len(rows) == (9 if kind == "s2xs2" else 3)
+        assert len(rows) == cells[kind]
         for row in rows:
             argv = ["verify", "--example", row["example"], "--samples", samples]
             verify = json.loads(run_main(argv, capsys)[1])
@@ -326,22 +333,28 @@ def _counting_jet_fns(monkeypatch, calls):
 
 @pytest.mark.parametrize("samples, algebra_calls", [("1", 1), ("4", 2)])
 def test_scan_is_one_curvature_batch(samples, algebra_calls, capsys, monkeypatch):
-    # the 9 cells' samples are stacked into one batch: one jet_fn call per
-    # cell, and one curvature algebra call per 32 stacked points
+    # the 9 cells are the rows of one chart family and their samples one
+    # batch: one degree-1 jet call of the family formula validates all rows
+    # at their 5 probes, one degree-3 call gives the metric jet at all 9 x n
+    # samples, and one curvature algebra call runs per 32 stacked points
     jets, blocks = [], []
-    algebra = curv4.chart._curvature_algebra
+    algebra, family_jet = curv4.chart._curvature_algebra, curv4.chart.ChartFamily._jet
 
     def counted(X, coef, degree):
         blocks.append(len(X))
         return algebra(X, coef, degree)
 
-    _counting_jet_fns(monkeypatch, jets)
+    def counted_jet(self, row, x, degree):
+        jets.append((np.shape(x), degree))
+        return family_jet(self, row, x, degree)
+
+    monkeypatch.setattr(curv4.chart.ChartFamily, "_jet", counted_jet)
     monkeypatch.setattr(curv4.chart, "_curvature_algebra", counted)
     argv = ["scan", "s2xs2", "--param", "k1=1,2,3", "--param", "k2=1,2,3", "--samples", samples]
     code, _, _ = run_main(argv, capsys)
     assert code == 0
     n = int(samples)
-    assert jets == [(4,) if n == 1 else (n, 4)] * 9
+    assert jets == [((9, 5, 4), 1), ((9, n, 4), 3)]
     assert len(blocks) == algebra_calls and sum(blocks) == 9 * n
 
 
@@ -373,6 +386,20 @@ def test_scan_with_one_rejected_cell_exits_2(capsys):
     code, out, err = run_main(["scan", "kpc", "--param", "K0=0.5,-5", "--samples", "1"], capsys)
     assert code == 2 and out == ""
     assert "floor" in err
+
+
+@pytest.mark.parametrize(
+    "kind, grid, named",
+    [("bump", "a=0.1,5,0.2", "bump:5"), ("rxs3", "c=1,-20", "rxs3:-20")],
+)
+def test_scan_with_a_cell_its_validation_rejects_exits_2(kind, grid, named, capsys):
+    # the cells are validated as one family; the rejected cell is named as
+    # its chart alone is, and the scan reports nothing
+    code, out, err = run_main(["scan", kind, "--param", grid, "--samples", "1"], capsys)
+    assert code == 2 and out == ""
+    assert f"chart '{named}'" in err and "order-4/order-6 derivatives disagree" in err
+    alone = run_main(["verify", "--example", named, "--samples", "1"], capsys)
+    assert alone[:2] == (2, "") and alone[2] == err
 
 
 def test_scan_row_names_the_chart_it_verified(capsys):
@@ -600,6 +627,17 @@ def test_verify_makes_one_jet_evaluation_per_batch(name, capsys, monkeypatch):
     degenerate = sum(p["counts"].get("degenerate", False) for p in points)
     assert (frames, degenerate) == ((0, 16) if name == "s4" else (16, 0))
     assert calls == [(16, 4)]
+
+
+def test_verify_of_one_sample_passes_its_point_unstacked(capsys, monkeypatch):
+    # a verify's chart is the one-row case of its family: its one sample
+    # goes to the formula as x (4,), with the row's Python floats, as
+    # formulas run faster on scalars than on stacked rows
+    calls = []
+    _counting_jet_fns(monkeypatch, calls)
+    code, _, _ = run_main(["verify", "--example", "s2xs2:1,2", "--samples", "1"], capsys)
+    assert code == 0 and calls == [(4,)]
+    assert [type(v) for v in build_example("s2xs2:1,2").row.values()] == [float, float]
 
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "bump:0.1"])

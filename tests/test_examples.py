@@ -48,11 +48,12 @@ def test_registry_and_parsing():
 
 
 def test_registry_factories_build_their_kind():
-    # each entry is a factory and its keyword defaults, and the defaults
-    # build the chart that the bare kind names
-    for kind, (factory, defaults) in REGISTRY.items():
-        chart = factory(**defaults)
-        assert chart.name.partition(":")[0] == kind
+    # each entry is a chart family, its row maker and the row maker's
+    # keyword defaults, and the defaults build the chart that the bare kind
+    # names
+    for kind, (family, make_row, defaults) in REGISTRY.items():
+        (chart,) = family.charts([make_row(**defaults)])
+        assert chart.name.partition(":")[0] == kind and chart.family is family
         assert build_example(kind).name == chart.name
 
 

@@ -451,6 +451,21 @@ def test_frame_stack_slices(registry_charts):
         tail[1]
 
 
+def test_one_point_frame_framed_is_a_boolean(registry_charts):
+    # a one-point frame's status is one string, and framed one 0-d boolean:
+    # True at a framed s2xs2 point, False at an s4 point, whose record is
+    # taken from its stack field by field (indexing it raises)
+    chart = registry_charts["s2xs2:1,2"]
+    framed = extract_frame(chart, sample_points(chart, count=1)[0]).framed
+    assert framed.shape == () and framed.dtype == bool and framed
+    frames, _ = framed_stack([registry_charts["s4"]], count=1)
+    point = curv4.RicciFrame(
+        **{k: v if k in ("source", "diagnostics") else v[0] for k, v in vars(frames).items()}
+    )
+    assert point.status.startswith("chart 's4'")
+    assert point.framed.shape == () and not point.framed
+
+
 def rotated_product_chart(with_jet):
     """S2(1) x S2(2) in coordinates turned by a fixed rotation: its Ricci
     eigenspaces are two planes that no coordinate axis lies in, so the

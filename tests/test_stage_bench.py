@@ -5,7 +5,8 @@ addopts), so they check only that every stage runs. For the timings:
 
     pytest tests/test_stage_bench.py --benchmark-enable
 
-prints per-stage statistics: chart validation, one scrambled Halton draw,
+prints per-stage statistics: chart validation, of one chart and of the
+nine rows of a 3x3 s2xs2 scan as one family, one scrambled Halton draw,
 the three harmonicity residual norms of a one-point batch, extract_frame
 on an adapted (s2xs2) and an eigen (bump) frame, skw_residuals,
 structure_data, the stacked harmonicity pass of a 3x3 s2xs2 scan at
@@ -44,6 +45,13 @@ def one_point(request):
 def test_stage_validation(benchmark, one_point):
     chart, _, _ = one_point
     assert benchmark(chart_module._validate_chart, chart) is None
+
+
+def test_stage_family_validation(benchmark):
+    # the nine rows of a 3x3 s2xs2 scan, validated as one chart family
+    cells = [{"k1": k1, "k2": k2} for k1 in (1, 2, 3) for k2 in (1, 2, 3)]
+    charts = curv4.examples.build_examples("s2xs2", cells)
+    assert benchmark(chart_module._validate_chart, *charts) is None
 
 
 def test_stage_halton_one_point(benchmark):
