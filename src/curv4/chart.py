@@ -18,8 +18,8 @@ finite-difference partials of one batched evaluation of the metric
 (numerics.metric_jet), each over its alpha! and averaged over the orderings
 of its derivatives. The rest is shared, and runs on stacked points:
 `curvature_jets` takes the curvature jets at N points from one jet
-evaluation and `curvature_batch` their values (`connection_jets` stops at
-g^-1 and Gamma). `stacked_curvature_batch` stacks the points of several
+evaluation and `curvature_batch` their values (`curvature_with_jets` both,
+from one pass). `stacked_curvature_batch` stacks the points of several
 charts in one batch, the metric jet of consecutive rows of one family (a
 scan's cells) from one family evaluation and any other chart's from its
 own, and `curvature_batch` is its one-chart case. The harmonicity reports
@@ -584,8 +584,8 @@ def _checked_inverse(X, g):
 _BLOCK = 32
 
 
-def _jet_blocks(parts, degree, algebra):
-    # algebra(X, coef, degree) on the metric coefficients of every (chart, X)
+def _jet_blocks(parts, degree):
+    # _curvature_algebra on the metric coefficients of every (chart, X)
     # part, stacked on the point axis, block by block
     _integer_at_least("curvature degree", degree, 2)
     if not len(parts):
@@ -607,7 +607,19 @@ def _jet_blocks(parts, degree, algebra):
     X = np.concatenate([X for run in runs for _, X in run])
     coef = np.concatenate([_metric_coefficients(run, degree) for run in runs], axis=1)
     for lo in range(0, len(X), _BLOCK):
-        yield algebra(X[lo : lo + _BLOCK], coef[:, lo : lo + _BLOCK], degree)
+        yield _curvature_algebra(X[lo : lo + _BLOCK], coef[:, lo : lo + _BLOCK], degree)
+
+
+def _value_batch(parts, blocks):
+    # the CurvatureBatch of the points of `parts` from the value terms of
+    # their _jet_blocks
+    values = [
+        {"projection_distance": dist, **{key: jet[0] for key, jet in jets.items()}}
+        for jets, dist in blocks
+    ]
+    fields = {key: np.concatenate([v[key] for v in values]) for key in values[0]}
+    X = np.concatenate([np.asarray(X, dtype=float) for _, X in parts])
+    return CurvatureBatch(x=X, **fields)
 
 
 def stacked_curvature_batch(parts, degree=2):
@@ -620,13 +632,7 @@ def stacked_curvature_batch(parts, degree=2):
     block of the stacked points. Each point
     equals its point of curvature_batch(chart, X, degree) on its own part,
     bit for bit. No parts, or a part with no points, raises InputError."""
-    blocks = [
-        {"projection_distance": dist, **{key: jet[0] for key, jet in jets.items()}}
-        for jets, dist in _jet_blocks(parts, degree, _curvature_algebra)
-    ]
-    fields = {key: np.concatenate([b[key] for b in blocks]) for key in blocks[0]}
-    X = np.concatenate([np.asarray(X, dtype=float) for _, X in parts])
-    return CurvatureBatch(x=X, **fields)
+    return _value_batch(parts, _jet_blocks(parts, degree))
 
 
 def curvature_batch(chart, X, degree=2):
@@ -648,6 +654,16 @@ def curvature_batch(chart, X, degree=2):
     return stacked_curvature_batch([(chart, X)], degree)
 
 
+def curvature_with_jets(chart, X, degree=2):
+    """curvature_batch(chart, X, degree) and curvature_jets(chart, X,
+    degree), bit for bit, from one jet evaluation and one pass of the
+    algebra: the batch is the value terms of the jets."""
+    parts = [(chart, X)]
+    blocks = list(_jet_blocks(parts, degree))
+    jets = {key: np.concatenate([b[key] for b, _ in blocks], axis=1) for key in blocks[0][0]}
+    return _value_batch(parts, blocks), jets
+
+
 def curvature_jets(chart, X, degree=2):
     """The Taylor coefficients of curvature_batch(chart, X, degree)'s fields
     but x and the projection distance, after the same checks: a dict from
@@ -655,22 +671,14 @@ def curvature_jets(chart, X, degree=2):
     layout) and the point axis second. g comes to `degree`, g_inv and gamma
     to degree - 1, R, ric and s to degree - 2, and nabla_riem, nabla_ric
     and ds to degree - 3."""
-    blocks = [jets for jets, _ in _jet_blocks([(chart, X)], degree, _curvature_algebra)]
-    return {key: np.concatenate([b[key] for b in blocks], axis=1) for key in blocks[0]}
+    return curvature_with_jets(chart, X, degree)[1]
 
 
-def connection_jets(chart, X, degree=2):
-    """The g, g_inv and gamma entries of curvature_jets(chart, X, degree),
-    bit for bit, after the checks of g^-1 and nabla g = 0 only: no
-    curvature is formed, so neither is the projection gate on it."""
-    blocks = list(_jet_blocks([(chart, X)], degree, _connection_algebra))
-    return {key: np.concatenate([b[key] for b in blocks], axis=1) for key in blocks[0]}
-
-
-def _connection_algebra(X, coef, degree):
-    """The coefficients of g, g_inv and gamma at points X (N, 4) from the
-    metric's, coef (ncoef, N, 4, 4) of degree >= 2, after the checks of
-    curvature_batch on the metric (_checked_inverse) and nabla g = 0."""
+def _curvature_algebra(X, coef, degree):
+    """The coefficients of CurvatureBatch's fields but x, to the degrees
+    curvature_jets gives, and the projection distance, at points X (N, 4)
+    from the metric's, coef (ncoef, N, 4, 4) of degree >= 2, after every
+    check of curvature_batch."""
     g_inv0 = _checked_inverse(X, coef[0])
     dg = jet_partials(coef)
     # g^-1 = (1 + e)^-1 g0^-1 with e = g0^-1 (g - g0), by Horner's rule
@@ -680,16 +688,6 @@ def _connection_algebra(X, coef, degree):
         g_inv = const - jet_contract("ij,jk->ik", e, g_inv)
     gamma = jet_contract("km,mij->kij", g_inv, _first_kind(dg))
     _check_compatible(X, coef[0], gamma[0], dg[0])
-    return {"g": coef, "g_inv": g_inv, "gamma": gamma}
-
-
-def _curvature_algebra(X, coef, degree):
-    """The coefficients of CurvatureBatch's fields but x, to the degrees
-    curvature_jets gives, and the projection distance, at points X (N, 4)
-    from the metric's, coef (ncoef, N, 4, 4) of degree >= 2, after every
-    check of curvature_batch."""
-    jets = _connection_algebra(X, coef, degree)
-    g_inv, gamma = jets["g_inv"], jets["gamma"]
     # R^m_(i,j,k) per the curvature convention in the module docstring: the
     # part u = d_j Gamma^m_ik + Gamma^p_ik Gamma^m_jp, minus u with i, j swapped
     dgamma = np.einsum("...mikj->...mijk", jet_partials(gamma))
@@ -708,7 +706,7 @@ def _curvature_algebra(X, coef, degree):
     ric = jet_contract("ik,ijkl->jl", g_inv, R)
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
     s = jet_contract("jl,jl->", g_inv, ric)
-    jets.update(R=R, ric=ric, s=s)
+    jets = {"g": coef, "g_inv": g_inv, "gamma": gamma, "R": R, "ric": ric, "s": s}
     if degree >= 3:
         # nabla_q R_ijkl = d_q R_ijkl - v_qijkl - v_qklij by the symmetries of
         # R, v being t = Gamma^m_qa R_mbcd antisymmetrized in (a, b)

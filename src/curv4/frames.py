@@ -33,6 +33,16 @@ and, for eigenframes, nabla Ric and lambda, so DF is the exact first
 partial of F from one curvature jet at x (numerics.jet_contract does the
 product rule).
 
+extract_frame(chart, x), one point with no entry given, takes one
+curvature jet at x of the degree its structure data needs, 3 for adapted
+frames and 4 for eigenframes, frames x from its value terms, and carries
+its first-order terms (g, Gamma and, for eigenframes, nabla Ric) as
+RicciFrame.jets; structure_data reads them and evaluates no jet. Frames
+of a stack carry none, and for a point of one structure_data takes its
+own jet of the same degree. On a chart without a jet_fn an eigenframe
+takes the degree-3 jet, because the degree-4 stencil reaches further and
+may leave the box, and carries nothing.
+
 Gauge: a frame's derivative is that of the frame field aligned to it: in
 each lambda cluster, the frame E_y at a nearby point y is the basis of its
 cluster's eigenspace that keeps P = E_cl^T g(x) E_y,cl symmetric (the
@@ -49,11 +59,12 @@ the frame point only.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chart import MetricChart, _metric_norms, connection_jets, curvature_batch, curvature_jets
+from .chart import MetricChart, _metric_norms, curvature_jets, curvature_with_jets
 from .errors import DegenerateFrameError, InconsistencyError, InputError, PreconditionError
 
 # central_diff stays importable from here for perfbench/tracing.py, which
@@ -141,6 +152,12 @@ class RicciFrame:
     or 'eigen', one per stack; clusters[a]: the lambda cluster of e_a (the
     gauge of the derivatives); status: '' at a canonical frame, else why
     there is none (frames[n] raises it as DegenerateFrameError).
+
+    jets: the first-order terms at x (the value, then the four partials) of
+    the curvature jet that structure_data reads, g and gamma, and nabla_ric
+    on an eigenframe, from the jet extract_frame(chart, x) framed x with;
+    None on the frames of a stack, their points and slices, on a frame made
+    from a given entry, and on an eigenframe of a chart without a jet_fn.
     """
 
     x: np.ndarray
@@ -159,6 +176,7 @@ class RicciFrame:
     clusters: np.ndarray
     status: tuple | str = ""
     diagnostics: dict = field(default_factory=dict)
+    jets: dict | None = None
 
     @property
     def framed(self):
@@ -179,7 +197,8 @@ class RicciFrame:
         the sub-stack of a slice, statuses and all."""
         if not isinstance(n, slice) and self.status[n]:
             raise DegenerateFrameError(self.status[n])
-        part = {k: v[n] for k, v in vars(self).items() if k not in ("source", "diagnostics")}
+        kept = ("source", "diagnostics", "jets")
+        part = {k: v[n] for k, v in vars(self).items() if k not in kept}
         diagnostics = {k: v[n] for k, v in self.diagnostics.items()}
         return RicciFrame(**part, source=self.source, diagnostics=diagnostics)
 
@@ -422,23 +441,46 @@ def extract_frames(charts, batch):
     )  # fmt: skip
 
 
+def _structure_degree(adapted):
+    # the curvature jet degree structure_data reads: an adapted frame's A
+    # needs d g and d Gamma, which the frame's own degree 3 holds, and an
+    # eigenframe's d nabla Ric too, degree 4
+    return 3 if adapted else 4
+
+
+def _first_order(jets, adapted):
+    # the value and first partials at the one point of curvature jets of
+    # the point's structure degree: the terms structure_data reads
+    keys = ("g", "gamma") if adapted else ("g", "gamma", "nabla_ric")
+    return {key: jets[key][:5, 0] for key in keys}
+
+
 def extract_frame(chart, x, entry=None):
     """The Ricci eigenframe and structure functions at x, the one-point case
     of extract_frames: DegenerateFrameError where x has no canonical frame.
 
     `entry` is the third-order curvature at x, a point of a curvature batch
-    such as report.batch[n] of a harmonicity report, evaluated when not
-    given; nothing else is. An entry without covariant derivatives, or at
-    another x, raises InputError.
+    such as report.batch[n] of a harmonicity report; nothing else is
+    evaluated, and the frame carries no jets. An entry without covariant
+    derivatives, or at another x, raises InputError. Without an entry, x
+    gets one curvature jet of the degree its structure data needs
+    (chart.curvature_with_jets): 3 for an adapted frame, 4 for an
+    eigenframe. The frame is made from the jet's value terms and carries
+    its first-order terms (RicciFrame.jets), so structure_data evaluates
+    nothing more. An eigenframe on a chart without a jet_fn is the
+    exception: its degree-4 stencil reaches further than the frame's own,
+    so x gets the degree-3 jet and the frame carries nothing.
     """
     x = np.asarray(x, dtype=float)
-    if entry is None:
-        batch = curvature_batch(chart, x[None], degree=3)
-    elif np.array_equal(entry.x, x):
-        batch = entry[None]
-    else:
-        raise InputError(f"the curvature is at {entry.x.tolist()}, not at {x.tolist()}")
-    return extract_frames(chart, batch)[0]
+    if entry is not None:
+        if not np.array_equal(entry.x, x):
+            raise InputError(f"the curvature is at {entry.x.tolist()}, not at {x.tolist()}")
+        return extract_frames(chart, entry[None])[0]
+    adapted = chart.adapted_frame_fn is not None
+    carries = adapted or chart.jet_fn is not None
+    batch, jets = curvature_with_jets(chart, x[None], _structure_degree(adapted) if carries else 3)
+    frame = extract_frames(chart, batch)[0]
+    return dataclasses.replace(frame, jets=_first_order(jets, adapted)) if carries else frame
 
 
 def skw_residuals(frame):
@@ -573,26 +615,38 @@ class StructureData:
 def structure_data(chart, frame):
     """F and DF at the frame's base point, DF[a, b, c] = D_a F_bc the exact
     first partial of F along e_a in the gauge of the module docstring, from
-    one jet at x: the degree-2 connection jet (chart.connection_jets) for
-    adapted frames, whose A needs d g and d Gamma only, and the degree-4
-    curvature jet for eigenframes, whose A needs d nabla Ric too. A chart
-    without a jet_fn differences that jet on its stencil
-    (numerics.metric_jet); a stencil that leaves the chart box raises
-    DomainError naming x and the stencil's reach."""
+    the first-order terms of one curvature jet at x: g and Gamma for
+    adapted frames, whose A needs d g and d Gamma only, and nabla Ric too
+    for eigenframes, whose A needs d nabla Ric.
+
+    A frame from extract_frame(chart, x) carries them (RicciFrame.jets), and
+    nothing is evaluated but the metric at x, to check that `chart` is the
+    frame's. A frame that carries none (a point of a stack, a frame made
+    from a given entry) gets the jet extract_frame would take, degree 3 for
+    adapted frames and 4 for eigenframes; a chart without a jet_fn
+    differences it on its stencil (numerics.metric_jet), and a stencil that
+    leaves the chart box raises DomainError naming x and the stencil's
+    reach. A stack of frames, or a chart whose metric at x is not the
+    frame's g within 1e-12 relative, raises InputError.
+    """
     x, E = frame.x, frame.E
+    if x.ndim != 1:
+        raise InputError(f"structure_data takes one frame, frames[n], not a stack of {len(x)}")
+    # the bound _validate_chart holds jet_fn and eval_fn to
+    metric = np.asarray(chart.eval_fn(x), dtype=float) if chart.contains(x) else None
+    if metric is None or np.abs(metric - frame.g).max() > 1e-12 * max(1.0, np.abs(metric).max()):
+        raise InputError(
+            f"chart '{chart.name}' is not the frame's: its metric at {x.tolist()} is another"
+        )
     adapted = frame.source == "adapted"
-    if adapted:
-        # g and Gamma only: the frame's own degree-3 curvature at x has
-        # passed the curvature checks
-        jets = connection_jets(chart, x[None], degree=2)
-    else:
-        jets = curvature_jets(chart, x[None], degree=4)
-    # first-order jets at x (value and four partials), the point axis dropped
-    g, gamma = jets["g"][:5, 0], jets["gamma"][:5, 0]
+    jets = frame.jets
+    if jets is None:
+        jets = _first_order(curvature_jets(chart, x[None], _structure_degree(adapted)), adapted)
+    g, gamma = jets["g"], jets["gamma"]
     same = np.ones((4, 4), dtype=bool) if adapted else frame.clusters[:, None] == frame.clusters
     lam = nabla_ric = None
     if not adapted:
-        nabla_ric = jets["nabla_ric"][:, 0]
+        nabla_ric = jets["nabla_ric"]
         # d_q lambda_a = (nabla_q b)(e_a, e_a) with b = ric - s g / 4; its
         # -d_q s / 4 is the same for every a and cancels in lam's only use,
         # the gaps lam_b - lam_k
@@ -625,8 +679,13 @@ def curvature_from_structure(sd, frame=None):
     mixed[i, j, k] = R_kijk = D_i F_jk - (F_ji - F_jk) F_ik,
     the latter vanishing exactly for harmonic-curvature data. The formulas
     presuppose an orthogonal web: when the originating frame is supplied,
-    its distinct-index Gamma components must not exceed D0_TOL.
+    its distinct-index Gamma components must not exceed D0_TOL, and it must
+    be the frame at sd.x (InputError otherwise).
     """
+    if frame is not None and not np.array_equal(sd.x, frame.x):
+        raise InputError(
+            f"the structure data is at {sd.x.tolist()}, the frame at {frame.x.tolist()}"
+        )
     if frame is not None and frame.distinct_gamma_max > D0_TOL:
         raise PreconditionError(
             f"distinct-index Gamma reach {frame.distinct_gamma_max:.3e} > {D0_TOL:g}; "

@@ -312,8 +312,10 @@ def test_stacked_frames_with_mixed_cluster_patterns(registry_charts):
     # rotation's masked steps run on some points and pairs and skip others,
     # and s4's points have no frame. extract_frames reads a chart only for
     # its adapted frame and its name, so one eigen-only chart serves the
-    # stack; each framed point equals its own chart's one-point frame, bit
-    # for bit, and each s4 point raises as it does alone
+    # stack; each framed point equals the one-point frame of its own chart
+    # on its entry of the stack, bit for bit (without an entry, a one-point
+    # eigenframe comes from a degree-4 jet), and each s4 point raises as it
+    # does alone
     names = ("s2xs2:1,2", "kpc", "randflat:0", "s4")
     charts = [eigen_only(registry_charts[n]) for n in names]
     parts = [(chart, sample_points(chart, count=3, seed=0)) for chart in charts]
@@ -324,7 +326,7 @@ def test_stacked_frames_with_mixed_cluster_patterns(registry_charts):
     assert patterns == [[2, 2]] * 3 + [[1, 1, 2]] * 3 + [[1, 1, 1, 1]] * 3
     points = [(chart, x) for chart, X in parts for x in X]
     for n, (chart, x) in enumerate(points[:9]):
-        assert_same_frame(frames[n], extract_frame(chart, x))
+        assert_same_frame(frames[n], extract_frame(chart, x, entry=batch[n]))
     for n, (chart, x) in enumerate(points[9:], start=9):
         with pytest.raises(DegenerateFrameError, match="Ricci is a multiple of g and W = 0"):
             frames[n]
@@ -430,16 +432,18 @@ def test_a_stack_that_mixes_frame_sources_is_rejected(registry_charts):
 
 
 def test_frame_stack_slices(registry_charts):
-    # a slice is the sub-stack, its statuses and diagnostics sliced too; an
-    # integer index still raises at a point with no frame
+    # a slice is the sub-stack, its statuses and diagnostics sliced too, and
+    # like the stack it carries no jets; an integer index still raises at a
+    # point with no frame
     chart = registry_charts["s2xs2:1,2"]
     frames = extract_frames(chart, curvature_batch(chart, sample_points(chart, count=3), degree=3))
     head = frames[0:2]
     assert head.status == ("", "") and head.framed.all() and head.source == "adapted"
+    assert frames.jets is head.jets is head[1].jets is None
     for key, value in vars(head).items():
         if key == "diagnostics":
             assert all(np.array_equal(v, frames.diagnostics[k][0:2]) for k, v in value.items())
-        elif key not in ("source", "status"):
+        elif key not in ("source", "status", "jets"):
             assert np.array_equal(value, getattr(frames, key)[0:2]), key
     assert_same_frame(head[1], frames[1])
     charts = [registry_charts[name] for name in ("bump:0.1", "s4")]
@@ -460,7 +464,10 @@ def test_one_point_frame_framed_is_a_boolean(registry_charts):
     assert framed.shape == () and framed.dtype == bool and framed
     frames, _ = framed_stack([registry_charts["s4"]], count=1)
     point = curv4.RicciFrame(
-        **{k: v if k in ("source", "diagnostics") else v[0] for k, v in vars(frames).items()}
+        **{
+            k: v if k in ("source", "diagnostics", "jets") else v[0]
+            for k, v in vars(frames).items()
+        }
     )
     assert point.status.startswith("chart 's4'")
     assert point.framed.shape == () and not point.framed
@@ -606,12 +613,13 @@ def test_dlam_is_the_derivative_of_lambda(registry_charts, name):
     assert np.max(np.abs(fr.dlam - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(fd))))
 
 
-def recording(chart, attr):
+def recording(chart, attr, with_args=False):
+    # the shape of x in each call of chart.attr, and its other arguments too
     calls = []
     inner = getattr(chart, attr)
 
     def wrapped(x, *args):
-        calls.append(np.shape(x))
+        calls.append((np.shape(x), *args) if with_args else np.shape(x))
         return inner(x, *args)
 
     setattr(chart, attr, wrapped)
@@ -620,24 +628,45 @@ def recording(chart, attr):
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "randflat:0"])
 def test_one_evaluation_per_stencil(name):
-    # given the third-order entry at x, the frame evaluates nothing more,
-    # and structure_data is one jet_fn call at x: degree 2 for adapted
-    # frames, which need d g and d Gamma, degree 4 for eigenframes, which
-    # need d nabla Ric
+    # given the third-order entry at x, the frame evaluates nothing more and
+    # carries no jets, so structure_data is one jet_fn call at x: degree 3
+    # for adapted frames, which need d g and d Gamma, degree 4 for
+    # eigenframes, which need d nabla Ric; and one eval_fn call at x, its
+    # check that the chart is the frame's
     chart = curv4.build_example(name)
     x = sample_points(chart, count=1, seed=3)[0]
     entry = curvature_at(chart, x, degree=3)
-    jets, evals = recording(chart, "jet_fn"), recording(chart, "eval_fn")
+    jets, evals = recording(chart, "jet_fn", with_args=True), recording(chart, "eval_fn")
     fr = extract_frame(chart, x, entry=entry)
-    assert jets == [] and evals == []
+    assert jets == [] and evals == [] and fr.jets is None
     structure_data(chart, fr)
-    assert jets == [(4,)] and evals == []
+    assert jets == [((4,), 3 if fr.source == "adapted" else 4)] and evals == [(4,)]
+
+
+@pytest.mark.parametrize("name", ["s2xs2:1,2", "kpc", "bump:0.1"])
+def test_one_jet_per_harvested_point(name):
+    # a harvested point, extract_frame(chart, x) then structure_data, makes
+    # one jet_fn call, at x, of the degree structure_data needs: the frame
+    # carries that jet's first-order terms, and structure_data evaluates
+    # only the metric at x (the chart check)
+    chart = curv4.build_example(name)
+    x = sample_points(chart, count=1, seed=3)[0]
+    jets, evals = recording(chart, "jet_fn", with_args=True), recording(chart, "eval_fn")
+    fr = extract_frame(chart, x)
+    degree = 3 if fr.source == "adapted" else 4
+    assert jets == [((4,), degree)] and evals == []
+    assert set(fr.jets) == ({"g", "gamma"} if degree == 3 else {"g", "gamma", "nabla_ric"})
+    assert all(term.shape[0] == 5 for term in fr.jets.values())
+    structure_data(chart, fr)
+    assert jets == [((4,), degree)] and evals == [(4,)]
 
 
 def test_one_evaluation_per_stencil_without_jet():
     # the finite-difference degree-4 jet at x: the nested stencil (129
     # points) around each of the 129 points of the same stencil at
-    # third_step, in one call
+    # third_step, in one call, after the chart check's one call at x. An
+    # eigenframe made without an entry takes the degree-3 jet on such a
+    # chart and carries nothing, so structure_data takes the same two calls
     chart = without_jet(curv4.build_example("randflat:0"))
     x = sample_points(chart, count=1, seed=3)[0]
     entry = curvature_at(chart, x, degree=3)
@@ -645,7 +674,13 @@ def test_one_evaluation_per_stencil_without_jet():
     fr = extract_frame(chart, x, entry=entry)
     assert evals == []
     structure_data(chart, fr)
-    assert evals == [(129 * 129, 4)]
+    assert evals == [(4,), (129 * 129, 4)]
+    evals.clear()
+    fr = extract_frame(chart, x)
+    assert fr.jets is None and evals == [(17 * 129, 4)]
+    evals.clear()
+    structure_data(chart, fr)
+    assert evals == [(4,), (129 * 129, 4)]
 
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "randflat:0"])

@@ -381,3 +381,57 @@ def test_structure_requires_web():
     sd = structure_data(ch, fr)
     with pytest.raises(PreconditionError):
         curvature_from_structure(sd, fr)
+
+
+def test_structure_data_takes_one_frame_of_its_chart():
+    # a stack of frames is refused with the one-point form to use, and so is
+    # a chart whose metric at x is not the frame's: an s2xs2:2,3 chart on an
+    # s2xs2:1,2 frame, which would give another DF
+    chart = curv4.build_example("s2xs2:1,2")
+    X = curv4.sample_points(chart, count=3, seed=0)
+    frames = curv4.extract_frames(chart, curv4.chart.curvature_batch(chart, X, degree=3))
+    for stack in (frames, frames[0:1]):
+        with pytest.raises(InputError, match=r"one frame, frames\[n\]"):
+            structure_data(chart, stack)
+    other = curv4.build_example("s2xs2:2,3")
+    for fr in (extract_frame(chart, X[0]), frames[0]):
+        with pytest.raises(InputError, match="chart 's2xs2:2,3'"):
+            structure_data(other, fr)
+    # a chart whose box leaves out the frame point is not the frame's either
+    shifted = dataclasses.replace(chart, box=chart.box + 10.0)
+    with pytest.raises(InputError, match="is not the frame's"):
+        structure_data(shifted, frames[0])
+
+
+def test_structure_and_frame_must_share_the_point(s2xs2_chart):
+    # one frame's web gate must not pass another point's F and DF
+    x, y = curv4.sample_points(s2xs2_chart, count=2, seed=0)
+    fx, fy = extract_frame(s2xs2_chart, x), extract_frame(s2xs2_chart, y)
+    with pytest.raises(InputError) as err:
+        curvature_from_structure(structure_data(s2xs2_chart, fx), fy)
+    assert str(x.tolist()) in str(err.value) and str(y.tolist()) in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "name", ["s2xs2:1,2", "rxs3", "kpc", "kpc:1,1.2,5", "bump:0.1", "randflat:0", "s2xs2:eigen"]
+)
+def test_carried_jets_give_the_fallback_df(name):
+    # DF from the first-order terms a one-point frame carries against DF
+    # from the jet structure_data takes for a frame made from an entry: the
+    # same jet, so bit for bit on adapted frames, whose E is the same too;
+    # an eigenframe from a degree-4 jet may differ from one from the
+    # degree-3 entry in roundoff, so to 1e-13 relative there
+    if name == "s2xs2:eigen":
+        chart = dataclasses.replace(curv4.build_example("s2xs2:1,2"), adapted_frame_fn=None)
+    else:
+        chart = curv4.build_example(name)
+    for seed in range(20):
+        x = curv4.sample_points(chart, count=1, seed=seed)[0]
+        carried = extract_frame(chart, x)
+        fallback = extract_frame(chart, x, entry=curv4.curvature_at(chart, x, 3))
+        assert carried.jets is not None and fallback.jets is None
+        got, ref = structure_data(chart, carried).DF, structure_data(chart, fallback).DF
+        if carried.source == "adapted":
+            assert np.array_equal(got, ref)
+        else:
+            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))

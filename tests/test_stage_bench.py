@@ -9,7 +9,9 @@ prints per-stage statistics: chart validation, of one chart and of the
 nine rows of a 3x3 s2xs2 scan as one family, one scrambled Halton draw,
 the three harmonicity residual norms of a one-point batch, extract_frame
 on an adapted (s2xs2) and an eigen (bump) frame, skw_residuals,
-structure_data, the stacked harmonicity pass of a 3x3 s2xs2 scan at
+structure_data on a frame made from an entry (which takes its own jet),
+one harvested point (extract_frame with no entry, then structure_data on
+the jet the frame carries), the stacked harmonicity pass of a 3x3 s2xs2 scan at
 one sample per cell (nine reports from one curvature batch), the frames
 of those nine cells as one stack with their skw rows and invariants, and
 the stacked frames of a 16-sample verify with theirs. A stack keeps the
@@ -82,6 +84,19 @@ def test_stage_structure_data(benchmark, one_point):
     frame = extract_frame(chart, x, batch[0])
     sd = benchmark(structure_data, chart, frame)
     assert sd.DF.shape == (4, 4, 4)
+
+
+def test_stage_one_point_harvest(benchmark, one_point):
+    # extract_frame(chart, x) takes one curvature jet at x, of degree 3 on
+    # s2xs2 and 4 on bump, and structure_data reads its first-order terms
+    chart, x, _ = one_point
+
+    def harvest():
+        frame = extract_frame(chart, x)
+        return frame, structure_data(chart, frame)
+
+    frame, sd = benchmark(harvest)
+    assert frame.jets is not None and sd.DF.shape == (4, 4, 4)
 
 
 def test_stage_stacked_harmonicity(benchmark):
