@@ -1,22 +1,20 @@
 """Coordinate charts and curvature from metric jets.
 
-A MetricChart is a box in R^4 with a smooth closed-form metric evaluator.
-A ChartFamily is one closed form, `formula(x, **params)` with parameters
-that broadcast over the leading axes of x, and a chart per row of
-parameters: its rows are validated together (_validate_chart runs each
-check once over the rows stacked, with its bound applied per row), and a
-stack of their points takes its metric jet from one formula call, each
-point with its own row's parameters. A chart made alone is validated as
-the one-row case.
+A MetricChart is a box in R^4 and one smooth metric formula, written with
+numpy operations on stacked points. A ChartFamily is one closed form,
+`formula(x, **params)` with parameters that broadcast over the leading
+axes of x, and a chart per row of parameters: its rows are validated
+together (_validate_chart runs each check once over the rows stacked, with
+its bound applied per row), and a stack of their points takes its metric
+jet from one formula call, each point with its own row's parameters. A
+chart made alone is validated as the one-row case.
 
 All curvature starts from the Taylor coefficients of the metric at x to a
 degree d: 2, 3 for the covariant derivatives of curvature (the
 harmonicity residuals), 4 for their first partials as well (the frame
-structure data). A chart with a `jet_fn` gives them exactly, by truncated
-Taylor arithmetic (numerics.Jet); for any other chart they are the
-finite-difference partials of one batched evaluation of the metric
-(numerics.metric_jet), each over its alpha! and averaged over the orderings
-of its derivatives. The rest is shared, and runs on stacked points:
+structure data). They are exact: the chart's formula evaluated on the
+coordinate jets of truncated Taylor arithmetic (numerics.Jet), so nothing
+is differenced. The rest runs on stacked points:
 `curvature_jets` takes the curvature jets at N points from one jet
 evaluation and `curvature_batch` their values (`curvature_with_jets` both,
 from one pass). `stacked_curvature_batch` stacks the points of several
@@ -69,9 +67,7 @@ from .numerics import (
     halton,
     jet_contract,
     jet_partials,
-    metric_jet,
     stencil_derivative,
-    taylor_coefficients,
 )
 from .tensor4 import curvature_symmetrize, weyl_from_curv
 
@@ -123,27 +119,20 @@ def _checked_tols(tols):
 
 @dataclass
 class MetricChart:
-    """Smooth metric on a coordinate box.
+    """Smooth metric on a coordinate box: the box and one metric formula.
 
-    eval_fn(x) returns the 4x4 metric components; adapted_frame_fn, when
-    registered, returns four g-orthogonal column vectors that diagonalize
-    the Ricci tensor (used by the frame extraction when the Ricci spectrum
-    is degenerate). Their directions must be constant over the box: frame
-    derivatives take only their normalization into account, and validation
-    rejects a frame that varies. `params` is serialized into reports.
-
-    `batched` declares that eval_fn also accepts stacked points, mapping
-    shape (..., 4) to (..., 4, 4); eval_batch then makes one call for a
-    whole stencil. Without it, eval_batch evaluates the points one by one.
-
-    `jet_fn(x, degree)`, when given, returns the exact Taylor coefficients
-    of the metric at stacked points x (..., 4) up to `degree`, shape
-    (..., 4, 4, ncoef) in the layout of numerics.Jet; curvature then uses
-    no finite differences. Without it the metric jet is taken by finite
-    differences of eval_fn on `stencil`.
-
-    `stencil` is how a chart without a jet_fn differences its metric jet;
-    a chart with one differences nothing.
+    eval_fn(x) is the metric at stacked points x (..., 4), shape (..., 4, 4),
+    written with numpy operations that numerics.Jet supports, so that the
+    same formula on the coordinate jets (Jet.variables(x, degree)) is the
+    metric's exact Taylor expansion, and curvature differences nothing. A
+    formula that Jet cannot evaluate (np.diag or np.array of entries, abs, a
+    function of one point only) raises InputError at construction.
+    adapted_frame_fn, when registered, returns four g-orthogonal column
+    vectors that diagonalize the Ricci tensor (used by the frame extraction
+    when the Ricci spectrum is degenerate). Their directions must be
+    constant over the box: frame derivatives take only their normalization
+    into account, and validation rejects a frame that varies. `params` is
+    serialized into reports.
 
     A chart that ChartFamily.charts makes is a row of its family: `family`
     is the ChartFamily and `row` the formula's keyword arguments for this
@@ -157,9 +146,6 @@ class MetricChart:
     eval_fn: object
     params: dict = field(default_factory=dict)
     adapted_frame_fn: object = None
-    batched: bool = False
-    jet_fn: object = None
-    stencil: StencilConfig = DEFAULT_STENCIL
     # (family, row), given by ChartFamily.charts only
     family_row: InitVar[tuple] = None
 
@@ -182,24 +168,6 @@ class MetricChart:
         if not self.contains(x):
             raise DomainError(f"point {x.tolist()} outside chart '{self.name}' box")
         return np.asarray(self.eval_fn(x), dtype=float)
-
-    def eval_batch(self, X):
-        """Metric components at stacked points: (N, 4) -> (N, 4, 4)."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != 4:
-            raise InputError(f"stacked chart points must have shape (N, 4), got {X.shape}")
-        outside = ~np.all((X >= self.box[:, 0]) & (X <= self.box[:, 1]), axis=1)
-        if np.any(outside):
-            raise DomainError(
-                f"point {X[outside][0].tolist()} outside chart '{self.name}' box"
-            )
-        if self.batched:
-            G = np.asarray(self.eval_fn(X), dtype=float)
-        else:
-            G = np.stack([np.asarray(self.eval_fn(x), dtype=float) for x in X])
-        if G.shape != (len(X), 4, 4):
-            raise InputError(f"chart '{self.name}' returned shape {G.shape} for {len(X)} points")
-        return G
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,8 +201,6 @@ class ChartFamily:
                 eval_fn=functools.partial(self.formula, **row),
                 params=params,
                 adapted_frame_fn=self.adapted_frame_fn,
-                batched=True,
-                jet_fn=functools.partial(self._jet, row),
                 family_row=(self, row),
             )
             for row, name, box, params in rows
@@ -242,9 +208,6 @@ class ChartFamily:
         if charts:
             _validate_chart(*charts)
         return charts
-
-    def _jet(self, row, x, degree):
-        return self.formula(Jet.variables(x, degree), **row).coef
 
     def evaluate(self, X, rows, degree=None):
         """The metric (degree None) or its Taylor coefficients to `degree` at
@@ -254,22 +217,34 @@ class ChartFamily:
         def at(x, row):
             if degree is None:
                 return np.asarray(self.formula(x, **row), dtype=float)
-            return self._jet(row, x, degree)
+            return _formula_jet(self.formula, x, degree, **row)
 
         if self.broadcasts:
             return at(X, {key: np.array([row[key] for row in rows])[:, None] for key in rows[0]})
         return np.stack([at(x, row) for x, row in zip(X, rows)])
 
 
+def _formula_jet(formula, x, degree, **row):
+    """The Taylor coefficients to `degree` of a metric formula at stacked
+    points x (..., 4), shape (..., 4, 4, ncoef) in numerics.Jet's layout:
+    the formula on the coordinate jets, with a family row's keyword
+    arguments `row`. TypeError if the formula gives something else than a
+    jet."""
+    jet = formula(Jet.variables(x, degree), **row)
+    if not isinstance(jet, Jet):
+        raise TypeError(f"it gave {type(jet).__name__}, not a Jet")
+    return jet.coef
+
+
 def _rows_evaluate(charts, X, degree=None):
     """The metric (degree None) or its Taylor coefficients to `degree` of
     every chart at its points X[n] (R, P, 4), the row axis first: one call
-    for the rows of a family, or one eval_fn or jet_fn call of a chart alone
-    on X[0]."""
+    for the rows of a family, or one formula call of a chart alone on
+    X[0]."""
     if len(charts) > 1:
         return charts[0].family.evaluate(X, [chart.row for chart in charts], degree)
     (chart,) = charts
-    values = chart.eval_fn(X[0]) if degree is None else chart.jet_fn(X[0], degree)
+    values = chart.eval_fn(X[0]) if degree is None else _formula_jet(chart.eval_fn, X[0], degree)
     return np.asarray(values, dtype=float)[None]
 
 
@@ -296,29 +271,30 @@ _CHECK_MOVES.setflags(write=False)
 
 
 def _validate_chart(*charts):
-    """Reject charts whose metric is malformed or whose evaluators disagree.
+    """Reject charts whose metric is malformed or whose formula is not one
+    smooth metric on points and jets alike.
 
     `charts` is one chart, or rows of one ChartFamily checked together:
     every check runs once over the rows stacked, with its bound applied to
     each row alone (a relative bound scaled by that row's own values), and
     a failure names the first row where the check fails, in the words of
     that chart checked alone. At five fixed probe points of each chart:
-    - eval_fn gives a (4, 4) metric, symmetric to 1e-10 relative and
-      positive definite (least eigenvalue above 1e-6), and jet_fn at degree
-      1 gives shape (5, 4, 4, 5); adapted_frame_fn, when registered, gives
-      (4, 4) frames whose column directions are the same at every probe to
-      1e-12; InputError otherwise, naming the first probe that fails;
-    - eval_fn on stacked points (batched charts) and the values of jet_fn
-      equal the point values to 1e-12 relative, and at the first probe the
-      order-4 and order-6 central first derivatives of eval_fn agree to
-      1e-6, as do the first partials of jet_fn and the order-6 ones;
-      InconsistencyError otherwise.
+    - eval_fn gives a (4, 4) metric, finite, symmetric to 1e-10 relative
+      and positive definite (least eigenvalue above 1e-6), and the formula
+      evaluates on the coordinate jets of degree 1 (numerics.Jet) to a jet
+      of shape (5, 4, 4); adapted_frame_fn, when registered, gives (4, 4)
+      frames whose column directions are the same at every probe to 1e-12;
+      InputError otherwise, naming the first probe that fails;
+    - the formula on stacked points and the values of its jet equal the
+      point values to 1e-12 relative, and at the first probe the order-4
+      and order-6 central first derivatives agree to 1e-6, as do the
+      first partials of the jet and the order-6 ones; InconsistencyError
+      otherwise.
     Each probe goes through its chart's eval_fn once, and the symmetry and
     definiteness checks run on every row's five metrics stacked. The rest
-    is one call for all rows (_rows_evaluate) each: jet_fn at degree 1 on
-    the probes, and for batched charts eval_fn on the five probes and the
-    40 points of the derivative stencils together; a chart that is not
-    batched evaluates the stencil points one by one.
+    is two calls for all rows (_rows_evaluate): the jet of degree 1 on the
+    probes, and the formula on the five probes and the 40 points of the
+    derivative stencils together.
     """
     pts = np.array([_probe_points(chart) for chart in charts])
     gs = []
@@ -329,11 +305,15 @@ def _validate_chart(*charts):
                 raise InputError(f"chart '{chart.name}' returned shape {g.shape}")
             gs.append(g)
     gs = np.array(gs)
-    asym = _norms(gs - np.swapaxes(gs, 1, 2)) > 1e-10 * np.maximum(1.0, _norms(gs))
-    low = np.linalg.eigvalsh(0.5 * (gs + np.swapaxes(gs, 1, 2)))[:, 0] <= 1e-6
-    if asym.any() or low.any():
-        n = int(np.argmax(asym | low))
+    finite = np.isfinite(gs).all(axis=(1, 2))
+    # a metric that is not finite is named as such, and checked no further
+    checked = gs if finite.all() else np.where(finite[:, None, None], gs, np.eye(4))
+    asym = _norms(checked - np.swapaxes(checked, 1, 2)) > 1e-10 * np.maximum(1.0, _norms(checked))
+    low = np.linalg.eigvalsh(0.5 * (checked + np.swapaxes(checked, 1, 2)))[:, 0] <= 1e-6
+    if not finite.all() or asym.any() or low.any():
+        n = int(np.argmax(~finite | asym | low))
         fault = "not symmetric" if asym[n] else "not positive definite"
+        fault = fault if finite[n] else "not finite"
         chart, x = charts[n // pts.shape[1]], pts.reshape(-1, 4)[n]
         raise InputError(f"chart '{chart.name}' metric {fault} at {x.tolist()}")
     gs = gs.reshape(pts.shape + (4,))
@@ -350,6 +330,20 @@ def _validate_chart(*charts):
                 "over the box; frame derivatives assume constant directions"
             )
 
+    def no_jet(why):
+        return InputError(
+            f"chart '{first.name}': its metric formula does not evaluate on numerics.Jet "
+            f"({why}); write eval_fn with numpy operations that Jet supports, on stacked "
+            "points (..., 4)"
+        )
+
+    try:
+        coef = _rows_evaluate(charts, pts, 1)
+    except (TypeError, ValueError, IndexError, AttributeError) as exc:
+        raise no_jet(exc) from exc
+    if coef.shape != gs.shape + (5,):
+        raise no_jet(f"a jet of shape {coef.shape[1:-1]} for {pts.shape[1]} points")
+
     def worst(T):
         # max |T| over each row
         return np.abs(T).reshape(len(T), -1).max(axis=1)
@@ -360,33 +354,25 @@ def _validate_chart(*charts):
             n = int(np.argmax(bad))
             raise InconsistencyError(message(charts[n].name, pts[n, 0].tolist()))
 
-    if first.jet_fn is not None:
-        coef = _rows_evaluate(charts, pts, 1)
-        if coef.shape != gs.shape + (5,):
-            raise InputError(f"chart '{first.name}' jet_fn returned shape {coef.shape[1:]}")
-        values = coef[..., 0]
-        reject(
-            worst(values - gs) > 1e-12 * np.maximum(1.0, worst(values)),
-            lambda name, _: f"chart '{name}': jet_fn and eval_fn disagree",
-        )
+    values = coef[..., 0]
+    reject(
+        worst(values - gs) > 1e-12 * np.maximum(1.0, worst(values)),
+        lambda name, _: f"chart '{name}': the formula's jet and its value disagree",
+    )
     # stencil-order consistency: order-4 and order-6 first derivatives agree,
-    # and with the jet where there is one
+    # and with the jet
     P = pts[:, :1] + _CHECK_MOVES
-    if first.batched:
-        V = _rows_evaluate(charts, np.concatenate([pts, P], axis=1))
-        if V.shape != (len(charts), pts.shape[1] + len(_CHECK_MOVES), 4, 4):
-            raise InputError(
-                f"chart '{first.name}' returned shape {V.shape[1:]} for "
-                f"{pts.shape[1] + len(_CHECK_MOVES)} points"
-            )
-        G, V = V[:, : pts.shape[1]], V[:, pts.shape[1] :]
-        reject(
-            worst(G - gs) > 1e-12 * np.maximum(1.0, worst(G)),
-            lambda name, _: f"chart '{name}': batched and point-wise evaluation disagree",
+    V = _rows_evaluate(charts, np.concatenate([pts, P], axis=1))
+    if V.shape != (len(charts), pts.shape[1] + len(_CHECK_MOVES), 4, 4):
+        raise InputError(
+            f"chart '{first.name}' returned shape {V.shape[1:]} for "
+            f"{pts.shape[1] + len(_CHECK_MOVES)} points"
         )
-    else:
-        (chart,) = charts
-        V = np.array([[np.asarray(chart.eval_fn(y), dtype=float) for y in P[0]]])
+    G, V = V[:, : pts.shape[1]], V[:, pts.shape[1] :]
+    reject(
+        worst(G - gs) > 1e-12 * np.maximum(1.0, worst(G)),
+        lambda name, _: f"chart '{name}': stacked and point-wise evaluation disagree",
+    )
     # the stencil axes (direction, offset) first, the row axis after them;
     # d[p, n] = D_p g of row n
     V = V.swapaxes(0, 1)
@@ -397,11 +383,11 @@ def _validate_chart(*charts):
         worst((d4 - d6).swapaxes(0, 1)) > 1e-6,
         lambda name, x: f"chart '{name}': order-4/order-6 derivatives disagree at {x}",
     )
-    if first.jet_fn is not None:
-        reject(
-            worst(coef[:, 0, ..., 1:] - d6.transpose(1, 2, 3, 0)) > 1e-6,
-            lambda name, x: f"chart '{name}': jet_fn derivative disagrees with eval_fn at {x}",
-        )
+    reject(
+        worst(coef[:, 0, ..., 1:] - d6.transpose(1, 2, 3, 0)) > 1e-6,
+        lambda name, x: f"chart '{name}': the formula's jet derivative disagrees with its "
+        f"differences at {x}",
+    )
 
 
 def _unit_samples(count, seed):
@@ -425,19 +411,6 @@ def sample_points(chart, count=16, seed=0):
     return _in_box(chart, _unit_samples(count, seed))
 
 
-def _guard_footprint(chart, X, margin):
-    # stencils bypass chart.eval, so their footprint is checked up front
-    X = np.asarray(X, dtype=float).reshape(-1, 4)
-    bad = ((X - margin < chart.box[:, 0] - 1e-12) | (X + margin > chart.box[:, 1] + 1e-12)).any(
-        axis=1
-    )
-    if bad.any():
-        raise DomainError(
-            f"stencil footprint (reach {margin:g}) exits chart '{chart.name}' box "
-            f"at {X[bad][0].tolist()}"
-        )
-
-
 def _first_kind(dg):
     """Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2 from dg[..., i, j, p] = d_p g_ij."""
     return 0.5 * (np.einsum("...mji->...mij", dg) + dg - np.einsum("...ijm->...mij", dg))
@@ -457,11 +430,13 @@ def _check_compatible(X, g, gamma, dg):
 
 
 def christoffel(chart, x, cfg=DEFAULT_STENCIL):
-    """Christoffel symbols Gamma[k, i, j] = Gamma^k_ij at x."""
+    """Christoffel symbols Gamma[k, i, j] = Gamma^k_ij at x, from central
+    differences of the metric on `cfg`: a reference for the exact jets.
+    Each stencil point goes through chart.eval, whose DomainError names a
+    point outside the box."""
     x = np.asarray(x, dtype=float)
-    _guard_footprint(chart, x, cfg.reach * cfg.step)
     g = chart.eval(x)
-    dg = np.stack([central_diff(chart.eval_fn, x, d, cfg) for d in range(4)], axis=-1)
+    dg = np.stack([central_diff(chart.eval, x, d, cfg) for d in range(4)], axis=-1)
     gamma = np.einsum("km,mij->kij", np.linalg.inv(g), _first_kind(dg))
     _check_compatible(x, g, gamma, dg)
     return gamma
@@ -472,33 +447,23 @@ def _metric_coefficients(run, degree):
     (ncoef, N, 4, 4) with the coefficient axis first and the parts' N
     points in order: `run` is one (chart, X) part, or parts whose charts
     are rows of one family with as many points X (P, 4) each. The
-    coefficients come from one call: the family's on all rows stacked
-    (ChartFamily.evaluate), the chart's jet_fn on all of X, or one
-    eval_batch call on the chart's stencil for a chart without a jet_fn
-    (numerics.metric_jet)."""
-    chart, X = run[0]
-    if chart.jet_fn is None:
-        # the nested stencil reaches twice as far as a single one, and each
-        # level above the second adds the outer stencil once
-        cfg = chart.stencil
-        reach = cfg.reach * (2 * cfg.step + (degree - 2) * cfg.third_step)
-        _guard_footprint(chart, X, reach)
-        derivs = metric_jet(chart.eval_batch, X, cfg, degree)
-        # the point axis goes behind the derivative axes
-        return taylor_coefficients([np.moveaxis(d, 0, k) for k, d in enumerate(derivs)])
+    coefficients come from one formula call on the coordinate jets: the
+    family's on all rows stacked (ChartFamily.evaluate), or the chart's on
+    all of X. A point outside its chart's box raises DomainError."""
     for chart, X in run:
         outside = ~np.all((X >= chart.box[:, 0]) & (X <= chart.box[:, 1]), axis=1)
         if outside.any():
             raise DomainError(f"point {X[outside][0].tolist()} outside chart '{chart.name}' box")
+    chart, X = run[0]
     if len(run) > 1:
         rows = [chart.row for chart, _ in run]
         coef = chart.family.evaluate(np.stack([X for _, X in run]), rows, degree)
         coef = coef.reshape((-1,) + coef.shape[2:])
     elif len(X) == 1:
         # a single point goes in unstacked: formulas run faster on scalars
-        coef = chart.jet_fn(X[0], degree)[None]
+        coef = _formula_jet(chart.eval_fn, X[0], degree)[None]
     else:
-        coef = chart.jet_fn(X, degree)
+        coef = _formula_jet(chart.eval_fn, X, degree)
     return np.moveaxis(np.asarray(coef, dtype=float), -1, 0)
 
 
@@ -561,9 +526,12 @@ def _norms(T):
 
 def _checked_inverse(X, g):
     """g^-1 at every point X[n] (N, 4) of the metrics g (N, 4, 4), after
-    checking each g: symmetric to 1e-12 relative, positive definite (least
-    eigenvalue above 1e-6), and g g^-1 = I within 1e-10. InputError or
-    InconsistencyError names the first point that fails."""
+    checking each g: finite, symmetric to 1e-12 relative, positive definite
+    (least eigenvalue above 1e-6), and g g^-1 = I within 1e-10. InputError
+    or InconsistencyError names the first point that fails."""
+    if not np.isfinite(g).all():
+        infinite = ~np.isfinite(g).all(axis=(1, 2))
+        raise InputError(f"metric is not finite at {X[infinite][0].tolist()}")
     asym = _norms(g - np.swapaxes(g, 1, 2)) > 1e-12 * np.maximum(1.0, _norms(g))
     if asym.any():
         raise InputError(f"metric is not symmetric at {X[asym][0].tolist()}")
@@ -628,26 +596,24 @@ def stacked_curvature_batch(parts, degree=2):
     metric coefficients of consecutive parts whose charts are rows of one
     family, with as many points each, come from one call of the family's
     formula, each point with its own row's parameters; any other part's
-    from its own one jet_fn or eval_batch call. The algebra runs once per
-    block of the stacked points. Each point
-    equals its point of curvature_batch(chart, X, degree) on its own part,
-    bit for bit. No parts, or a part with no points, raises InputError."""
+    from its own one formula call. The algebra runs once per block of the
+    stacked points. Each point equals its point of curvature_batch(chart,
+    X, degree) on its own part, bit for bit. No parts, or a part with no
+    points, raises InputError."""
     return _value_batch(parts, _jet_blocks(parts, degree))
 
 
 def curvature_batch(chart, X, degree=2):
     """Curvature at stacked points X (N, 4) from one metric jet of `degree`,
-    an integer >= 2 (3 and more for the covariant derivatives; at most 4
-    for charts without a jet_fn): one jet_fn call, or one eval_batch call
-    on the chart stencil around all points. The fields are the value terms
-    of `curvature_jets`; the algebra runs on blocks of points, to bound the
-    memory a large batch holds at once. It is the one-part
-    stacked_curvature_batch.
+    an integer >= 2 (3 and more for the covariant derivatives): one call of
+    the chart's formula on the coordinate jets of all points. The fields
+    are the value terms of `curvature_jets`; the algebra runs on blocks of
+    points, to bound the memory a large batch holds at once. It is the
+    one-part stacked_curvature_batch.
 
-    Every point gets the same checks: a symmetric
-    positive-definite metric with g g^-1 = I, nabla g = 0, and a raw
-    curvature within 1e-3 * ||raw|| of its projection. A point outside the
-    box (or, for finite-difference jets, one whose stencil leaves it) raises
+    Every point gets the same checks: a finite symmetric positive-definite
+    metric with g g^-1 = I, nabla g = 0, and a raw curvature within
+    1e-3 * ||raw|| of its projection. A point outside the box raises
     DomainError naming that point; a degree that is not an integer >= 2,
     or X with no points, raises InputError.
     """

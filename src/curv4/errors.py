@@ -10,7 +10,7 @@ class InputError(Curv4Error, ValueError):
 
 
 class DomainError(Curv4Error):
-    """A point (or a finite-difference stencil around it) left a chart's box."""
+    """A point left a chart's box."""
 
 
 class IntegrationError(Curv4Error):

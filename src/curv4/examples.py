@@ -13,9 +13,9 @@ Registry names (parameters after a colon, comma-separated):
 Each kind is a chart family (chart.ChartFamily): one metric formula
 `formula(x, **params)` written with numpy operations over the last axis of
 x, and a row maker that checks one row of registry values and prepares the
-formula's parameters from them. Applied to stacked points (..., 4) the
-formula is a chart's batched `eval_fn`; applied to the coordinate jets of
-numerics.Jet it is the chart's `jet_fn`, which gives the exact metric jet.
+formula's parameters from them. It is each chart's `eval_fn`: applied to
+stacked points (..., 4) it gives the metric, and applied to the coordinate
+jets of numerics.Jet the exact metric jet.
 With every parameter an array (R, 1) of the rows' values, against points
 (R, P, 4), it evaluates the charts of R rows in one call: build_examples
 makes a scan's cells as one family, and build_example is its one-row case,

@@ -34,14 +34,13 @@ partial of F from one curvature jet at x (numerics.jet_contract does the
 product rule).
 
 extract_frame(chart, x), one point with no entry given, takes one
-curvature jet at x of the degree its structure data needs, 3 for adapted
-frames and 4 for eigenframes, frames x from its value terms, and carries
-its first-order terms (g, Gamma and, for eigenframes, nabla Ric) as
-RicciFrame.jets; structure_data reads them and evaluates no jet. Frames
-of a stack carry none, and for a point of one structure_data takes its
-own jet of the same degree. On a chart without a jet_fn an eigenframe
-takes the degree-3 jet, because the degree-4 stencil reaches further and
-may leave the box, and carries nothing.
+curvature jet at x of the degree its frame and structure data need, 3 for
+adapted frames and 4 for eigenframes, frames x from its value terms, and
+carries its first-order terms (g, Gamma and, for eigenframes, nabla Ric)
+as RicciFrame.jets; structure_data reads them and evaluates no jet. Frames
+of a stack carry none, and for a point of one structure_data takes the
+lowest jet that holds those terms: degree 2 for adapted frames, 4 for
+eigenframes.
 
 Gauge: a frame's derivative is that of the frame field aligned to it: in
 each lambda cluster, the frame E_y at a nearby point y is the basis of its
@@ -156,8 +155,8 @@ class RicciFrame:
     jets: the first-order terms at x (the value, then the four partials) of
     the curvature jet that structure_data reads, g and gamma, and nabla_ric
     on an eigenframe, from the jet extract_frame(chart, x) framed x with;
-    None on the frames of a stack, their points and slices, on a frame made
-    from a given entry, and on an eigenframe of a chart without a jet_fn.
+    None on the frames of a stack, their points and slices, and on a frame
+    made from a given entry.
     """
 
     x: np.ndarray
@@ -441,16 +440,9 @@ def extract_frames(charts, batch):
     )  # fmt: skip
 
 
-def _structure_degree(adapted):
-    # the curvature jet degree structure_data reads: an adapted frame's A
-    # needs d g and d Gamma, which the frame's own degree 3 holds, and an
-    # eigenframe's d nabla Ric too, degree 4
-    return 3 if adapted else 4
-
-
 def _first_order(jets, adapted):
-    # the value and first partials at the one point of curvature jets of
-    # the point's structure degree: the terms structure_data reads
+    # the value and first partials at the one point of curvature jets: the
+    # terms structure_data reads
     keys = ("g", "gamma") if adapted else ("g", "gamma", "nabla_ric")
     return {key: jets[key][:5, 0] for key in keys}
 
@@ -463,13 +455,11 @@ def extract_frame(chart, x, entry=None):
     such as report.batch[n] of a harmonicity report; nothing else is
     evaluated, and the frame carries no jets. An entry without covariant
     derivatives, or at another x, raises InputError. Without an entry, x
-    gets one curvature jet of the degree its structure data needs
+    gets one curvature jet of the degree its frame and structure data need
     (chart.curvature_with_jets): 3 for an adapted frame, 4 for an
     eigenframe. The frame is made from the jet's value terms and carries
     its first-order terms (RicciFrame.jets), so structure_data evaluates
-    nothing more. An eigenframe on a chart without a jet_fn is the
-    exception: its degree-4 stencil reaches further than the frame's own,
-    so x gets the degree-3 jet and the frame carries nothing.
+    nothing more.
     """
     x = np.asarray(x, dtype=float)
     if entry is not None:
@@ -477,10 +467,10 @@ def extract_frame(chart, x, entry=None):
             raise InputError(f"the curvature is at {entry.x.tolist()}, not at {x.tolist()}")
         return extract_frames(chart, entry[None])[0]
     adapted = chart.adapted_frame_fn is not None
-    carries = adapted or chart.jet_fn is not None
-    batch, jets = curvature_with_jets(chart, x[None], _structure_degree(adapted) if carries else 3)
+    # the frame needs degree 3, and an eigenframe's structure data degree 4
+    batch, jets = curvature_with_jets(chart, x[None], 3 if adapted else 4)
     frame = extract_frames(chart, batch)[0]
-    return dataclasses.replace(frame, jets=_first_order(jets, adapted)) if carries else frame
+    return dataclasses.replace(frame, jets=_first_order(jets, adapted))
 
 
 def skw_residuals(frame):
@@ -622,17 +612,15 @@ def structure_data(chart, frame):
     A frame from extract_frame(chart, x) carries them (RicciFrame.jets), and
     nothing is evaluated but the metric at x, to check that `chart` is the
     frame's. A frame that carries none (a point of a stack, a frame made
-    from a given entry) gets the jet extract_frame would take, degree 3 for
-    adapted frames and 4 for eigenframes; a chart without a jet_fn
-    differences it on its stencil (numerics.metric_jet), and a stencil that
-    leaves the chart box raises DomainError naming x and the stencil's
-    reach. A stack of frames, or a chart whose metric at x is not the
-    frame's g within 1e-12 relative, raises InputError.
+    from a given entry) gets the lowest curvature jet at x that holds them,
+    degree 2 for adapted frames and 4 for eigenframes. A stack of frames,
+    or a chart whose metric at x is not the frame's g within 1e-12
+    relative, raises InputError.
     """
     x, E = frame.x, frame.E
     if x.ndim != 1:
         raise InputError(f"structure_data takes one frame, frames[n], not a stack of {len(x)}")
-    # the bound _validate_chart holds jet_fn and eval_fn to
+    # the bound _validate_chart holds a formula's jet and its value to
     metric = np.asarray(chart.eval_fn(x), dtype=float) if chart.contains(x) else None
     if metric is None or np.abs(metric - frame.g).max() > 1e-12 * max(1.0, np.abs(metric).max()):
         raise InputError(
@@ -641,7 +629,9 @@ def structure_data(chart, frame):
     adapted = frame.source == "adapted"
     jets = frame.jets
     if jets is None:
-        jets = _first_order(curvature_jets(chart, x[None], _structure_degree(adapted)), adapted)
+        # the lowest jet that holds them: an adapted frame's A needs d g and
+        # d Gamma, which degree 2 holds, and an eigenframe's d nabla Ric too
+        jets = _first_order(curvature_jets(chart, x[None], 2 if adapted else 4), adapted)
     g, gamma = jets["g"], jets["gamma"]
     same = np.ones((4, 4), dtype=bool) if adapted else frame.clusters[:, None] == frame.clusters
     lam = nabla_ric = None

@@ -1,15 +1,15 @@
 """Shared numerical kernels.
 
-Truncated multivariate Taylor arithmetic (`Jet`), which gives exact metric
-jets for charts written as formulas, with the contraction (`jet_contract`)
-and partials (`jet_partials`) of coefficient arrays that build curvature at
-any degree; central differences on scalar/array valued fields, one at a
-time or contracted over the stencil points of many base points at once, and
-metric jets up to fourth partials from one batched stencil evaluation, for
-charts without a formula; symmetric eigensystems
-with a deterministic ordering, SVD-based rank decisions and the Halton
-sequence. Everything downstream (curvature, frames, variety checks) funnels
-its numerics through this module.
+Truncated multivariate Taylor arithmetic (`Jet`), which gives the exact
+metric jet of every chart, its metric formula evaluated on the coordinate
+jets, with the contraction (`jet_contract`) and partials (`jet_partials`)
+of coefficient arrays that build curvature at any degree; central
+differences on scalar/array valued fields, one at a time or contracted over
+the stencil points of many base points at once, which chart validation and
+the test references use; symmetric eigensystems with a deterministic
+ordering, SVD-based rank decisions and the Halton sequence. Everything
+downstream (curvature, frames, variety checks) funnels its numerics
+through this module.
 """
 
 from __future__ import annotations
@@ -36,21 +36,14 @@ _FD_STENCILS = {
 
 @dataclass(frozen=True)
 class StencilConfig:
-    """Finite-difference configuration.
-
-    `step` drives first and second derivatives (the metric jet, built from
-    nested first-derivative stencils); `third_step` is the wider outer step
-    of the levels above: the third and fourth metric partials of a chart
-    without an exact jet.
-    """
+    """Central first-derivative stencil: its `step` and its `order`."""
 
     step: float = 1e-3
     order: int = 4
-    third_step: float = 5e-3
 
     def __post_init__(self):
-        if self.step <= 0.0 or self.third_step <= 0.0:
-            raise InputError("stencil steps must be positive")
+        if self.step <= 0.0:
+            raise InputError("stencil step must be positive")
         if self.order not in _FD_STENCILS:
             raise InputError(f"stencil order must be one of {sorted(_FD_STENCILS)}, got {self.order}")
 
@@ -67,7 +60,7 @@ def central_diff(f, x, direction, cfg=DEFAULT_STENCIL, step=None):
     """Central difference of `f` along coordinate `direction` at `x`.
 
     `f` may return a scalar or an ndarray; the derivative has the same shape.
-    `step` overrides cfg.step (used for the wider third-derivative stencils).
+    `step` overrides cfg.step.
     """
     x = np.asarray(x, dtype=float)
     h = cfg.step if step is None else step
@@ -79,37 +72,6 @@ def central_diff(f, x, direction, cfg=DEFAULT_STENCIL, step=None):
         term = w * np.asarray(f(y), dtype=float)
         acc = term if acc is None else acc + term
     return acc / h
-
-
-@functools.lru_cache(maxsize=None)
-def _jet_layout(order):
-    """Integer offsets of the nested stencil in R^4, and where each term reads.
-
-    Returns (offsets, center, first, second): offsets[n] is the n-th distinct
-    point in units of the step; first[p, a] indexes the point o_a e_p and
-    second[q, b, p, a] the point o_b e_q + o_a e_p, with o the 1D offsets.
-    """
-    steps = _FD_STENCILS[order][0]
-    index = {}
-
-    def at(*moves):
-        v = [0, 0, 0, 0]
-        for axis, o in moves:
-            v[axis] += o
-        return index.setdefault(tuple(v), len(index))
-
-    center = at()
-    first = np.array([[at((p, o)) for o in steps] for p in range(4)])
-    second = np.array(
-        [
-            [[[at((q, ob), (p, oa)) for oa in steps] for p in range(4)] for ob in steps]
-            for q in range(4)
-        ]
-    )
-    offsets = np.array(list(index), dtype=float)
-    for arr in (offsets, first, second):
-        arr.setflags(write=False)
-    return offsets, center, first, second
 
 
 def axis_stencil(x, cfg=DEFAULT_STENCIL, step=None):
@@ -131,55 +93,6 @@ def stencil_derivative(values, cfg=DEFAULT_STENCIL, step=None):
     h = cfg.step if step is None else step
     weights = np.asarray(_FD_STENCILS[cfg.order][1], dtype=float)
     return np.tensordot(values, weights, axes=(1, 0)) / h
-
-
-def metric_jet(f_batch, x, cfg=DEFAULT_STENCIL, degree=2):
-    """Value and partials of a field at stacked points x (..., 4), up to
-    `degree` (2, 3 or 4), from one batched call.
-
-    `f_batch` maps stacked points (N, 4) to stacked values (N, ...). At
-    degree 2 it is called on the tensor product of cfg's central
-    first-derivative stencil with itself around every point of x: the points
-    that nested `central_diff` calls touch (129 distinct per point at order
-    4). The 1D weights are contracted in the same nested order, so d1[p] =
-    D_p f and d2[q, p] = D_q (D_p f), D_p being the first-derivative stencil
-    along p (Fornberg, Math. Comp. 51, 1988). Higher degrees take the same
-    nested stencil, at H = cfg.third_step, as outer levels: degree 3 adds
-    the product stencil around the points x + o H e_r, and d3[r, q, p] =
-    D^H_r (D_q D_p f); degree 4 adds it around x + o' H e_s + o H e_r too
-    (129 outer points at order 4), and d4[s, r, q, p] = D^H_s D^H_r (D_q D_p
-    f). Returns [value, d1, d2, ...], each with the batch axes of x first
-    and the derivative axes right after them.
-    """
-    if degree not in (2, 3, 4):
-        raise InputError(f"finite-difference jets have degree 2, 3 or 4, got {degree}")
-    h = cfg.step
-    offsets, center, first, second = _jet_layout(cfg.order)
-    w = np.asarray(_FD_STENCILS[cfg.order][1], dtype=float)
-    x = np.asarray(x, dtype=float)
-    lead = x.shape[:-1]
-    # the outer points: the nested layout's center, its first level, and at
-    # degree 4 its second, in layout order
-    outer = {2: 1, 3: 1 + first.size, 4: len(offsets)}[degree]
-    bases = x.reshape(-1, 1, 4) + cfg.third_step * offsets[:outer]
-    pts = (bases[:, :, None, :] + h * offsets).reshape(-1, 4)
-    values = np.asarray(f_batch(pts), dtype=float)
-    values = values.reshape(bases.shape[:2] + (len(offsets),) + values.shape[1:])
-
-    def nested(v, at, step):
-        # D_q (D_p v) from values on the nested layout along axis `at` of v
-        inner = np.tensordot(w, v.take(second, axis=at), axes=(0, at + 3)) / step
-        return np.tensordot(w, inner, axes=(0, at + 1)) / step
-
-    d1 = np.tensordot(w, values[:, :, first], axes=(0, 3)) / h
-    d2 = nested(values, 2, h)
-    # copies: a view would keep every stencil value alive with the result
-    jet = [values[:, 0, center].copy(), d1[:, 0].copy(), d2[:, 0].copy()]
-    if degree >= 3:
-        jet.append(np.tensordot(w, d2[:, first], axes=(0, 2)) / cfg.third_step)
-    if degree == 4:
-        jet.append(nested(d2, 1, cfg.third_step))
-    return [d.reshape(lead + d.shape[1:]) for d in jet]
 
 
 def _multi_indices(nvar, degree):
@@ -233,18 +146,6 @@ def _jet_tables(nvar, degree):
 
 
 _NVAR = 4  # the coefficient arrays below are jets in the four chart coordinates
-
-
-def taylor_coefficients(derivs):
-    """Taylor coefficients, coefficient axis first, from the partials [f, df,
-    ..., d^k f], derivative axes first: each partial over its alpha!, and
-    averaged over the orderings of its derivative axes (their sum over k!),
-    where they do not commute as metric_jet's third partials do not."""
-    idx = _jet_tables(_NVAR, len(derivs) - 1)[3]
-    coef = np.zeros((math.comb(_NVAR + len(derivs) - 1, _NVAR),) + np.shape(derivs[0]))
-    for k, d in enumerate(derivs):
-        np.add.at(coef, idx[k].ravel(), np.reshape(d, (-1,) + coef.shape[1:]) / math.factorial(k))
-    return coef
 
 
 @functools.lru_cache(maxsize=None)

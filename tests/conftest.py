@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import curv4
+from curv4.chart import MetricChart
 from curv4.frames import extract_frame
 
 # the CLI tests start fresh interpreters: they import the package from the
@@ -65,3 +66,30 @@ def ric_eigenvalues(entry):
     """Eigenvalues of Ric as an endomorphism (g^-1 Ric), ascending."""
     vals = np.linalg.eigvals(entry.g_inv @ entry.ric)
     return np.sort(vals.real)
+
+
+def diagonal(x, *entries):
+    """The metric diag(entries) at stacked points x (..., 4), for test charts
+    written as formulas: each entry is a number or a field of x (an array,
+    or a numerics.Jet on the coordinate jets). np.diag of jet entries is no
+    jet, so the matrix is a sum of each entry times its unit diagonal."""
+    zero = 0.0 * x[..., 0]
+    return sum((zero + e)[..., None, None] * np.diag(unit) for e, unit in zip(entries, np.eye(4)))
+
+
+def pulled_back(chart, c, A, name=None):
+    """The chart in coordinates y with x = c + A y, g~(y) = A^T g(c + A y) A,
+    on the largest cube around y = 0 that A maps into the chart's box. Its
+    formula composes the chart's with the affine map: `@` contracts a jet's
+    last axis, so A^T (g A) is the sum over a of the outer products of A's
+    row a with row a of g A, and the pulled-back jet is exact."""
+    formula = chart.eval_fn
+
+    def eval_fn(y):
+        gA = formula(y @ A.T + c) @ A
+        return sum(A[a][:, None] * gA[..., a, None, :] for a in range(4))
+
+    room = np.minimum(c - chart.box[:, 0], chart.box[:, 1] - c)
+    width = np.min(room / np.abs(A).sum(axis=1))
+    box = np.array([[-width, width]] * 4)
+    return MetricChart(name=name or f"{chart.name}-affine", box=box, eval_fn=eval_fn)

@@ -22,14 +22,18 @@ from curv4.chart import (
 )
 from curv4.errors import DomainError, InconsistencyError, InputError
 from curv4.numerics import Jet, StencilConfig
-from tests.conftest import ric_eigenvalues
+from tests.conftest import diagonal, ric_eigenvalues
 
 UNIT_BOX = np.array([[-1.0, 1.0]] * 4)
 REGISTRY_NAMES = ["s4", "h4", "s2xs2:1,2", "rxs3", "kpc", "bump:0.1", "randflat:0"]
 
 
+def flat(x):
+    return diagonal(x, 1.0, 1.0, 1.0, 1.0)
+
+
 def flat_chart():
-    return MetricChart(name="flat", box=UNIT_BOX, eval_fn=lambda x: np.eye(4))
+    return MetricChart(name="flat", box=UNIT_BOX, eval_fn=flat)
 
 
 def test_chart_validation():
@@ -50,9 +54,7 @@ def test_validation_rejects_a_varying_adapted_frame():
         return np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.0]])
 
     def chart(name, frame):
-        return MetricChart(
-            name=name, box=UNIT_BOX, eval_fn=lambda x: np.eye(4), adapted_frame_fn=frame
-        )
+        return MetricChart(name=name, box=UNIT_BOX, eval_fn=flat, adapted_frame_fn=frame)
 
     with pytest.raises(InputError, match="adapted frame directions vary"):
         chart("turning", turning)
@@ -61,39 +63,75 @@ def test_validation_rejects_a_varying_adapted_frame():
     chart("scaled", lambda x: (1.0 + x[0] ** 2) * np.eye(4))
 
 
-def conformal(phi):
-    """Batched eval_fn and jet_fn of e^phi(x) delta, phi written against numpy
-    operations, so that it takes arrays and Jets alike."""
+def conformal(phi, on_jets=None):
+    """The formula of e^phi(x) delta, phi written against numpy operations,
+    so that it takes arrays and Jets alike; on jets, on_jets(x0) is added
+    to every diagonal entry, a formula whose jet is not its own."""
 
     def formula(x):
-        return np.exp(phi(x))[..., None, None] * np.eye(4)
+        g = diagonal(x, *[np.exp(phi(x))] * 4)
+        if on_jets is not None and isinstance(x, Jet):
+            g = g + diagonal(x, *[on_jets(x[..., 0])] * 4)
+        return g
 
-    return formula, lambda x, degree: formula(Jet.variables(x, degree)).coef
+    return formula
 
 
 def test_validation_rejects_inconsistent_evaluators():
-    formula, jet_fn = conformal(lambda x: 0.2 * x[..., 0])
-    _, scaled_jet = conformal(lambda x: 0.2 * x[..., 0] + 1e-3)
+    def build(**kwargs):
+        formula = conformal(lambda x: 0.2 * x[..., 0], **kwargs)
+        return MetricChart(name="conf", box=UNIT_BOX, eval_fn=formula)
 
-    def steeper_jet(x, degree):
-        coef = jet_fn(x, degree)
-        coef[..., 1] += 0.01  # the linear term in x0: value kept, D_0 g off by 0.01
-        return coef
-
-    def build(jet):
-        return MetricChart(name="conf", box=UNIT_BOX, eval_fn=formula, jet_fn=jet, batched=True)
-
-    assert build(jet_fn).jet_fn is jet_fn
-    with pytest.raises(InconsistencyError, match="jet_fn and eval_fn disagree"):
-        build(scaled_jet)
-    with pytest.raises(InconsistencyError, match="jet_fn derivative disagrees"):
-        build(steeper_jet)
+    build()
+    with pytest.raises(InconsistencyError, match="the formula's jet and its value disagree"):
+        build(on_jets=lambda x0: 1e-3 + 0.0 * x0)
+    # value kept, D_0 g off by 0.01
+    with pytest.raises(InconsistencyError, match="the formula's jet derivative disagrees"):
+        build(on_jets=lambda x0: 0.01 * (x0 - x0.value))
     # order-4 truncation error h^4 |D^5 g| / 30 is about 3e-5 at the first
     # probe (x0 = 0) for sin(100 x0) at h = 1e-3; order 6 is 4e-4 times that
-    wavy, _ = conformal(lambda x: 0.1 * np.sin(100.0 * x[..., 0]))
-    for batched in (True, False):
-        with pytest.raises(InconsistencyError, match="order-4/order-6"):
-            MetricChart(name="wavy", box=UNIT_BOX, eval_fn=wavy, batched=batched)
+    wavy = conformal(lambda x: 0.1 * np.sin(100.0 * x[..., 0]))
+    with pytest.raises(InconsistencyError, match="order-4/order-6"):
+        MetricChart(name="wavy", box=UNIT_BOX, eval_fn=wavy)
+
+
+@pytest.mark.parametrize(
+    "formula",
+    [
+        # entries gathered by np.diag or np.array: an object array, no jet
+        lambda x: np.diag([1.0, 1.0 + x[..., 0] * x[..., 0], 1.0, 1.0]),
+        lambda x: np.array([[1.0 + 0.1 * x[..., 0] if i == j else 0.0 for j in range(4)]
+                            for i in range(4)]),  # fmt: skip
+        # abs, which Jet leaves out
+        lambda x: (1.0 + 0.1 * abs(x[..., 0]))[..., None, None] * np.eye(4),
+        lambda x: (1.0 + 0.1 * np.abs(x[..., 0]))[..., None, None] * np.eye(4),
+        # functions of one point only
+        lambda x: (1.0 + 0.1 * float(x[0])) * np.eye(4),
+        lambda x: (1.0 + 0.1 * x[0] ** 2) * np.eye(4),
+        # a constant
+        lambda x: np.eye(4),
+    ],
+)
+def test_formula_that_jet_cannot_evaluate_is_named(formula):
+    with pytest.raises(InputError) as err:
+        MetricChart(name="pointwise", box=UNIT_BOX, eval_fn=formula)
+    assert "chart 'pointwise'" in str(err.value)
+    assert "numpy operations that Jet supports" in str(err.value)
+
+
+def test_metric_that_is_not_finite_is_named():
+    # finite at the five probes, e^(2000 x0^8) overflows at samples with x0
+    # above 0.88
+    chart = MetricChart(
+        name="steep", box=UNIT_BOX, eval_fn=conformal(lambda x: 2000.0 * x[..., 0] ** 8)
+    )
+    with pytest.raises(InputError, match="metric is not finite at"):
+        harmonicity_report(chart, count=64)
+    # on the box shifted to [-0.5, 1.5]^4 it overflows at probes already
+    with pytest.raises(InputError, match="chart 'steep2' metric not finite at"):
+        MetricChart(
+            name="steep2", box=UNIT_BOX + 0.5, eval_fn=conformal(lambda x: 2000.0 * x[..., 0] ** 8)
+        )
 
 
 @pytest.mark.parametrize(
@@ -140,24 +178,13 @@ def test_family_names_its_rejected_row(formula, bad, error, match):
 
 @pytest.mark.parametrize("name", REGISTRY_NAMES)
 def test_validation_evaluates_each_probe_once(name):
-    # five probes point by point, then one batch of the five probes for the
-    # batched comparison together with the 8 stencils of the first probe (40
-    # points), or those 40 points one by one, and one jet_fn call
+    # five probes point by point, then the formula on the coordinate jets of
+    # the five probes, then one stack of the five probes for the stacked
+    # comparison together with the 8 stencils of the first probe (40 points)
     chart = curv4.build_example(name)
-    for batched, stencil in ((True, [(45, 4)]), (False, [(4,)] * 40)):
-        evals, jets = [], []
-
-        def eval_fn(x):
-            evals.append(np.shape(x))
-            return chart.eval_fn(x)
-
-        def jet_fn(x, degree):
-            jets.append(np.shape(x))
-            return chart.jet_fn(x, degree)
-
-        dataclasses.replace(chart, eval_fn=eval_fn, jet_fn=jet_fn, batched=batched)
-        assert evals == [(4,)] * 5 + stencil
-        assert jets == [(5, 4)]
+    calls = counting(chart)
+    dataclasses.replace(chart)
+    assert calls == [(4,)] * 5 + [("jet", (5, 4)), (45, 4)]
 
 
 @pytest.mark.parametrize("rank", [1, 2, 3, 4, 5])
@@ -208,7 +235,7 @@ def test_christoffel_polar_closed_form():
     ch = MetricChart(
         name="polar",
         box=np.array([[1.0, 3.0], [-1, 1], [-1, 1], [-1, 1]]),
-        eval_fn=lambda x: np.diag([1.0, x[0] ** 2, 1.0, 1.0]),
+        eval_fn=lambda x: diagonal(x, 1.0, x[..., 0] ** 2, 1.0, 1.0),
     )
     gm = christoffel(ch, np.array([2.0, 0.0, 0.0, 0.0]))
     assert gm[0, 1, 1] == pytest.approx(-2.0, abs=1e-9)
@@ -218,9 +245,7 @@ def test_christoffel_polar_closed_form():
 
 def test_christoffel_conformal_closed_form():
     # g = e^{2 x1} I: Gamma^1_11 = 1
-    ch = MetricChart(
-        name="conf", box=UNIT_BOX, eval_fn=lambda x: np.exp(2.0 * x[0]) * np.eye(4)
-    )
+    ch = MetricChart(name="conf", box=UNIT_BOX, eval_fn=conformal(lambda x: 2.0 * x[..., 0]))
     gm = christoffel(ch, np.array([0.25, 0.1, 0.0, 0.0]))
     assert gm[0, 0, 0] == pytest.approx(1.0, abs=1e-9)
 
@@ -252,19 +277,13 @@ def test_curvature_product_ric(s2xs2_chart):
 
 
 def test_order_convergence_s4(s4_chart):
-    # order 2 -> 4 must improve the curvature error by >= 100x; the stencil
-    # only runs on charts without an exact jet, so take the s4 metric alone
+    # the finite-difference reference of the tests, christoffel, against the
+    # exact jet: order 2 -> 4 must improve its error by >= 100x
     x = np.array([0.21, -0.13, 0.05, 0.32])
+    exact = curvature_at(s4_chart, x).gamma
 
     def err(order):
-        chart = MetricChart(
-            name="s4-fd",
-            box=s4_chart.box,
-            eval_fn=s4_chart.eval_fn,
-            batched=True,
-            stencil=StencilConfig(order=order),
-        )
-        return abs(curvature_at(chart, x).s - 12.0)
+        return np.max(np.abs(christoffel(s4_chart, x, StencilConfig(order=order)) - exact))
 
     assert err(2) / err(4) >= 100.0
 
@@ -300,6 +319,21 @@ def test_contracted_bianchi_universal():
 def test_contracted_bianchi_s4(s4_chart):
     x = sample_points(s4_chart, count=1, seed=2)[0]
     assert contracted_bianchi_residual(s4_chart, x) < 1e-5
+
+
+@pytest.mark.parametrize("name", ["randflat:0", "bump:0.1", "kpc:1,1.2,5", "s2xs2:1,2"])
+def test_div_weyl_is_half_the_cotton_tensor(name):
+    # the contracted second Bianchi identity in dimension 4: div W = C / 2,
+    # C_jkl = nabla_k Sch_jl - nabla_l Sch_jk with Sch = Ric - s g / 6, so C
+    # comes from nabla Ric and ds alone and div W from nabla W
+    batch = harmonicity_report(curv4.build_example(name), count=16).batch
+    div_w = np.einsum("npi,npijkl->njkl", batch.g_inv, batch.nabla_weyl)
+    # nabla_sch[n, k, j, l] = nabla_k Sch_jl
+    nabla_sch = batch.nabla_ric - batch.ds[:, :, None, None] * batch.g[:, None] / 6.0
+    C = np.einsum("nkjl->njkl", nabla_sch) - np.einsum("nljk->njkl", nabla_sch)
+    assert np.max(np.abs(div_w - 0.5 * C)) <= 1e-12 * max(1.0, np.max(np.abs(C)))
+    if name == "randflat:0":
+        assert np.max(np.abs(div_w)) > 0.1
 
 
 def test_harmonicity_report_products(s2xs2_chart, rxs3_chart):
@@ -386,12 +420,9 @@ def test_report_rejects_bad_tols(tols, named):
     assert named in str(err.value)
 
 
-@pytest.mark.parametrize("name", REGISTRY_NAMES + ["s2xs2:1,2 without jet"])
+@pytest.mark.parametrize("name", REGISTRY_NAMES)
 def test_report_rows_equal_per_point_residuals(name):
-    chart = curv4.build_example(name.split()[0])
-    if name.endswith("without jet"):
-        # the same metric with its third-order jet taken from the stencil
-        chart = MetricChart(name=name, box=chart.box, eval_fn=chart.eval_fn, batched=True)
+    chart = curv4.build_example(name)
     rep = harmonicity_report(chart, count=16, seed=0)
     assert len(rep.rows) == 16
     per_point = {"dvr": codazzi_residual, "dvw.w": div_weyl_norm, "dvw.ds": scalar_gradient_norm}
@@ -402,15 +433,17 @@ def test_report_rows_equal_per_point_residuals(name):
     assert rep.maxima == {key: max(row[key] for row in rep.rows) for key in per_point}
 
 
-def counting(chart, attr):
+def counting(chart):
+    # the shape of x in each call of chart.eval_fn, as ("jet", shape) where
+    # x is the coordinate jets
     calls = []
-    inner = getattr(chart, attr)
+    inner = chart.eval_fn
 
-    def wrapped(x, *args):
-        calls.append(np.shape(x))
-        return inner(x, *args)
+    def wrapped(x):
+        calls.append(("jet", x.shape) if isinstance(x, Jet) else np.shape(x))
+        return inner(x)
 
-    setattr(chart, attr, wrapped)
+    chart.eval_fn = wrapped
     return calls
 
 
@@ -424,13 +457,9 @@ def test_curvature_degree_below_two_or_fractional_is_named(degree):
 
 def test_report_is_one_jet_evaluation():
     chart = curv4.build_example("kpc")
-    jets, evals = counting(chart, "jet_fn"), counting(chart, "eval_fn")
+    calls = counting(chart)
     harmonicity_report(chart, count=16, seed=0)
-    assert jets == [(16, 4)] and evals == []
-    fd = MetricChart(name="flat-fd", box=UNIT_BOX, eval_fn=lambda x: np.eye(4))
-    batches = counting(fd, "eval_batch")
-    harmonicity_report(fd, count=16, seed=0)
-    assert len(batches) == 1 and batches[0][1] == 4
+    assert calls == [("jet", (16, 4))]
 
 
 def test_weyl_is_made_on_request(monkeypatch):
@@ -474,11 +503,11 @@ def test_weyl_is_made_on_request(monkeypatch):
 
 
 def test_stacked_batch_points_equal_their_own_batches():
-    # charts with and without a jet_fn, stacked across a block boundary
+    # family rows and a chart made alone, stacked across a block boundary
     # (20 + 20 > 32 points): each point is its own chart's batch point, bit
     # for bit, and each report is the one its chart makes alone
     s2 = curv4.build_example("s2xs2:1,2")
-    fd = MetricChart(name="s2xs2 fd", box=s2.box, eval_fn=s2.eval_fn, batched=True)
+    fd = MetricChart(name="s2xs2 alone", box=s2.box, eval_fn=s2.eval_fn)
     bump = curv4.build_example("bump:0.1")
     parts = [
         (s2, sample_points(s2, count=20, seed=1)),

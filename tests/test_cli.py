@@ -10,6 +10,7 @@ import curv4.cli
 from curv4.chart import sample_points
 from curv4.cli import RunConfig, cmd_verify, main
 from curv4.examples import build_example
+from curv4.numerics import Jet
 
 
 def run_main(argv, capsys):
@@ -51,6 +52,16 @@ def test_verify_unknown_example(capsys):
     code, _, err = run_main(["verify", "--example", "nosuch"], capsys)
     assert code == 2
     assert "unknown example" in err
+
+
+@pytest.mark.parametrize("name, chart", [("bump:1e20", "bump:1e+20"), ("bump:200", "bump:200")])
+def test_verify_of_a_metric_that_overflows_exits_2(name, chart, capsys):
+    # e^(2 a x1^3) overflows at probes of the chart's box: an input error
+    # naming the chart and the probe, not exit 1, a non-harmonic verdict
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = run_main(["verify", "--example", name], capsys)
+    assert code == 2 and out == ""
+    assert f"chart '{chart}' metric not finite at [" in err
 
 
 def test_verify_alias_and_default_suffix(capsys):
@@ -315,17 +326,19 @@ def test_scan_single_cell_matches_verify(capsys):
             assert row["harmonic"] == verify["summary"]["verdicts"]["harmonic"]
 
 
-def _counting_jet_fns(monkeypatch, calls):
-    # cli.build_example with each chart's jet_fn logging the shape it is given
+def _counting_jets(monkeypatch, calls):
+    # cli.build_example with each chart's formula logging the shape of the
+    # coordinate jets it is given
     def build(*request):
         chart = build_example(*request)
-        inner = chart.jet_fn
+        inner = chart.eval_fn
 
-        def jet_fn(x, degree):
-            calls.append(np.shape(x))
-            return inner(x, degree)
+        def eval_fn(x):
+            if isinstance(x, Jet):
+                calls.append(x.shape)
+            return inner(x)
 
-        chart.jet_fn = jet_fn
+        chart.eval_fn = eval_fn
         return chart
 
     monkeypatch.setattr(curv4.cli, "build_example", build)
@@ -338,17 +351,17 @@ def test_scan_is_one_curvature_batch(samples, algebra_calls, capsys, monkeypatch
     # at their 5 probes, one degree-3 call gives the metric jet at all 9 x n
     # samples, and one curvature algebra call runs per 32 stacked points
     jets, blocks = [], []
-    algebra, family_jet = curv4.chart._curvature_algebra, curv4.chart.ChartFamily._jet
+    algebra, formula_jet = curv4.chart._curvature_algebra, curv4.chart._formula_jet
 
     def counted(X, coef, degree):
         blocks.append(len(X))
         return algebra(X, coef, degree)
 
-    def counted_jet(self, row, x, degree):
+    def counted_jet(formula, x, degree, **row):
         jets.append((np.shape(x), degree))
-        return family_jet(self, row, x, degree)
+        return formula_jet(formula, x, degree, **row)
 
-    monkeypatch.setattr(curv4.chart.ChartFamily, "_jet", counted_jet)
+    monkeypatch.setattr(curv4.chart, "_formula_jet", counted_jet)
     monkeypatch.setattr(curv4.chart, "_curvature_algebra", counted)
     argv = ["scan", "s2xs2", "--param", "k1=1,2,3", "--param", "k2=1,2,3", "--samples", samples]
     code, _, _ = run_main(argv, capsys)
@@ -616,10 +629,10 @@ def test_reports_deterministic_in_one_process(capsys):
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "randflat:0", "s4"])
 def test_verify_makes_one_jet_evaluation_per_batch(name, capsys, monkeypatch):
-    # one jet_fn call for the harmonicity batch of all samples; every sample
+    # one jet evaluation for the harmonicity batch of all samples; every sample
     # is framed (or degenerate) from that batch, and nothing more is evaluated
     calls = []
-    _counting_jet_fns(monkeypatch, calls)
+    _counting_jets(monkeypatch, calls)
     code, out, _ = run_main(["verify", "--example", name, "--samples", "16"], capsys)
     assert code in (0, 1)
     points = json.loads(out)["points"]
@@ -634,7 +647,7 @@ def test_verify_of_one_sample_passes_its_point_unstacked(capsys, monkeypatch):
     # goes to the formula as x (4,), with the row's Python floats, as
     # formulas run faster on scalars than on stacked rows
     calls = []
-    _counting_jet_fns(monkeypatch, calls)
+    _counting_jets(monkeypatch, calls)
     code, _, _ = run_main(["verify", "--example", "s2xs2:1,2", "--samples", "1"], capsys)
     assert code == 0 and calls == [(4,)]
     assert [type(v) for v in build_example("s2xs2:1,2").row.values()] == [float, float]
@@ -645,7 +658,7 @@ def test_variety_from_example_makes_one_jet_evaluation(name, capsys, monkeypatch
     # one degree-3 curvature batch over the --count points; each frame reads
     # its own point of it
     calls = []
-    _counting_jet_fns(monkeypatch, calls)
+    _counting_jets(monkeypatch, calls)
     code, out, _ = run_main(["variety", "--from-example", name, "--count", "5"], capsys)
     assert code in (0, 1)
     assert len(json.loads(out)["points"]) == 5

@@ -6,9 +6,9 @@ clusters at every point), aligned to the center frame, then nested
 `central_diff` calls for dE, D sigma and DF. Its first-derivative level is
 taken at two steps and Richardson-extrapolated, (16 ref_h - ref_2h) / 15, so
 that the order-4 truncation error it carries (up to 9e-9 on randflat at the
-default step) does not hide in the comparison; DF's outer level is
-extrapolated the same way in its step, third_step and third_step / 2, since
-structure_data's DF is exact.
+default step) does not hide in the comparison; DF's outer level, at the
+wider OUTER_STEP, is extrapolated the same way in that step and its half,
+since structure_data's DF is exact.
 """
 import contextlib
 import dataclasses
@@ -23,6 +23,7 @@ import curv4
 import curv4.cli
 from curv4.chart import (
     MetricChart,
+    christoffel,
     curvature_at,
     curvature_batch,
     sample_points,
@@ -38,28 +39,20 @@ from curv4.frames import (
 )
 from curv4.numerics import DEFAULT_STENCIL, Jet, StencilConfig, central_diff
 from curv4.tensor4 import frame_components
+from tests.conftest import pulled_back
 
 REGISTRY_NAMES = ["s4", "h4", "s2xs2:1,2", "rxs3", "kpc", "bump:0.1", "randflat:0"]
 # closed-form and reference values agree to this, relative to max(1, |reference|)
 RTOL = 1e-9
-# the reference's first-derivative level at twice the default step, and its
-# outer level of DF at half the default third_step
-DOUBLE_STEP = StencilConfig(step=2 * DEFAULT_STENCIL.step, third_step=DEFAULT_STENCIL.third_step)
-HALF_THIRD = StencilConfig(third_step=DEFAULT_STENCIL.third_step / 2)
-HALF_THIRD_DOUBLE_STEP = StencilConfig(
-    step=2 * DEFAULT_STENCIL.step, third_step=DEFAULT_STENCIL.third_step / 2
-)
+# the step of the reference's outer level of DF, and its first-derivative
+# level at twice the default step
+OUTER_STEP = 5e-3
+DOUBLE_STEP = StencilConfig(step=2 * DEFAULT_STENCIL.step)
 
 
 @pytest.fixture(scope="module")
 def registry_charts():
     return {name: curv4.build_example(name) for name in REGISTRY_NAMES}
-
-
-def without_jet(chart):
-    return MetricChart(
-        name=f"{chart.name}-fd", box=chart.box, eval_fn=chart.eval_fn, batched=True
-    )
 
 
 def eigen_only(chart):
@@ -170,10 +163,11 @@ def ref_center(chart, x):
     return E, np.diag(E.T @ b @ E), sigma, source, clusters
 
 
-def reference(chart, x, cfg=DEFAULT_STENCIL, df_only=False):
+def reference(chart, x, cfg=DEFAULT_STENCIL, outer=OUTER_STEP, df_only=False):
     """Every frame quantity the closed form computes (DF alone with
-    df_only), one point at a time, with central differences on cfg; the
-    curvature entries come from the chart's exact jet."""
+    df_only), one point at a time, with central differences on cfg, and
+    DF's outer level at step `outer`; the curvature entries come from the
+    chart's exact jet."""
     E, lam, sigma, source, clusters = ref_center(chart, x)
     entry = curvature_at(chart, x)
     g = entry.g
@@ -205,7 +199,7 @@ def reference(chart, x, cfg=DEFAULT_STENCIL, df_only=False):
         dEy = np.stack([central_diff(field, y, d, cfg) for d in range(4)])
         return brackets(field(y), dEy, chart.eval(y))
 
-    dF = np.stack([central_diff(f_at, x, d, cfg, step=cfg.third_step) for d in range(4)])
+    dF = np.stack([central_diff(f_at, x, d, cfg, step=outer) for d in range(4)])
     out = {"DF": np.einsum("ma,mbc->abc", E, dF), "source": source}
     if df_only:
         return out
@@ -232,15 +226,15 @@ def richardson(fine, coarse):
 
 def extrapolated_reference(chart, x):
     """The reference with its first-derivative level extrapolated in the
-    step, and DF's outer level in third_step as well."""
+    step, and DF's outer level in its step as well."""
     ref_h = reference(chart, x)
     ref_2h = reference(chart, x, DOUBLE_STEP)
     out = dict(ref_h)
     for key in ("F", "gamma", "dsig", "DF"):
         out[key] = richardson(ref_h[key], ref_2h[key])
     half = richardson(
-        reference(chart, x, HALF_THIRD, df_only=True)["DF"],
-        reference(chart, x, HALF_THIRD_DOUBLE_STEP, df_only=True)["DF"],
+        reference(chart, x, outer=OUTER_STEP / 2, df_only=True)["DF"],
+        reference(chart, x, DOUBLE_STEP, OUTER_STEP / 2, df_only=True)["DF"],
     )
     out["DF"] = richardson(half, out["DF"])
     return out
@@ -473,30 +467,13 @@ def test_one_point_frame_framed_is_a_boolean(registry_charts):
     assert point.framed.shape == () and not point.framed
 
 
-def rotated_product_chart(with_jet):
+def turned_product_chart():
     """S2(1) x S2(2) in coordinates turned by a fixed rotation: its Ricci
     eigenspaces are two planes that no coordinate axis lies in, so the
-    eigensolver's basis inside each is arbitrary (set by roundoff or by the
-    finite-difference noise) and only the alignment makes the field smooth.
-    with_jet gives the chart the exact jet of the turned product."""
-    product = curv4.build_example("s2xs2:1,2")
+    eigensolver's basis inside each is arbitrary (set by roundoff) and only
+    the alignment makes the field smooth."""
     Q, _ = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 4)))
-
-    def eval_fn(x):
-        g = product.eval_fn(x @ Q.T)
-        return np.swapaxes(Q, 0, 1) @ g @ Q
-
-    def jet_fn(x, degree):
-        coef = product.eval_fn(Jet.variables(x, degree) @ Q.T).coef
-        return np.einsum("ia,...ijn,jb->...abn", Q, coef, Q)
-
-    return MetricChart(
-        name="s2xs2-turned",
-        box=np.array([[-0.25, 0.25]] * 4),
-        eval_fn=eval_fn,
-        batched=True,
-        jet_fn=jet_fn if with_jet else None,
-    )
+    return pulled_back(curv4.build_example("s2xs2:1,2"), np.zeros(4), Q, "s2xs2-turned")
 
 
 def sheared_chart(name, eps=0.3):
@@ -533,13 +510,7 @@ def sheared_chart(name, eps=0.3):
                     g = g + (d[m] * rows[m][a] * rows[m][b])[..., None, None] * unit
         return g
 
-    return MetricChart(
-        name=f"{name}-sheared",
-        box=curv4.build_example(name).box,
-        eval_fn=formula,
-        jet_fn=lambda x, degree: formula(Jet.variables(x, degree)).coef,
-        batched=True,
-    )
+    return MetricChart(name=f"{name}-sheared", box=curv4.build_example(name).box, eval_fn=formula)
 
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "bump:0.1"])
@@ -556,41 +527,20 @@ def test_closed_form_cluster_gauge_in_curved_coordinates(name):
     assert_matches(got, extrapolated_reference(chart, x))
 
 
-# a finite-difference metric jet carries its own error into every frame
-# quantity: the tolerances of test_jet's fallback comparison, 1e-8 for what
-# comes from R and 1e-6 for what comes from nabla Ric (Gamma, F, D sigma),
-# and DF, those F differenced at third_step, to 1e-5 (measured up to 6e-6 on
-# randflat sample points)
-FD_JET_RTOL = {
-    "E": 1e-8, "lam": 1e-8, "sigma": 1e-8, "F": 1e-6, "gamma": 1e-6, "dsig": 1e-6, "DF": 1e-5
-}
-
-
-@pytest.mark.parametrize("make", [lambda charts: without_jet(charts["randflat:0"]), None])
-def test_batched_frames_on_a_chart_without_jet(registry_charts, make):
-    # the frame of a jet-less chart against the exact-jet frame of the same
-    # metric; on the turned product, whose in-cluster basis differs between
-    # the two, only the quantities that do not depend on it are compared,
-    # and the closed form with the exact jet meets the reference
-    if make:
-        chart, exact = make(registry_charts), registry_charts["randflat:0"]
-        keys = FD_JET_RTOL
-    else:
-        chart, exact = rotated_product_chart(False), rotated_product_chart(True)
-        keys = ("lam", "sigma", "dsig")
+def test_frames_on_a_turned_product():
+    # the turned product's in-cluster basis is set by roundoff: the closed
+    # form meets the aligned reference, and the sectional curvatures that F
+    # and DF give in the frame's own gauge equal those of the curvature in
+    # that frame
+    chart = turned_product_chart()
     x = sample_points(chart, count=1, seed=5)[0]
-    got, ref = closed_form(chart, x), closed_form(exact, x)
+    got = closed_form(chart, x)
     assert got["source"] == "eigen"
-    assert_matches(got, ref, FD_JET_RTOL, keys)
-    if not make:
-        assert_matches(ref, extrapolated_reference(exact, x))
-        # the sectional curvatures that F and DF give in the frame's own
-        # gauge equal those of the exact curvature in that frame
-        fr = extract_frame(chart, x)
-        sec, _ = curv4.curvature_from_structure(structure_data(chart, fr), fr)
-        Rf = frame_components(curvature_at(exact, x).R, fr.E)
-        exact_sec = np.einsum("ijij->ij", Rf)
-        assert np.max(np.abs(sec - exact_sec)) <= FD_JET_RTOL["DF"] * max(1.0, np.abs(Rf).max())
+    assert_matches(got, extrapolated_reference(chart, x))
+    fr = extract_frame(chart, x)
+    sec, _ = curv4.curvature_from_structure(structure_data(chart, fr), fr)
+    Rf = frame_components(curvature_at(chart, x).R, fr.E)
+    assert np.max(np.abs(sec - np.einsum("ijij->ij", Rf))) <= RTOL * max(1.0, np.abs(Rf).max())
 
 
 @pytest.mark.parametrize("name", ["kpc", "bump:0.1"])
@@ -613,74 +563,53 @@ def test_dlam_is_the_derivative_of_lambda(registry_charts, name):
     assert np.max(np.abs(fr.dlam - fd)) <= 1e-7 * max(1.0, float(np.max(np.abs(fd))))
 
 
-def recording(chart, attr, with_args=False):
-    # the shape of x in each call of chart.attr, and its other arguments too
+def recording(chart):
+    # the shape of x in each call of chart.eval_fn, as ("jet", shape,
+    # degree) where x is the coordinate jets
     calls = []
-    inner = getattr(chart, attr)
+    inner = chart.eval_fn
 
-    def wrapped(x, *args):
-        calls.append((np.shape(x), *args) if with_args else np.shape(x))
-        return inner(x, *args)
+    def wrapped(x):
+        calls.append(("jet", x.shape, x.degree) if isinstance(x, Jet) else np.shape(x))
+        return inner(x)
 
-    setattr(chart, attr, wrapped)
+    chart.eval_fn = wrapped
     return calls
 
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "randflat:0"])
 def test_one_evaluation_per_stencil(name):
     # given the third-order entry at x, the frame evaluates nothing more and
-    # carries no jets, so structure_data is one jet_fn call at x: degree 3
-    # for adapted frames, which need d g and d Gamma, degree 4 for
-    # eigenframes, which need d nabla Ric; and one eval_fn call at x, its
-    # check that the chart is the frame's
+    # carries no jets, so structure_data evaluates the metric at x, its check
+    # that the chart is the frame's, and then one jet at x: degree 2 for
+    # adapted frames, which need d g and d Gamma, degree 4 for eigenframes,
+    # which need d nabla Ric
     chart = curv4.build_example(name)
     x = sample_points(chart, count=1, seed=3)[0]
     entry = curvature_at(chart, x, degree=3)
-    jets, evals = recording(chart, "jet_fn", with_args=True), recording(chart, "eval_fn")
+    calls = recording(chart)
     fr = extract_frame(chart, x, entry=entry)
-    assert jets == [] and evals == [] and fr.jets is None
+    assert calls == [] and fr.jets is None
     structure_data(chart, fr)
-    assert jets == [((4,), 3 if fr.source == "adapted" else 4)] and evals == [(4,)]
+    assert calls == [(4,), ("jet", (4,), 2 if fr.source == "adapted" else 4)]
 
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "kpc", "bump:0.1"])
 def test_one_jet_per_harvested_point(name):
     # a harvested point, extract_frame(chart, x) then structure_data, makes
-    # one jet_fn call, at x, of the degree structure_data needs: the frame
-    # carries that jet's first-order terms, and structure_data evaluates
-    # only the metric at x (the chart check)
+    # one jet evaluation, at x, of the degree its frame and structure data
+    # need: the frame carries that jet's first-order terms, and
+    # structure_data evaluates only the metric at x (the chart check)
     chart = curv4.build_example(name)
     x = sample_points(chart, count=1, seed=3)[0]
-    jets, evals = recording(chart, "jet_fn", with_args=True), recording(chart, "eval_fn")
+    calls = recording(chart)
     fr = extract_frame(chart, x)
     degree = 3 if fr.source == "adapted" else 4
-    assert jets == [((4,), degree)] and evals == []
+    assert calls == [("jet", (4,), degree)]
     assert set(fr.jets) == ({"g", "gamma"} if degree == 3 else {"g", "gamma", "nabla_ric"})
     assert all(term.shape[0] == 5 for term in fr.jets.values())
     structure_data(chart, fr)
-    assert jets == [((4,), degree)] and evals == [(4,)]
-
-
-def test_one_evaluation_per_stencil_without_jet():
-    # the finite-difference degree-4 jet at x: the nested stencil (129
-    # points) around each of the 129 points of the same stencil at
-    # third_step, in one call, after the chart check's one call at x. An
-    # eigenframe made without an entry takes the degree-3 jet on such a
-    # chart and carries nothing, so structure_data takes the same two calls
-    chart = without_jet(curv4.build_example("randflat:0"))
-    x = sample_points(chart, count=1, seed=3)[0]
-    entry = curvature_at(chart, x, degree=3)
-    evals = recording(chart, "eval_fn")
-    fr = extract_frame(chart, x, entry=entry)
-    assert evals == []
-    structure_data(chart, fr)
-    assert evals == [(4,), (129 * 129, 4)]
-    evals.clear()
-    fr = extract_frame(chart, x)
-    assert fr.jets is None and evals == [(17 * 129, 4)]
-    evals.clear()
-    structure_data(chart, fr)
-    assert evals == [(4,), (129 * 129, 4)]
+    assert calls == [("jet", (4,), degree), (4,)]
 
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "randflat:0"])
@@ -690,24 +619,16 @@ def test_stencil_point_outside_the_box_is_named(registry_charts, name):
     x = np.zeros(4)
     x[0] = chart.box[0, 0] + 0.5 * cfg.reach * cfg.step
     # an exact jet needs no room around the frame point, for the frame or
-    # its structure data; a finite-difference one does, and its error names
-    # the point
+    # its structure data; the difference reference does, and chart.eval
+    # names its first stencil point outside the box, x - 2 h e_0
     fr = extract_frame(chart, x)
     assert fr.source in ("adapted", "eigen")
     assert np.all(np.isfinite(structure_data(chart, fr).DF))
-    with pytest.raises(DomainError) as err:
-        extract_frame(without_jet(chart), x)
-    assert str(x.tolist()) in str(err.value)
-    # a jet-less frame whose degree-4 jet, one outer level wider than its
-    # degree-3 entry, reaches out of the box
-    fd = without_jet(eigen_only(chart))
-    x[0] = chart.box[0, 0] + cfg.reach * (2 * cfg.step + 1.5 * cfg.third_step)
-    fr = extract_frame(fd, x)
-    reach = cfg.reach * (2 * cfg.step + 2 * cfg.third_step)
-    with pytest.raises(DomainError) as err:
-        structure_data(fd, fr)
-    assert str(x.tolist()) in str(err.value)
-    assert f"reach {reach:g}" in str(err.value)
+    outside = x.copy()
+    outside[0] += -2 * cfg.step
+    with pytest.raises(DomainError, match="outside") as err:
+        christoffel(chart, x)
+    assert str(outside.tolist()) in str(err.value)
 
 
 @pytest.mark.parametrize("name", REGISTRY_NAMES)

@@ -2,9 +2,9 @@
 
 x = c + A y with a non-orthogonal A turns the chart's metric into
 g~(y) = A^T g(c + A y) A, which is off-diagonal even where g is diagonal.
-The pulled-back chart gets its exact jet by composing the chart's formula
-(every registry eval_fn accepts jets) with the affine jet of y, so nothing
-is differenced. Scalars of the geometry (s, |Ric|_g, |W|_g and the
+The pulled-back chart's formula composes the chart's formula with the affine
+map, written with operations that jets support, so its jet is exact and
+nothing is differenced. Scalars of the geometry (s, |Ric|_g, |W|_g and the
 harmonicity residuals, all metric norms) do not depend on coordinates: they
 must agree at mapped points, and the harmonicity verdict must not change.
 Both sides run the same curvature algebra on metrics that differ by the
@@ -17,14 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import curv4
-from curv4.chart import (
-    _RESIDUALS,
-    MetricChart,
-    curvature_batch,
-    harmonicity_report,
-    metric_norm,
-)
-from curv4.numerics import Jet
+from curv4.chart import _RESIDUALS, curvature_batch, harmonicity_report, metric_norm
+from tests.conftest import pulled_back
 
 NAMES = ["s4", "h4", "s2xs2:1,2", "rxs3", "kpc", "kpc:1,1.2,5", "bump:0.1", "randflat:0"]
 
@@ -34,26 +28,6 @@ def registry():
     """Each chart with its harmonicity verdict in its own coordinates."""
     charts = {name: curv4.build_example(name) for name in NAMES}
     return {name: (chart, harmonicity_report(chart).harmonic) for name, chart in charts.items()}
-
-
-def pulled_back(chart, c, A):
-    """The chart in coordinates y with x = c + A y, on the largest cube
-    around y = 0 that A maps into the chart's box."""
-    formula = chart.eval_fn
-
-    def eval_fn(y):
-        g = formula(c + np.asarray(y) @ A.T)
-        return np.einsum("ai,...ab,bj->...ij", A, g, A)
-
-    def jet_fn(y, degree):
-        coef = formula(Jet.variables(y, degree) @ A.T + c).coef
-        return np.einsum("ai,...abn,bj->...ijn", A, coef, A)
-
-    room = np.minimum(c - chart.box[:, 0], chart.box[:, 1] - c)
-    width = np.min(room / np.abs(A).sum(axis=1))
-    box = np.array([[-width, width]] * 4)
-    name = f"{chart.name}-affine"
-    return MetricChart(name=name, box=box, eval_fn=eval_fn, batched=True, jet_fn=jet_fn)
 
 
 def invariants(batch):
