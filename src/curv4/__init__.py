@@ -21,8 +21,9 @@ from .numerics import (
 )
 from .tensor4 import (
     WeylSplit,
-    bivector_matrix,
+    bivector_frame,
     curvature_symmetrize,
+    curvature_tensor,
     frame_components,
     kulkarni_nomizu,
     ricci_contract,

@@ -32,21 +32,24 @@ Every quantity after the metric is a jet too, made by contractions of jets
 and their partials (numerics.jet_contract, numerics.jet_partials), so one
 code path serves every degree:
 
-    g^-1 = sum_k (-e)^k g0^-1,  e = g0^-1 (g - g0)               (to degree d - 1)
+    g^-1 = sum_k (-e)^k g0^-1,  e = g0^-1 (g - g0)        (to degree max(1, d - 2))
     Gamma^k_ij = g^km Gamma_mij,  Gamma_mij = (d_i g_mj + d_j g_mi - d_m g_ij) / 2
-    R(d_i, d_j) d_k = [d_j Gamma^m_ik - d_i Gamma^m_jk
-                       + Gamma^p_ik Gamma^m_jp - Gamma^p_jk Gamma^m_ip] d_m,
-    R_ijkl = g_lm R^m(i,j,k)                                      (to degree d - 2)
-    nabla_q R_ijkl = d_q R_ijkl - Gamma^m_qi R_mjkl - Gamma^m_qj R_imkl
-                     - Gamma^m_qk R_ijml - Gamma^m_ql R_ijkm        (to degree d - 3)
+    R_ijkl = (d_j d_k g_il + d_i d_l g_jk - d_i d_k g_jl - d_j d_l g_ik) / 2
+             + Gamma_m,il Gamma^m_jk - Gamma_m,jl Gamma^m_ik        (to degree d - 2)
+    nabla_q R = d_q R - Gamma_q R - R Gamma_q^T                   (to degree d - 3)
 
-which reproduces R_ijij > 0 on round spheres (the package-wide sign
-convention, see tensor4). Raw curvature is projected onto the algebraic
-curvature tensors, coefficient by coefficient (tensor4.curvature_symmetrize);
-a value farther than 1e-3 * ||raw|| from its projection raises, and the
-distance is kept as a noise diagnostic. nabla Ric and ds follow by
-contractions, W and nabla W by tensor4.weyl_from_curv, with no further
-differencing.
+R and nabla_q R are operators on bivectors, 6 x 6 over the pairs
+P = (i, j), Q = (k, l) (tensor4's layout), and Gamma_q is the action of
+(Gamma_q)^m_n = Gamma^m_qn on them. R is g_lm R^m(i,j,k) with
+R(d_i, d_j) d_k = [d_j Gamma^m_ik - d_i Gamma^m_jk + Gamma^p_ik Gamma^m_jp
+- Gamma^p_jk Gamma^m_ip] d_m, its d Gamma expanded by nabla g = 0, which
+reproduces R_ijij > 0 on round spheres (the package-wide sign convention,
+see tensor4). Raw curvature is projected onto the algebraic curvature
+operators, coefficient by coefficient (tensor4.curvature_symmetrize); a
+value farther than 1e-3 * ||raw|| from its projection raises, and the
+distance is kept as a noise diagnostic. Ric, s, nabla Ric and ds follow by
+contractions of the pair entries, W and nabla W by tensor4.weyl_from_curv,
+with no further differencing.
 """
 
 from __future__ import annotations
@@ -69,7 +72,15 @@ from .numerics import (
     jet_partials,
     stencil_derivative,
 )
-from .tensor4 import curvature_symmetrize, weyl_from_curv
+from .tensor4 import (
+    PAIR_COLS,
+    PAIR_ROWS,
+    bivector_frame,
+    curvature_symmetrize,
+    curvature_tensor,
+    tensor_norm,
+    weyl_from_curv,
+)
 
 # importable from here for perfbench/tracing.py, which counts calls through
 # this name
@@ -270,9 +281,12 @@ _CHECK_MOVES = np.concatenate(
 _CHECK_MOVES.setflags(write=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _validate_chart(*charts):
     """Reject charts whose metric is malformed or whose formula is not one
-    smooth metric on points and jets alike.
+    smooth metric on points and jets alike. A formula that overflows is
+    named by the finiteness check alone: numpy's overflow and invalid-value
+    warnings are off while it runs.
 
     `charts` is one chart, or rows of one ChartFamily checked together:
     every check runs once over the rows stacked, with its bound applied to
@@ -469,16 +483,19 @@ def _metric_coefficients(run, degree):
 
 @dataclass(frozen=True)
 class CurvatureBatch:
-    """Curvature at stacked points x (N, 4), the point axis first: g, g_inv,
-    gamma[n, k, i, j] = Gamma^k_ij, R[n, i, j, k, l], ric, s (N,), weyl and
-    the projection distance per point. Batches of degree 3 or more also
-    carry nabla_riem[n, p, ...], nabla_ric, nabla_weyl and ds[n, p]; other
-    batches leave them None. weyl and nabla_weyl are made on first request
-    and kept on the batch: not every caller of a large batch reads them, and
-    the harmonicity residuals and the frames of one stack share them.
+    """Curvature at stacked points x (N, 4), the point axis first: g, g_inv
+    and ric (N, 4, 4), gamma[n, k, i, j] = Gamma^k_ij, s (N,), R and weyl
+    (N, 6, 6) as operators on bivectors (R[n, P, Q] = R_ijkl over the pairs
+    P = (i, j), Q = (k, l), tensor4's layout), and the projection distance
+    per point. Batches of degree 3 or more also carry nabla_riem and
+    nabla_weyl (N, 4, 6, 6), [n, p] the derivative along d_p, nabla_ric
+    (N, 4, 4, 4) and ds[n, p]; other batches leave them None. weyl and
+    nabla_weyl are made on first request and kept on the batch: not every
+    caller of a large batch reads them, and the harmonicity residuals and
+    the frames of one stack share them.
 
     batch[n] is point n, the same record without the point axis: x (4,),
-    g[i, j], nabla_riem[p, i, j, k, l], s a scalar, and so on; batch[lo:hi]
+    g[i, j], nabla_riem[p, P, Q], s a scalar, and so on; batch[lo:hi]
     is a sub-stack. Either is a new batch of slices of the fields, whose
     weyl and nabla_weyl are made for its own points alone."""
 
@@ -607,9 +624,10 @@ def curvature_batch(chart, X, degree=2):
     """Curvature at stacked points X (N, 4) from one metric jet of `degree`,
     an integer >= 2 (3 and more for the covariant derivatives): one call of
     the chart's formula on the coordinate jets of all points. The fields
-    are the value terms of `curvature_jets`; the algebra runs on blocks of
-    points, to bound the memory a large batch holds at once. It is the
-    one-part stacked_curvature_batch.
+    are the value terms of `curvature_jets`, R, weyl and their covariant
+    derivatives as operators on bivectors (CurvatureBatch); the algebra runs
+    on blocks of points, to bound the memory a large batch holds at once.
+    It is the one-part stacked_curvature_batch.
 
     Every point gets the same checks: a finite symmetric positive-definite
     metric with g g^-1 = I, nabla g = 0, and a raw curvature within
@@ -634,34 +652,60 @@ def curvature_jets(chart, X, degree=2):
     """The Taylor coefficients of curvature_batch(chart, X, degree)'s fields
     but x and the projection distance, after the same checks: a dict from
     field name to an array with the coefficient axis first (numerics.Jet's
-    layout) and the point axis second. g comes to `degree`, g_inv and gamma
-    to degree - 1, R, ric and s to degree - 2, and nabla_riem, nabla_ric
-    and ds to degree - 3."""
+    layout), the point axis second and the field's own axes after them (R
+    and nabla_riem on the bivector pairs, as in CurvatureBatch). g comes to
+    `degree` d, g_inv and gamma to max(1, d - 2), R, ric and s to d - 2,
+    and nabla_riem, nabla_ric and ds to d - 3: at d = 2, 3, 4 that is 15,
+    35, 70 coefficients of g; 5, 5, 15 of g_inv and gamma; 1, 5, 15 of R,
+    ric and s; and none, 1, 5 of the covariant derivatives."""
     return curvature_with_jets(chart, X, degree)[1]
+
+
+# R's terms [a, b, c, d] at the pairs (i, j), (k, l), flat in (4, 4, 4, 4):
+# (i, l, j, k), (j, k, i, l), (j, l, i, k), (i, k, j, l) (module docstring)
+(_i, _j), (_k, _l) = PAIR_ROWS, PAIR_COLS
+_TERMS = np.arange(256).reshape(4, 4, 4, 4)[
+    np.array([_i, _j, _j, _i]), np.array([_l, _k, _l, _k]),
+    np.array([_j, _i, _i, _j]), np.array([_k, _l, _k, _l]),
+].transpose(1, 2, 0)  # fmt: skip
+_TERMS.setflags(write=False)
+# the action of (Gamma_q)^m_n = Gamma^m_qn on bivectors (module docstring) is
+# the part of Lambda^2 (1 + Gamma_q) linear in Gamma_q: transposed, as a
+# matrix on the 16 entries of Gamma_q
+_UNIT = np.eye(16).reshape(16, 4, 4)
+_ON_PAIRS = bivector_frame(np.eye(4) + _UNIT) - np.eye(6) - bivector_frame(_UNIT)
+_ON_PAIRS = _ON_PAIRS.swapaxes(-1, -2).reshape(16, 36)
+_ON_PAIRS.setflags(write=False)
 
 
 def _curvature_algebra(X, coef, degree):
     """The coefficients of CurvatureBatch's fields but x, to the degrees
     curvature_jets gives, and the projection distance, at points X (N, 4)
-    from the metric's, coef (ncoef, N, 4, 4) of degree >= 2, after every
-    check of curvature_batch."""
+    from the metric's, coef (ncoef, N, 4, 4) of degree d >= 2, after every
+    check of curvature_batch; g^-1 and Gamma to max(1, d - 2) are what R
+    and the first-order terms of structure data read."""
     g_inv0 = _checked_inverse(X, coef[0])
     dg = jet_partials(coef)
+    ncoef = math.comb(4 + max(1, degree - 2), 4)
     # g^-1 = (1 + e)^-1 g0^-1 with e = g0^-1 (g - g0), by Horner's rule
-    e = np.concatenate([np.zeros_like(g_inv0[None]), g_inv0 @ coef[1 : len(dg)]])
+    e = np.concatenate([np.zeros_like(g_inv0[None]), g_inv0 @ coef[1:ncoef]])
     g_inv = const = np.concatenate([g_inv0[None], np.zeros_like(e[1:])])
-    for _ in range(degree - 1):
+    for _ in range(max(1, degree - 2)):
         g_inv = const - jet_contract("ij,jk->ik", e, g_inv)
-    gamma = jet_contract("km,mij->kij", g_inv, _first_kind(dg))
+    first = _first_kind(dg[:ncoef])
+    gamma = jet_contract("km,mij->kij", g_inv, first)
     _check_compatible(X, coef[0], gamma[0], dg[0])
-    # R^m_(i,j,k) per the curvature convention in the module docstring: the
-    # part u = d_j Gamma^m_ik + Gamma^p_ik Gamma^m_jp, minus u with i, j swapped
-    dgamma = np.einsum("...mikj->...mijk", jet_partials(gamma))
-    u = dgamma + jet_contract("pik,mjp->mijk", gamma[: len(dgamma)], gamma)
-    rm = u - np.swapaxes(u, -3, -2)
-    raw = jet_contract("lm,mijk->ijkl", coef, rm)
+    # R on the pairs from H[..., a, b, c, d] = d_c d_d g_ab and the products
+    # K[..., a, b, c, d] = Gamma_m,ab Gamma^m_cd, term by term, so that a
+    # value does not depend on the degree or the stack
+    H = jet_partials(dg)
+    K = jet_contract("mab,mcd->abcd", first[: len(H)], gamma)
+    lead = H.shape[:2]
+    H = H.reshape(lead + (256,))[..., _TERMS]
+    K = K.reshape(lead + (256,))[..., _TERMS[..., ::2]]
+    raw = 0.5 * (H[..., 0] + H[..., 1] - H[..., 2] - H[..., 3]) + (K[..., 0] - K[..., 1])
     R = curvature_symmetrize(raw)
-    dist, scale = _norms(raw[0] - R[0]), _norms(raw[0])
+    dist, scale = tensor_norm(raw[0] - R[0]), tensor_norm(raw[0])
     far = (scale > 0.0) & (dist > 1e-3 * scale)
     if far.any():
         n = int(np.argmax(far))
@@ -669,18 +713,17 @@ def _curvature_algebra(X, coef, degree):
             f"projection distance {dist[n]:.3e} exceeds 1e-3 * ||raw|| = {1e-3 * scale[n]:.3e} "
             f"at {X[n].tolist()}"
         )
-    ric = jet_contract("ik,ijkl->jl", g_inv, R)
+    ric = jet_contract("ik,ijkl->jl", g_inv, curvature_tensor(R))
     ric = 0.5 * (ric + np.swapaxes(ric, -1, -2))
     s = jet_contract("jl,jl->", g_inv, ric)
     jets = {"g": coef, "g_inv": g_inv, "gamma": gamma, "R": R, "ric": ric, "s": s}
     if degree >= 3:
-        # nabla_q R_ijkl = d_q R_ijkl - v_qijkl - v_qklij by the symmetries of
-        # R, v being t = Gamma^m_qa R_mbcd antisymmetrized in (a, b)
-        dR = jet_partials(R)
-        t = jet_contract("mqa,mbcd->qabcd", gamma[: len(dR)], R)
-        v = t - np.swapaxes(t, -4, -3)
-        nabla_riem = np.einsum("...ijklq->...qijkl", dR) - v - np.einsum("...qklij->...qijkl", v)
-        nabla_ric = jet_contract("ik,qijkl->qjl", g_inv, nabla_riem)
+        dR = np.moveaxis(jet_partials(R), -1, -3)
+        lead = dR.shape[:2]
+        on_pairs = np.swapaxes(gamma[: len(dR)], -3, -2).reshape(lead + (4, 16)) @ _ON_PAIRS
+        t = jet_contract("qPA,AQ->qPQ", on_pairs.reshape(lead + (4, 6, 6)), R)
+        nabla_riem = dR - t - np.swapaxes(t, -1, -2)
+        nabla_ric = jet_contract("ik,qijkl->qjl", g_inv, curvature_tensor(nabla_riem))
         ds = jet_contract("jl,qjl->q", g_inv, nabla_ric)
         jets.update(nabla_riem=nabla_riem, nabla_ric=nabla_ric, ds=ds)
     return jets, dist
@@ -733,7 +776,9 @@ _RESIDUALS = {
     "dvr": lambda b: _metric_norms(
         np.einsum("njki->nkij", b.nabla_ric) - np.einsum("nikj->nkij", b.nabla_ric), b.g_inv
     ),
-    "dvw.w": lambda b: _metric_norms(np.einsum("npi,npijkl->njkl", b.g_inv, b.nabla_weyl), b.g_inv),
+    "dvw.w": lambda b: _metric_norms(
+        np.einsum("npi,npijkl->njkl", b.g_inv, curvature_tensor(b.nabla_weyl)), b.g_inv
+    ),
     "dvw.ds": lambda b: _metric_norms(b.ds, b.g_inv),
 }
 
@@ -762,7 +807,8 @@ def div_riemann_norm(chart, x):
     """Direct ||div R|| via nabla R contracted on its last slot."""
 
     def norm(b):
-        return _metric_norms(np.einsum("npq,npijkq->nijk", b.g_inv, b.nabla_riem), b.g_inv)
+        nabla_riem = curvature_tensor(b.nabla_riem)
+        return _metric_norms(np.einsum("npq,npijkq->nijk", b.g_inv, nabla_riem), b.g_inv)
 
     return _at_point(norm, chart, x)
 

@@ -58,7 +58,6 @@ the frame point only.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,10 +74,13 @@ from .tensor4 import (
     OTHERS,
     TRIPLES,
     _norm,
-    bivector_matrix,
+    bivector_frame,
+    curvature_tensor,
     frame_components,
+    pair_entries,
     sd_split,
     sigma_relations,
+    tensor_norm,
 )
 
 # the triples (a, b, k) with a < b
@@ -254,9 +256,9 @@ def _pair_cluster_rotation(W, E, rotate):
         at = np.flatnonzero(rotate[:, step])
         if not at.size:
             continue
-        Wf = frame_components(W[at], E[at])
-        num = 2.0 * Wf[:, a, c, b, c]
-        den = Wf[:, a, c, a, c] - Wf[:, b, c, b, c]
+        Wf = frame_components(W[at], bivector_frame(E[at]))
+        num = 2.0 * pair_entries(Wf, a, c, b, c)
+        den = pair_entries(Wf, a, c, a, c) - pair_entries(Wf, b, c, b, c)
         turn = (np.abs(num) >= 1e-14) | (np.abs(den) >= 1e-14)
         at, t = at[turn], 0.5 * np.arctan2(num[turn], den[turn])
         R = np.tile(np.eye(4), (len(at), 1, 1))
@@ -265,11 +267,6 @@ def _pair_cluster_rotation(W, E, rotate):
         R[:, b, a] = np.sin(t)
         E[at] = E[at] @ R
     return E
-
-
-# the cross components W_ijkl, i < j, k < l, (i, j) != (k, l): the entries
-# off the diagonal of W's bivector matrix
-_BIVECTOR_CROSS = ~np.eye(6, dtype=bool)
 
 
 def _frame_connection(E, gE, gamma, same, lam=None, nabla_ric=None):
@@ -351,9 +348,9 @@ def extract_frames(charts, batch):
     b = batch.ric - batch.s[:, None, None] * g / 4.0
     b_scale = _metric_norms(b, batch.g_inv)
     W = batch.weyl
-    w_scale = _norm(W, 4)
+    w_scale = tensor_norm(W)
     einstein = b_scale <= 1e-8 * np.maximum(1.0, np.abs(batch.s))
-    w_zero = w_scale <= 1e-8 * np.maximum(1.0, _norm(batch.R, 4))
+    w_zero = w_scale <= 1e-8 * np.maximum(1.0, tensor_norm(batch.R))
 
     source = "adapted" if adapted else "eigen"
     # why a point has no canonical frame, in _DEGENERATE's order
@@ -399,8 +396,9 @@ def extract_frames(charts, batch):
 
     # W's frame components, made once; E is positively oriented, and the
     # split reads the framed points only
-    Wf = frame_components(W, E)
-    split = sd_split(Wf * framed[:, None, None, None, None], 1)
+    minors = bivector_frame(E)
+    Wf = frame_components(W, minors)
+    split = sd_split(Wf * framed[:, None, None], 1)
 
     # the connection and the brackets take jets; values are jets of degree 0
     N, G = _frame_connection(E[None], gE[None], batch.gamma[None], same, lam[None], ric_d[None])
@@ -410,13 +408,12 @@ def extract_frames(charts, batch):
     dlam = np.einsum("...pki,...pc,...ka,...ia->...ca", ric_d, E, E, E)
     dlam -= (batch.ds[:, None, :] @ E).swapaxes(-1, -2) / 4.0
     # D_a sigma_bc = (nabla_a W)(e_b, e_c, e_b, e_c)
-    #   + 2 W(nabla_a e_b, e_c, e_b, e_c) + 2 W(e_b, nabla_a e_c, e_b, e_c)
-    nabla_w = frame_components(batch.nabla_weyl, E)
-    dsig = (
-        np.einsum("...abcbc->...abc", nabla_w)
-        + 2.0 * np.einsum("...abk,...kcbc->...abc", gamma_f, Wf)
-        + 2.0 * np.einsum("...ack,...bkbc->...abc", gamma_f, Wf)
-    ) * OFF_DIAGONAL
+    #   + 2 W(nabla_a e_b, e_c, e_b, e_c) + 2 W(e_b, nabla_a e_c, e_b, e_c),
+    # the last term the middle one with b and c swapped (W_bkbc = W_kbcb)
+    nabla_w = curvature_tensor(frame_components(batch.nabla_weyl, minors[:, None]))
+    along = np.einsum("...pa,...pbcbc->...abc", E, nabla_w)
+    turned = 2.0 * np.einsum("...abk,...kcbc->...abc", gamma_f, curvature_tensor(Wf))
+    dsig = (along + turned + turned.swapaxes(-1, -2)) * OFF_DIAGONAL
 
     C = _brackets(E[None], dE[None], gE[None])[0]
     F = _structure_f(C)
@@ -425,7 +422,7 @@ def extract_frames(charts, batch):
     diagnostics = {
         "gram_resid": np.abs(gram).reshape(len(X), -1).max(axis=-1),
         "ric_diag_resid": np.abs(b_frame[..., OFF_DIAGONAL]).max(axis=-1),
-        "w_diag_resid": np.abs(bivector_matrix(Wf)[..., _BIVECTOR_CROSS]).max(axis=-1),
+        "w_diag_resid": np.abs(Wf[..., ~np.eye(6, dtype=bool)]).max(axis=-1),
         "bracket_offplane_resid": bracket_resid,
         "f_vs_gamma_resid": np.abs(F[..., j, i] - gamma_f[..., i, j, i]).max(axis=-1),
         "b_scale": b_scale,
@@ -470,7 +467,8 @@ def extract_frame(chart, x, entry=None):
     # the frame needs degree 3, and an eigenframe's structure data degree 4
     batch, jets = curvature_with_jets(chart, x[None], 3 if adapted else 4)
     frame = extract_frames(chart, batch)[0]
-    return dataclasses.replace(frame, jets=_first_order(jets, adapted))
+    frame.jets = _first_order(jets, adapted)
+    return frame
 
 
 def skw_residuals(frame):

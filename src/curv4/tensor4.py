@@ -8,6 +8,15 @@ Conventions, fixed once here and relied on everywhere else:
   curvatures of orthonormal pairs are R_ijij. (Readers used to the
   opposite-sign convention: our R_ijkl equals the negated tensor of that
   convention with the same index names.)
+* Curvature-type tensors are operators on bivectors: a 6 x 6 array
+  M[P, Q] over the pairs P = (i, j), Q = (k, l) of PAIRS, i < j and k < l,
+  with M[P, Q] = R_ijkl. The 4-index components are
+  R_ijkl = s_ij s_kl M[P(i, j), P(k, l)] with s_ij = +1 for i < j, -1 for
+  i > j and 0 for i = j (PAIR_SIGN; pair_entries reads them). A
+  derivative adds its axis ahead of the pairs: nabla R is (4, 6, 6),
+  [q, P, Q] = nabla_q R_ijkl. The 4-index Frobenius norm counts every
+  entry of a pair four times, so it is twice the 6 x 6 one; every norm
+  that a bound reads (tensor_norm) keeps the 4-index value.
 * Kulkarni-Nomizu product:
   (a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il,
   so g ^ (g/2) is the constant-curvature-one tensor.
@@ -63,6 +72,8 @@ PAIR_INDICES = _table(PAIRS).T
 PAIR_COLUMN = _table(
     [[PAIRS.index((min(i, j), max(i, j))) if i != j else 6 for j in range(N)] for i in range(N)]
 )
+# PAIR_SIGN[i, j]: the sign of e_i ^ e_j against its basis pair, 0 for i = j
+PAIR_SIGN = _table(np.sign(np.arange(N) - np.arange(N)[:, None]))
 # rows (i, j, k, l) over the ordered pairs i != j, lexicographic, with k < l
 # the other two indices
 ORDERED_PAIRS = _table([(i, j, *_others(i, j)) for i in range(N) for j in range(N) if i != j]).T
@@ -90,6 +101,16 @@ _C7 = range(len(PAIRS) + 1)
 MINOR_COLUMNS = _table(
     [(a, b, c, d) for a in _C7 for b in _C7 for c in _C7 for d in _C7 if a < b < c < d]
 )
+# PAIR_COLUMN with 0 on the diagonal, where PAIR_SIGN zeroes what it reads
+_PAIR_AT = _table(np.where(OFF_DIAGONAL, PAIR_COLUMN, 0))
+# a pair operator's indices: the pair (i, j) down its rows, (k, l) across
+PAIR_ROWS, PAIR_COLS = PAIR_INDICES[:, :, None], PAIR_INDICES[:, None, :]
+# the entries (i, k), (i, l), (j, l), (j, k) of a 4 x 4 array at each [P, Q],
+# flat, the four reads last: the 2 x 2 minors and the Kulkarni-Nomizu
+# product read them
+_i, _j = PAIR_ROWS
+_k, _l = PAIR_COLS
+_CROSS = _table((4 * np.array([_i, _i, _j, _j]) + np.array([_k, _l, _l, _k])).transpose(1, 2, 0))
 
 
 def _norm(T, rank):
@@ -98,48 +119,82 @@ def _norm(T, rank):
     return np.sqrt(flat @ flat.swapaxes(-1, -2))[..., 0, 0]
 
 
-def _slots(T, *perm):
-    # T with its last four axes permuted, leading axes kept
-    lead = tuple(range(T.ndim - 4))
-    return T.transpose(lead + tuple(len(lead) + p for p in perm))
+def tensor_norm(M):
+    """The 4-index Frobenius norm of pair operators M (..., 6, 6): twice
+    their 6 x 6 norm."""
+    return 2.0 * _norm(M, 2)
+
+
+def pair_entries(M, i, j, k, l):
+    """The 4-index components R_ijkl = s_ij s_kl M[P(i, j), P(k, l)] of pair
+    operators M (..., 6, 6), at index arrays i, j, k, l that broadcast
+    together (0 where i = j or k = l); leading axes of M a stack."""
+    sign = PAIR_SIGN[i, j] * PAIR_SIGN[k, l]
+    return M[..., _PAIR_AT[i, j], _PAIR_AT[k, l]] * sign
+
+
+# curvature_tensor's gather: the flat pair entry [P, Q] and the sign of
+# each (i, j, k, l), as pair_entries reads them
+_a, _b, _c, _d = np.ogrid[:N, :N, :N, :N]
+_FULL_AT = _table(6 * _PAIR_AT[_a, _b] + _PAIR_AT[_c, _d])
+_FULL_SIGN = PAIR_SIGN[_a, _b] * PAIR_SIGN[_c, _d]
+_FULL_SIGN.setflags(write=False)
+
+
+def curvature_tensor(M):
+    """The 4-index tensor R[..., i, j, k, l] of pair operators M (..., 6, 6),
+    pair_entries at every (i, j, k, l) in one gather."""
+    M = np.asarray(M)
+    return M.reshape(M.shape[:-2] + (36,))[..., _FULL_AT] * _FULL_SIGN
 
 
 def curvature_symmetrize(raw):
-    """Project raw arrays onto the algebraic curvature tensors, on the last
-    four axes (any leading axes are a stack).
+    """Project raw pair operators onto the algebraic curvature operators, on
+    the last two axes (any leading axes are a stack).
 
-    Antisymmetrize both index pairs, symmetrize the pair swap, then remove
-    the totally antisymmetric (Bianchi-violating) part. Being linear, the
-    projection commutes with differentiation: the partials of a projected
-    field are the projected partials.
+    An operator on the pairs is antisymmetric in each index pair by
+    construction; the projection symmetrizes the pair swap, (A + A^T) / 2,
+    and removes the totally antisymmetric (Bianchi-violating) part, the
+    component along the Hodge star. Being linear, the projection commutes
+    with differentiation: the partials of a projected field are the
+    projected partials.
     """
-    A = 0.25 * (raw - _slots(raw, 1, 0, 2, 3) - _slots(raw, 0, 1, 3, 2) + _slots(raw, 1, 0, 3, 2))
-    P = 0.5 * (A + _slots(A, 2, 3, 0, 1))
-    # cyclic sum over the first three slots is totally antisymmetric here
-    B = P + _slots(P, 1, 2, 0, 3) + _slots(P, 2, 0, 1, 3)
-    return P - B / 3.0
+    S = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    # <S, star> / <star, star> = (S_0123 + S_0231 + S_0312) / 3, summed in
+    # order, so that a value does not depend on the leading axes
+    along = (S[..., 0, 5] - S[..., 1, 4] + S[..., 2, 3]) / 3.0
+    return S - along[..., None, None] * _STAR
 
 
 def ricci_contract(R, g_inv):
-    """Ricci tensor ric_jl = g^ik R_ijkl and scalar curvature s = g^jl ric_jl,
-    over any leading axes of R and g_inv."""
-    ric = np.einsum("...ik,...ijkl->...jl", g_inv, R)
+    """Ricci tensor ric_jl = g^ik R_ijkl and scalar curvature s = g^jl ric_jl
+    of pair operators R, over any leading axes of R and g_inv."""
+    ric = np.einsum("...ik,...ijkl->...jl", g_inv, curvature_tensor(R))
     return ric, np.einsum("...jl,...jl->...", g_inv, ric)
 
 
 def kulkarni_nomizu(a, b):
-    """(a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il.
+    """(a ^ b)_ijkl = a_ik b_jl + a_jl b_ik - a_il b_jk - a_jk b_il on the
+    pairs (i, j), (k, l), a pair operator (..., 6, 6).
 
     Leading axes of a and b broadcast (a stack of forms gives a stack of
-    products). The four terms are the one outer product t_ijkl = a_ik b_jl
-    read with its slots swapped.
+    products). With t(a, b)_ijkl = a_ik b_jl - a_il b_jk the product is
+    t(a, b) + t(b, a).
     """
-    t = np.einsum("...ik,...jl->...ijkl", a, b)
-    return t + _slots(t, 1, 0, 3, 2) - _slots(t, 0, 1, 3, 2) - _slots(t, 1, 0, 2, 3)
+    a_ik, a_il, a_jl, a_jk = _crossed(a)
+    b_ik, b_il, b_jl, b_jk = _crossed(b)
+    return (a_ik * b_jl - a_il * b_jk) + (b_ik * a_jl - b_il * a_jk)
+
+
+def _crossed(a):
+    # a's four entries at _CROSS, each (..., 6, 6)
+    a = np.asarray(a, dtype=float)
+    x = a.reshape(a.shape[:-2] + (16,))[..., _CROSS]
+    return x[..., 0], x[..., 1], x[..., 2], x[..., 3]
 
 
 def weyl_from_curv(g, R, ric, s):
-    """Weyl part W = R - (g ^ Sch) / 2 of a curvature tensor (n = 4), with
+    """Weyl part W = R - (g ^ Sch) / 2 of a curvature operator (n = 4), with
     the Schouten tensor Sch = ric - s g / 6, over any leading axes. W is
     linear in R, ric and s, so the same call with nabla R, nabla ric, ds and
     g[..., None, :, :] gives nabla W (nabla g = 0). The Ricci contraction of
@@ -160,34 +215,23 @@ def _star_matrix():
 _STAR = _star_matrix()
 
 
-def frame_components(R, frame):
-    """Components T(e_a, e_b, ...) of a covariant tensor of any rank in a
-    frame given by the columns of `frame`. Leading axes of `frame` (..., 4, 4)
-    are a stack, which R shares ahead of its tensor slots."""
-    T = np.asarray(R, dtype=float)
-    E = np.asarray(frame, dtype=float)
-    lead = E.shape[:-2]
-    # contract the first slot with E, once per slot: the slot-first matrix,
-    # transposed, times E appends the new frame index last, so the result
-    # comes out ordered (a, b, c, ...)
-    out = T
-    for _ in range(T.ndim - len(lead)):
-        out = out.reshape(lead + (N, -1)).swapaxes(-1, -2) @ E
-    return out.reshape(T.shape)
+def bivector_frame(frame):
+    """The 2 x 2 minors of frames E (..., 4, 4), whose columns are the frame
+    vectors: L[P, A] = E_ia E_jb - E_ib E_ja over the coordinate pairs
+    P = (i, j) and the frame pairs A = (a, b), so that e_a ^ e_b =
+    sum_P L[P, A] (d_i ^ d_j) and frame_components(M, L) is M in the frame."""
+    ia, ib, jb, ja = _crossed(frame)
+    return ia * jb - ib * ja
 
 
-# bivector_matrix's gather: entry [p, q] reads slots (i_q, j_q, k_p, l_p)
-_BIVECTOR_GATHER = (*PAIR_INDICES, *PAIR_INDICES[:, :, None])
-
-
-def bivector_matrix(A_frame):
-    """6x6 matrix of a curvature-type tensor acting on bivectors, over any
-    leading axes.
-
-    In an orthonormal frame the operator sends e_i ^ e_j to
-    sum_{k<l} A_ijkl e_k ^ e_l, so entry [(kl),(ij)] is A_ijkl.
-    """
-    return np.asarray(A_frame)[(..., *_BIVECTOR_GATHER)]
+def frame_components(M, minors):
+    """Components of pair operators M (..., 6, 6) in a frame, from the 2 x 2
+    minors L = bivector_frame(E) of its vectors: L^T M L, whose entry
+    [A, B] over the frame pairs A = (a, b), B = (c, d) is
+    R(e_a, e_b, e_c, e_d). Leading axes of M and L broadcast (a derivative
+    axis of M takes L[..., None, :, :])."""
+    L = np.asarray(minors, dtype=float)
+    return np.swapaxes(L, -1, -2) @ np.asarray(M, dtype=float) @ L
 
 
 # normalized self-dual / anti-self-dual bases as columns over the PAIRS axis,
@@ -209,17 +253,18 @@ class WeylSplit:
 
 
 def sd_split(Wf, orientation):
-    """Split a Ricci-traceless curvature tensor into its W+ and W- blocks,
-    from its components Wf[..., a, b, c, d] in orthonormal frames of the
-    given orientation (+1 or -1), leading axes a stack: a negatively oriented
-    frame flips the star operator, so the split stays tied to the coordinate
-    orientation. Raises PreconditionError when a Ricci contraction is not ~0
-    and InconsistencyError when an operator fails to commute with the star."""
-    Wf = np.asarray(Wf, dtype=float)
-    bound = np.maximum(1.0, _norm(Wf, 4))
-    if (_norm(np.einsum("...abad->...bd", Wf), 2) > 1e-8 * bound).any():
+    """Split a Ricci-traceless curvature operator into its W+ and W- blocks,
+    from its components Wf[..., A, B] (frame_components) in orthonormal
+    frames of the given orientation (+1 or -1), leading axes a stack: a
+    negatively oriented frame flips the star operator, so the split stays
+    tied to the coordinate orientation. Raises PreconditionError when a
+    Ricci contraction is not ~0 and InconsistencyError when an operator
+    fails to commute with the star; both bounds scale with the 4-index
+    norm."""
+    M = np.asarray(Wf, dtype=float)
+    bound = np.maximum(1.0, tensor_norm(M))
+    if (_norm(np.einsum("...abad->...bd", curvature_tensor(M)), 2) > 1e-8 * bound).any():
         raise PreconditionError("operator has a nonvanishing Ricci contraction")
-    M = bivector_matrix(Wf)
     star = orientation * _STAR
     if (_norm(M @ star - star @ M, 2) > 1e-9 * bound).any():
         raise InconsistencyError("operator does not commute with the Hodge star")
@@ -227,7 +272,8 @@ def sd_split(Wf, orientation):
     w_minus = _BASIS_MINUS.T @ M @ _BASIS_MINUS
     if orientation < 0:
         w_plus, w_minus = w_minus, w_plus
-    sigma = np.where(OFF_DIAGONAL, np.einsum("...ijij->...ij", Wf), 0.0)
+    # sigma_ij = s_ij^2 M[P(i, j), P(i, j)]: the diagonal
+    sigma = np.where(OFF_DIAGONAL, np.diagonal(M, axis1=-2, axis2=-1)[..., _PAIR_AT], 0.0)
     return WeylSplit(w_plus=w_plus, w_minus=w_minus, sigma=sigma)
 
 

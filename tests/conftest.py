@@ -8,6 +8,7 @@ import pytest
 import curv4
 from curv4.chart import MetricChart
 from curv4.frames import extract_frame
+from curv4.tensor4 import bivector_frame, curvature_tensor, frame_components
 
 # the CLI tests start fresh interpreters: they import the package from the
 # same src/ that pyproject's `pythonpath` puts on this process's path
@@ -66,6 +67,12 @@ def ric_eigenvalues(entry):
     """Eigenvalues of Ric as an endomorphism (g^-1 Ric), ascending."""
     vals = np.linalg.eigvals(entry.g_inv @ entry.ric)
     return np.sort(vals.real)
+
+
+def frame_tensor(M, E):
+    """The 4-index components T[a, b, c, d] = R(e_a, e_b, e_c, e_d) of pair
+    operators M in the frame whose vectors are the columns of E."""
+    return curvature_tensor(frame_components(M, bivector_frame(E)))
 
 
 def diagonal(x, *entries):

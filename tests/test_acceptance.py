@@ -19,7 +19,8 @@ from curv4.frames import (
     curvature_from_structure,
     sy_invariants,
 )
-from curv4.tensor4 import frame_components, ricci_contract, sd_split
+from curv4.tensor4 import bivector_frame, frame_components, ricci_contract, sd_split, tensor_norm
+from tests.conftest import frame_tensor
 from curv4.variety import VarietyPoint, from_frame, h_components, system_residuals, z_components
 from tests.conftest import ric_eigenvalues
 from tests.test_variety import brute_force_h, brute_force_z, permuted, random_point
@@ -35,16 +36,18 @@ def test_criterion_1_universal_identities(randflat_charts):
     for seed, ch in enumerate(randflat_charts):
         for x in curv4.sample_points(ch, count=10, seed=seed):
             e = curv4.curvature_at(ch, x)
-            nr = np.linalg.norm(e.R)
+            nr = tensor_norm(e.R)
             worst["brt"] = max(worst["brt"], curv4.contracted_bianchi_residual(ch, x))
             worst["sym"] = max(worst["sym"], e.projection_distance / nr)
             wric, _ = ricci_contract(e.weyl, e.g_inv)
             worst["weyl_ric"] = max(worst["weyl_ric"], np.linalg.norm(wric) / nr)
             E = _metric_sqrt_inv(e.g)
-            split = sd_split(frame_components(e.weyl, E), 1 if np.linalg.det(E) > 0 else -1)
+            split = sd_split(
+                frame_components(e.weyl, bivector_frame(E)), 1 if np.linalg.det(E) > 0 else -1
+            )
             tp, tm = np.trace(split.w_plus), np.trace(split.w_minus)
             worst["tr_wpm"] = max(
-                worst["tr_wpm"], max(abs(tp), abs(tm)) / max(np.linalg.norm(e.weyl), 1e-300)
+                worst["tr_wpm"], max(abs(tp), abs(tm)) / max(tensor_norm(e.weyl), 1e-300)
             )
     ok = (
         worst["brt"] <= 1e-5
@@ -65,7 +68,7 @@ def test_criterion_1_universal_identities(randflat_charts):
 def test_criterion_2_constant_curvature(s4_chart):
     pts = curv4.sample_points(s4_chart, count=6, seed=0)
     s_err = max(abs(curv4.curvature_at(s4_chart, x).s - 12.0) for x in pts)
-    w_norm = max(np.linalg.norm(curv4.curvature_at(s4_chart, x).weyl) for x in pts)
+    w_norm = max(tensor_norm(curv4.curvature_at(s4_chart, x).weyl) for x in pts)
     divr = max(curv4.div_riemann_norm(s4_chart, x) for x in pts[:4])
     degenerate = 0
     for x in pts:
@@ -216,7 +219,7 @@ def test_criterion_7_structure_reconstruction(
     for ch, frames in ((s2xs2_chart, s2xs2_frames), (kpc_chart, kpc_frames)):
         for fr in frames[:2]:
             sec, mixed = curvature_from_structure(structure_data(ch, fr), fr)
-            Rf = frame_components(curv4.curvature_at(ch, fr.x).R, fr.E)
+            Rf = frame_tensor(curv4.curvature_at(ch, fr.x).R, fr.E)
             for i in range(4):
                 for j in range(4):
                     if i != j:
@@ -237,7 +240,7 @@ def test_criterion_8_negative_control(bump_chart):
     worst_sym, worst_brt = 0.0, 0.0
     for x in curv4.sample_points(bump_chart, count=4, seed=0):
         e = curv4.curvature_at(bump_chart, x)
-        worst_sym = max(worst_sym, e.projection_distance / np.linalg.norm(e.R))
+        worst_sym = max(worst_sym, e.projection_distance / tensor_norm(e.R))
         worst_brt = max(worst_brt, curv4.contracted_bianchi_residual(bump_chart, x))
     ok = (not rep.harmonic) and ds > 1e-2 and worst_sym <= 1e-9 and worst_brt <= 1e-5
     report(

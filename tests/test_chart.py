@@ -22,6 +22,7 @@ from curv4.chart import (
 )
 from curv4.errors import DomainError, InconsistencyError, InputError
 from curv4.numerics import Jet, StencilConfig
+from curv4.tensor4 import curvature_tensor, tensor_norm
 from tests.conftest import diagonal, ric_eigenvalues
 
 UNIT_BOX = np.array([[-1.0, 1.0]] * 4)
@@ -258,7 +259,7 @@ def test_christoffel_domain_guard():
 
 def test_curvature_flat():
     e = curvature_at(flat_chart(), np.zeros(4))
-    assert np.linalg.norm(e.R) < 1e-10
+    assert tensor_norm(e.R) < 1e-10
     assert abs(e.s) < 1e-10
 
 
@@ -266,7 +267,7 @@ def test_curvature_s4(s4_chart):
     for x in sample_points(s4_chart, count=3, seed=0):
         e = curvature_at(s4_chart, x)
         assert e.s == pytest.approx(12.0, abs=1e-6)
-        assert np.linalg.norm(e.weyl) < 1e-6
+        assert tensor_norm(e.weyl) < 1e-6
 
 
 def test_curvature_product_ric(s2xs2_chart):
@@ -306,7 +307,7 @@ def test_codazzi_equals_div_riemann(s2xs2_chart):
             e = curvature_at(ch, x)
             a = codazzi_residual(ch, x)
             b = div_riemann_norm(ch, x)
-            assert abs(a - b) <= 1e-6 * (1.0 + np.linalg.norm(e.R))
+            assert abs(a - b) <= 1e-6 * (1.0 + tensor_norm(e.R))
 
 
 def test_contracted_bianchi_universal():
@@ -327,7 +328,7 @@ def test_div_weyl_is_half_the_cotton_tensor(name):
     # C_jkl = nabla_k Sch_jl - nabla_l Sch_jk with Sch = Ric - s g / 6, so C
     # comes from nabla Ric and ds alone and div W from nabla W
     batch = harmonicity_report(curv4.build_example(name), count=16).batch
-    div_w = np.einsum("npi,npijkl->njkl", batch.g_inv, batch.nabla_weyl)
+    div_w = np.einsum("npi,npijkl->njkl", batch.g_inv, curvature_tensor(batch.nabla_weyl))
     # nabla_sch[n, k, j, l] = nabla_k Sch_jl
     nabla_sch = batch.nabla_ric - batch.ds[:, :, None, None] * batch.g[:, None] / 6.0
     C = np.einsum("nkjl->njkl", nabla_sch) - np.einsum("nljk->njkl", nabla_sch)

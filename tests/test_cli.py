@@ -64,6 +64,42 @@ def test_verify_of_a_metric_that_overflows_exits_2(name, chart, capsys):
     assert f"chart '{chart}' metric not finite at [" in err
 
 
+@pytest.mark.parametrize("name", ["bump:1e20", "bump:200"])
+def test_verify_of_a_metric_that_overflows_prints_one_error_line(name):
+    # no numpy RuntimeWarning ahead of the error: stderr is the one line
+    proc = subprocess.run(
+        [sys.executable, "-m", "curv4.cli", "verify", "--example", name],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("curv4: error: "), proc.stderr
+
+
+@pytest.mark.parametrize(
+    "name, case, degenerate",
+    [("s4", "A", 16), ("h4", "A", 16), ("s2xs2:1,2", "C", 0), ("s2xs2:1,1", "A", 0)],
+)
+def test_verify_case_labels_and_degenerate_samples(name, case, degenerate, capsys):
+    # the space forms frame none of their 16 samples; the products keep
+    # their case labels
+    code, out, _ = run_main(["verify", "--example", name], capsys)
+    counts = json.loads(out)["summary"]["counts"]
+    assert code == 0 and counts["case"] == case and counts["degenerate_points"] == degenerate
+
+
+def test_scan_case_labels_of_the_s2xs2_grid(capsys):
+    # k1 = k2 is Einstein (case A), every other cell case C
+    argv = ["scan", "s2xs2", "--param", "k1=1,2,3", "--param", "k2=1,2,3", "--samples", "4"]
+    code, out, _ = run_main(argv, capsys)
+    cells = json.loads(out)["points"]
+    assert code == 0 and len(cells) == 9
+    for cell in cells:
+        k1, k2 = cell["params"]["k1"], cell["params"]["k2"]
+        assert cell["counts"]["case"] == ("A" if k1 == k2 else "C") and cell["harmonic"]
+
+
 def test_verify_alias_and_default_suffix(capsys):
     code, out, _ = run_main(
         ["verify", "--example", "constant_curvature", "--samples", "2"], capsys

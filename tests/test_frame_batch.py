@@ -38,8 +38,8 @@ from curv4.frames import (
     structure_data,
 )
 from curv4.numerics import DEFAULT_STENCIL, Jet, StencilConfig, central_diff
-from curv4.tensor4 import frame_components
-from tests.conftest import pulled_back
+from curv4.tensor4 import tensor_norm
+from tests.conftest import frame_tensor, pulled_back
 
 REGISTRY_NAMES = ["s4", "h4", "s2xs2:1,2", "rxs3", "kpc", "bump:0.1", "randflat:0"]
 # closed-form and reference values agree to this, relative to max(1, |reference|)
@@ -97,7 +97,7 @@ def ref_pair_rotation(entry, E, clusters):
             continue
         a, b = cl
         c = [k for k in range(4) if k not in cl][0]
-        Wf = frame_components(entry.weyl, E)
+        Wf = frame_tensor(entry.weyl, E)
         num, den = 2.0 * Wf[a, c, b, c], Wf[a, c, a, c] - Wf[b, c, b, c]
         if abs(num) < 1e-14 and abs(den) < 1e-14:
             continue
@@ -136,7 +136,7 @@ def ref_center(chart, x):
     b = e.ric - e.s * g / 4.0
     b_norm = np.sqrt(np.einsum("ij,kl,ik,jl->", b, b, e.g_inv, e.g_inv))
     einstein = b_norm <= 1e-8 * max(1.0, abs(e.s))
-    flat_w = np.linalg.norm(e.weyl) <= 1e-8 * max(1.0, np.linalg.norm(e.R))
+    flat_w = tensor_norm(e.weyl) <= 1e-8 * max(1.0, tensor_norm(e.R))
     if einstein and flat_w:
         raise DegenerateFrameError("Einstein and W = 0")
     if chart.adapted_frame_fn is not None:
@@ -158,7 +158,7 @@ def ref_center(chart, x):
             E[:, a] = -E[:, a]
     if np.linalg.det(E) < 0.0:
         E[:, 3] = -E[:, 3]
-    Wf = frame_components(e.weyl, E)
+    Wf = frame_tensor(e.weyl, E)
     sigma = np.array([[Wf[i, j, i, j] if i != j else 0.0 for j in range(4)] for i in range(4)])
     return E, np.diag(E.T @ b @ E), sigma, source, clusters
 
@@ -192,7 +192,7 @@ def reference(chart, x, cfg=DEFAULT_STENCIL, outer=OUTER_STEP, df_only=False):
         return F
 
     def sigma_at(y):
-        Wf = frame_components(curvature_at(chart, y).weyl, field(y))
+        Wf = frame_tensor(curvature_at(chart, y).weyl, field(y))
         return np.array([[Wf[i, j, i, j] if i != j else 0.0 for j in range(4)] for i in range(4)])
 
     def f_at(y):
@@ -341,7 +341,7 @@ def test_stacked_pair_rotation_matches_one_point_at_a_time():
     patterns = [(1, 0, 1), (1, 0, 0), (0, 1, 0), (0, 0, 1), (0, 0, 0)]
     rotate = np.array(patterns * 2, dtype=bool)
     g = np.eye(4)
-    R = curv4.curvature_symmetrize(rng.normal(size=(len(rotate), 4, 4, 4, 4)))
+    R = curv4.curvature_symmetrize(rng.normal(size=(len(rotate), 6, 6)))
     ric, s = curv4.ricci_contract(R, g)
     W = curv4.weyl_from_curv(g, R, ric, s)
     E = np.linalg.qr(rng.normal(size=(len(rotate), 4, 4)))[0]
@@ -350,7 +350,7 @@ def test_stacked_pair_rotation_matches_one_point_at_a_time():
         ref = E[n].copy()
         for a in np.flatnonzero(marks):
             b, c = a + 1, 2 if a == 0 else 0
-            Wf = frame_components(W[n], ref)
+            Wf = frame_tensor(W[n], ref)
             t = 0.5 * np.arctan2(2.0 * Wf[a, c, b, c], Wf[a, c, a, c] - Wf[b, c, b, c])
             turn = np.eye(4)
             turn[a, a] = turn[b, b] = np.cos(t)
@@ -539,7 +539,7 @@ def test_frames_on_a_turned_product():
     assert_matches(got, extrapolated_reference(chart, x))
     fr = extract_frame(chart, x)
     sec, _ = curv4.curvature_from_structure(structure_data(chart, fr), fr)
-    Rf = frame_components(curvature_at(chart, x).R, fr.E)
+    Rf = frame_tensor(curvature_at(chart, x).R, fr.E)
     assert np.max(np.abs(sec - np.einsum("ijij->ij", Rf))) <= RTOL * max(1.0, np.abs(Rf).max())
 
 
@@ -664,7 +664,7 @@ def test_batch_point_is_the_batch_slice(registry_charts, name):
         assert np.array_equal(point.weyl, weyl[n])
         assert np.array_equal(point.nabla_weyl, nabla_weyl[n])
     point = curvature_batch(chart, batch.x, degree=2)[1]
-    assert point.x.shape == (4,) and point.R.shape == (4, 4, 4, 4) and np.ndim(point.s) == 0
+    assert point.x.shape == (4,) and point.R.shape == (6, 6) and np.ndim(point.s) == 0
     assert point.nabla_riem is None and point.nabla_ric is None and point.ds is None
     assert point.nabla_weyl is None
 

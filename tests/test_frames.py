@@ -19,7 +19,8 @@ from curv4.frames import (
     sy_from_components,
     sy_invariants,
 )
-from curv4.tensor4 import frame_components
+from curv4.tensor4 import tensor_norm
+from tests.conftest import frame_tensor
 
 
 def test_cluster_indices():
@@ -303,8 +304,8 @@ def test_riz_offblock_vanishes(s2xs2_chart, kpc_chart, s2xs2_frames, kpc_frames)
     for ch, frames in ((s2xs2_chart, s2xs2_frames), (kpc_chart, kpc_frames)):
         fr = frames[0]
         entry = curv4.curvature_at(ch, fr.x)
-        Rf = frame_components(entry.R, fr.E)
-        scale = np.linalg.norm(entry.R)
+        Rf = frame_tensor(entry.R, fr.E)
+        scale = tensor_norm(entry.R)
         for a in range(4):
             for b in range(4):
                 for c in range(4):
@@ -317,8 +318,8 @@ def test_rvovt_mixed_vanishes(kpc_chart, kpc_frames):
     # R(e_a, e_b) e_c = 0 for pairwise-distinct Ricci eigenvalues (a,b,c)
     fr = kpc_frames[0]
     entry = curv4.curvature_at(kpc_chart, fr.x)
-    Rf = frame_components(entry.R, fr.E)
-    scale = np.linalg.norm(entry.R)
+    Rf = frame_tensor(entry.R, fr.E)
+    scale = tensor_norm(entry.R)
     # lam_1, lam_2, lam_3 are pairwise distinct for this example
     assert np.max(np.abs(Rf[0, 1, 2, :])) <= 1e-4 * scale
     assert np.max(np.abs(Rf[1, 2, 0, :])) <= 1e-4 * scale
@@ -330,7 +331,7 @@ def test_structure_reconstruction(s2xs2_chart, kpc_chart, s2xs2_frames, kpc_fram
         sd = structure_data(ch, fr)
         sec, mixed = curvature_from_structure(sd, fr)
         entry = curv4.curvature_at(ch, fr.x)
-        Rf = frame_components(entry.R, fr.E)
+        Rf = frame_tensor(entry.R, fr.E)
         for i in range(4):
             for j in range(4):
                 if i != j:
@@ -347,7 +348,7 @@ def test_structure_rebuilds_the_frame_curvature(name):
     for x in curv4.sample_points(chart, count=4, seed=0):
         fr = extract_frame(chart, x)
         sec, mixed = curvature_from_structure(structure_data(chart, fr), fr)
-        Rf = frame_components(curv4.curvature_at(chart, x).R, fr.E)
+        Rf = frame_tensor(curv4.curvature_at(chart, x).R, fr.E)
         tol = 1e-9 * max(1.0, float(np.max(np.abs(Rf))))
         assert np.max(np.abs(sec - np.einsum("ijij->ij", Rf))) <= tol
         for i, j, k in itertools.permutations(range(4), 3):

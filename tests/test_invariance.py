@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import curv4
 from curv4.chart import _RESIDUALS, curvature_batch, harmonicity_report, metric_norm
+from curv4.tensor4 import curvature_tensor
 from tests.conftest import pulled_back
 
 NAMES = ["s4", "h4", "s2xs2:1,2", "rxs3", "kpc", "kpc:1,1.2,5", "bump:0.1", "randflat:0"]
@@ -32,7 +33,7 @@ def registry():
 
 def invariants(batch):
     """s, |Ric|_g, |W|_g per point of a degree-3 batch."""
-    weyl = batch.weyl
+    weyl = curvature_tensor(batch.weyl)
     return {
         "s": batch.s,
         "|ric|": np.array([metric_norm(r, gi) for r, gi in zip(batch.ric, batch.g_inv)]),

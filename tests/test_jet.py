@@ -15,7 +15,7 @@ from curv4.chart import (
 )
 from curv4.errors import Curv4Error, DomainError
 from curv4.numerics import DEFAULT_STENCIL, Jet, central_diff
-from curv4.tensor4 import curvature_symmetrize
+from curv4.tensor4 import PAIR_INDICES, curvature_symmetrize, curvature_tensor, tensor_norm
 
 REGISTRY_NAMES = ["s4", "h4", "s2xs2:1,2", "rxs3", "kpc", "bump:0.1", "randflat:0"]
 
@@ -39,9 +39,9 @@ def richardson(field, X, h=5e-4):
 
 
 def nested_riemann(chart, x, cfg=DEFAULT_STENCIL):
-    """R_ijkl the way curvature entries were assembled before the jet:
-    central differences of the Christoffels, each from central differences
-    of the metric."""
+    """R on the pairs the way curvature entries were assembled before the
+    jet: central differences of the Christoffels, each from central
+    differences of the metric, antisymmetrized in (k, l) and projected."""
     g = chart.eval(x)
     gamma = christoffel(chart, x, cfg)
     dgamma = np.stack(
@@ -53,7 +53,11 @@ def nested_riemann(chart, x, cfg=DEFAULT_STENCIL):
         + np.einsum("pik,mjp->mijk", gamma, gamma)
         - np.einsum("pjk,mip->mijk", gamma, gamma)
     )
-    return curvature_symmetrize(np.einsum("lm,mijk->ijkl", g, rm)), gamma
+    raw = np.einsum("lm,mijk->ijkl", g, rm)
+    raw = 0.5 * (raw - np.einsum("ijlk->ijkl", raw))
+    i, j = PAIR_INDICES[:, :, None]
+    k, l = PAIR_INDICES[:, None, :]
+    return curvature_symmetrize(raw[i, j, k, l]), gamma
 
 
 @pytest.mark.parametrize("name", REGISTRY_NAMES)
@@ -62,7 +66,7 @@ def test_jet_matches_nested_differences(registry_charts, name):
     for x in sample_points(chart, count=3, seed=5):
         ref, gamma = nested_riemann(chart, x)
         entry = curvature_at(chart, x)
-        scale = max(1.0, float(np.linalg.norm(ref)))
+        scale = max(1.0, float(tensor_norm(ref)))
         assert np.max(np.abs(entry.R - ref)) <= 1e-8 * scale
         assert np.max(np.abs(entry.gamma - gamma)) <= 1e-10
 
@@ -103,7 +107,7 @@ def test_entry_guard_covers_the_nested_footprint(registry_charts):
     exact = curvature_at(chart, x).R
     x[0] = chart.box[0, 0] + 2.5 * reach
     ref, _ = nested_riemann(chart, x, cfg)
-    assert np.max(np.abs(curvature_at(chart, x).R - ref)) <= 1e-8 * max(1.0, np.linalg.norm(ref))
+    assert np.max(np.abs(curvature_at(chart, x).R - ref)) <= 1e-8 * max(1.0, tensor_norm(ref))
     assert np.linalg.norm(exact) > 0.0
 
 
@@ -145,7 +149,7 @@ def test_exact_jet_matches_third_order_stencil(registry_charts, name):
     )
     for n, x in enumerate(X):
         ref, _ = nested_riemann(chart, x)
-        scale = max(1.0, np.linalg.norm(exact.R[n]))
+        scale = max(1.0, tensor_norm(exact.R[n]))
         assert np.max(np.abs(exact.R[n] - ref)) <= 1e-8 * scale
         assert np.max(np.abs(exact.nabla_ric[n] - nabla_ric[n])) <= 1e-6 * scale
 
@@ -188,3 +192,24 @@ def test_degree_four_nabla_ric_jet_matches_richardson(registry_charts, name):
     ref = richardson(lambda Y: curvature_batch(chart, Y, degree=3).nabla_ric, X)
     scale = max(1.0, float(np.max(np.abs(ref))))
     assert np.max(np.abs(jets["nabla_ric"][1:5] - ref)) <= 1e-7 * scale
+
+
+@pytest.mark.parametrize(
+    "degree, counts",
+    [
+        (2, {"g": 15, "g_inv": 5, "gamma": 5, "R": 1, "ric": 1, "s": 1}),
+        (3, {"g": 35, "g_inv": 5, "gamma": 5, "R": 5, "ric": 5, "s": 5,
+             "nabla_riem": 1, "nabla_ric": 1, "ds": 1}),
+        (4, {"g": 70, "g_inv": 15, "gamma": 15, "R": 15, "ric": 15, "s": 15,
+             "nabla_riem": 5, "nabla_ric": 5, "ds": 5}),
+    ],
+)  # fmt: skip
+def test_curvature_jets_coefficient_counts(registry_charts, degree, counts):
+    # g to degree d, g^-1 and Gamma to max(1, d - 2), R, Ric and s to d - 2,
+    # the covariant derivatives to d - 3; R and nabla R on the six pairs
+    X = sample_points(registry_charts["s2xs2:1,2"], count=3, seed=0)
+    jets = curvature_jets(registry_charts["s2xs2:1,2"], X, degree)
+    assert {key: len(jet) for key, jet in jets.items()} == counts
+    assert jets["R"].shape[1:] == (3, 6, 6)
+    if degree >= 3:
+        assert jets["nabla_riem"].shape[1:] == (3, 4, 6, 6)

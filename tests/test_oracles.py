@@ -87,8 +87,8 @@ def _scalar_curvature(name):
 
 
 @functools.cache
-def _riemann(name):
-    """x -> R[i, j, k, l] = g_lm R^m_ijk with R^m_ijk = d_j G^m_ik - d_i G^m_jk
+def _riemann_tensor(name):
+    """R[i, j, k, l] = g_lm R^m_ijk with R^m_ijk = d_j G^m_ik - d_i G^m_jk
     + G^p_ik G^m_jp - G^p_jk G^m_ip, positive R_ijij on round spheres."""
     g, _, gamma = _christoffel(name)
     R = sp.MutableDenseNDimArray.zeros(4, 4, 4, 4)
@@ -103,8 +103,40 @@ def _riemann(name):
                 )
             )
             R[i, j, k, m] = g[m, m] * rm
-    fn = sp.lambdify(X, R.tolist(), "math")
-    return lambda x: np.array(fn(*x))
+    return R
+
+
+def _numeric(expr):
+    """x -> the array of a sympy expression (nested lists) at x."""
+    fn = sp.lambdify(X, expr, "math")
+    return lambda x: np.array(fn(*x), dtype=float)
+
+
+@functools.cache
+def _riemann(name):
+    """x -> R[i, j, k, l] of _riemann_tensor."""
+    return _numeric(_riemann_tensor(name).tolist())
+
+
+@functools.cache
+def _nabla_ricci(name):
+    """nabla_q ric_ij [q][i][j] = d_q ric_ij - G^m_qi ric_mj - G^m_qj ric_im,
+    with ric_jl = g^ik R_ijkl, and ds_q = d_q s."""
+    _, g_inv, gamma = _christoffel(name)
+    R = _riemann_tensor(name)
+    ric = [[sum(g_inv[i, i] * R[i, j, i, l] for i in range(4)) for l in range(4)] for j in range(4)]
+    nabla = [
+        [
+            [
+                sp.diff(ric[i][j], X[q])
+                - sum(gamma[m][q][i] * ric[m][j] + gamma[m][q][j] * ric[i][m] for m in range(4))
+                for j in range(4)
+            ]
+            for i in range(4)
+        ]
+        for q in range(4)
+    ]
+    return nabla, [sp.diff(_scalar_curvature(name), y) for y in X]
 
 
 @pytest.mark.parametrize("name", NAMES)
@@ -142,7 +174,8 @@ def test_riemann_tensor_matches_sympy(name):
     for x in curv4.sample_points(chart, count=3, seed=0):
         exact = R(x)
         scale = max(1.0, float(np.abs(exact).max()))
-        assert np.max(np.abs(curv4.curvature_at(chart, x).R - exact)) <= 1e-10 * scale
+        got = curv4.curvature_tensor(curv4.curvature_at(chart, x).R)
+        assert np.max(np.abs(got - exact)) <= 1e-10 * scale
     if name == "s4":
         # the sign convention: R_ijij = K g_ii g_jj > 0 on the round sphere
         assert R(np.zeros(4))[0, 1, 0, 1] == pytest.approx(1.0)
@@ -159,3 +192,43 @@ def test_sectional_curvature_from_structure_matches_sympy(name):
         sec, _ = curv4.curvature_from_structure(curv4.structure_data(chart, fr), fr)
         Rf = np.einsum("abcd,ai,bj,ck,dl->ijkl", R(x), fr.E, fr.E, fr.E, fr.E)
         assert np.max(np.abs(sec - np.einsum("ijij->ij", Rf))) <= 1e-8
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_degree_three_curvature_matches_sympy(name):
+    # R on the pairs, nabla Ric and ds of a degree-3 batch against the
+    # oracle's, at the samples of a default verify
+    chart = curv4.build_example(name)
+    nabla, ds = _nabla_ricci(name)
+    R, nabla_ric, ds = _riemann(name), _numeric(nabla), _numeric(ds)
+    X3 = curv4.sample_points(chart, count=4, seed=0)
+    batch = curv4.chart.curvature_batch(chart, X3, degree=3)
+    for n, x in enumerate(X3):
+        exact = R(x)
+        scale = max(1.0, float(np.abs(exact).max()))
+        assert np.max(np.abs(curv4.curvature_tensor(batch.R[n]) - exact)) <= 1e-10 * scale
+        ref = nabla_ric(x)
+        assert np.max(np.abs(batch.nabla_ric[n] - ref)) <= 1e-9 * max(1.0, np.abs(ref).max())
+        assert batch.ds[n] == pytest.approx(ds(x), rel=1e-9, abs=1e-9)
+
+
+def test_degree_four_eigen_harvest_matches_sympy():
+    # the bump has no adapted frame: extract_frame takes one degree-4 jet
+    # and carries nabla Ric to first order for structure_data; its value and
+    # partials are the oracle's, as are the jet's R and ds
+    name = "bump:0.1"
+    chart = curv4.build_example(name)
+    nabla, ds = _nabla_ricci(name)
+    partials = _numeric([[[[sp.diff(e, y) for e in row] for row in m] for m in nabla] for y in X])
+    R, nabla_ric, ds = _riemann(name), _numeric(nabla), _numeric(ds)
+    for x in curv4.sample_points(chart, count=3, seed=1):
+        fr = curv4.extract_frame(chart, x)
+        assert fr.source == "eigen"
+        ref = np.concatenate([nabla_ric(x)[None], partials(x)])
+        got = fr.jets["nabla_ric"]
+        assert np.max(np.abs(got - ref)) <= 1e-9 * max(1.0, np.abs(ref).max())
+        jets = curv4.chart.curvature_jets(chart, x[None], 4)
+        exact = R(x)
+        scale = max(1.0, float(np.abs(exact).max()))
+        assert np.max(np.abs(curv4.curvature_tensor(jets["R"][0, 0]) - exact)) <= 1e-10 * scale
+        assert jets["ds"][0, 0] == pytest.approx(ds(x), rel=1e-9, abs=1e-9)

@@ -13,8 +13,10 @@ structure_data on a frame made from an entry (which takes its own jet),
 one harvested point (extract_frame with no entry, then structure_data on
 the jet the frame carries), the stacked harmonicity pass of a 3x3 s2xs2 scan at
 one sample per cell (nine reports from one curvature batch), the frames
-of those nine cells as one stack with their skw rows and invariants, and
-the stacked frames of a 16-sample verify with theirs. A stack keeps the
+of those nine cells as one stack with their skw rows and invariants, the
+stacked harmonicity pass of a 16-sample verify (the CLI default, one
+degree-3 batch of its 16 samples), and the stacked frames of that verify
+with their skw rows and invariants. A stack keeps the
 W and nabla W it makes, so the frame stages time every round after the
 first without them, as a scan's or verify's frame pass reads the nabla W
 its harmonicity pass made.
@@ -103,6 +105,15 @@ def test_stage_stacked_harmonicity(benchmark):
     charts = [curv4.build_example(f"s2xs2:{k1},{k2}") for k1 in (1, 2, 3) for k2 in (1, 2, 3)]
     reports = benchmark(chart_module.harmonicity_reports, charts, count=1, seed=3)
     assert [len(r.points) for r in reports] == [1] * 9
+
+
+@pytest.mark.parametrize("name", EXAMPLES)
+def test_stage_verify_harmonicity(benchmark, name):
+    # the harmonicity pass of a default verify: its 16 samples in one
+    # degree-3 curvature batch, and the residuals over it
+    chart = curv4.build_example(name)
+    report = benchmark(chart_module.harmonicity_report, chart, count=16, seed=3)
+    assert len(report.rows) == 16 and report.stack.nabla_riem.shape == (16, 4, 6, 6)
 
 
 def test_stage_stacked_scan_frames(benchmark):

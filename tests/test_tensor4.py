@@ -12,26 +12,37 @@ from curv4.errors import InconsistencyError, InputError, PreconditionError
 from curv4.numerics import sym_eigen
 from curv4.tensor4 import (
     _STAR,
+    PAIR_INDICES,
     PAIRS,
-    bivector_matrix,
+    bivector_frame,
     curvature_symmetrize,
+    curvature_tensor,
     frame_components,
     kulkarni_nomizu,
+    pair_entries,
     ricci_contract,
     sd_split,
     weyl_from_curv,
 )
 
 
+def on_pairs(T):
+    """The pair operator [P, Q] = T_ijkl, P = (i, j), Q = (k, l), of a
+    4-index array T."""
+    i, j = PAIR_INDICES[:, :, None]
+    k, l = PAIR_INDICES[:, None, :]
+    return T[..., i, j, k, l]
+
+
 def constant_curvature_tensor(g, K=1.0):
-    """R_ijkl = K (g_ik g_jl - g_il g_jk), sectional curvature K."""
-    return K * (np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g))
+    """R_ijkl = K (g_ik g_jl - g_il g_jk), sectional curvature K, on the pairs."""
+    return on_pairs(K * (np.einsum("ik,jl->ijkl", g, g) - np.einsum("il,jk->ijkl", g, g)))
 
 
 def random_algebraic_curvature(seed):
     """Sums of Kulkarni-Nomizu squares have all curvature symmetries."""
     rng = np.random.default_rng(seed)
-    R = np.zeros((4, 4, 4, 4))
+    R = np.zeros((6, 6))
     for _ in range(3):
         a = rng.standard_normal((4, 4))
         b = rng.standard_normal((4, 4))
@@ -45,7 +56,7 @@ def product_s2xs2_curvature(k1=1.0, k2=1.0):
     for (i, j, k) in ((0, 1, k1), (2, 3, k2)):
         R[i, j, i, j] = R[j, i, j, i] = k
         R[i, j, j, i] = R[j, i, i, j] = -k
-    return R
+    return on_pairs(R)
 
 
 def test_metric4_validation():
@@ -68,12 +79,12 @@ def test_curvature_symmetrize_fixed_point():
 def test_curvature_symmetrize_removes_noise():
     R = constant_curvature_tensor(np.eye(4))
     rng = np.random.default_rng(3)
-    noise = rng.standard_normal((4, 4, 4, 4)) * 1e-8
-    anti = noise + np.einsum("jikl->ijkl", noise)  # symmetric in (ij): killed
+    noise = rng.standard_normal((6, 6)) * 1e-8
+    anti = noise - noise.T  # antisymmetric under the pair swap: killed
     assert np.max(np.abs(curvature_symmetrize(R + anti) - R)) < 1e-7
-    assert np.all(curvature_symmetrize(np.zeros((4,) * 4)) == 0.0)
+    assert np.all(curvature_symmetrize(np.zeros((6, 6))) == 0.0)
     # over leading axes, each slice is projected on its own
-    stack = np.stack([R + anti, R, np.zeros((4,) * 4)])
+    stack = np.stack([R + anti, R, np.zeros((6, 6))])
     assert np.array_equal(
         curvature_symmetrize(stack), np.stack([curvature_symmetrize(T) for T in stack])
     )
@@ -91,16 +102,18 @@ def test_projection_gate_rejects_a_far_projection(monkeypatch):
 
 
 def test_curvature_symmetrize_satisfies_the_symmetries():
-    bad = np.zeros((4, 4, 4, 4))
-    bad[0, 1, 2, 3] = 1.0  # violates every symmetry
-    R = curvature_symmetrize(bad)
+    bad = np.zeros((6, 6))
+    bad[0, 5] = 1.0  # R_0123 alone: violates the pair swap and Bianchi
+    P = curvature_symmetrize(bad)
+    assert np.array_equal(P, P.T)
+    R = curvature_tensor(P)
     assert np.abs(R).max() > 0.0
     assert np.array_equal(R, -np.einsum("jikl->ijkl", R))
     assert np.array_equal(R, -np.einsum("ijlk->ijkl", R))
     assert np.max(np.abs(R - np.einsum("klij->ijkl", R))) < 1e-15
     bianchi = R + np.einsum("jkil->ijkl", R) + np.einsum("kijl->ijkl", R)
     assert np.max(np.abs(bianchi)) < 1e-15
-    assert np.max(np.abs(curvature_symmetrize(R) - R)) < 1e-15
+    assert np.max(np.abs(curvature_symmetrize(P) - P)) < 1e-15
 
 
 def test_ricci_contract_constant_curvature():
@@ -108,7 +121,7 @@ def test_ricci_contract_constant_curvature():
     ric, s = ricci_contract(constant_curvature_tensor(g), g)
     assert np.max(np.abs(ric - 3.0 * np.eye(4))) < 1e-12
     assert s == pytest.approx(12.0, abs=1e-12)
-    ric0, s0 = ricci_contract(np.zeros((4,) * 4), g)
+    ric0, s0 = ricci_contract(np.zeros((6, 6)), g)
     assert np.all(ric0 == 0.0) and s0 == 0.0
     # over leading axes: sectional curvature K has ric = 3 K g and s = 12 K
     G = np.stack([g, 2.0 * g])
@@ -154,7 +167,7 @@ def test_weyl_s2xs2_sigma_values():
     R = product_s2xs2_curvature()
     ric, s = ricci_contract(R, np.eye(4))
     assert np.max(np.abs(ric - np.eye(4))) < 1e-12 and s == pytest.approx(4.0)
-    W = weyl_from_curv(np.eye(4), R, ric, s)
+    W = curvature_tensor(weyl_from_curv(np.eye(4), R, ric, s))
     assert W[0, 1, 0, 1] == pytest.approx(2.0 / 3.0, abs=1e-12)
     assert W[0, 2, 0, 2] == pytest.approx(-1.0 / 3.0, abs=1e-12)
     assert W[0, 3, 0, 3] == pytest.approx(-1.0 / 3.0, abs=1e-12)
@@ -173,8 +186,8 @@ def test_hodge_star():
 
 
 def test_sd_split_zero_and_traces():
-    E = np.eye(4)
-    split = sd_split(frame_components(np.zeros((4,) * 4), E), 1)
+    E = bivector_frame(np.eye(4))
+    split = sd_split(frame_components(np.zeros((6, 6)), E), 1)
     assert np.all(split.w_plus == 0.0) and np.all(split.w_minus == 0.0)
     for seed in range(4):
         W = weyl(random_algebraic_curvature(seed), np.eye(4))
@@ -187,7 +200,7 @@ def test_sd_split_zero_and_traces():
 
 def test_sd_split_s2xs2_spectrum():
     W = weyl(product_s2xs2_curvature(), np.eye(4))
-    split = sd_split(frame_components(W, np.eye(4)), 1)
+    split = sd_split(frame_components(W, bivector_frame(np.eye(4))), 1)
     spec = sym_eigen(split.w_plus).values
     assert spec == pytest.approx([-1 / 3, -1 / 3, 2 / 3], abs=1e-12)
     assert split.sigma[0, 1] == pytest.approx(2 / 3)
@@ -201,8 +214,8 @@ def test_sd_split_orientation_swap():
     E = np.eye(4)
     F = E.copy()
     F[:, 3] = -F[:, 3]
-    a = sd_split(frame_components(W, E), 1)
-    b = sd_split(frame_components(W, F), -1)
+    a = sd_split(frame_components(W, bivector_frame(E)), 1)
+    b = sd_split(frame_components(W, bivector_frame(F)), -1)
     assert sym_eigen(a.w_plus).values == pytest.approx(sym_eigen(b.w_plus).values, abs=1e-12)
 
 
@@ -210,9 +223,8 @@ def test_sd_split_rejects_nonweyl():
     with pytest.raises(PreconditionError):
         sd_split(constant_curvature_tensor(np.eye(4)), 1)
     # no Ricci contraction, but not pair symmetric: e1^e2 -> e3^e4 only
-    A = np.zeros((4, 4, 4, 4))
-    A[0, 1, 2, 3] = A[1, 0, 3, 2] = 1.0
-    A[1, 0, 2, 3] = A[0, 1, 3, 2] = -1.0
+    A = np.zeros((6, 6))
+    A[0, 5] = 1.0
     with pytest.raises(InconsistencyError):
         sd_split(A, 1)
 
@@ -223,7 +235,8 @@ def test_frame_components_rotation():
     th = 0.3
     E = np.eye(4)
     E[:2, :2] = [[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]]
-    Rf = frame_components(R, E)
+    Rf = curvature_tensor(frame_components(R, bivector_frame(E)))
+    R = curvature_tensor(R)
     assert Rf[2, 3, 2, 3] == pytest.approx(R[2, 3, 2, 3], abs=1e-12)
     v = E[:, 0]
     assert Rf[0, 1, 0, 1] == pytest.approx(
@@ -232,22 +245,31 @@ def test_frame_components_rotation():
 
 
 def test_frame_components_and_bivector_gather_match_loop_references():
-    # frame_components against the tensordot chain it replaced, at ranks 4
-    # and 5, and bivector_matrix and the star against their loops
+    # frame_components against the tensordot chain on the 4-index tensor,
+    # on a pair operator and on a stack of them behind a derivative axis,
+    # and the pair gathers and the star against their loops
     rng = np.random.default_rng(8)
     E = rng.normal(size=(4, 4))
-    for rank in (4, 5):
-        T = rng.normal(size=(4,) * rank)
-        ref = T
-        for _ in range(rank):
-            ref = np.tensordot(ref, E, axes=(0, 0))
-        assert np.allclose(frame_components(T, E), ref, rtol=1e-14, atol=1e-14)
-    A = rng.normal(size=(4, 4, 4, 4))
-    M = np.empty((6, 6))
-    for q, (i, j) in enumerate(PAIRS):
-        for p, (k, l) in enumerate(PAIRS):
-            M[p, q] = A[i, j, k, l]
-    assert np.array_equal(bivector_matrix(A), M)
+    L = bivector_frame(E)
+    for shape in ((6, 6), (4, 6, 6)):
+        T = rng.normal(size=shape)
+        ref = curvature_tensor(T)
+        for _ in range(4):
+            ref = np.tensordot(ref, E, axes=(ref.ndim - 4, 0))
+        got = frame_components(T, L if len(shape) == 2 else L[None])
+        assert np.allclose(got, on_pairs(ref), rtol=1e-14, atol=1e-14)
+    M = rng.normal(size=(6, 6))
+    A = np.zeros((4, 4, 4, 4))
+    for p, (i, j) in enumerate(PAIRS):
+        for q, (k, l) in enumerate(PAIRS):
+            A[i, j, k, l] = A[j, i, l, k] = M[p, q]
+            A[j, i, k, l] = A[i, j, l, k] = -M[p, q]
+    assert np.array_equal(curvature_tensor(M), A)
+    assert np.array_equal(pair_entries(M, *np.ogrid[:4, :4, :4, :4]), A)
+    for p, (i, j) in enumerate(PAIRS):
+        for a, (b, c) in enumerate(PAIRS):
+            minor = E[i, b] * E[j, c] - E[i, c] * E[j, b]
+            assert L[p, a] == minor
     star = np.zeros((6, 6))
     for p, (i, j) in enumerate(PAIRS):
         k, l = sorted(set(range(4)) - {i, j})
@@ -273,6 +295,7 @@ def test_index_tables_match_itertools():
         for i in range(4):
             column = tensor4.PAIR_COLUMN[i, l]
             assert column == (PAIRS.index(tuple(sorted((i, l)))) if i != l else len(PAIRS))
+            assert tensor4.PAIR_SIGN[i, l] == (i < l) - (i > l)
     assert np.array_equal(tensor4.OFF_DIAGONAL, ~np.eye(4, dtype=bool))
 
 
@@ -281,6 +304,9 @@ def test_index_tables_match_itertools():
     [
         "PAIR_INDICES",
         "PAIR_COLUMN",
+        "PAIR_SIGN",
+        "PAIR_ROWS",
+        "PAIR_COLS",
         "ORDERED_PAIRS",
         "TRIPLES",
         "OTHERS",
