@@ -83,7 +83,6 @@ from .examples import (
     make_bump_nonharmonic,
     make_constant_curvature,
     make_kpc_warped,
-    make_line_cross_space,
     make_product_surfaces,
     make_random_perturbed_flat,
     profile_residual,

@@ -265,13 +265,6 @@ _UNIT_PROBES = halton(6)[1:]
 _UNIT_PROBES.setflags(write=False)
 
 
-def _probe_points(chart):
-    # the unit probes pulled 20% inside the box
-    lo, hi = chart.box[:, 0], chart.box[:, 1]
-    mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + (2.0 * _UNIT_PROBES - 1.0) * 0.8 * half
-
-
 # the first-derivative stencils of the consistency check around the first
 # probe: 4 directions x 4 offsets at order 4, then 4 x 6 at order 6 (40 points)
 _CHECK_ORDERS = (StencilConfig(order=4), StencilConfig(order=6))
@@ -310,7 +303,8 @@ def _validate_chart(*charts):
     probes, and the formula on the five probes and the 40 points of the
     derivative stencils together.
     """
-    pts = np.array([_probe_points(chart) for chart in charts])
+    # the unit probes pulled 20% inside each box
+    pts = _in_box(np.array([chart.box for chart in charts]), _UNIT_PROBES, 0.8)
     gs = []
     for chart, xs in zip(charts, pts):
         for x in xs:
@@ -411,18 +405,19 @@ def _unit_samples(count, seed):
     return halton(count, seed=_integer_at_least("seed", seed, 0))
 
 
-def _in_box(chart, u):
-    # unit points u (N, 4) mapped into the 10%-shrunk box
-    lo, hi = chart.box[:, 0], chart.box[:, 1]
+def _in_box(box, u, shrink=0.9):
+    # unit points u (N, 4) mapped into each box (..., 4, 2) shrunk about its
+    # centre by `shrink`: shape (..., N, 4)
+    lo, hi = box[..., None, :, 0], box[..., None, :, 1]
     mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
-    return mid + (2.0 * u - 1.0) * 0.9 * half
+    return mid + (2.0 * u - 1.0) * shrink * half
 
 
 def sample_points(chart, count=16, seed=0):
     """Deterministic scrambled-Halton samples in the 10%-shrunk box. A count
     that is not an integer >= 1, or a seed that is not an integer >= 0,
     raises InputError."""
-    return _in_box(chart, _unit_samples(count, seed))
+    return _in_box(chart.box, _unit_samples(count, seed))
 
 
 def _first_kind(dg):
@@ -463,15 +458,17 @@ def _metric_coefficients(run, degree):
     are rows of one family with as many points X (P, 4) each. The
     coefficients come from one formula call on the coordinate jets: the
     family's on all rows stacked (ChartFamily.evaluate), or the chart's on
-    all of X. A point outside its chart's box raises DomainError."""
-    for chart, X in run:
-        outside = ~np.all((X >= chart.box[:, 0]) & (X <= chart.box[:, 1]), axis=1)
-        if outside.any():
-            raise DomainError(f"point {X[outside][0].tolist()} outside chart '{chart.name}' box")
+    all of X. The first point outside its chart's box raises DomainError."""
+    XS = np.stack([X for _, X in run])
+    box = np.array([chart.box for chart, _ in run])[:, None]
+    outside = ~np.all((XS >= box[..., 0]) & (XS <= box[..., 1]), axis=2)
+    if outside.any():
+        n, i = np.unravel_index(np.argmax(outside), outside.shape)
+        raise DomainError(f"point {XS[n, i].tolist()} outside chart '{run[n][0].name}' box")
     chart, X = run[0]
     if len(run) > 1:
         rows = [chart.row for chart, _ in run]
-        coef = chart.family.evaluate(np.stack([X for _, X in run]), rows, degree)
+        coef = chart.family.evaluate(XS, rows, degree)
         coef = coef.reshape((-1,) + coef.shape[2:])
     elif len(X) == 1:
         # a single point goes in unstacked: formulas run faster on scalars
@@ -861,26 +858,30 @@ def harmonicity_reports(charts, count=16, seed=0, tols=None):
     sample_points rejects and an empty sequence of charts."""
     tols = _checked_tols(tols or {})
     u = _unit_samples(count, seed)
-    parts = [(chart, _in_box(chart, u)) for chart in charts]
-    stack = stacked_curvature_batch(parts, degree=3)
-    residuals = {key: residual(stack) for key, residual in _RESIDUALS.items()}
+    if not len(charts):
+        raise InputError("the curvature stack has no charts")
+    X = _in_box(np.array([chart.box for chart in charts]), u)
+    stack = stacked_curvature_batch(list(zip(charts, X)), degree=3)
+    # each residual column converted once, its maxima taken per chart
+    residuals = {key: f(stack).reshape(len(charts), count) for key, f in _RESIDUALS.items()}
+    columns = {key: v.ravel().tolist() for key, v in residuals.items()}
+    maxima = {key: v.max(axis=1).tolist() for key, v in residuals.items()}
+    s = stack.s.reshape(len(charts), count)
+    spreads, scales = (s.max(axis=1) - s.min(axis=1)).tolist(), np.abs(s).max(axis=1).tolist()
     reports = []
-    for n, (_, pts) in enumerate(parts):
+    for n, pts in enumerate(X):
         span = slice(n * count, (n + 1) * count)
-        s_values, values = stack.s[span], {key: v[span] for key, v in residuals.items()}
-        rows = [{key: float(v[i]) for key, v in values.items()} for i in range(count)]
-        maxima = {key: float(v.max()) for key, v in values.items()}
-        s_spread = float(s_values.max() - s_values.min())
-        s_scale = max(1.0, float(np.max(np.abs(s_values))))
-        harmonic = all(v <= tols["third"] for v in maxima.values())
-        harmonic = harmonic and s_spread <= tols["second"] * s_scale
+        rows = [dict(zip(columns, row)) for row in zip(*(v[span] for v in columns.values()))]
+        report_maxima = {key: v[n] for key, v in maxima.items()}
+        harmonic = all(v <= tols["third"] for v in report_maxima.values())
+        harmonic = harmonic and spreads[n] <= tols["second"] * max(1.0, scales[n])
         reports.append(
             HarmonicityReport(
                 points=pts,
                 rows=rows,
-                s_values=s_values,
-                maxima=maxima,
-                s_spread=s_spread,
+                s_values=stack.s[span],
+                maxima=report_maxima,
+                s_spread=spreads[n],
                 harmonic=harmonic,
                 tols=tols,
                 stack=stack,

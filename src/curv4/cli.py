@@ -17,9 +17,11 @@ report names the exact chart it was built under. Every registry chart has
 an exact metric jet, so no finite-difference setting enters a report.
 verify and scan frame every sample: a scan's cells, like verify's one
 chart, take one stacked harmonicity batch and one frame pass over it, and
-each cell's row reads its slice of the frames, skw rows and invariants.
-A scan's verdict and exit code read each cell's `harmonic` only; verify's
-read `harmonic` and `skw`.
+verify's summary and each scan cell's row read their span of the frames,
+skw rows and invariants through one helper (_span_summary), which folds
+the skw maxima and the counts. A scan's verdict and exit code read each
+cell's `harmonic` only; verify's read `harmonic` and `skw`. JSON reports
+are json.dumps(payload, indent=2, sort_keys=True), written by _dump.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -93,7 +95,8 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
+        # nested lists, or a scalar for a 0-d array
+        return _jsonable(obj.tolist())
     # bool before int: bool is a subclass of int
     if isinstance(obj, (np.bool_, bool)):
         return bool(obj)
@@ -104,10 +107,53 @@ def _jsonable(obj):
     return obj
 
 
+# the types json encodes as they are; every other scalar goes through _jsonable
+_SCALARS = frozenset((str, int, float, bool, type(None)))
+
+
+@functools.cache
+def _encoder(indent):
+    # the json module's C encoder, sorting keys, with its items separated as
+    # json.dumps(indent=2) separates them at `indent`
+    return json.encoder.c_make_encoder(
+        None, json.JSONEncoder().default, json.encoder.encode_basestring_ascii,
+        None, ": ", ",\n" + indent, True, False, True,
+    )  # fmt: skip
+
+
+def _dump(obj, indent=""):
+    """json.dumps(_jsonable(obj), indent=2, sort_keys=True), byte for byte,
+    with obj nested at `indent`: a dict or list whose values are all of
+    _SCALARS goes through the C encoder, the levels above it are joined
+    here, and numpy values and non-str keys are converted as _jsonable
+    converts them."""
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, dict):
+        if not all(type(k) is str for k in obj):
+            obj = {str(k): v for k, v in obj.items()}
+        brackets, values = "{}", obj.values()
+    elif isinstance(obj, (list, tuple)):
+        brackets, values = "[]", obj
+    else:
+        return "".join(_encoder(indent)(_jsonable(obj), 0))
+    inner = indent + "  "
+    if not values:
+        return brackets
+    if _SCALARS.issuperset(map(type, values)):
+        items = ["".join(_encoder(inner)(obj, 0))[1:-1]]
+    elif brackets == "{}":
+        encode = json.encoder.encode_basestring_ascii
+        items = [f"{encode(k)}: {_dump(obj[k], inner)}" for k in sorted(obj)]
+    else:
+        items = [_dump(v, inner) for v in obj]
+    return f"{brackets[0]}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{brackets[1]}"
+
+
 def _emit(payload, fmt, out, csv_writer=None):
-    """Serialize the payload to --out or stdout; returns nothing."""
+    """Serialize the payload (JSON by _dump) to --out or stdout; returns nothing."""
     if fmt == "json":
-        text = json.dumps(_jsonable(payload), indent=2, sort_keys=True) + "\n"
+        text = _dump(payload) + "\n"
     else:
         if csv_writer is None:
             raise InputError("csv output is not available for this command")
@@ -120,7 +166,7 @@ def _emit(payload, fmt, out, csv_writer=None):
         with open(out, "w") as fh:
             fh.write(text)
         verdicts = payload.get("summary", {}).get("verdicts", {})
-        print(f"wrote {out}; verdicts: {_jsonable(verdicts)}")
+        print(f"wrote {out}; verdicts: {verdicts}")
     else:
         sys.stdout.write(text)
 
@@ -129,52 +175,56 @@ def _frame_pass(charts, reports):
     """One stacked frame pass over the reports' one stack (extract_frames,
     which evaluates no curvature of its own), as the tuple (framed, source,
     skw rows, invariants), each over every sample of the reports of
-    `charts`: which samples have a frame, its source, and the skw_residuals
-    and frame_invariants of the stack."""
+    `charts`, as Python lists: which samples have a frame, its source, and
+    the skw_residuals and frame_invariants of the stack."""
     point_charts = [chart for chart, rep in zip(charts, reports) for _ in rep.points]
     frames = extract_frames(point_charts, reports[0].stack)
-    framed = frames.framed
-    if not framed.any():
-        # no sample has a frame (constant curvature): there are no rows to read
-        return framed, frames.source, {}, {}
-    return framed, frames.source, skw_residuals(frames), frame_invariants(frames)
+    framed = frames.framed.tolist()
+    # with no frame at all (constant curvature) there are no rows to read
+    rows = (skw_residuals(frames), frame_invariants(frames)) if any(framed) else ({}, {})
+    return framed, frames.source, *({key: v.tolist() for key, v in r.items()} for r in rows)
+
+
+def _span_summary(rep, framing):
+    """rep's span of the _frame_pass `framing` of its stack: the tuple
+    (framed, skw, invariants, maxima, counts) with the span positions of
+    its framed samples, their skw rows and invariants, rep's maxima with
+    the skw maxima, and the summary counts they fold to. verify's report
+    and each scan cell's row read their samples' frames through it."""
+    framed = [n for n, f in enumerate(framing[0][rep.span]) if f]
+    at = [rep.span.start + n for n in framed]
+    skw, invariants = (
+        {key: [v[n] for n in at] for key, v in rows.items()} if at else {} for rows in framing[2:]
+    )
+    maxima = {**rep.maxima, **{key: max(v) for key, v in skw.items()}}
+    folded = fold_invariants(invariants, degenerate_points=len(rep.rows) - len(at))
+    counts = {
+        "r": folded.r,
+        "w": folded.w,
+        "w_minus": folded.w_minus,
+        "d_lower": folded.d_lower,
+        "case": folded.case_label,
+        "degenerate_points": folded.degenerate_points,
+    }
+    return framed, skw, invariants, maxima, counts
 
 
 def _verify_payload(config, chart, rep, framing):
     """The verify report body on `chart` from its harmonicity report `rep`
     and the _frame_pass `framing` of rep's stack, without timing: the rows
-    and counts of rep's samples are their slice rep.span of the stack's
-    framing. verify and each scan cell make it the same way."""
-    tols = rep.tols
-    stack_framed, source, stack_skw, stack_invariants = framing
-    framed = stack_framed[rep.span]
+    of rep's samples and its summary read their span of the stack's
+    framing (_span_summary)."""
+    framed, skw, invariants, maxima, counts = _span_summary(rep, framing)
     points = [
-        {"x": list(map(float, x)), "residuals": dict(rows), "counts": {"degenerate": True}}
-        for x, rows in zip(rep.points, rep.rows)
+        {"x": x, "residuals": dict(rows), "counts": {"degenerate": True}}
+        for x, rows in zip(rep.points.tolist(), rep.rows)
     ]
-    skw_max, invariants = {}, {}
-    if framed.any():
-        # the rows and counts of the framed points, as Python numbers
-        at = np.flatnonzero(framed)
-        skw = {key: v[rep.span][at].tolist() for key, v in stack_skw.items()}
-        invariants = {key: v[rep.span][at].tolist() for key, v in stack_invariants.items()}
-        for m, n in enumerate(at.tolist()):
-            points[n]["residuals"].update((key, v[m]) for key, v in skw.items())
-            counts = {key: v[m] for key, v in invariants.items()}
-            points[n]["counts"] = {**counts, "source": source}
-        skw_max = {key: max(v) for key, v in skw.items()}
-
-    counts = fold_invariants(invariants, degenerate_points=int(np.count_nonzero(~framed)))
-    skw_ok = all(v <= tols["third"] for v in skw_max.values())
-
-    maxima = dict(rep.maxima)
-    maxima.update(skw_max)
-    verdicts = {
-        "harmonic": bool(rep.harmonic),
-        "skw": bool(skw_ok),
-    }
-    verdicts["overall"] = bool(verdicts["harmonic"] and verdicts["skw"])
-    payload = {
+    for m, n in enumerate(framed):
+        points[n]["residuals"].update((key, v[m]) for key, v in skw.items())
+        points[n]["counts"] = {**{key: v[m] for key, v in invariants.items()}, "source": framing[1]}
+    harmonic, skw_ok = rep.harmonic, all(maxima[key] <= rep.tols["third"] for key in skw)
+    verdicts = {"harmonic": harmonic, "skw": skw_ok, "overall": harmonic and skw_ok}
+    return {
         "schema_version": SCHEMA_VERSION,
         "config": config.to_dict(),
         "chart": {"name": chart.name, "params": _jsonable(chart.params)},
@@ -182,20 +232,12 @@ def _verify_payload(config, chart, rep, framing):
         "summary": {
             "verdicts": verdicts,
             "maxima": maxima,
-            "s_values": [float(v) for v in rep.s_values],
-            "s_spread": float(rep.s_spread),
-            "counts": {
-                "r": counts.r,
-                "w": counts.w,
-                "w_minus": counts.w_minus,
-                "d_lower": counts.d_lower,
-                "case": counts.case_label,
-                "degenerate_points": counts.degenerate_points,
-            },
-            "tolerances": tols,
+            "s_values": rep.s_values.tolist(),
+            "s_spread": rep.s_spread,
+            "counts": counts,
+            "tolerances": rep.tols,
         },
     }
-    return payload
 
 
 def _verify_csv(payload, fh):
@@ -287,6 +329,16 @@ def cmd_variety(config, source, tol):
     return Report(payload=payload, exit_code=0 if all_passed else 1), csv_writer
 
 
+def _scan_row(cell, chart, rep, framing):
+    """The row of a scan cell on `chart` from its harmonicity report `rep`
+    and the _frame_pass `framing` of the scan's stack: rep's maxima and
+    verdict, and the skw maxima and counts of its span (_span_summary)."""
+    maxima, counts = _span_summary(rep, framing)[3:]
+    return dict(
+        params=cell, example=chart.name, maxima=maxima, counts=counts, harmonic=rep.harmonic
+    )
+
+
 def cmd_scan(config, kind, param_grid):
     """The scan report over the grid's cells: the cells' charts are built
     as the rows of one chart family (build_examples) before any curvature
@@ -295,8 +347,9 @@ def cmd_scan(config, kind, param_grid):
     then all cells' samples go through one stacked harmonicity pass
     (harmonicity_reports), whose metric jet is one call of the family's
     formula, and one frame pass over the same stack (_frame_pass), and each
-    cell's row is made from its report and its slice of the frames, as its
-    verify would make it. A row's `harmonic` reads the harmonicity
+    cell's row is made from its report and its span of the frames
+    (_scan_row), through the helper verify's summary uses too
+    (_span_summary). A row's `harmonic` reads the harmonicity
     residuals and spread only, and the scan's verdict and exit code read
     every row's `harmonic`: the skw maxima are reported in each row but not
     judged, where verify's overall verdict and exit code judge `harmonic`
@@ -316,18 +369,7 @@ def cmd_scan(config, kind, param_grid):
     )
     framing = _frame_pass(charts, reports)
 
-    def run_cell(item):
-        cell, chart, rep = item
-        payload = _verify_payload(replace(config, example=chart.name), chart, rep, framing)
-        return {
-            "params": cell,
-            "example": chart.name,
-            "maxima": payload["summary"]["maxima"],
-            "counts": payload["summary"]["counts"],
-            "harmonic": payload["summary"]["verdicts"]["harmonic"],
-        }
-
-    rows = parallel_map(run_cell, list(zip(cells, charts, reports)))
+    rows = parallel_map(lambda item: _scan_row(*item, framing), list(zip(cells, charts, reports)))
     rows.sort(key=lambda r: tuple(r["params"].values()))
     all_harmonic = all(r["harmonic"] for r in rows)
     agg = {}

@@ -122,6 +122,7 @@ def make_product_surfaces(k1, k2):
 
 
 def _line_cross_space(x, c):
+    # R x N^3(c): a flat line factor times a 3-dimensional space form
     conf = _conformal_factor(c, x[..., 1], x[..., 2], x[..., 3])
     return conf[..., None, None] * _D0111 + _D1000
 
@@ -133,11 +134,6 @@ def _line_cross_space_row(c):
     c = float(c)
     box = np.array([[-0.6, 0.6]] + [[-0.5, 0.5]] * 3)
     return {"c": c}, _chart_name("rxs3", c), box, {"c": c}
-
-
-def make_line_cross_space(c):
-    """R x N^3(c): flat line factor times a 3-dimensional space form."""
-    return _chart(_LINE_CROSS_SPACES, _line_cross_space_row(c))
 
 
 # guard floors of the profile: the solver stops where f or K + c falls to one

@@ -5,6 +5,9 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import curv4.cli
 from curv4.chart import sample_points
@@ -349,7 +352,10 @@ def test_scan_single_cell_matches_verify(capsys):
         "h4": [],
     }
     cells = {"s2xs2": 9, "bump": 3, "rxs3": 3, "kpc": 2, "randflat": 2, "h4": 1}
-    for (kind, grid), samples in itertools.product(grids.items(), ("1", "3")):
+    runs = list(itertools.product(grids.items(), ("1", "3")))
+    # and at the CLI default, 16 samples per cell, on an adapted and an eigen kind
+    runs += [((kind, grids[kind]), "16") for kind in ("s2xs2", "bump")]
+    for (kind, grid), samples in runs:
         code, out, _ = run_main(["scan", kind, *grid, "--samples", samples], capsys)
         assert code in (0, 1)
         rows = json.loads(out)["points"]
@@ -735,3 +741,54 @@ def test_scan_loads_no_thread_pool():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip().splitlines()[-1] == "[]"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--example", "bump:0.1", "--samples", "4"],
+        ["scan", "s2xs2", "--param", "k1=1,2", "--param", "k2=1,3", "--samples", "2"],
+        ["variety", "--from-example", "s2xs2", "--count", "2"],
+    ],
+)
+def test_json_report_is_json_dumps_of_itself(argv, capsys):
+    # the report text is json.dumps(payload, indent=2, sort_keys=True)
+    code, out, _ = run_main(argv, capsys)
+    assert code in (0, 1)
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
+
+
+_FLOATS = st.floats() | st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 5e-324, 1e308])
+_TEXT = st.text() | st.sampled_from(['say "hi"', "back\\slash", "\x00\x1f\n\t", "ünï ∇ 𝔤"])
+_SCALAR_VALUES = (
+    st.none()
+    | st.booleans()
+    | st.integers(-(2**80), 2**80)
+    | _FLOATS
+    | _TEXT
+    | _FLOATS.map(np.float64)
+    | st.integers(-(2**63), 2**63 - 1).map(np.int64)
+    | st.booleans().map(np.bool_)
+    | hnp.arrays(
+        st.sampled_from([np.float64, np.int64, np.bool_]),
+        hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=3),
+    )
+)
+_KEYS = _TEXT | st.integers(-5, 5) | st.booleans() | st.none() | _FLOATS
+_PAYLOADS = st.recursive(
+    _SCALAR_VALUES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_KEYS, inner, max_size=4),
+    max_leaves=24,
+)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(obj=_PAYLOADS)
+def test_dump_is_json_dumps_of_jsonable(obj):
+    # nested containers, empty ones at any depth, NaN and infinities, numpy
+    # scalars and arrays, quotes, control characters, non-ASCII text and
+    # non-str keys
+    expected = json.dumps(curv4.cli._jsonable(obj), indent=2, sort_keys=True)
+    assert curv4.cli._dump(obj) == expected

@@ -15,18 +15,23 @@ the jet the frame carries), the stacked harmonicity pass of a 3x3 s2xs2 scan at
 one sample per cell (nine reports from one curvature batch), the frames
 of those nine cells as one stack with their skw rows and invariants, the
 stacked harmonicity pass of a 16-sample verify (the CLI default, one
-degree-3 batch of its 16 samples), and the stacked frames of that verify
-with their skw rows and invariants. A stack keeps the
+degree-3 batch of its 16 samples), the stacked frames of that verify
+with their skw rows and invariants, the rows and JSON text of the 3x3
+scan from its reports and frame pass, and the JSON text of a 16-sample
+verify payload. A stack keeps the
 W and nabla W it makes, so the frame stages time every round after the
 first without them, as a scan's or verify's frame pass reads the nabla W
 its harmonicity pass made.
 """
+
+import json
 
 import numpy as np
 import pytest
 
 import curv4
 import curv4.chart as chart_module
+import curv4.cli as cli
 from curv4.frames import (
     extract_frame,
     extract_frames,
@@ -143,3 +148,26 @@ def test_stage_stacked_frames(benchmark, name):
 
     frames, rows, counts = benchmark(frame_stage)
     assert frames.framed.all() and rows["skw.a"].shape == counts["r"].shape == (16,)
+
+
+def test_stage_scan_report(benchmark):
+    # the rows of the nine one-sample cells of a 3x3 s2xs2 scan, read from
+    # their reports and one frame pass, and the JSON text of those rows
+    cells = [{"k1": k1, "k2": k2} for k1 in (1.0, 2.0, 3.0) for k2 in (1.0, 2.0, 3.0)]
+    charts = curv4.examples.build_examples("s2xs2", cells)
+    reports = chart_module.harmonicity_reports(charts, count=1, seed=3)
+    framing = cli._frame_pass(charts, reports)
+
+    def report_stage():
+        rows = [cli._scan_row(*item, framing) for item in zip(cells, charts, reports)]
+        return rows, cli._dump(rows)
+
+    rows, text = benchmark(report_stage)
+    assert len(rows) == 9 and text.count('"harmonic": true') == 9
+
+
+def test_stage_verify_text(benchmark):
+    # the JSON text of a default verify report: 16 points with their rows
+    payload = cli.cmd_verify(cli.RunConfig(example="s2xs2:1,2")).payload
+    text = benchmark(cli._dump, payload)
+    assert len(json.loads(text)["points"]) == 16
