@@ -56,7 +56,6 @@ from .frames import (
     curvature_from_structure,
     extract_frame,
     extract_frames,
-    invariant_counts,
     skw_residuals,
     structure_data,
     sy_from_components,
@@ -80,11 +79,6 @@ from .examples import (
     build_example,
     build_examples,
     example_names,
-    make_bump_nonharmonic,
-    make_constant_curvature,
-    make_kpc_warped,
-    make_product_surfaces,
-    make_random_perturbed_flat,
     profile_residual,
     solve_kpc_profile,
 )

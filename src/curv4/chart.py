@@ -137,13 +137,8 @@ class MetricChart:
     same formula on the coordinate jets (Jet.variables(x, degree)) is the
     metric's exact Taylor expansion, and curvature differences nothing. A
     formula that Jet cannot evaluate (np.diag or np.array of entries, abs, a
-    function of one point only) raises InputError at construction.
-    adapted_frame_fn, when registered, returns four g-orthogonal column
-    vectors that diagonalize the Ricci tensor (used by the frame extraction
-    when the Ricci spectrum is degenerate). Their directions must be
-    constant over the box: frame derivatives take only their normalization
-    into account, and validation rejects a frame that varies. `params` is
-    serialized into reports.
+    function of one point only) raises InputError at construction. `params`
+    is serialized into reports.
 
     A chart that ChartFamily.charts makes is a row of its family: `family`
     is the ChartFamily and `row` the formula's keyword arguments for this
@@ -156,7 +151,6 @@ class MetricChart:
     box: np.ndarray
     eval_fn: object
     params: dict = field(default_factory=dict)
-    adapted_frame_fn: object = None
     # (family, row), given by ChartFamily.charts only
     family_row: InitVar[tuple] = None
 
@@ -195,12 +189,10 @@ class ChartFamily:
     argument as the array (R, 1) of the rows' values against points
     (R, P, 4); any other is called once per row, for rows whose arguments
     are prepared per row (a kpc profile, randflat's wave tables).
-    `adapted_frame_fn` is every row's.
     """
 
     formula: object
     broadcasts: bool = True
-    adapted_frame_fn: object = None
 
     def charts(self, rows):
         """The charts of the family at `rows`, (row, name, box, params) each,
@@ -211,7 +203,6 @@ class ChartFamily:
                 box=box,
                 eval_fn=functools.partial(self.formula, **row),
                 params=params,
-                adapted_frame_fn=self.adapted_frame_fn,
                 family_row=(self, row),
             )
             for row, name, box, params in rows
@@ -289,9 +280,8 @@ def _validate_chart(*charts):
     - eval_fn gives a (4, 4) metric, finite, symmetric to 1e-10 relative
       and positive definite (least eigenvalue above 1e-6), and the formula
       evaluates on the coordinate jets of degree 1 (numerics.Jet) to a jet
-      of shape (5, 4, 4); adapted_frame_fn, when registered, gives (4, 4)
-      frames whose column directions are the same at every probe to 1e-12;
-      InputError otherwise, naming the first probe that fails;
+      of shape (5, 4, 4); InputError otherwise, naming the first probe that
+      fails;
     - the formula on stacked points and the values of its jet equal the
       point values to 1e-12 relative, and at the first probe the order-4
       and order-6 central first derivatives agree to 1e-6, as do the
@@ -326,17 +316,6 @@ def _validate_chart(*charts):
         raise InputError(f"chart '{chart.name}' metric {fault} at {x.tolist()}")
     gs = gs.reshape(pts.shape + (4,))
     first = charts[0]
-    if first.adapted_frame_fn is not None:
-        frames = np.array([[first.adapted_frame_fn(x) for x in xs] for xs in pts], dtype=float)
-        if frames.shape != gs.shape:
-            raise InputError(f"chart '{first.name}' adapted frame has shape {frames.shape[2:]}")
-        directions = frames / np.linalg.norm(frames, axis=2, keepdims=True)
-        turning = np.max(np.abs(directions - directions[:, :1]), axis=(1, 2, 3)) > 1e-12
-        if turning.any():
-            raise InputError(
-                f"chart '{charts[int(np.argmax(turning))].name}': adapted frame directions vary "
-                "over the box; frame derivatives assume constant directions"
-            )
 
     def no_jet(why):
         return InputError(

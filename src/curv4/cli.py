@@ -179,25 +179,29 @@ def _frame_pass(charts, reports):
     the skw_residuals and frame_invariants of the stack."""
     point_charts = [chart for chart, rep in zip(charts, reports) for _ in rep.points]
     frames = extract_frames(point_charts, reports[0].stack)
-    framed = frames.framed.tolist()
-    # with no frame at all (constant curvature) there are no rows to read
-    rows = (skw_residuals(frames), frame_invariants(frames)) if any(framed) else ({}, {})
-    return framed, frames.source, *({key: v.tolist() for key, v in r.items()} for r in rows)
+    # with no frame at all (constant curvature) there are no skw rows to read
+    rows = (skw_residuals(frames) if frames.framed.any() else {}), frame_invariants(frames)
+    lists = ({key: v.tolist() for key, v in r.items()} for r in rows)
+    return frames.framed.tolist(), frames.source, *lists
 
 
 def _span_summary(rep, framing):
     """rep's span of the _frame_pass `framing` of its stack: the tuple
     (framed, skw, invariants, maxima, counts) with the span positions of
     its framed samples, their skw rows and invariants, rep's maxima with
-    the skw maxima, and the summary counts they fold to. verify's report
-    and each scan cell's row read their samples' frames through it."""
+    the skw maxima, and the summary counts. verify's report and each scan
+    cell's row read their samples' frames through it. The counts fold r, w
+    and w_minus over every sample of the span, framed or not, and zeta
+    (d_lower) over its framed samples only."""
     framed = [n for n, f in enumerate(framing[0][rep.span]) if f]
     at = [rep.span.start + n for n in framed]
-    skw, invariants = (
-        {key: [v[n] for n in at] for key, v in rows.items()} if at else {} for rows in framing[2:]
-    )
+    skw, invariants = ({key: [v[n] for n in at] for key, v in r.items()} for r in framing[2:])
+    skw = skw if at else {}
     maxima = {**rep.maxima, **{key: max(v) for key, v in skw.items()}}
-    folded = fold_invariants(invariants, degenerate_points=len(rep.rows) - len(at))
+    spectra = {key: framing[3][key][rep.span] for key in ("r", "w", "w_minus")}
+    folded = fold_invariants(
+        {**spectra, "zeta": invariants["zeta"]}, degenerate_points=len(rep.rows) - len(at)
+    )
     counts = {
         "r": folded.r,
         "w": folded.w,
@@ -394,7 +398,7 @@ def cmd_scan(config, kind, param_grid):
         fh.write(",".join(list(grid) + keys + ["case", "harmonic"]) + "\n")
         for row in rows:
             vals = [repr(float(v)) for v in row["params"].values()]
-            vals += [repr(row["maxima"].get(k, 0.0)) for k in keys]
+            vals += [repr(row["maxima"][k]) if k in row["maxima"] else "" for k in keys]
             vals += [row["counts"]["case"], str(int(row["harmonic"]))]
             fh.write(",".join(vals) + "\n")
 

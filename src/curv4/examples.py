@@ -48,17 +48,6 @@ _D1000, _D0111 = np.diag([1.0, 0, 0, 0]), np.diag([0.0, 1, 1, 1])
 _D1010, _D0100, _D0001 = np.diag([1.0, 0, 1, 0]), np.diag([0.0, 1, 0, 0]), np.diag([0.0, 0, 0, 1])
 
 
-def _chart(family, row):
-    """The chart of `family` at one row, (row, name, box, params)."""
-    (chart,) = family.charts([row])
-    return chart
-
-
-def _unit_frame(x):
-    # the coordinate frame: adapted to the product and warped-product kinds
-    return np.eye(4)
-
-
 def _chart_name(kind, *values):
     """'kind:v1,v2,...' with the shortest repr of each value, less the '.0'
     of an integral float: float() reads every value back exactly, so
@@ -74,6 +63,7 @@ def _conformal_factor(k, *coords):
 
 
 def _space_form(x, K0):
+    # sectional curvature K0 on the box [-0.6, 0.6]^4, where |x|^2 reaches 4 * 0.6^2
     conf = _conformal_factor(K0, *(x[..., i] for i in range(4)))
     return conf[..., None, None] * _EYE
 
@@ -92,22 +82,13 @@ def _space_form_row(K0, name=None):
     return {"K0": K0}, name, np.array([[-0.6, 0.6]] * 4), {"K0": K0}
 
 
-def make_constant_curvature(K0, name=None):
-    """Space form of sectional curvature K0: g = (1 + K0 |x|^2/4)^-2 delta
-    on the box [-0.6, 0.6]^4, where |x|^2 reaches 4 * 0.6^2. Its name is
-    `name`, or the registry kind that builds it, 's4' at K0 = 1 and 'h4' at
-    K0 = -1; any other K0 without a name raises InputError, since no
-    registry string would build it back."""
-    return _chart(_SPACE_FORMS, _space_form_row(K0, name))
-
-
 def _product(x, k1, k2):
     c1 = _conformal_factor(k1, x[..., 0], x[..., 1])
     c2 = _conformal_factor(k2, x[..., 2], x[..., 3])
     return c1[..., None, None] * _D1100 + c2[..., None, None] * _D0011
 
 
-_PRODUCTS = ChartFamily(_product, adapted_frame_fn=_unit_frame)
+_PRODUCTS = ChartFamily(_product)
 
 
 def _product_row(k1, k2):
@@ -116,18 +97,13 @@ def _product_row(k1, k2):
     return row, _chart_name("s2xs2", k1, k2), np.array([[-0.5, 0.5]] * 4), dict(row)
 
 
-def make_product_surfaces(k1, k2):
-    """S^2(k1) x S^2(k2) style product in per-factor stereographic charts."""
-    return _chart(_PRODUCTS, _product_row(k1, k2))
-
-
 def _line_cross_space(x, c):
     # R x N^3(c): a flat line factor times a 3-dimensional space form
     conf = _conformal_factor(c, x[..., 1], x[..., 2], x[..., 3])
     return conf[..., None, None] * _D0111 + _D1000
 
 
-_LINE_CROSS_SPACES = ChartFamily(_line_cross_space, adapted_frame_fn=_unit_frame)
+_LINE_CROSS_SPACES = ChartFamily(_line_cross_space)
 
 
 def _line_cross_space_row(c):
@@ -353,6 +329,9 @@ def _generalized_sine(c):
 
 
 def _kpc_warped(x, profile):
+    # (h x h^c) / (K + c)^2 in coordinates (t, theta, u, v): h = dt^2 +
+    # f(t)^2 dtheta^2 on the profile surface, h^c = du^2 + sc_c(u)^2 dv^2 of
+    # constant curvature c on the fibre
     f, K = profile.f_and_K(x[..., 0])
     s = _generalized_sine(profile.c)(x[..., 2])
     conf = (K + profile.c) ** -2.0
@@ -364,7 +343,7 @@ def _kpc_warped(x, profile):
 
 
 # each row has its own profile, so the rows are evaluated one at a time
-_KPC_WARPED = ChartFamily(_kpc_warped, broadcasts=False, adapted_frame_fn=_unit_frame)
+_KPC_WARPED = ChartFamily(_kpc_warped, broadcasts=False)
 
 
 def _kpc_row(profile):
@@ -384,16 +363,9 @@ def _kpc_row(profile):
     )
 
 
-def make_kpc_warped(profile):
-    """The warped 4-metric (h x h^c) / (K + c)^2 over the profile surface.
-
-    Coordinates (t, theta, u, v): h = dt^2 + f(t)^2 dtheta^2 on the base,
-    h^c = du^2 + sc_c(u)^2 dv^2 of constant curvature c on the fibre.
-    """
-    return _chart(_KPC_WARPED, _kpc_row(profile))
-
-
 def _bump(x, a):
+    # e^(2 phi) delta with phi = a x1^3: its scalar curvature is far from
+    # constant, so div R != 0
     return np.exp(2.0 * a * x[..., 0] ** 3)[..., None, None] * _EYE
 
 
@@ -406,19 +378,16 @@ def _bump_row(a):
     return {"a": a}, _chart_name("bump", a), box, {"a": a}
 
 
-def make_bump_nonharmonic(a):
-    """Conformally flat control e^{2 phi} delta with phi = a x1^3; its
-    scalar curvature is wildly nonconstant, so div R != 0."""
-    return _chart(_BUMPS, _bump_row(a))
-
-
 # diagonal amplitude of randflat's perturbation, and its waves per component
 _RANDFLAT_AMPLITUDE = 0.15
 _RANDFLAT_WAVES = 2
 
 
 def _random_perturbed_flat(x, wavevectors, phases, spread):
-    # wave t adds spread[t] * sin(k_t . x + phase_t) to the flattened metric
+    # wave t adds spread[t] * sin(k_t . x + phase_t) to the flattened metric;
+    # off-diagonal amplitudes are a third of the diagonal ones, so Gershgorin
+    # keeps the metric far from degenerate on the box, and frequencies in
+    # [0.8, 2.0] make curvature of order one
     waves_x = np.sin(x @ wavevectors.T + phases) @ spread
     return waves_x.reshape(x.shape[:-1] + (4, 4)) + _EYE
 
@@ -448,17 +417,6 @@ def _random_perturbed_flat_row(seed):
     row["spread"] = np.array(spread)
     params = {"seed": seed, "amplitude": _RANDFLAT_AMPLITUDE}
     return row, _chart_name("randflat", seed), np.array([[-0.5, 0.5]] * 4), params
-
-
-def make_random_perturbed_flat(seed):
-    """delta plus a seeded trigonometric symmetric perturbation.
-
-    Off-diagonal amplitudes are a third of the diagonal ones, so Gershgorin
-    keeps the metric far from degenerate on the box; frequencies sit in
-    [0.8, 2.0], large enough that curvature is order one against the flat
-    background. The seed is a non-negative integer (InputError otherwise).
-    """
-    return _chart(_RANDOM_PERTURBED_FLATS, _random_perturbed_flat_row(seed))
 
 
 # kind -> (its chart family, the row maker, the defaults of the row maker's

@@ -28,32 +28,50 @@ D lambda from nabla Ric and ds; extract_frames evaluates nothing beyond
 that curvature. structure_data carries the same construction one
 order further, as first-order Taylor jets at x (Griewank & Walther,
 Evaluating Derivatives, SIAM 2008, ch. 13): E(x + h) = E + h^p E A_p, and
-the connection, the brackets and F from the first-order jets of g, Gamma
-and, for eigenframes, nabla Ric and lambda, so DF is the exact first
-partial of F from one curvature jet at x (numerics.jet_contract does the
-product rule).
+the connection, the brackets and F from the first-order jets of g, Gamma,
+nabla Ric and lambda, so DF is the exact first partial of F from one
+curvature jet at x (numerics.jet_contract does the product rule).
 
 extract_frame(chart, x), one point with no entry given, takes one
-curvature jet at x of the degree its frame and structure data need, 3 for
-adapted frames and 4 for eigenframes, frames x from its value terms, and
-carries its first-order terms (g, Gamma and, for eigenframes, nabla Ric)
-as RicciFrame.jets; structure_data reads them and evaluates no jet. Frames
-of a stack carry none, and for a point of one structure_data takes the
-lowest jet that holds those terms: degree 2 for adapted frames, 4 for
-eigenframes.
+curvature jet of degree 4 at x, frames x from its value terms, and carries
+its first-order terms (g, Gamma and nabla Ric) as RicciFrame.jets;
+structure_data reads them and evaluates no jet. Frames of a stack carry
+none, and for a point of one structure_data takes the degree-4 jet at x.
 
-Gauge: a frame's derivative is that of the frame field aligned to it: in
-each lambda cluster, the frame E_y at a nearby point y is the basis of its
-cluster's eigenspace that keeps P = E_cl^T g(x) E_y,cl symmetric (the
-orthogonal Procrustes alignment to E), after a permutation and sign fixes,
-which leave derivatives alone. At x that makes the in-cluster block of A
-symmetric (the block above). Away from x it adds an antisymmetric
-in-cluster rotation rate Omega_p, fixed by d_p P staying symmetric; Omega
-is 0 at x, and its first partial there is d_q Omega_p = -(M - M^T) / 2 on
-the cluster blocks, M = A_q A_p, which is what DF needs. Registered adapted
-frames have constant directions and are only normalized, so they get no
-Omega. The rotation that diagonalizes W inside a pair cluster is made at
-the frame point only.
+Frame rule, one for every chart: E is g-orthonormal, diagonalizes the
+traceless Ricci form b with lambda ascending, and inside a lambda cluster
+of size 2 or more, where Ricci leaves the basis free, it is fixed as
+follows:
+* where W resolves a 2-point cluster, W's pair rotation, the Jacobi angle
+  that diagonalizes W on the pair; W resolves it where the angle's
+  numerator or denominator reaches 1e-12 max(1, |W|), a bar relative to
+  |W|;
+* where neither Ricci nor W resolves a cluster, coordinate-aligned
+  directions: the g-orthonormalized projections of the coordinate axes,
+  each of unit g-length, onto the cluster's eigenspace, the longest first
+  and then the longest part orthogonal to those before it, ties (within
+  1e-9) by axis index. Where the eigenspaces are spanned by coordinate
+  axes, as on the diagonal registry charts, this is the normalized
+  coordinate frame.
+Each column's first component of largest magnitude is then made positive,
+and a negatively oriented frame turns its last vector. A point where
+Ricci is a multiple of g, or a cluster of 3 or more meets W != 0, has no
+canonical frame (its status says why), but it is framed by the same rule,
+and its counts are read from that frame: the spectra of W+ and W- need
+only an oriented orthonormal frame (Singer & Thorpe, The curvature of
+4-dimensional Einstein spaces, 1969).
+
+Gauge of the derivatives: a frame's derivative is that of the frame field
+aligned to it: in each lambda cluster, the frame E_y at a nearby point y is
+the basis of its cluster's eigenspace that keeps P = E_cl^T g(x) E_y,cl
+symmetric (the orthogonal Procrustes alignment to E), after a permutation
+and sign fixes, which leave derivatives alone. At x that makes the
+in-cluster block of A symmetric (the block above). Away from x it adds an
+antisymmetric in-cluster rotation rate Omega_p, fixed by d_p P staying
+symmetric; Omega is 0 at x, and its first partial there is d_q Omega_p =
+-(M - M^T) / 2 on the cluster blocks, M = A_q A_p, which is what DF needs.
+The rule above is applied at the frame point only; on a diagonal chart the
+aligned field is the normalized coordinate frame.
 """
 
 from __future__ import annotations
@@ -63,11 +81,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chart import MetricChart, _metric_norms, curvature_jets, curvature_with_jets
-from .errors import DegenerateFrameError, InconsistencyError, InputError, PreconditionError
+from .errors import DegenerateFrameError, InputError, PreconditionError
 
 # central_diff stays importable from here for perfbench/tracing.py, which
 # counts calls through this name
-from .numerics import _fix_signs, central_diff, jet_contract, sym_eigen  # noqa: F401
+from .numerics import _fix_signs, central_diff, jet_contract  # noqa: F401
 from .tensor4 import (
     OFF_DIAGONAL,
     ORDERED_PAIRS,
@@ -93,14 +111,17 @@ CLUSTER_ATOL = 1e-9
 ZERO_TOL = 1e-6
 # distinct-index Gamma up to D0_TOL counts as an orthogonal web
 D0_TOL = 1e-4
+# coordinate axes whose projections onto a cluster are within _AXIS_TIE of
+# the longest count as tied, and the first of them is taken
+_AXIS_TIE = 1e-9
 
 _FRAME_SHAPES = dict(E=(4, 4), lam=(4,), sigma=(4, 4), s=(), F=(4, 4), gamma=(4, 4, 4),
                      dlam=(4, 4), dsig=(4, 4, 4), w_plus=(3, 3), w_minus=(3, 3))  # fmt: skip
 # why a point has no canonical frame, in the order the conditions are read
 _DEGENERATE = (
     "Ricci is a multiple of g and W = 0",
-    "Ricci is a multiple of g; register an adapted frame to pick the W-eigenframe",
-    "Ricci eigenvalue cluster of size > 2 with W != 0; register an adapted frame",
+    "Ricci is a multiple of g and W != 0: no Ricci eigenframe is canonical",
+    "Ricci eigenvalue cluster of size > 2 with W != 0: W does not fix a frame in it",
 )
 
 
@@ -149,14 +170,15 @@ class RicciFrame:
     curvature; F[j, i] = F_ji; gamma[i, j, k] = g(nabla_{e_i} e_j, e_k);
     dlam[c, a] = D_c lambda_a and dsig[a, b, c] = D_a sigma_bc, closed form
     from the third-order curvature at x, as are F and gamma; w_plus /
-    w_minus: the self-dual and anti-self-dual Weyl blocks; source: 'adapted'
-    or 'eigen', one per stack; clusters[a]: the lambda cluster of e_a (the
-    gauge of the derivatives); status: '' at a canonical frame, else why
-    there is none (frames[n] raises it as DegenerateFrameError).
+    w_minus: the self-dual and anti-self-dual Weyl blocks, at every point
+    of a stack, framed or not; source: 'eigen', the one frame rule (module
+    docstring); clusters[a]: the lambda cluster of e_a (the gauge of the
+    derivatives); status: '' at a canonical frame, else why there is none
+    (frames[n] raises it as DegenerateFrameError).
 
     jets: the first-order terms at x (the value, then the four partials) of
-    the curvature jet that structure_data reads, g and gamma, and nabla_ric
-    on an eigenframe, from the jet extract_frame(chart, x) framed x with;
+    the curvature jet that structure_data reads, g, gamma and nabla_ric,
+    from the jet extract_frame(chart, x) framed x with;
     None on the frames of a stack, their points and slices, and on a frame
     made from a given entry.
     """
@@ -204,36 +226,39 @@ class RicciFrame:
         return RicciFrame(**part, source=self.source, diagnostics=diagnostics)
 
 
-def _metric_sqrt_inv(g):
-    """g^(-1/2), over leading axes."""
-    V = sym_eigen(g)
-    return (V.vectors * (1.0 / np.sqrt(V.values))[..., None, :]) @ V.vectors.swapaxes(-1, -2)
-
-
 def _eigenframes(g, b):
     """The g-orthonormal eigenframes of the traceless Ricci forms b and their
-    ascending values, over leading axes."""
-    s_inv = _metric_sqrt_inv(g)
-    res = sym_eigen(s_inv @ b @ s_inv)
-    return res.values, s_inv @ res.vectors
+    ascending values, over leading axes: with g = L L^T, E = L^-T U for the
+    eigenvectors U of L^-1 b L^-T. Inside a cluster the basis is the
+    eigensolver's, which _coordinate_aligned replaces."""
+    L_inv = np.linalg.inv(np.linalg.cholesky(g))
+    values, U = np.linalg.eigh(L_inv @ b @ L_inv.swapaxes(-1, -2))
+    return values, L_inv.swapaxes(-1, -2) @ U
 
 
-def _adapted_frames(charts, X, g, b, framed):
-    """The adapted frame of the chart charts[n] at each point X[n], its
-    columns normalized in g[n] and ordered by ascending b(e_a, e_a), and
-    those values. Raises InconsistencyError where a framed point's columns
-    are not g-orthogonal."""
-    E = np.array([np.asarray(c.adapted_frame_fn(x), dtype=float) for c, x in zip(charts, X)])
-    E = E / np.sqrt(np.einsum("...ma,...mn,...na->...a", E, g, E))[..., None, :]
-    gram = np.abs(E.swapaxes(-1, -2) @ g @ E - np.eye(4)).reshape(len(X), -1)
-    if (gram.max(axis=-1)[framed] > 1e-8).any():
-        raise InconsistencyError("adapted frame columns are not g-orthogonal")
-    lam = np.einsum("...ma,...mn,...na->...a", E, b, E)
-    # round before sorting so FD noise cannot shuffle registered columns
-    # inside an eigenvalue cluster
-    order = np.argsort(np.round(lam, 9), axis=-1, kind="stable")
-    rows = np.arange(len(X))[:, None]
-    return lam[rows, order], E[rows, :, order].swapaxes(-1, -2)
+def _coordinate_aligned(E, g, same):
+    """The frames E (N, 4, 4), g-orthonormal, with the basis of each lambda
+    cluster of 2 or more (same[n, a, b]: e_a and e_b in one) made of the
+    coordinate-aligned directions of the module docstring: a pivoted
+    Gram-Schmidt, slot by slot in ascending order, over the projections of
+    the unit coordinate axes onto the cluster, in E's coordinates. A
+    cluster of one keeps its eigenvector, up to sign."""
+    # Y[n, a, m] = g(e_a, d_m / |d_m|): the components of each unit axis
+    Y = (g @ E).swapaxes(-1, -2) / np.sqrt(np.diagonal(g, axis1=-2, axis2=-1))[:, None, :]
+    Q = np.zeros_like(E)
+    rows = np.arange(len(E))
+    for a in range(4):
+        cluster = same[:, a]
+        # the projections onto the cluster, less their parts along the slots
+        # of the cluster filled before a
+        part = Y * cluster[:, :, None]
+        if a:
+            before = Q * (cluster & (np.arange(4) < a))[:, None, :]
+            part -= before @ (before.swapaxes(-1, -2) @ part)
+        length = np.sqrt(np.einsum("nkm,nkm->nm", part, part))
+        pick = np.argmax(length >= length.max(axis=-1, keepdims=True) - _AXIS_TIE, axis=-1)
+        Q[:, :, a] = part[rows, :, pick] / length[rows, pick, None]
+    return E @ Q
 
 
 # the adjacent pairs (a, a + 1) a pair cluster can be, in ascending order,
@@ -245,46 +270,50 @@ def _pair_cluster_rotation(W, E, rotate):
     """Rotate the frames E (N, 4, 4) inside the 2-point lambda clusters
     (a, a + 1) that rotate (N, 3) marks so that they diagonalize W: one
     masked step per pair in ascending order, each reading W in the frames
-    the steps before it left.
+    the steps before it left. A pair turns where W resolves it: the angle's
+    numerator or denominator reaches 1e-12 max(1, |W|).
 
     The Jacobi angle zeroing W(a,c,b,c) for one complementary direction c
     zeroes it for the other as well: tracelessness of W ties the two
     numerators and denominators together with opposite signs.
     """
-    E = E.copy()
+    # W in the frames of the points to rotate, made again for a point only
+    # after a step turns it
+    points = np.flatnonzero(rotate.any(axis=1))
+    E, W, rotate = E.copy(), W[points], rotate[points]
+    Wf = frame_components(W, bivector_frame(E[points]))
+    bar = 1e-12 * np.maximum(1.0, tensor_norm(W))
     for step, (a, b, c) in enumerate(_ADJACENT):
-        at = np.flatnonzero(rotate[:, step])
-        if not at.size:
-            continue
-        Wf = frame_components(W[at], bivector_frame(E[at]))
         num = 2.0 * pair_entries(Wf, a, c, b, c)
         den = pair_entries(Wf, a, c, a, c) - pair_entries(Wf, b, c, b, c)
-        turn = (np.abs(num) >= 1e-14) | (np.abs(den) >= 1e-14)
-        at, t = at[turn], 0.5 * np.arctan2(num[turn], den[turn])
+        at = np.flatnonzero(rotate[:, step] & ((np.abs(num) >= bar) | (np.abs(den) >= bar)))
+        if not at.size:
+            continue
+        t = 0.5 * np.arctan2(num[at], den[at])
         R = np.tile(np.eye(4), (len(at), 1, 1))
         R[:, a, a] = R[:, b, b] = np.cos(t)
         R[:, a, b] = -np.sin(t)
         R[:, b, a] = np.sin(t)
-        E[at] = E[at] @ R
+        E[points[at]] = E[points[at]] @ R
+        Wf[at] = frame_components(W[at], bivector_frame(E[points[at]]))
     return E
 
 
-def _frame_connection(E, gE, gamma, same, lam=None, nabla_ric=None):
+def _frame_connection(E, gE, gamma, same, lam, nabla_ric):
     """N[p, k, b] = g(e_k, nabla_p e_b) and its Christoffel part
     G[p, k, b] = g(e_k, Gamma_p e_b), (Gamma_p)^n_m = Gamma^n_pm, from jets
     of degree 0 or 1 (coefficient axis first, numerics.Jet's layout, and
     any stack axes next) of the frame, its lowered columns gE = g E, gamma,
-    and for eigenframes lam and nabla_ric; the frame derivative is
-    d_p E = E A_p with A = N - G.
+    lam and nabla_ric; the frame derivative is d_p E = E A_p with A = N - G.
 
-    same[..., k, b] marks k and b in one lambda cluster (every pair, for
-    adapted frames). Orthonormality makes N_p antisymmetric, so A_p has the
-    symmetric part -(E^T d_p g E) / 2 = -(G_p + G_p^T) / 2; inside a cluster
-    that is all of A at the frame point, the first-order form of a frame
-    aligned to itself (Procrustes) or of normalized constant directions, and
-    N = (G - G^T) / 2. Across clusters, differentiating b(e_b, e_k) = 0 with
-    b = ric - s g / 4 gives N[p, k, b] = (nabla_p b)(e_b, e_k) / (lam_b -
-    lam_k), where the ds term drops out since g(e_b, e_k) = 0.
+    same[..., k, b] marks k and b in one lambda cluster. Orthonormality
+    makes N_p antisymmetric, so A_p has the symmetric part
+    -(E^T d_p g E) / 2 = -(G_p + G_p^T) / 2; inside a cluster that is all of
+    A at the frame point, the first-order form of a frame aligned to itself
+    (Procrustes), and N = (G - G^T) / 2. Across clusters, differentiating
+    b(e_b, e_k) = 0 with b = ric - s g / 4 gives N[p, k, b] = (nabla_p b)
+    (e_b, e_k) / (lam_b - lam_k), where the ds term drops out since
+    g(e_b, e_k) = 0.
     """
     G = jet_contract("nk,npb->pkb", gE, jet_contract("npm,mb->npb", gamma, E))
     N = 0.5 * (G - G.swapaxes(-1, -2))
@@ -319,18 +348,17 @@ def extract_frames(charts, batch):
     """The Ricci eigenframes and structure functions at every point of the
     third-order curvature batch `batch` (chart.CurvatureBatch), in one
     stacked pass that evaluates nothing beyond the batch. `charts` is the
-    chart of each point, in order, or one chart for them all: a scan frames
-    the samples of all its cells at once, on the stack their harmonicity
-    residuals were taken on, and each cell reads its slice.
+    chart of each point, in order, or one chart for them all, read for its
+    name only: a scan frames the samples of all its cells at once, on the
+    stack their harmonicity residuals were taken on, and each cell reads
+    its slice.
 
-    Source 'adapted' is the registered frame of each point's chart, 'eigen'
-    the eigenframe of the traceless Ricci form rotated in pair clusters to
-    diagonalize W; it is one per stack, and a stack whose charts mix them
-    raises InputError. A point has no canonical frame (a status naming its
-    chart instead) when Einstein and conformally flat or, without an
-    adapted frame, Einstein, or with a 3-point cluster and W != 0. The
-    checks (adapted columns g-orthogonal, the frame g-orthonormal,
-    sd_split's) read the framed points only.
+    Every point is framed by the frame rule of the module docstring. A
+    point has no canonical frame (a status naming its chart instead) when
+    Einstein, or with a cluster of 3 or more and W != 0; its W+ and W-
+    blocks, which its counts read, are still those of its frame. A stack
+    that is Einstein and conformally flat at every point (constant
+    curvature) is not framed: zeros fill in.
     """
     X, g, ric_d = batch.x, batch.g, batch.nabla_ric
     if ric_d is None:
@@ -341,10 +369,6 @@ def extract_frames(charts, batch):
     charts = [charts] * len(X) if isinstance(charts, MetricChart) else list(charts)
     if len(charts) != len(X):
         raise InputError(f"{len(charts)} charts for a stack of {len(X)} points")
-    sources = {c.adapted_frame_fn is not None for c in charts}
-    if len(sources) > 1:
-        raise InputError("the stack mixes charts with and without an adapted frame")
-    (adapted,) = sources
     b = batch.ric - batch.s[:, None, None] * g / 4.0
     b_scale = _metric_norms(b, batch.g_inv)
     W = batch.weyl
@@ -352,35 +376,28 @@ def extract_frames(charts, batch):
     einstein = b_scale <= 1e-8 * np.maximum(1.0, np.abs(batch.s))
     w_zero = w_scale <= 1e-8 * np.maximum(1.0, tensor_norm(batch.R))
 
-    source = "adapted" if adapted else "eigen"
     # why a point has no canonical frame, in _DEGENERATE's order
-    causes = [einstein & w_zero] + ([] if adapted else [einstein])
-    status, framed = _status(charts, X, causes)
-    if not framed.any():
-        # no point has a frame (as on a constant-curvature chart): zeros fill in
+    causes = [einstein & w_zero, einstein]
+    if causes[0].all():
+        status, _ = _status(charts, X, causes)
         zeros = {name: np.zeros((len(X), *shape)) for name, shape in _FRAME_SHAPES.items()}
         clusters = np.zeros(X.shape, dtype=int)
-        return RicciFrame(x=X, g=g, source=source, clusters=clusters, status=status, **zeros)
-    if adapted:
-        lam, E = _adapted_frames(charts, X, g, b, framed)
-    else:
-        lam, E = _eigenframes(g, b)
+        return RicciFrame(x=X, g=g, source="eigen", clusters=clusters, status=status, **zeros)
+    lam, E = _eigenframes(g, b)
     clusters = cluster_indices(lam)
     # same[n, k, b]: e_k and e_b turn together in the gauge (module docstring)
-    same = np.ones(lam.shape + (4,), bool) if adapted else clusters[..., None] == clusters[:, None]
-    if not adapted:
-        # eigh's values ascend, so a cluster is a run of adjacent indices:
-        # adjacent[:, a] marks e_a and e_(a + 1) in one
-        adjacent = same[:, (0, 1, 2), (1, 2, 3)]
-        causes.append(~w_zero & (adjacent[:, 1:] & adjacent[:, :-1]).any(axis=-1))
-        if causes[-1].any():
-            status, framed = _status(charts, X, causes)
+    same = clusters[..., None] == clusters[:, None]
+    # eigh's values ascend, so a cluster is a run of adjacent indices:
+    # adjacent[:, a] marks e_a and e_(a + 1) in one
+    adjacent = same[:, (0, 1, 2), (1, 2, 3)]
+    causes.append(~w_zero & (adjacent[:, 1:] & adjacent[:, :-1]).any(axis=-1))
+    status, framed = _status(charts, X, causes)
 
-    if not adapted:
-        rotate = adjacent & (framed & ~w_zero)[:, None]
-        if rotate.any():
-            E = _pair_cluster_rotation(W, E, rotate)
-
+    if (clusters[:, 1:] == clusters[:, :-1]).any():
+        E = _coordinate_aligned(E, g, same)
+    rotate = adjacent & (framed & ~w_zero)[:, None]
+    if rotate.any():
+        E = _pair_cluster_rotation(W, E, rotate)
     E = _fix_signs(E)
     # a negatively oriented frame turns its last vector
     flip = np.linalg.det(E) < 0.0
@@ -389,16 +406,15 @@ def extract_frames(charts, batch):
 
     gE = g @ E
     gram = E.swapaxes(-1, -2) @ gE - np.eye(4)
-    if (_norm(gram, 2)[framed] > 1e-8).any():
+    if (_norm(gram, 2) > 1e-8).any():
         raise InputError("frame is not g-orthonormal within 1e-8")
     b_frame = E.swapaxes(-1, -2) @ b @ E
     lam = np.diagonal(b_frame, axis1=-2, axis2=-1).copy()
 
-    # W's frame components, made once; E is positively oriented, and the
-    # split reads the framed points only
+    # W's frame components, made once; E is positively oriented
     minors = bivector_frame(E)
     Wf = frame_components(W, minors)
-    split = sd_split(Wf * framed[:, None, None], 1)
+    split = sd_split(Wf, 1)
 
     # the connection and the brackets take jets; values are jets of degree 0
     N, G = _frame_connection(E[None], gE[None], batch.gamma[None], same, lam[None], ric_d[None])
@@ -432,16 +448,15 @@ def extract_frames(charts, batch):
 
     return RicciFrame(
         x=X, g=g, E=E, lam=lam, sigma=split.sigma, s=batch.s, F=F, gamma=gamma_f, dlam=dlam,
-        dsig=dsig, w_plus=split.w_plus, w_minus=split.w_minus, source=source, clusters=clusters,
+        dsig=dsig, w_plus=split.w_plus, w_minus=split.w_minus, source="eigen", clusters=clusters,
         status=status, diagnostics=diagnostics,
     )  # fmt: skip
 
 
-def _first_order(jets, adapted):
+def _first_order(jets):
     # the value and first partials at the one point of curvature jets: the
     # terms structure_data reads
-    keys = ("g", "gamma") if adapted else ("g", "gamma", "nabla_ric")
-    return {key: jets[key][:5, 0] for key in keys}
+    return {key: jets[key][:5, 0] for key in ("g", "gamma", "nabla_ric")}
 
 
 def extract_frame(chart, x, entry=None):
@@ -452,22 +467,19 @@ def extract_frame(chart, x, entry=None):
     such as report.batch[n] of a harmonicity report; nothing else is
     evaluated, and the frame carries no jets. An entry without covariant
     derivatives, or at another x, raises InputError. Without an entry, x
-    gets one curvature jet of the degree its frame and structure data need
-    (chart.curvature_with_jets): 3 for an adapted frame, 4 for an
-    eigenframe. The frame is made from the jet's value terms and carries
-    its first-order terms (RicciFrame.jets), so structure_data evaluates
-    nothing more.
+    gets one curvature jet of degree 4 (chart.curvature_with_jets), the
+    degree its structure data need: the frame is made from the jet's value
+    terms and carries its first-order terms (RicciFrame.jets), so
+    structure_data evaluates nothing more.
     """
     x = np.asarray(x, dtype=float)
     if entry is not None:
         if not np.array_equal(entry.x, x):
             raise InputError(f"the curvature is at {entry.x.tolist()}, not at {x.tolist()}")
         return extract_frames(chart, entry[None])[0]
-    adapted = chart.adapted_frame_fn is not None
-    # the frame needs degree 3, and an eigenframe's structure data degree 4
-    batch, jets = curvature_with_jets(chart, x[None], 3 if adapted else 4)
+    batch, jets = curvature_with_jets(chart, x[None], 4)
     frame = extract_frames(chart, batch)[0]
-    frame.jets = _first_order(jets, adapted)
+    frame.jets = _first_order(jets)
     return frame
 
 
@@ -568,27 +580,15 @@ def frame_invariants(frame):
 
 
 def fold_invariants(invariants, degenerate_points=0):
-    """Fold frame_invariants over several sample points, each key's values at
-    the framed points, into the discrete invariants: each count's maximum.
-
-    With no frames at all (every sampled point Einstein and conformally
-    flat; invariants may be empty) the counts are those of constant curvature.
-    """
-    if len(invariants.get("r", ())):
-        r, w, wm, d = (int(max(invariants[key])) for key in _INVARIANTS)
-    elif degenerate_points:
-        r, w, wm, d = 1, 1, 1, 0
-    else:
-        raise InputError("no frames and no degenerate points")
+    """Fold frame_invariants over several sample points into the discrete
+    invariants, each count's maximum: r, w and w_minus read at every
+    sample, framed or not, and zeta at the framed samples only (d_lower is 0
+    where none is); InputError with no samples."""
+    if not len(invariants.get("r", ())):
+        raise InputError("no sample points to fold")
+    r, w, wm = (int(max(invariants[key])) for key in _INVARIANTS[:3])
+    d = int(max(invariants["zeta"], default=0))
     return InvariantCounts(r, w, wm, d, _case_label(r, w, d), degenerate_points)
-
-
-def invariant_counts(frames, degenerate_points=0):
-    """Fold frames from several sample points into the discrete invariants
-    (fold_invariants of their frame_invariants)."""
-    rows = [frame_invariants(fr) for fr in frames]
-    invariants = {key: [row[key] for row in rows] for key in _INVARIANTS}
-    return fold_invariants(invariants, degenerate_points)
 
 
 @dataclass(frozen=True)
@@ -603,17 +603,15 @@ class StructureData:
 def structure_data(chart, frame):
     """F and DF at the frame's base point, DF[a, b, c] = D_a F_bc the exact
     first partial of F along e_a in the gauge of the module docstring, from
-    the first-order terms of one curvature jet at x: g and Gamma for
-    adapted frames, whose A needs d g and d Gamma only, and nabla Ric too
-    for eigenframes, whose A needs d nabla Ric.
+    the first-order terms of one curvature jet at x: g, Gamma and nabla Ric,
+    whose first partials A needs.
 
     A frame from extract_frame(chart, x) carries them (RicciFrame.jets), and
     nothing is evaluated but the metric at x, to check that `chart` is the
     frame's. A frame that carries none (a point of a stack, a frame made
-    from a given entry) gets the lowest curvature jet at x that holds them,
-    degree 2 for adapted frames and 4 for eigenframes. A stack of frames,
-    or a chart whose metric at x is not the frame's g within 1e-12
-    relative, raises InputError.
+    from a given entry) gets the degree-4 curvature jet at x that holds
+    them. A stack of frames, or a chart whose metric at x is not the
+    frame's g within 1e-12 relative, raises InputError.
     """
     x, E = frame.x, frame.E
     if x.ndim != 1:
@@ -624,22 +622,16 @@ def structure_data(chart, frame):
         raise InputError(
             f"chart '{chart.name}' is not the frame's: its metric at {x.tolist()} is another"
         )
-    adapted = frame.source == "adapted"
     jets = frame.jets
     if jets is None:
-        # the lowest jet that holds them: an adapted frame's A needs d g and
-        # d Gamma, which degree 2 holds, and an eigenframe's d nabla Ric too
-        jets = _first_order(curvature_jets(chart, x[None], 2 if adapted else 4), adapted)
-    g, gamma = jets["g"], jets["gamma"]
-    same = np.ones((4, 4), dtype=bool) if adapted else frame.clusters[:, None] == frame.clusters
-    lam = nabla_ric = None
-    if not adapted:
-        nabla_ric = jets["nabla_ric"]
-        # d_q lambda_a = (nabla_q b)(e_a, e_a) with b = ric - s g / 4; its
-        # -d_q s / 4 is the same for every a and cancels in lam's only use,
-        # the gaps lam_b - lam_k
-        dlam = np.einsum("qij,ia,ja->qa", nabla_ric[0], E, E)
-        lam = np.concatenate([frame.lam[None], dlam])
+        jets = _first_order(curvature_jets(chart, x[None], 4))
+    g, gamma, nabla_ric = jets["g"], jets["gamma"], jets["nabla_ric"]
+    same = frame.clusters[:, None] == frame.clusters
+    # d_q lambda_a = (nabla_q b)(e_a, e_a) with b = ric - s g / 4; its
+    # -d_q s / 4 is the same for every a and cancels in lam's only use, the
+    # gaps lam_b - lam_k
+    dlam = np.einsum("qij,ia,ja->qa", nabla_ric[0], E, E)
+    lam = np.concatenate([frame.lam[None], dlam])
     # A at x first (a frame jet of degree 0 truncates every product to its
     # values), then the frame as a jet, E(x + h) = E + h^p E A_p
     N, G = _frame_connection(E[None], (g[0] @ E)[None], gamma, same, lam, nabla_ric)
@@ -648,11 +640,10 @@ def structure_data(chart, frame):
     gE = jet_contract("nm,mk->nk", g, E_jet)
     N, G = _frame_connection(E_jet, gE, gamma, same, lam, nabla_ric)
     A_jet = N - G
-    if not adapted:
-        # the alignment's in-cluster rotation rate: d_q Omega_p = -(M - M^T) / 2
-        # on the cluster blocks, M = A_q A_p
-        M = A[:, None] @ A[None, :]
-        A_jet[1:] -= 0.5 * (M - M.swapaxes(-1, -2)) * same
+    # the alignment's in-cluster rotation rate: d_q Omega_p = -(M - M^T) / 2
+    # on the cluster blocks, M = A_q A_p
+    M = A[:, None] @ A[None, :]
+    A_jet[1:] -= 0.5 * (M - M.swapaxes(-1, -2)) * same
     dE = jet_contract("nk,pkb->pnb", E_jet, A_jet)  # dE[p, n, b] = d_p E[n, b]
     F = _structure_f(_brackets(E_jet, dE, gE))
     DF = np.einsum("ma,mbc->abc", E, F[1:])

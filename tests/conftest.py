@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import curv4
-from curv4.chart import MetricChart
-from curv4.frames import extract_frame
+from curv4.chart import MetricChart, curvature_batch
+from curv4.frames import extract_frame, extract_frames, fold_invariants, frame_invariants
 from curv4.tensor4 import bivector_frame, curvature_tensor, frame_components
 
 # the CLI tests start fresh interpreters: they import the package from the
@@ -42,8 +42,8 @@ def kpc_profile():
 
 
 @pytest.fixture(scope="session")
-def kpc_chart(kpc_profile):
-    return curv4.make_kpc_warped(kpc_profile)
+def kpc_chart():
+    return curv4.build_example("kpc")
 
 
 @pytest.fixture(scope="session")
@@ -60,7 +60,17 @@ def kpc_frames(kpc_chart):
 
 @pytest.fixture(scope="session")
 def randflat_charts():
-    return [curv4.make_random_perturbed_flat(seed) for seed in range(5)]
+    return curv4.build_examples("randflat", [{"seed": seed} for seed in range(5)])
+
+
+def sample_counts(chart, X):
+    """The summary counts of chart's points X, as a report folds them: the
+    frames of one stacked pass, r, w and w_minus folded over every point and
+    zeta over the framed ones (frames.fold_invariants)."""
+    frames = extract_frames(chart, curvature_batch(chart, np.asarray(X), degree=3))
+    invariants = frame_invariants(frames)
+    invariants["zeta"] = invariants["zeta"][frames.framed]
+    return fold_invariants(invariants, degenerate_points=int(np.sum(~frames.framed)))
 
 
 def ric_eigenvalues(entry):

@@ -11,16 +11,14 @@ import pytest
 import curv4
 from curv4.errors import DegenerateFrameError
 from curv4.frames import (
-    _metric_sqrt_inv,
     extract_frame,
-    invariant_counts,
     skw_residuals,
     structure_data,
     curvature_from_structure,
     sy_invariants,
 )
 from curv4.tensor4 import bivector_frame, frame_components, ricci_contract, sd_split, tensor_norm
-from tests.conftest import frame_tensor
+from tests.conftest import frame_tensor, sample_counts
 from curv4.variety import VarietyPoint, from_frame, h_components, system_residuals, z_components
 from tests.conftest import ric_eigenvalues
 from tests.test_variety import brute_force_h, brute_force_z, permuted, random_point
@@ -41,7 +39,8 @@ def test_criterion_1_universal_identities(randflat_charts):
             worst["sym"] = max(worst["sym"], e.projection_distance / nr)
             wric, _ = ricci_contract(e.weyl, e.g_inv)
             worst["weyl_ric"] = max(worst["weyl_ric"], np.linalg.norm(wric) / nr)
-            E = _metric_sqrt_inv(e.g)
+            # an orthonormal frame: the inverse transpose of g's Cholesky factor
+            E = np.linalg.inv(np.linalg.cholesky(e.g)).T
             split = sd_split(
                 frame_components(e.weyl, bivector_frame(E)), 1 if np.linalg.det(E) > 0 else -1
             )
@@ -76,13 +75,20 @@ def test_criterion_2_constant_curvature(s4_chart):
             extract_frame(s4_chart, x)
         except DegenerateFrameError:
             degenerate += 1
-    counts = invariant_counts([], degenerate_points=degenerate)
-    ok = s_err <= 1e-5 and w_norm <= 1e-6 and divr <= 1e-4 and counts.case_label == "A"
+    counts = sample_counts(s4_chart, pts)
+    ok = (
+        s_err <= 1e-5
+        and w_norm <= 1e-6
+        and divr <= 1e-4
+        and counts.case_label == "A"
+        and counts.degenerate_points == degenerate == len(pts)
+    )
     report(
         2,
         ok,
         f"s4: |s-12| {s_err:.2e} (<=1e-5), |W| {w_norm:.2e} (<=1e-6), "
-        f"divR {divr:.2e} (<=1e-4), case {counts.case_label} (= A)",
+        f"divR {divr:.2e} (<=1e-4), case {counts.case_label} (= A), "
+        f"{counts.degenerate_points} of {len(pts)} samples degenerate",
     )
 
 
@@ -104,7 +110,7 @@ def test_criterion_3_product_surfaces(s2xs2_chart, s2xs2_frames):
         cross_f = max(
             cross_f, float(np.max(np.abs(fr.F[:2, 2:]))), float(np.max(np.abs(fr.F[2:, :2])))
         )
-    counts = invariant_counts(s2xs2_frames)
+    counts = sample_counts(s2xs2_chart, [fr.x for fr in s2xs2_frames])
     f_center = float(np.max(np.abs(extract_frame(s2xs2_chart, np.zeros(4)).F)))
     ok = (
         ric_err <= 1e-6
@@ -151,7 +157,7 @@ def test_criterion_5_kpc_pipeline(kpc_profile, kpc_chart, kpc_frames):
     pts = curv4.sample_points(kpc_chart, count=16, seed=0)
     divr = max(curv4.div_riemann_norm(kpc_chart, x) for x in pts)
     kc_min = min(kpc_profile.K(x[0]) + kpc_profile.c for x in pts)
-    w = invariant_counts(kpc_frames).w
+    w = sample_counts(kpc_chart, [fr.x for fr in kpc_frames]).w
     ok = const_dev <= 1e-8 and back <= 1e-6 and divr <= 1e-3 and w == 2 and kc_min > 1e-3
     report(
         5,

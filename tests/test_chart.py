@@ -46,24 +46,6 @@ def test_chart_validation():
         MetricChart(name="not-sym", box=UNIT_BOX, eval_fn=lambda x: np.triu(np.ones((4, 4))))
 
 
-def test_validation_rejects_a_varying_adapted_frame():
-    # frame derivatives take constant adapted directions for granted, so a
-    # frame that turns over the box is refused; a constant frame given with
-    # other column lengths is the same frame and passes
-    def turning(x):
-        c, s = np.cos(x[0]), np.sin(x[0])
-        return np.array([[c, -s, 0, 0], [s, c, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1.0]])
-
-    def chart(name, frame):
-        return MetricChart(name=name, box=UNIT_BOX, eval_fn=flat, adapted_frame_fn=frame)
-
-    with pytest.raises(InputError, match="adapted frame directions vary"):
-        chart("turning", turning)
-    with pytest.raises(InputError, match="adapted frame has shape"):
-        chart("short", lambda x: np.eye(3))
-    chart("scaled", lambda x: (1.0 + x[0] ** 2) * np.eye(4))
-
-
 def conformal(phi, on_jets=None):
     """The formula of e^phi(x) delta, phi written against numpy operations,
     so that it takes arrays and Jets alike; on jets, on_jets(x0) is added
@@ -301,7 +283,7 @@ def test_codazzi_residual_tiers(s4_chart, s2xs2_chart, bump_chart):
 
 def test_codazzi_equals_div_riemann(s2xs2_chart):
     # ||d Ric|| = ||div R|| pointwise for any metric
-    charts = [s2xs2_chart, curv4.make_random_perturbed_flat(3)]
+    charts = [s2xs2_chart, curv4.build_example("randflat:3")]
     for ch in charts:
         for x in sample_points(ch, count=3, seed=5):
             e = curvature_at(ch, x)
@@ -312,7 +294,7 @@ def test_codazzi_equals_div_riemann(s2xs2_chart):
 
 def test_contracted_bianchi_universal():
     assert contracted_bianchi_residual(flat_chart(), np.zeros(4)) < 1e-12
-    ch = curv4.make_random_perturbed_flat(7)
+    ch = curv4.build_example("randflat:7")
     for x in sample_points(ch, count=3, seed=0):
         assert contracted_bianchi_residual(ch, x) < 1e-5
 

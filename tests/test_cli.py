@@ -80,16 +80,74 @@ def test_verify_of_a_metric_that_overflows_prints_one_error_line(name):
     assert len(lines) == 1 and lines[0].startswith("curv4: error: "), proc.stderr
 
 
+# (r, w, w_minus, d_lower) and the exit code of a default verify (16 samples)
+VERIFY_COUNTS = {
+    "s4": ((1, 1, 1, 0), 0),
+    "h4": ((1, 1, 1, 0), 0),
+    "s2xs2:1,2": ((2, 2, 2, 0), 0),
+    "s2xs2:1,1": ((1, 2, 2, 0), 0),
+    "rxs3": ((2, 1, 1, 0), 0),
+    "kpc": ((3, 2, 2, 0), 0),
+    "kpc:1,1.2,5": ((3, 2, 2, 0), 0),
+    "bump:0.1": ((2, 1, 1, 0), 1),
+    "randflat:0": ((4, 3, 3, 4), 1),
+}
+
+
 @pytest.mark.parametrize(
     "name, case, degenerate",
-    [("s4", "A", 16), ("h4", "A", 16), ("s2xs2:1,2", "C", 0), ("s2xs2:1,1", "A", 0)],
+    [
+        ("s4", "A", 16),
+        ("h4", "A", 16),
+        ("s2xs2:1,2", "C", 0),
+        ("s2xs2:1,1", "A", 16),
+        ("rxs3", "B", 0),
+        ("kpc", "C", 0),
+        ("kpc:1,1.2,5", "C", 0),
+        ("bump:0.1", "B", 0),
+        ("randflat:0", "D2-excluded", 0),
+    ],
 )
 def test_verify_case_labels_and_degenerate_samples(name, case, degenerate, capsys):
-    # the space forms frame none of their 16 samples; the products keep
-    # their case labels
+    # the space forms and the Einstein product frame none of their 16
+    # samples, and their counts are measured all the same; every registry
+    # kind keeps its counts and case label
     code, out, _ = run_main(["verify", "--example", name], capsys)
     counts = json.loads(out)["summary"]["counts"]
-    assert code == 0 and counts["case"] == case and counts["degenerate_points"] == degenerate
+    (r, w, w_minus, d_lower), exit_code = VERIFY_COUNTS[name]
+    assert code == exit_code and counts["case"] == case
+    assert counts["degenerate_points"] == degenerate
+    got = tuple(counts[key] for key in ("r", "w", "w_minus", "d_lower"))
+    assert got == (r, w, w_minus, d_lower)
+
+
+def test_einstein_products_measure_their_counts(capsys):
+    # S2(k) x S2(k) is Einstein with W != 0: no sample has a canonical
+    # Ricci eigenframe, and the counts are still read from every sample's
+    # W+ and W- (spectrum {2/3, -1/3, -1/3} k): r = 1, w = w_minus = 2,
+    # case A, every sample degenerate; in verify and in the scan grid's
+    # diagonal cells alike, at 1 and 16 samples
+    grid = ["--param", "k1=1,2,3", "--param", "k2=1,2,3"]
+    for samples in (1, 16):
+        expected = {"r": 1, "w": 2, "w_minus": 2, "d_lower": 0, "case": "A"}
+        expected["degenerate_points"] = samples
+        argv = ["verify", "--example", "s2xs2:1,1", "--samples", str(samples)]
+        code, out, _ = run_main(argv, capsys)
+        report = json.loads(out)
+        assert code == 0 and report["summary"]["counts"] == expected
+        assert all(p["counts"] == {"degenerate": True} for p in report["points"])
+        code, out, _ = run_main(["scan", "s2xs2", *grid, "--samples", str(samples)], capsys)
+        cells = json.loads(out)["points"]
+        diagonal = [cell for cell in cells if cell["params"]["k1"] == cell["params"]["k2"]]
+        assert code == 0 and len(diagonal) == 3
+        assert all(cell["counts"] == expected for cell in diagonal)
+    # their skw rows are not measured: the scan's CSV leaves them empty
+    code, out, _ = run_main(["scan", "s2xs2", *grid, "--samples", "1", "--format", "csv"], capsys)
+    header, *rows = [line.split(",") for line in out.splitlines()[1:]]
+    for row in rows:
+        cell = dict(zip(header, row))
+        einstein = float(cell["k1"]) == float(cell["k2"])
+        assert all((cell[key] == "") == einstein for key in header if key.startswith("skw."))
 
 
 def test_scan_case_labels_of_the_s2xs2_grid(capsys):
@@ -340,9 +398,9 @@ def test_scan_grid(capsys):
 
 def test_scan_single_cell_matches_verify(capsys):
     # every cell of one stacked scan batch reads what its own verify reads,
-    # bit for bit: adapted frames (s2xs2, rxs3, kpc with one profile per
-    # row) and eigenframes (bump, randflat with its own waves per row), and
-    # h4, a kind without parameters, whose one cell has no frame
+    # bit for bit: products with pair clusters (s2xs2, rxs3, kpc with one
+    # profile per row), bump and randflat (its own waves per row), and h4,
+    # a kind without parameters, whose one cell has no frame
     grids = {
         "s2xs2": ["--param", "k1=1,2,3", "--param", "k2=1,2,3"],
         "bump": ["--param", "a=0.05,0.1,0.2"],
@@ -353,7 +411,7 @@ def test_scan_single_cell_matches_verify(capsys):
     }
     cells = {"s2xs2": 9, "bump": 3, "rxs3": 3, "kpc": 2, "randflat": 2, "h4": 1}
     runs = list(itertools.product(grids.items(), ("1", "3")))
-    # and at the CLI default, 16 samples per cell, on an adapted and an eigen kind
+    # and at the CLI default, 16 samples per cell, on two kinds
     runs += [((kind, grids[kind]), "16") for kind in ("s2xs2", "bump")]
     for (kind, grid), samples in runs:
         code, out, _ = run_main(["scan", kind, *grid, "--samples", samples], capsys)

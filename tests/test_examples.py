@@ -8,18 +8,15 @@ import curv4
 from curv4 import examples
 from curv4.errors import InputError
 from curv4.tensor4 import tensor_norm
+from curv4.chart import curvature_batch
 from curv4.examples import (
     REGISTRY,
     build_example,
     example_names,
-    make_bump_nonharmonic,
-    make_constant_curvature,
-    make_kpc_warped,
-    make_product_surfaces,
     profile_residual,
     solve_kpc_profile,
 )
-from curv4.frames import extract_frame
+from curv4.frames import extract_frame, extract_frames
 from tests.conftest import ric_eigenvalues
 
 
@@ -87,21 +84,29 @@ def test_build_example_takes_a_kind_and_params():
 
 
 def test_randflat_factory_checks_its_seed():
-    # the check lives in the factory, so a direct call cannot truncate 1.5 to 1
+    # the check lives in the row maker, so a request cannot truncate 1.5 to 1
     for bad in (1.5, -1, float("nan"), float("inf")):
         with pytest.raises(InputError, match="'seed'"):
-            curv4.make_random_perturbed_flat(bad)
-    assert curv4.make_random_perturbed_flat(3.0).name == "randflat:3"
+            build_example("randflat", {"seed": bad})
+    assert build_example("randflat", {"seed": 3.0}).name == "randflat:3"
+
+
+def space_form(K0, name=None):
+    """The constant-curvature chart of sectional curvature K0 from the
+    registry's s4/h4 family and row maker, under `name`."""
+    family = REGISTRY["s4"][0]
+    (chart,) = family.charts([examples._space_form_row(K0, name)])
+    return chart
 
 
 def test_constant_curvature_values():
     for K0, s_expect in ((1.0, 12.0), (-1.0, -12.0)):
-        ch = make_constant_curvature(K0, name=f"cc:{K0:g}")
+        ch = space_form(K0, name=f"cc:{K0:g}")
         x = curv4.sample_points(ch, count=1, seed=0)[0]
         e = curv4.curvature_at(ch, x)
         assert e.s == pytest.approx(s_expect, abs=1e-5)
         assert tensor_norm(e.weyl) < 1e-6
-    flat = make_constant_curvature(0.0, name="cc:0")
+    flat = space_form(0.0, name="cc:0")
     e = curv4.curvature_at(flat, np.zeros(4))
     assert tensor_norm(e.R) < 1e-10
 
@@ -109,26 +114,29 @@ def test_constant_curvature_values():
 def test_constant_curvature_name_builds_it_back():
     # only the registry's own K0 take its names; any other needs a name
     for K0, name in ((1.0, "s4"), (-1.0, "h4")):
-        ch = make_constant_curvature(K0)
+        ch = space_form(K0)
         assert ch.name == name
         assert build_example(ch.name).params == ch.params
     for K0 in (0.5, -0.5, 0.0, 2.0):
         with pytest.raises(InputError, match="explicit name"):
-            make_constant_curvature(K0)
-    assert make_constant_curvature(0.5, name="cc:0.5").params == {"K0": 0.5}
+            space_form(K0)
+    assert space_form(0.5, name="cc:0.5").params == {"K0": 0.5}
 
 
 def test_product_einstein_case():
-    # equal curvatures: lambda = 0 and W+ spectrum {2/3, -1/3, -1/3}
-    ch = make_product_surfaces(1, 1)
-    x = curv4.sample_points(ch, count=1, seed=0)[0]
-    fr = extract_frame(ch, x)
-    assert np.max(np.abs(fr.lam)) < 1e-7
-    assert np.linalg.eigvalsh(fr.w_plus) == pytest.approx([-1 / 3, -1 / 3, 2 / 3], abs=1e-6)
+    # equal curvatures: lambda = 0 and W+ spectrum {2/3, -1/3, -1/3}; the
+    # point has no canonical frame, and its stack still holds its W+ block
+    ch = build_example("s2xs2:1,1")
+    X = curv4.sample_points(ch, count=1, seed=0)
+    frames = extract_frames(ch, curvature_batch(ch, X, degree=3))
+    assert not frames.framed.any()
+    assert np.max(np.abs(frames.lam[0])) < 1e-7
+    spectrum = np.linalg.eigvalsh(frames.w_plus[0])
+    assert spectrum == pytest.approx([-1 / 3, -1 / 3, 2 / 3], abs=1e-6)
 
 
 def test_product_opposite_curvatures_conformally_flat():
-    ch = make_product_surfaces(1, -1)
+    ch = build_example("s2xs2:1,-1")
     x = curv4.sample_points(ch, count=1, seed=0)[0]
     assert tensor_norm(curv4.curvature_at(ch, x).weyl) < 1e-6
 
@@ -308,9 +316,8 @@ def test_kpc_warped_pointwise_assembly(kpc_chart, kpc_profile):
 
 def test_kpc_constant_profile_matches_product():
     # constant K = r - c collapses to S2(K0 r^2) x S2(c r^2) invariants
-    prof = solve_kpc_profile(1.0, 3.0, 2.0)
-    warped = make_kpc_warped(prof)
-    product = make_product_surfaces(18.0, 9.0)
+    warped = build_example("kpc:1,3,2")
+    product = build_example("s2xs2:18,9")
     fw = extract_frame(warped, curv4.sample_points(warped, count=1, seed=0)[0])
     fp = extract_frame(product, curv4.sample_points(product, count=1, seed=0)[0])
     assert np.sort(fw.lam) == pytest.approx(np.sort(fp.lam), abs=1e-6)
@@ -326,14 +333,14 @@ def test_bump_negative_control(bump_chart):
     assert rep.maxima["dvw.ds"] > 1e-2
     x = np.array([1.0, 0.0, 0.0, 0.0])
     assert curv4.contracted_bianchi_residual(bump_chart, x) <= 1e-5
-    flat = make_bump_nonharmonic(0.0)
+    flat = build_example("bump:0")
     assert curv4.harmonicity_report(flat, count=3, seed=0).harmonic
 
 
 def test_randflat_deterministic():
-    a = curv4.make_random_perturbed_flat(3)
-    b = curv4.make_random_perturbed_flat(3)
-    c = curv4.make_random_perturbed_flat(4)
+    a = build_example("randflat:3")
+    b = build_example("randflat:3")
+    c = build_example("randflat:4")
     x = np.array([0.1, -0.2, 0.3, 0.0])
     assert np.array_equal(a.eval(x), b.eval(x))
     assert not np.array_equal(a.eval(x), c.eval(x))

@@ -1,8 +1,9 @@
 """Closed-form frame derivatives against a per-point finite-difference reference.
 
 The reference below builds the frame field one stencil point at a time: a
-curvature entry and a frame per point (with the W rotation inside pair
-clusters at every point), aligned to the center frame, then nested
+curvature entry and a frame per point by the frame rule of frames.py,
+written apart here (coordinate-aligned directions inside clusters, then the
+W rotation inside pair clusters), aligned to the center frame, then nested
 `central_diff` calls for dE, D sigma and DF. Its first-derivative level is
 taken at two steps and Richardson-extrapolated, (16 ref_h - ref_2h) / 15, so
 that the order-4 truncation error it carries (up to 9e-9 on randflat at the
@@ -55,26 +56,31 @@ def registry_charts():
     return {name: curv4.build_example(name) for name in REGISTRY_NAMES}
 
 
-def eigen_only(chart):
-    """The chart without its adapted frame: frames take the eigen path."""
-    return dataclasses.replace(chart, adapted_frame_fn=None)
-
-
 def ref_eigenframe(entry):
-    # inside a cluster the basis eigh returns is arbitrary, and the center's
-    # is kept: symmetrize and scale exactly as frames.py does, so that the
-    # center's basis comes out bit for bit the same
+    # a g-orthonormal eigenbasis of b, lam ascending, and in each cluster of
+    # two or more the coordinate-aligned directions of the frame rule: the
+    # projections of the unit axes onto the cluster's eigenspace, made
+    # g-orthonormal one at a time, each the longest remaining part (ties
+    # within 1e-9 by axis index)
     g = entry.g
     b = entry.ric - entry.s * g / 4.0
-    w, V = np.linalg.eigh(0.5 * (g + g.T))
+    w, V = np.linalg.eigh(g)
     s_inv = V @ np.diag(1.0 / np.sqrt(w)) @ V.T
-    A = s_inv @ b @ s_inv
-    _, U = np.linalg.eigh(0.5 * (A + A.T))
-    # sign fix before any rotation: the first largest component positive
-    for a in range(4):
-        if U[np.argmax(np.abs(U[:, a])), a] < 0.0:
-            U[:, a] = -U[:, a]
-    return s_inv @ U
+    lam, U = np.linalg.eigh(s_inv @ b @ s_inv)
+    E = s_inv @ U
+    for cl in ref_clusters(lam):
+        if len(cl) < 2:
+            continue
+        project = E[:, cl] @ E[:, cl].T @ g
+        axes = [project[:, m] / np.sqrt(g[m, m]) for m in range(4)]
+        chosen = []
+        for _ in cl:
+            rest = [v - sum((q @ g @ v) * q for q in chosen) for v in axes]
+            lengths = [np.sqrt(v @ g @ v) for v in rest]
+            m = next(m for m in range(4) if lengths[m] >= max(lengths) - 1e-9)
+            chosen.append(rest[m] / lengths[m])
+        E[:, cl] = np.stack(chosen, axis=1)
+    return E
 
 
 def ref_clusters(lam):
@@ -99,7 +105,8 @@ def ref_pair_rotation(entry, E, clusters):
         c = [k for k in range(4) if k not in cl][0]
         Wf = frame_tensor(entry.weyl, E)
         num, den = 2.0 * Wf[a, c, b, c], Wf[a, c, a, c] - Wf[b, c, b, c]
-        if abs(num) < 1e-14 and abs(den) < 1e-14:
+        bar = 1e-12 * max(1.0, tensor_norm(entry.weyl))
+        if abs(num) < bar and abs(den) < bar:
             continue
         t = 0.5 * np.arctan2(num, den)
         R = np.eye(4)
@@ -109,7 +116,7 @@ def ref_pair_rotation(entry, E, clusters):
     return E
 
 
-def ref_align(E, E_ref, g_ref, clusters, rotate):
+def ref_align(E, E_ref, g_ref, clusters):
     overlap = E.T @ g_ref @ E_ref
     perm, used = [], set()
     for b in range(4):
@@ -119,7 +126,7 @@ def ref_align(E, E_ref, g_ref, clusters, rotate):
     E = E[:, perm]
     out = E.copy()
     for cl in clusters:
-        if len(cl) > 1 and rotate:
+        if len(cl) > 1:
             U, _, Vt = np.linalg.svd(E[:, cl].T @ g_ref @ E_ref[:, cl])
             out[:, cl] = E[:, cl] @ U @ Vt
         else:
@@ -130,28 +137,19 @@ def ref_align(E, E_ref, g_ref, clusters, rotate):
 
 
 def ref_center(chart, x):
-    """(E, lam, sigma, source, clusters) at x, or DegenerateFrameError."""
+    """(E, lam, sigma, clusters) at x, or DegenerateFrameError."""
     e = curvature_at(chart, x)
     g = e.g
     b = e.ric - e.s * g / 4.0
     b_norm = np.sqrt(np.einsum("ij,kl,ik,jl->", b, b, e.g_inv, e.g_inv))
     einstein = b_norm <= 1e-8 * max(1.0, abs(e.s))
     flat_w = tensor_norm(e.weyl) <= 1e-8 * max(1.0, tensor_norm(e.R))
-    if einstein and flat_w:
-        raise DegenerateFrameError("Einstein and W = 0")
-    if chart.adapted_frame_fn is not None:
-        E = np.asarray(chart.adapted_frame_fn(x), dtype=float)
-        E = E / np.sqrt(np.einsum("ma,mn,na->a", E, g, E))
-        lam = np.diag(E.T @ b @ E)
-        E = E[:, np.argsort(np.round(lam, 9), kind="stable")]
-        source = "adapted"
-    else:
-        if einstein:
-            raise DegenerateFrameError("Einstein without an adapted frame")
-        E, source = ref_eigenframe(e), "eigen"
+    if einstein:
+        raise DegenerateFrameError("Einstein" + (" and W = 0" if flat_w else ""))
+    E = ref_eigenframe(e)
     lam = np.diag(E.T @ b @ E)
     clusters = ref_clusters(lam)
-    if source == "eigen" and not flat_w:
+    if not flat_w:
         E = ref_pair_rotation(e, E, clusters)
     for a in range(4):
         if E[np.argmax(np.abs(E[:, a])), a] < 0.0:
@@ -160,7 +158,7 @@ def ref_center(chart, x):
         E[:, 3] = -E[:, 3]
     Wf = frame_tensor(e.weyl, E)
     sigma = np.array([[Wf[i, j, i, j] if i != j else 0.0 for j in range(4)] for i in range(4)])
-    return E, np.diag(E.T @ b @ E), sigma, source, clusters
+    return E, np.diag(E.T @ b @ E), sigma, clusters
 
 
 def reference(chart, x, cfg=DEFAULT_STENCIL, outer=OUTER_STEP, df_only=False):
@@ -168,19 +166,13 @@ def reference(chart, x, cfg=DEFAULT_STENCIL, outer=OUTER_STEP, df_only=False):
     df_only), one point at a time, with central differences on cfg, and
     DF's outer level at step `outer`; the curvature entries come from the
     chart's exact jet."""
-    E, lam, sigma, source, clusters = ref_center(chart, x)
+    E, lam, sigma, clusters = ref_center(chart, x)
     entry = curvature_at(chart, x)
     g = entry.g
 
     def field(y):
-        if source == "adapted":
-            Ey = np.asarray(chart.adapted_frame_fn(y), dtype=float)
-            gy = chart.eval(y)
-            Ey = Ey / np.sqrt(np.einsum("ma,mn,na->a", Ey, gy, Ey))
-        else:
-            ey = curvature_at(chart, y)
-            Ey = ref_pair_rotation(ey, ref_eigenframe(ey), clusters)
-        return ref_align(Ey, E, g, clusters, source == "eigen")
+        ey = curvature_at(chart, y)
+        return ref_align(ref_pair_rotation(ey, ref_eigenframe(ey), clusters), E, g, clusters)
 
     def brackets(Ey, dEy, gy):
         F = np.zeros((4, 4))
@@ -200,7 +192,7 @@ def reference(chart, x, cfg=DEFAULT_STENCIL, outer=OUTER_STEP, df_only=False):
         return brackets(field(y), dEy, chart.eval(y))
 
     dF = np.stack([central_diff(f_at, x, d, cfg, step=outer) for d in range(4)])
-    out = {"DF": np.einsum("ma,mbc->abc", E, dF), "source": source}
+    out = {"DF": np.einsum("ma,mbc->abc", E, dF)}
     if df_only:
         return out
     dE = np.stack([central_diff(field, x, d, cfg) for d in range(4)])
@@ -251,12 +243,10 @@ def closed_form(chart, x):
         "gamma": fr.gamma,
         "dsig": fr.dsig,
         "DF": sd.DF,
-        "source": fr.source,
     }
 
 
 def assert_matches(got, ref, rtol=None, keys=("E", "lam", "sigma", "F", "gamma", "dsig", "DF")):
-    assert got["source"] == ref["source"]
     for key in keys:
         scale = max(1.0, float(np.max(np.abs(ref[key]))))
         tol = RTOL if rtol is None else rtol[key]
@@ -281,11 +271,9 @@ def test_batched_eigen_path_with_pair_clusters(registry_charts, name):
     # the eigen path on charts with 2-point Ricci clusters and W != 0: the
     # reference rotates inside the clusters at every stencil point, the
     # closed form takes the in-cluster blocks from the alignment's gauge
-    chart = eigen_only(registry_charts[name])
+    chart = registry_charts[name]
     x = sample_points(chart, count=1, seed=6)[0]
-    got = closed_form(chart, x)
-    assert got["source"] == "eigen"
-    assert_matches(got, extrapolated_reference(chart, x))
+    assert_matches(closed_form(chart, x), extrapolated_reference(chart, x))
 
 
 def assert_same_frame(a, b):
@@ -301,17 +289,16 @@ def assert_same_frame(a, b):
 
 
 def test_stacked_frames_with_mixed_cluster_patterns(registry_charts):
-    # one stack whose points differ in cluster pattern, all on the eigen
-    # path: two pair clusters on s2xs2, one on kpc, none on randflat, so the
-    # rotation's masked steps run on some points and pairs and skip others,
-    # and s4's points have no frame. extract_frames reads a chart only for
-    # its adapted frame and its name, so one eigen-only chart serves the
-    # stack; each framed point equals the one-point frame of its own chart
-    # on its entry of the stack, bit for bit (without an entry, a one-point
-    # eigenframe comes from a degree-4 jet), and each s4 point raises as it
-    # does alone
+    # one stack whose points differ in cluster pattern: two pair clusters
+    # on s2xs2, one on kpc, none on randflat, so the rotation's masked steps
+    # run on some points and pairs and skip others, and s4's points have no
+    # frame. extract_frames reads a chart only for its name, so one chart
+    # serves the stack; each framed point equals the one-point frame of its
+    # own chart on its entry of the stack, bit for bit (without an entry, a
+    # one-point frame comes from a degree-4 jet), and each s4 point raises
+    # as it does alone
     names = ("s2xs2:1,2", "kpc", "randflat:0", "s4")
-    charts = [eigen_only(registry_charts[n]) for n in names]
+    charts = [registry_charts[n] for n in names]
     parts = [(chart, sample_points(chart, count=3, seed=0)) for chart in charts]
     batch = curv4.chart.stacked_curvature_batch(parts, degree=3)
     frames = extract_frames(charts[0], batch)
@@ -329,6 +316,9 @@ def test_stacked_frames_with_mixed_cluster_patterns(registry_charts):
     for n in range(9):
         assert {k: v[n] for k, v in rows.items()} == skw_residuals(frames[n])
         assert {k: v[n] for k, v in counts.items()} == frame_invariants(frames[n])
+    # the charts given must be one per point of the stack
+    with pytest.raises(InputError, match="2 charts for a stack of 12 points"):
+        extract_frames(charts[:2], batch)
 
 
 def test_stacked_pair_rotation_matches_one_point_at_a_time():
@@ -392,8 +382,8 @@ def framed_stack(charts, count=2, seed=1):
     ],
 )
 def test_multi_chart_stack_equals_each_chart_alone(names):
-    # a stack of adapted charts (s2xs2 cells, kpc, rxs3) and one of eigen
-    # charts (bump, randflat, s4): each chart's slice of the stack's frames,
+    # a stack of charts with pair clusters (s2xs2 cells, kpc, rxs3) and one
+    # of others (bump, randflat, s4): each chart's slice of the stack's frames,
     # diagnostics, skw rows and invariants is its own extract_frames, bit
     # for bit; s4's points have no frame, and their status names s4
     charts = [curv4.build_example(name) for name in names]
@@ -416,15 +406,6 @@ def test_multi_chart_stack_equals_each_chart_alone(names):
             assert np.array_equal(counts[key][part], value), key
 
 
-def test_a_stack_that_mixes_frame_sources_is_rejected(registry_charts):
-    charts = [registry_charts["s2xs2:1,2"], registry_charts["bump:0.1"]]
-    with pytest.raises(InputError, match="adapted frame"):
-        framed_stack(charts)
-    batch = curvature_batch(charts[1], sample_points(charts[1], count=3), degree=3)
-    with pytest.raises(InputError, match="2 charts for a stack of 3 points"):
-        extract_frames(charts[1:] * 2, batch)
-
-
 def test_frame_stack_slices(registry_charts):
     # a slice is the sub-stack, its statuses and diagnostics sliced too, and
     # like the stack it carries no jets; an integer index still raises at a
@@ -432,7 +413,7 @@ def test_frame_stack_slices(registry_charts):
     chart = registry_charts["s2xs2:1,2"]
     frames = extract_frames(chart, curvature_batch(chart, sample_points(chart, count=3), degree=3))
     head = frames[0:2]
-    assert head.status == ("", "") and head.framed.all() and head.source == "adapted"
+    assert head.status == ("", "") and head.framed.all() and head.source == "eigen"
     assert frames.jets is head.jets is head[1].jets is None
     for key, value in vars(head).items():
         if key == "diagnostics":
@@ -534,13 +515,35 @@ def test_frames_on_a_turned_product():
     # that frame
     chart = turned_product_chart()
     x = sample_points(chart, count=1, seed=5)[0]
-    got = closed_form(chart, x)
-    assert got["source"] == "eigen"
-    assert_matches(got, extrapolated_reference(chart, x))
+    assert_matches(closed_form(chart, x), extrapolated_reference(chart, x))
     fr = extract_frame(chart, x)
     sec, _ = curv4.curvature_from_structure(structure_data(chart, fr), fr)
     Rf = frame_tensor(curvature_at(chart, x).R, fr.E)
     assert np.max(np.abs(sec - np.einsum("ijij->ij", Rf))) <= RTOL * max(1.0, np.abs(Rf).max())
+
+
+def test_frame_rule_fixes_the_frame_not_roundoff():
+    # on charts whose Ricci eigenspaces no coordinate axis lies in, the
+    # frame rule, not the eigensolver's roundoff, fixes the basis inside a
+    # cluster: a point's E is the same from the degree-3 entry of a stack
+    # and from extract_frame's own degree-4 jet, alone and inside one stack
+    # of all three charts, and after a change of Ricci at roundoff size,
+    # which turns an eigensolver's basis inside a cluster arbitrarily
+    charts = [turned_product_chart(), sheared_chart("s2xs2:1,2"), sheared_chart("bump:0.1")]
+    parts = [(chart, sample_points(chart, count=4, seed=2)) for chart in charts]
+    points = [(chart, x) for chart, X in parts for x in X]
+    batch = stacked_curvature_batch(parts, degree=3)
+    frames = extract_frames([chart for chart, _ in points], batch)
+    assert frames.framed.all()
+    for n, (chart, x) in enumerate(points):
+        E = extract_frame(chart, x).E
+        assert np.max(np.abs(frames.E[n] - E)) <= 1e-12 * np.max(np.abs(E)), chart.name
+        alone = extract_frame(chart, x, entry=curvature_at(chart, x, degree=3)).E
+        assert np.max(np.abs(alone - E)) <= 1e-12 * np.max(np.abs(E)), chart.name
+        noise = np.random.default_rng(n).normal(size=(4, 4)) * 1e-15 * np.abs(batch.ric[n]).max()
+        nudged = dataclasses.replace(batch[n], ric=batch.ric[n] + noise + noise.T)
+        turned = extract_frame(chart, x, entry=nudged).E
+        assert np.max(np.abs(turned - E)) <= 1e-12 * np.max(np.abs(E)), chart.name
 
 
 @pytest.mark.parametrize("name", ["kpc", "bump:0.1"])
@@ -548,15 +551,15 @@ def test_dlam_is_the_derivative_of_lambda(registry_charts, name):
     # exact D_c lambda_a against central differences of lambda along the
     # aligned frame field, accurate on these charts; s is constant on kpc
     # and not on bump, so both terms of D lambda are seen
-    chart = eigen_only(registry_charts[name])
+    chart = registry_charts[name]
     x = sample_points(chart, count=1, seed=2)[0]
     fr = extract_frame(chart, x)
-    E, lam, sigma, source, clusters = ref_center(chart, x)
+    E, lam, sigma, clusters = ref_center(chart, x)
     g = curvature_at(chart, x).g
 
     def lam_at(y):
         e = curvature_at(chart, y)
-        Ey = ref_align(ref_pair_rotation(e, ref_eigenframe(e), clusters), E, g, clusters, True)
+        Ey = ref_align(ref_pair_rotation(e, ref_eigenframe(e), clusters), E, g, clusters)
         return np.diag(Ey.T @ (e.ric - e.s * e.g / 4.0) @ Ey)
 
     fd = np.einsum("ma,mb->ab", E, np.stack([central_diff(lam_at, x, d) for d in range(4)]))
@@ -581,9 +584,8 @@ def recording(chart):
 def test_one_evaluation_per_stencil(name):
     # given the third-order entry at x, the frame evaluates nothing more and
     # carries no jets, so structure_data evaluates the metric at x, its check
-    # that the chart is the frame's, and then one jet at x: degree 2 for
-    # adapted frames, which need d g and d Gamma, degree 4 for eigenframes,
-    # which need d nabla Ric
+    # that the chart is the frame's, and then one jet at x, of degree 4 for
+    # the d nabla Ric it needs
     chart = curv4.build_example(name)
     x = sample_points(chart, count=1, seed=3)[0]
     entry = curvature_at(chart, x, degree=3)
@@ -591,25 +593,24 @@ def test_one_evaluation_per_stencil(name):
     fr = extract_frame(chart, x, entry=entry)
     assert calls == [] and fr.jets is None
     structure_data(chart, fr)
-    assert calls == [(4,), ("jet", (4,), 2 if fr.source == "adapted" else 4)]
+    assert calls == [(4,), ("jet", (4,), 4)]
 
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "kpc", "bump:0.1"])
 def test_one_jet_per_harvested_point(name):
     # a harvested point, extract_frame(chart, x) then structure_data, makes
-    # one jet evaluation, at x, of the degree its frame and structure data
-    # need: the frame carries that jet's first-order terms, and
-    # structure_data evaluates only the metric at x (the chart check)
+    # one jet evaluation, at x, of degree 4, what its structure data need:
+    # the frame carries that jet's first-order terms, and structure_data
+    # evaluates only the metric at x (the chart check)
     chart = curv4.build_example(name)
     x = sample_points(chart, count=1, seed=3)[0]
     calls = recording(chart)
     fr = extract_frame(chart, x)
-    degree = 3 if fr.source == "adapted" else 4
-    assert calls == [("jet", (4,), degree)]
-    assert set(fr.jets) == ({"g", "gamma"} if degree == 3 else {"g", "gamma", "nabla_ric"})
+    assert calls == [("jet", (4,), 4)]
+    assert set(fr.jets) == {"g", "gamma", "nabla_ric"}
     assert all(term.shape[0] == 5 for term in fr.jets.values())
     structure_data(chart, fr)
-    assert calls == [("jet", (4,), degree), (4,)]
+    assert calls == [("jet", (4,), 4), (4,)]
 
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "randflat:0"])
@@ -622,7 +623,7 @@ def test_stencil_point_outside_the_box_is_named(registry_charts, name):
     # its structure data; the difference reference does, and chart.eval
     # names its first stencil point outside the box, x - 2 h e_0
     fr = extract_frame(chart, x)
-    assert fr.source in ("adapted", "eigen")
+    assert fr.source == "eigen"
     assert np.all(np.isfinite(structure_data(chart, fr).DF))
     outside = x.copy()
     outside[0] += -2 * cfg.step

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import curv4
-from curv4.errors import DegenerateFrameError, InconsistencyError, InputError, PreconditionError
+from curv4.errors import DegenerateFrameError, InputError, PreconditionError
 from curv4.frames import (
     RicciFrame,
     StructureData,
@@ -13,14 +13,14 @@ from curv4.frames import (
     cluster_indices,
     curvature_from_structure,
     extract_frame,
-    invariant_counts,
+    fold_invariants,
     skw_residuals,
     structure_data,
     sy_from_components,
     sy_invariants,
 )
-from curv4.tensor4 import tensor_norm
-from tests.conftest import frame_tensor
+from curv4.tensor4 import bivector_frame, frame_components, sd_split, tensor_norm
+from tests.conftest import frame_tensor, sample_counts
 
 
 def test_cluster_indices():
@@ -37,9 +37,17 @@ def test_cluster_indices():
     assert cluster_count(stack).tolist() == [2, 1, 4]
 
 
+def coordinate_frame(chart, x):
+    """The normalized coordinate frame of a diagonal chart at x: the frame
+    adapted to its product structure."""
+    return np.diag(1.0 / np.sqrt(np.diag(chart.eval(x))))
+
+
 def test_product_adapted_frame_values(s2xs2_chart, s2xs2_frames):
+    # the frame rule gives the product its coordinate frame
     for fr in s2xs2_frames:
-        assert fr.source == "adapted"
+        assert fr.source == "eigen"
+        assert np.max(np.abs(fr.E - coordinate_frame(s2xs2_chart, fr.x))) <= 1e-13
         assert fr.lam == pytest.approx([-0.5, -0.5, 0.5, 0.5], abs=1e-6)
         assert fr.s == pytest.approx(6.0, abs=1e-6)
         assert fr.diagnostics["gram_resid"] < 1e-8
@@ -81,32 +89,9 @@ def test_s4_degenerate(s4_chart):
         extract_frame(s4_chart, x)
 
 
-def test_einstein_needs_adapted_frame():
-    # S2(1) x S2(1) is Einstein with W != 0: the eigen path has no canonical
-    # frame, the registered adapted frame does
-    ch = curv4.make_product_surfaces(1, 1)
-    x = curv4.sample_points(ch, count=1, seed=0)[0]
-    fr = extract_frame(ch, x)
-    assert fr.source == "adapted"
-    with pytest.raises(DegenerateFrameError):
-        extract_frame(dataclasses.replace(ch, adapted_frame_fn=None), x)
-
-
-def test_adapted_frame_must_be_g_orthogonal():
-    # a registered frame whose columns are not g-orthogonal is the chart's
-    # inconsistency, raised for the whole stack, not a degenerate point
-    sheared = np.eye(4) + 0.1 * np.triu(np.ones((4, 4)), 1)
-    ch = dataclasses.replace(curv4.build_example("s2xs2:1,2"), adapted_frame_fn=lambda x: sheared)
-    X = curv4.sample_points(ch, count=3, seed=0)
-    with pytest.raises(InconsistencyError, match="not g-orthogonal"):
-        extract_frame(ch, X[0])
-    with pytest.raises(InconsistencyError, match="not g-orthogonal"):
-        curv4.extract_frames(ch, curv4.chart.curvature_batch(ch, X, degree=3))
-
-
 def test_eigen_frame_budgets():
     # generic metric: numeric eigenframe obeys the looser 1e-6 budgets
-    ch = curv4.make_random_perturbed_flat(1)
+    ch = curv4.build_example("randflat:1")
     for x in curv4.sample_points(ch, count=3, seed=2):
         fr = extract_frame(ch, x)
         assert fr.source == "eigen"
@@ -115,28 +100,40 @@ def test_eigen_frame_budgets():
         assert np.all(np.diff(fr.lam) >= -1e-12)
 
 
+def adapted_values(chart, x, E):
+    """lam, sigma and the W+ spectrum in the frame E at x, read from the
+    curvature at x."""
+    e = curv4.curvature_at(chart, x)
+    lam = np.diag(E.T @ (e.ric - e.s * e.g / 4.0) @ E)
+    split = sd_split(frame_components(e.weyl, bivector_frame(E)), 1)
+    return lam, split.sigma, np.linalg.eigvalsh(split.w_plus)
+
+
 def test_eigen_pair_cluster_matches_adapted(s2xs2_chart):
-    # two 2-clusters with W != 0: the within-cluster rotation diagonalizing
-    # W+ must reproduce the adapted-frame invariants
+    # two 2-clusters with W != 0 that W does not resolve: the frame rule's
+    # coordinate-aligned directions are the frame adapted to the product,
+    # and give its lam and sigma
     x = curv4.sample_points(s2xs2_chart, count=1, seed=4)[0]
-    fa = extract_frame(s2xs2_chart, x)
-    fe = extract_frame(dataclasses.replace(s2xs2_chart, adapted_frame_fn=None), x)
-    assert fe.source == "eigen"
+    fe = extract_frame(s2xs2_chart, x)
+    adapted = coordinate_frame(s2xs2_chart, x)
     assert fe.diagnostics["gram_resid"] < 1e-6
     assert fe.diagnostics["ric_diag_resid"] < 1e-6
-    assert fe.lam == pytest.approx(fa.lam, abs=1e-6)
-    assert np.sort(fe.sigma, axis=None) == pytest.approx(
-        np.sort(fa.sigma, axis=None), abs=1e-5
-    )
+    assert np.max(np.abs(fe.E - adapted)) <= 1e-13
+    lam, sigma, _ = adapted_values(s2xs2_chart, x, adapted)
+    assert fe.lam == pytest.approx(lam, abs=1e-12)
+    assert fe.sigma == pytest.approx(sigma, abs=1e-12)
 
 
 def test_eigen_kpc_matches_adapted(kpc_chart, kpc_frames):
-    fa = kpc_frames[0]
-    fe = extract_frame(dataclasses.replace(kpc_chart, adapted_frame_fn=None), fa.x)
-    assert fe.lam == pytest.approx(fa.lam, abs=1e-6)
-    assert np.linalg.eigvalsh(fe.w_plus) == pytest.approx(
-        np.linalg.eigvalsh(fa.w_plus), abs=1e-6
-    )
+    # kpc's frame is its coordinate frame too, columns in ascending lam
+    fe = kpc_frames[0]
+    adapted = coordinate_frame(kpc_chart, fe.x)
+    lam, _, w_plus = adapted_values(kpc_chart, fe.x, adapted)
+    # ascending lam, a cluster's columns in axis order
+    order = np.argsort(np.round(lam, 9), kind="stable")
+    assert np.max(np.abs(fe.E - adapted[:, order])) <= 1e-13
+    assert fe.lam == pytest.approx(lam[order], abs=1e-12)
+    assert np.linalg.eigvalsh(fe.w_plus) == pytest.approx(w_plus, abs=1e-12)
 
 
 def test_kpc_frame_warped_closed_forms(kpc_chart, kpc_frames, kpc_profile):
@@ -170,7 +167,7 @@ def test_skw_residuals_kpc(kpc_chart, kpc_frames):
 
 
 def test_skw_detects_non_harmonic():
-    ch = curv4.make_random_perturbed_flat(1)
+    ch = curv4.build_example("randflat:1")
     worst = 0.0
     for x in curv4.sample_points(ch, count=4, seed=2):
         fr = extract_frame(ch, x)
@@ -270,25 +267,28 @@ def test_sy_zero_on_web_examples(s2xs2_frames, kpc_frames):
         assert out["zeta"] == 0
 
 
-def test_invariant_counts_product(s2xs2_frames):
-    counts = invariant_counts(s2xs2_frames)
+def test_invariant_counts_product(s2xs2_chart, s2xs2_frames):
+    counts = sample_counts(s2xs2_chart, [fr.x for fr in s2xs2_frames])
     assert (counts.r, counts.w, counts.w_minus) == (2, 2, 2)
     assert counts.case_label == "C"
-    assert counts.d_lower == 0
+    assert counts.d_lower == 0 and counts.degenerate_points == 0
 
 
-def test_invariant_counts_kpc(kpc_frames):
-    counts = invariant_counts(kpc_frames)
+def test_invariant_counts_kpc(kpc_chart, kpc_frames):
+    counts = sample_counts(kpc_chart, [fr.x for fr in kpc_frames])
     assert counts.w == 2
     assert counts.case_label == "C"
     assert counts.d_lower <= 2
 
 
-def test_invariant_counts_degenerate_only():
-    counts = invariant_counts([], degenerate_points=3)
-    assert counts.r == 1 and counts.case_label == "A"
-    with pytest.raises(Exception):
-        invariant_counts([], degenerate_points=0)
+def test_invariant_counts_degenerate_only(s4_chart):
+    # no s4 sample has a frame: the counts are measured all the same, those
+    # of constant curvature, and zeta has no framed sample to read
+    counts = sample_counts(s4_chart, curv4.sample_points(s4_chart, count=3, seed=0))
+    assert (counts.r, counts.w, counts.w_minus, counts.d_lower) == (1, 1, 1, 0)
+    assert counts.case_label == "A" and counts.degenerate_points == 3
+    with pytest.raises(InputError, match="no sample points"):
+        fold_invariants({"r": [], "w": [], "w_minus": [], "zeta": []})
 
 
 def test_spectral_symmetry_wpm(s2xs2_frames, kpc_frames):
@@ -375,7 +375,7 @@ def test_structure_zero_data():
 
 def test_structure_requires_web():
     # a generic metric violates the orthogonal-web precondition
-    ch = curv4.make_random_perturbed_flat(2)
+    ch = curv4.build_example("randflat:2")
     x = curv4.sample_points(ch, count=1, seed=0)[0]
     fr = extract_frame(ch, x)
     assert fr.distinct_gamma_max > 1e-4
@@ -414,25 +414,18 @@ def test_structure_and_frame_must_share_the_point(s2xs2_chart):
 
 
 @pytest.mark.parametrize(
-    "name", ["s2xs2:1,2", "rxs3", "kpc", "kpc:1,1.2,5", "bump:0.1", "randflat:0", "s2xs2:eigen"]
+    "name", ["s2xs2:1,2", "rxs3", "kpc", "kpc:1,1.2,5", "bump:0.1", "randflat:0"]
 )
 def test_carried_jets_give_the_fallback_df(name):
     # DF from the first-order terms a one-point frame carries against DF
     # from the jet structure_data takes for a frame made from an entry: the
-    # same jet, so bit for bit on adapted frames, whose E is the same too;
-    # an eigenframe from a degree-4 jet may differ from one from the
-    # degree-3 entry in roundoff, so to 1e-13 relative there
-    if name == "s2xs2:eigen":
-        chart = dataclasses.replace(curv4.build_example("s2xs2:1,2"), adapted_frame_fn=None)
-    else:
-        chart = curv4.build_example(name)
+    # same degree-4 jet, and a frame from it may differ from one from the
+    # degree-3 entry in roundoff, so to 1e-13 relative
+    chart = curv4.build_example(name)
     for seed in range(20):
         x = curv4.sample_points(chart, count=1, seed=seed)[0]
         carried = extract_frame(chart, x)
         fallback = extract_frame(chart, x, entry=curv4.curvature_at(chart, x, 3))
         assert carried.jets is not None and fallback.jets is None
         got, ref = structure_data(chart, carried).DF, structure_data(chart, fallback).DF
-        if carried.source == "adapted":
-            assert np.array_equal(got, ref)
-        else:
-            assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))
+        assert np.max(np.abs(got - ref)) <= 1e-13 * max(1.0, float(np.max(np.abs(ref))))

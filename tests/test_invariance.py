@@ -7,6 +7,8 @@ map, written with operations that jets support, so its jet is exact and
 nothing is differenced. Scalars of the geometry (s, |Ric|_g, |W|_g and the
 harmonicity residuals, all metric norms) do not depend on coordinates: they
 must agree at mapped points, and the harmonicity verdict must not change.
+Nor do the counts r, w and w_minus, the numbers of distinct eigenvalues of
+Ricci and of the W+ and W- blocks (the map keeps the orientation).
 Both sides run the same curvature algebra on metrics that differ by the
 change of coordinates, so an index or sign slip that diagonal metrics hide
 shows here.
@@ -18,6 +20,7 @@ from hypothesis import strategies as st
 
 import curv4
 from curv4.chart import _RESIDUALS, curvature_batch, harmonicity_report, metric_norm
+from curv4.frames import extract_frames, frame_invariants
 from curv4.tensor4 import curvature_tensor
 from tests.conftest import pulled_back
 
@@ -51,13 +54,15 @@ shift = st.lists(st.floats(-0.3, 0.3), min_size=4, max_size=4)
 def test_pullback_keeps_scalars_and_verdict(registry, name, off, scale, move):
     chart, harmonic = registry[name]
     # unit diagonal and off-diagonal entries of at most 0.3: diagonally
-    # dominant, so invertible, and never orthogonal
+    # dominant, so invertible with a positive determinant, and never
+    # orthogonal
     A = np.eye(4)
     A[~np.eye(4, dtype=bool)] = off
     A *= scale
     mid, half = chart.box.mean(axis=1), 0.5 * np.diff(chart.box, axis=1)[:, 0]
     c = mid + np.array(move) * half
-    rep = harmonicity_report(pulled_back(chart, c, A), count=4, seed=0)
+    pulled = pulled_back(chart, c, A)
+    rep = harmonicity_report(pulled, count=4, seed=0)
     base = curvature_batch(chart, c + rep.points @ A.T, degree=3)
     # roundoff grows with the size of the curvature and its derivatives
     # (|nabla Ric| reaches about 490 on kpc:1,1.2,5)
@@ -69,3 +74,7 @@ def test_pullback_keeps_scalars_and_verdict(registry, name, off, scale, move):
         got = [row[key] for row in rep.rows]
         np.testing.assert_allclose(got, residual(base), rtol=0, atol=atol, err_msg=key)
     assert rep.harmonic == harmonic
+    counts = frame_invariants(extract_frames(pulled, rep.batch))
+    base_counts = frame_invariants(extract_frames(chart, base))
+    for key in ("r", "w", "w_minus"):
+        assert np.array_equal(counts[key], base_counts[key]), key

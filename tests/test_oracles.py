@@ -183,8 +183,8 @@ def test_riemann_tensor_matches_sympy(name):
 
 @pytest.mark.parametrize("name", ["s2xs2:1,2", "bump:0.1"])
 def test_sectional_curvature_from_structure_matches_sympy(name):
-    # F and DF alone rebuild R_ijij in the reported frame: the adapted frame
-    # of the product, and the bump's eigenframe with its 3-point cluster
+    # F and DF alone rebuild R_ijij in the reported frame: the product's
+    # coordinate frame, and the bump's frame with its 3-point cluster
     chart = curv4.build_example(name)
     R = _riemann(name)
     for x in curv4.sample_points(chart, count=3, seed=1):
@@ -213,8 +213,8 @@ def test_degree_three_curvature_matches_sympy(name):
 
 
 def test_degree_four_eigen_harvest_matches_sympy():
-    # the bump has no adapted frame: extract_frame takes one degree-4 jet
-    # and carries nabla Ric to first order for structure_data; its value and
+    # extract_frame takes one degree-4 jet and carries nabla Ric to first
+    # order for structure_data; its value and
     # partials are the oracle's, as are the jet's R and ds
     name = "bump:0.1"
     chart = curv4.build_example(name)

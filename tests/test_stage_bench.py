@@ -8,7 +8,7 @@ addopts), so they check only that every stage runs. For the timings:
 prints per-stage statistics: chart validation, of one chart and of the
 nine rows of a 3x3 s2xs2 scan as one family, one scrambled Halton draw,
 the three harmonicity residual norms of a one-point batch, extract_frame
-on an adapted (s2xs2) and an eigen (bump) frame, skw_residuals,
+on s2xs2 (two pair clusters) and bump (a 3-point cluster), skw_residuals,
 structure_data on a frame made from an entry (which takes its own jet),
 one harvested point (extract_frame with no entry, then structure_data on
 the jet the frame carries), the stacked harmonicity pass of a 3x3 s2xs2 scan at
@@ -77,7 +77,7 @@ def test_stage_residual_norms(benchmark, one_point):
 def test_stage_extract_frame(benchmark, one_point):
     chart, x, batch = one_point
     frame = benchmark(extract_frame, chart, x, batch[0])
-    assert frame.source == ("adapted" if chart.adapted_frame_fn else "eigen")
+    assert frame.source == "eigen"
 
 
 def test_stage_skw_residuals(benchmark, one_point):
@@ -94,8 +94,8 @@ def test_stage_structure_data(benchmark, one_point):
 
 
 def test_stage_one_point_harvest(benchmark, one_point):
-    # extract_frame(chart, x) takes one curvature jet at x, of degree 3 on
-    # s2xs2 and 4 on bump, and structure_data reads its first-order terms
+    # extract_frame(chart, x) takes one curvature jet of degree 4 at x, and
+    # structure_data reads its first-order terms
     chart, x, _ = one_point
 
     def harvest():
@@ -123,8 +123,10 @@ def test_stage_verify_harmonicity(benchmark, name):
 
 def test_stage_stacked_scan_frames(benchmark):
     # the frames of the nine one-sample cells of a 3x3 s2xs2 scan, made in
-    # one pass over their stacked harmonicity batch, each point on its chart
-    charts = [curv4.build_example(f"s2xs2:{k1},{k2}") for k1 in (1, 2, 3) for k2 in (1, 2, 3)]
+    # one pass over their stacked harmonicity batch, each point on its chart;
+    # the Einstein cells (k1 = k2) have no canonical frame
+    cells = [(k1, k2) for k1 in (1, 2, 3) for k2 in (1, 2, 3)]
+    charts = [curv4.build_example(f"s2xs2:{k1},{k2}") for k1, k2 in cells]
     stack = chart_module.harmonicity_reports(charts, count=1, seed=3)[0].stack
 
     def frame_stage():
@@ -132,7 +134,8 @@ def test_stage_stacked_scan_frames(benchmark):
         return frames, skw_residuals(frames), frame_invariants(frames)
 
     frames, rows, counts = benchmark(frame_stage)
-    assert frames.framed.all() and rows["skw.a"].shape == counts["r"].shape == (9,)
+    assert frames.framed.tolist() == [k1 != k2 for k1, k2 in cells]
+    assert rows["skw.a"].shape == counts["r"].shape == (9,)
 
 
 @pytest.mark.parametrize("name", EXAMPLES)
