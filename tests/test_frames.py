@@ -20,7 +20,7 @@ from curv4.frames import (
     sy_invariants,
 )
 from curv4.tensor4 import bivector_frame, frame_components, sd_split, tensor_norm
-from tests.conftest import frame_tensor, sample_counts
+from tests.conftest import frame_tensor, pulled_back, sample_counts
 
 
 def test_cluster_indices():
@@ -414,14 +414,21 @@ def test_structure_and_frame_must_share_the_point(s2xs2_chart):
 
 
 @pytest.mark.parametrize(
-    "name", ["s2xs2:1,2", "rxs3", "kpc", "kpc:1,1.2,5", "bump:0.1", "randflat:0"]
+    "name", ["s2xs2:1,2", "rxs3", "kpc", "kpc:1,1.2,5", "bump:0.1", "randflat:0", "s2xs2:eigen"]
 )
 def test_carried_jets_give_the_fallback_df(name):
     # DF from the first-order terms a one-point frame carries against DF
     # from the jet structure_data takes for a frame made from an entry: the
     # same degree-4 jet, and a frame from it may differ from one from the
-    # degree-3 entry in roundoff, so to 1e-13 relative
-    chart = curv4.build_example(name)
+    # degree-3 entry in roundoff, so to 1e-13 relative. s2xs2:eigen is the
+    # product in sheared coordinates, where the coordinate-aligned
+    # directions of the frame rule are no longer the product's frame
+    if name == "s2xs2:eigen":
+        product = curv4.build_example("s2xs2:1,2")
+        A = np.eye(4) + 0.2 * np.triu(np.ones((4, 4)), 1)
+        chart = pulled_back(product, product.box.mean(axis=1), A, name=name)
+    else:
+        chart = curv4.build_example(name)
     for seed in range(20):
         x = curv4.sample_points(chart, count=1, seed=seed)[0]
         carried = extract_frame(chart, x)
